@@ -14,8 +14,11 @@
 //! The aggregation side never rematerializes reports: the cursor-based
 //! [`count_entry`] counts support directly from the encoded words (see
 //! [`MultidimAggregator::absorb_compact`]), dispatching on the oracle once
-//! per report. Decoding ([`CompactBatch::iter`]) exists for round-trip tests
-//! and diagnostics.
+//! per report. Neither does the routing side: a server re-sharding a
+//! validated batch walks [`CompactBatch::spans`] and copies each report's
+//! words verbatim with [`CompactBatch::push_encoded`]. Decoding
+//! ([`CompactBatch::iter`]) is on no server path; it exists for round-trip
+//! tests and diagnostics.
 //!
 //! ## Wire format (per report, in 64-bit words)
 //!
@@ -69,6 +72,21 @@ const TAG_BITS: u64 = 3;
 pub struct CompactBatch {
     uids: Vec<u64>,
     words: Vec<u64>,
+}
+
+/// One report's encoded words inside a [`CompactBatch`], as yielded by
+/// [`CompactBatch::spans`] and taken by [`CompactBatch::push_encoded`].
+/// Only a batch can make one, so a span is always exactly one well-formed
+/// report; it derefs to the words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportSpan<'a>(&'a [u64]);
+
+impl std::ops::Deref for ReportSpan<'_> {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        self.0
+    }
 }
 
 /// Why a byte buffer failed to decode as a [`CompactBatch`] — the typed
@@ -187,6 +205,15 @@ impl CompactBatch {
         }
     }
 
+    /// Appends one report already in encoded form — a span of some batch,
+    /// as yielded by [`CompactBatch::spans`]. Copying spans re-shards a
+    /// batch without decoding a single report; since only a well-formed
+    /// batch hands out spans, the result stays well-formed with no re-walk.
+    pub fn push_encoded(&mut self, uid: u64, span: ReportSpan<'_>) {
+        self.uids.push(uid);
+        self.words.extend_from_slice(span.0);
+    }
+
     fn push_entry(&mut self, report: &Report) {
         match report {
             Report::Value(v) => self.words.push(TAG_VALUE | (u64::from(*v) << 2)),
@@ -211,8 +238,8 @@ impl CompactBatch {
 
     /// Decodes every `(uid, report)` pair, materializing owned reports — the
     /// round-trip inverse of [`CompactBatch::push`], for tests and
-    /// diagnostics (the aggregation path counts from the encoded words
-    /// directly and never calls this).
+    /// diagnostics. No server path calls this: aggregation counts from the
+    /// encoded words and routing copies [`CompactBatch::spans`].
     pub fn iter(&self) -> impl Iterator<Item = (u64, SolutionReport)> + '_ {
         let mut cursor = Cursor {
             words: &self.words,
@@ -252,6 +279,21 @@ impl CompactBatch {
                 other => unreachable!("corrupt solution header kind {other}"),
             };
             (uid, report)
+        })
+    }
+
+    /// Every report's `(uid, span)` in order, where the span derefs to the
+    /// report's encoded words (solution header plus entries) exactly as
+    /// [`CompactBatch::push`] wrote them. Nothing is decoded or allocated;
+    /// pushing every span back with [`CompactBatch::push_encoded`]
+    /// reproduces the batch.
+    pub fn spans(&self) -> impl Iterator<Item = (u64, ReportSpan<'_>)> + '_ {
+        let words: &[u64] = &self.words;
+        let mut cursor = self.cursor();
+        self.uids.iter().map(move |&uid| {
+            let start = cursor.pos;
+            cursor.skip_report();
+            (uid, ReportSpan(&words[start..cursor.pos]))
         })
     }
 
@@ -602,6 +644,29 @@ impl<'a> Cursor<'a> {
         let w = self.words[self.pos];
         self.pos += 1;
         w
+    }
+
+    /// Advances past one whole report (solution header and entries)
+    /// without materializing it.
+    fn skip_report(&mut self) {
+        let (kind, a, _) = self.solution_header();
+        match kind {
+            KIND_SMP => self.skip_entry(),
+            KIND_MIXED => {
+                for _ in 0..a {
+                    if self.next() & 0b11 == SUBTAG_NUM {
+                        self.pos += 1;
+                    } else {
+                        self.skip_entry();
+                    }
+                }
+            }
+            _ => {
+                for _ in 0..a {
+                    self.skip_entry();
+                }
+            }
+        }
     }
 
     /// Advances past one standard entry without materializing it.

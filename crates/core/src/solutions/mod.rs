@@ -19,7 +19,7 @@ mod smp;
 mod spl;
 
 pub use aggregator::MultidimAggregator;
-pub use compact::{CompactBatch, CompactDecodeError};
+pub use compact::{CompactBatch, CompactDecodeError, ReportSpan};
 pub use kind::{DynSolution, SolutionKind, SolutionReport};
 pub use mixed::{Mixed, MixedEntry, MixedKind, MixedReport, NUMERIC_DIM};
 pub use rsfd::{RsFd, RsFdProtocol};

@@ -7,14 +7,14 @@
 //! ```text
 //!  producer sockets ──► per-connection handler threads ──► LdpServer
 //!        (N)                 read_frame / validate          bounded
-//!                            ingest_batch (may block)       shard queues
+//!                            ingest_compact (may block)     shard queues
 //! ```
 //!
 //! One OS thread per connection, blocking reads — no async runtime, per the
 //! vendored-dependency constraint, and none needed: ingestion is
 //! throughput-bound, not connection-count-bound, and a blocked thread *is*
 //! the backpressure mechanism. When every shard queue is full,
-//! `ingest_batch` blocks the handler, the handler stops calling `read`, the
+//! `ingest_compact` blocks the handler, the handler stops calling `read`, the
 //! kernel receive buffer fills, the TCP window closes, and the remote
 //! producer's `write` stalls — flow control propagates from a full shard
 //! queue all the way to the producer process with no code in between.
@@ -30,8 +30,9 @@
 //!
 //! ## Determinism
 //!
-//! The socket path adds nothing to the ingest semantics: batches are
-//! decoded back to the same envelopes the producer pushed, and the shard
+//! The socket path adds nothing to the ingest semantics: each validated
+//! batch's report spans are copied verbatim, by uid, into the same shard
+//! buffers in-process ingestion fills (no report is rebuilt), and the shard
 //! merge is exact integer addition. A drain of a socket-fed server is
 //! therefore bit-identical to in-process ingestion of the same reports —
 //! the invariant `tests/net_equivalence.rs` pins across thread and
@@ -49,7 +50,7 @@ use ldp_core::solutions::DynSolution;
 use ldp_protocols::hash::mix2;
 
 use crate::config::ServerConfig;
-use crate::service::{Envelope, LdpServer};
+use crate::service::LdpServer;
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 use crate::wire::{
     auth_fingerprint, read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
@@ -309,15 +310,6 @@ impl NetStats {
         let mut tbl = self.sessions.lock().expect("session table poisoned");
         if let Some(state) = tbl.map.get_mut(&token) {
             state.acked_seq = seq;
-            state.ingested += len;
-            state.touched = true;
-        }
-    }
-
-    /// Marks unsequenced (legacy BATCH) ingest against the session.
-    fn record_legacy_batch(&self, token: u64, len: u64) {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        if let Some(state) = tbl.map.get_mut(&token) {
             state.ingested += len;
             state.touched = true;
         }
@@ -842,30 +834,13 @@ fn run_session(
     let solution = server.solution().clone();
     loop {
         match read_frame(reader) {
-            Ok(Frame::Batch(batch)) => {
+            Ok(Frame::BatchSeq { seq, batch }) => {
                 // Validate the *whole* frame before ingesting any of it:
                 // frames are atomic, so a malformed one is rejected without
                 // a single envelope reaching a shard. The solution-instance
                 // check additionally bounds numeric fixed-point magnitudes
                 // for mixed batches (a forged huge report would otherwise
                 // poison the exact sums).
-                if let Err(e) = batch.validate_for_solution(&solution) {
-                    let e = WireError::Batch(e);
-                    abort(writer, ABORT_PROTOCOL, &e.to_string());
-                    return Err(e);
-                }
-                sess.started = true;
-                let len = batch.len() as u64;
-                // May block on a full shard queue — that block is the
-                // backpressure path described in the module docs.
-                server.ingest_batch(batch.iter().map(|(uid, report)| Envelope { uid, report }));
-                sess.ingested += len;
-                stats.ingested.fetch_add(len, Ordering::SeqCst);
-                if sess.resumable {
-                    stats.record_legacy_batch(sess.token, len);
-                }
-            }
-            Ok(Frame::BatchSeq { seq, batch }) => {
                 if let Err(e) = batch.validate_for_solution(&solution) {
                     let e = WireError::Batch(e);
                     abort(writer, ABORT_PROTOCOL, &e.to_string());
@@ -887,7 +862,10 @@ fn run_session(
                     return Err(e);
                 }
                 let len = batch.len() as u64;
-                server.ingest_batch(batch.iter().map(|(uid, report)| Envelope { uid, report }));
+                // Routes the validated words to their shards without
+                // rebuilding a report. May block on a full shard queue —
+                // that block is the backpressure path in the module docs.
+                server.ingest_compact(&batch);
                 sess.acked = seq;
                 sess.ingested += len;
                 stats.ingested.fetch_add(len, Ordering::SeqCst);
@@ -1023,7 +1001,6 @@ fn frame_name(frame: &Frame) -> &'static str {
     match frame {
         Frame::Hello { .. } => "HELLO",
         Frame::HelloAck { .. } => "HELLO_ACK",
-        Frame::Batch(_) => "BATCH",
         Frame::SnapshotRequest { .. } => "SNAPSHOT_REQUEST",
         Frame::Snapshot(_) => "SNAPSHOT",
         Frame::Drain => "DRAIN",
@@ -1087,7 +1064,7 @@ mod tests {
         for uid in 0..200u64 {
             batch.push(uid, &solution.report(&[1, 2], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         write_frame(&mut writer, &Frame::SnapshotRequest { quiesce: true }).unwrap();
         writer.flush().unwrap();
         match read_frame(&mut reader).unwrap() {
@@ -1144,14 +1121,21 @@ mod tests {
         for uid in 0..100u64 {
             batch.push(uid, &solution.report(&[0, 1], &mut rng));
         }
-        write_frame(&mut good_writer, &Frame::Batch(batch.clone())).unwrap();
+        write_frame(
+            &mut good_writer,
+            &Frame::BatchSeq {
+                seq: 1,
+                batch: batch.clone(),
+            },
+        )
+        .unwrap();
         good_writer.flush().unwrap();
 
         // …and garbage on another: corrupt CRC after a valid handshake.
         let (mut bad_reader, bad_stream) = handshake(addr, &solution);
         let mut bad_writer = bad_stream.try_clone().unwrap();
         let mut buf = Vec::new();
-        crate::wire::encode_frame(&Frame::Batch(batch), &mut buf);
+        crate::wire::encode_frame(&Frame::BatchSeq { seq: 1, batch }, &mut buf);
         *buf.last_mut().unwrap() ^= 0xFF;
         std::io::Write::write_all(&mut bad_writer, &buf).unwrap();
         bad_writer.flush().unwrap();
@@ -1199,7 +1183,7 @@ mod tests {
             for uid in 0..50u64 {
                 batch.push(uid, &solution.report(&[1, 2], &mut rng));
             }
-            write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+            write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
             write_frame(&mut writer, &Frame::Drain).unwrap();
             writer.flush().unwrap();
             assert!(matches!(
@@ -1262,7 +1246,7 @@ mod tests {
                         (reader, stream)
                     };
                     let mut writer = stream.try_clone().unwrap();
-                    write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+                    write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
                     write_frame(&mut writer, &Frame::Epoch { round: 0 }).unwrap();
                     writer.flush().unwrap();
                     match read_frame(&mut reader).unwrap() {
@@ -1319,7 +1303,7 @@ mod tests {
         for uid in 0..50u64 {
             batch.push(uid, &smp.report(&[1, 1], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         writer.flush().unwrap();
         match read_frame(&mut reader).unwrap() {
             Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL),
@@ -1381,7 +1365,7 @@ mod tests {
         for uid in 0..30u64 {
             batch.push(uid, &solution.report(&[1, 2], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         write_frame(&mut writer, &Frame::Drain).unwrap();
         writer.flush().unwrap();
         assert!(matches!(

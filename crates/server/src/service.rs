@@ -94,8 +94,9 @@ enum Msg {
 /// A running ingestion service over one collection solution.
 ///
 /// Spawn it with [`LdpServer::spawn`], push sanitized reports through
-/// [`LdpServer::ingest`] / [`LdpServer::ingest_batch`] (callable from any
-/// number of producer threads — the sender side is `Sync`), observe the
+/// [`LdpServer::ingest`] / [`LdpServer::ingest_batch`], or already-encoded
+/// ones through [`LdpServer::ingest_compact`] (callable from any number of
+/// producer threads — the sender side is `Sync`), observe the
 /// running state with [`LdpServer::snapshot`], and finish with
 /// [`LdpServer::drain`]. See the [module docs](crate::service) for the
 /// channel topology, the allocation budget and the determinism argument.
@@ -205,13 +206,46 @@ impl LdpServer {
     /// # Panics
     /// Panics when a target worker has died.
     pub fn ingest_batch(&self, envelopes: impl IntoIterator<Item = Envelope>) {
+        self.route(
+            envelopes.into_iter().map(|e| (e.uid, e.report)),
+            |buffer, uid, report| buffer.push(uid, &report),
+        );
+    }
+
+    /// Ingests an already-encoded batch: each report's word span (see
+    /// [`CompactBatch::spans`]) is copied verbatim into the same per-shard
+    /// buffers [`LdpServer::ingest_batch`] fills, so no report is decoded
+    /// and the shards end up bit-identical to `ingest_batch(batch.iter())`.
+    /// This is the wire tier's entry: the batch must already have passed
+    /// [`CompactBatch::validate_for_solution`] (or been built locally with
+    /// [`CompactBatch::push`]) — the workers' counting path only
+    /// debug-asserts domains.
+    ///
+    /// # Panics
+    /// Panics when a target worker has died.
+    pub fn ingest_compact(&self, batch: &CompactBatch) {
+        self.route(batch.spans(), |buffer, uid, span| {
+            buffer.push_encoded(uid, span)
+        });
+    }
+
+    /// The routing/flush loop behind both batch entries: `encode` appends
+    /// each `(uid, item)` to its shard's buffer (`uid % shards`), a buffer
+    /// that reaches `config.batch` reports is sent and replaced from the
+    /// pool, and the partial buffers left at the end are sent (or recycled
+    /// when empty).
+    fn route<T>(
+        &self,
+        items: impl IntoIterator<Item = (u64, T)>,
+        mut encode: impl FnMut(&mut CompactBatch, u64, T),
+    ) {
         let batch = self.config.batch;
         let mut buffers: Vec<CompactBatch> = (0..self.config.shards)
             .map(|shard| self.pooled_buffer(shard))
             .collect();
-        for envelope in envelopes {
-            let shard = self.shard_of(envelope.uid);
-            buffers[shard].push(envelope.uid, &envelope.report);
+        for (uid, item) in items {
+            let shard = self.shard_of(uid);
+            encode(&mut buffers[shard], uid, item);
             if buffers[shard].len() >= batch {
                 let full = std::mem::replace(&mut buffers[shard], self.pooled_buffer(shard));
                 self.txs[shard]

@@ -21,20 +21,20 @@
 //! |------|------------------|---------------------------------------------|
 //! | 0    | HELLO            | fingerprint (u64) + auth digest (u64)        |
 //! | 1    | HELLO_ACK        | fingerprint (u64) + shards (u32) + session token (u64) + ack interval (u32) |
-//! | 2    | BATCH            | [`CompactBatch::encode_into`] bytes          |
+//! | 2    | *(retired)*      | was the unsequenced BATCH; now rejected as [`WireError::UnknownFrameType`] |
 //! | 3    | SNAPSHOT_REQUEST | empty (flags bit 0 requests a quiesce)       |
 //! | 4    | SNAPSHOT         | [`WireSnapshot`] (estimates + normalized)    |
 //! | 5    | DRAIN            | empty — producer is done                     |
 //! | 6    | DRAIN_ACK        | reports the server ingested for this session |
 //! | 7    | ABORT            | error code (u16) + UTF-8 message             |
 //! | 8    | EPOCH            | round index (u64) — epoch barrier / ack      |
-//! | 9    | BATCH_SEQ        | sequence number (u64) + BATCH bytes          |
+//! | 9    | BATCH_SEQ        | sequence number (u64) + [`CompactBatch::encode_into`] bytes |
 //! | 10   | BATCH_ACK        | cumulative acked seq (u64) + ingested (u64)  |
 //! | 11   | RESUME           | session token (u64) + last acked seq (u64)   |
 //! | 12   | RESUME_ACK       | server's cumulative acked seq (u64)          |
 //!
-//! A session is `HELLO → HELLO_ACK`, then any interleaving of `BATCH` /
-//! `BATCH_SEQ` and `SNAPSHOT_REQUEST → SNAPSHOT`, closed by
+//! A session is `HELLO → HELLO_ACK`, then any interleaving of `BATCH_SEQ`
+//! and `SNAPSHOT_REQUEST → SNAPSHOT`, closed by
 //! `DRAIN → DRAIN_ACK`. A longitudinal producer additionally sends
 //! `EPOCH { round }` after its last batch of round `round`; the server holds
 //! the frame at a fleet-wide barrier, rotates its epoch once every producer
@@ -89,7 +89,6 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 
 const FT_HELLO: u8 = 0;
 const FT_HELLO_ACK: u8 = 1;
-const FT_BATCH: u8 = 2;
 const FT_SNAPSHOT_REQUEST: u8 = 3;
 const FT_SNAPSHOT: u8 = 4;
 const FT_DRAIN: u8 = 5;
@@ -139,7 +138,7 @@ pub enum WireError {
     },
     /// A control frame's payload is malformed.
     Payload(String),
-    /// A BATCH payload failed [`CompactBatch::decode_from`] or
+    /// A BATCH_SEQ payload failed [`CompactBatch::decode_from`] or
     /// [`CompactBatch::validate_for`].
     Batch(CompactDecodeError),
     /// Handshake violation: missing HELLO, or a solution fingerprint that
@@ -241,8 +240,6 @@ pub enum Frame {
         /// owed before the ring fills.
         ack_every: u32,
     },
-    /// A compact-encoded batch of `(uid, report)` envelopes.
-    Batch(CompactBatch),
     /// Client → server request for the current merged estimates.
     SnapshotRequest {
         /// Barrier first, so the snapshot covers everything this producer
@@ -272,8 +269,9 @@ pub enum Frame {
         /// Collection round index (see direction above).
         round: u64,
     },
-    /// A [`Frame::Batch`] carrying its per-session sequence number, so the
-    /// server can ack cumulatively and dedup replays after a reconnect.
+    /// A compact-encoded batch of `(uid, report)` envelopes carrying its
+    /// per-session sequence number, so the server can ack cumulatively and
+    /// dedup replays after a reconnect — the one data frame.
     BatchSeq {
         /// 1-based, strictly monotone, gapless per-session sequence number.
         seq: u64,
@@ -375,10 +373,13 @@ pub fn auth_fingerprint(token: &str) -> u64 {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time —
-/// the workspace vendors no checksum crate, and 256 words is all it takes.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slice-by-8 lookup tables, built at
+/// compile time — the workspace vendors no checksum crate. `CRC_TABLES[0]`
+/// is the classic bytewise table; `CRC_TABLES[t][i]` advances
+/// `CRC_TABLES[0][i]` by `t` further zero bytes, so eight table lookups fold
+/// eight input bytes per step instead of one.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -391,17 +392,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes` — the checksum carried in every frame header.
+/// Slice-by-8: eight bytes per step through `CRC_TABLES`, then the
+/// remainder bytewise; the result is the plain bytewise CRC bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][chunk[4] as usize]
+            ^ t[2][chunk[5] as usize]
+            ^ t[1][chunk[6] as usize]
+            ^ t[0][chunk[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -429,10 +455,6 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> usize {
             buf.extend_from_slice(&session.to_le_bytes());
             buf.extend_from_slice(&ack_every.to_le_bytes());
             (FT_HELLO_ACK, 0)
-        }
-        Frame::Batch(batch) => {
-            batch.encode_into(buf);
-            (FT_BATCH, 0)
         }
         Frame::SnapshotRequest { quiesce } => {
             (FT_SNAPSHOT_REQUEST, if *quiesce { FLAG_QUIESCE } else { 0 })
@@ -492,18 +514,9 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> usize {
     seal_frame(buf, ftype, flags)
 }
 
-/// [`encode_frame`] specialized to a BATCH without constructing the enum —
-/// the producer hot path serializes its reused [`CompactBatch`] buffer
-/// directly (no move, no clone).
-pub fn encode_batch_frame(batch: &CompactBatch, buf: &mut Vec<u8>) -> usize {
-    buf.clear();
-    buf.extend_from_slice(&[0u8; 16]);
-    batch.encode_into(buf);
-    seal_frame(buf, FT_BATCH, 0)
-}
-
-/// [`encode_batch_frame`]'s sequenced twin: a BATCH_SEQ frame serialized
-/// straight from the producer's reused buffer — the hot path of the
+/// [`encode_frame`] specialized to a BATCH_SEQ without constructing the
+/// enum: the frame is serialized straight from the producer's reused
+/// [`CompactBatch`] (no move, no clone) — the hot path of the
 /// fault-tolerant client.
 pub fn encode_batch_seq_frame(seq: u64, batch: &CompactBatch, buf: &mut Vec<u8>) -> usize {
     buf.clear();
@@ -620,7 +633,6 @@ fn decode_payload(ftype: u8, flags: u8, payload: &[u8]) -> Result<Frame, WireErr
                 ack_every: u32::from_le_bytes(payload[20..24].try_into().expect("4-byte slice")),
             })
         }
-        FT_BATCH => Ok(Frame::Batch(CompactBatch::decode_from(payload)?)),
         FT_SNAPSHOT_REQUEST => {
             exact(0)?;
             Ok(Frame::SnapshotRequest {
@@ -767,7 +779,6 @@ mod tests {
                 session: 0xD00D_F00D,
                 ack_every: 32,
             },
-            Frame::Batch(batch.clone()),
             Frame::BatchSeq { seq: 7, batch },
             Frame::BatchAck { seq: 7, n: 350 },
             Frame::Resume {
@@ -920,6 +931,32 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// Bytewise CRC-32: the reference the slice-by-8 [`crc32`] must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Slice-by-8 equals the bytewise reference on every length 0..=300
+        /// at every start offset mod 8 — the 8-byte body, the remainder
+        /// loop and unaligned slices alike.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            buf in proptest::collection::vec(proptest::any::<u8>(), 308..309),
+            offset in 0usize..8,
+            len in 0usize..301,
+        ) {
+            let bytes = &buf[offset..offset + len];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn idle_connection_is_aborted_while_a_live_producer_drains_bit_identically() {
     for (uid, report) in reports.iter().enumerate() {
         batch.push(uid as u64, report);
     }
-    write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+    write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
     write_frame(&mut writer, &Frame::Drain).unwrap();
     match read_frame(&mut reader).unwrap() {
         Frame::DrainAck { n } => assert_eq!(n, 40),
@@ -123,7 +123,14 @@ fn an_active_producer_is_never_timed_out_between_batches() {
         for uid in 0..5u64 {
             batch.push(round * 5 + uid, &solution.report(&[0, 3], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(
+            &mut writer,
+            &Frame::BatchSeq {
+                seq: round + 1,
+                batch,
+            },
+        )
+        .unwrap();
         std::thread::sleep(Duration::from_millis(120));
     }
     write_frame(&mut writer, &Frame::Drain).unwrap();

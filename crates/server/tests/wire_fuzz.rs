@@ -11,9 +11,10 @@ use ldp_core::solutions::{CompactBatch, MixedKind, RsFdProtocol, SolutionKind};
 use ldp_core::NumericKind;
 use ldp_protocols::ProtocolKind;
 use ldp_server::wire::{
-    encode_frame, read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
+    crc32, encode_frame, read_frame, solution_fingerprint, write_frame, Frame, WireError,
+    WireSnapshot, WIRE_MAGIC, WIRE_VERSION,
 };
-use ldp_server::{ServerConfig, WireServer};
+use ldp_server::{ServerConfig, WireServer, ABORT_PROTOCOL};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +36,7 @@ fn session_bytes(seed: u64, reports: u64) -> Vec<u8> {
     for uid in 0..reports {
         batch.push(uid, &solution.report(&[1, 2, 3], &mut rng));
     }
-    frames.push(Frame::Batch(batch));
+    frames.push(Frame::BatchSeq { seq: 1, batch });
     frames.push(Frame::SnapshotRequest { quiesce: true });
     frames.push(Frame::Snapshot(WireSnapshot {
         n: reports,
@@ -75,7 +76,7 @@ fn mixed_session_bytes(seed: u64, reports: u64) -> Vec<u8> {
             .unwrap();
         batch.push(uid, &report);
     }
-    frames.push(Frame::Batch(batch));
+    frames.push(Frame::BatchSeq { seq: 1, batch });
     frames.push(Frame::Drain);
     for frame in &frames {
         encode_frame(frame, &mut buf);
@@ -352,6 +353,68 @@ fn replayed_and_out_of_order_seqs_never_double_ingest() {
     assert_eq!(server.finish().n, 30, "the gapped session must not land");
 }
 
+/// The retired unsequenced BATCH frame (type 2) is an unknown frame type:
+/// a legacy producer's batch under a well-formed header (magic, version,
+/// length and CRC all valid) decodes to a typed
+/// [`WireError::UnknownFrameType`], and a live server ABORTs the connection
+/// with `ABORT_PROTOCOL` without ingesting a report of it.
+#[test]
+fn retired_batch_frame_type_is_rejected() {
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[5, 3, 4], 1.5)
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(0xBA7C);
+    let mut batch = CompactBatch::new();
+    for uid in 0..20u64 {
+        batch.push(uid, &solution.report(&[1, 2, 3], &mut rng));
+    }
+    let mut payload = Vec::new();
+    batch.encode_into(&mut payload);
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
+    frame.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    frame.extend_from_slice(&[2, 0]); // frame type 2, no flags
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    assert!(matches!(
+        read_frame(&mut &frame[..]),
+        Err(WireError::UnknownFrameType(2))
+    ));
+
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        solution.clone(),
+        ServerConfig::default().shards(2),
+    )
+    .unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_frame(
+        &mut writer,
+        &Frame::Hello {
+            fingerprint: solution_fingerprint(&solution),
+            auth: 0,
+        },
+    )
+    .unwrap();
+    writer.flush().unwrap();
+    assert!(matches!(
+        read_frame(&mut reader).unwrap(),
+        Frame::HelloAck { .. }
+    ));
+    writer.write_all(&frame).unwrap();
+    writer.flush().unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::Abort { code, message } => {
+            assert_eq!(code, ABORT_PROTOCOL, "unexpected abort: {message}");
+        }
+        other => panic!("expected ABORT for a type-2 frame, got {other:?}"),
+    }
+    assert_eq!(server.finish().n, 0, "no report of a type-2 frame may land");
+}
+
 /// A representative fault-tolerant session byte stream (HELLO, RESUME,
 /// sequenced batches, acks) to mutate — the resume-grammar twin of
 /// [`session_bytes`].
@@ -543,7 +606,7 @@ proptest! {
         for uid in 0..25u64 {
             batch.push(uid, &solution.report(&[0, 1, 2], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         write_frame(&mut writer, &Frame::Drain).unwrap();
         writer.flush().unwrap();
         prop_assert!(matches!(read_frame(&mut reader).unwrap(), Frame::DrainAck { n: 25 }));

@@ -8,9 +8,9 @@
 //! locally and flushed as BATCH_SEQ frames at the configured batch size —
 //! interleave [`NetClient::snapshot`] round trips for incremental progress,
 //! and [`NetClient::finish`] with a DRAIN/DRAIN_ACK handshake. The batch
-//! buffer and the frame scratch buffer are reused across flushes, so a
-//! steady-state producer allocates nothing per report beyond its bounded
-//! replay ring.
+//! buffer is reused across flushes, and each frame is sealed straight into
+//! the buffer its replay-ring slot keeps — one that an earlier ack freed —
+//! so a steady-state producer neither allocates nor copies a frame.
 //!
 //! ## Fault tolerance
 //!
@@ -49,7 +49,7 @@ use ldp_server::wire::{
 
 use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultPlan};
 
-/// Default reports per BATCH frame — matches the server's default
+/// Default reports per BATCH_SEQ frame — matches the server's default
 /// channel-message batch (`ServerConfig::batch`).
 const DEFAULT_BATCH: usize = 1024;
 
@@ -158,7 +158,9 @@ pub struct NetClient {
     auth: u64,
     batch: CompactBatch,
     batch_size: usize,
-    frame_buf: Vec<u8>,
+    /// Frame buffers acks popped off the replay ring, reused by the next
+    /// flushes — every buffer is either ringed or here.
+    spare: Vec<Vec<u8>>,
     server_shards: u32,
     /// Server-issued resume token (0: session table full, no resume).
     session: u64,
@@ -217,7 +219,7 @@ impl NetClient {
             auth,
             batch: CompactBatch::new(),
             batch_size,
-            frame_buf: Vec::new(),
+            spare: Vec::new(),
             server_shards,
             session,
             server_ack_every: u64::from(server_ack_every).max(1),
@@ -390,10 +392,13 @@ impl NetClient {
     /// on producer in-flight bytes.
     fn flush_batch(&mut self) -> Result<(), WireError> {
         let seq = self.next_seq;
-        encode_batch_seq_frame(seq, &self.batch, &mut self.frame_buf);
+        // Seal straight into the buffer the ring keeps, reusing one an ack
+        // freed: no per-frame clone.
+        let mut frame = self.spare.pop().unwrap_or_default();
+        encode_batch_seq_frame(seq, &self.batch, &mut frame);
         // Ring *before* send: a fault mid-write must leave the frame
         // replayable.
-        self.ring.push_back((seq, self.frame_buf.clone()));
+        self.ring.push_back((seq, frame));
         self.next_seq += 1;
         self.sent += self.batch.len() as u64;
         self.batch.clear();
@@ -490,7 +495,9 @@ impl NetClient {
     fn note_ack(&mut self, seq: u64) {
         self.acked_seq = self.acked_seq.max(seq);
         while self.ring.front().is_some_and(|(s, _)| *s <= self.acked_seq) {
-            self.ring.pop_front();
+            if let Some((_, frame)) = self.ring.pop_front() {
+                self.spare.push(frame);
+            }
         }
     }
 

@@ -594,7 +594,7 @@ impl CollectionPipeline {
     /// producer session against a remote
     /// [`WireServer`](ldp_server::WireServer) at `addr`, sanitizing every
     /// user of the traffic schedule and streaming the reports as checksummed
-    /// BATCH frames. Returns the number of reports the server acknowledged
+    /// BATCH_SEQ frames. Returns the number of reports the server acknowledged
     /// at DRAIN.
     ///
     /// Per-user randomness derives from the same [`user_rng`]`(seed, uid)`
@@ -708,7 +708,7 @@ impl CollectionPipeline {
 
     /// [`CollectionPipeline::serve_remote`] over a mixed dataset: streams
     /// mixed reports to a remote [`WireServer`](ldp_server::WireServer)
-    /// through the same checksummed BATCH frames (the compact wire encoding
+    /// through the same checksummed BATCH_SEQ frames (the compact wire encoding
     /// carries numeric entries unchanged). Bit-identical to
     /// [`CollectionPipeline::run_mixed`] at equal seed.
     ///

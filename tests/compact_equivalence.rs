@@ -5,12 +5,19 @@
 //! the original `SolutionReport`s — counts, estimates and normalized
 //! estimates alike. This is what licenses the ingestion service to move
 //! pooled flat buffers across its channels instead of heap-owning reports.
+//! (3) Routing a batch by its encoded report spans
+//! (`LdpServer::ingest_compact`) drains bit-identically to routing the
+//! decoded reports (`LdpServer::ingest_batch`), which is what licenses the
+//! wire tier to skip decoding.
 
 use ldp_core::solutions::{
-    CompactBatch, RsFdProtocol, RsRfdProtocol, SolutionKind, SolutionReport,
+    CompactBatch, DynSolution, MixedKind, RsFdProtocol, RsRfdProtocol, SolutionKind, SolutionReport,
 };
+use ldp_core::NumericKind;
 use ldp_datasets::corpora::adult_like;
+use ldp_datasets::mixed::mixed_survey_like;
 use ldp_protocols::ProtocolKind;
+use ldp_server::{Envelope, LdpServer, ServerConfig};
 use ldp_sim::user_rng;
 
 /// Every constructible solution family × every underlying protocol: SPL and
@@ -133,4 +140,103 @@ fn compact_absorption_rejects_foreign_shapes() {
     let mut batch = CompactBatch::new();
     batch.push(0, &rsfd.report(&[1, 2], &mut rng));
     smp.aggregator().absorb_compact(&batch);
+}
+
+#[test]
+fn span_routing_drains_bit_identically_to_report_routing() {
+    let ds = adult_like(300, 13);
+    let ks = ds.schema().cardinalities();
+    let mixed = mixed_survey_like(300, 17);
+    let mut cases: Vec<(SolutionKind, DynSolution, CompactBatch)> = Vec::new();
+    for kind in all_kinds() {
+        let solution = kind.build(&ks, 2.0).unwrap();
+        let mut batch = CompactBatch::new();
+        for uid in 0..ds.n() as u64 {
+            let mut rng = user_rng(4, uid);
+            batch.push(uid, &solution.report(ds.row(uid as usize), &mut rng));
+        }
+        cases.push((kind, solution, batch));
+    }
+    // MIXED over a categorical value, hashed and bit-vector protocol, each
+    // with its own numeric mechanism.
+    for (protocol, numeric) in [ProtocolKind::Grr, ProtocolKind::Olh, ProtocolKind::Oue]
+        .into_iter()
+        .zip(NumericKind::ALL)
+    {
+        let kind = SolutionKind::Mixed(MixedKind {
+            protocol,
+            numeric,
+            sample_k: 3,
+        });
+        let solution = kind.build(&mixed.ks(), 2.0).unwrap();
+        let mut batch = CompactBatch::new();
+        for uid in 0..mixed.n() as u64 {
+            let mut rng = user_rng(5, uid);
+            let i = uid as usize;
+            let report = solution
+                .report_mixed(mixed.cat().row(i), mixed.num_row(i), &mut rng)
+                .unwrap();
+            batch.push(uid, &report);
+        }
+        cases.push((kind, solution, batch));
+    }
+
+    for (kind, solution, batch) in &cases {
+        // Spans tile the words: concatenated, they are the batch's encoded
+        // words (the bytes after the count header and the uids), and
+        // re-pushing them rebuilds the batch exactly.
+        let mut bytes = Vec::new();
+        batch.encode_into(&mut bytes);
+        let words: Vec<u64> = bytes[16 + 8 * batch.len()..]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        let spans: Vec<_> = batch.spans().collect();
+        assert_eq!(spans.len(), batch.len(), "{kind}");
+        let tiled: Vec<u64> = spans.iter().flat_map(|(_, span)| span.to_vec()).collect();
+        assert_eq!(tiled, words, "{kind}: spans tile the words");
+        let mut rebuilt = CompactBatch::new();
+        for &(uid, span) in &spans {
+            rebuilt.push_encoded(uid, span);
+        }
+        assert_eq!(&rebuilt, batch, "{kind}: push_encoded rebuilds the batch");
+
+        for shards in [1usize, 2, 3, 8] {
+            // A small channel batch makes the routing loop flush mid-frame.
+            let config = ServerConfig::default().shards(shards).batch(16);
+            let by_spans = LdpServer::spawn(solution.clone(), config.clone());
+            by_spans.ingest_compact(batch);
+            let by_spans = by_spans.drain();
+            let by_reports = LdpServer::spawn(solution.clone(), config);
+            by_reports.ingest_batch(batch.iter().map(|(uid, report)| Envelope { uid, report }));
+            let by_reports = by_reports.drain();
+            assert_eq!(by_spans.n, batch.len() as u64, "{kind} shards={shards}");
+            assert_eq!(by_spans.n, by_reports.n, "{kind} shards={shards}");
+            assert_eq!(
+                by_spans.aggregator.counts(),
+                by_reports.aggregator.counts(),
+                "{kind} shards={shards}"
+            );
+            assert_eq!(
+                by_spans.aggregator.num_sums(),
+                by_reports.aggregator.num_sums(),
+                "{kind} shards={shards}"
+            );
+            for (a, b) in by_spans
+                .estimates
+                .iter()
+                .flatten()
+                .chain(by_spans.normalized.iter().flatten())
+                .zip(
+                    by_reports
+                        .estimates
+                        .iter()
+                        .flatten()
+                        .chain(by_reports.normalized.iter().flatten()),
+                )
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind} shards={shards}");
+            }
+        }
+    }
 }
