@@ -56,6 +56,22 @@ fn bench_matching(c: &mut Criterion) {
         })
     });
 
+    // A one-entry profile, as every SMP, RS+FD and RS+RFD target has: it
+    // takes the single-posting-list path instead of counting matches.
+    let mut single = Profile::new();
+    single.observe(3, ds.value(123, 3));
+    c.bench_function("reident_top10_match_single_entry_10k_records", |b| {
+        b.iter(|| {
+            black_box(attack.hits_in_top_ks(
+                black_box(&single),
+                123,
+                &[1, 10],
+                &mut scratch,
+                &mut rng,
+            ))
+        })
+    });
+
     c.bench_function("reident_index_build_10k_records", |b| {
         b.iter(|| black_box(ReidentAttack::build(black_box(&ds), &all)))
     });

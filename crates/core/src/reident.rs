@@ -12,10 +12,14 @@
 //! tie-breaking and flips a Bernoulli coin: with `B` records strictly better
 //! than the true record and `T` records tied with it, the true record enters
 //! the top-k iff `B < k`, with probability `min(1, (k − B)/T)`. This is
-//! distributionally identical to sorting with random tie-breaks and costs
-//! `O(Σ posting-list sizes)` per user via an inverted index.
-
-use std::collections::HashMap;
+//! distributionally identical to sorting with random tie-breaks.
+//!
+//! `B` and `T` come from an inverted index. A profile with one usable entry
+//! (every SMP, RS+FD and RS+RFD profile) matches exactly the records of one
+//! ascending posting list, so `B` and `T` follow from the list's length and
+//! a binary search for the true record: `O(log |list|)` per target, with no
+//! scratch writes. Profiles with several usable entries (SPL, averaging)
+//! count matches over their posting lists: `O(Σ posting-list sizes)`.
 
 use ldp_datasets::Dataset;
 use rand::Rng;
@@ -27,8 +31,9 @@ use crate::profiling::Profile;
 #[derive(Debug, Clone)]
 pub struct ReidentAttack {
     n: usize,
-    /// Global attribute id → per-value posting lists.
-    postings: HashMap<usize, Vec<Vec<u32>>>,
+    /// Per-value ascending posting lists, indexed by global attribute id;
+    /// `None` for attributes outside the background knowledge.
+    postings: Vec<Option<Vec<Vec<u32>>>>,
 }
 
 /// Reusable per-thread scratch buffers for the matcher.
@@ -47,14 +52,14 @@ impl ReidentAttack {
     /// Panics when `attrs` contains an out-of-range attribute.
     pub fn build(background: &Dataset, attrs: &[usize]) -> Self {
         let n = background.n();
-        let mut postings: HashMap<usize, Vec<Vec<u32>>> = HashMap::with_capacity(attrs.len());
+        let mut postings = vec![None; attrs.iter().max().map_or(0, |&j| j + 1)];
         for &j in attrs {
             assert!(j < background.d(), "attribute {j} out of range");
             let mut lists = vec![Vec::new(); background.schema().k(j)];
             for i in 0..n {
                 lists[background.value(i, j) as usize].push(i as u32);
             }
-            postings.insert(j, lists);
+            postings[j] = Some(lists);
         }
         ReidentAttack { n, postings }
     }
@@ -64,9 +69,20 @@ impl ReidentAttack {
         self.n
     }
 
-    /// Attributes available to the matcher.
+    /// Attributes available to the matcher, in ascending order.
     pub fn known_attrs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.postings.keys().copied()
+        self.postings
+            .iter()
+            .enumerate()
+            .filter_map(|(j, lists)| lists.as_ref().map(|_| j))
+    }
+
+    /// The posting list of records holding `value` on `attr`, or `None` when
+    /// the entry is unusable: the attribute is outside the background
+    /// knowledge or the value outside its domain.
+    fn posting(&self, attr: usize, value: u32) -> Option<&[u32]> {
+        let lists = self.postings.get(attr)?.as_ref()?;
+        lists.get(value as usize).map(Vec::as_slice)
     }
 
     /// Whether the true record `true_id` lands in the top-k candidate set for
@@ -125,18 +141,38 @@ impl ReidentAttack {
             hits.fill(false);
             return;
         }
-        scratch.counts.resize(self.n, 0);
+        let mut usable = profile
+            .entries()
+            .iter()
+            .filter_map(|&(attr, value)| self.posting(attr, value));
+        let (better, tied) = match (usable.next(), usable.next()) {
+            (None, _) => {
+                // Nothing to match on: the decision is a uniform top-k guess.
+                for (slot, &k) in ks.iter().enumerate() {
+                    hits[slot] = rng.random::<f64>() < k as f64 / self.n as f64;
+                }
+                return;
+            }
+            (Some(list), None) => rank_in_list(list, true_id, self.n),
+            _ => self.rank_by_counting(profile, true_id, scratch),
+        };
+        top_k_decision(better, tied, ks, hits, rng);
+    }
 
-        // Count matches for every record appearing in a relevant posting list.
-        let mut usable_entries = 0usize;
+    /// `(better, tied)` for the true record by counting every record's
+    /// matches over the profile's usable posting lists. Needs at least one
+    /// usable entry.
+    fn rank_by_counting(
+        &self,
+        profile: &Profile,
+        true_id: u32,
+        scratch: &mut MatchScratch,
+    ) -> (usize, usize) {
+        scratch.counts.resize(self.n, 0);
         for &(attr, value) in profile.entries() {
-            let Some(lists) = self.postings.get(&attr) else {
-                continue; // attribute absent from D_PK
-            };
-            let Some(list) = lists.get(value as usize) else {
+            let Some(list) = self.posting(attr, value) else {
                 continue;
             };
-            usable_entries += 1;
             for &id in list {
                 let c = &mut scratch.counts[id as usize];
                 if *c == 0 {
@@ -146,39 +182,23 @@ impl ReidentAttack {
             }
         }
 
-        if usable_entries == 0 {
-            // Nothing to match on: the decision is a uniform top-k guess.
-            for (slot, &k) in ks.iter().enumerate() {
-                hits[slot] = rng.random::<f64>() < k as f64 / self.n as f64;
+        let c_true = scratch.counts[true_id as usize];
+        // Match-count comparison over touched records (counts >= 1).
+        let mut better = 0usize;
+        let mut tied = 0usize;
+        for &id in &scratch.touched {
+            let c = scratch.counts[id as usize];
+            if c > c_true {
+                better += 1;
+            } else if c == c_true {
+                tied += 1;
             }
-        } else {
-            let c_true = scratch.counts[true_id as usize];
-            // Match-count comparison over touched records (counts >= 1).
-            let mut better = 0usize;
-            let mut tied = 0usize;
-            for &id in &scratch.touched {
-                let c = scratch.counts[id as usize];
-                if c > c_true {
-                    better += 1;
-                } else if c == c_true {
-                    tied += 1;
-                }
-            }
-            if c_true == 0 {
-                // All touched records are strictly better; the true record is
-                // tied with every untouched one.
-                better = scratch.touched.len();
-                tied = self.n - better;
-            }
-            debug_assert!(tied >= 1, "the tie group always contains the true record");
-            for (slot, &k) in ks.iter().enumerate() {
-                hits[slot] = if better >= k {
-                    false
-                } else {
-                    let slots = (k - better) as f64;
-                    slots >= tied as f64 || rng.random::<f64>() < slots / tied as f64
-                };
-            }
+        }
+        if c_true == 0 {
+            // All touched records are strictly better; the true record is
+            // tied with every untouched one.
+            better = scratch.touched.len();
+            tied = self.n - better;
         }
 
         // Reset scratch for the next user.
@@ -186,6 +206,7 @@ impl ReidentAttack {
             scratch.counts[id as usize] = 0;
         }
         scratch.touched.clear();
+        (better, tied)
     }
 
     /// RID-ACC (%) over per-user profiles, where `profiles[i]` targets the
@@ -215,11 +236,47 @@ impl ReidentAttack {
     }
 }
 
+/// `(better, tied)` for a single-entry profile, whose match count is the
+/// indicator of one ascending posting list: inside the list the true record
+/// ties with the whole list; outside it, the list is strictly better and the
+/// true record ties with every other record of the `n`.
+fn rank_in_list(list: &[u32], true_id: u32, n: usize) -> (usize, usize) {
+    assert!((true_id as usize) < n, "true record {true_id} out of range");
+    if list.binary_search(&true_id).is_ok() {
+        (0, list.len())
+    } else {
+        (list.len(), n - list.len())
+    }
+}
+
+/// The tie-aware top-k decision for every `k` of `ks`, given `better`
+/// records strictly closer than the true record and `tied` at its distance
+/// (itself included). Draws one uniform only when the tie group straddles
+/// the cut-off, so every matching path leaves the same rng state.
+fn top_k_decision<R: Rng + ?Sized>(
+    better: usize,
+    tied: usize,
+    ks: &[usize],
+    hits: &mut [bool],
+    rng: &mut R,
+) {
+    debug_assert!(tied >= 1, "the tie group always contains the true record");
+    for (slot, &k) in ks.iter().enumerate() {
+        hits[slot] = if better >= k {
+            false
+        } else {
+            let slots = (k - better) as f64;
+            slots >= tied as f64 || rng.random::<f64>() < slots / tied as f64
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldp_datasets::Schema;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     /// Four-record dataset with distinctive combinations.
@@ -374,6 +431,112 @@ mod tests {
             let mut buf = [true; 3];
             attack.hits_into(&p, 2, &[1, 2, 4], &mut scratch, &mut buf, &mut rng_b);
             assert_eq!(alloc, buf.to_vec());
+        }
+    }
+
+    #[test]
+    fn known_attrs_are_ascending() {
+        let ds = Dataset::new(Schema::from_cardinalities(&[2; 5]), vec![0; 10]);
+        let attack = ReidentAttack::build(&ds, &[4, 0, 3, 1]);
+        assert_eq!(attack.known_attrs().collect::<Vec<_>>(), vec![0, 1, 3, 4]);
+        assert_eq!(ReidentAttack::build(&ds, &[]).known_attrs().count(), 0);
+    }
+
+    /// The counting path for every profile with a usable entry: the
+    /// reference the single-entry fast path of `hits_into` must match.
+    fn counting_hits(
+        attack: &ReidentAttack,
+        profile: &Profile,
+        true_id: u32,
+        ks: &[usize],
+        hits: &mut [bool],
+        rng: &mut StdRng,
+    ) {
+        let usable = profile
+            .entries()
+            .iter()
+            .any(|&(attr, value)| attack.posting(attr, value).is_some());
+        if attack.n() == 0 || !usable {
+            // Empty backgrounds and unusable profiles share one code path.
+            attack.hits_into(
+                profile,
+                true_id,
+                ks,
+                &mut MatchScratch::default(),
+                hits,
+                rng,
+            );
+        } else {
+            let mut scratch = MatchScratch::default();
+            let (better, tied) = attack.rank_by_counting(profile, true_id, &mut scratch);
+            top_k_decision(better, tied, ks, hits, rng);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Over random backgrounds (FK and PK subsets) and profiles with one
+        /// usable entry — padded with entries on unknown attributes and
+        /// out-of-domain values — the single-entry path gives the counting
+        /// path's hits and leaves its rng in the same state, for `k ≥ n`
+        /// and `n = 0` too.
+        #[test]
+        fn single_entry_matching_equals_counting(seed in proptest::any::<u64>()) {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let d = gen.random_range(1..5usize);
+            let cards: Vec<u32> = (0..d).map(|_| gen.random_range(2..6u32)).collect();
+            let n = gen.random_range(0..30usize);
+            let values = (0..n * d)
+                .map(|c| gen.random_range(0..cards[c % d]))
+                .collect();
+            let ds = Dataset::new(Schema::from_cardinalities(&cards), values);
+            let attrs: Vec<usize> = if gen.random_bool(0.5) {
+                (0..d).collect()
+            } else {
+                (0..d).filter(|_| gen.random_bool(0.5)).collect()
+            };
+            let attack = ReidentAttack::build(&ds, &attrs);
+            let ks: Vec<usize> = (0..gen.random_range(1..4usize))
+                .map(|_| gen.random_range(1..n + 3))
+                .collect();
+            let mut scratch = MatchScratch::default();
+            for target in 0..n.max(1) {
+                let true_id = target as u32;
+                let mut p = Profile::new();
+                let mut order: Vec<usize> = (0..d + 2).collect();
+                order.shuffle(&mut gen);
+                let mut has_usable = false;
+                for attr in order {
+                    let known = attrs.contains(&attr);
+                    if known && !has_usable {
+                        // The one usable entry: the true value or any value.
+                        let value = if n > 0 && gen.random_bool(0.5) {
+                            ds.value(target, attr)
+                        } else {
+                            gen.random_range(0..cards[attr])
+                        };
+                        p.observe(attr, value);
+                        has_usable = true;
+                    } else if known {
+                        if gen.random_bool(0.5) {
+                            p.observe(attr, cards[attr] + gen.random_range(0..3u32));
+                        }
+                    } else if gen.random_bool(0.5) {
+                        p.observe(attr, gen.random_range(0..8u32));
+                    }
+                }
+                let draw_seed = gen.random::<u64>();
+                let (mut rng_fast, mut rng_ref) =
+                    (StdRng::seed_from_u64(draw_seed), StdRng::seed_from_u64(draw_seed));
+                let mut fast = vec![false; ks.len()];
+                let mut reference = vec![true; ks.len()];
+                attack.hits_into(&p, true_id, &ks, &mut scratch, &mut fast, &mut rng_fast);
+                counting_hits(&attack, &p, true_id, &ks, &mut reference, &mut rng_ref);
+                proptest::prop_assert_eq!(&fast, &reference, "profile {:?}", p);
+                proptest::prop_assert_eq!(rng_fast.random::<u64>(), rng_ref.random::<u64>());
+            }
+            proptest::prop_assert!(scratch.counts.iter().all(|&c| c == 0));
         }
     }
 

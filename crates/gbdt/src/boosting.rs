@@ -12,7 +12,7 @@ use rand::seq::index::sample;
 use rand::SeedableRng;
 
 use crate::data::{BinnedMatrix, BinningSpec, DenseMatrix};
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, TreeLearner, TreeParams};
 
 /// Booster hyper-parameters.
 #[derive(Debug, Clone)]
@@ -130,6 +130,8 @@ impl GbdtClassifier {
         let mut probs = vec![0.0f64; n * n_classes];
         let mut grad = vec![0.0f64; n];
         let mut hess = vec![0.0f64; n];
+        let mut learner = TreeLearner::default();
+        let mut row_leaf: Vec<Option<f32>> = vec![None; n];
 
         for _round in 0..params.rounds {
             // Current probabilities.
@@ -147,7 +149,7 @@ impl GbdtClassifier {
                     hess[i] = (p * (1.0 - p)).max(1e-9);
                 }
 
-                let mut rows: Vec<u32> = if params.subsample < 1.0 {
+                let rows: Vec<u32> = if params.subsample < 1.0 {
                     let m = ((n as f64 * params.subsample) as usize).max(1);
                     sample(&mut rng, n, m)
                         .into_iter()
@@ -166,11 +168,17 @@ impl GbdtClassifier {
                     (0..f as u32).collect()
                 };
 
-                let tree =
-                    RegressionTree::fit(&binned, &grad, &hess, &mut rows, &features, &tree_params);
-                for i in 0..n {
-                    scores[i * n_classes + c] +=
-                        params.learning_rate * f64::from(tree.predict_binned(binned.row(i)));
+                let tree = learner.fit(&binned, &grad, &hess, &rows, &features, &tree_params);
+                // In-sample rows take their leaf from the learner; only the
+                // rows subsampling left out walk the tree.
+                for (&i, &leaf) in rows.iter().zip(learner.leaves()) {
+                    row_leaf[i as usize] = Some(leaf);
+                }
+                for (i, leaf) in row_leaf.iter_mut().enumerate() {
+                    let leaf = leaf
+                        .take()
+                        .unwrap_or_else(|| tree.predict_binned(binned.row(i)));
+                    scores[i * n_classes + c] += params.learning_rate * f64::from(leaf);
                 }
                 round_trees.push(tree);
             }
@@ -217,27 +225,26 @@ impl GbdtClassifier {
         imp
     }
 
-    /// Raw (pre-softmax) scores for one feature row.
-    fn raw_scores(&self, row: &[f32]) -> Vec<f64> {
-        let bins: Vec<u16> = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| self.spec.bin(j, v))
-            .collect();
-        let mut scores = self.base_scores.clone();
+    /// Raw (pre-softmax) scores for one feature row, written into `scores`;
+    /// `bins` is a reusable buffer for the row's bin codes.
+    fn raw_scores_into(&self, row: &[f32], bins: &mut Vec<u16>, scores: &mut [f64]) {
+        bins.clear();
+        bins.extend(row.iter().enumerate().map(|(j, &v)| self.spec.bin(j, v)));
+        scores.copy_from_slice(&self.base_scores);
         for round in &self.trees {
             for (c, tree) in round.iter().enumerate() {
-                scores[c] += self.learning_rate * f64::from(tree.predict_binned(&bins));
+                scores[c] += self.learning_rate * f64::from(tree.predict_binned(bins));
             }
         }
-        scores
     }
 
     /// Class-probability predictions for every row of `x`.
     pub fn predict_proba(&self, x: &DenseMatrix) -> Vec<Vec<f64>> {
+        let mut bins = Vec::with_capacity(x.n_cols());
         (0..x.n_rows())
             .map(|i| {
-                let mut s = self.raw_scores(x.row(i));
+                let mut s = vec![0.0; self.n_classes];
+                self.raw_scores_into(x.row(i), &mut bins, &mut s);
                 softmax(&mut s);
                 s
             })
@@ -246,10 +253,12 @@ impl GbdtClassifier {
 
     /// Hard class predictions for every row of `x`.
     pub fn predict(&self, x: &DenseMatrix) -> Vec<u32> {
+        let mut bins = Vec::with_capacity(x.n_cols());
+        let mut scores = vec![0.0; self.n_classes];
         (0..x.n_rows())
             .map(|i| {
-                let s = self.raw_scores(x.row(i));
-                argmax(&s) as u32
+                self.raw_scores_into(x.row(i), &mut bins, &mut scores);
+                argmax(&scores) as u32
             })
             .collect()
     }
