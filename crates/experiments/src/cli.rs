@@ -75,7 +75,7 @@ the serving process):
                           producers with parts 0/N…(N-1)/N cover the
                           population exactly once (default 0/1)
     --snapshot-every <W>  log an incremental server snapshot every W
-                          traffic waves (0 = never)
+                          traffic waves, counted across rounds (0 = never)
     --auth-token <T>      shared-secret handshake token (must match the
                           server's --auth-token)
     --retries <N>         reconnect-and-resume attempts per transport

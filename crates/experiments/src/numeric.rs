@@ -98,7 +98,7 @@ pub fn run_mse(cfg: &ExpConfig) -> ExperimentReport {
         let out = CollectionPipeline::new(mixed_solution(&mixed, mech, eps))
             .seed(collect_seed)
             .threads(1)
-            .run_mixed(&mixed);
+            .run(&mixed);
         let d_cat = mixed.d_cat();
         let mse = (0..mixed.d_num())
             .map(|j| (out.estimates[d_cat + j][0] - mixed.numeric_mean(j)).powi(2))
@@ -167,7 +167,7 @@ pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
         .seed(collect_seed)
         .threads(1);
         let outcome = attack
-            .run_mixed(&collection, &mixed)
+            .run(&collection, &mixed)
             .outcome
             .numeric()
             .expect("numeric outcome")

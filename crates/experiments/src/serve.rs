@@ -16,7 +16,10 @@ use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_datasets::{corpora, Dataset};
 use ldp_protocols::{ProtocolKind, UeMode};
 use ldp_server::{EpochSnapshot, ServerConfig, WireServer};
-use ldp_sim::{BudgetPolicy, CollectionPipeline, CollectionRun, TrafficGenerator, TrafficShape};
+use ldp_sim::{
+    BudgetPolicy, CollectionPipeline, CollectionRun, LongitudinalRun, TrafficGenerator,
+    TrafficShape,
+};
 
 use crate::manifest::{config_hash, git_rev, Manifest};
 use crate::table::{fnum, Table};
@@ -191,14 +194,12 @@ pub fn run_serve(spec: &ServeSpec, cfg: &ExpConfig) -> ServeOutcome {
         .threads(cfg.threads);
     let traffic = TrafficGenerator::new(spec.shape, dataset.n()).seed(cfg.seed);
     let started = Instant::now();
-    let (run, epochs) = if spec.rounds > 1 {
-        let longitudinal = pipeline
-            .serve_rounds(&dataset, &traffic, spec.rounds, spec.budget, spec.retain)
-            .expect("serve spec validated at parse time");
-        (longitudinal.cumulative, longitudinal.epochs)
-    } else {
-        (pipeline.serve(&dataset, &traffic), Vec::new())
-    };
+    let LongitudinalRun {
+        cumulative: run,
+        epochs,
+    } = pipeline
+        .serve_rounds(&dataset, &traffic, spec.rounds, spec.budget, spec.retain)
+        .expect("serve spec validated at parse time");
     let wall_secs = started.elapsed().as_secs_f64();
     let mae = mean_abs_error(&run.normalized, &dataset.marginals());
     ServeOutcome {
@@ -520,8 +521,8 @@ pub fn execute_serve(
 /// serving process's flags), streams its `part` of the population over the
 /// wire with the given client-side wire behavior (auth, deadline, reconnect
 /// budget, optional fault plan), and drains. With `snapshot_every > 0` an
-/// incremental SNAPSHOT round trip is logged every that many waves. Returns
-/// the exit code.
+/// incremental SNAPSHOT round trip is logged every that many waves, in
+/// every round. Returns the exit code.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_produce(
     spec: &ServeSpec,
@@ -549,37 +550,24 @@ pub fn execute_produce(
         cfg.seed
     );
     let started = Instant::now();
-    // Multi-round fleets advance via the EPOCH barrier instead of
-    // incremental SNAPSHOT polling, so `snapshot_every` applies only to the
-    // single-round path.
-    let result = if spec.rounds > 1 {
-        pipeline.serve_remote_rounds(
-            &dataset,
-            &traffic,
-            connect,
-            part,
-            parts,
-            spec.rounds,
-            spec.budget,
-        )
-    } else {
-        pipeline.serve_remote_part(
-            &dataset,
-            &traffic,
-            connect,
-            part,
-            parts,
-            snapshot_every,
-            &mut |snapshot| {
-                if !quiet {
-                    eprintln!(
-                        "[risks] produce {part}/{parts}: server aggregate at {} reports",
-                        snapshot.n
-                    );
-                }
-            },
-        )
-    };
+    let result = pipeline.serve_remote_rounds(
+        &dataset,
+        &traffic,
+        connect,
+        part,
+        parts,
+        spec.rounds,
+        spec.budget,
+        snapshot_every,
+        &mut |snapshot| {
+            if !quiet {
+                eprintln!(
+                    "[risks] produce {part}/{parts}: server aggregate at {} reports",
+                    snapshot.n
+                );
+            }
+        },
+    );
     let wall_secs = started.elapsed().as_secs_f64();
     match result {
         Ok(acked) => {

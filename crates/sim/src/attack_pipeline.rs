@@ -44,11 +44,11 @@ use ldp_core::attacks::{
 };
 use ldp_core::profiling::Profile;
 use ldp_core::reident::{MatchScratch, ReidentAttack};
-use ldp_datasets::{Dataset, MixedDataset};
+use ldp_datasets::Dataset;
 use ldp_protocols::ProtocolError;
 
 use crate::par;
-use crate::pipeline::{CollectionPipeline, CollectionRun};
+use crate::pipeline::{BudgetPolicy, CollectionPipeline, CollectionRun, Population};
 
 /// Configurable sharded attack run. Build with [`AttackPipeline::new`] /
 /// [`AttackPipeline::from_kind`], chain the builder setters, then either
@@ -111,107 +111,67 @@ impl AttackPipeline {
         &self.attack
     }
 
-    /// Runs the full pass: the collection pipeline streams the dataset into
-    /// server estimates while the adversary observes the wire
-    /// ([`CollectionPipeline::run_with_observation`] — each user is
-    /// sanitized once), the attack fits its model, and every target is
-    /// scored in parallel shards with per-target rng streams.
+    /// One round of [`AttackPipeline::run_rounds`]: the collection pipeline
+    /// streams the population into server estimates while the adversary
+    /// observes the wire (each user is sanitized once), the attack fits its
+    /// model, and every target is scored in parallel shards with per-target
+    /// rng streams.
     ///
     /// # Panics
-    /// Panics when the dataset does not match the collection solution, or
-    /// when the configured attack cannot run against the solution family
+    /// Panics when the population does not match the collection solution,
+    /// or when the configured attack cannot run against the solution family
     /// (e.g. sampled-attribute inference against SPL/SMP).
-    pub fn run(&self, collection: &CollectionPipeline, dataset: &Dataset) -> AttackRun {
-        // Analytic attacks never read the wire: keep those runs memory-flat.
-        let (crun, observed) = if self.attack.needs_observation() {
-            collection.run_with_observation(dataset)
-        } else {
-            (collection.run(dataset), Vec::new())
-        };
-        let view = AdversaryView {
-            dataset,
-            solution: collection.solution(),
-            observed: &observed,
-            numeric_truth: None,
-        };
-        let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
-        let outcome = self.evaluate(fitted.as_ref());
-        AttackRun {
-            outcome,
-            collection: crun,
-            fitted,
-        }
+    pub fn run(&self, collection: &CollectionPipeline, population: &impl Population) -> AttackRun {
+        self.run_rounds(collection, population, 1, BudgetPolicy::SplitEps)
+            .expect("a single round collects with the configured solution")
     }
 
-    /// The longitudinal pass behind [`AttackKind::Averaging`]: the
-    /// collection pipeline replays `rounds` rounds of the campaign under
-    /// `policy` ([`CollectionPipeline::observe_rounds`] — a round-major
-    /// `rounds·n` wire sanitized with the per-round solution, ε/R under
-    /// ε-splitting), the attack fits over the pooled wire, and every target
-    /// is scored in parallel shards. The returned
-    /// [`AttackRun::collection`] aggregates the full multi-round wire.
+    /// The full pass over a campaign of `rounds` rounds under `policy`
+    /// (the longitudinal setting behind [`AttackKind::Averaging`]): the
+    /// collection pipeline sanitizes every round once
+    /// ([`CollectionPipeline::observe_rounds`] — a round-major `rounds·n`
+    /// wire sanitized with the per-round solution, ε/R under ε-splitting),
+    /// the attack fits over the pooled wire, and every target is scored in
+    /// parallel shards. The adversary's view carries the population's
+    /// continuous ground truth, if any, so numeric attacks
+    /// ([`AttackKind::NumericValueRange`]) can fit their priors. The
+    /// returned [`AttackRun::collection`] merges the per-round aggregates of
+    /// the same pass.
     ///
     /// # Panics
-    /// Panics when the dataset does not match the collection solution, or
-    /// when the configured attack rejects the solution family or wire
+    /// Panics when the population does not match the collection solution,
+    /// or when the configured attack rejects the solution family or wire
     /// length.
     pub fn run_rounds(
         &self,
         collection: &CollectionPipeline,
-        dataset: &Dataset,
+        population: &impl Population,
         rounds: usize,
-        policy: crate::pipeline::BudgetPolicy,
+        policy: BudgetPolicy,
     ) -> Result<AttackRun, ProtocolError> {
-        let (round_solution, observed) = collection.observe_rounds(dataset, rounds, policy)?;
+        let solution = policy.round_solution(collection.solution(), rounds)?;
+        // Analytic attacks never read the wire: keep those runs memory-flat.
+        let (runs, observed) = if self.attack.needs_observation() {
+            collection.observe_rounds(population, rounds, policy)?
+        } else {
+            (
+                collection.run_rounds(population, rounds, policy)?,
+                Vec::new(),
+            )
+        };
         let view = AdversaryView {
-            dataset,
-            solution: &round_solution,
+            dataset: population.categorical(),
+            solution: &solution,
             observed: &observed,
-            numeric_truth: None,
+            numeric_truth: population.numeric_truth(),
         };
         let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
         let outcome = self.evaluate(fitted.as_ref());
-        let mut aggregator = round_solution.aggregator();
-        for report in &observed {
-            aggregator.absorb(report);
-        }
         Ok(AttackRun {
             outcome,
-            collection: CollectionRun::from_snapshot(ldp_server::ServerSnapshot::from_aggregator(
-                aggregator, 1,
-            )),
+            collection: CollectionRun::merged(runs),
             fitted,
         })
-    }
-
-    /// [`AttackPipeline::run`] over a mixed categorical + continuous round:
-    /// the collection pass sanitizes through
-    /// [`CollectionPipeline::run_mixed`] and the adversary's view carries the
-    /// continuous ground truth, so numeric attacks
-    /// ([`AttackKind::NumericValueRange`]) can fit their priors.
-    ///
-    /// # Panics
-    /// Panics when the mixed dataset does not match the collection solution,
-    /// or when the configured attack cannot run against mixed rounds.
-    pub fn run_mixed(&self, collection: &CollectionPipeline, mixed: &MixedDataset) -> AttackRun {
-        let (crun, observed) = if self.attack.needs_observation() {
-            collection.run_with_observation_mixed(mixed)
-        } else {
-            (collection.run_mixed(mixed), Vec::new())
-        };
-        let view = AdversaryView {
-            dataset: mixed.cat(),
-            solution: collection.solution(),
-            observed: &observed,
-            numeric_truth: Some(mixed),
-        };
-        let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
-        let outcome = self.evaluate(fitted.as_ref());
-        AttackRun {
-            outcome,
-            collection: crun,
-            fitted,
-        }
     }
 
     /// Sharded, per-target-seeded evaluation of a fitted attack —
@@ -443,7 +403,7 @@ mod tests {
         }))
         .unwrap()
         .seed(7);
-        let run = pipeline.clone().threads(1).run_mixed(&collection, &mixed);
+        let run = pipeline.clone().threads(1).run(&collection, &mixed);
         let serial = evaluate_serial(run.fitted.as_ref(), 7);
         assert_eq!(run.collection.n, 800);
         for threads in [2usize, 8] {
@@ -459,7 +419,6 @@ mod tests {
 
     #[test]
     fn longitudinal_averaging_runs_and_memoize_stays_exactly_flat() {
-        use crate::pipeline::BudgetPolicy;
         use ldp_core::attacks::AveragingConfig;
         let ds = adult_like(400, 5);
         let ks = ds.schema().cardinalities();
@@ -493,6 +452,57 @@ mod tests {
             "memoized rounds replay round 0: pooling must change nothing"
         );
         assert_eq!(four.collection.n, 4 * 400);
+    }
+
+    #[test]
+    fn run_rounds_collection_merges_the_per_round_runs_of_the_same_pass() {
+        use ldp_core::attacks::AveragingConfig;
+        let ds = adult_like(300, 8);
+        let ks = ds.schema().cardinalities();
+        let collection =
+            CollectionPipeline::from_kind(SolutionKind::Smp(ProtocolKind::Grr), &ks, 6.0)
+                .unwrap()
+                .seed(5)
+                .threads(3);
+        let attack = AttackPipeline::from_kind(AttackKind::Averaging(AveragingConfig {
+            rounds: 3,
+            reident: ReidentConfig::default(),
+        }))
+        .unwrap()
+        .seed(5)
+        .threads(2);
+        for policy in BudgetPolicy::ALL {
+            let run = attack.run_rounds(&collection, &ds, 3, policy).unwrap();
+            let per_round = collection.run_rounds(&ds, 3, policy).unwrap();
+            let mut merged = policy
+                .round_solution(collection.solution(), 3)
+                .unwrap()
+                .aggregator();
+            for round in &per_round {
+                merged.merge(&round.aggregator);
+            }
+            let expected = ldp_server::ServerSnapshot::from_aggregator(merged, 3);
+            assert_eq!(run.collection.n, expected.n, "{policy}");
+            assert_eq!(
+                run.collection.aggregator.counts(),
+                expected.aggregator.counts(),
+                "{policy}: the attack's collection must merge the per-round runs"
+            );
+            for (a, b) in run
+                .collection
+                .estimates
+                .iter()
+                .flatten()
+                .zip(expected.estimates.iter().flatten())
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "{policy}: estimates");
+            }
+            assert_eq!(
+                run.collection.shards, per_round[0].shards,
+                "{policy}: the shard count comes from the collection pass"
+            );
+            assert_eq!(run.collection.shards, 3, "{policy}");
+        }
     }
 
     #[test]

@@ -13,22 +13,30 @@
 //!   adversary must first *infer* the sampled attribute with the §3.3
 //!   classifier before profiling.
 //! * [`pipeline::CollectionPipeline`] — the streaming frequency-estimation
-//!   pipeline: dataset → solution → sharded aggregators → merged estimates,
-//!   memory-flat in the population size.
+//!   pipeline: [`Population`] → solution → sharded aggregators → merged
+//!   estimates, memory-flat in the population size. Every pass collects
+//!   `rounds ≥ 1` rounds under a [`BudgetPolicy`] (a single round is
+//!   `rounds = 1`), with one call per sink: in-process aggregates
+//!   ([`CollectionPipeline::run_rounds`], or its one-round shorthand
+//!   [`CollectionPipeline::run`]), aggregates plus the observed wire
+//!   ([`CollectionPipeline::observe_rounds`]), a streamed `ldp_server`
+//!   drain ([`CollectionPipeline::serve_rounds`]) and one remote producer
+//!   ([`CollectionPipeline::serve_remote_rounds`]).
 //! * [`attack_pipeline::AttackPipeline`] — the adversary mirror: dataset →
 //!   collection run → adversary fit (profiles / classifier / index) →
 //!   sharded, per-target-seeded ASR evaluation, bit-identical for every
 //!   thread count.
 //! * [`traffic::TrafficGenerator`] — seeded arrival schedules (steady,
 //!   burst, diurnal-ish ramp, churn) that drive the streamed
-//!   [`CollectionPipeline::serve`] mode through the `ldp_server` ingestion
-//!   service, bit-identical to the batch pass at equal seed.
+//!   [`CollectionPipeline::serve_rounds`] mode through the `ldp_server`
+//!   ingestion service, bit-identical to the batch pass at equal seed.
 //! * [`net_client::NetClient`] — the producer side of the ingestion wire:
 //!   a blocking TCP client streaming checksummed, sequence-numbered
 //!   `CompactBatch` frames to a remote `ldp_server::WireServer`, with a
 //!   bounded unacked-replay ring, reconnect-and-resume, and configurable
 //!   read deadlines; driven from the traffic schedule by
-//!   [`CollectionPipeline::serve_remote`] for real multi-process ingestion.
+//!   [`CollectionPipeline::serve_remote_rounds`] for real multi-process
+//!   ingestion.
 //! * [`fault::FaultPlan`] — deterministic, seeded transport-fault schedules
 //!   (drop / delay / reset / truncate / duplicate) the client injects on
 //!   its own sends, so crash-recovery paths are exactly reproducible.
@@ -54,6 +62,7 @@ pub use fault::{FaultKind, FaultPlan};
 pub use net_client::{ClientConfig, NetClient};
 pub use pipeline::{
     user_rng, user_rng_round, BudgetPolicy, CollectionPipeline, CollectionRun, LongitudinalRun,
+    Population,
 };
 pub use rsfd_campaign::{run_rsfd_campaign, RsFdCampaignConfig};
 pub use survey::SurveyPlan;

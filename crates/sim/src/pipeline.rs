@@ -1,4 +1,4 @@
-//! The streaming collection pipeline: dataset → solution → sharded
+//! The streaming collection pipeline: population → solution → sharded
 //! aggregators → merged estimates, in one configurable, deterministic,
 //! thread-parallel pass.
 //!
@@ -8,6 +8,20 @@
 //! the shards are merged exactly (integer counts), so results are
 //! bit-identical for every thread count and peak memory is
 //! `O(threads · Σ_j k_j)` regardless of the population size.
+//!
+//! Every pass reads a [`Population`] (a categorical [`Dataset`] or a mixed
+//! categorical + numeric [`MixedDataset`]) and collects it over
+//! `rounds ≥ 1` rounds under a [`BudgetPolicy`]; a single round is
+//! `rounds = 1`. There is one call per sink:
+//!
+//! * [`CollectionPipeline::run_rounds`] — per-round in-process aggregates
+//!   ([`CollectionPipeline::run`] is its one-round shorthand);
+//! * [`CollectionPipeline::observe_rounds`] — the same aggregates plus the
+//!   wire the §3.1 adversary captures, from one sanitization pass;
+//! * [`CollectionPipeline::serve_rounds`] — streamed through an
+//!   [`LdpServer`], one epoch per round;
+//! * [`CollectionPipeline::serve_remote_rounds`] — one producer of a fleet
+//!   streaming to a remote [`WireServer`](ldp_server::WireServer).
 //!
 //! The per-user sanitize calls route through the protocols' word-parallel
 //! paths (UE reports are built whole-word, never bit-by-bit — see the
@@ -40,10 +54,13 @@ use ldp_core::solutions::{DynSolution, MultidimAggregator, SolutionKind, Solutio
 use ldp_datasets::{Dataset, MixedDataset};
 use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolError;
-use ldp_server::{Envelope, EpochSnapshot, LdpServer, ServerConfig, ServerSnapshot};
+use ldp_server::{
+    Envelope, EpochSnapshot, LdpServer, ServerConfig, ServerSnapshot, WireError, WireSnapshot,
+};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
+use crate::net_client::{ClientConfig, NetClient};
 use crate::par;
 use crate::traffic::TrafficGenerator;
 
@@ -116,20 +133,20 @@ impl BudgetPolicy {
     }
 
     /// The solution one round of an `R`-round campaign collects with:
-    /// the same solution at ε/R for [`BudgetPolicy::SplitEps`], the
-    /// full-budget solution unchanged for [`BudgetPolicy::Memoize`]. Both
-    /// the producers and the server must build this (equal fingerprints on
-    /// the wire).
+    /// the same solution at ε/R for [`BudgetPolicy::SplitEps`] over more
+    /// than one round, the configured solution unchanged otherwise (a
+    /// single round, or [`BudgetPolicy::Memoize`]). Both the producers and
+    /// the server must build this (equal fingerprints on the wire).
     pub fn round_solution(
         self,
         solution: &DynSolution,
         rounds: usize,
     ) -> Result<DynSolution, ProtocolError> {
         match self {
-            BudgetPolicy::Memoize => Ok(solution.clone()),
-            BudgetPolicy::SplitEps => solution
+            BudgetPolicy::SplitEps if rounds > 1 => solution
                 .kind()
-                .build(solution.ks(), solution.epsilon() / rounds.max(1) as f64),
+                .build(solution.ks(), solution.epsilon() / rounds as f64),
+            _ => Ok(solution.clone()),
         }
     }
 
@@ -150,28 +167,110 @@ impl std::fmt::Display for BudgetPolicy {
     }
 }
 
-/// The outcome of a streamed longitudinal pass
-/// ([`CollectionPipeline::serve_rounds`]): the cumulative drain over every
-/// round plus the server's retained per-epoch windowed snapshots.
+/// The source of every collection pass: a population of users, each of
+/// whom sanitizes their own tuple. Implemented by [`Dataset`] (categorical
+/// tuples) and [`MixedDataset`] (categorical + normalized numeric tuples),
+/// so each sink of [`CollectionPipeline`] and [`crate::AttackPipeline`] is
+/// written once for both.
+pub trait Population: Sync {
+    /// Number of users.
+    fn n(&self) -> usize;
+
+    /// Panics unless the population's schema matches `solution`'s.
+    fn assert_schema(&self, solution: &DynSolution);
+
+    /// User `uid`'s sanitized report under `solution`, drawing from `rng`.
+    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut dyn RngCore) -> SolutionReport;
+
+    /// The categorical ground truth (the adversary's background knowledge).
+    fn categorical(&self) -> &Dataset;
+
+    /// The continuous ground truth numeric attacks fit their priors on;
+    /// `None` for a purely categorical population.
+    fn numeric_truth(&self) -> Option<&MixedDataset>;
+}
+
+impl Population for Dataset {
+    fn n(&self) -> usize {
+        Dataset::n(self)
+    }
+
+    fn assert_schema(&self, solution: &DynSolution) {
+        assert_eq!(
+            self.d(),
+            solution.d(),
+            "dataset does not match the solution schema"
+        );
+    }
+
+    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut dyn RngCore) -> SolutionReport {
+        solution.report(self.row(uid), rng)
+    }
+
+    fn categorical(&self) -> &Dataset {
+        self
+    }
+
+    fn numeric_truth(&self) -> Option<&MixedDataset> {
+        None
+    }
+}
+
+impl Population for MixedDataset {
+    fn n(&self) -> usize {
+        MixedDataset::n(self)
+    }
+
+    fn assert_schema(&self, solution: &DynSolution) {
+        assert_eq!(
+            self.ks(),
+            solution.ks().to_vec(),
+            "mixed dataset does not match the solution's heterogeneous ks"
+        );
+    }
+
+    /// Categorical row + normalized numeric row through
+    /// [`DynSolution::report_mixed`]. The dataset validated every numeric
+    /// value at construction, so a reporting error here is a bug, not bad
+    /// input.
+    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut dyn RngCore) -> SolutionReport {
+        solution
+            .report_mixed(self.cat().row(uid), self.num_row(uid), rng)
+            .expect("mixed dataset values are validated at construction")
+    }
+
+    fn categorical(&self) -> &Dataset {
+        self.cat()
+    }
+
+    fn numeric_truth(&self) -> Option<&MixedDataset> {
+        Some(self)
+    }
+}
+
+/// The outcome of a streamed pass ([`CollectionPipeline::serve_rounds`]):
+/// the cumulative drain over every round plus the server's retained
+/// per-epoch windowed snapshots.
 #[derive(Debug, Clone)]
 pub struct LongitudinalRun {
     /// The full-campaign drain (all rounds merged) — bit-identical to
     /// batch-collecting every round's reports.
     pub cumulative: CollectionRun,
     /// The retained closed-epoch snapshots, oldest first (at most the
-    /// server's configured retention).
+    /// server's configured retention; empty for a single round, which
+    /// closes no epoch).
     pub epochs: Vec<EpochSnapshot>,
 }
 
-/// Configurable streaming collection run over one dataset. Build with
+/// Configurable streaming collection run over one population. Build with
 /// [`CollectionPipeline::new`] / [`CollectionPipeline::from_kind`], chain the
-/// builder setters, then [`CollectionPipeline::run`].
+/// builder setters, then call the sink's method (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CollectionPipeline {
     solution: DynSolution,
     seed: u64,
     threads: usize,
-    net: crate::net_client::ClientConfig,
+    net: ClientConfig,
 }
 
 /// The outcome of one pipeline pass.
@@ -197,7 +296,7 @@ impl CollectionPipeline {
             solution,
             seed: 0,
             threads: par::default_threads(),
-            net: crate::net_client::ClientConfig::default(),
+            net: ClientConfig::default(),
         }
     }
 
@@ -225,9 +324,9 @@ impl CollectionPipeline {
     }
 
     /// Sets the client-side wire behavior (auth, deadlines, reconnect
-    /// policy, fault injection) the `serve_remote*` producers connect with.
-    /// In-process passes ignore it.
-    pub fn client(mut self, cfg: crate::net_client::ClientConfig) -> Self {
+    /// policy, fault injection) [`CollectionPipeline::serve_remote_rounds`]
+    /// connects with. In-process passes ignore it.
+    pub fn client(mut self, cfg: ClientConfig) -> Self {
         self.net = cfg;
         self
     }
@@ -237,234 +336,251 @@ impl CollectionPipeline {
         &self.solution
     }
 
-    /// Runs the pass: every user's tuple is sanitized with its own
-    /// deterministic RNG and absorbed straight into a per-thread aggregator
-    /// shard; shards merge into [`CollectionRun::aggregator`].
+    /// One round of [`CollectionPipeline::run_rounds`]: every user's tuple
+    /// is sanitized with its own deterministic RNG ([`user_rng`]) and
+    /// absorbed straight into a per-thread aggregator shard; shards merge
+    /// into [`CollectionRun::aggregator`].
     ///
     /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn run(&self, dataset: &Dataset) -> CollectionRun {
-        self.assert_dataset(dataset);
-        self.run_source(dataset.n(), self.dataset_reporter(dataset))
+    /// Panics when the population's schema differs from the solution's.
+    pub fn run(&self, population: &impl Population) -> CollectionRun {
+        self.run_rounds(population, 1, BudgetPolicy::SplitEps)
+            .expect("a single round collects with the configured solution")
+            .remove(0)
     }
 
-    /// [`CollectionPipeline::run`] over a mixed categorical + continuous
-    /// dataset: each user's categorical row and normalized numeric row are
-    /// sanitized together through [`DynSolution::report_mixed`]. Identical
-    /// determinism contract (per-user [`user_rng`] streams, exact shard
-    /// merge).
+    /// Collects the population over `rounds` rounds under `policy`,
+    /// returning one [`CollectionRun`] per round. The configured solution
+    /// carries the **total** budget ε; [`BudgetPolicy::SplitEps`] sanitizes
+    /// each round with fresh randomness at ε/R, [`BudgetPolicy::Memoize`]
+    /// computes the round-0 report at full ε and replays it bit-identically
+    /// (rounds > 0 re-derive the identical report from the identical rng
+    /// stream — the functional definition of memoization, with no per-user
+    /// cache). Round 0 is the single-round run bit for bit.
     ///
     /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's (the solution must be a mixed one).
-    pub fn run_mixed(&self, mixed: &MixedDataset) -> CollectionRun {
-        self.assert_mixed(mixed);
-        self.run_source(mixed.n(), self.mixed_reporter(mixed))
-    }
-
-    fn run_source(
+    /// Panics when the population's schema differs from the solution's.
+    pub fn run_rounds(
         &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-    ) -> CollectionRun {
-        let shards = self.sanitize_shards(
-            n,
-            report,
-            || self.solution.aggregator(),
-            |agg, report| agg.absorb(&report),
-        );
-        self.merge_shards(shards)
+        population: &impl Population,
+        rounds: usize,
+        policy: BudgetPolicy,
+    ) -> Result<Vec<CollectionRun>, ProtocolError> {
+        let per_round = self.round_pipeline(policy, rounds)?;
+        Ok(per_round
+            .sanitize_rounds(
+                population,
+                rounds,
+                policy,
+                || per_round.solution.aggregator(),
+                |agg, report| agg.absorb(&report),
+            )
+            .map(|shards| per_round.merge_shards(&shards))
+            .collect())
     }
 
-    /// [`CollectionPipeline::run`] that also hands back the wire: each user
-    /// is sanitized **once**, the report is absorbed into its thread's
-    /// aggregator shard *and* kept as the §3.1 adversary's observation.
-    /// Buffers `O(n)` reports (the adversary must hold the wire anyway);
-    /// use [`CollectionPipeline::run`] when nothing observes the messages.
+    /// [`CollectionPipeline::run_rounds`] that also hands back the wire:
+    /// each user is sanitized **once** per round, the report is absorbed
+    /// into its thread's aggregator shard *and* kept as the §3.1
+    /// adversary's observation. The wire is round-major (round `r`'s
+    /// reports occupy `r*n .. (r+1)*n`, each round in user order), so what
+    /// the attack observes is bit-identical to what the server aggregated.
+    /// Buffers `O(rounds · n)` reports (the adversary must hold the wire
+    /// anyway); use [`CollectionPipeline::run_rounds`] when nothing observes
+    /// the messages. The reports are sanitized with
+    /// [`BudgetPolicy::round_solution`].
     ///
     /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn run_with_observation(&self, dataset: &Dataset) -> (CollectionRun, Vec<SolutionReport>) {
-        self.assert_dataset(dataset);
-        self.run_with_observation_source(dataset.n(), self.dataset_reporter(dataset))
-    }
-
-    /// [`CollectionPipeline::run_with_observation`] over a mixed dataset —
-    /// the single-sanitization-pass entry for numeric attacks.
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's.
-    pub fn run_with_observation_mixed(
+    /// Panics when the population's schema differs from the solution's.
+    pub fn observe_rounds(
         &self,
-        mixed: &MixedDataset,
-    ) -> (CollectionRun, Vec<SolutionReport>) {
-        self.assert_mixed(mixed);
-        self.run_with_observation_source(mixed.n(), self.mixed_reporter(mixed))
+        population: &impl Population,
+        rounds: usize,
+        policy: BudgetPolicy,
+    ) -> Result<(Vec<CollectionRun>, Vec<SolutionReport>), ProtocolError> {
+        let per_round = self.round_pipeline(policy, rounds)?;
+        let mut observed = Vec::with_capacity(rounds.max(1) * population.n());
+        let runs = per_round
+            .sanitize_rounds(
+                population,
+                rounds,
+                policy,
+                || (per_round.solution.aggregator(), Vec::new()),
+                |(agg, reports), report| {
+                    agg.absorb(&report);
+                    reports.push(report);
+                },
+            )
+            .map(|chunks| {
+                let mut shards = Vec::with_capacity(chunks.len());
+                for (agg, reports) in chunks {
+                    shards.push(agg);
+                    observed.extend(reports);
+                }
+                per_round.merge_shards(&shards)
+            })
+            .collect();
+        Ok((runs, observed))
     }
 
-    fn run_with_observation_source(
-        &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-    ) -> (CollectionRun, Vec<SolutionReport>) {
-        let chunks = self.sanitize_shards(
-            n,
-            report,
-            || (self.solution.aggregator(), Vec::new()),
-            |(agg, reports), report| {
-                agg.absorb(&report);
-                reports.push(report);
-            },
-        );
-        let mut shards = Vec::with_capacity(chunks.len());
-        let mut observed = Vec::with_capacity(n);
-        for (agg, reports) in chunks {
-            shards.push(agg);
-            observed.extend(reports);
-        }
-        (self.merge_shards(shards), observed)
-    }
-
-    /// Regenerates the exact sanitized messages a [`CollectionPipeline::run`]
-    /// with this configuration absorbs — the §3.1 adversary's wire view.
-    /// Per-user randomness derives from the same `(seed, uid)` streams as
-    /// the collection pass, so what the attack observes is bit-identical to
-    /// what the server aggregated. Prefer
-    /// [`CollectionPipeline::run_with_observation`] when the collection run
-    /// is needed too (one sanitization pass instead of two).
-    pub fn observe(&self, dataset: &Dataset) -> Vec<SolutionReport> {
-        self.assert_dataset(dataset);
-        self.sanitize_shards(
-            dataset.n(),
-            self.dataset_reporter(dataset),
-            Vec::new,
-            |reports, report| reports.push(report),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// [`CollectionPipeline::observe`] over a mixed dataset.
+    /// The streamed twin of [`CollectionPipeline::run_rounds`]: spins up an
+    /// [`LdpServer`] with one shard per configured thread and pushes every
+    /// user's sanitized report through its bounded channels, each round
+    /// following its own arrival schedule
+    /// ([`TrafficGenerator::waves_for_round`]). With more than one round,
+    /// each round is closed with [`LdpServer::advance_epoch`] and the last
+    /// `retain` windowed epoch snapshots are kept; a single round closes no
+    /// epoch. The configured thread count drives **both** sides of the
+    /// channel: each wave is sanitized by up to `threads` concurrent
+    /// producers feeding `threads` aggregator shards.
     ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's.
-    pub fn observe_mixed(&self, mixed: &MixedDataset) -> Vec<SolutionReport> {
-        self.assert_mixed(mixed);
-        self.sanitize_shards(
-            mixed.n(),
-            self.mixed_reporter(mixed),
-            Vec::new,
-            |reports, report| reports.push(report),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// The streamed twin of [`CollectionPipeline::run`]: spins up an
-    /// [`LdpServer`] with one shard per configured thread, pushes every
-    /// user's sanitized report through its bounded channels following the
-    /// `traffic` arrival schedule, and gracefully drains it. The configured
-    /// thread count drives **both** sides of the channel: each wave is
-    /// sanitized by up to `threads` concurrent producers (the server's
-    /// sender side is `Sync`) feeding `threads` aggregator shards.
-    ///
-    /// Per-user randomness derives from the same `(seed, uid)` streams as
-    /// `run`, every user arrives exactly once whatever the traffic shape,
-    /// and the server's shard merge is exact integer addition (independent
-    /// of producer interleaving) — so the returned run is **bit-identical**
-    /// to `run(dataset)` at equal seed, for every thread count and every
+    /// Per-user randomness derives from the same streams as `run_rounds`,
+    /// every user arrives exactly once per round whatever the traffic
+    /// shape, and the server's shard merge is exact integer addition — so
+    /// round `r`'s epoch snapshot is **bit-identical** to
+    /// `run_rounds(..)[r]` and the cumulative drain to all rounds merged,
+    /// for every thread count and
     /// [`TrafficShape`](crate::traffic::TrafficShape) (property-tested in
     /// `tests/server_equivalence.rs`).
     ///
     /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve(&self, dataset: &Dataset, traffic: &TrafficGenerator) -> CollectionRun {
-        self.assert_dataset(dataset);
-        self.serve_source(dataset.n(), traffic, self.dataset_reporter(dataset))
-    }
-
-    /// [`CollectionPipeline::serve`] over a mixed dataset: the streamed
-    /// server drain of a mixed round, bit-identical to
-    /// [`CollectionPipeline::run_mixed`] at equal seed for every thread
-    /// count and traffic shape.
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve_mixed(&self, mixed: &MixedDataset, traffic: &TrafficGenerator) -> CollectionRun {
-        self.assert_mixed(mixed);
-        self.serve_source(mixed.n(), traffic, self.mixed_reporter(mixed))
-    }
-
-    fn serve_source(
+    /// Panics when the population's schema differs from the solution's, or
+    /// when `traffic` was built for a different population size.
+    pub fn serve_rounds(
         &self,
-        n: usize,
+        population: &impl Population,
         traffic: &TrafficGenerator,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-    ) -> CollectionRun {
-        assert_eq!(
-            traffic.n(),
-            n,
-            "traffic schedule does not match the dataset population"
-        );
-        let server = LdpServer::spawn(
-            self.solution.clone(),
-            ServerConfig::default().shards(self.threads),
-        );
-        self.serve_round_into(&server, traffic, 0, 0, &report);
-        CollectionRun::from_snapshot(server.drain())
-    }
-
-    /// Streams one collection round's waves into a running server: arrivals
-    /// follow `traffic.waves_for_round(round)`, per-user randomness draws
-    /// from [`user_rng_round`]`(seed, uid, rng_round)`. The two round
-    /// indices differ only under memoization, which replays round 0's
-    /// reports (`rng_round == 0`) on every round's own arrival schedule.
-    /// The single-round [`CollectionPipeline::serve`] is exactly `(0, 0)`.
-    fn serve_round_into(
-        &self,
-        server: &LdpServer,
-        traffic: &TrafficGenerator,
-        round: u64,
-        rng_round: u64,
-        report: &(impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync),
-    ) {
+        rounds: usize,
+        policy: BudgetPolicy,
+        retain: usize,
+    ) -> Result<LongitudinalRun, ProtocolError> {
         // Scoped producer threads are spawned per wave, so don't fan a small
         // wave out across the full thread budget: below this many users per
         // producer the spawn/join churn outweighs the parallel sanitization
         // (a steady 10M-user schedule has ~10k waves).
         const MIN_USERS_PER_PRODUCER: usize = 4096;
-        for wave in traffic.waves_for_round(round) {
-            // Parallel producers: sanitization dominates the cost, so the
-            // wave is split into contiguous chunks ingested concurrently.
-            let producers = self
-                .threads
-                .min(wave.len().div_ceil(MIN_USERS_PER_PRODUCER))
-                .max(1);
-            par::par_chunks(wave.len(), producers, |range| {
-                server.ingest_batch(wave[range].iter().map(|&uid| {
-                    let mut rng = user_rng_round(self.seed, uid, rng_round);
-                    Envelope {
-                        uid,
-                        report: report(uid as usize, &mut rng),
-                    }
-                }));
-                Vec::<()>::new()
-            });
+        population.assert_schema(&self.solution);
+        assert_traffic(traffic, population.n());
+        let per_round = self.round_pipeline(policy, rounds)?;
+        let server = LdpServer::spawn(
+            per_round.solution.clone(),
+            ServerConfig::default().shards(self.threads).retain(retain),
+        );
+        let rounds = rounds.max(1) as u64;
+        for round in 0..rounds {
+            let rng_round = policy.rng_round(round);
+            for wave in traffic.waves_for_round(round) {
+                // Parallel producers: sanitization dominates the cost, so
+                // the wave is split into contiguous chunks ingested
+                // concurrently.
+                let producers = self
+                    .threads
+                    .min(wave.len().div_ceil(MIN_USERS_PER_PRODUCER))
+                    .max(1);
+                par::par_chunks(wave.len(), producers, |range| {
+                    server.ingest_batch(wave[range].iter().map(|&uid| {
+                        let mut rng = user_rng_round(self.seed, uid, rng_round);
+                        Envelope {
+                            uid,
+                            report: population.report(&per_round.solution, uid as usize, &mut rng),
+                        }
+                    }));
+                    Vec::<()>::new()
+                });
+            }
+            // Like the remote loop, a single round closes no epoch: its drain
+            // is the whole collection.
+            if rounds > 1 {
+                server.advance_epoch();
+            }
         }
+        let epochs = server.epochs();
+        let cumulative = CollectionRun::from_snapshot(server.drain());
+        Ok(LongitudinalRun { cumulative, epochs })
+    }
+
+    /// The multi-process twin of [`CollectionPipeline::serve_rounds`]: one
+    /// producer of a fleet, streaming the users with
+    /// `uid % parts == part` to a remote
+    /// [`WireServer`](ldp_server::WireServer) at `addr` as checksummed
+    /// BATCH_SEQ frames, so `parts` producers each running a distinct
+    /// `part` cover the population exactly once per round between them.
+    /// Returns the number of reports the server acknowledged at DRAIN.
+    ///
+    /// The session handshakes with [`BudgetPolicy::round_solution`] (ε/R
+    /// under ε-splitting over several rounds), so the server must build the
+    /// same one. With more than one round, an `EPOCH` barrier round trip
+    /// follows each round so the whole fleet advances epochs in lockstep
+    /// (the server must have been bound with `WireServer::producers(parts)`);
+    /// a single round sends no `EPOCH` frame. With `snapshot_every > 0`, a
+    /// (non-quiescing) SNAPSHOT round trip is interleaved every that many
+    /// waves, counted across rounds, and handed to `on_snapshot` — the
+    /// incremental estimate-while-ingesting stream.
+    ///
+    /// Per-user randomness derives from the same streams as
+    /// [`CollectionPipeline::run_rounds`], so a socket-fed server drain is
+    /// **bit-identical** to the in-process run at equal seed
+    /// (`tests/net_equivalence.rs` pins this across thread and connection
+    /// counts).
+    ///
+    /// # Panics
+    /// Panics when the population does not match the solution schema, the
+    /// traffic schedule does not match the population, or `part >= parts`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve_remote_rounds(
+        &self,
+        population: &impl Population,
+        traffic: &TrafficGenerator,
+        addr: &str,
+        part: usize,
+        parts: usize,
+        rounds: usize,
+        policy: BudgetPolicy,
+        snapshot_every: usize,
+        on_snapshot: &mut dyn FnMut(&WireSnapshot),
+    ) -> Result<u64, WireError> {
+        population.assert_schema(&self.solution);
+        assert_traffic(traffic, population.n());
+        assert!(
+            part < parts,
+            "producer part {part} outside fleet of {parts}"
+        );
+        let per_round = self.round_pipeline(policy, rounds).map_err(|e| {
+            WireError::Handshake(format!("cannot build the per-round solution: {e}"))
+        })?;
+        let mut client = NetClient::connect_with(addr, &per_round.solution, self.net.clone())?;
+        let rounds = rounds.max(1) as u64;
+        let mut waves = 0usize;
+        for round in 0..rounds {
+            let rng_round = policy.rng_round(round);
+            for wave in traffic.waves_for_round(round) {
+                for &uid in wave
+                    .iter()
+                    .filter(|&&uid| uid % parts as u64 == part as u64)
+                {
+                    let mut rng = user_rng_round(self.seed, uid, rng_round);
+                    client.push(
+                        uid,
+                        &population.report(&per_round.solution, uid as usize, &mut rng),
+                    )?;
+                }
+                waves += 1;
+                if snapshot_every > 0 && waves.is_multiple_of(snapshot_every) {
+                    on_snapshot(&client.snapshot(false)?);
+                }
+            }
+            // A single round needs no barrier: it sends exactly the frames of
+            // a pre-longitudinal session, so it also works against a server
+            // bound without `WireServer::producers`.
+            if rounds > 1 {
+                client.advance_epoch(round)?;
+            }
+        }
+        client.finish()
     }
 
     /// The pipeline one round of an `R`-round campaign under `policy`
-    /// collects with: same seed and threads, solution rebuilt by
+    /// collects with: same seed, threads and client, solution from
     /// [`BudgetPolicy::round_solution`].
     fn round_pipeline(
         &self,
@@ -479,388 +595,47 @@ impl CollectionPipeline {
         })
     }
 
-    /// The longitudinal twin of [`CollectionPipeline::run`]: collects the
-    /// same population over `rounds` rounds under `policy`, returning one
-    /// [`CollectionRun`] per round. The configured solution carries the
-    /// **total** budget ε; [`BudgetPolicy::SplitEps`] sanitizes each round
-    /// with fresh randomness at ε/R, [`BudgetPolicy::Memoize`] computes the
-    /// round-0 report at full ε and replays it bit-identically (rounds > 0
-    /// re-derive the identical report from the identical rng stream — the
-    /// functional definition of memoization, with no per-user cache).
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn run_rounds(
-        &self,
-        dataset: &Dataset,
+    /// The in-process round loop behind `run_rounds` and `observe_rounds`:
+    /// round `r` sanitizes every user with [`user_rng_round`]`(seed, uid,
+    /// policy.rng_round(r))`, each worker chunk folding its users' reports
+    /// into one `A` via `absorb`. Yields each round's chunk outputs in user
+    /// order, lazily, so a caller holds one round's chunks at a time.
+    /// Keeping both sinks on this loop is what guarantees the adversary's
+    /// observed wire is bit-identical to what the server aggregated.
+    fn sanitize_rounds<'a, P: Population, A: Send + 'a>(
+        &'a self,
+        population: &'a P,
         rounds: usize,
         policy: BudgetPolicy,
-    ) -> Result<Vec<CollectionRun>, ProtocolError> {
-        self.assert_dataset(dataset);
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds)?;
-        Ok((0..rounds as u64)
-            .map(|round| {
-                let shards = per_round.sanitize_shards_round(
-                    dataset.n(),
-                    per_round.dataset_reporter(dataset),
-                    || per_round.solution.aggregator(),
-                    |agg, report| agg.absorb(&report),
-                    policy.rng_round(round),
-                );
-                per_round.merge_shards(shards)
-            })
-            .collect())
-    }
-
-    /// The longitudinal twin of [`CollectionPipeline::observe`]: the full
-    /// `rounds · n` wire a longitudinal adversary captures, round-major
-    /// (round `r`'s reports occupy `r*n .. (r+1)*n`, each round in user
-    /// order). Also returns the per-round solution the reports were
-    /// sanitized with (ε/R under [`BudgetPolicy::SplitEps`]) — the attack
-    /// needs it to build its matching profiles.
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn observe_rounds(
-        &self,
-        dataset: &Dataset,
-        rounds: usize,
-        policy: BudgetPolicy,
-    ) -> Result<(DynSolution, Vec<SolutionReport>), ProtocolError> {
-        self.assert_dataset(dataset);
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds)?;
-        let mut observed = Vec::with_capacity(rounds * dataset.n());
-        for round in 0..rounds as u64 {
-            let chunks = per_round.sanitize_shards_round(
-                dataset.n(),
-                per_round.dataset_reporter(dataset),
-                Vec::new,
-                |reports, report| reports.push(report),
-                policy.rng_round(round),
-            );
-            observed.extend(chunks.into_iter().flatten());
-        }
-        Ok((per_round.solution, observed))
-    }
-
-    /// The streamed twin of [`CollectionPipeline::run_rounds`]: serves
-    /// `rounds` epochs against one [`LdpServer`], each round following its
-    /// own re-randomized arrival schedule
-    /// ([`TrafficGenerator::waves_for_round`]) and closed with
-    /// [`LdpServer::advance_epoch`], retaining the last `retain` windowed
-    /// epoch snapshots. Round `r`'s epoch snapshot is **bit-identical** to
-    /// `run_rounds(..)[r]` and the cumulative drain to all rounds merged,
-    /// for every thread count and traffic shape.
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve_rounds(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        rounds: usize,
-        policy: BudgetPolicy,
-        retain: usize,
-    ) -> Result<LongitudinalRun, ProtocolError> {
-        self.assert_dataset(dataset);
-        assert_eq!(
-            traffic.n(),
-            dataset.n(),
-            "traffic schedule does not match the dataset population"
-        );
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds)?;
-        let report = per_round.dataset_reporter(dataset);
-        let server = LdpServer::spawn(
-            per_round.solution.clone(),
-            ServerConfig::default().shards(self.threads).retain(retain),
-        );
-        for round in 0..rounds as u64 {
-            per_round.serve_round_into(&server, traffic, round, policy.rng_round(round), &report);
-            server.advance_epoch();
-        }
-        let epochs = server.epochs();
-        let cumulative = CollectionRun::from_snapshot(server.drain());
-        Ok(LongitudinalRun { cumulative, epochs })
-    }
-
-    /// The multi-process twin of [`CollectionPipeline::serve`]: drives one
-    /// producer session against a remote
-    /// [`WireServer`](ldp_server::WireServer) at `addr`, sanitizing every
-    /// user of the traffic schedule and streaming the reports as checksummed
-    /// BATCH_SEQ frames. Returns the number of reports the server acknowledged
-    /// at DRAIN.
-    ///
-    /// Per-user randomness derives from the same [`user_rng`]`(seed, uid)`
-    /// streams as [`CollectionPipeline::run`], so a socket-fed server drain
-    /// is **bit-identical** to the in-process run at equal seed
-    /// (`tests/net_equivalence.rs` pins this across thread and connection
-    /// counts).
-    pub fn serve_remote(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-    ) -> Result<u64, ldp_server::WireError> {
-        self.serve_remote_part(dataset, traffic, addr, 0, 1, 0, &mut |_| {})
-    }
-
-    /// [`CollectionPipeline::serve_remote`] for one producer of a fleet:
-    /// streams only the users with `uid % parts == part`, so `parts`
-    /// processes each running a distinct `part` cover the population
-    /// exactly once between them. With `snapshot_every > 0`, a
-    /// (non-quiescing) SNAPSHOT round trip is interleaved every that many
-    /// waves and handed to `on_snapshot` — the incremental
-    /// estimate-while-ingesting stream.
-    ///
-    /// # Panics
-    /// Panics when the dataset does not match the solution schema, the
-    /// traffic schedule does not match the population, or `part >= parts`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_remote_part(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-        part: usize,
-        parts: usize,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&ldp_server::WireSnapshot),
-    ) -> Result<u64, ldp_server::WireError> {
-        self.assert_dataset(dataset);
-        self.serve_remote_source(
-            dataset.n(),
-            traffic,
-            addr,
-            part,
-            parts,
-            snapshot_every,
-            on_snapshot,
-            &self.dataset_reporter(dataset),
-        )
-    }
-
-    /// The longitudinal twin of [`CollectionPipeline::serve_remote_part`]:
-    /// one producer of a fleet streaming `rounds` rounds to a remote
-    /// [`WireServer`](ldp_server::WireServer), with an `EPOCH` barrier
-    /// round trip after each round so the whole fleet advances epochs in
-    /// lockstep (the server must have been bound with
-    /// `WireServer::producers(parts)`). The configured solution carries the
-    /// total budget; the session handshakes with the **per-round** solution
-    /// (ε/R under [`BudgetPolicy::SplitEps`]), so the server must build the
-    /// same one. Returns the reports acknowledged at DRAIN.
-    ///
-    /// # Panics
-    /// Panics when the dataset does not match the solution schema, the
-    /// traffic schedule does not match the population, or `part >= parts`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_remote_rounds(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-        part: usize,
-        parts: usize,
-        rounds: usize,
-        policy: BudgetPolicy,
-    ) -> Result<u64, ldp_server::WireError> {
-        self.assert_dataset(dataset);
-        assert_eq!(
-            traffic.n(),
-            dataset.n(),
-            "traffic schedule does not match the dataset population"
-        );
-        assert!(
-            part < parts,
-            "producer part {part} outside fleet of {parts}"
-        );
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds).map_err(|e| {
-            ldp_server::WireError::Handshake(format!("cannot build the per-round solution: {e}"))
-        })?;
-        let report = per_round.dataset_reporter(dataset);
-        let mut client = crate::net_client::NetClient::connect_with(
-            addr,
-            &per_round.solution,
-            self.net.clone(),
-        )?;
-        for round in 0..rounds as u64 {
+        init: impl Fn() -> A + Sync + 'a,
+        absorb: impl Fn(&mut A, SolutionReport) + Sync + 'a,
+    ) -> impl Iterator<Item = Vec<A>> + 'a {
+        population.assert_schema(&self.solution);
+        (0..rounds.max(1) as u64).map(move |round| {
             let rng_round = policy.rng_round(round);
-            for wave in traffic.waves_for_round(round) {
-                for &uid in wave
-                    .iter()
-                    .filter(|&&uid| uid % parts as u64 == part as u64)
-                {
-                    let mut rng = user_rng_round(self.seed, uid, rng_round);
-                    client.push(uid, &report(uid as usize, &mut rng))?;
+            par::par_chunks(population.n(), self.threads, |range| {
+                let mut acc = init();
+                for uid in range {
+                    let mut rng = user_rng_round(self.seed, uid as u64, rng_round);
+                    absorb(&mut acc, population.report(&self.solution, uid, &mut rng));
                 }
-            }
-            client.advance_epoch(round)?;
-        }
-        client.finish()
-    }
-
-    /// [`CollectionPipeline::serve_remote`] over a mixed dataset: streams
-    /// mixed reports to a remote [`WireServer`](ldp_server::WireServer)
-    /// through the same checksummed BATCH_SEQ frames (the compact wire encoding
-    /// carries numeric entries unchanged). Bit-identical to
-    /// [`CollectionPipeline::run_mixed`] at equal seed.
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve_remote_mixed(
-        &self,
-        mixed: &MixedDataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-    ) -> Result<u64, ldp_server::WireError> {
-        self.assert_mixed(mixed);
-        self.serve_remote_source(
-            mixed.n(),
-            traffic,
-            addr,
-            0,
-            1,
-            0,
-            &mut |_| {},
-            &self.mixed_reporter(mixed),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn serve_remote_source(
-        &self,
-        n: usize,
-        traffic: &TrafficGenerator,
-        addr: &str,
-        part: usize,
-        parts: usize,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&ldp_server::WireSnapshot),
-        report: &dyn Fn(usize, &mut SmallRng) -> SolutionReport,
-    ) -> Result<u64, ldp_server::WireError> {
-        assert_eq!(
-            traffic.n(),
-            n,
-            "traffic schedule does not match the dataset population"
-        );
-        assert!(
-            part < parts,
-            "producer part {part} outside fleet of {parts}"
-        );
-        let mut client =
-            crate::net_client::NetClient::connect_with(addr, &self.solution, self.net.clone())?;
-        for (i, wave) in traffic.waves().enumerate() {
-            for &uid in wave
-                .iter()
-                .filter(|&&uid| uid % parts as u64 == part as u64)
-            {
-                let mut rng = user_rng(self.seed, uid);
-                client.push(uid, &report(uid as usize, &mut rng))?;
-            }
-            if snapshot_every > 0 && (i + 1) % snapshot_every == 0 {
-                on_snapshot(&client.snapshot(false)?);
-            }
-        }
-        client.finish()
-    }
-
-    /// The single seeded per-user sanitize loop behind `run`, `observe` and
-    /// `run_with_observation` (and their `_mixed` twins): each worker chunk
-    /// folds its users' reports into one `A` via `absorb`, with user `uid`'s
-    /// randomness drawn from [`user_rng`]`(seed, uid)` and the report itself
-    /// produced by the source-specific `report` closure. Chunk outputs come
-    /// back in user order. Keeping every caller on this loop is what
-    /// guarantees the adversary's observed wire is bit-identical to what the
-    /// server aggregated.
-    fn sanitize_shards<A: Send>(
-        &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-        init: impl Fn() -> A + Sync,
-        absorb: impl Fn(&mut A, SolutionReport) + Sync,
-    ) -> Vec<A> {
-        self.sanitize_shards_round(n, report, init, absorb, 0)
-    }
-
-    /// [`CollectionPipeline::sanitize_shards`] for one round of a
-    /// longitudinal campaign: identical loop, but user `uid` draws from
-    /// [`user_rng_round`]`(seed, uid, rng_round)`. Round 0 is the
-    /// single-round loop bit for bit.
-    fn sanitize_shards_round<A: Send>(
-        &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-        init: impl Fn() -> A + Sync,
-        absorb: impl Fn(&mut A, SolutionReport) + Sync,
-        rng_round: u64,
-    ) -> Vec<A> {
-        par::par_chunks(n, self.threads, |range| {
-            let mut acc = init();
-            for uid in range {
-                let mut rng = user_rng_round(self.seed, uid as u64, rng_round);
-                absorb(&mut acc, report(uid, &mut rng));
-            }
-            vec![acc]
+                vec![acc]
+            })
         })
     }
 
-    /// Per-user reporter over a categorical dataset.
-    fn dataset_reporter<'a>(
-        &'a self,
-        dataset: &'a Dataset,
-    ) -> impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync + 'a {
-        move |uid, rng| self.solution.report(dataset.row(uid), rng)
-    }
-
-    /// Per-user reporter over a mixed dataset: categorical row + normalized
-    /// numeric row through [`DynSolution::report_mixed`]. The dataset
-    /// validated every numeric value at construction, so a reporting error
-    /// here is a bug, not bad input.
-    fn mixed_reporter<'a>(
-        &'a self,
-        mixed: &'a MixedDataset,
-    ) -> impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync + 'a {
-        move |uid, rng| {
-            self.solution
-                .report_mixed(mixed.cat().row(uid), mixed.num_row(uid), rng)
-                .expect("mixed dataset values are validated at construction")
-        }
-    }
-
-    fn assert_dataset(&self, dataset: &Dataset) {
-        assert_eq!(
-            dataset.d(),
-            self.solution.d(),
-            "dataset does not match the solution schema"
-        );
-    }
-
-    fn assert_mixed(&self, mixed: &MixedDataset) {
-        assert_eq!(
-            mixed.ks(),
-            self.solution.ks().to_vec(),
-            "mixed dataset does not match the solution's heterogeneous ks"
-        );
-    }
-
     /// Merges per-thread shards into the final [`CollectionRun`].
-    fn merge_shards(&self, shards: Vec<MultidimAggregator>) -> CollectionRun {
-        let mut aggregator = self.solution.aggregator();
-        let n_shards = shards.len();
-        for shard in &shards {
-            aggregator.merge(shard);
-        }
-        CollectionRun::from_snapshot(ServerSnapshot::from_aggregator(aggregator, n_shards.max(1)))
+    fn merge_shards(&self, shards: &[MultidimAggregator]) -> CollectionRun {
+        CollectionRun::from_snapshot(ServerSnapshot::merge(self.solution.aggregator(), shards))
     }
+}
+
+fn assert_traffic(traffic: &TrafficGenerator, n: usize) {
+    assert_eq!(
+        traffic.n(),
+        n,
+        "traffic schedule does not match the dataset population"
+    );
 }
 
 impl CollectionRun {
@@ -877,6 +652,22 @@ impl CollectionRun {
             aggregator: snapshot.aggregator,
         }
     }
+
+    /// The cumulative run over several rounds' runs (e.g. the rounds of
+    /// one campaign): their aggregators merged exactly, estimated once.
+    ///
+    /// # Panics
+    /// Panics when `runs` is empty.
+    pub(crate) fn merged(runs: Vec<CollectionRun>) -> CollectionRun {
+        let mut runs = runs.into_iter();
+        let first = runs.next().expect("a collection has at least one round");
+        let shards = first.shards;
+        let aggregator = runs.fold(first.aggregator, |mut acc, run| {
+            acc.merge(&run.aggregator);
+            acc
+        });
+        CollectionRun::from_snapshot(ServerSnapshot::from_aggregator(aggregator, shards))
+    }
 }
 
 #[cfg(test)]
@@ -886,6 +677,20 @@ mod tests {
     use ldp_datasets::corpora::adult_like;
     use ldp_datasets::{Dataset, Schema};
     use ldp_protocols::ProtocolKind;
+
+    use crate::traffic::TrafficShape;
+
+    fn serve_once(
+        pipeline: &CollectionPipeline,
+        population: &impl Population,
+        traffic: &TrafficGenerator,
+    ) -> CollectionRun {
+        let served = pipeline
+            .serve_rounds(population, traffic, 1, BudgetPolicy::SplitEps, 1)
+            .unwrap();
+        assert!(served.epochs.is_empty(), "a single round closes no epoch");
+        served.cumulative
+    }
 
     fn all_kinds() -> Vec<SolutionKind> {
         vec![
@@ -954,7 +759,9 @@ mod tests {
                 .seed(9)
                 .threads(3);
         let run = pipeline.run(&ds);
-        let observed = pipeline.observe(&ds);
+        let (_, observed) = pipeline
+            .observe_rounds(&ds, 1, BudgetPolicy::SplitEps)
+            .unwrap();
         assert_eq!(observed.len(), 300);
         // Absorbing the observed wire messages reproduces the server state
         // bit for bit: the adversary saw exactly what was collected.
@@ -966,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_observation_matches_separate_run_and_observe() {
+    fn observed_run_matches_the_unobserved_run() {
         let ds = adult_like(250, 6);
         let ks = ds.schema().cardinalities();
         let pipeline =
@@ -974,26 +781,25 @@ mod tests {
                 .unwrap()
                 .seed(13)
                 .threads(4);
-        let (run, observed) = pipeline.run_with_observation(&ds);
-        assert_eq!(
-            run.aggregator.counts(),
-            pipeline.run(&ds).aggregator.counts()
-        );
-        let replayed = pipeline.observe(&ds);
-        assert_eq!(observed.len(), replayed.len());
-        // Same rng streams → the single-pass wire equals the replayed wire.
-        let mut a = pipeline.solution().aggregator();
-        let mut b = pipeline.solution().aggregator();
-        for (x, y) in observed.iter().zip(&replayed) {
-            a.absorb(x);
-            b.absorb(y);
+        let (runs, observed) = pipeline
+            .observe_rounds(&ds, 1, BudgetPolicy::SplitEps)
+            .unwrap();
+        let run = pipeline.run(&ds);
+        assert_eq!(runs[0].aggregator.counts(), run.aggregator.counts());
+        assert_eq!(runs[0].shards, run.shards);
+        for (a, b) in runs[0]
+            .estimates
+            .iter()
+            .flatten()
+            .zip(run.estimates.iter().flatten())
+        {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(a.counts(), b.counts());
+        assert_eq!(observed.len(), ds.n());
     }
 
     #[test]
     fn serve_is_bit_identical_to_run() {
-        use crate::traffic::{TrafficGenerator, TrafficShape};
         let ds = adult_like(700, 5);
         let ks = ds.schema().cardinalities();
         let pipeline =
@@ -1004,7 +810,7 @@ mod tests {
         let batch = pipeline.run(&ds);
         for shape in TrafficShape::ALL {
             let traffic = TrafficGenerator::new(shape, ds.n()).seed(21).wave(97);
-            let served = pipeline.serve(&ds, &traffic);
+            let served = serve_once(&pipeline, &ds, &traffic);
             assert_eq!(served.n, batch.n, "{shape}");
             assert_eq!(
                 served.aggregator.counts(),
@@ -1024,7 +830,6 @@ mod tests {
 
     #[test]
     fn empty_dataset_yields_empty_but_valid_run() {
-        use crate::traffic::{TrafficGenerator, TrafficShape};
         let schema = Schema::from_cardinalities(&[4, 3]);
         let ds = Dataset::new(schema, Vec::new());
         for kind in all_kinds() {
@@ -1034,7 +839,11 @@ mod tests {
                 .threads(4);
             for run in [
                 pipeline.run(&ds),
-                pipeline.serve(&ds, &TrafficGenerator::new(TrafficShape::Burst, 0)),
+                serve_once(
+                    &pipeline,
+                    &ds,
+                    &TrafficGenerator::new(TrafficShape::Burst, 0),
+                ),
             ] {
                 assert_eq!(run.n, 0, "{kind}");
                 assert_eq!(run.estimates.len(), 2, "{kind}");
@@ -1081,9 +890,9 @@ mod tests {
     #[test]
     fn mixed_run_is_thread_count_independent() {
         let (mixed, pipeline) = mixed_pipeline(17);
-        let serial = pipeline.clone().threads(1).run_mixed(&mixed);
+        let serial = pipeline.clone().threads(1).run(&mixed);
         for threads in [2usize, 8] {
-            let sharded = pipeline.clone().threads(threads).run_mixed(&mixed);
+            let sharded = pipeline.clone().threads(threads).run(&mixed);
             assert_eq!(serial.n, sharded.n);
             assert_eq!(
                 serial.aggregator.counts(),
@@ -1107,15 +916,14 @@ mod tests {
     }
 
     #[test]
-    fn mixed_serve_is_bit_identical_to_run_mixed() {
-        use crate::traffic::{TrafficGenerator, TrafficShape};
+    fn mixed_serve_is_bit_identical_to_the_batch_run() {
         let (mixed, pipeline) = mixed_pipeline(23);
         let pipeline = pipeline.threads(3);
-        let batch = pipeline.run_mixed(&mixed);
+        let batch = pipeline.run(&mixed);
         let traffic = TrafficGenerator::new(TrafficShape::Burst, mixed.n())
             .seed(23)
             .wave(101);
-        let served = pipeline.serve_mixed(&mixed, &traffic);
+        let served = serve_once(&pipeline, &mixed, &traffic);
         assert_eq!(served.n, batch.n);
         assert_eq!(served.aggregator.counts(), batch.aggregator.counts());
         assert_eq!(served.aggregator.num_sums(), batch.aggregator.num_sums());
@@ -1133,7 +941,10 @@ mod tests {
     fn mixed_observation_replays_the_absorbed_wire() {
         let (mixed, pipeline) = mixed_pipeline(31);
         let pipeline = pipeline.threads(4);
-        let (run, observed) = pipeline.run_with_observation_mixed(&mixed);
+        let (runs, observed) = pipeline
+            .observe_rounds(&mixed, 1, BudgetPolicy::SplitEps)
+            .unwrap();
+        let run = &runs[0];
         assert_eq!(observed.len(), mixed.n());
         let mut agg = pipeline.solution().aggregator();
         for r in &observed {
@@ -1142,9 +953,9 @@ mod tests {
         assert_eq!(agg.counts(), run.aggregator.counts());
         assert_eq!(agg.num_sums(), run.aggregator.num_sums());
         assert_eq!(
-            observed.len(),
-            pipeline.observe_mixed(&mixed).len(),
-            "replayed wire must match the single-pass wire"
+            run.aggregator.num_sums(),
+            pipeline.run(&mixed).aggregator.num_sums(),
+            "the observed pass must aggregate like the unobserved one"
         );
     }
 
@@ -1232,7 +1043,8 @@ mod tests {
                 .threads(3);
         for policy in BudgetPolicy::ALL {
             let runs = pipeline.run_rounds(&ds, 3, policy).unwrap();
-            let (round_solution, observed) = pipeline.observe_rounds(&ds, 3, policy).unwrap();
+            let (observed_runs, observed) = pipeline.observe_rounds(&ds, 3, policy).unwrap();
+            let round_solution = policy.round_solution(pipeline.solution(), 3).unwrap();
             assert_eq!(observed.len(), 3 * ds.n(), "{policy}");
             for (r, run) in runs.iter().enumerate() {
                 let mut agg = round_solution.aggregator();
@@ -1244,13 +1056,17 @@ mod tests {
                     run.aggregator.counts(),
                     "{policy}: round {r}'s observed slice must replay its run"
                 );
+                assert_eq!(
+                    observed_runs[r].aggregator.counts(),
+                    run.aggregator.counts(),
+                    "{policy}: round {r}'s observed aggregate must equal its run"
+                );
             }
         }
     }
 
     #[test]
     fn serve_rounds_epochs_match_batch_rounds_and_cumulative_drain() {
-        use crate::traffic::{TrafficGenerator, TrafficShape};
         let ds = adult_like(600, 5);
         let ks = ds.schema().cardinalities();
         let pipeline =
@@ -1289,7 +1105,6 @@ mod tests {
 
     #[test]
     fn serve_rounds_retention_keeps_only_the_last_windows() {
-        use crate::traffic::{TrafficGenerator, TrafficShape};
         let ds = adult_like(200, 2);
         let ks = ds.schema().cardinalities();
         let pipeline =
@@ -1323,6 +1138,6 @@ mod tests {
             1.0,
         )
         .unwrap();
-        wrong.run_mixed(&mixed);
+        wrong.run(&mixed);
     }
 }

@@ -88,16 +88,17 @@
 //! The serving layer accepts sustained traffic instead of one-shot batches:
 //! a seeded [`TrafficGenerator`](sim::TrafficGenerator) schedules arrivals
 //! (steady, burst, ramp, churn) and
-//! [`CollectionPipeline::serve`](sim::CollectionPipeline::serve) pushes the
-//! sanitized reports through the bounded-channel
+//! [`CollectionPipeline::serve_rounds`](sim::CollectionPipeline::serve_rounds)
+//! pushes the sanitized reports through the bounded-channel
 //! [`LdpServer`](server::LdpServer) — bit-identical to the batch `run` at
-//! equal seed:
+//! equal seed. Every collection call takes a round count and a
+//! [`BudgetPolicy`](sim::BudgetPolicy); a single round is `rounds = 1`:
 //!
 //! ```
 //! use risks_ldp::core::solutions::{RsFdProtocol, SolutionKind};
 //! use risks_ldp::datasets::corpora::adult_like;
 //! use risks_ldp::sim::traffic::{TrafficGenerator, TrafficShape};
-//! use risks_ldp::sim::CollectionPipeline;
+//! use risks_ldp::sim::{BudgetPolicy, CollectionPipeline};
 //!
 //! let dataset = adult_like(2_000, 7);
 //! let pipeline = CollectionPipeline::from_kind(
@@ -109,7 +110,10 @@
 //! .seed(42)
 //! .threads(4);
 //! let traffic = TrafficGenerator::new(TrafficShape::Burst, dataset.n()).seed(42);
-//! let streamed = pipeline.serve(&dataset, &traffic);
+//! let streamed = pipeline
+//!     .serve_rounds(&dataset, &traffic, 1, BudgetPolicy::SplitEps, 1)
+//!     .unwrap()
+//!     .cumulative;
 //! let batch = pipeline.run(&dataset);
 //! assert_eq!(streamed.aggregator.counts(), batch.aggregator.counts());
 //! ```

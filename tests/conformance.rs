@@ -304,7 +304,7 @@ fn mixed_numeric_mean_estimates_conform_end_to_end() {
         let run = CollectionPipeline::new(solution)
             .seed(0x3153D + kind.tag())
             .threads(4)
-            .run_mixed(&mixed);
+            .run(&mixed);
         assert_eq!(run.n, N as u64);
         let oracle = kind.build(eps / sample_k as f64).unwrap();
         for j in 0..mixed.d_num() {

@@ -23,7 +23,7 @@ use ldp_protocols::ProtocolKind;
 use ldp_server::wire::WireSnapshot;
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, CollectionPipeline, CollectionRun, NetClient};
+use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline, CollectionRun, NetClient};
 
 const SEED: u64 = 17;
 
@@ -77,7 +77,7 @@ fn assert_wire_snapshot_matches_run(
 }
 
 /// Runs a `connections`-producer fleet against `server`'s address using
-/// [`CollectionPipeline::serve_remote_part`] and returns the summed
+/// [`CollectionPipeline::serve_remote_rounds`] and returns the summed
 /// DRAIN-acked report counts.
 fn run_fleet(
     kind: SolutionKind,
@@ -96,7 +96,17 @@ fn run_fleet(
                     CollectionPipeline::from_kind(kind, &ks, epsilon)
                         .unwrap()
                         .seed(SEED)
-                        .serve_remote_part(ds, traffic, addr, part, connections, 0, &mut |_| {})
+                        .serve_remote_rounds(
+                            ds,
+                            traffic,
+                            addr,
+                            part,
+                            connections,
+                            1,
+                            BudgetPolicy::SplitEps,
+                            0,
+                            &mut |_| {},
+                        )
                         .unwrap()
                 })
             })
@@ -173,7 +183,7 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
         let reference = CollectionPipeline::new(solution.clone())
             .seed(SEED)
             .threads(1)
-            .run_mixed(&mixed);
+            .run(&mixed);
         let traffic = TrafficGenerator::new(TrafficShape::Burst, mixed.n())
             .seed(SEED)
             .wave(53);
@@ -187,7 +197,17 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
             let addr = server.local_addr().to_string();
             let acked = CollectionPipeline::new(solution.clone())
                 .seed(SEED)
-                .serve_remote_mixed(&mixed, &traffic, &addr)
+                .serve_remote_rounds(
+                    &mixed,
+                    &traffic,
+                    &addr,
+                    0,
+                    1,
+                    1,
+                    BudgetPolicy::SplitEps,
+                    0,
+                    &mut |_| {},
+                )
                 .unwrap();
             assert_eq!(acked, mixed.n() as u64, "{numeric:?} shards={shards}");
             server.wait_for_producers(1);
@@ -201,6 +221,137 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
                 &snapshot,
                 &reference,
                 &format!("MIXED[{numeric:?}] shards={shards}"),
+            );
+        }
+        // The same population over several rounds: one producer streams
+        // every round through the EPOCH barrier, and the drain and each
+        // closed epoch match the in-process longitudinal serve.
+        const ROUNDS: usize = 3;
+        for policy in BudgetPolicy::ALL {
+            let label = format!("MIXED[{numeric:?}] {ROUNDS} rounds {policy}");
+            let pipeline = CollectionPipeline::new(solution.clone()).seed(SEED);
+            let local = pipeline
+                .clone()
+                .threads(1)
+                .serve_rounds(&mixed, &traffic, ROUNDS, policy, ROUNDS)
+                .unwrap();
+            let server = WireServer::bind(
+                "127.0.0.1:0",
+                policy.round_solution(&solution, ROUNDS).unwrap(),
+                ServerConfig::default().shards(2).retain(ROUNDS),
+            )
+            .unwrap()
+            .producers(1);
+            let addr = server.local_addr().to_string();
+            let acked = pipeline
+                .serve_remote_rounds(
+                    &mixed,
+                    &traffic,
+                    &addr,
+                    0,
+                    1,
+                    ROUNDS,
+                    policy,
+                    0,
+                    &mut |_| {},
+                )
+                .unwrap();
+            assert_eq!(acked, (ROUNDS * mixed.n()) as u64, "{label}");
+            server.wait_for_producers(1);
+            let epochs = server.epochs();
+            let snapshot = server.finish();
+            assert_eq!(
+                snapshot.aggregator.num_sums(),
+                local.cumulative.aggregator.num_sums(),
+                "{label}: numeric fixed-point sums"
+            );
+            assert_drain_matches_run(&snapshot, &local.cumulative, &label);
+            assert_eq!(epochs.len(), ROUNDS, "{label}");
+            for (remote, local) in epochs.iter().zip(&local.epochs) {
+                assert_eq!(remote.epoch, local.epoch, "{label}");
+                assert_eq!(
+                    remote.snapshot.aggregator.counts(),
+                    local.snapshot.aggregator.counts(),
+                    "{label}: epoch {} counts",
+                    remote.epoch
+                );
+                assert_eq!(
+                    remote.snapshot.aggregator.num_sums(),
+                    local.snapshot.aggregator.num_sums(),
+                    "{label}: epoch {} numeric sums",
+                    remote.epoch
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn snapshot_polling_covers_every_round_without_touching_the_drain() {
+    // `snapshot_every` interleaves SNAPSHOT round trips across the waves of
+    // every round of a multi-round session, and polling never changes a
+    // drained bit.
+    const ROUNDS: usize = 3;
+    const EVERY: usize = 3;
+    let ds = adult_like(400, 19);
+    let ks = ds.schema().cardinalities();
+    let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
+    let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n())
+        .seed(SEED)
+        .wave(50);
+    let waves: usize = (0..ROUNDS as u64)
+        .map(|round| traffic.waves_for_round(round).count())
+        .sum();
+    let pipeline = CollectionPipeline::from_kind(kind, &ks, 2.0)
+        .unwrap()
+        .seed(SEED);
+    let reference = pipeline
+        .clone()
+        .threads(1)
+        .serve_rounds(&ds, &traffic, ROUNDS, BudgetPolicy::SplitEps, 1)
+        .unwrap()
+        .cumulative;
+    for snapshot_every in [0, EVERY] {
+        let server = WireServer::bind(
+            "127.0.0.1:0",
+            BudgetPolicy::SplitEps
+                .round_solution(pipeline.solution(), ROUNDS)
+                .unwrap(),
+            ServerConfig::default().shards(2),
+        )
+        .unwrap()
+        .producers(1);
+        let addr = server.local_addr().to_string();
+        let mut polled = Vec::new();
+        let acked = pipeline
+            .serve_remote_rounds(
+                &ds,
+                &traffic,
+                &addr,
+                0,
+                1,
+                ROUNDS,
+                BudgetPolicy::SplitEps,
+                snapshot_every,
+                &mut |snapshot| polled.push(snapshot.n),
+            )
+            .unwrap();
+        assert_eq!(acked, (ROUNDS * ds.n()) as u64);
+        server.wait_for_producers(1);
+        assert_drain_matches_run(
+            &server.finish(),
+            &reference,
+            &format!("snapshot_every={snapshot_every}"),
+        );
+        if snapshot_every == 0 {
+            assert!(polled.is_empty());
+        } else {
+            assert_eq!(polled.len(), waves / EVERY, "one poll per {EVERY} waves");
+            // Every round before the last closed at an EPOCH barrier, so a
+            // poll in the last round sees at least those rounds' reports.
+            assert!(
+                *polled.last().unwrap() >= ((ROUNDS - 1) * ds.n()) as u64,
+                "polling must reach the last round: {polled:?}"
             );
         }
     }
@@ -224,7 +375,7 @@ fn mixed_multi_producer_fleet_drains_bit_identically() {
     let reference = CollectionPipeline::new(solution.clone())
         .seed(SEED)
         .threads(1)
-        .run_mixed(&mixed);
+        .run(&mixed);
     for connections in [1usize, 2, 4] {
         let server = WireServer::bind(
             "127.0.0.1:0",

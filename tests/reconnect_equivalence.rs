@@ -85,7 +85,17 @@ fn run_faulted_fleet(
                         .unwrap()
                         .seed(SEED)
                         .client(chaos_client(part, plan_for(part)))
-                        .serve_remote_part(ds, traffic, addr, part, connections, 0, &mut |_| {})
+                        .serve_remote_rounds(
+                            ds,
+                            traffic,
+                            addr,
+                            part,
+                            connections,
+                            1,
+                            BudgetPolicy::SplitEps,
+                            0,
+                            &mut |_| {},
+                        )
                         .unwrap()
                 })
             })
@@ -221,6 +231,8 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
                                     connections,
                                     ROUNDS,
                                     policy,
+                                    0,
+                                    &mut |_| {},
                                 )
                                 .unwrap()
                         })
@@ -278,7 +290,17 @@ fn producer_past_its_retry_budget_degrades_the_fleet() {
                         .unwrap()
                         .seed(SEED)
                         .client(client)
-                        .serve_remote_part(ds, traffic, addr, part, 2, 0, &mut |_| {})
+                        .serve_remote_rounds(
+                            ds,
+                            traffic,
+                            addr,
+                            part,
+                            2,
+                            1,
+                            BudgetPolicy::SplitEps,
+                            0,
+                            &mut |_| {},
+                        )
                 })
             })
             .collect();
@@ -369,7 +391,17 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
         .unwrap()
         .seed(SEED)
         .client(ClientConfig::resilient().batch(16))
-        .serve_remote_rounds(&ds, &traffic, &addr, 0, 2, ROUNDS, BudgetPolicy::SplitEps)
+        .serve_remote_rounds(
+            &ds,
+            &traffic,
+            &addr,
+            0,
+            2,
+            ROUNDS,
+            BudgetPolicy::SplitEps,
+            0,
+            &mut |_| {},
+        )
         .unwrap();
     // 100 even-uid users × 2 rounds.
     assert_eq!(survivor, (ds.n() / 2 * ROUNDS) as u64);

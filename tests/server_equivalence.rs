@@ -69,7 +69,10 @@ fn drain_is_bit_identical_to_batch_for_kinds_threads_and_shapes() {
                 .threads(threads);
             for shape in TrafficShape::ALL {
                 let traffic = TrafficGenerator::new(shape, ds.n()).seed(17).wave(61);
-                let served = pipeline.serve(&ds, &traffic);
+                let served = pipeline
+                    .serve_rounds(&ds, &traffic, 1, BudgetPolicy::SplitEps, 1)
+                    .unwrap()
+                    .cumulative;
                 assert_runs_bit_identical(
                     &served,
                     &reference,
@@ -207,7 +210,10 @@ fn serve_matches_manual_server_drive() {
         .seed(41)
         .threads(2);
     let traffic = TrafficGenerator::new(TrafficShape::Churn, ds.n()).seed(41);
-    let served = pipeline.serve(&ds, &traffic);
+    let served = pipeline
+        .serve_rounds(&ds, &traffic, 1, BudgetPolicy::SplitEps, 1)
+        .unwrap()
+        .cumulative;
 
     let solution = kind.build(&ks, 1.0).unwrap();
     let server = LdpServer::spawn(solution.clone(), ServerConfig::default().shards(2));
@@ -270,7 +276,16 @@ fn zero_users_drain_cleanly_through_every_path() {
             .seed(2)
             .threads(8);
         for shape in TrafficShape::ALL {
-            let run = pipeline.serve(&empty, &TrafficGenerator::new(shape, 0).seed(2));
+            let run = pipeline
+                .serve_rounds(
+                    &empty,
+                    &TrafficGenerator::new(shape, 0).seed(2),
+                    1,
+                    BudgetPolicy::SplitEps,
+                    1,
+                )
+                .unwrap()
+                .cumulative;
             assert_eq!(run.n, 0, "{kind} {shape}");
             assert!(
                 run.estimates.iter().flatten().all(|f| f.is_finite()),
@@ -280,6 +295,77 @@ fn zero_users_drain_cleanly_through_every_path() {
                 run.normalized.iter().flatten().all(|f| *f == 0.0),
                 "{kind} {shape}: empty drain must not fabricate estimates"
             );
+        }
+    }
+}
+
+#[test]
+fn mixed_numeric_collection_over_rounds_matches_the_served_epochs() {
+    // Wang et al.'s numeric k-of-d collection (Duchi / PM / HM) under both
+    // longitudinal budget policies, through the same calls as the
+    // categorical path: every in-process round equals its served epoch bit
+    // for bit, on the categorical counts and the numeric fixed-point sums.
+    use ldp_core::solutions::MixedKind;
+    use ldp_core::NumericKind;
+    const ROUNDS: usize = 3;
+    let mixed = ldp_datasets::mixed::mixed_survey_like(500, 37);
+    for numeric in [
+        NumericKind::Duchi,
+        NumericKind::Piecewise,
+        NumericKind::Hybrid,
+    ] {
+        let pipeline = CollectionPipeline::from_kind(
+            SolutionKind::Mixed(MixedKind {
+                protocol: ProtocolKind::Grr,
+                numeric,
+                sample_k: 2,
+            }),
+            &mixed.ks(),
+            3.0,
+        )
+        .unwrap()
+        .seed(43)
+        .threads(2);
+        let traffic = TrafficGenerator::new(TrafficShape::Churn, mixed.n())
+            .seed(43)
+            .wave(71);
+        for policy in BudgetPolicy::ALL {
+            let label = format!("{numeric:?} {policy}");
+            let runs = pipeline.run_rounds(&mixed, ROUNDS, policy).unwrap();
+            let served = pipeline
+                .serve_rounds(&mixed, &traffic, ROUNDS, policy, ROUNDS)
+                .unwrap();
+            assert_eq!(served.epochs.len(), ROUNDS, "{label}");
+            for (r, (epoch, run)) in served.epochs.iter().zip(&runs).enumerate() {
+                assert_eq!(epoch.snapshot.n, run.n, "{label} round {r}: n");
+                assert_eq!(
+                    epoch.snapshot.aggregator.counts(),
+                    run.aggregator.counts(),
+                    "{label} round {r}: counts"
+                );
+                assert_eq!(
+                    epoch.snapshot.aggregator.num_sums(),
+                    run.aggregator.num_sums(),
+                    "{label} round {r}: numeric sums"
+                );
+            }
+            assert_eq!(
+                served.cumulative.n,
+                (ROUNDS * mixed.n()) as u64,
+                "{label}: cumulative n"
+            );
+            for (r, run) in runs.iter().enumerate().skip(1) {
+                let same = run.aggregator.counts() == runs[0].aggregator.counts()
+                    && run.aggregator.num_sums() == runs[0].aggregator.num_sums();
+                match policy {
+                    BudgetPolicy::Memoize => {
+                        assert!(same, "{label}: round {r} must replay round 0")
+                    }
+                    BudgetPolicy::SplitEps => {
+                        assert!(!same, "{label}: round {r} must draw fresh randomness")
+                    }
+                }
+            }
         }
     }
 }
