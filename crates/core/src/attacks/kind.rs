@@ -304,6 +304,19 @@ impl DynAttack {
     pub fn name(&self) -> String {
         self.kind().name()
     }
+
+    /// Sets the thread budget of [`Attack::fit`](super::Attack::fit) (`0`
+    /// counts as `1`): the scenarios that train the §3.3 classifier fit and
+    /// predict with it on up to that many threads. Every budget gives the
+    /// same fitted attack; the other scenarios ignore it.
+    pub fn set_threads(&mut self, threads: usize) {
+        match self {
+            DynAttack::Reident(s) => s.set_threads(threads),
+            DynAttack::SampledAttribute(s) => s.set_threads(threads),
+            DynAttack::Averaging(s) => s.set_threads(threads),
+            DynAttack::PieAudit(_) | DynAttack::NumericValueRange(_) => {}
+        }
+    }
 }
 
 impl super::Attack for DynAttack {

@@ -79,9 +79,11 @@ pub trait Attack {
         true
     }
 
-    /// Trains/indexes the adversary's model from its view. Serial and
-    /// deterministic in `rng`; the per-target evaluation that follows is
-    /// sharded by the caller.
+    /// Trains/indexes the adversary's model from its view. Deterministic in
+    /// `rng`: a scenario that trains the §3.3 classifier spends its thread
+    /// budget ([`DynAttack::set_threads`]) on it, with the same result for
+    /// every budget. The per-target evaluation that follows is sharded by
+    /// the caller.
     ///
     /// # Panics
     /// Panics when the view's solution family cannot be attacked by this

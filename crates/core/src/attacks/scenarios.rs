@@ -26,17 +26,26 @@ use crate::solutions::{DynSolution, MultidimReport, MultidimSolution, SolutionRe
 #[derive(Debug, Clone)]
 pub struct ReidentScenario {
     config: ReidentConfig,
+    threads: usize,
 }
 
 impl ReidentScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`).
+    /// Wraps a validated configuration (see `AttackKind::build`), with a
+    /// one-thread budget.
     pub fn new(config: ReidentConfig) -> Self {
-        ReidentScenario { config }
+        ReidentScenario { config, threads: 1 }
     }
 
     /// The scenario configuration.
     pub fn config(&self) -> &ReidentConfig {
         &self.config
+    }
+
+    /// Sets the thread budget of the classifier the fake-data chaining step
+    /// fits and predicts with (`0` counts as `1`). The profiles are the same
+    /// for every budget.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     /// Builds the background-knowledge index this scenario's configuration
@@ -113,8 +122,9 @@ impl ReidentScenario {
             },
             &self.config.classifier,
             rng,
+            self.threads,
         );
-        let predicted = attack.predict(&observed.iter().collect::<Vec<_>>());
+        let predicted = attack.predict(&observed.iter().collect::<Vec<_>>(), self.threads);
         predicted
             .iter()
             .zip(observed)
@@ -266,17 +276,25 @@ impl FittedAttack for ReidentEval<'_> {
 #[derive(Debug, Clone)]
 pub struct AveragingScenario {
     config: AveragingConfig,
+    threads: usize,
 }
 
 impl AveragingScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`).
+    /// Wraps a validated configuration (see `AttackKind::build`), with a
+    /// one-thread budget.
     pub fn new(config: AveragingConfig) -> Self {
-        AveragingScenario { config }
+        AveragingScenario { config, threads: 1 }
     }
 
     /// The scenario configuration.
     pub fn config(&self) -> &AveragingConfig {
         &self.config
+    }
+
+    /// Sets the per-round chaining step's thread budget, as
+    /// [`ReidentScenario::set_threads`] does.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     /// Pools per-round profiles into one profile per user: for every
@@ -332,7 +350,8 @@ impl Attack for AveragingScenario {
             rounds * n,
             "the averaging attack needs rounds·n observed messages, round-major"
         );
-        let inner = ReidentScenario::new(self.config.reident.clone());
+        let mut inner = ReidentScenario::new(self.config.reident.clone());
+        inner.set_threads(self.threads);
         let per_round: Vec<Vec<Profile>> = (0..rounds)
             .map(|r| {
                 let sub = AdversaryView {
@@ -377,17 +396,25 @@ fn reident_outcome(
 #[derive(Debug, Clone)]
 pub struct InferenceScenario {
     config: InferenceConfig,
+    threads: usize,
 }
 
 impl InferenceScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`).
+    /// Wraps a validated configuration (see `AttackKind::build`), with a
+    /// one-thread budget.
     pub fn new(config: InferenceConfig) -> Self {
-        InferenceScenario { config }
+        InferenceScenario { config, threads: 1 }
     }
 
     /// The scenario configuration.
     pub fn config(&self) -> &InferenceConfig {
         &self.config
+    }
+
+    /// Sets the thread budget of the classifier's fit and prediction (`0`
+    /// counts as `1`). The outcome is the same for every budget.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 }
 
@@ -410,6 +437,7 @@ impl Attack for InferenceScenario {
                 &self.config.model,
                 &self.config.classifier,
                 rng,
+                self.threads,
             ),
             DynSolution::RsRfd(s) => SampledAttributeAttack::train(
                 s,
@@ -417,6 +445,7 @@ impl Attack for InferenceScenario {
                 &self.config.model,
                 &self.config.classifier,
                 rng,
+                self.threads,
             ),
             _ => unreachable!("solution family guarded by the assert above"),
         };
@@ -425,7 +454,7 @@ impl Attack for InferenceScenario {
         // fit time: one batch encode/predict instead of per-target calls.
         let tests: Vec<&MultidimReport> = test_idx.iter().map(|&i| &tuples[i]).collect();
         let correct: Vec<bool> = attack
-            .predict(&tests)
+            .predict(&tests, self.threads)
             .iter()
             .zip(&tests)
             .map(|(&pred, t)| pred as usize == t.sampled)

@@ -146,13 +146,15 @@ pub fn encode_features(reports: &[&MultidimReport], ks: &[usize], unary: bool) -
 impl SampledAttributeAttack {
     /// Trains the attack. `observed` holds all sanitized tuples the attacker
     /// sees; the returned test indices point into `observed` (all users for
-    /// NK, the non-compromised ones for PK/HM).
+    /// NK, the non-compromised ones for PK/HM). A GBDT classifier fits on up
+    /// to `threads` threads; the model is the same for every count.
     pub fn train<S: MultidimSolution, R: Rng + ?Sized>(
         solution: &S,
         observed: &[MultidimReport],
         model: &AttackModel,
         classifier: &AttackClassifier,
         rng: &mut R,
+        threads: usize,
     ) -> (Self, Vec<usize>) {
         assert!(!observed.is_empty(), "attack needs observed reports");
         let n = observed.len();
@@ -213,9 +215,14 @@ impl SampledAttributeAttack {
         let x = encode_features(&train_refs, solution.ks(), unary);
         let model =
             match classifier {
-                AttackClassifier::Gbdt(params) => {
-                    TrainedModel::Gbdt(GbdtClassifier::fit(&x, &labels, d, params, rng.random()))
-                }
+                AttackClassifier::Gbdt(params) => TrainedModel::Gbdt(GbdtClassifier::fit(
+                    &x,
+                    &labels,
+                    d,
+                    params,
+                    rng.random(),
+                    threads,
+                )),
                 AttackClassifier::Logistic(params) => TrainedModel::Logistic(
                     LogisticRegression::fit(&x, &labels, d, params, rng.random()),
                 ),
@@ -230,19 +237,23 @@ impl SampledAttributeAttack {
         )
     }
 
-    /// Predicts the sampled attribute of each tuple.
-    pub fn predict(&self, reports: &[&MultidimReport]) -> Vec<u32> {
+    /// Predicts the sampled attribute of each tuple; a GBDT classifier
+    /// predicts on up to `threads` threads, with the same result for every
+    /// count.
+    pub fn predict(&self, reports: &[&MultidimReport], threads: usize) -> Vec<u32> {
         if reports.is_empty() {
             return Vec::new();
         }
         let x = encode_features(reports, &self.ks, self.unary);
         match &self.model {
-            TrainedModel::Gbdt(m) => m.predict(&x),
+            TrainedModel::Gbdt(m) => m.predict(&x, threads),
             TrainedModel::Logistic(m) => m.predict(&x),
         }
     }
 
-    /// Trains and scores the attack in one call (the Fig. 3/14/15 pipeline).
+    /// Trains and scores the attack in one call (the Fig. 3/14/15 pipeline),
+    /// on one thread: the figure grids that call it run their cells in
+    /// parallel.
     pub fn evaluate<S: MultidimSolution, R: Rng + ?Sized>(
         solution: &S,
         observed: &[MultidimReport],
@@ -250,9 +261,9 @@ impl SampledAttributeAttack {
         classifier: &AttackClassifier,
         rng: &mut R,
     ) -> InferenceOutcome {
-        let (attack, test_idx) = Self::train(solution, observed, model, classifier, rng);
+        let (attack, test_idx) = Self::train(solution, observed, model, classifier, rng, 1);
         let test: Vec<&MultidimReport> = test_idx.iter().map(|&i| &observed[i]).collect();
-        let pred = attack.predict(&test);
+        let pred = attack.predict(&test, 1);
         let hits = pred
             .iter()
             .zip(&test_idx)
@@ -455,9 +466,11 @@ mod tests {
             },
             &fast_gbdt(),
             &mut rng,
+            2,
         );
         assert_eq!(test_idx.len(), 360);
-        let preds = attack.predict(&test_idx.iter().map(|&i| &observed[i]).collect::<Vec<_>>());
+        let test: Vec<_> = test_idx.iter().map(|&i| &observed[i]).collect();
+        let preds = attack.predict(&test, 2);
         assert_eq!(preds.len(), 360);
         assert!(preds.iter().all(|&p| (p as usize) < 2));
     }

@@ -6,6 +6,8 @@
 //! * [`GbdtClassifier`] — histogram-based gradient-boosted decision trees
 //!   with softmax multiclass boosting (one regression tree per class per
 //!   round), shrinkage, L2 leaf regularization, and row/column subsampling.
+//!   Fit and prediction take a thread budget and give bit-identical results
+//!   for every count.
 //! * [`LogisticRegression`] — a multinomial logistic-regression baseline used
 //!   as an ablation of the classifier choice.
 //!
@@ -22,8 +24,8 @@
 //! let y: Vec<u32> = rows.iter().map(|r| r[0] as u32).collect();
 //! let x = DenseMatrix::from_rows(&rows);
 //! let params = GbdtParams { rounds: 10, ..GbdtParams::default() };
-//! let model = GbdtClassifier::fit(&x, &y, 2, &params, 42);
-//! assert_eq!(model.predict(&x), y);
+//! let model = GbdtClassifier::fit(&x, &y, 2, &params, 42, 1);
+//! assert_eq!(model.predict(&x, 1), y);
 //! ```
 
 pub mod boosting;

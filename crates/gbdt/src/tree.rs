@@ -44,7 +44,7 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Split {
         feature: u32,
@@ -61,7 +61,7 @@ enum Node {
 }
 
 /// A fitted regression tree over binned features.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
 }

@@ -10,6 +10,8 @@
 //! pipeline seed — replacing the single serial rng the old
 //! `ReidentAttack::rid_acc` threaded through all users. One
 //! [`MatchScratch`] is reused per shard, so evaluation is allocation-flat.
+//! The same thread budget reaches the fit's §3.3 classifier (see
+//! [`AttackPipeline::threads`]).
 //! Results are **bit-identical** to the serial
 //! [`evaluate_serial`](ldp_core::attacks::evaluate_serial) reference for
 //! every thread count.
@@ -82,8 +84,9 @@ impl AttackPipeline {
         AttackPipeline {
             attack,
             seed: 0,
-            threads: par::default_threads(),
+            threads: 1,
         }
+        .threads(par::default_threads())
     }
 
     /// Builds the attack from its kind — the one-stop constructor for sweeps
@@ -99,10 +102,13 @@ impl AttackPipeline {
         self
     }
 
-    /// Sets the worker thread count (`1` runs inline; results are identical
-    /// for every value).
+    /// Sets the worker thread count of the whole attack: the fit (the
+    /// §3.3 classifier's trees, softmax and prediction, through
+    /// [`DynAttack::set_threads`]) and the sharded evaluation. `1` runs
+    /// inline; results are identical for every value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
+        self.attack.set_threads(self.threads);
         self
     }
 

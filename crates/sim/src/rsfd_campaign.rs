@@ -87,8 +87,9 @@ pub fn run_rsfd_campaign(
             },
             &config.classifier,
             &mut attack_rng,
+            threads,
         );
-        let predicted = attack.predict(&observed.iter().collect::<Vec<_>>());
+        let predicted = attack.predict(&observed.iter().collect::<Vec<_>>(), threads);
 
         // Chain: predicted attribute → deniability guess on its report.
         for (uid, (&pred_local, (report, _))) in predicted.iter().zip(reports.iter()).enumerate() {

@@ -9,7 +9,7 @@ use ldp_core::attacks::{
 use ldp_core::inference::{AttackClassifier, AttackModel};
 use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_datasets::{Dataset, Schema};
-use ldp_gbdt::LogisticParams;
+use ldp_gbdt::{GbdtParams, LogisticParams};
 use ldp_protocols::ProtocolKind;
 use ldp_sim::{AttackPipeline, CollectionPipeline};
 use proptest::prelude::*;
@@ -172,6 +172,64 @@ proptest! {
                     &format!("{kind} (t={threads})"),
                 );
             }
+        }
+    }
+}
+
+/// A small GBDT, the chained attack's default classifier family: the thread
+/// budget reaches its fit and prediction, so the outcome must not move with
+/// it.
+fn small_gbdt() -> AttackClassifier {
+    AttackClassifier::Gbdt(GbdtParams {
+        rounds: 3,
+        max_depth: 3,
+        ..GbdtParams::default()
+    })
+}
+
+/// The GBDT-classified attacks (the Fig. 4 chained re-identification
+/// against RS+FD[GRR] and sampled-attribute inference against
+/// RS+RFD[GRR]) give bit-identical outcomes for every thread budget, equal
+/// to the serial evaluation of the one-thread fit.
+#[test]
+fn gbdt_attacks_are_thread_count_invariant() {
+    let ks = [5usize, 4, 6, 3];
+    let ds = dataset(300, &ks, 17);
+    let cases = [
+        (
+            SolutionKind::RsFd(RsFdProtocol::Grr),
+            AttackKind::Reident(ReidentConfig {
+                classifier: small_gbdt(),
+                ..ReidentConfig::default()
+            }),
+        ),
+        (
+            SolutionKind::RsRfd(RsRfdProtocol::Grr),
+            AttackKind::SampledAttribute(InferenceConfig {
+                model: AttackModel::NoKnowledge { synth_factor: 1.0 },
+                classifier: small_gbdt(),
+            }),
+        ),
+    ];
+    for (kind, attack) in cases {
+        let collection = CollectionPipeline::from_kind(kind, &ks, 3.0)
+            .unwrap()
+            .seed(17)
+            .threads(2);
+        let reference = AttackPipeline::from_kind(attack.clone())
+            .unwrap()
+            .seed(17)
+            .threads(1)
+            .run(&collection, &ds);
+        let serial = evaluate_serial(reference.fitted.as_ref(), 17);
+        for threads in THREAD_COUNTS {
+            let run = AttackPipeline::from_kind(attack.clone())
+                .unwrap()
+                .seed(17)
+                .threads(threads)
+                .run(&collection, &ds);
+            let label = format!("{kind} {} (t={threads})", attack.name());
+            assert_outcomes_bit_identical(&serial, &run.outcome, &label);
         }
     }
 }
