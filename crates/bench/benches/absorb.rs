@@ -15,12 +15,22 @@
 //! is pinned in isolation. ε = 1.0 lands OUE in the dense (batched-mask)
 //! regime; the extra `OUE-sparse` id at ε = 4 prices the geometric
 //! skip-sampling regime on the other side of the `q = 2⁻⁵` crossover.
+//!
+//! The `sanitize` group also prices whole SPL\[OUE\] and SPL\[SUE\] tuples
+//! (the packed multi-word fused draw) at the Nursery (Σk = 32, one word),
+//! Adult (Σk = 174, three words) and ACS (Σk = 198, four words) shapes, at
+//! total ε = 1 (dense) and ε = 40 (ε/d in the sparse regime for OUE), each
+//! through `DynSolution::report` with a concrete `SmallRng` (`/small-rng`)
+//! and behind `&mut dyn RngCore` (`/dyn-rng`) — the gap between the two is
+//! the per-draw virtual call the monomorphized producers no longer pay.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ldp_core::solutions::SolutionKind;
+use ldp_datasets::corpora::{acs_employment_schema, adult_schema, nursery_schema};
 use ldp_protocols::oracle::{count_support, count_support_batch};
 use ldp_protocols::{BitVec, FrequencyOracle, ProtocolKind, Report, UeMode, UnaryEncoding};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::rngs::{SmallRng, StdRng};
+use rand::{RngCore, SeedableRng};
 
 const BATCH: usize = 512;
 
@@ -93,8 +103,9 @@ fn bench_olh_nonpow2(c: &mut Criterion) {
 }
 
 /// Client-side UE sanitize: one one-hot input (the `randomize` shape)
-/// perturbed `BATCH` times into a pooled output vector; reported time is
-/// per batch, so reports/s = BATCH / time.
+/// perturbed `BATCH` times into a pooled output vector, then `BATCH` whole
+/// SPL\[UE\] tuples per survey shape; reported time is per batch, so
+/// reports/s = BATCH / time.
 fn bench_sanitize(c: &mut Criterion) {
     let mut group = c.benchmark_group("sanitize");
     let configs = [
@@ -135,6 +146,50 @@ fn bench_sanitize(c: &mut Criterion) {
                     })
                 },
             );
+        }
+    }
+    let shapes = [
+        ("nursery", nursery_schema().cardinalities()),
+        ("adult", adult_schema().cardinalities()),
+        ("acs", acs_employment_schema().cardinalities()),
+    ];
+    for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
+        for (shape, ks) in &shapes {
+            // Every value of every domain shows up as the batch cycles.
+            let tuples: Vec<Vec<u32>> = (0..BATCH)
+                .map(|i| ks.iter().map(|&k| (i % k) as u32).collect())
+                .collect();
+            for eps in [1.0, 40.0] {
+                let spl = SolutionKind::Spl(kind)
+                    .build(ks, eps)
+                    .expect("bench SPL builds");
+                let id = format!("SPL[{}]-{shape}-eps{eps}", kind.name());
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{id}/small-rng"), ks.len()),
+                    &tuples,
+                    |b, tuples| {
+                        let mut rng = SmallRng::seed_from_u64(0xAB55);
+                        b.iter(|| {
+                            for tuple in tuples {
+                                black_box(spl.report(tuple, &mut rng));
+                            }
+                        })
+                    },
+                );
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{id}/dyn-rng"), ks.len()),
+                    &tuples,
+                    |b, tuples| {
+                        let mut small = SmallRng::seed_from_u64(0xAB55);
+                        let rng: &mut dyn RngCore = &mut small;
+                        b.iter(|| {
+                            for tuple in tuples {
+                                black_box(spl.report(tuple, rng));
+                            }
+                        })
+                    },
+                );
+            }
         }
     }
     group.finish();

@@ -1,13 +1,16 @@
 //! Runtime solution selection: [`SolutionKind`] + [`DynSolution`], mirroring
 //! `ldp_protocols::{ProtocolKind, Oracle}` one layer up.
 //!
-//! `DynSolution` erases both the concrete solution type and the `R: Rng`
-//! generic of the client side (randomness enters through `&mut dyn RngCore`),
-//! so sweeps, pipelines and services can pick the collection solution at
-//! runtime and drive it through one object-safe surface.
+//! `DynSolution` erases the concrete solution type, so sweeps, pipelines and
+//! services can pick the collection solution at runtime and drive it through
+//! one surface. The client side stays generic over `R: Rng + ?Sized`: a
+//! producer holding a concrete generator (the pipeline's per-user
+//! `SmallRng`) gets a sanitizer monomorphized for it, with no virtual call
+//! per draw, while a `&mut dyn RngCore` still drives every solution across
+//! an object boundary.
 
 use ldp_protocols::{ProtocolError, ProtocolKind, Report};
-use rand::RngCore;
+use rand::Rng;
 
 use super::mixed::{Mixed, MixedKind, MixedReport};
 use super::rsfd::{RsFd, RsFdProtocol};
@@ -110,8 +113,8 @@ impl std::fmt::Display for SolutionKind {
 }
 
 /// Enum dispatcher over the concrete solutions (the counterpart of
-/// `ldp_protocols::Oracle`): one object-safe client/server surface with the
-/// solution chosen at runtime.
+/// `ldp_protocols::Oracle`): one client/server surface with the solution
+/// chosen at runtime.
 #[derive(Debug, Clone)]
 pub enum DynSolution {
     /// See [`Spl`].
@@ -182,20 +185,22 @@ impl DynSolution {
         }
     }
 
-    /// Client-side sanitization of one user tuple. Randomness enters through
-    /// `&mut dyn RngCore`, keeping this callable behind any object boundary.
+    /// Client-side sanitization of one user tuple. Generic over the RNG:
+    /// a concrete generator is monomorphized into the sanitizer, and
+    /// `&mut dyn RngCore` works too (`R = dyn RngCore`). Both draw the same
+    /// stream, so the reports are identical.
     ///
     /// # Panics
     ///
     /// Panics for [`DynSolution::Mixed`], whose user tuples carry numeric
     /// values a `&[u32]` cannot express — mixed producers must call
     /// [`DynSolution::report_mixed`] instead.
-    pub fn report(&self, tuple: &[u32], rng: &mut dyn RngCore) -> SolutionReport {
+    pub fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> SolutionReport {
         match self {
             DynSolution::Spl(s) => SolutionReport::Full(s.report(tuple, rng)),
             DynSolution::Smp(s) => SolutionReport::Smp(s.report(tuple, rng)),
-            DynSolution::RsFd(s) => SolutionReport::Tuple(s.report_dyn(tuple, rng)),
-            DynSolution::RsRfd(s) => SolutionReport::Tuple(s.report_dyn(tuple, rng)),
+            DynSolution::RsFd(s) => SolutionReport::Tuple(MultidimSolution::report(s, tuple, rng)),
+            DynSolution::RsRfd(s) => SolutionReport::Tuple(MultidimSolution::report(s, tuple, rng)),
             DynSolution::Mixed(_) => {
                 panic!("mixed solutions sanitize via DynSolution::report_mixed")
             }
@@ -206,14 +211,14 @@ impl DynSolution {
     /// values in `cat` (dimension order), normalized `[-1, 1]` numeric values
     /// in `num` (dimension order). The purely categorical solutions require
     /// `num` to be empty and delegate to [`DynSolution::report`].
-    pub fn report_mixed(
+    pub fn report_mixed<R: Rng + ?Sized>(
         &self,
         cat: &[u32],
         num: &[f64],
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Result<SolutionReport, ProtocolError> {
         match self {
-            DynSolution::Mixed(s) => Ok(SolutionReport::Mixed(s.report_mixed_dyn(cat, num, rng)?)),
+            DynSolution::Mixed(s) => Ok(SolutionReport::Mixed(s.report_mixed(cat, num, rng)?)),
             _ if !num.is_empty() => Err(ProtocolError::ReportMismatch {
                 expected: "categorical solution given numeric values",
             }),
@@ -278,7 +283,7 @@ impl From<Mixed> for DynSolution {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn kind_roundtrips_through_build() {

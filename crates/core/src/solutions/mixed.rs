@@ -18,7 +18,7 @@
 //! validator.
 
 use ldp_protocols::{FrequencyOracle, Oracle, ProtocolError, ProtocolKind, Report};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use crate::numeric::{DynNumeric, NumericKind, NumericOracle, NumericReport};
 
@@ -183,17 +183,6 @@ impl Mixed {
         num: &[f64],
         rng: &mut R,
     ) -> Result<MixedReport, ProtocolError> {
-        let mut rng = rng;
-        self.report_mixed_dyn(cat, num, &mut rng)
-    }
-
-    /// Object-safe twin of [`Mixed::report_mixed`].
-    pub fn report_mixed_dyn(
-        &self,
-        cat: &[u32],
-        num: &[f64],
-        rng: &mut dyn RngCore,
-    ) -> Result<MixedReport, ProtocolError> {
         let n_cat = self.ks.iter().filter(|&&k| k != NUMERIC_DIM).count();
         assert_eq!(cat.len(), n_cat, "categorical tuple width mismatch");
         assert_eq!(num.len(), self.d() - n_cat, "numeric tuple width mismatch");
@@ -210,7 +199,10 @@ impl Mixed {
         for j in dims {
             let entry = if self.is_numeric(j) {
                 let t = num[self.num_index(j)];
-                MixedEntry::Num(self.numeric.sanitize(t, rng)?)
+                // `NumericOracle` is object-safe, so the numeric draw
+                // erases the generator; the categorical draws stay generic.
+                let mut erased = &mut *rng;
+                MixedEntry::Num(self.numeric.sanitize(t, &mut erased)?)
             } else {
                 let v = cat[self.cat_index(j)];
                 let oracle = self.oracles[j].as_ref().expect("categorical dim");

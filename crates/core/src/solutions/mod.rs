@@ -6,8 +6,10 @@
 //! `O(Σ_j k_j)` support-count state and can be merged across parallel
 //! shards, so server-side memory is independent of the population size.
 //! Runtime solution selection goes through [`SolutionKind`] /
-//! [`DynSolution`], which mirror `ldp_protocols::{ProtocolKind, Oracle}` and
-//! erase the client-side `R: Rng` generic behind `&mut dyn RngCore`.
+//! [`DynSolution`], which mirror `ldp_protocols::{ProtocolKind, Oracle}`;
+//! the client side stays generic over `R: Rng + ?Sized`, so a concrete
+//! generator is monomorphized into the sanitizer and `&mut dyn RngCore`
+//! still works behind an object boundary.
 
 mod aggregator;
 mod compact;
@@ -30,7 +32,7 @@ pub use spl::Spl;
 pub(crate) use aggregator::EstimatorSpec;
 
 use ldp_protocols::{ProtocolError, Report};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// A full sanitized tuple `y = [y_1, …, y_d]` as produced by the RS+FD /
 /// RS+RFD solutions, together with the (server-hidden) sampled attribute used
@@ -50,11 +52,12 @@ pub struct MultidimReport {
 /// data with the exact client mechanism, and by the streaming pipeline to
 /// drive any solution behind one object boundary.
 ///
-/// The trait is **object-safe**: randomness enters
-/// [`MultidimSolution::report_dyn`] through `&mut dyn RngCore`, and the
-/// server side is the streaming [`MultidimSolution::aggregator`]. The
-/// generic [`MultidimSolution::report`] convenience (gated on `Self: Sized`)
-/// keeps concrete call sites ergonomic.
+/// The client side [`MultidimSolution::report`] is generic over
+/// `R: Rng + ?Sized`: a concrete generator is monomorphized into the
+/// sanitizer, and `&mut dyn RngCore` still works (`R = dyn RngCore`). The
+/// server side is the streaming [`MultidimSolution::aggregator`]. Runtime
+/// selection among solutions goes through [`DynSolution`], not a trait
+/// object.
 pub trait MultidimSolution {
     /// Number of attributes `d`.
     fn d(&self) -> usize;
@@ -73,21 +76,12 @@ pub trait MultidimSolution {
     /// encoding.
     fn is_unary(&self) -> bool;
 
-    /// Client-side sanitization of one user tuple (object-safe entry point).
-    fn report_dyn(&self, tuple: &[u32], rng: &mut dyn RngCore) -> MultidimReport;
-
     /// A fresh streaming server-side aggregator configured with this
     /// solution's unbiased estimator.
     fn aggregator(&self) -> MultidimAggregator;
 
     /// Client-side sanitization of one user tuple.
-    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport
-    where
-        Self: Sized,
-    {
-        let mut rng = rng;
-        self.report_dyn(tuple, &mut rng)
-    }
+    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport;
 
     /// Batch server-side unbiased frequency estimates for every attribute:
     /// one streaming pass of [`MultidimSolution::aggregator`] over the

@@ -13,7 +13,7 @@
 //! restated in §2.3.2 of the paper.
 
 use ldp_protocols::{BitVec, FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use super::{validate_config, EstimatorSpec, MultidimAggregator, MultidimReport, MultidimSolution};
 use crate::amplification::amplify;
@@ -183,17 +183,7 @@ impl MultidimSolution for RsFd {
         matches!(self.protocol, RsFdProtocol::UeZ(_) | RsFdProtocol::UeR(_))
     }
 
-    fn report_dyn(&self, tuple: &[u32], rng: &mut dyn RngCore) -> MultidimReport {
-        let sampled = rng.random_range(0..self.d());
-        self.report_with_sampled(tuple, sampled, rng)
-    }
-
-    // Monomorphized override: keeps the hot client path free of virtual RNG
-    // dispatch (the provided method would route through `report_dyn`).
-    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport
-    where
-        Self: Sized,
-    {
+    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport {
         let sampled = rng.random_range(0..self.d());
         self.report_with_sampled(tuple, sampled, rng)
     }

@@ -10,7 +10,7 @@
 //! Theorems 2 and 4.
 
 use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use super::{
     sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator, MultidimReport,
@@ -219,17 +219,7 @@ impl MultidimSolution for RsRfd {
         matches!(self.protocol, RsRfdProtocol::UeR(_))
     }
 
-    fn report_dyn(&self, tuple: &[u32], rng: &mut dyn RngCore) -> MultidimReport {
-        let sampled = rng.random_range(0..self.d());
-        self.report_with_sampled(tuple, sampled, rng)
-    }
-
-    // Monomorphized override: keeps the hot client path free of virtual RNG
-    // dispatch (the provided method would route through `report_dyn`).
-    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport
-    where
-        Self: Sized,
-    {
+    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport {
         let sampled = rng.random_range(0..self.d());
         self.report_with_sampled(tuple, sampled, rng)
     }

@@ -14,10 +14,10 @@ pub struct Spl {
     epsilon: f64,
     ks: Vec<usize>,
     oracles: Vec<Oracle>,
-    /// Word-fused tuple sanitizer for UE families whose domains pack into one
-    /// 64-bit word — every SPL attribute runs at the same ε/d, so UE's
-    /// `(p, q)` match across attributes by construction and the whole tuple's
-    /// background is one Bernoulli-mask scan (see [`FusedUeGroup`]).
+    /// Packed multi-word tuple sanitizer for the UE families — every SPL
+    /// attribute runs at the same ε/d, so UE's `(p, q)` match across
+    /// attributes by construction and the whole tuple is one packed draw of
+    /// `⌈Σk/64⌉` words (see [`FusedUeGroup`]). `None` for GRR, OLH and SS.
     fused: Option<FusedUeGroup>,
 }
 
@@ -82,13 +82,13 @@ impl Spl {
 
     /// Sanitizes the full tuple, one (ε/d)-LDP report per attribute.
     ///
-    /// UE families whose domains pack into one 64-bit word fuse the whole
-    /// tuple into a single word draw ([`FusedUeGroup`]); everything else
-    /// randomizes attribute by attribute. Both paths produce identical
-    /// per-report marginals.
+    /// UE families fuse the whole tuple into one packed multi-word draw
+    /// ([`FusedUeGroup`]); GRR, OLH and SS randomize attribute by attribute.
+    /// Both paths produce identical per-report marginals.
     ///
     /// # Panics
-    /// Panics on tuple width mismatch.
+    /// Panics on tuple width mismatch, or (UE families) on a value outside
+    /// its attribute's domain.
     pub fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> Vec<Report> {
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
         if let Some(fused) = &self.fused {
@@ -195,18 +195,24 @@ mod tests {
     }
 
     #[test]
-    fn ue_tuples_fuse_only_when_they_pack_into_one_word() {
-        // The ingest-bench shape (Σk = 33 ≤ 64) fuses; GRR never does; UE
-        // tuples wider than a word fall back to per-oracle randomize.
-        let fused = Spl::new(ProtocolKind::Oue, &[16, 8, 5, 4], 1.0).unwrap();
-        assert!(fused.fused_sanitize());
+    fn ue_tuples_fuse_at_any_width() {
+        // UE families fuse whatever the packed width — the ingest-bench
+        // shape (Σk = 33, one word), multi-word tuples, and a tuple past the
+        // 512 stack lanes (Σk = 550, packed words and the k > 128 fields
+        // on the heap) alike; GRR never does.
+        let narrow = Spl::new(ProtocolKind::Oue, &[16, 8, 5, 4], 1.0).unwrap();
+        let wide = Spl::new(ProtocolKind::Sue, &[40, 40], 1.0).unwrap();
+        let wider = Spl::new(ProtocolKind::Oue, &[74, 7, 16, 41], 2.0).unwrap();
+        let widest = Spl::new(ProtocolKind::Oue, &[300, 150, 100], 3.0).unwrap();
+        let shapes = [&narrow, &wide, &wider, &widest];
+        for spl in shapes {
+            assert!(spl.fused_sanitize(), "{:?} {:?}", spl.kind(), spl.ks());
+        }
         assert!(!Spl::new(ProtocolKind::Grr, &[16, 8, 5, 4], 1.0)
             .unwrap()
             .fused_sanitize());
-        let wide = Spl::new(ProtocolKind::Oue, &[40, 40], 1.0).unwrap();
-        assert!(!wide.fused_sanitize());
-        // Both UE paths still recover a point-mass marginal end to end.
-        for spl in [&fused, &wide] {
+        // Every fused shape still recovers a point-mass marginal end to end.
+        for spl in shapes {
             let mut rng = StdRng::seed_from_u64(0xF5ED);
             let tuple: Vec<u32> = spl.ks().iter().map(|_| 1u32).collect();
             let reports: Vec<Vec<Report>> =
@@ -215,8 +221,8 @@ mod tests {
             for (j, attr) in est.iter().enumerate() {
                 assert!(
                     (attr[1] - 1.0).abs() < 0.15,
-                    "attr {j} (fused={}): est {attr:?}",
-                    spl.fused_sanitize()
+                    "attr {j} of {:?}: est {attr:?}",
+                    spl.ks()
                 );
             }
         }

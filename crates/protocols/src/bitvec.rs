@@ -7,8 +7,8 @@
 
 /// Vectors of up to `INLINE_WORDS · 64` bits are stored inline, without a
 /// heap allocation. Every attribute domain in the paper's datasets (k ≤ 92)
-/// fits, so the UE report hot path — four `BitVec` reports per user in the
-/// SPL ingest bench — allocates nothing.
+/// fits, so the UE report hot path — one `BitVec` report per attribute of
+/// an SPL\[UE\] tuple, ten per user on the Adult shape — allocates nothing.
 const INLINE_WORDS: usize = 2;
 
 /// Backing storage: a fixed inline array for short vectors, a heap `Vec` for
@@ -72,25 +72,33 @@ impl BitVec {
         }
     }
 
-    /// Builds a vector of at most 64 bits from a single word — the fused
-    /// tuple sanitizer ([`crate::ue::FusedUeGroup`]) slices its packed word
-    /// into per-attribute reports through this without touching the heap.
+    /// Builds a `len`-bit vector from lanes `offset..offset + len` of a
+    /// packed little-endian word slice. The lanes may straddle word
+    /// boundaries; nothing touches the heap when `len` fits inline
+    /// (≤ 128 bits). The fused tuple sanitizer
+    /// ([`crate::ue::FusedUeGroup`]) slices each attribute's report out of
+    /// its packed words through this.
     ///
     /// # Panics
-    /// Panics if `len > 64`; lanes past `len` must be zero (debug-asserted).
+    /// Panics if `offset + len` exceeds the slice's `64 · packed.len()`
+    /// lanes.
     #[inline]
-    pub fn from_word(word: u64, len: usize) -> Self {
-        assert!(len <= 64, "from_word holds at most 64 bits, got {len}");
-        debug_assert!(
-            len == 64 || word >> len == 0,
-            "trailing bits past len must be zero"
+    pub(crate) fn from_lanes(packed: &[u64], offset: usize, len: usize) -> Self {
+        assert!(
+            offset + len <= packed.len() * 64,
+            "lanes past the end of the packed words"
         );
-        let mut inline = [0u64; INLINE_WORDS];
-        inline[0] = word;
-        BitVec {
-            blocks: Blocks::Inline(inline),
-            len,
-        }
+        // Word `j` of the vector: the 64 packed lanes from `offset + 64j`,
+        // cut to the `len − 64j` that belong to the field.
+        let word = |j: usize| lanes_at(packed, offset + 64 * j) & low_lanes(len - 64 * j);
+        let blocks = if len <= INLINE_WORDS * 64 {
+            Blocks::Inline(std::array::from_fn(
+                |j| if 64 * j < len { word(j) } else { 0 },
+            ))
+        } else {
+            Blocks::Heap((0..len.div_ceil(64)).map(word).collect())
+        };
+        BitVec { blocks, len }
     }
 
     /// Creates a one-hot vector of `len` bits with bit `index` set.
@@ -252,6 +260,28 @@ impl BitVec {
     }
 }
 
+/// The 64 lanes of `packed` starting at lane `bit` (lanes past the slice
+/// read as 0).
+#[inline]
+fn lanes_at(packed: &[u64], bit: usize) -> u64 {
+    let (w, shift) = (bit / 64, bit % 64);
+    let lo = packed.get(w).map_or(0, |&x| x >> shift);
+    match packed.get(w + 1) {
+        Some(&x) if shift != 0 => lo | x << (64 - shift),
+        _ => lo,
+    }
+}
+
+/// A mask of the low `n` lanes (all 64 for `n ≥ 64`).
+#[inline]
+pub(crate) fn low_lanes(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 /// Iterator over set-bit indices of a [`BitVec`].
 pub struct Ones<'a> {
     words: &'a [u64],
@@ -402,6 +432,47 @@ mod tests {
             assert!(set.contains(&rebuilt), "hash differs across paths k={k}");
         }
         assert_eq!(set.len(), 6);
+    }
+
+    #[test]
+    fn from_lanes_slices_straddling_fields() {
+        // A 3-word packed buffer with a known pattern; every (offset, len)
+        // slice — inside a word, straddling one or two boundaries, longer
+        // than a word, ending on the last lane — must equal the per-bit copy.
+        let packed = [
+            0xDEAD_BEEF_0123_4567u64,
+            0x89AB_CDEF_F0E1_D2C3,
+            0x0F1E_2D3C_4B5A_6978,
+        ];
+        let bit = |i: usize| (packed[i / 64] >> (i % 64)) & 1 == 1;
+        for (offset, len) in [
+            (0usize, 3usize),
+            (5, 64),
+            (60, 10),
+            (62, 74),
+            (64, 64),
+            (1, 190),
+            (100, 92),
+            (190, 2),
+        ] {
+            let bv = BitVec::from_lanes(&packed, offset, len);
+            assert_eq!(bv.len(), len);
+            for i in 0..len {
+                assert_eq!(
+                    bv.get(i),
+                    bit(offset + i),
+                    "offset {offset} len {len} lane {i}"
+                );
+            }
+            // The trailing-zeros invariant holds, so equality is exact.
+            assert_eq!(BitVec::from_blocks(bv.blocks().to_vec(), len), bv);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of the packed words")]
+    fn from_lanes_rejects_lanes_past_the_slice() {
+        BitVec::from_lanes(&[0, 0], 100, 29);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 
 use rand::Rng;
 
-use crate::bitvec::BitVec;
+use crate::bitvec::{low_lanes, BitVec};
 use crate::error::ProtocolError;
 use crate::oracle::{FrequencyOracle, Report};
 use crate::{validate_domain, validate_epsilon};
@@ -124,6 +124,31 @@ fn bernoulli_mask<R: Rng + ?Sized>(threshold: u64, lanes: u64, rng: &mut R) -> u
         bit -= 1;
     }
     ones
+}
+
+/// One dense sanitized word: the `hot` (input 1-) lanes kept with
+/// probability `p_thresh · 2⁻⁶⁴`, the other `lanes` set with probability
+/// `q_thresh · 2⁻⁶⁴`. Draw order is fixed: the q-mask first, then — only
+/// when `hot` is non-empty — the p-mask (one raw RNG word for OUE's
+/// `p = 1/2`).
+#[inline]
+fn sanitize_word<R: Rng + ?Sized>(
+    p_thresh: u64,
+    q_thresh: u64,
+    lanes: u64,
+    hot: u64,
+    rng: &mut R,
+) -> u64 {
+    let q_mask = bernoulli_mask(q_thresh, lanes & !hot, rng);
+    if hot == 0 {
+        return q_mask;
+    }
+    let p_mask = if p_thresh == HALF_THRESHOLD {
+        rng.next_u64()
+    } else {
+        bernoulli_mask(p_thresh, hot, rng)
+    };
+    (hot & p_mask) | q_mask
 }
 
 /// Unary-encoding protocol (SUE or OUE) for one categorical attribute.
@@ -306,17 +331,7 @@ impl UnaryEncoding {
             for wi in 0..out.word_count() {
                 let lanes = out.lane_mask(wi);
                 let in_w = input.blocks()[wi];
-                let q_mask = bernoulli_mask(self.q_thresh, lanes & !in_w, rng);
-                let word = if in_w == 0 {
-                    q_mask
-                } else {
-                    let p_mask = if self.p_thresh == HALF_THRESHOLD {
-                        rng.next_u64()
-                    } else {
-                        bernoulli_mask(self.p_thresh, in_w, rng)
-                    };
-                    (in_w & p_mask) | q_mask
-                };
+                let word = sanitize_word(self.p_thresh, self.q_thresh, lanes, in_w, rng);
                 out.set_word(wi, word);
             }
         }
@@ -385,23 +400,31 @@ impl FrequencyOracle for UnaryEncoding {
     }
 }
 
+/// Packed words a fused tuple keeps on the stack: 512 lanes, well past every
+/// survey shape of the paper (Adult Σk = 174, ACS Σk = 198). Wider tuples
+/// spill their packed words to the heap.
+const STACK_WORDS: usize = 8;
+
 /// Word-fused sanitizer for a tuple of [`UnaryEncoding`] oracles that share
-/// one `(p, q)` pair and whose domains pack into a single 64-bit word.
+/// one `(p, q)` pair.
 ///
 /// SPL\[UE\] tuples have exactly this shape: every attribute runs at the same
 /// per-attribute budget ε/d, and UE's `(p, q)` depend only on ε — not on the
-/// domain size — so the Bernoulli(q) backgrounds of all `d` one-hot reports
-/// can be drawn as *one* `bernoulli_mask` scan over the packed lanes
-/// (`≈ log₂ Σk + 2` draws for the whole tuple instead of per attribute), and
-/// the `d` kept-bit decisions collapse into a single mask (one raw RNG word
-/// for OUE's `p = 1/2`). The packed word is then sliced back into
-/// per-attribute [`Report::Bits`] vectors via [`BitVec::from_word`], so the
-/// fused path allocates nothing beyond the caller's report vector.
+/// domain size — so the `d` one-hot reports can be drawn as *one* unary
+/// encoding of the concatenated domains. The `Σk` lanes are packed tightly
+/// into `⌈Σk/64⌉` words; each packed word costs one `bernoulli_mask(q)`
+/// scan over its cold lanes, then — when it holds a hot lane — one p-mask
+/// (a single raw RNG word for OUE's `p = 1/2`), words in order. The Adult
+/// tuple (Σk = 174) thus costs three word draws instead of ten per-attribute
+/// scans. The packed words are then sliced back into per-attribute
+/// [`Report::Bits`] vectors via `BitVec::from_lanes`; a field may straddle
+/// a word boundary, and a `k > 64` field spans two or more words.
 ///
 /// Marginals are identical to calling [`FrequencyOracle::randomize`] once per
 /// oracle — every packed lane still compares its own independent bit stream
 /// against the shared threshold — only the draw order and count differ, which
-/// the statistical-equivalence contract (module docs) explicitly permits.
+/// the statistical-equivalence contract (module docs) explicitly permits. A
+/// single-word group (Σk ≤ 64) draws exactly one q-mask then one p-mask.
 #[derive(Debug, Clone)]
 pub struct FusedUeGroup {
     p_thresh: u64,
@@ -409,34 +432,30 @@ pub struct FusedUeGroup {
     /// Packed layout: `(bit offset, domain size)` per attribute, in tuple
     /// order, tightly packed from bit 0.
     layout: Vec<(u32, u32)>,
-    /// Union of all packed lanes (bits `0..Σk`).
-    lanes: u64,
+    /// Packed width `Σk`.
+    lanes: usize,
 }
 
 impl FusedUeGroup {
     /// Builds the fused sanitizer, or `None` when the tuple cannot fuse: an
-    /// empty group, mixed `(p, q)` thresholds (different budgets or modes),
-    /// or a packed width beyond one 64-bit word.
+    /// empty group, or mixed `(p, q)` thresholds (different budgets or
+    /// modes). The packed width is unbounded.
     pub fn build<'a, I>(oracles: I) -> Option<Self>
     where
         I: IntoIterator<Item = &'a UnaryEncoding>,
     {
-        let mut it = oracles.into_iter();
-        let first = it.next()?;
+        let mut it = oracles.into_iter().peekable();
+        let first = it.peek()?;
         let (p_thresh, q_thresh) = (first.p_thresh, first.q_thresh);
-        let mut layout = vec![(0u32, first.k as u32)];
-        let mut total = first.k;
+        let mut layout = Vec::new();
+        let mut lanes = 0usize;
         for ue in it {
             if ue.p_thresh != p_thresh || ue.q_thresh != q_thresh {
                 return None;
             }
-            layout.push((total as u32, ue.k as u32));
-            total += ue.k;
+            layout.push((lanes as u32, ue.k as u32));
+            lanes += ue.k;
         }
-        if total > 64 {
-            return None;
-        }
-        let lanes = if total == 64 { !0 } else { (1u64 << total) - 1 };
         Some(FusedUeGroup {
             p_thresh,
             q_thresh,
@@ -450,36 +469,66 @@ impl FusedUeGroup {
         self.layout.len()
     }
 
-    /// Sanitizes the whole tuple with one fused word draw, pushing one
-    /// `k_j`-bit [`Report::Bits`] per attribute onto `out`.
+    /// Number of packed 64-bit words one tuple draw spans (`⌈Σk/64⌉`).
+    pub fn word_count(&self) -> usize {
+        self.lanes.div_ceil(64)
+    }
+
+    /// Sanitizes the whole tuple with one packed multi-word draw, pushing
+    /// one `k_j`-bit [`Report::Bits`] per attribute onto `out`.
     ///
     /// # Panics
-    /// Panics if `values.len() != self.width()`; each value must be inside
-    /// its attribute's domain (debug-asserted).
+    /// Panics if `values.len() != self.width()` or a value lies outside its
+    /// attribute's domain — checked in every build, because an unchecked
+    /// value would set a lane of the *next* attribute's field.
     pub fn randomize_tuple_into<R: Rng + ?Sized>(
         &self,
         values: &[u32],
         out: &mut Vec<Report>,
         rng: &mut R,
     ) {
-        assert_eq!(values.len(), self.layout.len(), "tuple width mismatch");
-        let mut hot = 0u64;
-        for (&v, &(off, k)) in values.iter().zip(&self.layout) {
-            debug_assert!(v < k, "value {v} out of domain {k}");
-            hot |= 1u64 << (off + v);
+        match self.word_count() {
+            n if n <= STACK_WORDS => self.draw_into(values, &mut [0; STACK_WORDS][..n], out, rng),
+            n => self.draw_into(values, &mut vec![0; n], out, rng),
         }
-        let q_mask = bernoulli_mask(self.q_thresh, self.lanes & !hot, rng);
-        let p_mask = if self.p_thresh == HALF_THRESHOLD {
-            rng.next_u64()
-        } else {
-            bernoulli_mask(self.p_thresh, hot, rng)
-        };
-        let word = (hot & p_mask) | q_mask;
+    }
+
+    /// The packed draw over zeroed `words` (`⌈Σk/64⌉` of them).
+    #[inline]
+    fn draw_into<R: Rng + ?Sized>(
+        &self,
+        values: &[u32],
+        words: &mut [u64],
+        out: &mut Vec<Report>,
+        rng: &mut R,
+    ) {
+        self.set_hot(values, words);
+        for (wi, word) in words.iter_mut().enumerate() {
+            let lanes = low_lanes(self.lanes - 64 * wi);
+            *word = sanitize_word(self.p_thresh, self.q_thresh, lanes, *word, rng);
+        }
+        self.slice_into(words, out);
+    }
+
+    /// Sets the hot lane of every value in the zeroed packed `words`.
+    #[inline]
+    fn set_hot(&self, values: &[u32], words: &mut [u64]) {
+        assert_eq!(values.len(), self.layout.len(), "tuple width mismatch");
+        for (j, (&v, &(off, k))) in values.iter().zip(&self.layout).enumerate() {
+            assert!(v < k, "attribute {j}: value {v} outside its domain 0..{k}");
+            let lane = (off + v) as usize;
+            words[lane / 64] |= 1 << (lane % 64);
+        }
+    }
+
+    /// Slices each attribute's field out of the sanitized packed words.
+    #[inline]
+    fn slice_into(&self, words: &[u64], out: &mut Vec<Report>) {
         out.reserve(self.layout.len());
         for &(off, k) in &self.layout {
-            let mask = if k == 64 { !0 } else { (1u64 << k) - 1 };
-            out.push(Report::Bits(BitVec::from_word(
-                (word >> off) & mask,
+            out.push(Report::Bits(BitVec::from_lanes(
+                words,
+                off as usize,
                 k as usize,
             )));
         }
@@ -547,6 +596,40 @@ impl UnaryEncoding {
             };
             out.set_word(wi, word);
         }
+        out
+    }
+}
+
+#[cfg(test)]
+impl FusedUeGroup {
+    /// [`FusedUeGroup::randomize_tuple_into`] with a deliberate defect — the
+    /// first hot word's p-mask is reused for every later word, so hot lanes
+    /// at the same lane index in different words are identical — test-only
+    /// shim for the power guards. (A slicing defect can be injected from
+    /// outside; `tests/sanitize_conformance.rs` guards that one.)
+    pub(crate) fn randomize_tuple_reusing_keep_mask<R: Rng + ?Sized>(
+        &self,
+        values: &[u32],
+        rng: &mut R,
+    ) -> Vec<Report> {
+        let mut words = vec![0; self.word_count()];
+        self.set_hot(values, &mut words);
+        let mut keep: Option<u64> = None;
+        for (wi, word) in words.iter_mut().enumerate() {
+            let lanes = low_lanes(self.lanes - 64 * wi);
+            let hot = *word;
+            let q_mask = bernoulli_mask(self.q_thresh, lanes & !hot, rng);
+            let p_mask = *keep.get_or_insert_with(|| {
+                if self.p_thresh == HALF_THRESHOLD {
+                    rng.next_u64()
+                } else {
+                    bernoulli_mask(self.p_thresh, !0, rng)
+                }
+            });
+            *word = (hot & p_mask) | q_mask;
+        }
+        let mut out = Vec::new();
+        self.slice_into(&words, &mut out);
         out
     }
 }
@@ -756,23 +839,103 @@ mod tests {
     }
 
     #[test]
-    fn fused_group_rejects_mixed_parameters_and_wide_tuples() {
+    fn fused_group_rejects_mixed_parameters_at_any_width() {
         let a = UnaryEncoding::new(16, 1.0, UeMode::Optimized).unwrap();
         let b = UnaryEncoding::new(8, 1.0, UeMode::Optimized).unwrap();
-        assert!(FusedUeGroup::build([&a, &b]).is_some());
+        assert_eq!(FusedUeGroup::build([&a, &b]).unwrap().word_count(), 1);
         // Mismatched budgets → different (p, q) thresholds.
         let other_eps = UnaryEncoding::new(8, 2.0, UeMode::Optimized).unwrap();
         assert!(FusedUeGroup::build([&a, &other_eps]).is_none());
         // Mismatched modes at equal ε likewise.
         let sue = UnaryEncoding::new(8, 1.0, UeMode::Symmetric).unwrap();
         assert!(FusedUeGroup::build([&a, &sue]).is_none());
-        // Σk > 64 cannot pack into one word.
-        let wide = UnaryEncoding::new(49, 1.0, UeMode::Optimized).unwrap();
-        assert!(FusedUeGroup::build([&a, &wide]).is_none());
-        // Σk = 64 exactly still packs.
+        // Width is no bar: Σk = 64 packs one word, Σk = 65 two, and the
+        // Adult shape (Σk = 174, a k = 74 field) three.
         let rest = UnaryEncoding::new(48, 1.0, UeMode::Optimized).unwrap();
-        assert!(FusedUeGroup::build([&a, &rest]).is_some());
+        assert_eq!(FusedUeGroup::build([&a, &rest]).unwrap().word_count(), 1);
+        let wide = UnaryEncoding::new(49, 1.0, UeMode::Optimized).unwrap();
+        assert_eq!(FusedUeGroup::build([&a, &wide]).unwrap().word_count(), 2);
+        let adult: Vec<UnaryEncoding> = [74usize, 7, 16, 7, 14, 6, 5, 2, 41, 2]
+            .iter()
+            .map(|&k| UnaryEncoding::new(k, 1.0, UeMode::Optimized).unwrap())
+            .collect();
+        let fused = FusedUeGroup::build(&adult).unwrap();
+        assert_eq!((fused.width(), fused.word_count()), (10, 3));
+        // Mixed parameters are rejected wherever they sit in a wide tuple.
+        assert!(FusedUeGroup::build(adult.iter().chain([&sue])).is_none());
         assert!(FusedUeGroup::build(std::iter::empty()).is_none());
+    }
+
+    /// Reference single-word fused sanitizer: one q-mask scan over the
+    /// packed word, then one p-mask, sliced per field. Single-word groups
+    /// must reproduce it draw for draw, so Nursery-shaped reports stay
+    /// bit-identical.
+    fn one_word_reference<R: Rng + ?Sized>(
+        ues: &[UnaryEncoding],
+        values: &[u32],
+        rng: &mut R,
+    ) -> Vec<Report> {
+        let (p_thresh, q_thresh) = (ues[0].p_thresh, ues[0].q_thresh);
+        let total: usize = ues.iter().map(|ue| ue.k).sum();
+        assert!(total <= 64);
+        let lanes = if total == 64 { !0 } else { (1u64 << total) - 1 };
+        let mut hot = 0u64;
+        let mut off = 0;
+        for (ue, &v) in ues.iter().zip(values) {
+            hot |= 1u64 << (off + v as usize);
+            off += ue.k;
+        }
+        let q_mask = bernoulli_mask(q_thresh, lanes & !hot, rng);
+        let p_mask = if p_thresh == HALF_THRESHOLD {
+            rng.next_u64()
+        } else {
+            bernoulli_mask(p_thresh, hot, rng)
+        };
+        let word = (hot & p_mask) | q_mask;
+        let mut off = 0;
+        ues.iter()
+            .map(|ue| {
+                let mask = if ue.k == 64 { !0 } else { (1u64 << ue.k) - 1 };
+                let bits = BitVec::from_blocks(vec![(word >> off) & mask], ue.k);
+                off += ue.k;
+                Report::Bits(bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_word_groups_match_the_one_word_reference_draw_for_draw() {
+        // Nursery (Σk = 32) and a full word (Σk = 64), SUE and OUE, on both
+        // sides of the sparse crossover: same reports and same RNG position
+        // after every tuple.
+        let shapes: [&[usize]; 2] = [&[3, 5, 4, 4, 3, 2, 3, 3, 5], &[40, 16, 8]];
+        for ks in shapes {
+            for mode in [UeMode::Symmetric, UeMode::Optimized] {
+                for eps in [0.1, 1.0, 40.0] {
+                    let ues: Vec<UnaryEncoding> = ks
+                        .iter()
+                        .map(|&k| UnaryEncoding::new(k, eps, mode).unwrap())
+                        .collect();
+                    let fused = FusedUeGroup::build(&ues).unwrap();
+                    assert_eq!(fused.word_count(), 1);
+                    let mut fused_rng = StdRng::seed_from_u64(0x0DE5 + ks.len() as u64);
+                    let mut reference_rng = fused_rng.clone();
+                    let mut tuple_rng = StdRng::seed_from_u64(0x7E57);
+                    let mut out = Vec::new();
+                    for _ in 0..2000 {
+                        let tuple: Vec<u32> = ks
+                            .iter()
+                            .map(|&k| tuple_rng.random_range(0..k as u32))
+                            .collect();
+                        out.clear();
+                        fused.randomize_tuple_into(&tuple, &mut out, &mut fused_rng);
+                        let reference = one_word_reference(&ues, &tuple, &mut reference_rng);
+                        assert_eq!(out, reference, "{mode:?} eps={eps} ks={ks:?}");
+                        assert_eq!(fused_rng, reference_rng, "draw count diverged");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -851,10 +1014,11 @@ mod tests {
 }
 
 /// Power guards for the sanitize conformance bands: each deliberately broken
-/// word-mask generator behind the [`InjectedBug`] shim must be *rejected* by
-/// the same statistical machinery that certifies the real paths, so the
-/// bands cannot silently widen into a rubber stamp. (The positive
-/// conformance suite over the public API lives in
+/// word-mask generator behind the [`InjectedBug`] shim (and the fused
+/// tuple's [`FusedUeGroup::randomize_tuple_reusing_keep_mask`]) must be
+/// *rejected* by the same statistical machinery that certifies the real
+/// paths, so the bands cannot silently widen into a rubber stamp. (The
+/// positive conformance suite over the public API lives in
 /// `tests/sanitize_conformance.rs`; these negative twins live in-crate
 /// because `#[cfg(test)]` shims are invisible to integration tests.)
 #[cfg(test)]
@@ -993,6 +1157,61 @@ mod power_guards {
             buggy > tol,
             "reused word mask slipped through the covariance band: \
              {buggy} (tol {tol})"
+        );
+    }
+
+    #[test]
+    fn reused_keep_mask_is_caught_by_the_covariance_band() {
+        // Field 0's value 6 is packed lane 6 (word 0) and field 8's value 3
+        // is packed lane 131 + 3 = 134 (word 2): both hot lanes sit at lane
+        // index 6 of their words. For OUE (p = 1/2) a reused raw p-mask
+        // makes the two kept bits identical — covariance 1/4.
+        let adult: Vec<UnaryEncoding> = [74usize, 7, 16, 7, 14, 6, 5, 2, 41, 2]
+            .iter()
+            .map(|&k| UnaryEncoding::new(k, 1.0, UeMode::Optimized).unwrap())
+            .collect();
+        let group = FusedUeGroup::build(&adult).unwrap();
+        let tuple = [6u32, 0, 0, 0, 0, 0, 0, 0, 3, 0];
+        let (a, b) = ((0usize, 6usize), (8usize, 3usize));
+        let bits = |report: &Report, lane: usize| match report {
+            Report::Bits(bits) => bits.get(lane),
+            other => panic!("unexpected shape {other:?}"),
+        };
+        let trials = 3000;
+        let p = 0.5;
+        let tol = Z * (p * p * (1.0 - p) * (1.0 - p) / trials as f64).sqrt() + 0.01;
+        let cov = |sample: &mut dyn FnMut(&mut StdRng) -> Vec<Report>, rng: &mut StdRng| {
+            let (mut xa, mut xb, mut joint) = (0u32, 0u32, 0u32);
+            for _ in 0..trials {
+                let out = sample(rng);
+                let (ba, bb) = (bits(&out[a.0], a.1), bits(&out[b.0], b.1));
+                xa += ba as u32;
+                xb += bb as u32;
+                joint += (ba && bb) as u32;
+            }
+            let n = trials as f64;
+            (joint as f64 / n - (xa as f64 / n) * (xb as f64 / n)).abs()
+        };
+        let mut rng = StdRng::seed_from_u64(0x9A5D_0005);
+        let honest = cov(
+            &mut |r| {
+                let mut out = Vec::new();
+                group.randomize_tuple_into(&tuple, &mut out, r);
+                out
+            },
+            &mut rng,
+        );
+        assert!(
+            honest <= tol,
+            "honest hot lanes covary: {honest} (tol {tol})"
+        );
+        let buggy = cov(
+            &mut |r| group.randomize_tuple_reusing_keep_mask(&tuple, r),
+            &mut rng,
+        );
+        assert!(
+            buggy > tol,
+            "reused keep mask slipped through the covariance band: {buggy} (tol {tol})"
         );
     }
 }

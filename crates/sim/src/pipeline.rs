@@ -58,7 +58,7 @@ use ldp_server::{
     Envelope, EpochSnapshot, LdpServer, ServerConfig, ServerSnapshot, WireError, WireSnapshot,
 };
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::net_client::{ClientConfig, NetClient};
 use crate::par;
@@ -179,8 +179,15 @@ pub trait Population: Sync {
     /// Panics unless the population's schema matches `solution`'s.
     fn assert_schema(&self, solution: &DynSolution);
 
-    /// User `uid`'s sanitized report under `solution`, drawing from `rng`.
-    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut dyn RngCore) -> SolutionReport;
+    /// User `uid`'s sanitized report under `solution`, drawing from `rng`
+    /// (generic, so the producers' concrete per-user `SmallRng` is
+    /// monomorphized into the sanitizer).
+    fn report<R: Rng + ?Sized>(
+        &self,
+        solution: &DynSolution,
+        uid: usize,
+        rng: &mut R,
+    ) -> SolutionReport;
 
     /// The categorical ground truth (the adversary's background knowledge).
     fn categorical(&self) -> &Dataset;
@@ -203,7 +210,12 @@ impl Population for Dataset {
         );
     }
 
-    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut dyn RngCore) -> SolutionReport {
+    fn report<R: Rng + ?Sized>(
+        &self,
+        solution: &DynSolution,
+        uid: usize,
+        rng: &mut R,
+    ) -> SolutionReport {
         solution.report(self.row(uid), rng)
     }
 
@@ -233,7 +245,12 @@ impl Population for MixedDataset {
     /// [`DynSolution::report_mixed`]. The dataset validated every numeric
     /// value at construction, so a reporting error here is a bug, not bad
     /// input.
-    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut dyn RngCore) -> SolutionReport {
+    fn report<R: Rng + ?Sized>(
+        &self,
+        solution: &DynSolution,
+        uid: usize,
+        rng: &mut R,
+    ) -> SolutionReport {
         solution
             .report_mixed(self.cat().row(uid), self.num_row(uid), rng)
             .expect("mixed dataset values are validated at construction")

@@ -18,6 +18,15 @@
 //!   within a word, same lane across words, across the partial-tail
 //!   boundary) must sit inside `5σ` bands around zero, so a mask bug that
 //!   correlates lanes inside or across words cannot pass.
+//! * **Fused SPL\[UE\] tuples** — the packed multi-word tuple draw of
+//!   [`FusedUeGroup`] at the Adult (Σk = 174, three words) and ACS
+//!   (Σk = 198, four words) shapes, for SUE and OUE at a dense and a sparse
+//!   per-attribute ε: per-lane 5σ marginals over every packed lane and
+//!   pairwise independence across word boundaries, inside the `k > 64`
+//!   fields and between hot lanes of different words. A slicer defect
+//!   injected from outside (a straddling field's high part dropped) must
+//!   fail the same bands, and an out-of-domain value must panic in every
+//!   build profile (this suite also runs under `--release`).
 //! * **Skip-sampling properties** (proptest) — the geometric skip-sampler's
 //!   flip-count distribution matches the Binomial CDF within DKW bounds for
 //!   adversarial `(p, q)` (driven through ε, including q ≈ 0.5 and
@@ -30,7 +39,11 @@
 //! `crates/protocols/src/ue.rs` (integration tests cannot see `cfg(test)`
 //! items).
 
-use ldp_protocols::{BitVec, FrequencyOracle, UeMode, UnaryEncoding};
+use ldp_core::solutions::Spl;
+use ldp_datasets::corpora::{acs_employment_schema, adult_schema, nursery_schema};
+use ldp_protocols::{
+    BitVec, FrequencyOracle, FusedUeGroup, ProtocolKind, Report, UeMode, UnaryEncoding,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,6 +230,302 @@ fn crossover_boundary_configs_agree_on_marginals() {
             ue.sparse_path(),
             ue.q()
         );
+    }
+}
+
+/// The fused group of an SPL\[UE\] tuple over `ks` at per-attribute budget
+/// `eps`, its fields' packed bit offsets, and one of its oracles (all share
+/// the analytic `(p, q)`).
+fn fused_tuple(ks: &[usize], eps: f64, mode: UeMode) -> (FusedUeGroup, Vec<usize>, UnaryEncoding) {
+    let ues: Vec<UnaryEncoding> = ks
+        .iter()
+        .map(|&k| UnaryEncoding::new(k, eps, mode).unwrap())
+        .collect();
+    let group = FusedUeGroup::build(&ues).expect("equal (p, q) always fuse");
+    let offsets = ks
+        .iter()
+        .scan(0usize, |off, &k| {
+            let start = *off;
+            *off += k;
+            Some(start)
+        })
+        .collect();
+    (group, offsets, ues[0].clone())
+}
+
+/// One sanitized tuple as a packed-lane bit vector: field `j` lands at
+/// lanes `offsets[j]..offsets[j] + k_j`.
+fn packed(reports: &[Report], offsets: &[usize], lanes: usize) -> BitVec {
+    let mut out = BitVec::zeros(lanes);
+    for (report, &off) in reports.iter().zip(offsets) {
+        let Report::Bits(bits) = report else {
+            panic!("fused UE tuples report bit vectors, got {report:?}");
+        };
+        for i in bits.ones() {
+            out.set(off + i, true);
+        }
+    }
+    out
+}
+
+/// A fused-tuple sampler under test: pushes one sanitized tuple's reports.
+type TupleSampler<'a> = dyn FnMut(&[u32], &mut Vec<Report>, &mut StdRng) + 'a;
+
+/// Violations of the per-lane and pooled 5σ marginal bands of `trials`
+/// sanitizations of `tuple`, every packed lane included.
+fn fused_marginal_violations(
+    ks: &[usize],
+    offsets: &[usize],
+    ue: &UnaryEncoding,
+    tuple: &[u32],
+    trials: usize,
+    seed: u64,
+    sample: &mut TupleSampler<'_>,
+) -> Vec<String> {
+    let lanes: usize = ks.iter().sum();
+    let hot: Vec<bool> = (0..lanes)
+        .map(|lane| {
+            offsets
+                .iter()
+                .zip(tuple)
+                .any(|(&off, &v)| off + v as usize == lane)
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut counts = vec![0u32; lanes];
+    let mut reports = Vec::new();
+    for _ in 0..trials {
+        reports.clear();
+        sample(tuple, &mut reports, &mut rng);
+        for lane in packed(&reports, offsets, lanes).ones() {
+            counts[lane] += 1;
+        }
+    }
+    let n = trials as f64;
+    let mut violations = Vec::new();
+    let mut pooled = [(0u64, 0usize); 2]; // [cold, hot]: (ones, lanes)
+    for (lane, &c) in counts.iter().enumerate() {
+        let target = if hot[lane] { ue.p() } else { ue.q() };
+        pooled[hot[lane] as usize].0 += c as u64;
+        pooled[hot[lane] as usize].1 += 1;
+        let rate = c as f64 / n;
+        let tol = Z * (target * (1.0 - target) / n).sqrt() + BIT_SLACK;
+        if (rate - target).abs() > tol {
+            violations.push(format!(
+                "lane {lane}: rate {rate:.5} vs {target:.5} (tol {tol:.5})"
+            ));
+        }
+    }
+    for (class, target) in [ue.q(), ue.p()].into_iter().enumerate() {
+        let (ones, class_lanes) = pooled[class];
+        let m = n * class_lanes as f64;
+        let rate = ones as f64 / m;
+        let tol = Z * (target * (1.0 - target) / m).sqrt() + POOL_SLACK;
+        if (rate - target).abs() > tol {
+            violations.push(format!(
+                "pooled class {class}: {rate:.6} vs {target:.6} (tol {tol:.6})"
+            ));
+        }
+    }
+    violations
+}
+
+/// The paper's survey shapes that overflow one packed word.
+fn wide_survey_shapes() -> [(&'static str, Vec<usize>); 2] {
+    [
+        ("Adult", adult_schema().cardinalities()),
+        ("ACS", acs_employment_schema().cardinalities()),
+    ]
+}
+
+/// Dense (OUE q ≈ 0.27, SUE q ≈ 0.38) and sparse (OUE q ≈ 3·10⁻⁴, SUE
+/// q ≈ 0.018) per-attribute budgets: both sides of the `q = 2⁻⁵`
+/// crossover for both modes.
+const FUSED_EPSILONS: [f64; 2] = [1.0, 8.0];
+
+/// A deterministic tuple with values spread over each domain (including
+/// its last value, so the final lane of every field is hot somewhere).
+fn spread_tuple(ks: &[usize], salt: usize) -> Vec<u32> {
+    ks.iter()
+        .enumerate()
+        .map(|(j, &k)| ((j * 7 + salt * 13) % k) as u32)
+        .collect()
+}
+
+#[test]
+fn fused_survey_tuples_conform_per_lane() {
+    const TRIALS: usize = 3000;
+    for (name, ks) in wide_survey_shapes() {
+        for mode in MODES {
+            for (ei, eps) in FUSED_EPSILONS.into_iter().enumerate() {
+                let (group, offsets, ue) = fused_tuple(&ks, eps, mode);
+                assert!(group.word_count() > 1, "{name} must span several words");
+                let tuple = spread_tuple(&ks, ei + mode as usize);
+                let seed = 0xF05E_0000 + ((mode as u64) << 8) + ei as u64 + ks.len() as u64;
+                let violations = fused_marginal_violations(
+                    &ks,
+                    &offsets,
+                    &ue,
+                    &tuple,
+                    TRIALS,
+                    seed,
+                    &mut |t, out, rng| group.randomize_tuple_into(t, out, rng),
+                );
+                assert!(
+                    violations.is_empty(),
+                    "{name} {} eps={eps}: {violations:?}",
+                    mode.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_survey_lane_pairs_are_independent() {
+    // Pairs (in packed-lane coordinates) that a multi-word slicing or mask
+    // bug would correlate: neighbours across every word boundary, the same
+    // lane index in different words, both ends of the k > 64 field, and
+    // hot lanes of fields packed into different words.
+    const TRIALS: usize = 6000;
+    for (name, ks) in wide_survey_shapes() {
+        let lanes: usize = ks.iter().sum();
+        for mode in MODES {
+            for (ei, eps) in FUSED_EPSILONS.into_iter().enumerate() {
+                let (group, offsets, ue) = fused_tuple(&ks, eps, mode);
+                let tuple = spread_tuple(&ks, 3 + ei);
+                let hot_lane = |j: usize| offsets[j] + tuple[j] as usize;
+                let mut pairs = vec![(0usize, ks[0] - 1), (5, 69), (5, 133), (10, 70)];
+                for boundary in (64..lanes).step_by(64) {
+                    pairs.push((boundary - 1, boundary));
+                }
+                let last = ks.len() - 1;
+                pairs.push((hot_lane(0), hot_lane(last)));
+                pairs.push((hot_lane(1), hot_lane(last - 1)));
+                pairs.push((hot_lane(0), offsets[last]));
+                let mut rng = StdRng::seed_from_u64(0x9A1F_0000 + ei as u64 + ((mode as u64) << 4));
+                let mut joint = vec![0u32; pairs.len()];
+                let mut singles = vec![[0u32; 2]; pairs.len()];
+                let mut reports = Vec::new();
+                for _ in 0..TRIALS {
+                    reports.clear();
+                    group.randomize_tuple_into(&tuple, &mut reports, &mut rng);
+                    let bits = packed(&reports, &offsets, lanes);
+                    for (pi, &(a, b)) in pairs.iter().enumerate() {
+                        let (xa, xb) = (bits.get(a), bits.get(b));
+                        singles[pi][0] += xa as u32;
+                        singles[pi][1] += xb as u32;
+                        joint[pi] += (xa && xb) as u32;
+                    }
+                }
+                let n = TRIALS as f64;
+                let rate = |lane: usize| {
+                    if offsets
+                        .iter()
+                        .zip(&tuple)
+                        .any(|(&o, &v)| o + v as usize == lane)
+                    {
+                        ue.p()
+                    } else {
+                        ue.q()
+                    }
+                };
+                for (pi, &(a, b)) in pairs.iter().enumerate() {
+                    let (ra, rb) = (rate(a), rate(b));
+                    let cov = joint[pi] as f64 / n
+                        - (singles[pi][0] as f64 / n) * (singles[pi][1] as f64 / n);
+                    let tol = Z * (ra * (1.0 - ra) * rb * (1.0 - rb) / n).sqrt() + POOL_SLACK;
+                    assert!(
+                        cov.abs() <= tol,
+                        "{name} {} eps={eps} lanes ({a},{b}): covariance {cov:.6} outside ±{tol:.6}",
+                        mode.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_bands_reject_a_dropped_straddling_high_part() {
+    // Power guard: a slicer that loses the lanes of a straddling field past
+    // its first word (Adult's k = 74 field 0 and k = 5 field 6, ACS's k = 92
+    // field 0) — modelled by clearing them in honest output — must fail
+    // the per-lane band that the honest draw passes.
+    const TRIALS: usize = 3000;
+    for (name, ks) in wide_survey_shapes() {
+        let (group, offsets, ue) = fused_tuple(&ks, 1.0, UeMode::Optimized);
+        let tuple = spread_tuple(&ks, 0);
+        let mut honest = |t: &[u32], out: &mut Vec<Report>, rng: &mut StdRng| {
+            group.randomize_tuple_into(t, out, rng)
+        };
+        let clean =
+            fused_marginal_violations(&ks, &offsets, &ue, &tuple, TRIALS, 0xD20B, &mut honest);
+        assert!(clean.is_empty(), "{name}: honest draw fails: {clean:?}");
+        let mut dropped = |t: &[u32], out: &mut Vec<Report>, rng: &mut StdRng| {
+            group.randomize_tuple_into(t, out, rng);
+            for (report, (&off, &k)) in out.iter_mut().zip(offsets.iter().zip(&ks)) {
+                let Report::Bits(bits) = report else {
+                    unreachable!()
+                };
+                let boundary = (off / 64 + 1) * 64;
+                for lane in boundary.max(off)..off + k {
+                    bits.set(lane - off, false);
+                }
+            }
+        };
+        let caught =
+            fused_marginal_violations(&ks, &offsets, &ue, &tuple, TRIALS, 0xD20B, &mut dropped);
+        assert!(
+            !caught.is_empty(),
+            "{name}: a dropped straddling high part slipped through the bands"
+        );
+    }
+}
+
+#[test]
+fn fused_tuples_reject_out_of_domain_values_in_every_build() {
+    // An unchecked out-of-domain value would set a lane of the *next*
+    // field (or index past the packed words); the check must hold under
+    // `--release` too, where debug assertions are off.
+    let nursery = nursery_schema().cardinalities();
+    let adult = adult_schema().cardinalities();
+    let cases: [(&str, &[usize], usize, u32); 3] = [
+        ("single word (Nursery)", &nursery, 0, nursery[0] as u32),
+        (
+            "multi-word (Adult, k = 74 field)",
+            &adult,
+            0,
+            adult[0] as u32,
+        ),
+        ("past the last word (Adult)", &adult, adult.len() - 1, 1000),
+    ];
+    for (label, ks, field, value) in cases {
+        let mut tuple = vec![0u32; ks.len()];
+        tuple[field] = value;
+        for mode in MODES {
+            let (group, _, _) = fused_tuple(ks, 1.0, mode);
+            let panicked = std::panic::catch_unwind(|| {
+                let mut rng = StdRng::seed_from_u64(1);
+                group.randomize_tuple_into(&tuple, &mut Vec::new(), &mut rng);
+            });
+            let message = panicked.expect_err(label);
+            let message = message
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                message.contains("outside its domain"),
+                "{label} {}: wrong panic {message:?}",
+                mode.name()
+            );
+        }
+        // The SPL solution reaches the same check.
+        let spl = Spl::new(ProtocolKind::Oue, ks, 4.0).unwrap();
+        let via_spl = std::panic::catch_unwind(|| {
+            spl.report(&tuple, &mut StdRng::seed_from_u64(2));
+        });
+        assert!(via_spl.is_err(), "{label}: SPL[OUE] accepted value {value}");
     }
 }
 
