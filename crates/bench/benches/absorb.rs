@@ -5,9 +5,17 @@
 //!
 //! Each benchmark absorbs a pre-generated batch of 512 reports into a raw
 //! count table; the reported time is per batch. `count_support_batch` ids
-//! cover the batch entry point the ingestion service amortizes dispatch
-//! through; the `olh_nonpow2_g` case pins the generic-modulo loop flavor
-//! (ε = 1.5 → g = 5) next to the power-of-two mask flavor (ε = 2 → g = 8).
+//! time the same reports through the slice helper of that name (no server
+//! path calls it); the `olh_nonpow2_g` case pins the generic-modulo loop
+//! flavor (ε = 1.5 → g = 5) next to the power-of-two mask flavor (ε = 2 →
+//! g = 8).
+//!
+//! The `absorb_compact` group prices the server's real counting path:
+//! `MultidimAggregator::absorb_compact` over one 1024-report `CompactBatch`
+//! of Adult-shaped reports at ε = 1 (the `epoch-rounds` per-round budget),
+//! reported per batch. SPL\[OUE\], SMP\[OUE\] and RS+FD\[OUE-z\] run
+//! through the word-parallel bit-vector tally; RS+FD\[GRR\] carries no bit
+//! vector and is the control that must not move with it.
 //!
 //! The `sanitize` group is the client-side twin: UE `perturb_bits`
 //! throughput for SUE/OUE at the same k grid, per-bit reference vs the
@@ -25,10 +33,11 @@
 //! the per-draw virtual call the monomorphized producers no longer pay.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ldp_core::solutions::SolutionKind;
-use ldp_datasets::corpora::{acs_employment_schema, adult_schema, nursery_schema};
+use ldp_core::solutions::{CompactBatch, RsFdProtocol, SolutionKind};
+use ldp_datasets::corpora::{acs_employment_schema, adult_like, adult_schema, nursery_schema};
 use ldp_protocols::oracle::{count_support, count_support_batch};
 use ldp_protocols::{BitVec, FrequencyOracle, ProtocolKind, Report, UeMode, UnaryEncoding};
+use ldp_sim::user_rng;
 use rand::rngs::{SmallRng, StdRng};
 use rand::{RngCore, SeedableRng};
 
@@ -195,8 +204,43 @@ fn bench_sanitize(c: &mut Criterion) {
     group.finish();
 }
 
+/// Server-side counting from the encoded words: one 1024-report batch per
+/// solution, absorbed whole into one aggregator per id.
+fn bench_absorb_compact(c: &mut Criterion) {
+    const REPORTS: usize = 1024;
+    let mut group = c.benchmark_group("absorb_compact");
+    let ds = adult_like(REPORTS, 0xAB56);
+    let ks = ds.schema().cardinalities();
+    for kind in [
+        SolutionKind::Spl(ProtocolKind::Oue),
+        SolutionKind::Smp(ProtocolKind::Oue),
+        SolutionKind::RsFd(RsFdProtocol::UeZ(UeMode::Optimized)),
+        SolutionKind::RsFd(RsFdProtocol::Grr),
+    ] {
+        let solution = kind.build(&ks, 1.0).expect("bench solution builds");
+        let mut batch = CompactBatch::new();
+        for uid in 0..REPORTS as u64 {
+            let mut rng = user_rng(0xAB57, uid);
+            batch.push(uid, &solution.report(ds.row(uid as usize), &mut rng));
+        }
+        group.bench_with_input(
+            BenchmarkId::new(format!("{kind}-adult-eps1"), REPORTS),
+            &batch,
+            |b, batch| {
+                let mut aggregator = solution.aggregator();
+                b.iter(|| {
+                    aggregator.absorb_compact(batch);
+                    black_box(aggregator.n())
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_absorb_compact,
     bench_count_support,
     bench_count_support_batch,
     bench_olh_nonpow2,

@@ -41,6 +41,7 @@ use super::mixed::{MixedEntry, MixedReport};
 use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
+use super::tally::BitTally;
 use super::{MultidimReport, SolutionReport};
 
 /// Which unbiased estimator [`MultidimAggregator::estimate`] applies, plus
@@ -239,6 +240,9 @@ pub struct MultidimAggregator {
     /// Total reports absorbed.
     n: u64,
     spec: EstimatorSpec,
+    /// Byte-lane counters `absorb_compact` adds bit-vector entries into;
+    /// flushed into `counts` before it returns, so all-zero between calls.
+    tally: BitTally,
 }
 
 impl MultidimAggregator {
@@ -246,6 +250,7 @@ impl MultidimAggregator {
         let counts = ks.iter().map(|&k| vec![0u64; k]).collect();
         let n_attr = vec![0; ks.len()];
         let num_sums = vec![0; ks.len()];
+        let tally = BitTally::new(&ks);
         MultidimAggregator {
             ks,
             counts,
@@ -253,6 +258,7 @@ impl MultidimAggregator {
             num_sums,
             n: 0,
             spec,
+            tally,
         }
     }
 
@@ -372,11 +378,19 @@ impl MultidimAggregator {
     /// the ingestion service's per-message hot path, amortizing the shape
     /// dispatch across the batch.
     ///
+    /// Bit-vector (UE) entries are counted word-parallel: each 64-lane word
+    /// is added into byte-wide lane counters, which are flushed into the
+    /// exact `u64` counts every 255 entries per attribute and once more
+    /// before this returns. Batches without bit-vector entries never touch
+    /// those counters.
+    ///
     /// # Panics
     /// Panics when a batch entry's shape does not belong to the solution
     /// this aggregator was built for, mirroring
     /// [`MultidimAggregator::absorb`].
     pub fn absorb_compact(&mut self, batch: &super::CompactBatch) {
+        use super::compact::count_entry;
+        let tally = &mut self.tally;
         let mut cursor = batch.cursor();
         while !cursor.done() {
             let (kind, a, _sampled) = cursor.solution_header();
@@ -385,21 +399,25 @@ impl MultidimAggregator {
                     // Hard assert: a width mismatch would desync the cursor.
                     assert_eq!(a, self.ks.len(), "tuple width mismatch");
                     self.n += 1;
-                    for (j, (counts, oracle)) in
-                        self.counts.iter_mut().zip(oracles).enumerate().take(a)
-                    {
-                        super::compact::count_entry(counts, Some(oracle), j, &mut cursor);
+                    for (j, (counts, oracle)) in self.counts.iter_mut().zip(oracles).enumerate() {
+                        // SPL[UE] entries have fixed headers: feed their
+                        // words straight to the tally.
+                        match cursor.bits_entry(counts.len()) {
+                            Some(words) => tally.add(counts, j, words),
+                            None => count_entry(counts, Some(oracle), j, &mut cursor, tally),
+                        }
                     }
                 }
                 (1, EstimatorSpec::Smp { oracles }) => {
                     assert!(a < self.ks.len(), "attribute index out of range");
                     self.n += 1;
                     self.n_attr[a] += 1;
-                    super::compact::count_entry(
+                    count_entry(
                         &mut self.counts[a],
                         Some(&oracles[a]),
                         a,
                         &mut cursor,
+                        tally,
                     );
                 }
                 (2, EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. }) => {
@@ -407,7 +425,7 @@ impl MultidimAggregator {
                     assert_eq!(a, self.ks.len(), "tuple width mismatch");
                     self.n += 1;
                     for (j, counts) in self.counts.iter_mut().enumerate() {
-                        super::compact::count_entry(counts, None, j, &mut cursor);
+                        count_entry(counts, None, j, &mut cursor, tally);
                     }
                 }
                 (3, EstimatorSpec::Mixed { oracles, .. }) => {
@@ -425,11 +443,12 @@ impl MultidimAggregator {
                                 let oracle = oracles[j]
                                     .as_ref()
                                     .expect("categorical entry on a numeric dimension");
-                                super::compact::count_entry(
+                                count_entry(
                                     &mut self.counts[j],
                                     Some(oracle),
                                     j,
                                     &mut cursor,
+                                    tally,
                                 );
                             }
                             1 => {
@@ -449,6 +468,7 @@ impl MultidimAggregator {
                 ),
             }
         }
+        tally.flush(&mut self.counts);
     }
 
     /// Absorbs one RS+FD / RS+RFD full-tuple report.

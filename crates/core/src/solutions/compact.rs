@@ -14,7 +14,8 @@
 //! The aggregation side never rematerializes reports: the cursor-based
 //! [`count_entry`] counts support directly from the encoded words (see
 //! [`MultidimAggregator::absorb_compact`]), dispatching on the oracle once
-//! per report. Neither does the routing side: a server re-sharding a
+//! per report and adding bit-vector words whole into a byte-lane tally.
+//! Neither does the routing side: a server re-sharding a
 //! validated batch walks [`CompactBatch::spans`] and copies each report's
 //! words verbatim with [`CompactBatch::push_encoded`]. Decoding
 //! ([`CompactBatch::iter`]) is on no server path; it exists for round-trip
@@ -41,13 +42,16 @@
 //!
 //! [`MultidimAggregator::absorb_compact`]: super::MultidimAggregator::absorb_compact
 
-use ldp_protocols::{BitVec, FrequencyOracle, Oracle, Report};
+use ldp_protocols::{BitVec, FrequencyOracle, Oracle, ProtocolKind, Report};
 
 use crate::numeric::{NumericOracle, NumericReport, NUMERIC_SCALE};
 
 use super::kind::{DynSolution, SolutionKind};
 use super::mixed::{MixedEntry, MixedReport, NUMERIC_DIM};
+use super::rsfd::RsFdProtocol;
+use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
+use super::tally::BitTally;
 use super::{MultidimReport, SolutionReport};
 
 const KIND_FULL: u64 = 0;
@@ -62,6 +66,8 @@ const TAG_VALUE: u64 = 0;
 const TAG_HASHED: u64 = 1;
 const TAG_SUBSET: u64 = 2;
 const TAG_BITS: u64 = 3;
+/// Entry tags by value, for error messages.
+const TAG_NAMES: [&str; 4] = ["value", "hashed", "subset", "bits"];
 
 /// A batch of `(uid, SolutionReport)` pairs flattened into two reusable
 /// buffers. Build with [`CompactBatch::push`], hand it across a channel,
@@ -380,11 +386,15 @@ impl CompactBatch {
     /// Checks every encoded report against the target solution's shape and
     /// domains: the report kind must match the solution family (SPL ⇒ full,
     /// SMP ⇒ sampled, RS+FD/RS+RFD ⇒ tuple), entry counts must equal `d`,
-    /// sampled-attribute indexes must be `< d`, and every entry must fit its
-    /// attribute's domain (`Value < k_j`, subset members `< k_j`, bit-vector
-    /// width `== k_j`, hashed reports with `value < g`). This is the gate
-    /// that keeps a malformed network batch from ever reaching an
-    /// aggregator shard, whose counting path only debug-asserts.
+    /// sampled-attribute indexes must be `< d`, every entry must carry the
+    /// tag its protocol emits (GRR ⇒ value, OLH ⇒ hashed, SS ⇒ subset,
+    /// SUE/OUE ⇒ bits; RS+FD/RS+RFD GRR ⇒ value, UE-z/UE-r ⇒ bits; a mixed
+    /// solution's categorical entries ⇒ its protocol's tag), and every
+    /// entry must fit its attribute's domain (`Value < k_j`, subset members
+    /// `< k_j`, bit-vector width `== k_j`, hashed reports with `value < g`).
+    /// This is the gate that keeps a malformed network batch from ever
+    /// reaching an aggregator shard, whose counting path only
+    /// debug-asserts.
     pub fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
         walk_words(&self.words, self.uids.len(), Some((kind, ks)))
     }
@@ -431,15 +441,35 @@ impl CompactBatch {
     }
 }
 
+/// The tag every categorical entry of `solution`'s reports carries.
+fn entry_tag(solution: SolutionKind) -> u64 {
+    let oracle_tag = |protocol| match protocol {
+        ProtocolKind::Grr => TAG_VALUE,
+        ProtocolKind::Olh => TAG_HASHED,
+        ProtocolKind::Ss => TAG_SUBSET,
+        ProtocolKind::Sue | ProtocolKind::Oue => TAG_BITS,
+    };
+    match solution {
+        SolutionKind::Spl(protocol) | SolutionKind::Smp(protocol) => oracle_tag(protocol),
+        SolutionKind::Mixed(mixed) => oracle_tag(mixed.protocol),
+        SolutionKind::RsFd(RsFdProtocol::Grr) | SolutionKind::RsRfd(RsRfdProtocol::Grr) => {
+            TAG_VALUE
+        }
+        SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => TAG_BITS,
+    }
+}
+
 /// Shared structural (and optionally domain) validation walk over a batch's
 /// encoded words: `n_reports` well-formed reports, nothing more, nothing
 /// less. With `check = Some((kind, ks))` it additionally enforces the
-/// solution-shape and domain rules of [`CompactBatch::validate_for`].
+/// solution-shape, entry-tag and domain rules of
+/// [`CompactBatch::validate_for`].
 fn walk_words(
     words: &[u64],
     n_reports: usize,
     check: Option<(SolutionKind, &[usize])>,
 ) -> Result<(), CompactDecodeError> {
+    let check = check.map(|(solution, ks)| (solution, entry_tag(solution), ks));
     let mut pos = 0usize;
     for _ in 0..n_reports {
         let header = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
@@ -452,7 +482,7 @@ fn walk_words(
             KIND_SMP => 1,
             other => return Err(CompactDecodeError::BadSolutionKind(other)),
         };
-        if let Some((solution, ks)) = check {
+        if let Some((solution, _, ks)) = check {
             let d = ks.len();
             match (solution, kind) {
                 (SolutionKind::Spl(_), KIND_FULL) if a == d => {}
@@ -477,7 +507,7 @@ fn walk_words(
                 pos += 1;
                 let subtag = dim_word & 0b11;
                 let j = (dim_word >> 2) as usize;
-                if let Some((_, ks)) = check {
+                if let Some((_, _, ks)) = check {
                     if j >= ks.len() {
                         return Err(CompactDecodeError::Domain(format!(
                             "mixed entry dimension {j} outside d = {}",
@@ -502,7 +532,7 @@ fn walk_words(
                 }
                 match subtag {
                     SUBTAG_CAT => {
-                        pos = walk_entry(words, pos, check.map(|(s, ks)| (s, ks[j], j)))?;
+                        pos = walk_entry(words, pos, check.map(|(_, tag, ks)| (tag, ks[j], j)))?;
                     }
                     SUBTAG_NUM => {
                         if pos >= words.len() {
@@ -519,7 +549,7 @@ fn walk_words(
             // The attribute this entry estimates for: position for
             // full/tuple reports, the disclosed sampled index for SMP.
             let j = if kind == KIND_SMP { a } else { entry };
-            pos = walk_entry(words, pos, check.map(|(solution, ks)| (solution, ks[j], j)))?;
+            pos = walk_entry(words, pos, check.map(|(_, tag, ks)| (tag, ks[j], j)))?;
         }
     }
     if pos == words.len() {
@@ -530,17 +560,25 @@ fn walk_words(
 }
 
 /// Validates one encoded entry starting at `words[pos]`, returning the
-/// position just past it. `check = Some((solution, k, j))` adds the domain
-/// rules for attribute `j` of size `k`.
+/// position just past it. `check = Some((tag, k, j))` adds the rules for
+/// attribute `j` of size `k` whose protocol emits `tag` entries.
 fn walk_entry(
     words: &[u64],
     mut pos: usize,
-    check: Option<(SolutionKind, usize, usize)>,
+    check: Option<(u64, usize, usize)>,
 ) -> Result<usize, CompactDecodeError> {
     let header = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
     pos += 1;
     let payload = header >> 2;
     let tag = header & 0b11;
+    if let Some((want, _, j)) = check {
+        if tag != want {
+            return Err(CompactDecodeError::Domain(format!(
+                "attr {j}: {} entry where the protocol emits {} entries",
+                TAG_NAMES[tag as usize], TAG_NAMES[want as usize]
+            )));
+        }
+    }
     match tag {
         TAG_VALUE => {
             if let Some((_, k, j)) = check {
@@ -557,15 +595,8 @@ fn walk_entry(
                 .get(pos + 1)
                 .ok_or(CompactDecodeError::TruncatedWords)?;
             pos += 2;
-            if let Some((solution, _, j)) = check {
-                let tuple_entry =
-                    matches!(solution, SolutionKind::RsFd(_) | SolutionKind::RsRfd(_));
+            if let Some((_, _, j)) = check {
                 let (g, value) = (packed as u32, (packed >> 32) as u32);
-                if tuple_entry {
-                    return Err(CompactDecodeError::Domain(format!(
-                        "attr {j}: hashed entry inside a fake-data tuple"
-                    )));
-                }
                 if g < 2 || value >= g {
                     return Err(CompactDecodeError::Domain(format!(
                         "attr {j}: hashed report value {value} outside hash range g = {g}"
@@ -579,12 +610,7 @@ fn walk_entry(
             if packed_words > words.len() - pos {
                 return Err(CompactDecodeError::TruncatedWords);
             }
-            if let Some((solution, k, j)) = check {
-                if matches!(solution, SolutionKind::RsFd(_) | SolutionKind::RsRfd(_)) {
-                    return Err(CompactDecodeError::Domain(format!(
-                        "attr {j}: subset entry inside a fake-data tuple"
-                    )));
-                }
+            if let Some((_, k, j)) = check {
                 for i in 0..len {
                     let packed = words[pos + i / 2];
                     let member = if i % 2 == 0 {
@@ -682,6 +708,19 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// If the next entry is a bit vector of exactly `nbits` lanes, advances
+    /// past it and returns its words; otherwise leaves the cursor as is.
+    /// One compare against the fixed header, no tag dispatch.
+    #[inline]
+    pub(crate) fn bits_entry(&mut self, nbits: usize) -> Option<&'a [u64]> {
+        if self.words[self.pos] != TAG_BITS | ((nbits as u64) << 2) {
+            return None;
+        }
+        let start = self.pos + 1;
+        self.pos = start + nbits.div_ceil(64);
+        Some(&self.words[start..self.pos])
+    }
+
     /// Reads a solution header, returning `(kind, a, b)` per the wire format.
     pub(crate) fn solution_header(&mut self) -> (u64, usize, usize) {
         let header = self.next();
@@ -737,7 +776,17 @@ impl<'a> Cursor<'a> {
 /// hashed/subset shapes). Identical counting semantics, including the
 /// debug-assert rejection of out-of-domain entries and the release-mode
 /// skip of stray ones.
-pub(crate) fn count_entry(counts: &mut [u64], oracle: Option<&Oracle>, j: usize, cur: &mut Cursor) {
+///
+/// A bit-vector entry is not counted bit by bit: its words go whole into
+/// `tally`'s byte-lane counters, which the caller flushes into `counts`
+/// before the batch is done.
+pub(crate) fn count_entry(
+    counts: &mut [u64],
+    oracle: Option<&Oracle>,
+    j: usize,
+    cur: &mut Cursor,
+    tally: &mut BitTally,
+) {
     let header = cur.next();
     let payload = header >> 2;
     match header & 0b11 {
@@ -807,16 +856,9 @@ pub(crate) fn count_entry(counts: &mut [u64], oracle: Option<&Oracle>, j: usize,
                 counts.len(),
                 "attr {j}: bit-vector width does not match the domain"
             );
-            for block_idx in 0..nbits.div_ceil(64) {
-                let mut block = cur.next();
-                while block != 0 {
-                    let idx = block_idx * 64 + block.trailing_zeros() as usize;
-                    block &= block - 1;
-                    if let Some(c) = counts.get_mut(idx) {
-                        *c += 1;
-                    }
-                }
-            }
+            let blocks = nbits.div_ceil(64);
+            tally.add(counts, j, &cur.words[cur.pos..cur.pos + blocks]);
+            cur.pos += blocks;
         }
         other => unreachable!("corrupt entry tag {other}"),
     }
@@ -824,9 +866,7 @@ pub(crate) fn count_entry(counts: &mut [u64], oracle: Option<&Oracle>, j: usize,
 
 #[cfg(test)]
 mod tests {
-    use super::super::{RsFdProtocol, RsRfdProtocol, SolutionKind};
     use super::*;
-    use ldp_protocols::ProtocolKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -966,6 +1006,100 @@ mod tests {
         assert!(bits
             .validate_for(SolutionKind::Spl(ProtocolKind::Oue), &[5, 3])
             .is_err());
+    }
+
+    fn all_ones(k: usize) -> Report {
+        let mut bits = BitVec::zeros(k);
+        for wi in 0..bits.word_count() {
+            bits.set_word(wi, u64::MAX);
+        }
+        Report::Bits(bits)
+    }
+
+    /// Each entry must carry the tag its protocol emits: an all-ones `Bits`
+    /// entry accepted for a GRR attribute would credit every value of that
+    /// attribute from one forged report, where GRR supports exactly one.
+    #[test]
+    fn validate_for_rejects_entries_their_protocol_never_emits() {
+        let ks = [4usize, 3];
+        let value = |_: usize| Report::Value(1);
+        let hashed = |_: usize| Report::Hashed {
+            seed: 7,
+            g: 3,
+            value: 1,
+        };
+        let subset = |_: usize| Report::Subset(vec![0, 2]);
+        let shapes: [(&str, &dyn Fn(usize) -> Report); 4] = [
+            ("value", &value),
+            ("hashed", &hashed),
+            ("subset", &subset),
+            ("bits", &all_ones),
+        ];
+        let forge = |kind: SolutionKind, entry: &dyn Fn(usize) -> Report| {
+            let report = match kind {
+                SolutionKind::Spl(_) => {
+                    SolutionReport::Full(ks.iter().map(|&k| entry(k)).collect())
+                }
+                SolutionKind::Smp(_) => SolutionReport::Smp(SmpReport {
+                    attr: 1,
+                    report: entry(ks[1]),
+                }),
+                SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => {
+                    SolutionReport::Tuple(MultidimReport {
+                        values: ks.iter().map(|&k| entry(k)).collect(),
+                        sampled: 0,
+                    })
+                }
+                SolutionKind::Mixed(_) => SolutionReport::Mixed(MixedReport {
+                    entries: vec![(0, MixedEntry::Cat(entry(ks[0])))],
+                }),
+            };
+            let mut batch = CompactBatch::new();
+            batch.push(0, &report);
+            batch
+        };
+        let mut families: Vec<(SolutionKind, &str)> = Vec::new();
+        for (protocol, tag) in ProtocolKind::ALL
+            .into_iter()
+            .zip(["value", "hashed", "subset", "bits", "bits"])
+        {
+            families.push((SolutionKind::Spl(protocol), tag));
+            families.push((SolutionKind::Smp(protocol), tag));
+            families.push((
+                SolutionKind::Mixed(super::super::MixedKind {
+                    protocol,
+                    numeric: crate::numeric::NumericKind::Piecewise,
+                    sample_k: 1,
+                }),
+                tag,
+            ));
+        }
+        for protocol in RsFdProtocol::ALL {
+            let tag = if protocol == RsFdProtocol::Grr {
+                "value"
+            } else {
+                "bits"
+            };
+            families.push((SolutionKind::RsFd(protocol), tag));
+        }
+        families.push((SolutionKind::RsRfd(RsRfdProtocol::Grr), "value"));
+        families.push((
+            SolutionKind::RsRfd(RsRfdProtocol::UeR(ldp_protocols::UeMode::Optimized)),
+            "bits",
+        ));
+        for (kind, tag) in families {
+            for (shape, entry) in shapes {
+                let result = forge(kind, entry).validate_for(kind, &ks);
+                if shape == tag {
+                    assert_eq!(result, Ok(()), "{kind}: {shape} entries are its own");
+                } else {
+                    assert!(
+                        matches!(&result, Err(CompactDecodeError::Domain(m)) if m.contains(shape)),
+                        "{kind}: a {shape} entry must be rejected, got {result:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

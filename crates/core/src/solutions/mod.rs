@@ -19,6 +19,7 @@ mod rsfd;
 mod rsrfd;
 mod smp;
 mod spl;
+mod tally;
 
 pub use aggregator::MultidimAggregator;
 pub use compact::{CompactBatch, CompactDecodeError, ReportSpan};

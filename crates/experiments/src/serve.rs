@@ -270,7 +270,11 @@ pub fn run_serve_listen(
     .producers(listen.producers);
     let addr = server.local_addr();
     if let Some(path) = &listen.addr_file {
-        std::fs::write(path, format!("{addr}\n"))?;
+        // Written aside and renamed into place, so a reader polling for the
+        // file never sees it created but still empty.
+        let partial = path.with_extension("partial");
+        std::fs::write(&partial, format!("{addr}\n"))?;
+        std::fs::rename(&partial, path)?;
     }
     eprintln!(
         "[risks] serve: listening on {addr}, waiting for {} producer(s) to drain",

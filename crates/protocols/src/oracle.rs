@@ -387,10 +387,10 @@ pub fn count_support<O: FrequencyOracle>(oracle: &O, counts: &mut [u64], report:
     }
 }
 
-/// [`count_support`] over a whole slice of reports — the batch entry point
-/// the streaming aggregation layers feed channel batches through, so the
-/// per-report dispatch is amortized across a message instead of paid per
-/// absorb call.
+/// [`count_support`] over a whole slice of reports, as
+/// [`Aggregator::absorb_batch`] uses it. No server path calls it: the
+/// ingestion service counts encoded batches through
+/// `ldp_core::solutions::MultidimAggregator::absorb_compact`.
 pub fn count_support_batch<O: FrequencyOracle>(oracle: &O, counts: &mut [u64], reports: &[Report]) {
     for report in reports {
         count_support(oracle, counts, report);

@@ -84,8 +84,9 @@ enum Msg {
     /// protocol (channel FIFO scopes the closed shard to exactly the
     /// messages sent before the rotation).
     Rotate {
-        /// Empty aggregator the worker adopts for the next epoch.
-        fresh: MultidimAggregator,
+        /// Empty aggregator the worker adopts for the next epoch (boxed:
+        /// it is the largest message and crosses once per epoch).
+        fresh: Box<MultidimAggregator>,
         /// Where the closed epoch's shard is sent.
         reply: Sender<MultidimAggregator>,
     },
@@ -330,7 +331,7 @@ impl LdpServer {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         for tx in &self.txs {
             tx.send(Msg::Rotate {
-                fresh: self.solution.aggregator(),
+                fresh: Box::new(self.solution.aggregator()),
                 reply: reply_tx.clone(),
             })
             .expect("ingestion worker disconnected (did it panic?)");
@@ -439,7 +440,7 @@ fn worker_loop(
                 let _ = reply.send(aggregator.clone());
             }
             Msg::Rotate { fresh, reply } => {
-                let closed = std::mem::replace(&mut aggregator, fresh);
+                let closed = std::mem::replace(&mut aggregator, *fresh);
                 let _ = reply.send(closed);
             }
         }

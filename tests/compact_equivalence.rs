@@ -8,15 +8,19 @@
 //! (3) Routing a batch by its encoded report spans
 //! (`LdpServer::ingest_compact`) drains bit-identically to routing the
 //! decoded reports (`LdpServer::ingest_batch`), which is what licenses the
-//! wire tier to skip decoding.
+//! wire tier to skip decoding. (4) The word-parallel bit-vector tally inside
+//! `absorb_compact` counts exactly at its edges: byte lanes saturated by
+//! all-ones reports, flushes at every 255 entries, domain widths on and
+//! around word boundaries, and batches split at any size.
 
 use ldp_core::solutions::{
-    CompactBatch, DynSolution, MixedKind, RsFdProtocol, RsRfdProtocol, SolutionKind, SolutionReport,
+    CompactBatch, DynSolution, MixedEntry, MixedKind, MixedReport, MultidimReport, RsFdProtocol,
+    RsRfdProtocol, SmpReport, SolutionKind, SolutionReport, NUMERIC_DIM,
 };
-use ldp_core::NumericKind;
+use ldp_core::{NumericKind, NumericReport};
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::mixed::mixed_survey_like;
-use ldp_protocols::ProtocolKind;
+use ldp_protocols::{BitVec, ProtocolKind, Report, UeMode};
 use ldp_server::{Envelope, LdpServer, ServerConfig};
 use ldp_sim::user_rng;
 
@@ -97,33 +101,141 @@ fn compact_encoding_roundtrips_and_aggregates_bit_identically() {
 #[test]
 fn compact_absorption_splits_arbitrarily_across_batches() {
     // Absorbing one big batch, many small ones, or a reused cleared buffer
-    // must all land on the same state (the pool-recycling contract).
-    let ds = adult_like(300, 7);
+    // must all land on the same state (the pool-recycling contract). The
+    // UE kinds count through the byte-lane tally, whose flush every 255
+    // entries the chunk sizes around 255 straddle.
+    let ds = adult_like(600, 7);
     let ks = ds.schema().cardinalities();
-    let solution = SolutionKind::Smp(ProtocolKind::Olh)
-        .build(&ks, 2.0)
-        .unwrap();
-    let wire: Vec<(u64, SolutionReport)> = (0..ds.n() as u64)
-        .map(|uid| {
-            let mut rng = user_rng(9, uid);
-            (uid, solution.report(ds.row(uid as usize), &mut rng))
-        })
-        .collect();
-    let mut reference = solution.aggregator();
-    for (_, report) in &wire {
-        reference.absorb(report);
-    }
-    for chunk_size in [1usize, 7, 64, 300] {
-        let mut agg = solution.aggregator();
-        let mut buffer = CompactBatch::new();
-        for chunk in wire.chunks(chunk_size) {
-            buffer.clear();
-            for (uid, report) in chunk {
-                buffer.push(*uid, report);
-            }
-            agg.absorb_compact(&buffer);
+    for kind in [
+        SolutionKind::Smp(ProtocolKind::Olh),
+        SolutionKind::Spl(ProtocolKind::Oue),
+        SolutionKind::Smp(ProtocolKind::Sue),
+        SolutionKind::RsFd(RsFdProtocol::UeZ(UeMode::Optimized)),
+    ] {
+        let solution = kind.build(&ks, 2.0).unwrap();
+        let wire: Vec<(u64, SolutionReport)> = (0..ds.n() as u64)
+            .map(|uid| {
+                let mut rng = user_rng(9, uid);
+                (uid, solution.report(ds.row(uid as usize), &mut rng))
+            })
+            .collect();
+        let mut reference = solution.aggregator();
+        for (_, report) in &wire {
+            reference.absorb(report);
         }
-        assert_eq!(agg.counts(), reference.counts(), "chunk={chunk_size}");
+        for chunk_size in [1usize, 7, 64, 254, 255, 256, 300, 600] {
+            let mut agg = solution.aggregator();
+            let mut buffer = CompactBatch::new();
+            for chunk in wire.chunks(chunk_size) {
+                buffer.clear();
+                for (uid, report) in chunk {
+                    buffer.push(*uid, report);
+                }
+                agg.absorb_compact(&buffer);
+            }
+            assert_eq!(agg.n(), reference.n(), "{kind} chunk={chunk_size}");
+            assert_eq!(
+                agg.counts(),
+                reference.counts(),
+                "{kind} chunk={chunk_size}"
+            );
+        }
+    }
+}
+
+/// A bit vector of width `k` with every lane set: each report adds one to
+/// every byte-lane counter of the tally.
+fn all_ones(k: usize) -> Report {
+    let mut bits = BitVec::zeros(k);
+    for wi in 0..bits.word_count() {
+        bits.set_word(wi, u64::MAX);
+    }
+    Report::Bits(bits)
+}
+
+/// Report `uid` of a hand-built stream whose every bit-vector entry is
+/// all ones, in `solution`'s shape.
+fn saturating_report(solution: &DynSolution, uid: u64) -> SolutionReport {
+    let ks = solution.ks();
+    match solution.kind() {
+        SolutionKind::Spl(_) => SolutionReport::Full(ks.iter().map(|&k| all_ones(k)).collect()),
+        SolutionKind::Smp(_) => {
+            // Every other report lands on the last attribute, saturating
+            // it; the rest rotate through all of them.
+            let attr = if uid.is_multiple_of(2) {
+                ks.len() - 1
+            } else {
+                uid as usize % ks.len()
+            };
+            SolutionReport::Smp(SmpReport {
+                attr,
+                report: all_ones(ks[attr]),
+            })
+        }
+        SolutionKind::RsFd(_) => SolutionReport::Tuple(MultidimReport {
+            values: ks.iter().map(|&k| all_ones(k)).collect(),
+            sampled: uid as usize % ks.len(),
+        }),
+        SolutionKind::Mixed(_) => SolutionReport::Mixed(MixedReport {
+            entries: ks
+                .iter()
+                .enumerate()
+                .map(|(j, &k)| match k {
+                    NUMERIC_DIM => (j, MixedEntry::Num(NumericReport::from_raw(uid as i64))),
+                    k => (j, MixedEntry::Cat(all_ones(k))),
+                })
+                .collect(),
+        }),
+        other => unreachable!("no saturating stream for {other}"),
+    }
+}
+
+#[test]
+fn bit_tally_counts_saturated_lanes_exactly_at_every_flush_boundary() {
+    // Widths on and around word boundaries; 129 and up spill the report's
+    // `BitVec` to the heap. (k = 1 builds no solution; the tally's own unit
+    // test covers it.)
+    let ks = [2usize, 63, 64, 65, 128, 129, 200];
+    let mut mixed_ks = ks.to_vec();
+    mixed_ks.insert(3, NUMERIC_DIM);
+    let mixed = SolutionKind::Mixed(MixedKind {
+        protocol: ProtocolKind::Oue,
+        numeric: NumericKind::Piecewise,
+        sample_k: mixed_ks.len(),
+    });
+    let solutions = [
+        SolutionKind::Spl(ProtocolKind::Oue).build(&ks, 1.0),
+        SolutionKind::Smp(ProtocolKind::Sue).build(&ks, 1.0),
+        SolutionKind::RsFd(RsFdProtocol::UeZ(UeMode::Optimized)).build(&ks, 1.0),
+        mixed.build(&mixed_ks, 1.0),
+    ];
+    for solution in solutions.map(Result::unwrap) {
+        let name = solution.name();
+        for n in [254u64, 255, 256, 511, 1_025] {
+            let mut batch = CompactBatch::new();
+            let mut reference = solution.aggregator();
+            for uid in 0..n {
+                let report = saturating_report(&solution, uid);
+                reference.absorb(&report);
+                batch.push(uid, &report);
+            }
+            let mut compact = solution.aggregator();
+            compact.absorb_compact(&batch);
+            assert_eq!(compact.n(), n, "{name} n={n}");
+            assert_eq!(compact.counts(), reference.counts(), "{name} n={n}");
+            assert_eq!(compact.num_sums(), reference.num_sums(), "{name} n={n}");
+            // Saturated attributes count every report in every lane.
+            if matches!(
+                solution.kind(),
+                SolutionKind::Spl(_) | SolutionKind::RsFd(_)
+            ) {
+                assert!(compact.counts().iter().flatten().all(|&c| c == n), "{name}");
+            }
+            // A second batch on top of the flushed first one adds exactly.
+            compact.absorb_compact(&batch);
+            reference.merge(&reference.clone());
+            assert_eq!(compact.counts(), reference.counts(), "{name} n={n} twice");
+        }
     }
 }
 
