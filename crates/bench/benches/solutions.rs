@@ -2,7 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_adult, bench_rng};
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, Spl};
+use ldp_core::solutions::{
+    CompactBatch, MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind,
+    Spl,
+};
 use ldp_protocols::{ProtocolKind, UeMode};
 use std::hint::black_box;
 
@@ -41,6 +44,34 @@ fn bench_clients(c: &mut Criterion) {
     group.finish();
 }
 
+/// The encode cost of an SPL[OUE] report on the Adult shape (Σk = 174,
+/// three packed words), alone and with the batch push that ingest pays
+/// after it: the report is born encoded, so the push is one copy.
+fn bench_encoded_report(c: &mut Criterion) {
+    let ds = bench_adult(64);
+    let ks = ds.schema().cardinalities();
+    let tuple: Vec<u32> = ds.row(0).to_vec();
+    let solution = SolutionKind::Spl(ProtocolKind::Oue)
+        .build(&ks, 1.0)
+        .unwrap();
+    let mut rng = bench_rng();
+    let mut group = c.benchmark_group("spl_oue_adult_report");
+    group.bench_function("DynSolution::report", |b| {
+        b.iter(|| black_box(solution.report(black_box(&tuple), &mut rng)))
+    });
+    // Cleared at NetClient's default frame size, so the buffers stay warm.
+    let mut batch = CompactBatch::new();
+    group.bench_function("report+CompactBatch::push", |b| {
+        b.iter(|| {
+            if batch.len() == 1024 {
+                batch.clear();
+            }
+            batch.push(0, &solution.report(black_box(&tuple), &mut rng));
+        })
+    });
+    group.finish();
+}
+
 fn bench_estimation(c: &mut Criterion) {
     let ds = bench_adult(2000);
     let ks = ds.schema().cardinalities();
@@ -62,5 +93,10 @@ fn bench_estimation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clients, bench_estimation);
+criterion_group!(
+    benches,
+    bench_clients,
+    bench_encoded_report,
+    bench_estimation
+);
 criterion_main!(benches);

@@ -22,7 +22,7 @@ use super::kind::{AttackKind, NumericConfig, NumericOutcome};
 use super::{AdversaryView, Attack, AttackOutcome, FittedAttack};
 use crate::numeric::NumericOracle;
 use crate::reident::MatchScratch;
-use crate::solutions::{DynSolution, MixedEntry, SolutionReport};
+use crate::solutions::{DynSolution, MixedEntry};
 
 /// The numeric value-range inference scenario (see the module docs).
 #[derive(Debug, Clone, Copy)]
@@ -86,12 +86,12 @@ impl Attack for NumericScenario {
         let mut posterior = vec![0.0f64; buckets];
         let correct: Vec<bool> = (0..truth.n())
             .map(|i| {
-                let report = match &view.observed[i] {
-                    SolutionReport::Mixed(r) => r,
-                    other => {
-                        panic!("mixed solution produced a non-mixed report: {other:?} for user {i}")
-                    }
-                };
+                let report = view.observed[i].to_mixed().unwrap_or_else(|| {
+                    panic!(
+                        "mixed solution produced a non-mixed report: {:?} for user {i}",
+                        view.observed[i]
+                    )
+                });
                 let observed_y = report.entries.iter().find_map(|(j, entry)| {
                     (*j == dim).then(|| match entry {
                         MixedEntry::Num(y) => y.value(),
@@ -205,7 +205,7 @@ impl FittedAttack for FittedNumeric {
 mod tests {
     use super::*;
     use crate::attacks::{evaluate_serial, fit_rng};
-    use crate::solutions::{MixedKind, SolutionKind};
+    use crate::solutions::{MixedKind, SolutionKind, SolutionReport};
     use crate::NumericKind;
     use ldp_datasets::mixed::mixed_survey_like;
     use ldp_protocols::oracle::ProtocolKind;

@@ -72,30 +72,30 @@ impl ReidentScenario {
             DynSolution::Smp(s) => view
                 .observed
                 .iter()
-                .map(|r| match r {
-                    SolutionReport::Smp(m) => {
-                        let mut p = Profile::new();
-                        p.observe(
-                            m.attr,
-                            best_guess_with(s.oracle(m.attr), &m.report, &mut scratch, rng),
-                        );
-                        p
-                    }
-                    _ => panic!("observed report shape does not match the SMP solution"),
+                .map(|r| {
+                    let m = r
+                        .to_smp()
+                        .expect("observed report shape does not match the SMP solution");
+                    let mut p = Profile::new();
+                    p.observe(
+                        m.attr,
+                        best_guess_with(s.oracle(m.attr), &m.report, &mut scratch, rng),
+                    );
+                    p
                 })
                 .collect(),
             DynSolution::Spl(s) => view
                 .observed
                 .iter()
-                .map(|r| match r {
-                    SolutionReport::Full(reports) => {
-                        let mut p = Profile::new();
-                        for (j, rep) in reports.iter().enumerate() {
-                            p.observe(j, best_guess_with(s.oracle(j), rep, &mut scratch, rng));
-                        }
-                        p
+                .map(|r| {
+                    let reports = r
+                        .to_full()
+                        .expect("observed report shape does not match the SPL solution");
+                    let mut p = Profile::new();
+                    for (j, rep) in reports.iter().enumerate() {
+                        p.observe(j, best_guess_with(s.oracle(j), rep, &mut scratch, rng));
                     }
-                    _ => panic!("observed report shape does not match the SPL solution"),
+                    p
                 })
                 .collect(),
             DynSolution::RsFd(s) => self.profile_fake_data(s, &extract_tuples(view.observed), rng),
@@ -596,20 +596,19 @@ impl FittedAttack for FittedPie {
 
 /// Extracts the fake-data tuples from a round of observed messages.
 ///
-/// Clones the wire: `SampledAttributeAttack::train` (and the
-/// `MultidimSolution::estimate*` surface underneath) consumes owned
-/// `&[MultidimReport]` slices, so the fit phase transiently holds a second
-/// copy of the round. Borrowing would require threading `&[&MultidimReport]`
-/// through that trait surface.
+/// Decodes the wire: `SampledAttributeAttack::train` (and the
+/// `MultidimSolution::estimate*` surface underneath) consumes structured
+/// `&[MultidimReport]` slices, so the fit phase transiently holds a second,
+/// decoded copy of the round.
 ///
 /// # Panics
 /// Panics when a message is not a full-tuple report.
 fn extract_tuples(observed: &[SolutionReport]) -> Vec<MultidimReport> {
     observed
         .iter()
-        .map(|r| match r {
-            SolutionReport::Tuple(t) => t.clone(),
-            _ => panic!("expected full fake-data tuples in the observed round"),
+        .map(|r| {
+            r.to_tuple()
+                .expect("expected full fake-data tuples in the observed round")
         })
         .collect()
 }
@@ -760,13 +759,7 @@ mod tests {
         let got = evaluate_serial(fitted.as_ref(), 12);
         let got = got.inference().expect("inference outcome");
 
-        let tuples: Vec<MultidimReport> = observed
-            .iter()
-            .map(|r| match r {
-                SolutionReport::Tuple(t) => t.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let tuples = extract_tuples(&observed);
         let reference = match &solution {
             DynSolution::RsFd(s) => {
                 SampledAttributeAttack::evaluate(s, &tuples, &model, &logistic(), &mut fit_rng(12))

@@ -37,11 +37,14 @@ use ldp_protocols::{FrequencyOracle, Oracle, Report};
 
 use crate::numeric::{DynNumeric, NUMERIC_SCALE};
 
+use super::compact::{
+    count_entry, Cursor, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, SUBTAG_CAT, SUBTAG_NUM,
+};
 use super::mixed::{MixedEntry, MixedReport};
 use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
-use super::tally::BitTally;
+use super::tally::{BitSink, BitTally, PerBit};
 use super::{MultidimReport, SolutionReport};
 
 /// Which unbiased estimator [`MultidimAggregator::estimate`] applies, plus
@@ -292,19 +295,17 @@ impl MultidimAggregator {
         &self.num_sums
     }
 
-    /// Absorbs any solution's report, dispatching on its shape.
+    /// Absorbs any solution's report, walking its encoded words once — the
+    /// walk [`MultidimAggregator::absorb_compact`] runs per report, with
+    /// bit-vector entries counted bit by bit instead of through the batch
+    /// tally. Bit-identical to absorbing the report in a batch.
     ///
     /// # Panics
     /// Panics when the report shape does not belong to the solution this
     /// aggregator was built for (e.g. an SMP report fed to an RS+FD
     /// aggregator).
     pub fn absorb(&mut self, report: &SolutionReport) {
-        match report {
-            SolutionReport::Full(reports) => self.absorb_full(reports),
-            SolutionReport::Smp(report) => self.absorb_smp(report),
-            SolutionReport::Tuple(report) => self.absorb_tuple(report),
-            SolutionReport::Mixed(report) => self.absorb_mixed(report),
-        }
+        self.absorb_next(&mut Cursor::new(report.words()), &mut PerBit);
     }
 
     /// Absorbs one mixed categorical+numeric report: each disclosed
@@ -374,8 +375,8 @@ impl MultidimAggregator {
     /// Absorbs a whole [`CompactBatch`](super::CompactBatch) by counting
     /// support directly from the encoded words — no report is ever
     /// rematerialized and nothing is allocated. Bit-identical to absorbing
-    /// each decoded report through [`MultidimAggregator::absorb`]; this is
-    /// the ingestion service's per-message hot path, amortizing the shape
+    /// each report through [`MultidimAggregator::absorb`]; this is the
+    /// ingestion service's per-message hot path, amortizing the shape
     /// dispatch across the batch.
     ///
     /// Bit-vector (UE) entries are counted word-parallel: each 64-lane word
@@ -389,86 +390,82 @@ impl MultidimAggregator {
     /// this aggregator was built for, mirroring
     /// [`MultidimAggregator::absorb`].
     pub fn absorb_compact(&mut self, batch: &super::CompactBatch) {
-        use super::compact::count_entry;
-        let tally = &mut self.tally;
+        // The walk borrows the counts mutably; the tally leaves `self` for
+        // the batch and comes back flushed (all-zero).
+        let mut tally = std::mem::take(&mut self.tally);
         let mut cursor = batch.cursor();
         while !cursor.done() {
-            let (kind, a, _sampled) = cursor.solution_header();
-            match (kind, &self.spec) {
-                (0, EstimatorSpec::Spl { oracles }) => {
-                    // Hard assert: a width mismatch would desync the cursor.
-                    assert_eq!(a, self.ks.len(), "tuple width mismatch");
-                    self.n += 1;
-                    for (j, (counts, oracle)) in self.counts.iter_mut().zip(oracles).enumerate() {
-                        // SPL[UE] entries have fixed headers: feed their
-                        // words straight to the tally.
-                        match cursor.bits_entry(counts.len()) {
-                            Some(words) => tally.add(counts, j, words),
-                            None => count_entry(counts, Some(oracle), j, &mut cursor, tally),
-                        }
-                    }
-                }
-                (1, EstimatorSpec::Smp { oracles }) => {
-                    assert!(a < self.ks.len(), "attribute index out of range");
-                    self.n += 1;
-                    self.n_attr[a] += 1;
-                    count_entry(
-                        &mut self.counts[a],
-                        Some(&oracles[a]),
-                        a,
-                        &mut cursor,
-                        tally,
-                    );
-                }
-                (2, EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. }) => {
-                    // Hard assert: a width mismatch would desync the cursor.
-                    assert_eq!(a, self.ks.len(), "tuple width mismatch");
-                    self.n += 1;
-                    for (j, counts) in self.counts.iter_mut().enumerate() {
-                        count_entry(counts, None, j, &mut cursor, tally);
-                    }
-                }
-                (3, EstimatorSpec::Mixed { oracles, .. }) => {
-                    // `a` = number of entries; validated against sample_k by
-                    // `CompactBatch::validate_for`.
-                    self.n += 1;
-                    for _ in 0..a {
-                        let dim_word = cursor.next();
-                        let subtag = dim_word & 0b11;
-                        let j = (dim_word >> 2) as usize;
-                        assert!(j < self.ks.len(), "dimension index out of range");
-                        self.n_attr[j] += 1;
-                        match subtag {
-                            0 => {
-                                let oracle = oracles[j]
-                                    .as_ref()
-                                    .expect("categorical entry on a numeric dimension");
-                                count_entry(
-                                    &mut self.counts[j],
-                                    Some(oracle),
-                                    j,
-                                    &mut cursor,
-                                    tally,
-                                );
-                            }
-                            1 => {
-                                assert!(
-                                    oracles[j].is_none(),
-                                    "numeric entry on a categorical dimension"
-                                );
-                                self.num_sums[j] += (cursor.next() as i64) as i128;
-                            }
-                            other => panic!("absorb_compact: invalid mixed subtag {other}"),
-                        }
-                    }
-                }
-                (kind, _) => panic!(
-                    "absorb_compact: batch entry kind {kind} does not match this \
-                     aggregator's solution"
-                ),
-            }
+            self.absorb_next(&mut cursor, &mut tally);
         }
         tally.flush(&mut self.counts);
+        self.tally = tally;
+    }
+
+    /// Counts the report at `cursor` and advances past it, sending
+    /// bit-vector entries to `bits`.
+    #[inline]
+    fn absorb_next(&mut self, cursor: &mut Cursor, bits: &mut impl BitSink) {
+        let (kind, a, _sampled) = cursor.solution_header();
+        match (kind, &self.spec) {
+            (KIND_FULL, EstimatorSpec::Spl { oracles }) => {
+                // Hard assert: a width mismatch would desync the cursor.
+                assert_eq!(a, self.ks.len(), "tuple width mismatch");
+                self.n += 1;
+                for (j, (counts, oracle)) in self.counts.iter_mut().zip(oracles).enumerate() {
+                    // SPL[UE] entries have fixed headers: feed their words
+                    // straight to the bit sink.
+                    match cursor.bits_entry(counts.len()) {
+                        Some(words) => bits.add(counts, j, words),
+                        None => count_entry(counts, Some(oracle), j, cursor, bits),
+                    }
+                }
+            }
+            (KIND_SMP, EstimatorSpec::Smp { oracles }) => {
+                assert!(a < self.ks.len(), "attribute index out of range");
+                self.n += 1;
+                self.n_attr[a] += 1;
+                count_entry(&mut self.counts[a], Some(&oracles[a]), a, cursor, bits);
+            }
+            (KIND_TUPLE, EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. }) => {
+                // Hard assert: a width mismatch would desync the cursor.
+                assert_eq!(a, self.ks.len(), "tuple width mismatch");
+                self.n += 1;
+                for (j, counts) in self.counts.iter_mut().enumerate() {
+                    count_entry(counts, None, j, cursor, bits);
+                }
+            }
+            (KIND_MIXED, EstimatorSpec::Mixed { oracles, .. }) => {
+                // `a` = number of entries; validated against sample_k by
+                // `CompactBatch::validate_for`.
+                self.n += 1;
+                for _ in 0..a {
+                    let dim_word = cursor.next();
+                    let subtag = dim_word & 0b11;
+                    let j = (dim_word >> 2) as usize;
+                    assert!(j < self.ks.len(), "dimension index out of range");
+                    self.n_attr[j] += 1;
+                    match subtag {
+                        SUBTAG_CAT => {
+                            let oracle = oracles[j]
+                                .as_ref()
+                                .expect("categorical entry on a numeric dimension");
+                            count_entry(&mut self.counts[j], Some(oracle), j, cursor, bits);
+                        }
+                        SUBTAG_NUM => {
+                            assert!(
+                                oracles[j].is_none(),
+                                "numeric entry on a categorical dimension"
+                            );
+                            self.num_sums[j] += (cursor.next() as i64) as i128;
+                        }
+                        other => panic!("absorb: invalid mixed subtag {other}"),
+                    }
+                }
+            }
+            (kind, _) => {
+                panic!("absorb: report kind {kind} does not match this aggregator's solution")
+            }
+        }
     }
 
     /// Absorbs one RS+FD / RS+RFD full-tuple report.

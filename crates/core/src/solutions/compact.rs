@@ -1,25 +1,22 @@
-//! A compact, reusable wire encoding for batches of [`SolutionReport`]s.
+//! The compact wire encoding: batches of [`SolutionReport`]s as two flat,
+//! reusable buffers.
 //!
 //! The ingestion hot path moves millions of reports per second across
-//! channels. The natural representation — `Vec<Envelope>` with every
-//! `Report::Subset(Vec<u32>)`, `Report::Bits(BitVec)` and
-//! `SolutionReport::Full(Vec<Report>)` owning its own heap block — makes a
-//! steady-state report cost several allocations that are freed on a
-//! *different* thread (allocator churn). [`CompactBatch`] instead flattens a
-//! whole batch into two growable buffers (`uids`, `words`) that are
-//! **reused**: the serving layer recycles drained batches back to the
-//! producers through a pool, so steady-state ingestion crosses the channel
-//! without any fresh heap allocation.
+//! channels. A [`SolutionReport`] is born encoded — it owns exactly the
+//! words this format lays down for it — so [`CompactBatch::push`] appends
+//! its uid and copies its words, and a batch is just two growable buffers
+//! (`uids`, `words`) that are **reused**: the serving layer recycles drained
+//! batches back to the producers through a pool, so steady-state ingestion
+//! crosses the channel without any fresh heap allocation.
 //!
-//! The aggregation side never rematerializes reports: the cursor-based
+//! Nothing on the server side rematerializes reports: the cursor-based
 //! [`count_entry`] counts support directly from the encoded words (see
 //! [`MultidimAggregator::absorb_compact`]), dispatching on the oracle once
 //! per report and adding bit-vector words whole into a byte-lane tally.
-//! Neither does the routing side: a server re-sharding a
-//! validated batch walks [`CompactBatch::spans`] and copies each report's
-//! words verbatim with [`CompactBatch::push_encoded`]. Decoding
-//! ([`CompactBatch::iter`]) is on no server path; it exists for round-trip
-//! tests and diagnostics.
+//! Neither does the routing side: a server re-sharding a validated batch
+//! walks [`CompactBatch::spans`] and copies each report's words verbatim
+//! with [`CompactBatch::push_encoded`]. [`CompactBatch::iter`] copies the
+//! same spans back out as owned reports.
 //!
 //! ## Wire format (per report, in 64-bit words)
 //!
@@ -27,8 +24,11 @@
 //! solution header: kind(2 bits) | a(bits 2..33) | b(bits 33..64)
 //!     kind 0 = Full  (a = d)           → d entries follow
 //!     kind 1 = Smp   (a = attr)        → 1 entry follows
-//!     kind 2 = Tuple (a = d, b = sampled) → d entries follow
+//!     kind 2 = Tuple (a = d)           → d entries follow
 //!     kind 3 = Mixed (a = entries)     → a dimension-tagged entries follow
+//!     b is reserved and zero on the wire. In process, a tuple keeps its
+//!     hidden sampled attribute there as attack ground truth; producers
+//!     zero it before framing (CompactBatch::push_wire).
 //! entry header:   tag(2 bits) | payload(bits 2..)
 //!     tag 0 = Value  (payload = v)     → no extra words
 //!     tag 1 = Hashed                   → words: seed, g | value << 32
@@ -44,34 +44,36 @@
 
 use ldp_protocols::{BitVec, FrequencyOracle, Oracle, ProtocolKind, Report};
 
-use crate::numeric::{NumericOracle, NumericReport, NUMERIC_SCALE};
+use crate::numeric::{NumericOracle, NUMERIC_SCALE};
 
 use super::kind::{DynSolution, SolutionKind};
-use super::mixed::{MixedEntry, MixedReport, NUMERIC_DIM};
+use super::mixed::NUMERIC_DIM;
 use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
-use super::smp::SmpReport;
-use super::tally::BitTally;
-use super::{MultidimReport, SolutionReport};
+use super::tally::BitSink;
+use super::SolutionReport;
 
-const KIND_FULL: u64 = 0;
-const KIND_SMP: u64 = 1;
-const KIND_TUPLE: u64 = 2;
-const KIND_MIXED: u64 = 3;
+pub(super) const KIND_FULL: u64 = 0;
+pub(super) const KIND_SMP: u64 = 1;
+pub(super) const KIND_TUPLE: u64 = 2;
+pub(super) const KIND_MIXED: u64 = 3;
 
-const SUBTAG_CAT: u64 = 0;
-const SUBTAG_NUM: u64 = 1;
+/// A solution header's `b` bits (33..64): reserved, zero on the wire.
+const HEADER_B: u64 = !0 << 33;
 
-const TAG_VALUE: u64 = 0;
-const TAG_HASHED: u64 = 1;
-const TAG_SUBSET: u64 = 2;
-const TAG_BITS: u64 = 3;
+pub(super) const SUBTAG_CAT: u64 = 0;
+pub(super) const SUBTAG_NUM: u64 = 1;
+
+pub(super) const TAG_VALUE: u64 = 0;
+pub(super) const TAG_HASHED: u64 = 1;
+pub(super) const TAG_SUBSET: u64 = 2;
+pub(super) const TAG_BITS: u64 = 3;
 /// Entry tags by value, for error messages.
 const TAG_NAMES: [&str; 4] = ["value", "hashed", "subset", "bits"];
 
-/// A batch of `(uid, SolutionReport)` pairs flattened into two reusable
-/// buffers. Build with [`CompactBatch::push`], hand it across a channel,
-/// absorb it with
+/// A batch of `(uid, SolutionReport)` pairs held as two reusable buffers:
+/// the uids, and every report's encoded words back to back. Build with
+/// [`CompactBatch::push`], hand it across a channel, absorb it with
 /// [`MultidimAggregator::absorb_compact`](super::MultidimAggregator::absorb_compact),
 /// then [`CompactBatch::clear`] and reuse — steady state allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -171,44 +173,23 @@ impl CompactBatch {
         self.words.clear();
     }
 
-    /// Appends one report. Amortized allocation-free once the buffers have
-    /// grown to the batch's steady-state size.
+    /// Appends one report: its uid, then a copy of its encoded words.
+    /// Amortized allocation-free once the buffers have grown to the batch's
+    /// steady-state size.
     pub fn push(&mut self, uid: u64, report: &SolutionReport) {
         self.uids.push(uid);
-        match report {
-            SolutionReport::Full(reports) => {
-                self.words.push(KIND_FULL | ((reports.len() as u64) << 2));
-                for rep in reports {
-                    self.push_entry(rep);
-                }
-            }
-            SolutionReport::Smp(SmpReport { attr, report }) => {
-                self.words.push(KIND_SMP | ((*attr as u64) << 2));
-                self.push_entry(report);
-            }
-            SolutionReport::Tuple(MultidimReport { values, sampled }) => {
-                self.words
-                    .push(KIND_TUPLE | ((values.len() as u64) << 2) | ((*sampled as u64) << 33));
-                for rep in values {
-                    self.push_entry(rep);
-                }
-            }
-            SolutionReport::Mixed(MixedReport { entries }) => {
-                self.words.push(KIND_MIXED | ((entries.len() as u64) << 2));
-                for (j, entry) in entries {
-                    match entry {
-                        MixedEntry::Cat(rep) => {
-                            self.words.push(SUBTAG_CAT | ((*j as u64) << 2));
-                            self.push_entry(rep);
-                        }
-                        MixedEntry::Num(y) => {
-                            self.words.push(SUBTAG_NUM | ((*j as u64) << 2));
-                            self.words.push(y.raw() as u64);
-                        }
-                    }
-                }
-            }
-        }
+        self.words.extend_from_slice(report.words());
+    }
+
+    /// Appends one report as it may leave the producer: [`CompactBatch::push`]
+    /// with the solution header's reserved `b` bits zeroed, so an RS+FD or
+    /// RS+RFD tuple never tells the server which attribute was really
+    /// sanitized — the secret the §3.3 inference attack is after. The other
+    /// shapes carry zero there already.
+    pub fn push_wire(&mut self, uid: u64, report: &SolutionReport) {
+        let header = self.words.len();
+        self.push(uid, report);
+        self.words[header] &= !HEADER_B;
     }
 
     /// Appends one report already in encoded form — a span of some batch,
@@ -220,72 +201,13 @@ impl CompactBatch {
         self.words.extend_from_slice(span.0);
     }
 
-    fn push_entry(&mut self, report: &Report) {
-        match report {
-            Report::Value(v) => self.words.push(TAG_VALUE | (u64::from(*v) << 2)),
-            Report::Hashed { seed, g, value } => {
-                self.words.push(TAG_HASHED);
-                self.words.push(*seed);
-                self.words.push(u64::from(*g) | (u64::from(*value) << 32));
-            }
-            Report::Subset(subset) => {
-                self.words.push(TAG_SUBSET | ((subset.len() as u64) << 2));
-                for pair in subset.chunks(2) {
-                    let hi = pair.get(1).copied().unwrap_or(0);
-                    self.words.push(u64::from(pair[0]) | (u64::from(hi) << 32));
-                }
-            }
-            Report::Bits(bits) => {
-                self.words.push(TAG_BITS | ((bits.len() as u64) << 2));
-                self.words.extend_from_slice(bits.blocks());
-            }
-        }
-    }
-
-    /// Decodes every `(uid, report)` pair, materializing owned reports — the
-    /// round-trip inverse of [`CompactBatch::push`], for tests and
-    /// diagnostics. No server path calls this: aggregation counts from the
-    /// encoded words and routing copies [`CompactBatch::spans`].
+    /// Every `(uid, report)` pair, each report a copy of its span — the
+    /// round-trip inverse of [`CompactBatch::push`]. No server path calls
+    /// this: aggregation counts from the encoded words and routing copies
+    /// [`CompactBatch::spans`].
     pub fn iter(&self) -> impl Iterator<Item = (u64, SolutionReport)> + '_ {
-        let mut cursor = Cursor {
-            words: &self.words,
-            pos: 0,
-        };
-        self.uids.iter().map(move |&uid| {
-            let header = cursor.next();
-            let kind = header & 0b11;
-            let a = ((header >> 2) & 0x7FFF_FFFF) as usize;
-            let b = (header >> 33) as usize;
-            let report = match kind {
-                KIND_FULL => SolutionReport::Full((0..a).map(|_| cursor.decode_entry()).collect()),
-                KIND_SMP => SolutionReport::Smp(SmpReport {
-                    attr: a,
-                    report: cursor.decode_entry(),
-                }),
-                KIND_TUPLE => SolutionReport::Tuple(MultidimReport {
-                    values: (0..a).map(|_| cursor.decode_entry()).collect(),
-                    sampled: b,
-                }),
-                KIND_MIXED => SolutionReport::Mixed(MixedReport {
-                    entries: (0..a)
-                        .map(|_| {
-                            let dim_word = cursor.next();
-                            let j = (dim_word >> 2) as usize;
-                            match dim_word & 0b11 {
-                                SUBTAG_CAT => (j, MixedEntry::Cat(cursor.decode_entry())),
-                                SUBTAG_NUM => (
-                                    j,
-                                    MixedEntry::Num(NumericReport::from_raw(cursor.next() as i64)),
-                                ),
-                                other => unreachable!("corrupt mixed subtag {other}"),
-                            }
-                        })
-                        .collect(),
-                }),
-                other => unreachable!("corrupt solution header kind {other}"),
-            };
-            (uid, report)
-        })
+        self.spans()
+            .map(|(uid, span)| (uid, SolutionReport::from_span(&span)))
     }
 
     /// Every report's `(uid, span)` in order, where the span derefs to the
@@ -306,10 +228,7 @@ impl CompactBatch {
     /// The encoded solution headers + entries, for the crate-internal
     /// counting walk.
     pub(crate) fn cursor(&self) -> Cursor<'_> {
-        Cursor {
-            words: &self.words,
-            pos: 0,
-        }
+        Cursor::new(&self.words)
     }
 
     /// Exact byte length of [`CompactBatch::encode_into`]'s output: a
@@ -386,7 +305,9 @@ impl CompactBatch {
     /// Checks every encoded report against the target solution's shape and
     /// domains: the report kind must match the solution family (SPL ⇒ full,
     /// SMP ⇒ sampled, RS+FD/RS+RFD ⇒ tuple), entry counts must equal `d`,
-    /// sampled-attribute indexes must be `< d`, every entry must carry the
+    /// an SMP attribute index must be `< d`, so must a tuple header's
+    /// reserved `b` (producers send zero; a batch built in process may hold
+    /// the hidden sampled index there), every entry must carry the
     /// tag its protocol emits (GRR ⇒ value, OLH ⇒ hashed, SS ⇒ subset,
     /// SUE/OUE ⇒ bits; RS+FD/RS+RFD GRR ⇒ value, UE-z/UE-r ⇒ bits; a mixed
     /// solution's categorical entries ⇒ its protocol's tag), and every
@@ -662,6 +583,10 @@ pub(crate) struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        Cursor { words, pos: 0 }
+    }
+
     pub(crate) fn done(&self) -> bool {
         self.pos >= self.words.len()
     }
@@ -731,7 +656,8 @@ impl<'a> Cursor<'a> {
         )
     }
 
-    fn decode_entry(&mut self) -> Report {
+    /// Materializes the next standard entry as a structured report.
+    pub(crate) fn decode_entry(&mut self) -> Report {
         let header = self.next();
         let payload = header >> 2;
         match header & 0b11 {
@@ -759,7 +685,7 @@ impl<'a> Cursor<'a> {
             }
             TAG_BITS => {
                 let nbits = payload as usize;
-                let blocks = self.words[self.pos..self.pos + nbits.div_ceil(64)].to_vec();
+                let blocks = &self.words[self.pos..self.pos + nbits.div_ceil(64)];
                 self.pos += blocks.len();
                 Report::Bits(BitVec::from_blocks(blocks, nbits))
             }
@@ -777,15 +703,15 @@ impl<'a> Cursor<'a> {
 /// debug-assert rejection of out-of-domain entries and the release-mode
 /// skip of stray ones.
 ///
-/// A bit-vector entry is not counted bit by bit: its words go whole into
-/// `tally`'s byte-lane counters, which the caller flushes into `counts`
-/// before the batch is done.
+/// A bit-vector entry's words go whole to `bits`: a batch's byte-lane
+/// tally, which the caller flushes into `counts` before the batch is done,
+/// or a single report's direct per-bit count.
 pub(crate) fn count_entry(
     counts: &mut [u64],
     oracle: Option<&Oracle>,
     j: usize,
     cur: &mut Cursor,
-    tally: &mut BitTally,
+    bits: &mut impl BitSink,
 ) {
     let header = cur.next();
     let payload = header >> 2;
@@ -857,7 +783,7 @@ pub(crate) fn count_entry(
                 "attr {j}: bit-vector width does not match the domain"
             );
             let blocks = nbits.div_ceil(64);
-            tally.add(counts, j, &cur.words[cur.pos..cur.pos + blocks]);
+            bits.add(counts, j, &cur.words[cur.pos..cur.pos + blocks]);
             cur.pos += blocks;
         }
         other => unreachable!("corrupt entry tag {other}"),
@@ -866,6 +792,7 @@ pub(crate) fn count_entry(
 
 #[cfg(test)]
 mod tests {
+    use super::super::{MixedEntry, MixedReport, MultidimReport, SmpReport};
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1038,19 +965,19 @@ mod tests {
         let forge = |kind: SolutionKind, entry: &dyn Fn(usize) -> Report| {
             let report = match kind {
                 SolutionKind::Spl(_) => {
-                    SolutionReport::Full(ks.iter().map(|&k| entry(k)).collect())
+                    SolutionReport::full(&ks.iter().map(|&k| entry(k)).collect::<Vec<_>>())
                 }
-                SolutionKind::Smp(_) => SolutionReport::Smp(SmpReport {
+                SolutionKind::Smp(_) => SolutionReport::smp(&SmpReport {
                     attr: 1,
                     report: entry(ks[1]),
                 }),
                 SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => {
-                    SolutionReport::Tuple(MultidimReport {
+                    SolutionReport::tuple(&MultidimReport {
                         values: ks.iter().map(|&k| entry(k)).collect(),
                         sampled: 0,
                     })
                 }
-                SolutionKind::Mixed(_) => SolutionReport::Mixed(MixedReport {
+                SolutionKind::Mixed(_) => SolutionReport::mixed(&MixedReport {
                     entries: vec![(0, MixedEntry::Cat(entry(ks[0])))],
                 }),
             };

@@ -9,30 +9,15 @@
 //! per draw, while a `&mut dyn RngCore` still drives every solution across
 //! an object boundary.
 
-use ldp_protocols::{ProtocolError, ProtocolKind, Report};
+use ldp_protocols::{ProtocolError, ProtocolKind};
 use rand::Rng;
 
-use super::mixed::{Mixed, MixedKind, MixedReport};
+use super::mixed::{Mixed, MixedKind};
 use super::rsfd::{RsFd, RsFdProtocol};
 use super::rsrfd::{RsRfd, RsRfdProtocol};
-use super::smp::{Smp, SmpReport};
+use super::smp::Smp;
 use super::spl::Spl;
-use super::{MultidimAggregator, MultidimReport, MultidimSolution};
-
-/// One sanitized client message, covering every solution's report shape.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SolutionReport {
-    /// SPL: one (ε/d)-LDP report per attribute; nothing is hidden.
-    Full(Vec<Report>),
-    /// SMP: the disclosed sampled attribute plus its ε-LDP report.
-    Smp(SmpReport),
-    /// RS+FD / RS+RFD: a full fake-data tuple with a hidden sampled
-    /// attribute.
-    Tuple(MultidimReport),
-    /// Mixed categorical+numeric: `sample_k` disclosed dimensions, each with
-    /// a frequency-oracle or fixed-point numeric entry.
-    Mixed(MixedReport),
-}
+use super::{MultidimAggregator, MultidimSolution, SolutionReport};
 
 /// The four collection solutions of the paper, as a plain enum for sweeps
 /// and runtime configuration (the counterpart of [`ProtocolKind`]).
@@ -185,10 +170,16 @@ impl DynSolution {
         }
     }
 
-    /// Client-side sanitization of one user tuple. Generic over the RNG:
-    /// a concrete generator is monomorphized into the sanitizer, and
-    /// `&mut dyn RngCore` works too (`R = dyn RngCore`). Both draw the same
-    /// stream, so the reports are identical.
+    /// Client-side sanitization of one user tuple, born encoded: SPL\[UE\]
+    /// writes every field straight from its packed draw and RS+FD / RS+RFD
+    /// write each entry as they draw it; SPL over GRR, OLH or SS and SMP
+    /// encode their structured report. Either way the report equals
+    /// [`SolutionReport::full`] / [`SolutionReport::smp`] /
+    /// [`SolutionReport::tuple`] of the structured sanitizer on the same
+    /// RNG stream. Generic over the RNG: a concrete generator is
+    /// monomorphized into the sanitizer, and `&mut dyn RngCore` works too
+    /// (`R = dyn RngCore`). Both draw the same stream, so the reports are
+    /// identical.
     ///
     /// # Panics
     ///
@@ -197,10 +188,10 @@ impl DynSolution {
     /// [`DynSolution::report_mixed`] instead.
     pub fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> SolutionReport {
         match self {
-            DynSolution::Spl(s) => SolutionReport::Full(s.report(tuple, rng)),
-            DynSolution::Smp(s) => SolutionReport::Smp(s.report(tuple, rng)),
-            DynSolution::RsFd(s) => SolutionReport::Tuple(MultidimSolution::report(s, tuple, rng)),
-            DynSolution::RsRfd(s) => SolutionReport::Tuple(MultidimSolution::report(s, tuple, rng)),
+            DynSolution::Spl(s) => s.report_encoded(tuple, rng),
+            DynSolution::Smp(s) => SolutionReport::smp(&s.report(tuple, rng)),
+            DynSolution::RsFd(s) => s.report_encoded(tuple, rng),
+            DynSolution::RsRfd(s) => s.report_encoded(tuple, rng),
             DynSolution::Mixed(_) => {
                 panic!("mixed solutions sanitize via DynSolution::report_mixed")
             }
@@ -218,7 +209,7 @@ impl DynSolution {
         rng: &mut R,
     ) -> Result<SolutionReport, ProtocolError> {
         match self {
-            DynSolution::Mixed(s) => Ok(SolutionReport::Mixed(s.report_mixed(cat, num, rng)?)),
+            DynSolution::Mixed(s) => Ok(SolutionReport::mixed(&s.report_mixed(cat, num, rng)?)),
             _ if !num.is_empty() => Err(ProtocolError::ReportMismatch {
                 expected: "categorical solution given numeric values",
             }),
@@ -337,24 +328,19 @@ mod tests {
         let spl = SolutionKind::Spl(ProtocolKind::Grr)
             .build(&ks, 1.0)
             .unwrap();
-        assert!(matches!(
-            spl.report(&[1, 2], &mut rng),
-            SolutionReport::Full(v) if v.len() == 2
-        ));
+        assert_eq!(spl.report(&[1, 2], &mut rng).to_full().unwrap().len(), 2);
         let smp = SolutionKind::Smp(ProtocolKind::Grr)
             .build(&ks, 1.0)
             .unwrap();
-        assert!(matches!(
-            smp.report(&[1, 2], &mut rng),
-            SolutionReport::Smp(_)
-        ));
+        assert!(smp.report(&[1, 2], &mut rng).to_smp().is_some());
         let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&ks, 1.0)
             .unwrap();
-        assert!(matches!(
-            rsfd.report(&[1, 2], &mut rng),
-            SolutionReport::Tuple(t) if t.values.len() == 2
-        ));
+        let tuple = rsfd.report(&[1, 2], &mut rng);
+        assert_eq!(tuple.to_tuple().unwrap().values.len(), 2);
+        // Each accessor answers only for its own shape.
+        assert!(tuple.to_full().is_none() && tuple.to_smp().is_none());
+        assert!(tuple.to_mixed().is_none());
     }
 
     #[test]
@@ -366,7 +352,7 @@ mod tests {
             .unwrap();
         let mut rng: Box<dyn RngCore> = Box::new(StdRng::seed_from_u64(5));
         let report = solution.report(&[0, 1], rng.as_mut());
-        assert!(matches!(report, SolutionReport::Tuple(_)));
+        assert!(report.to_tuple().is_some());
     }
 
     #[test]
@@ -403,16 +389,14 @@ mod tests {
         assert!((solution.epsilon_per_report() - 0.75).abs() < 1e-12);
         let mut rng = StdRng::seed_from_u64(7);
         let report = solution.report_mixed(&[1, 2], &[0.5], &mut rng).unwrap();
-        assert!(matches!(report, SolutionReport::Mixed(r) if r.entries.len() == 2));
+        assert_eq!(report.to_mixed().unwrap().entries.len(), 2);
         // Categorical solutions still flow through report_mixed, but reject
         // numeric values.
         let spl = SolutionKind::Spl(ProtocolKind::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
-        assert!(matches!(
-            spl.report_mixed(&[1, 2], &[], &mut rng),
-            Ok(SolutionReport::Full(_))
-        ));
+        let full = spl.report_mixed(&[1, 2], &[], &mut rng).unwrap();
+        assert!(full.to_full().is_some());
         assert!(spl.report_mixed(&[1, 2], &[0.5], &mut rng).is_err());
     }
 

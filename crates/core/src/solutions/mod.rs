@@ -15,6 +15,7 @@ mod aggregator;
 mod compact;
 mod kind;
 mod mixed;
+mod report;
 mod rsfd;
 mod rsrfd;
 mod smp;
@@ -23,8 +24,9 @@ mod tally;
 
 pub use aggregator::MultidimAggregator;
 pub use compact::{CompactBatch, CompactDecodeError, ReportSpan};
-pub use kind::{DynSolution, SolutionKind, SolutionReport};
+pub use kind::{DynSolution, SolutionKind};
 pub use mixed::{Mixed, MixedEntry, MixedKind, MixedReport, NUMERIC_DIM};
+pub use report::SolutionReport;
 pub use rsfd::{RsFd, RsFdProtocol};
 pub use rsrfd::{RsRfd, RsRfdProtocol};
 pub use smp::{Smp, SmpReport};

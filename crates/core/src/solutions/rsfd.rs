@@ -15,7 +15,11 @@
 use ldp_protocols::{BitVec, FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
 use rand::Rng;
 
-use super::{validate_config, EstimatorSpec, MultidimAggregator, MultidimReport, MultidimSolution};
+use super::report::fixed_shape_words;
+use super::{
+    validate_config, EstimatorSpec, MultidimAggregator, MultidimReport, MultidimSolution,
+    SolutionReport,
+};
 use crate::amplification::amplify;
 
 /// Which LDP protocol and fake-data procedure RS+FD runs.
@@ -134,31 +138,59 @@ impl RsFd {
         sampled: usize,
         rng: &mut R,
     ) -> MultidimReport {
+        let mut values = Vec::with_capacity(self.d());
+        self.sanitize_each(tuple, sampled, rng, |entry| values.push(entry));
+        MultidimReport { values, sampled }
+    }
+
+    /// [`MultidimSolution::report`] born encoded: each entry is written
+    /// into the report's words as it is drawn, equal to
+    /// [`SolutionReport::tuple`] of the structured report on the same RNG
+    /// stream.
+    pub(crate) fn report_encoded<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        rng: &mut R,
+    ) -> SolutionReport {
+        let sampled = rng.random_range(0..self.d());
+        let len = fixed_shape_words(&self.ks, self.is_unary());
+        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
+            self.sanitize_each(tuple, sampled, rng, |entry| entries.push(&entry))
+        })
+    }
+
+    /// Draws every attribute's entry in order — the sampled one sanitized
+    /// at ε′, the others fake — handing each to `emit`.
+    ///
+    /// # Panics
+    /// Panics on tuple width mismatch or `sampled >= d`.
+    fn sanitize_each<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        sampled: usize,
+        rng: &mut R,
+        mut emit: impl FnMut(Report),
+    ) {
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
         assert!(sampled < self.d(), "sampled attribute out of range");
-        let values = (0..self.d())
-            .map(|i| {
-                let k = self.ks[i];
-                match (&self.randomizers, i == sampled) {
-                    (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
-                    (Randomizers::Grr(_), false) => Report::Value(rng.random_range(0..k as u32)),
-                    (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
-                    (Randomizers::Ue(ues), false) => match self.protocol {
-                        // UE-z fake: no zero vector is ever materialized — the
-                        // word-parallel background sampler writes Bernoulli(q)
-                        // words straight into the report, so the only
-                        // allocation is the report vector itself.
-                        RsFdProtocol::UeZ(_) => Report::Bits(ues[i].perturb_zero_vector(rng)),
-                        RsFdProtocol::UeR(_) => {
-                            let fake = rng.random_range(0..k as u32);
-                            ues[i].randomize(fake, rng)
-                        }
-                        RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
-                    },
-                }
-            })
-            .collect();
-        MultidimReport { values, sampled }
+        for (i, &k) in self.ks.iter().enumerate() {
+            emit(match (&self.randomizers, i == sampled) {
+                (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
+                (Randomizers::Grr(_), false) => Report::Value(rng.random_range(0..k as u32)),
+                (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
+                (Randomizers::Ue(ues), false) => match self.protocol {
+                    // UE-z fake: no zero vector is ever materialized — the
+                    // word-parallel background sampler writes Bernoulli(q)
+                    // words straight into the report.
+                    RsFdProtocol::UeZ(_) => Report::Bits(ues[i].perturb_zero_vector(rng)),
+                    RsFdProtocol::UeR(_) => {
+                        let fake = rng.random_range(0..k as u32);
+                        ues[i].randomize(fake, rng)
+                    }
+                    RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
+                },
+            });
+        }
     }
 }
 

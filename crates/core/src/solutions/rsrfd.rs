@@ -12,9 +12,10 @@
 use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
 use rand::Rng;
 
+use super::report::fixed_shape_words;
 use super::{
     sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator, MultidimReport,
-    MultidimSolution,
+    MultidimSolution, SolutionReport,
 };
 use crate::amplification::amplify;
 
@@ -178,10 +179,43 @@ impl RsRfd {
         sampled: usize,
         rng: &mut R,
     ) -> MultidimReport {
+        let mut values = Vec::with_capacity(self.d());
+        self.sanitize_each(tuple, sampled, rng, |entry| values.push(entry));
+        MultidimReport { values, sampled }
+    }
+
+    /// [`MultidimSolution::report`] born encoded: each entry is written
+    /// into the report's words as it is drawn, equal to
+    /// [`SolutionReport::tuple`] of the structured report on the same RNG
+    /// stream.
+    pub(crate) fn report_encoded<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        rng: &mut R,
+    ) -> SolutionReport {
+        let sampled = rng.random_range(0..self.d());
+        let len = fixed_shape_words(&self.ks, self.is_unary());
+        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
+            self.sanitize_each(tuple, sampled, rng, |entry| entries.push(&entry))
+        })
+    }
+
+    /// Draws every attribute's entry in order — the sampled one sanitized
+    /// at ε′, the others fake samples of the prior — handing each to `emit`.
+    ///
+    /// # Panics
+    /// Panics on tuple width mismatch or `sampled >= d`.
+    fn sanitize_each<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        sampled: usize,
+        rng: &mut R,
+        mut emit: impl FnMut(Report),
+    ) {
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
         assert!(sampled < self.d(), "sampled attribute out of range");
-        let values = (0..self.d())
-            .map(|i| match (&self.randomizers, i == sampled) {
+        for i in 0..self.d() {
+            emit(match (&self.randomizers, i == sampled) {
                 (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
                 (Randomizers::Grr(_), false) => {
                     // Alg. 1 line 6: a *plain* sample from the prior.
@@ -192,9 +226,8 @@ impl RsRfd {
                     let fake = sample_cdf(&self.prior_cdfs[i], rng) as u32;
                     ues[i].randomize(fake, rng)
                 }
-            })
-            .collect();
-        MultidimReport { values, sampled }
+            });
+        }
     }
 }
 

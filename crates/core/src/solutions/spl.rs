@@ -5,7 +5,8 @@
 use ldp_protocols::{FrequencyOracle, FusedUeGroup, Oracle, ProtocolError, ProtocolKind, Report};
 use rand::Rng;
 
-use super::{validate_config, EstimatorSpec, MultidimAggregator};
+use super::report::fixed_shape_words;
+use super::{validate_config, EstimatorSpec, MultidimAggregator, SolutionReport};
 
 /// SPL solution over `d` attributes with a single frequency-oracle family.
 #[derive(Debug, Clone)]
@@ -19,6 +20,9 @@ pub struct Spl {
     /// attributes by construction and the whole tuple is one packed draw of
     /// `⌈Σk/64⌉` words (see [`FusedUeGroup`]). `None` for GRR, OLH and SS.
     fused: Option<FusedUeGroup>,
+    /// Words of an encoded UE report: the header, then one header and
+    /// `⌈k_j/64⌉` blocks per attribute.
+    ue_words: usize,
 }
 
 impl Spl {
@@ -41,6 +45,7 @@ impl Spl {
         Ok(Spl {
             kind,
             epsilon,
+            ue_words: fixed_shape_words(ks, true),
             ks: ks.to_vec(),
             oracles,
             fused,
@@ -101,6 +106,27 @@ impl Spl {
             .zip(&self.oracles)
             .map(|(&v, o)| o.randomize(v, rng))
             .collect()
+    }
+
+    /// [`Spl::report`] born encoded, equal to [`SolutionReport::full`] of
+    /// it on the same RNG stream. UE families write every field's header
+    /// and blocks straight from the packed draw, with no per-attribute
+    /// report in between.
+    ///
+    /// # Panics
+    /// As [`Spl::report`].
+    pub(crate) fn report_encoded<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        rng: &mut R,
+    ) -> SolutionReport {
+        let Some(fused) = &self.fused else {
+            return SolutionReport::full(&self.report(tuple, rng));
+        };
+        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
+        SolutionReport::encode_full(self.d(), self.ue_words, |entries| {
+            fused.randomize_tuple_fields(tuple, rng, |k, blocks| entries.bits(k, blocks))
+        })
     }
 
     /// A fresh streaming aggregator configured with the per-attribute

@@ -24,10 +24,38 @@ const LOW_BITS: u64 = 0x0101_0101_0101_0101;
 /// one more could carry a counter at 255 into the next lane.
 const MAX_PENDING: u8 = u8::MAX;
 
+/// Where the aggregation walk sends a bit-vector entry's words: a batch
+/// adds them into a [`BitTally`], a single report counts them with
+/// [`PerBit`] — one report must not leave a byte-lane tally pending.
+pub(crate) trait BitSink {
+    /// Counts one bit-vector entry of attribute `j`, given as its 64-lane
+    /// words, into `counts` (its `k_j` support counts, possibly deferred).
+    /// Lanes `≥ k_j` are never counted.
+    fn add(&mut self, counts: &mut [u64], j: usize, words: &[u64]);
+}
+
+/// Counts every set bit straight into its support count.
+pub(crate) struct PerBit;
+
+impl BitSink for PerBit {
+    #[inline]
+    fn add(&mut self, counts: &mut [u64], _j: usize, words: &[u64]) {
+        for (blk, &w) in words.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                if let Some(c) = counts.get_mut(blk * 64 + w.trailing_zeros() as usize) {
+                    *c += 1;
+                }
+                w &= w - 1;
+            }
+        }
+    }
+}
+
 /// Byte-lane counters for the `Σ_j ⌈k_j/64⌉` blocks of a solution's
 /// attributes (see the module docs). All-zero between
 /// `absorb_compact` calls.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BitTally {
     /// Eight accumulators per 64-lane block; byte `m` of `acc[blk][b]`
     /// counts lane `8m + b` of the block.
@@ -54,26 +82,6 @@ impl BitTally {
         }
     }
 
-    /// Adds one bit-vector entry of attribute `j`, given as its 64-lane
-    /// words, flushing the attribute into `counts` (its `k_j` support
-    /// counts) every 255 entries. Words past the attribute's `⌈k_j/64⌉`
-    /// blocks hold only lanes `≥ k_j` and are skipped; lanes `≥ k_j` inside
-    /// the last block are dropped at flush, as the per-bit
-    /// `counts.get_mut(lane)` rule drops them.
-    #[inline]
-    pub(crate) fn add(&mut self, counts: &mut [u64], j: usize, words: &[u64]) {
-        let blocks = &mut self.acc[self.first[j]..self.first[j + 1]];
-        for (acc, &w) in blocks.iter_mut().zip(words) {
-            for (b, lanes) in acc.iter_mut().enumerate() {
-                *lanes += (w >> b) & LOW_BITS;
-            }
-        }
-        self.pending[j] += 1;
-        if self.pending[j] == MAX_PENDING {
-            self.flush_attr(counts, j);
-        }
-    }
-
     /// Moves every pending lane count into `counts` (one vector per
     /// attribute) and zeroes the tally. Attributes that took no entry since
     /// their last flush are not touched.
@@ -94,6 +102,27 @@ impl BitTally {
             *acc = [0; 8];
         }
         self.pending[j] = 0;
+    }
+}
+
+impl BitSink for BitTally {
+    /// Adds the entry into attribute `j`'s byte-lane counters, flushing the
+    /// attribute into `counts` every 255 entries. Words past the
+    /// attribute's `⌈k_j/64⌉` blocks hold only lanes `≥ k_j` and are
+    /// skipped; lanes `≥ k_j` inside the last block are dropped at flush,
+    /// as [`PerBit`]'s `counts.get_mut(lane)` rule drops them.
+    #[inline]
+    fn add(&mut self, counts: &mut [u64], j: usize, words: &[u64]) {
+        let blocks = &mut self.acc[self.first[j]..self.first[j + 1]];
+        for (acc, &w) in blocks.iter_mut().zip(words) {
+            for (b, lanes) in acc.iter_mut().enumerate() {
+                *lanes += (w >> b) & LOW_BITS;
+            }
+        }
+        self.pending[j] += 1;
+        if self.pending[j] == MAX_PENDING {
+            self.flush_attr(counts, j);
+        }
     }
 }
 
@@ -128,6 +157,7 @@ mod tests {
         assert_eq!(tally.acc.len(), 1 + 1 + 1 + 2 + 4);
         let mut counts: Vec<Vec<u64>> = ks.iter().map(|&k| vec![0; k]).collect();
         let mut reference = counts.clone();
+        let mut per_bit = counts.clone();
         for n in 0..1_300 {
             for (j, &k) in ks.iter().enumerate() {
                 // All-ones entries first (every lane saturates its byte
@@ -137,11 +167,13 @@ mod tests {
                     .map(|_| if n < 600 { u64::MAX } else { next() })
                     .collect();
                 tally.add(&mut counts[j], j, &words);
+                PerBit.add(&mut per_bit[j], j, &words);
                 count_per_bit(&mut reference[j], &words);
             }
         }
         tally.flush(&mut counts);
         assert_eq!(counts, reference);
+        assert_eq!(per_bit, reference);
         assert!(tally.acc.iter().flatten().all(|&a| a == 0));
         assert!(tally.pending.iter().all(|&p| p == 0));
     }

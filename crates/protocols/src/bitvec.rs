@@ -7,8 +7,8 @@
 
 /// Vectors of up to `INLINE_WORDS · 64` bits are stored inline, without a
 /// heap allocation. Every attribute domain in the paper's datasets (k ≤ 92)
-/// fits, so the UE report hot path — one `BitVec` report per attribute of
-/// an SPL\[UE\] tuple, ten per user on the Adult shape — allocates nothing.
+/// fits, so a structured UE report — one `BitVec` per attribute, ten per
+/// user on the Adult shape — allocates nothing beyond its report vector.
 const INLINE_WORDS: usize = 2;
 
 /// Backing storage: a fixed inline array for short vectors, a heap `Vec` for
@@ -70,35 +70,6 @@ impl BitVec {
             Blocks::Inline(a) => &mut a[..wc],
             Blocks::Heap(v) => v,
         }
-    }
-
-    /// Builds a `len`-bit vector from lanes `offset..offset + len` of a
-    /// packed little-endian word slice. The lanes may straddle word
-    /// boundaries; nothing touches the heap when `len` fits inline
-    /// (≤ 128 bits). The fused tuple sanitizer
-    /// ([`crate::ue::FusedUeGroup`]) slices each attribute's report out of
-    /// its packed words through this.
-    ///
-    /// # Panics
-    /// Panics if `offset + len` exceeds the slice's `64 · packed.len()`
-    /// lanes.
-    #[inline]
-    pub(crate) fn from_lanes(packed: &[u64], offset: usize, len: usize) -> Self {
-        assert!(
-            offset + len <= packed.len() * 64,
-            "lanes past the end of the packed words"
-        );
-        // Word `j` of the vector: the 64 packed lanes from `offset + 64j`,
-        // cut to the `len − 64j` that belong to the field.
-        let word = |j: usize| lanes_at(packed, offset + 64 * j) & low_lanes(len - 64 * j);
-        let blocks = if len <= INLINE_WORDS * 64 {
-            Blocks::Inline(std::array::from_fn(
-                |j| if 64 * j < len { word(j) } else { 0 },
-            ))
-        } else {
-            Blocks::Heap((0..len.div_ceil(64)).map(word).collect())
-        };
-        BitVec { blocks, len }
     }
 
     /// Creates a one-hot vector of `len` bits with bit `index` set.
@@ -237,13 +208,14 @@ impl BitVec {
         self.words()
     }
 
-    /// Rebuilds a vector of `len` bits from its backing blocks — the inverse
-    /// of [`BitVec::blocks`].
+    /// Rebuilds a vector of `len` bits from a copy of its backing blocks —
+    /// the inverse of [`BitVec::blocks`]. Nothing touches the heap when
+    /// `len` fits inline (≤ 128 bits).
     ///
     /// # Panics
     /// Panics when `blocks.len()` does not match `len`; debug-asserts that no
     /// trailing bit past `len` is set (every mutation path keeps them zero).
-    pub fn from_blocks(blocks: Vec<u64>, len: usize) -> Self {
+    pub fn from_blocks(blocks: &[u64], len: usize) -> Self {
         assert_eq!(blocks.len(), len.div_ceil(64), "block count mismatch");
         debug_assert!(
             len.is_multiple_of(64) || blocks.last().is_none_or(|b| b >> (len % 64) == 0),
@@ -251,10 +223,10 @@ impl BitVec {
         );
         let blocks = if len <= INLINE_WORDS * 64 {
             let mut inline = [0u64; INLINE_WORDS];
-            inline[..blocks.len()].copy_from_slice(&blocks);
+            inline[..blocks.len()].copy_from_slice(blocks);
             Blocks::Inline(inline)
         } else {
-            Blocks::Heap(blocks)
+            Blocks::Heap(blocks.to_vec())
         };
         BitVec { blocks, len }
     }
@@ -263,7 +235,7 @@ impl BitVec {
 /// The 64 lanes of `packed` starting at lane `bit` (lanes past the slice
 /// read as 0).
 #[inline]
-fn lanes_at(packed: &[u64], bit: usize) -> u64 {
+pub(crate) fn lanes_at(packed: &[u64], bit: usize) -> u64 {
     let (w, shift) = (bit / 64, bit % 64);
     let lo = packed.get(w).map_or(0, |&x| x >> shift);
     match packed.get(w + 1) {
@@ -368,7 +340,7 @@ mod tests {
             for i in [0, k / 3, k - 1] {
                 bv.set(i, true);
             }
-            let rebuilt = BitVec::from_blocks(bv.blocks().to_vec(), k);
+            let rebuilt = BitVec::from_blocks(bv.blocks(), k);
             assert_eq!(rebuilt, bv);
         }
     }
@@ -376,7 +348,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "block count mismatch")]
     fn from_blocks_rejects_wrong_block_count() {
-        BitVec::from_blocks(vec![0; 2], 64);
+        BitVec::from_blocks(&[0; 2], 64);
     }
 
     #[test]
@@ -389,7 +361,7 @@ mod tests {
             }
             // Every valid bit set, trailing lanes still zero.
             assert_eq!(bv.count_ones(), k);
-            let rebuilt = BitVec::from_blocks(bv.blocks().to_vec(), k);
+            let rebuilt = BitVec::from_blocks(bv.blocks(), k);
             assert_eq!(rebuilt, bv);
             bv.clear();
             assert_eq!(bv.count_ones(), 0);
@@ -426,53 +398,12 @@ mod tests {
             let mut bv = BitVec::zeros(k);
             bv.set(k - 1, true);
             bv.set(k / 2, true);
-            let rebuilt = BitVec::from_blocks(bv.blocks().to_vec(), k);
+            let rebuilt = BitVec::from_blocks(bv.blocks(), k);
             assert_eq!(rebuilt, bv);
             set.insert(bv.clone());
             assert!(set.contains(&rebuilt), "hash differs across paths k={k}");
         }
         assert_eq!(set.len(), 6);
-    }
-
-    #[test]
-    fn from_lanes_slices_straddling_fields() {
-        // A 3-word packed buffer with a known pattern; every (offset, len)
-        // slice — inside a word, straddling one or two boundaries, longer
-        // than a word, ending on the last lane — must equal the per-bit copy.
-        let packed = [
-            0xDEAD_BEEF_0123_4567u64,
-            0x89AB_CDEF_F0E1_D2C3,
-            0x0F1E_2D3C_4B5A_6978,
-        ];
-        let bit = |i: usize| (packed[i / 64] >> (i % 64)) & 1 == 1;
-        for (offset, len) in [
-            (0usize, 3usize),
-            (5, 64),
-            (60, 10),
-            (62, 74),
-            (64, 64),
-            (1, 190),
-            (100, 92),
-            (190, 2),
-        ] {
-            let bv = BitVec::from_lanes(&packed, offset, len);
-            assert_eq!(bv.len(), len);
-            for i in 0..len {
-                assert_eq!(
-                    bv.get(i),
-                    bit(offset + i),
-                    "offset {offset} len {len} lane {i}"
-                );
-            }
-            // The trailing-zeros invariant holds, so equality is exact.
-            assert_eq!(BitVec::from_blocks(bv.blocks().to_vec(), len), bv);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "past the end of the packed words")]
-    fn from_lanes_rejects_lanes_past_the_slice() {
-        BitVec::from_lanes(&[0, 0], 100, 29);
     }
 
     #[test]

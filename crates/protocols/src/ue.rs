@@ -52,7 +52,7 @@
 
 use rand::Rng;
 
-use crate::bitvec::{low_lanes, BitVec};
+use crate::bitvec::{lanes_at, low_lanes, BitVec};
 use crate::error::ProtocolError;
 use crate::oracle::{FrequencyOracle, Report};
 use crate::{validate_domain, validate_epsilon};
@@ -416,9 +416,9 @@ const STACK_WORDS: usize = 8;
 /// scan over its cold lanes, then — when it holds a hot lane — one p-mask
 /// (a single raw RNG word for OUE's `p = 1/2`), words in order. The Adult
 /// tuple (Σk = 174) thus costs three word draws instead of ten per-attribute
-/// scans. The packed words are then sliced back into per-attribute
-/// [`Report::Bits`] vectors via `BitVec::from_lanes`; a field may straddle
-/// a word boundary, and a `k > 64` field spans two or more words.
+/// scans. The packed words are then sliced back into per-attribute fields
+/// ([`FusedUeGroup::randomize_tuple_fields`]); a field may straddle a word
+/// boundary, and a `k > 64` field spans two or more words.
 ///
 /// Marginals are identical to calling [`FrequencyOracle::randomize`] once per
 /// oracle — every packed lane still compares its own independent bit stream
@@ -474,40 +474,67 @@ impl FusedUeGroup {
         self.lanes.div_ceil(64)
     }
 
-    /// Sanitizes the whole tuple with one packed multi-word draw, pushing
-    /// one `k_j`-bit [`Report::Bits`] per attribute onto `out`.
+    /// Sanitizes the whole tuple with one packed multi-word draw and hands
+    /// each attribute's field to `emit`, in tuple order, as `(k_j, words)`:
+    /// the field's `⌈k_j/64⌉` 64-lane words, lanes past `k_j` zero — the
+    /// blocks a `k_j`-bit [`BitVec`] would hold. This is the one place
+    /// fields are sliced out of the packed words; a sink may copy them into
+    /// a report, an encoded buffer or anything else.
     ///
     /// # Panics
     /// Panics if `values.len() != self.width()` or a value lies outside its
     /// attribute's domain — checked in every build, because an unchecked
     /// value would set a lane of the *next* attribute's field.
+    pub fn randomize_tuple_fields<R: Rng + ?Sized>(
+        &self,
+        values: &[u32],
+        rng: &mut R,
+        mut emit: impl FnMut(usize, &[u64]),
+    ) {
+        // The packed words, then as many words of field scratch: a field
+        // never spans more blocks than the whole tuple.
+        match self.word_count() {
+            n if n <= STACK_WORDS => {
+                self.draw_fields(values, &mut [0; 2 * STACK_WORDS][..2 * n], rng, &mut emit)
+            }
+            n => self.draw_fields(values, &mut vec![0; 2 * n], rng, &mut emit),
+        }
+    }
+
+    /// [`FusedUeGroup::randomize_tuple_fields`] into structured reports:
+    /// pushes one `k_j`-bit [`Report::Bits`] per attribute onto `out`.
+    ///
+    /// # Panics
+    /// As [`FusedUeGroup::randomize_tuple_fields`].
     pub fn randomize_tuple_into<R: Rng + ?Sized>(
         &self,
         values: &[u32],
         out: &mut Vec<Report>,
         rng: &mut R,
     ) {
-        match self.word_count() {
-            n if n <= STACK_WORDS => self.draw_into(values, &mut [0; STACK_WORDS][..n], out, rng),
-            n => self.draw_into(values, &mut vec![0; n], out, rng),
-        }
+        out.reserve(self.width());
+        self.randomize_tuple_fields(values, rng, |k, blocks| {
+            out.push(Report::Bits(BitVec::from_blocks(blocks, k)))
+        });
     }
 
-    /// The packed draw over zeroed `words` (`⌈Σk/64⌉` of them).
+    /// The packed draw over the zeroed first half of `buf` (`⌈Σk/64⌉`
+    /// words), its second half being the field scratch.
     #[inline]
-    fn draw_into<R: Rng + ?Sized>(
+    fn draw_fields<R: Rng + ?Sized>(
         &self,
         values: &[u32],
-        words: &mut [u64],
-        out: &mut Vec<Report>,
+        buf: &mut [u64],
         rng: &mut R,
+        emit: &mut impl FnMut(usize, &[u64]),
     ) {
+        let (words, field) = buf.split_at_mut(buf.len() / 2);
         self.set_hot(values, words);
         for (wi, word) in words.iter_mut().enumerate() {
             let lanes = low_lanes(self.lanes - 64 * wi);
             *word = sanitize_word(self.p_thresh, self.q_thresh, lanes, *word, rng);
         }
-        self.slice_into(words, out);
+        self.emit_fields(words, field, emit);
     }
 
     /// Sets the hot lane of every value in the zeroed packed `words`.
@@ -521,16 +548,19 @@ impl FusedUeGroup {
         }
     }
 
-    /// Slices each attribute's field out of the sanitized packed words.
+    /// Slices each attribute's field out of the sanitized packed `words`
+    /// into `field` (scratch at least as long as the widest field's
+    /// blocks) and hands it to `emit`. A field may straddle a word
+    /// boundary, and a `k > 64` field spans two or more words.
     #[inline]
-    fn slice_into(&self, words: &[u64], out: &mut Vec<Report>) {
-        out.reserve(self.layout.len());
+    fn emit_fields(&self, words: &[u64], field: &mut [u64], emit: &mut impl FnMut(usize, &[u64])) {
         for &(off, k) in &self.layout {
-            out.push(Report::Bits(BitVec::from_lanes(
-                words,
-                off as usize,
-                k as usize,
-            )));
+            let (off, k) = (off as usize, k as usize);
+            let blocks = &mut field[..k.div_ceil(64)];
+            for (j, block) in blocks.iter_mut().enumerate() {
+                *block = lanes_at(words, off + 64 * j) & low_lanes(k - 64 * j);
+            }
+            emit(k, blocks);
         }
     }
 }
@@ -629,7 +659,9 @@ impl FusedUeGroup {
             *word = (hot & p_mask) | q_mask;
         }
         let mut out = Vec::new();
-        self.slice_into(&words, &mut out);
+        self.emit_fields(&words, &mut vec![0; words.len()], &mut |k, blocks| {
+            out.push(Report::Bits(BitVec::from_blocks(blocks, k)))
+        });
         out
     }
 }
@@ -776,7 +808,7 @@ mod tests {
         // all-ones vector would report ~100.
         assert!(ones < 70, "stale output content leaked: {ones} ones");
         // The trailing-lane invariant survives word writes (k = 100).
-        let rebuilt = BitVec::from_blocks(out.blocks().to_vec(), 100);
+        let rebuilt = BitVec::from_blocks(out.blocks(), 100);
         assert_eq!(rebuilt, out);
     }
 
@@ -896,7 +928,7 @@ mod tests {
         ues.iter()
             .map(|ue| {
                 let mask = if ue.k == 64 { !0 } else { (1u64 << ue.k) - 1 };
-                let bits = BitVec::from_blocks(vec![(word >> off) & mask], ue.k);
+                let bits = BitVec::from_blocks(&[(word >> off) & mask], ue.k);
                 off += ue.k;
                 Report::Bits(bits)
             })
@@ -935,6 +967,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn emit_fields_slices_straddling_fields() {
+        // Three packed words with a known pattern; fields inside a word,
+        // spanning one boundary (k = 74 from lane 5), straddling the next
+        // (lanes 79..140), and ending on the last lane must each equal the
+        // per-bit copy of their lanes, with nothing past k_j set.
+        let ks = [5usize, 74, 61, 2, 50];
+        let ues: Vec<UnaryEncoding> = ks
+            .iter()
+            .map(|&k| UnaryEncoding::new(k, 1.0, UeMode::Optimized).unwrap())
+            .collect();
+        let group = FusedUeGroup::build(&ues).unwrap();
+        assert_eq!(group.word_count(), 3);
+        let packed = [
+            0xDEAD_BEEF_0123_4567u64,
+            0x89AB_CDEF_F0E1_D2C3,
+            0x0F1E_2D3C_4B5A_6978,
+        ];
+        let bit = |i: usize| (packed[i / 64] >> (i % 64)) & 1 == 1;
+        let mut fields = Vec::new();
+        group.emit_fields(&packed, &mut [0; 3], &mut |k, blocks| {
+            fields.push((k, blocks.to_vec()))
+        });
+        assert_eq!(fields.len(), ks.len());
+        let mut off = 0;
+        for ((k, blocks), &want) in fields.iter().zip(&ks) {
+            assert_eq!((*k, blocks.len()), (want, want.div_ceil(64)));
+            let bv = BitVec::from_blocks(blocks, want);
+            for i in 0..want {
+                assert_eq!(bv.get(i), bit(off + i), "field at {off}, lane {i}");
+            }
+            off += want;
         }
     }
 

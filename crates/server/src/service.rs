@@ -59,7 +59,9 @@ const POOL_SLACK_PER_SHARD: usize = 8;
 
 /// One ingested message: the reporting user plus their sanitized report.
 /// The `uid` only routes the envelope to a shard — the report itself is the
-/// only thing the server state ever sees.
+/// only thing the server state ever sees. The report is already in its
+/// encoded words, so [`LdpServer::ingest_batch`] copies it into a shard
+/// buffer without re-encoding it.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Stable user identifier (routing key; `uid % shards` picks the shard).
@@ -199,8 +201,8 @@ impl LdpServer {
             .expect("ingestion worker disconnected (did it panic?)");
     }
 
-    /// Ingests a batch: envelopes are compact-encoded into per-shard
-    /// (pool-recycled) buffers, preserving their relative order, and sent as
+    /// Ingests a batch: each envelope's report words are copied into its
+    /// shard's (pool-recycled) buffer, preserving relative order, and sent as
     /// at most `⌈len / config.batch⌉` messages per shard. Blocks whenever a
     /// shard queue is full.
     ///

@@ -257,9 +257,11 @@ impl NetClient {
 
     /// Buffers one sanitized report, sending a BATCH_SEQ frame whenever the
     /// buffer reaches the batch size. A blocked send *is* the backpressure
-    /// path — see the [module docs](crate::net_client).
+    /// path — see the [module docs](crate::net_client). The report leaves
+    /// through [`CompactBatch::push_wire`], so an RS+FD / RS+RFD tuple never
+    /// ships its hidden sampled attribute.
     pub fn push(&mut self, uid: u64, report: &SolutionReport) -> Result<(), WireError> {
-        self.batch.push(uid, report);
+        self.batch.push_wire(uid, report);
         if self.batch.len() >= self.batch_size {
             self.flush_batch()?;
         }

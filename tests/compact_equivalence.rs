@@ -11,11 +11,18 @@
 //! wire tier to skip decoding. (4) The word-parallel bit-vector tally inside
 //! `absorb_compact` counts exactly at its edges: byte lanes saturated by
 //! all-ones reports, flushes at every 255 entries, domain widths on and
-//! around word boundaries, and batches split at any size.
+//! around word boundaries, and batches split at any size. (5) A report is
+//! born encoded: `DynSolution::report` writes exactly the words the
+//! `SolutionReport` constructors encode for the structured report the
+//! solution-level sanitizer draws from the same RNG stream, and the typed
+//! accessors decode them back. (6) Absorbing reports one by one counts
+//! exactly what one batch of them counts, and what the structured reports
+//! count.
 
 use ldp_core::solutions::{
-    CompactBatch, DynSolution, MixedEntry, MixedKind, MixedReport, MultidimReport, RsFdProtocol,
-    RsRfdProtocol, SmpReport, SolutionKind, SolutionReport, NUMERIC_DIM,
+    CompactBatch, DynSolution, MixedEntry, MixedKind, MixedReport, MultidimAggregator,
+    MultidimReport, MultidimSolution, RsFdProtocol, RsRfdProtocol, SmpReport, SolutionKind,
+    SolutionReport, NUMERIC_DIM,
 };
 use ldp_core::{NumericKind, NumericReport};
 use ldp_datasets::corpora::adult_like;
@@ -23,6 +30,9 @@ use ldp_datasets::mixed::mixed_survey_like;
 use ldp_protocols::{BitVec, ProtocolKind, Report, UeMode};
 use ldp_server::{Envelope, LdpServer, ServerConfig};
 use ldp_sim::user_rng;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Every constructible solution family × every underlying protocol: SPL and
 /// SMP over all five frequency oracles, RS+FD over its five fake-data
@@ -158,7 +168,9 @@ fn all_ones(k: usize) -> Report {
 fn saturating_report(solution: &DynSolution, uid: u64) -> SolutionReport {
     let ks = solution.ks();
     match solution.kind() {
-        SolutionKind::Spl(_) => SolutionReport::Full(ks.iter().map(|&k| all_ones(k)).collect()),
+        SolutionKind::Spl(_) => {
+            SolutionReport::full(&ks.iter().map(|&k| all_ones(k)).collect::<Vec<_>>())
+        }
         SolutionKind::Smp(_) => {
             // Every other report lands on the last attribute, saturating
             // it; the rest rotate through all of them.
@@ -167,16 +179,16 @@ fn saturating_report(solution: &DynSolution, uid: u64) -> SolutionReport {
             } else {
                 uid as usize % ks.len()
             };
-            SolutionReport::Smp(SmpReport {
+            SolutionReport::smp(&SmpReport {
                 attr,
                 report: all_ones(ks[attr]),
             })
         }
-        SolutionKind::RsFd(_) => SolutionReport::Tuple(MultidimReport {
+        SolutionKind::RsFd(_) => SolutionReport::tuple(&MultidimReport {
             values: ks.iter().map(|&k| all_ones(k)).collect(),
             sampled: uid as usize % ks.len(),
         }),
-        SolutionKind::Mixed(_) => SolutionReport::Mixed(MixedReport {
+        SolutionKind::Mixed(_) => SolutionReport::mixed(&MixedReport {
             entries: ks
                 .iter()
                 .enumerate()
@@ -351,4 +363,230 @@ fn span_routing_drains_bit_identically_to_report_routing() {
             }
         }
     }
+}
+
+/// A report as the solution-level sanitizers return it, before encoding.
+#[derive(Debug, PartialEq)]
+enum Structured {
+    Full(Vec<Report>),
+    Smp(SmpReport),
+    Tuple(MultidimReport),
+    Mixed(MixedReport),
+}
+
+impl Structured {
+    /// Sanitizes one user through the solution's structured path
+    /// (`Spl::report`, `Smp::report`, `MultidimSolution::report`,
+    /// `Mixed::report_mixed`).
+    fn draw(solution: &DynSolution, cat: &[u32], num: &[f64], rng: &mut StdRng) -> Self {
+        match solution {
+            DynSolution::Spl(s) => Structured::Full(s.report(cat, rng)),
+            DynSolution::Smp(s) => Structured::Smp(s.report(cat, rng)),
+            DynSolution::RsFd(s) => Structured::Tuple(MultidimSolution::report(s, cat, rng)),
+            DynSolution::RsRfd(s) => Structured::Tuple(MultidimSolution::report(s, cat, rng)),
+            DynSolution::Mixed(s) => Structured::Mixed(s.report_mixed(cat, num, rng).unwrap()),
+        }
+    }
+
+    /// The constructor encoding.
+    fn encode(&self) -> SolutionReport {
+        match self {
+            Structured::Full(reports) => SolutionReport::full(reports),
+            Structured::Smp(report) => SolutionReport::smp(report),
+            Structured::Tuple(report) => SolutionReport::tuple(report),
+            Structured::Mixed(report) => SolutionReport::mixed(report),
+        }
+    }
+
+    /// The one accessor that answers for `report`'s shape.
+    fn decode(report: &SolutionReport) -> Self {
+        let decoded = [
+            report.to_full().map(Structured::Full),
+            report.to_smp().map(Structured::Smp),
+            report.to_tuple().map(Structured::Tuple),
+            report.to_mixed().map(Structured::Mixed),
+        ];
+        let mut shapes = decoded.into_iter().flatten();
+        let shape = shapes.next().expect("some accessor decodes the report");
+        assert!(shapes.next().is_none(), "two accessors decode one report");
+        shape
+    }
+
+    /// Absorbs through the aggregator's structured entry points.
+    fn absorb_into(&self, agg: &mut MultidimAggregator) {
+        match self {
+            Structured::Full(reports) => agg.absorb_full(reports),
+            Structured::Smp(report) => agg.absorb_smp(report),
+            Structured::Tuple(report) => agg.absorb_tuple(report),
+            Structured::Mixed(report) => agg.absorb_mixed(report),
+        }
+    }
+}
+
+/// Every solution kind: SPL and SMP over the five oracles, RS+FD over GRR,
+/// UE-z and UE-r × SUE/OUE, RS+RFD over GRR and UE-r × SUE/OUE, and the
+/// mixed solution over every oracle with a numeric mechanism each (a mixed
+/// kind gets numeric dimensions spliced into its domains).
+fn every_kind(sample_k: usize) -> Vec<SolutionKind> {
+    let mut kinds = Vec::new();
+    for p in ProtocolKind::ALL {
+        kinds.push(SolutionKind::Spl(p));
+        kinds.push(SolutionKind::Smp(p));
+    }
+    kinds.extend(RsFdProtocol::ALL.map(SolutionKind::RsFd));
+    kinds.push(SolutionKind::RsRfd(RsRfdProtocol::Grr));
+    for mode in [UeMode::Symmetric, UeMode::Optimized] {
+        kinds.push(SolutionKind::RsRfd(RsRfdProtocol::UeR(mode)));
+    }
+    for (protocol, numeric) in ProtocolKind::ALL
+        .into_iter()
+        .zip(NumericKind::ALL.into_iter().cycle())
+    {
+        kinds.push(SolutionKind::Mixed(MixedKind {
+            protocol,
+            numeric,
+            sample_k,
+        }));
+    }
+    kinds
+}
+
+/// `kind` built over categorical domains `ks` (a mixed kind gets a numeric
+/// dimension after the first and at the end).
+fn build_kind(kind: SolutionKind, ks: &[usize], eps: f64) -> DynSolution {
+    let mut ks = ks.to_vec();
+    if let SolutionKind::Mixed(m) = kind {
+        ks.insert(1, NUMERIC_DIM);
+        ks.push(NUMERIC_DIM);
+        let kind = SolutionKind::Mixed(MixedKind {
+            sample_k: m.sample_k.clamp(1, ks.len()),
+            ..m
+        });
+        return kind.build(&ks, eps).unwrap();
+    }
+    kind.build(&ks, eps).unwrap()
+}
+
+/// A random user of `solution`: categorical values inside their domains,
+/// numeric values in `[-1, 1]`.
+fn random_user(solution: &DynSolution, rng: &mut StdRng) -> (Vec<u32>, Vec<f64>) {
+    let ks = solution.ks();
+    let cat = ks
+        .iter()
+        .filter(|&&k| k != NUMERIC_DIM)
+        .map(|&k| rng.random_range(0..k as u32))
+        .collect();
+    let num = ks
+        .iter()
+        .filter(|&&k| k == NUMERIC_DIM)
+        .map(|_| rng.random_range(-1.0..1.0))
+        .collect();
+    (cat, num)
+}
+
+/// Domain shapes the born-encoded SPL\[UE\] writer must slice right: the
+/// Adult survey (Σk = 174 over three packed words, a k = 74 field
+/// straddling two), a tuple past the 512 stack lanes with k > 128 fields
+/// (heap `BitVec`s on the structured side), and fields ending on and
+/// straddling word boundaries.
+const SHAPES: [&[usize]; 3] = [
+    &[74, 7, 16, 7, 14, 6, 5, 2, 41, 2],
+    &[300, 150, 100],
+    &[63, 2, 65, 129, 3],
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// For every kind and domain shape (the fixed ones plus a random one),
+    /// a born-encoded report equals the constructor encoding of the
+    /// structured report drawn from the same RNG stream, leaves that stream
+    /// at the same position, and decodes back to the structured report.
+    #[test]
+    fn born_encoded_reports_equal_their_structured_encoding(
+        random_ks in prop::collection::vec(2usize..140, 2..6),
+        eps in 0.2f64..8.0,
+        sample_k in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut shapes: Vec<&[usize]> = SHAPES.to_vec();
+        shapes.push(&random_ks);
+        for ks in shapes {
+            for kind in every_kind(sample_k) {
+                let solution = build_kind(kind, ks, eps);
+                let mut users = StdRng::seed_from_u64(seed ^ 0x05E2);
+                let mut born_rng = StdRng::seed_from_u64(seed);
+                let mut structured_rng = born_rng.clone();
+                for _ in 0..12 {
+                    let (cat, num) = random_user(&solution, &mut users);
+                    let born = solution.report_mixed(&cat, &num, &mut born_rng).unwrap();
+                    let structured =
+                        Structured::draw(&solution, &cat, &num, &mut structured_rng);
+                    let label = format!("{} ks={ks:?} eps={eps}", solution.name());
+                    prop_assert_eq!(born.words(), structured.encode().words(), "{}", label);
+                    prop_assert_eq!(&born_rng, &structured_rng, "{}: stream position", label);
+                    prop_assert_eq!(Structured::decode(&born), structured, "{}", label);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn single_report_absorb_matches_batch_and_structured_absorb() {
+    // 600 reports: the batch tally flushes mid-batch (every 255 entries per
+    // attribute), the single-report path never holds a pending count, and
+    // the structured entry points count from materialized reports.
+    for kind in every_kind(2) {
+        for ks in SHAPES {
+            let solution = build_kind(kind, ks, 1.5);
+            let mut users = StdRng::seed_from_u64(31);
+            let mut rng = StdRng::seed_from_u64(37);
+            let reports: Vec<SolutionReport> = (0..600)
+                .map(|_| {
+                    let (cat, num) = random_user(&solution, &mut users);
+                    solution.report_mixed(&cat, &num, &mut rng).unwrap()
+                })
+                .collect();
+            let (mut single, mut batched, mut structured) = (
+                solution.aggregator(),
+                solution.aggregator(),
+                solution.aggregator(),
+            );
+            let mut batch = CompactBatch::new();
+            for (uid, report) in reports.iter().enumerate() {
+                single.absorb(report);
+                batch.push(uid as u64, report);
+                Structured::decode(report).absorb_into(&mut structured);
+            }
+            batched.absorb_compact(&batch);
+            let label = format!("{} ks={ks:?}", solution.name());
+            for other in [&batched, &structured] {
+                assert_eq!(single.n(), other.n(), "{label}");
+                assert_eq!(single.counts(), other.counts(), "{label}");
+                assert_eq!(single.num_sums(), other.num_sums(), "{label}");
+                for (a, b) in single
+                    .estimate()
+                    .iter()
+                    .flatten()
+                    .zip(other.estimate().iter().flatten())
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label}: estimates");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not match this aggregator's solution")]
+fn single_report_absorb_rejects_foreign_shapes() {
+    let smp = SolutionKind::Smp(ProtocolKind::Grr)
+        .build(&[4, 3], 1.0)
+        .unwrap();
+    let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[4, 3], 1.0)
+        .unwrap();
+    smp.aggregator()
+        .absorb(&rsfd.report(&[1, 2], &mut user_rng(1, 1)));
 }

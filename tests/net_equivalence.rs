@@ -9,18 +9,22 @@
 //! per-user randomness is pinned by `user_rng(seed, uid)` on the producer
 //! side and the aggregation is exact integer merging on the server side, so
 //! neither the frame boundaries, nor the connection interleaving, nor the
-//! shard count may leak into the drained estimates.
+//! shard count may leak into the drained estimates. Nor may the wire carry
+//! what the solution hides: a fake-data tuple's sampled attribute never
+//! leaves the producer.
 
+use std::io::BufReader;
+use std::net::TcpListener;
 use std::sync::Barrier;
 use std::thread;
 
-use ldp_core::solutions::{MixedKind, RsFdProtocol, RsRfdProtocol, SolutionKind};
+use ldp_core::solutions::{CompactBatch, MixedKind, RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_core::NumericKind;
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::mixed::mixed_survey_like;
 use ldp_datasets::Dataset;
-use ldp_protocols::ProtocolKind;
-use ldp_server::wire::WireSnapshot;
+use ldp_protocols::{ProtocolKind, UeMode};
+use ldp_server::wire::{read_frame, write_frame, Frame, WireSnapshot};
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
 use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline, CollectionRun, NetClient};
@@ -522,5 +526,83 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
             &full_reference,
             &format!("full drain, {connections} connections"),
         );
+    }
+}
+
+/// A stand-in collector for one producer session: answers HELLO, acks
+/// every BATCH_SEQ frame and DRAIN, and returns the batches exactly as
+/// they arrived on the socket.
+fn capture_session(listener: TcpListener) -> Vec<CompactBatch> {
+    let (stream, _) = listener.accept().unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let Frame::Hello { fingerprint, .. } = read_frame(&mut reader).unwrap() else {
+        panic!("expected HELLO");
+    };
+    let hello_ack = Frame::HelloAck {
+        fingerprint,
+        shards: 1,
+        session: 0,
+        ack_every: 1,
+    };
+    write_frame(&mut writer, &hello_ack).unwrap();
+    let mut batches = Vec::new();
+    loop {
+        match read_frame(&mut reader).unwrap() {
+            Frame::BatchSeq { seq, batch } => {
+                let n = batch.len() as u64;
+                batches.push(batch);
+                write_frame(&mut writer, &Frame::BatchAck { seq, n }).unwrap();
+            }
+            Frame::Drain => {
+                let n = batches.iter().map(|b| b.len() as u64).sum();
+                write_frame(&mut writer, &Frame::DrainAck { n }).unwrap();
+                return batches;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn net_client_frames_never_carry_the_sampled_attribute() {
+    // RS+FD / RS+RFD privacy rests on the server never learning which
+    // attribute a tuple really sanitized. In process the report keeps it as
+    // attack ground truth; every tuple header a NetClient frames must have
+    // it zeroed (the header's reserved `b` bits).
+    let ds = adult_like(400, 21);
+    let ks = ds.schema().cardinalities();
+    for kind in [
+        SolutionKind::RsFd(RsFdProtocol::Grr),
+        SolutionKind::RsRfd(RsRfdProtocol::Grr),
+        SolutionKind::RsRfd(RsRfdProtocol::UeR(UeMode::Optimized)),
+    ] {
+        let solution = kind.build(&ks, 2.0).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let collector = thread::spawn(move || capture_session(listener));
+        let mut client = NetClient::connect(addr, &solution).unwrap().batch_size(64);
+        let mut hidden = 0;
+        for uid in 0..ds.n() as u64 {
+            let report = solution.report(ds.row(uid as usize), &mut user_rng(SEED, uid));
+            hidden += (report.to_tuple().unwrap().sampled != 0) as usize;
+            client.push(uid, &report).unwrap();
+        }
+        assert_eq!(client.finish().unwrap(), ds.n() as u64, "{kind}");
+        // The in-process reports did carry the secret, so zero headers are
+        // the producer's doing.
+        assert!(
+            hidden > ds.n() / 2,
+            "{kind}: {hidden} reports hid an attribute"
+        );
+        let mut tuples = 0;
+        for batch in collector.join().unwrap() {
+            for (uid, span) in batch.spans() {
+                assert_eq!(span[0] & 0b11, 2, "{kind}: user {uid} is not a tuple");
+                assert_eq!(span[0] >> 33, 0, "{kind}: user {uid}'s frame carries `b`");
+                tuples += 1;
+            }
+        }
+        assert_eq!(tuples, ds.n(), "{kind}");
     }
 }
