@@ -177,13 +177,16 @@ fn run_once_tcp(
     threads: usize,
 ) -> Measurement {
     let solution = solution_kind.build(ks, 1.0).expect("bench solution builds");
+    // A frame is one channel message, so producers frame at the server's
+    // batch (the listener aborts larger frames).
+    let batch = 512 * threads;
     let server = WireServer::bind(
         "127.0.0.1:0",
         solution.clone(),
         ServerConfig::default()
             .shards(threads)
             .queue_depth(8)
-            .batch(512 * threads),
+            .batch(batch),
     )
     .expect("loopback listener binds");
     let addr = server.local_addr();
@@ -194,7 +197,9 @@ fn run_once_tcp(
         for p in 0..producers {
             let solution = &solution;
             scope.spawn(move || {
-                let mut client = NetClient::connect(addr, solution).expect("producer connects");
+                let mut client = NetClient::connect(addr, solution)
+                    .expect("producer connects")
+                    .batch_size(batch);
                 let lo = p * n / producers;
                 let hi = (p + 1) * n / producers;
                 for uid in lo as u64..hi as u64 {

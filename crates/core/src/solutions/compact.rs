@@ -13,10 +13,10 @@
 //! [`count_entry`] counts support directly from the encoded words (see
 //! [`MultidimAggregator::absorb_compact`]), dispatching on the oracle once
 //! per report and adding bit-vector words whole into a byte-lane tally.
-//! Neither does the routing side: a server re-sharding a validated batch
-//! walks [`CompactBatch::spans`] and copies each report's words verbatim
-//! with [`CompactBatch::push_encoded`]. [`CompactBatch::iter`] copies the
-//! same spans back out as owned reports.
+//! Neither does the routing side: a server hands each validated batch to
+//! one shard whole, so no report's words are copied between arrival and
+//! counting. [`CompactBatch::iter`] copies each report's words back out as
+//! an owned report; no server path calls it.
 //!
 //! ## Wire format (per report, in 64-bit words)
 //!
@@ -80,21 +80,6 @@ const TAG_NAMES: [&str; 4] = ["value", "hashed", "subset", "bits"];
 pub struct CompactBatch {
     uids: Vec<u64>,
     words: Vec<u64>,
-}
-
-/// One report's encoded words inside a [`CompactBatch`], as yielded by
-/// [`CompactBatch::spans`] and taken by [`CompactBatch::push_encoded`].
-/// Only a batch can make one, so a span is always exactly one well-formed
-/// report; it derefs to the words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReportSpan<'a>(&'a [u64]);
-
-impl std::ops::Deref for ReportSpan<'_> {
-    type Target = [u64];
-
-    fn deref(&self) -> &[u64] {
-        self.0
-    }
 }
 
 /// Why a byte buffer failed to decode as a [`CompactBatch`] — the typed
@@ -192,36 +177,19 @@ impl CompactBatch {
         self.words[header] &= !HEADER_B;
     }
 
-    /// Appends one report already in encoded form — a span of some batch,
-    /// as yielded by [`CompactBatch::spans`]. Copying spans re-shards a
-    /// batch without decoding a single report; since only a well-formed
-    /// batch hands out spans, the result stays well-formed with no re-walk.
-    pub fn push_encoded(&mut self, uid: u64, span: ReportSpan<'_>) {
-        self.uids.push(uid);
-        self.words.extend_from_slice(span.0);
-    }
-
-    /// Every `(uid, report)` pair, each report a copy of its span — the
+    /// Every `(uid, report)` pair, each report a copy of its words — the
     /// round-trip inverse of [`CompactBatch::push`]. No server path calls
-    /// this: aggregation counts from the encoded words and routing copies
-    /// [`CompactBatch::spans`].
+    /// this: aggregation counts from the encoded words and routing moves
+    /// whole batches.
     pub fn iter(&self) -> impl Iterator<Item = (u64, SolutionReport)> + '_ {
-        self.spans()
-            .map(|(uid, span)| (uid, SolutionReport::from_span(&span)))
-    }
-
-    /// Every report's `(uid, span)` in order, where the span derefs to the
-    /// report's encoded words (solution header plus entries) exactly as
-    /// [`CompactBatch::push`] wrote them. Nothing is decoded or allocated;
-    /// pushing every span back with [`CompactBatch::push_encoded`]
-    /// reproduces the batch.
-    pub fn spans(&self) -> impl Iterator<Item = (u64, ReportSpan<'_>)> + '_ {
-        let words: &[u64] = &self.words;
         let mut cursor = self.cursor();
         self.uids.iter().map(move |&uid| {
             let start = cursor.pos;
             cursor.skip_report();
-            (uid, ReportSpan(&words[start..cursor.pos]))
+            (
+                uid,
+                SolutionReport::from_span(&self.words[start..cursor.pos]),
+            )
         })
     }
 

@@ -23,7 +23,7 @@ mod spl;
 mod tally;
 
 pub use aggregator::MultidimAggregator;
-pub use compact::{CompactBatch, CompactDecodeError, ReportSpan};
+pub use compact::{CompactBatch, CompactDecodeError};
 pub use kind::{DynSolution, SolutionKind};
 pub use mixed::{Mixed, MixedEntry, MixedKind, MixedReport, NUMERIC_DIM};
 pub use report::SolutionReport;

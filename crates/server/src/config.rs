@@ -7,10 +7,11 @@
 /// defaults unless the producer is much burstier than the absorb path.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads, each owning one aggregator shard. Reports are routed
-    /// by `uid % shards`, so shard state is deterministic in the input —
-    /// and the exact integer merge makes every estimate independent of the
-    /// shard count anyway.
+    /// Worker threads, each owning one aggregator shard. Each channel
+    /// message (a single envelope, a filled batch or a wire frame) goes to
+    /// the next shard round-robin, whole; the exact integer merge makes
+    /// every estimate independent of which shard absorbed what, and of the
+    /// shard count.
     pub shards: usize,
     /// Capacity of each shard's bounded channel, in *messages* (an ingested
     /// batch is one message). A full queue blocks the producer — this is the
@@ -18,8 +19,10 @@ pub struct ServerConfig {
     /// `O(shards · (queue_depth · batch + Σ_j k_j))` no matter how fast
     /// clients push.
     pub queue_depth: usize,
-    /// Preferred number of envelopes per channel message when batching
-    /// through [`LdpServer::ingest_batch`](crate::LdpServer::ingest_batch).
+    /// Reports per channel message: [`LdpServer::ingest_batch`](crate::LdpServer::ingest_batch)
+    /// fills buffers of this many envelopes, and the wire listener rejects
+    /// any BATCH_SEQ frame of more reports with `ABORT_PROTOCOL`, since a
+    /// frame is queued whole. It is the `batch` of the memory bound above.
     pub batch: usize,
     /// How many closed per-epoch snapshots the server retains in its epoch
     /// ring (see [`LdpServer::advance_epoch`](crate::LdpServer::advance_epoch)).
@@ -83,7 +86,8 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the preferred envelopes-per-message batch size (clamped to ≥ 1).
+    /// Sets the reports-per-message batch size, which is also the largest
+    /// wire frame the listener accepts (clamped to ≥ 1).
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
         self

@@ -31,12 +31,13 @@
 //! ## Determinism
 //!
 //! The socket path adds nothing to the ingest semantics: each validated
-//! batch's report spans are copied verbatim, by uid, into the same shard
-//! buffers in-process ingestion fills (no report is rebuilt), and the shard
-//! merge is exact integer addition. A drain of a socket-fed server is
-//! therefore bit-identical to in-process ingestion of the same reports —
-//! the invariant `tests/net_equivalence.rs` pins across thread and
-//! connection counts.
+//! frame's batch is moved whole into the next shard's queue, round-robin
+//! like every in-process message (no report is rebuilt or copied), and the
+//! shard merge is exact integer addition, so which shard absorbed a frame
+//! cannot matter. A drain of a socket-fed server is therefore
+//! bit-identical to in-process ingestion of the same reports — the
+//! invariant `tests/net_equivalence.rs` pins across thread and connection
+//! counts.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
@@ -832,17 +833,29 @@ fn run_session(
     sess: &mut ConnSession,
 ) -> Result<bool, WireError> {
     let solution = server.solution().clone();
+    let max_batch = server.config().batch;
     loop {
         match read_frame(reader) {
             Ok(Frame::BatchSeq { seq, batch }) => {
                 // Validate the *whole* frame before ingesting any of it:
                 // frames are atomic, so a malformed one is rejected without
-                // a single envelope reaching a shard. The solution-instance
-                // check additionally bounds numeric fixed-point magnitudes
-                // for mixed batches (a forged huge report would otherwise
-                // poison the exact sums).
-                if let Err(e) = batch.validate_for_solution(&solution) {
-                    let e = WireError::Batch(e);
+                // a single envelope reaching a shard. A frame is queued
+                // whole, so one of more than `batch` reports is rejected
+                // too: it would break the `shards · queue_depth · batch`
+                // memory bound. The solution-instance check additionally
+                // bounds numeric fixed-point magnitudes for mixed batches (a
+                // forged huge report would otherwise poison the exact sums).
+                let checked = if batch.len() > max_batch {
+                    Err(WireError::Payload(format!(
+                        "BATCH_SEQ of {} reports exceeds the server's batch of {max_batch}",
+                        batch.len()
+                    )))
+                } else {
+                    batch
+                        .validate_for_solution(&solution)
+                        .map_err(WireError::Batch)
+                };
+                if let Err(e) = checked {
                     abort(writer, ABORT_PROTOCOL, &e.to_string());
                     return Err(e);
                 }
@@ -862,10 +875,10 @@ fn run_session(
                     return Err(e);
                 }
                 let len = batch.len() as u64;
-                // Routes the validated words to their shards without
-                // rebuilding a report. May block on a full shard queue —
-                // that block is the backpressure path in the module docs.
-                server.ingest_compact(&batch);
+                // Hands the validated frame to one shard whole, copying no
+                // report. May block on a full shard queue — that block is
+                // the backpressure path in the module docs.
+                server.ingest_compact(batch);
                 sess.acked = seq;
                 sess.ingested += len;
                 stats.ingested.fetch_add(len, Ordering::SeqCst);
@@ -1311,6 +1324,66 @@ mod tests {
         }
         let snapshot = server.finish();
         assert_eq!(snapshot.n, 0, "no envelope of a rejected frame may land");
+    }
+
+    #[test]
+    fn oversize_frame_is_rejected_whole_and_a_full_batch_frame_is_accepted() {
+        // A frame is queued whole, so the listener caps it at the channel
+        // batch: one report over aborts the connection before anything is
+        // ingested, and a frame of exactly `batch` reports is accepted.
+        const BATCH: u64 = 16;
+        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        let server = WireServer::bind(
+            "127.0.0.1:0",
+            solution.clone(),
+            ServerConfig::default()
+                .shards(3)
+                .batch(BATCH as usize)
+                .ack_every(1),
+        )
+        .unwrap();
+        let frame = |n: u64| {
+            let mut rng = StdRng::seed_from_u64(n);
+            let mut batch = CompactBatch::new();
+            for uid in 0..n {
+                batch.push(uid, &solution.report(&[3, 2], &mut rng));
+            }
+            Frame::BatchSeq { seq: 1, batch }
+        };
+
+        let (mut reader, stream) = handshake(server.local_addr(), &solution);
+        let mut writer = stream.try_clone().unwrap();
+        write_frame(&mut writer, &frame(BATCH + 1)).unwrap();
+        writer.flush().unwrap();
+        match read_frame(&mut reader).unwrap() {
+            Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL),
+            other => panic!("expected ABORT, got {other:?}"),
+        }
+        assert!(matches!(read_frame(&mut reader), Err(WireError::Closed)));
+
+        let (mut reader, stream) = handshake(server.local_addr(), &solution);
+        let mut writer = stream.try_clone().unwrap();
+        write_frame(&mut writer, &Frame::SnapshotRequest { quiesce: true }).unwrap();
+        writer.flush().unwrap();
+        match read_frame(&mut reader).unwrap() {
+            Frame::Snapshot(snap) => assert_eq!(snap.n, 0, "the oversize frame landed"),
+            other => panic!("expected SNAPSHOT, got {other:?}"),
+        }
+        write_frame(&mut writer, &frame(BATCH)).unwrap();
+        write_frame(&mut writer, &Frame::Drain).unwrap();
+        writer.flush().unwrap();
+        assert!(matches!(
+            read_frame(&mut reader).unwrap(),
+            Frame::BatchAck { seq: 1, n: BATCH }
+        ));
+        assert!(matches!(
+            read_frame(&mut reader).unwrap(),
+            Frame::DrainAck { n: BATCH }
+        ));
+        server.wait_for_producers(1);
+        assert_eq!(server.finish().n, BATCH);
     }
 
     #[test]

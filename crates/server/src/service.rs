@@ -4,11 +4,17 @@
 //! ## Channel topology
 //!
 //! ```text
-//!  producers ──ingest(uid % shards)──►  [SyncSender]───►  worker 0 (owns shard 0)
+//!  producers ──ingest*(round-robin)──►  [SyncSender]───►  worker 0 (owns shard 0)
 //!        (any number of threads;        [SyncSender]───►  worker 1 (owns shard 1)
 //!         senders are Sync —                 …                …
 //!         one LdpServer is shared)      [SyncSender]───►  worker S (owns shard S)
 //! ```
+//!
+//! The routing unit is the channel message, not the report: every message
+//! (a single envelope, a filled batch, or a validated wire frame) goes to
+//! the next shard of one round-robin counter, whole. Which shard absorbs a
+//! report cannot change any estimate — the shards hold exact integer
+//! counts and sums — so nothing is ever re-sharded report by report.
 //!
 //! Every shard has its own **bounded** `sync_channel`; a full queue blocks
 //! the producer (backpressure), so server-side memory stays flat no matter
@@ -32,14 +38,16 @@
 //! Steady-state batched ingestion therefore allocates nothing on either
 //! side of the channel (with more than `POOL_SLACK_PER_SHARD` concurrent
 //! producers the overflow buffers are dropped and reallocated — amortized
-//! per batch, never per report). The pool mutexes are the only shared
-//! state on the ingest path, touched once per batch *message* and never
-//! shared across shards. The unbatched [`LdpServer::ingest`] sends its
-//! envelope as a dedicated single-report message rather than wrapping it in
-//! a one-element batch.
+//! per batch, never per report). The round-robin counter and the pool
+//! mutexes are the only shared state on the ingest path, each touched once
+//! per *message*; no pool is shared across shards. A validated wire batch
+//! ([`LdpServer::ingest_compact`]) is moved into a queue without copying a
+//! word. The unbatched [`LdpServer::ingest`] sends its envelope as a
+//! dedicated single-report message rather than wrapping it in a
+//! one-element batch.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -58,13 +66,13 @@ use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 const POOL_SLACK_PER_SHARD: usize = 8;
 
 /// One ingested message: the reporting user plus their sanitized report.
-/// The `uid` only routes the envelope to a shard — the report itself is the
-/// only thing the server state ever sees. The report is already in its
-/// encoded words, so [`LdpServer::ingest_batch`] copies it into a shard
-/// buffer without re-encoding it.
+/// The `uid` is carried alongside the report, not used to route it — the
+/// report itself is the only thing the server state ever sees. The report
+/// is already in its encoded words, so [`LdpServer::ingest_batch`] copies
+/// it into a shard buffer without re-encoding it.
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Stable user identifier (routing key; `uid % shards` picks the shard).
+    /// Stable user identifier (carried into the batch; never a routing key).
     pub uid: u64,
     /// The user's sanitized report.
     pub report: SolutionReport,
@@ -112,6 +120,8 @@ pub struct LdpServer {
     /// Per-shard pools of drained batch buffers returned by the workers for
     /// producer reuse (shard `s`'s worker only ever touches `pools[s]`).
     pools: Arc<Vec<Mutex<Vec<CompactBatch>>>>,
+    /// Round-robin cursor: the next message goes to shard `next % shards`.
+    next: AtomicUsize,
     /// Cumulative aggregate over every **closed** epoch. Live shards hold
     /// only the current epoch, so `closed + live shards` is always the full
     /// collection — starting empty, which is why single-epoch callers see
@@ -122,19 +132,6 @@ pub struct LdpServer {
     ring: Mutex<VecDeque<EpochSnapshot>>,
     /// Index of the epoch currently being collected.
     epoch: AtomicU64,
-}
-
-/// Clears `buffer` and returns it to `pool` unless the pool is full (beyond
-/// [`POOL_SLACK_PER_SHARD`] buffers it is simply dropped — the pool is an
-/// optimization, not a correctness surface). The single recycling rule
-/// shared by the producers and the workers.
-fn recycle_buffer(pool: &Mutex<Vec<CompactBatch>>, mut buffer: CompactBatch) {
-    buffer.clear();
-    if let Ok(mut pool) = pool.lock() {
-        if pool.len() < POOL_SLACK_PER_SHARD {
-            pool.push(buffer);
-        }
-    }
 }
 
 impl LdpServer {
@@ -165,6 +162,7 @@ impl LdpServer {
             txs,
             workers,
             pools,
+            next: AtomicUsize::new(0),
             closed,
             ring: Mutex::new(VecDeque::new()),
             epoch: AtomicU64::new(0),
@@ -181,11 +179,6 @@ impl LdpServer {
         &self.config
     }
 
-    /// The shard an envelope with this `uid` is routed to.
-    pub fn shard_of(&self, uid: u64) -> usize {
-        (uid % self.config.shards as u64) as usize
-    }
-
     /// Ingests one envelope as a single-report message, blocking while the
     /// target shard's queue is full (backpressure). No batch wrapper is
     /// allocated; prefer [`LdpServer::ingest_batch`] on hot paths anyway —
@@ -195,76 +188,54 @@ impl LdpServer {
     /// Panics when the target worker has died (it panicked absorbing an
     /// earlier report, e.g. one of a foreign solution's shape).
     pub fn ingest(&self, envelope: Envelope) {
-        let shard = self.shard_of(envelope.uid);
-        self.txs[shard]
-            .send(Msg::One(envelope))
-            .expect("ingestion worker disconnected (did it panic?)");
+        self.send(|_| Msg::One(envelope));
     }
 
-    /// Ingests a batch: each envelope's report words are copied into its
-    /// shard's (pool-recycled) buffer, preserving relative order, and sent as
-    /// at most `⌈len / config.batch⌉` messages per shard. Blocks whenever a
-    /// shard queue is full.
+    /// Ingests a batch: the envelopes' report words are copied, in order,
+    /// into one (pool-recycled) buffer of up to `config.batch` reports at a
+    /// time, and each filled buffer is sent whole, as one message. Blocks
+    /// whenever the target shard's queue is full.
     ///
     /// # Panics
     /// Panics when a target worker has died.
     pub fn ingest_batch(&self, envelopes: impl IntoIterator<Item = Envelope>) {
-        self.route(
-            envelopes.into_iter().map(|e| (e.uid, e.report)),
-            |buffer, uid, report| buffer.push(uid, &report),
-        );
+        let mut envelopes = envelopes.into_iter().peekable();
+        while envelopes.peek().is_some() {
+            self.send(|shard| {
+                let mut buffer = self.pooled_buffer(shard);
+                for Envelope { uid, report } in envelopes.by_ref().take(self.config.batch) {
+                    buffer.push(uid, &report);
+                }
+                Msg::Batch(buffer)
+            });
+        }
     }
 
-    /// Ingests an already-encoded batch: each report's word span (see
-    /// [`CompactBatch::spans`]) is copied verbatim into the same per-shard
-    /// buffers [`LdpServer::ingest_batch`] fills, so no report is decoded
-    /// and the shards end up bit-identical to `ingest_batch(batch.iter())`.
-    /// This is the wire tier's entry: the batch must already have passed
+    /// Ingests an already-encoded batch by moving it, whole, into one
+    /// shard's queue: no report is decoded or copied, and the drain is
+    /// bit-identical to `ingest_batch(batch.iter())`. This is the wire
+    /// tier's entry: the batch must already have passed
     /// [`CompactBatch::validate_for_solution`] (or been built locally with
     /// [`CompactBatch::push`]) — the workers' counting path only
-    /// debug-asserts domains.
+    /// debug-asserts domains. The batch is one queued message whatever its
+    /// length, so the caller bounds it; the wire tier rejects any frame of
+    /// more than `config.batch` reports.
     ///
     /// # Panics
-    /// Panics when a target worker has died.
-    pub fn ingest_compact(&self, batch: &CompactBatch) {
-        self.route(batch.spans(), |buffer, uid, span| {
-            buffer.push_encoded(uid, span)
-        });
+    /// Panics when the target worker has died.
+    pub fn ingest_compact(&self, batch: CompactBatch) {
+        self.send(|_| Msg::Batch(batch));
     }
 
-    /// The routing/flush loop behind both batch entries: `encode` appends
-    /// each `(uid, item)` to its shard's buffer (`uid % shards`), a buffer
-    /// that reaches `config.batch` reports is sent and replaced from the
-    /// pool, and the partial buffers left at the end are sent (or recycled
-    /// when empty).
-    fn route<T>(
-        &self,
-        items: impl IntoIterator<Item = (u64, T)>,
-        mut encode: impl FnMut(&mut CompactBatch, u64, T),
-    ) {
-        let batch = self.config.batch;
-        let mut buffers: Vec<CompactBatch> = (0..self.config.shards)
-            .map(|shard| self.pooled_buffer(shard))
-            .collect();
-        for (uid, item) in items {
-            let shard = self.shard_of(uid);
-            encode(&mut buffers[shard], uid, item);
-            if buffers[shard].len() >= batch {
-                let full = std::mem::replace(&mut buffers[shard], self.pooled_buffer(shard));
-                self.txs[shard]
-                    .send(Msg::Batch(full))
-                    .expect("ingestion worker disconnected (did it panic?)");
-            }
-        }
-        for (shard, rest) in buffers.into_iter().enumerate() {
-            if !rest.is_empty() {
-                self.txs[shard]
-                    .send(Msg::Batch(rest))
-                    .expect("ingestion worker disconnected (did it panic?)");
-            } else {
-                recycle_buffer(&self.pools[shard], rest);
-            }
-        }
+    /// The one send path behind every ingest entry: picks the next shard
+    /// round-robin, builds the message for it (`make` gets the shard, so a
+    /// batch can be filled in that shard's pooled buffer) and sends it,
+    /// blocking while the shard's queue is full.
+    fn send(&self, make: impl FnOnce(usize) -> Msg) {
+        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.txs.len();
+        self.txs[shard]
+            .send(make(shard))
+            .expect("ingestion worker disconnected (did it panic?)");
     }
 
     /// Blocks until every envelope ingested *before* this call has been
@@ -428,9 +399,17 @@ fn worker_loop(
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::One(envelope) => aggregator.absorb(&envelope.report),
-            Msg::Batch(batch) => {
+            Msg::Batch(mut batch) => {
                 aggregator.absorb_compact(&batch);
-                recycle_buffer(pool, batch);
+                // Back to the shard's pool for producer reuse; a full pool
+                // simply drops it (the pool is an optimization, not a
+                // correctness surface).
+                batch.clear();
+                if let Ok(mut pool) = pool.lock() {
+                    if pool.len() < POOL_SLACK_PER_SHARD {
+                        pool.push(batch);
+                    }
+                }
             }
             Msg::Sync(ack) => {
                 // Channel FIFO: everything sent before the barrier is
@@ -564,18 +543,6 @@ mod tests {
         assert_eq!(snap.n, 0);
         assert!(snap.estimates.iter().flatten().all(|f| f.is_finite()));
         assert!(snap.normalized.iter().flatten().all(|f| *f == 0.0));
-    }
-
-    #[test]
-    fn shard_routing_is_stable() {
-        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
-            .build(&[4, 3], 1.0)
-            .unwrap();
-        let server = LdpServer::spawn(solution, ServerConfig::default().shards(3));
-        assert_eq!(server.shard_of(0), 0);
-        assert_eq!(server.shard_of(4), 1);
-        assert_eq!(server.shard_of(5), 2);
-        server.drain();
     }
 
     #[test]

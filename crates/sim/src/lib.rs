@@ -47,7 +47,6 @@
 
 pub mod attack_pipeline;
 pub mod campaign;
-pub mod composition;
 pub mod fault;
 pub mod net_client;
 pub mod par;

@@ -49,8 +49,9 @@ use ldp_server::wire::{
 
 use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultPlan};
 
-/// Default reports per BATCH_SEQ frame — matches the server's default
-/// channel-message batch (`ServerConfig::batch`).
+/// Default reports per BATCH_SEQ frame — the server's default
+/// channel-message batch (`ServerConfig::batch`), the largest frame a
+/// default server accepts.
 const DEFAULT_BATCH: usize = 1024;
 
 /// Client-side wire behavior: auth, deadlines, reconnect policy, replay
@@ -84,7 +85,8 @@ pub struct ClientConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Reports per BATCH_SEQ frame (`0` = the default 1024). Smaller
     /// batches mean more frames — chaos tests shrink this so a fault plan
-    /// fires many times over a small corpus.
+    /// fires many times over a small corpus. Must not exceed the server's
+    /// `ServerConfig::batch`, which aborts a larger frame.
     pub batch: usize,
 }
 
@@ -233,7 +235,10 @@ impl NetClient {
         })
     }
 
-    /// Sets the reports-per-frame batch size (clamped to ≥ 1).
+    /// Sets the reports-per-frame batch size (clamped to ≥ 1). A server
+    /// queues each frame whole, so it aborts the session with
+    /// `ABORT_PROTOCOL` on any frame of more reports than its
+    /// `ServerConfig::batch` (default 1024): keep the size at or below it.
     pub fn batch_size(mut self, size: usize) -> Self {
         self.batch_size = size.max(1);
         self

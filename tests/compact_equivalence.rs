@@ -5,13 +5,15 @@
 //! the original `SolutionReport`s — counts, estimates and normalized
 //! estimates alike. This is what licenses the ingestion service to move
 //! pooled flat buffers across its channels instead of heap-owning reports.
-//! (3) Routing a batch by its encoded report spans
-//! (`LdpServer::ingest_compact`) drains bit-identically to routing the
-//! decoded reports (`LdpServer::ingest_batch`), which is what licenses the
-//! wire tier to skip decoding. (4) The word-parallel bit-vector tally inside
-//! `absorb_compact` counts exactly at its edges: byte lanes saturated by
-//! all-ones reports, flushes at every 255 entries, domain widths on and
-//! around word boundaries, and batches split at any size. (5) A report is
+//! (3) Handing each frame of a batch to one shard whole
+//! (`LdpServer::ingest_compact`) drains bit-identically to batching the
+//! decoded reports (`LdpServer::ingest_batch`) and to a serial absorb, and
+//! quiesced snapshots cover exactly the frames sent, which is what licenses
+//! the wire tier to queue frames without decoding or copying them. (4) The
+//! word-parallel bit-vector tally inside `absorb_compact` counts exactly at
+//! its edges: byte lanes saturated by all-ones reports, flushes at every
+//! 255 entries, domain widths on and around word boundaries, and batches
+//! split at any size. (5) A report is
 //! born encoded: `DynSolution::report` writes exactly the words the
 //! `SolutionReport` constructors encode for the structured report the
 //! solution-level sanitizer draws from the same RNG stream, and the typed
@@ -28,7 +30,7 @@ use ldp_core::{NumericKind, NumericReport};
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::mixed::mixed_survey_like;
 use ldp_protocols::{BitVec, ProtocolKind, Report, UeMode};
-use ldp_server::{Envelope, LdpServer, ServerConfig};
+use ldp_server::{Envelope, LdpServer, ServerConfig, ServerSnapshot};
 use ldp_sim::user_rng;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -267,7 +269,7 @@ fn compact_absorption_rejects_foreign_shapes() {
 }
 
 #[test]
-fn span_routing_drains_bit_identically_to_report_routing() {
+fn frame_routing_drains_bit_identically_to_report_routing() {
     let ds = adult_like(300, 13);
     let ks = ds.schema().cardinalities();
     let mixed = mixed_survey_like(300, 17);
@@ -306,62 +308,102 @@ fn span_routing_drains_bit_identically_to_report_routing() {
     }
 
     for (kind, solution, batch) in &cases {
-        // Spans tile the words: concatenated, they are the batch's encoded
-        // words (the bytes after the count header and the uids), and
-        // re-pushing them rebuilds the batch exactly.
-        let mut bytes = Vec::new();
-        batch.encode_into(&mut bytes);
-        let words: Vec<u64> = bytes[16 + 8 * batch.len()..]
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        // Seven frames (six of 43 reports, one of 42): a frame count that
+        // is a multiple of no shard count below, so round-robin leaves the
+        // shards unevenly loaded.
+        let reports: Vec<(u64, SolutionReport)> = batch.iter().collect();
+        let frames: Vec<CompactBatch> = reports
+            .chunks(43)
+            .map(|chunk| {
+                let mut frame = CompactBatch::new();
+                for (uid, report) in chunk {
+                    frame.push(*uid, report);
+                }
+                frame
+            })
             .collect();
-        let spans: Vec<_> = batch.spans().collect();
-        assert_eq!(spans.len(), batch.len(), "{kind}");
-        let tiled: Vec<u64> = spans.iter().flat_map(|(_, span)| span.to_vec()).collect();
-        assert_eq!(tiled, words, "{kind}: spans tile the words");
-        let mut rebuilt = CompactBatch::new();
-        for &(uid, span) in &spans {
-            rebuilt.push_encoded(uid, span);
-        }
-        assert_eq!(&rebuilt, batch, "{kind}: push_encoded rebuilds the batch");
+        assert_eq!(frames.len(), 7, "{kind}");
+        let serial = |reports: &[(u64, SolutionReport)]| {
+            let mut aggregator = solution.aggregator();
+            for (_, report) in reports {
+                aggregator.absorb(report);
+            }
+            ServerSnapshot::from_aggregator(aggregator, 1)
+        };
+        let reference = serial(&reports);
 
         for shards in [1usize, 2, 3, 8] {
-            // A small channel batch makes the routing loop flush mid-frame.
+            let label = format!("{kind} shards={shards}");
+            // A channel batch smaller than a frame: `ingest_batch` sends
+            // several messages per call, `ingest_compact` one per frame.
             let config = ServerConfig::default().shards(shards).batch(16);
-            let by_spans = LdpServer::spawn(solution.clone(), config.clone());
-            by_spans.ingest_compact(batch);
-            let by_spans = by_spans.drain();
-            let by_reports = LdpServer::spawn(solution.clone(), config);
-            by_reports.ingest_batch(batch.iter().map(|(uid, report)| Envelope { uid, report }));
-            let by_reports = by_reports.drain();
-            assert_eq!(by_spans.n, batch.len() as u64, "{kind} shards={shards}");
-            assert_eq!(by_spans.n, by_reports.n, "{kind} shards={shards}");
-            assert_eq!(
-                by_spans.aggregator.counts(),
-                by_reports.aggregator.counts(),
-                "{kind} shards={shards}"
-            );
-            assert_eq!(
-                by_spans.aggregator.num_sums(),
-                by_reports.aggregator.num_sums(),
-                "{kind} shards={shards}"
-            );
-            for (a, b) in by_spans
-                .estimates
+
+            let by_frames = LdpServer::spawn(solution.clone(), config.clone());
+            for (k, frame) in frames.iter().enumerate() {
+                by_frames.ingest_compact(frame.clone());
+                if k == 2 {
+                    // Per-shard FIFO: a quiesced snapshot covers exactly
+                    // the frames sent so far.
+                    by_frames.quiesce();
+                    assert_same(
+                        &by_frames.snapshot(),
+                        &serial(&reports[..3 * 43]),
+                        &format!("{label} after 3 frames"),
+                    );
+                }
+            }
+            assert_same(&by_frames.drain(), &reference, &format!("{label} frames"));
+
+            let by_reports = LdpServer::spawn(solution.clone(), config.clone());
+            by_reports.ingest_batch(envelopes(batch));
+            assert_same(&by_reports.drain(), &reference, &format!("{label} reports"));
+
+            // All three entries interleaved on one server.
+            let mixed = LdpServer::spawn(solution.clone(), config);
+            for (k, frame) in frames.iter().enumerate() {
+                match k % 3 {
+                    0 => envelopes(frame).for_each(|envelope| mixed.ingest(envelope)),
+                    1 => mixed.ingest_batch(envelopes(frame)),
+                    _ => mixed.ingest_compact(frame.clone()),
+                }
+            }
+            assert_same(&mixed.drain(), &reference, &format!("{label} interleaved"));
+        }
+    }
+}
+
+/// A batch's reports as in-process envelopes.
+fn envelopes(batch: &CompactBatch) -> impl Iterator<Item = Envelope> + '_ {
+    batch.iter().map(|(uid, report)| Envelope { uid, report })
+}
+
+/// Two snapshots agree bit for bit: report count, counts, numeric sums,
+/// estimates and normalized estimates.
+fn assert_same(got: &ServerSnapshot, want: &ServerSnapshot, label: &str) {
+    assert_eq!(got.n, want.n, "{label}: n");
+    assert_eq!(
+        got.aggregator.counts(),
+        want.aggregator.counts(),
+        "{label}: counts"
+    );
+    assert_eq!(
+        got.aggregator.num_sums(),
+        want.aggregator.num_sums(),
+        "{label}: numeric sums"
+    );
+    for (a, b) in got
+        .estimates
+        .iter()
+        .flatten()
+        .chain(got.normalized.iter().flatten())
+        .zip(
+            want.estimates
                 .iter()
                 .flatten()
-                .chain(by_spans.normalized.iter().flatten())
-                .zip(
-                    by_reports
-                        .estimates
-                        .iter()
-                        .flatten()
-                        .chain(by_reports.normalized.iter().flatten()),
-                )
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kind} shards={shards}");
-            }
-        }
+                .chain(want.normalized.iter().flatten()),
+        )
+    {
+        assert_eq!(a.to_bits(), b.to_bits(), "{label}: estimates");
     }
 }
 

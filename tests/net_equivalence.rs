@@ -597,9 +597,10 @@ fn net_client_frames_never_carry_the_sampled_attribute() {
         );
         let mut tuples = 0;
         for batch in collector.join().unwrap() {
-            for (uid, span) in batch.spans() {
-                assert_eq!(span[0] & 0b11, 2, "{kind}: user {uid} is not a tuple");
-                assert_eq!(span[0] >> 33, 0, "{kind}: user {uid}'s frame carries `b`");
+            for (uid, report) in batch.iter() {
+                let header = report.words()[0];
+                assert_eq!(header & 0b11, 2, "{kind}: user {uid} is not a tuple");
+                assert_eq!(header >> 33, 0, "{kind}: user {uid}'s frame carries `b`");
                 tuples += 1;
             }
         }
