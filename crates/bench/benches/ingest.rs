@@ -212,7 +212,7 @@ fn run_once_tcp(
             });
         }
     });
-    server.wait_for_producers(producers);
+    server.wait_for_fleet(producers);
     let snapshot = server.finish();
     let wall_secs = started.elapsed().as_secs_f64();
     assert_eq!(snapshot.n, n as u64, "every report must cross the wire");

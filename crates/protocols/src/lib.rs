@@ -41,7 +41,6 @@
 //! assert!((est[2] - 1.0).abs() < 0.05);
 //! ```
 
-pub mod bayes;
 pub mod bitvec;
 pub mod deniability;
 pub mod error;
@@ -49,8 +48,6 @@ pub mod grr;
 pub mod hash;
 pub mod olh;
 pub mod oracle;
-pub mod postprocess;
-pub mod selection;
 pub mod ss;
 pub mod ue;
 

@@ -46,6 +46,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
+mod fleet;
 pub mod net;
 pub mod service;
 pub mod snapshot;

@@ -19,6 +19,18 @@
 //! producer's `write` stalls — flow control propagates from a full shard
 //! queue all the way to the producer process with no code in between.
 //!
+//! ## Fleet state
+//!
+//! Every rule about producer sessions — exactly-once sequencing, resume,
+//! reaping and the EPOCH barrier — lives in one `Fleet` (the private
+//! `fleet` module) behind one mutex and one condvar. A handler reads a
+//! frame, asks the fleet for a decision, then writes, ingests or aborts.
+//! It ingests after dropping the lock, so a handler blocked on a full
+//! shard queue holds nothing another connection needs. The condvar is
+//! signaled on every drain, reap and barrier release; barrier waiters and
+//! [`WireServer::wait_for_fleet`] park on it. The fleet reads no clock:
+//! the handlers pass the time in.
+//!
 //! ## Error isolation
 //!
 //! A malformed frame (bad magic, version, CRC, truncation, an out-of-domain
@@ -39,18 +51,17 @@
 //! invariant `tests/net_equivalence.rs` pins across thread and connection
 //! counts.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use ldp_core::solutions::DynSolution;
-use ldp_protocols::hash::mix2;
 
 use crate::config::ServerConfig;
+use crate::fleet::{Batch, Epoch, Fleet, Refused};
 use crate::service::LdpServer;
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 use crate::wire::{
@@ -69,6 +80,8 @@ pub const ABORT_TIMEOUT: u16 = 3;
 /// server's configured [`ServerConfig::auth_token`].
 pub const ABORT_AUTH: u16 = 4;
 
+const POISONED: &str = "fleet state poisoned";
+
 /// A TCP ingestion frontend wrapping one [`LdpServer`].
 ///
 /// [`WireServer::bind`] starts the accept loop; producers connect, speak
@@ -81,403 +94,94 @@ pub struct WireServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    stats: Arc<NetStats>,
+    shared: Arc<Shared>,
 }
 
-/// Shared connection state: diagnostics counters (none of which
-/// participate in the determinism contract) plus the fleet-wide EPOCH
-/// barrier for longitudinal producers.
+/// What the listener's threads share: the fleet behind its one lock, plus
+/// two diagnostic counters that feed no decision.
 #[derive(Debug)]
-struct NetStats {
-    /// Connections that completed a DRAIN handshake. Guarded by a mutex
-    /// (not an atomic) so [`WireServer::wait_for_producers`] can sleep on
-    /// `drained_cvar` without a missed-wakeup window between checking the
-    /// count and parking.
-    drained: Mutex<usize>,
-    /// Signaled on every clean drain.
-    drained_cvar: Condvar,
+struct Shared {
+    fleet: Mutex<Fleet>,
+    /// Signaled on every drain, reap and barrier release.
+    changed: Condvar,
+    /// The reap grace period and EPOCH-barrier timeout
+    /// ([`ServerConfig::read_timeout_ms`]; `None` waits forever).
+    grace: Option<Duration>,
     /// Connections dropped for a protocol violation.
     rejected: AtomicUsize,
     /// Reports ingested over all connections.
     ingested: AtomicU64,
-    /// Declared producer-fleet size the EPOCH barrier waits for
-    /// (see [`WireServer::producers`]).
-    fleet: AtomicUsize,
-    /// EPOCH barrier state: the fleet's current round and how many
-    /// producers have arrived at its end.
-    gate: Mutex<EpochGate>,
-    /// Signaled when the barrier releases (the fleet's round advances).
-    gate_cvar: Condvar,
-    /// The bounded producer-session table keyed by HELLO-issued tokens —
-    /// the dedup / resume state of the fault-tolerance contract.
-    sessions: Mutex<SessionTable>,
-    /// Sessions reaped after exceeding the resume grace period; each one
-    /// permanently shrinks the effective fleet the EPOCH barrier and
-    /// [`WireServer::wait_for_fleet`] wait for.
-    reaped: AtomicUsize,
 }
 
-/// The EPOCH barrier's guarded state.
-#[derive(Debug, Default)]
-struct EpochGate {
-    /// The round the fleet is currently streaming.
-    round: u64,
-    /// Session tokens that already announced the end of this round. A set,
-    /// not a counter: a producer that faults after announcing and
-    /// re-announces after its resume is idempotent, never double-counted.
-    arrived: HashSet<u64>,
-}
-
-/// Bounded session table: insertion-ordered for eviction, keyed by the
-/// opaque tokens HELLO_ACK hands out.
-#[derive(Debug)]
-struct SessionTable {
-    map: HashMap<u64, SessionState>,
-    /// Insertion order for capacity eviction; may hold stale tokens
-    /// (lazily skipped) after resume-releases.
-    order: VecDeque<u64>,
-    /// Monotone token counter, mixed with `nonce` into the issued token.
-    next: u64,
-    /// Startup-derived salt making tokens non-guessable across runs. Tokens
-    /// never feed the estimates, so this wall-clock entropy does not touch
-    /// the determinism contract.
-    nonce: u64,
-}
-
-/// What the server remembers about one producer session, across however
-/// many TCP connections it takes to finish it.
-#[derive(Debug)]
-struct SessionState {
-    /// Highest contiguously ingested `BATCH_SEQ` number; replays at or
-    /// below it are silently discarded — the exactly-once guarantee.
-    acked_seq: u64,
-    /// Reports ingested for this session across all its connections.
-    ingested: u64,
-    /// Connection currently driving the session (`None` between
-    /// connections). A RESUME for an owned session is refused — the client
-    /// backs off until the dead handler observes its socket error and
-    /// releases ownership, which closes the concurrent-ingest race.
-    owner: Option<u64>,
-    /// Whether a DRAIN was already counted for this session — a re-drain
-    /// after a missed DRAIN_ACK acks again but never double-counts.
-    drained: bool,
-    /// Whether the session ever ingested or resumed; untouched sessions
-    /// (probes, idle producers) are never marked suspect.
-    touched: bool,
-    /// When the session lost its connection without draining; reaped once
-    /// this exceeds the resume grace period.
-    suspect_since: Option<Instant>,
-}
-
-impl SessionTable {
-    fn issue(&mut self, capacity: usize, conn: u64) -> (u64, bool) {
-        let token = loop {
-            self.next = self.next.wrapping_add(1);
-            let t = mix2(self.nonce, self.next);
-            if t != 0 && !self.map.contains_key(&t) {
-                break t;
-            }
-        };
-        if self.map.len() >= capacity {
-            // Evict the oldest entry nobody is driving and nobody might
-            // still resume into the reap accounting (suspects stay). Stale
-            // deque slots (tokens already removed) are dropped in passing.
-            let mut evicted = false;
-            let mut i = 0;
-            while i < self.order.len() {
-                let cand = self.order[i];
-                match self.map.get(&cand) {
-                    None => {
-                        self.order.remove(i);
-                    }
-                    Some(s) if s.owner.is_none() && s.suspect_since.is_none() => {
-                        self.order.remove(i);
-                        self.map.remove(&cand);
-                        evicted = true;
-                        break;
-                    }
-                    Some(_) => i += 1,
-                }
-            }
-            if !evicted {
-                // Every slot is live: the newcomer gets a unique barrier
-                // identity but no resume support (HELLO_ACK reports 0).
-                return (token, false);
-            }
-        }
-        self.map.insert(
-            token,
-            SessionState {
-                acked_seq: 0,
-                ingested: 0,
-                owner: Some(conn),
-                drained: false,
-                touched: false,
-                suspect_since: None,
-            },
-        );
-        self.order.push_back(token);
-        (token, true)
-    }
-}
-
-impl NetStats {
-    fn new() -> NetStats {
-        let nonce = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x5E55_10E5);
-        NetStats {
-            drained: Mutex::new(0),
-            drained_cvar: Condvar::new(),
-            rejected: AtomicUsize::new(0),
-            ingested: AtomicU64::new(0),
-            fleet: AtomicUsize::new(1),
-            gate: Mutex::new(EpochGate::default()),
-            gate_cvar: Condvar::new(),
-            sessions: Mutex::new(SessionTable {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                next: 0,
-                nonce: mix2(nonce, 0xC0FF_EE00),
-            }),
-            reaped: AtomicUsize::new(0),
-        }
+impl Shared {
+    fn fleet(&self) -> MutexGuard<'_, Fleet> {
+        self.fleet.lock().expect(POISONED)
     }
 
-    /// Records one clean DRAIN and wakes every fleet-rendezvous waiter.
-    fn note_drained(&self) {
-        let mut drained = self.drained.lock().expect("drain counter poisoned");
-        *drained += 1;
-        self.drained_cvar.notify_all();
-    }
-
-    /// The fleet size barriers actually wait for: the declared size minus
-    /// reaped sessions, never below 1.
-    fn effective_fleet(&self) -> usize {
-        self.fleet
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.reaped.load(Ordering::SeqCst))
-            .max(1)
-    }
-
-    /// Issues a fresh session token for connection `conn`. The bool says
-    /// whether the session landed in the (bounded) table — if not, the
-    /// token still serves as the connection's unique barrier identity but
-    /// the producer cannot RESUME it.
-    fn issue_session(&self, capacity: usize, conn: u64) -> (u64, bool) {
-        self.sessions
-            .lock()
-            .expect("session table poisoned")
-            .issue(capacity, conn)
-    }
-
-    /// Drops an untouched auto-issued session (the one a RESUME replaces).
-    fn forget_session(&self, token: u64) {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        if tbl.map.get(&token).is_some_and(|s| !s.touched) {
-            tbl.map.remove(&token);
-        }
-    }
-
-    /// Attempts to attach connection `conn` to session `token` after a
-    /// reconnect. On success returns the session's `(acked_seq, ingested)`.
-    fn try_resume(&self, token: u64, last_acked: u64, conn: u64) -> Result<(u64, u64), WireError> {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        let Some(state) = tbl.map.get_mut(&token) else {
-            return Err(WireError::Handshake(format!(
-                "RESUME names an unknown (expired or reaped) session {token:#018x}"
-            )));
-        };
-        if state.owner.is_some() {
-            return Err(WireError::Handshake(format!(
-                "session {token:#018x} is still active on another connection"
-            )));
-        }
-        if last_acked > state.acked_seq {
-            return Err(WireError::Handshake(format!(
-                "RESUME claims acked seq {last_acked} but the server only acked {}",
-                state.acked_seq
-            )));
-        }
-        state.owner = Some(conn);
-        state.touched = true;
-        state.suspect_since = None;
-        Ok((state.acked_seq, state.ingested))
-    }
-
-    /// Writes a successfully ingested sequenced batch back to the table.
-    fn record_batch(&self, token: u64, seq: u64, len: u64) {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        if let Some(state) = tbl.map.get_mut(&token) {
-            state.acked_seq = seq;
-            state.ingested += len;
-            state.touched = true;
-        }
-    }
-
-    /// Marks the session drained; returns whether this was the first time
-    /// (a re-drain after a missed DRAIN_ACK acks but does not recount).
-    fn mark_drained(&self, token: u64) -> bool {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        match tbl.map.get_mut(&token) {
-            Some(state) if !state.drained => {
-                state.drained = true;
-                true
-            }
-            Some(_) => false,
-            // Not in the table (capacity sentinel): the connection is the
-            // session, so every drain is a first drain.
-            None => true,
-        }
-    }
-
-    /// Releases connection `conn`'s ownership of `token` on handler exit.
-    /// A touched, undrained session becomes suspect: its producer has the
-    /// resume grace period to come back before the session is reaped.
-    fn release_session(&self, token: u64, conn: u64) {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        if let Some(state) = tbl.map.get_mut(&token) {
-            if state.owner == Some(conn) {
-                state.owner = None;
-                if state.touched && !state.drained {
-                    state.suspect_since = Some(Instant::now());
-                }
-            }
-        }
-    }
-
-    /// Reaps every suspect session older than `grace`: removes it from the
-    /// table (a late RESUME gets "unknown session"), shrinks the effective
-    /// fleet, and wakes both the drain rendezvous and the epoch barrier so
-    /// the surviving fleet can complete without the dead partition.
-    /// Returns how many sessions were reaped by this call.
-    fn reap_suspects(&self, grace: Duration) -> usize {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        let now = Instant::now();
-        let dead: Vec<u64> = tbl
-            .map
-            .iter()
-            .filter(|(_, s)| {
-                s.suspect_since
-                    .is_some_and(|t| now.duration_since(t) >= grace)
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in &dead {
-            tbl.map.remove(token);
-            eprintln!(
-                "ldp-server: ABORT session {token:#018x} — producer exceeded its \
-                 resume grace period; reaping it from the fleet"
-            );
-        }
-        drop(tbl);
-        let n = dead.len();
-        if n > 0 {
-            self.reaped.fetch_add(n, Ordering::SeqCst);
-            self.drained_cvar.notify_all();
-            self.gate_cvar.notify_all();
-        }
-        n
-    }
-
-    /// Whether any session is currently suspect (faulted, inside its resume
-    /// grace window). A barrier waiter that times out while a suspect is
-    /// still in grace extends its wait instead of aborting: the verdict on
-    /// that producer — resumed or reaped — arrives within one grace period.
-    fn suspects_pending(&self) -> bool {
-        let tbl = self.sessions.lock().expect("session table poisoned");
-        tbl.map.values().any(|s| s.suspect_since.is_some())
-    }
-
-    /// Holds the caller at the fleet's EPOCH barrier for the end of
-    /// `round`. The last producer to arrive rotates the server's epoch and
-    /// releases everyone; returns the fleet's new current round (always
-    /// `round + 1`). Arrival is keyed by session token and idempotent, so
-    /// a producer that faults after announcing and re-announces after its
-    /// resume never double-counts. A waiter that outlives `timeout` first
-    /// tries to reap suspect sessions (shrinking the fleet it waits for);
-    /// only if nothing was reaped does it withdraw and error — a hung
-    /// fleet member must never wedge the rest forever when a timeout is
-    /// configured. Errors carry the abort code the peer should see
-    /// ([`ABORT_PROTOCOL`] for a round mismatch, [`ABORT_TIMEOUT`] for an
-    /// expired wait).
+    /// Holds session `token` at the fleet's EPOCH barrier for the end of
+    /// `round` and returns the round to ack (always `round + 1`). The
+    /// arrival that completes the barrier rotates the server's epoch while
+    /// still holding the lock, so no waiter is acked, and no producer
+    /// streams the next round, before the epoch closes. A waiter that
+    /// outlives the grace period reaps what is due and keeps waiting while
+    /// that shrank the fleet or a suspect is still in grace; otherwise it
+    /// withdraws and errors, so a hung fleet member never wedges the rest.
+    /// Errors carry the abort code the peer should see.
     fn epoch_barrier(
         &self,
         server: &LdpServer,
-        round: u64,
-        timeout: Option<Duration>,
         token: u64,
+        round: u64,
     ) -> Result<u64, (u16, WireError)> {
-        let mut gate = self.gate.lock().expect("epoch gate poisoned");
-        if round + 1 == gate.round {
-            // A resumed producer re-announcing a round the fleet already
-            // advanced past (its first announce was counted before the
-            // fault): the ack it missed is simply re-sent.
-            return Ok(gate.round);
-        }
-        if round != gate.round {
-            return Err((
-                ABORT_PROTOCOL,
-                WireError::Payload(format!(
-                    "EPOCH announces the end of round {round}, but the fleet is on round {}",
-                    gate.round
-                )),
-            ));
-        }
-        gate.arrived.insert(token);
-        let mut deadline = timeout.map(|t| Instant::now() + t);
-        // Guard-loop wait: spurious wakeups re-check the round and the
-        // (possibly reap-shrunk) fleet, so the barrier can never release
-        // early or miscount.
+        let mut fleet = self.fleet();
+        let mut verdict = fleet.epoch(token, round);
+        let mut deadline = Instant::now() + self.grace.unwrap_or_default();
         loop {
-            if gate.round > round {
-                return Ok(round + 1);
+            match verdict {
+                Epoch::Ack(next) => return Ok(next),
+                Epoch::Release(next) => {
+                    server.advance_epoch();
+                    self.changed.notify_all();
+                    return Ok(next);
+                }
+                Epoch::Mismatch(current) => {
+                    return Err((
+                        ABORT_PROTOCOL,
+                        WireError::Payload(format!(
+                            "EPOCH announces the end of round {round}, but the fleet is on \
+                             round {current}"
+                        )),
+                    ))
+                }
+                Epoch::Wait => {}
             }
-            if gate.arrived.len() >= self.effective_fleet() {
-                server.advance_epoch();
-                gate.round += 1;
-                gate.arrived.clear();
-                self.gate_cvar.notify_all();
-                return Ok(round + 1);
-            }
-            gate = match deadline {
-                None => self.gate_cvar.wait(gate).expect("epoch gate poisoned"),
-                Some(d) => {
+            // Guard-loop wait: every wakeup re-checks the barrier, so a
+            // spurious one can never release it early.
+            fleet = match self.grace {
+                None => self.changed.wait(fleet).expect(POISONED),
+                Some(grace) => {
                     let now = Instant::now();
-                    if now >= d {
-                        // Lock order is gate → sessions, here and nowhere
-                        // reversed.
-                        let grace = timeout.expect("deadline implies timeout");
-                        if self.reap_suspects(grace) > 0 {
-                            // The fleet shrank; re-check arrivals against
-                            // the smaller fleet before giving up.
-                            deadline = Some(Instant::now() + grace);
-                            continue;
-                        }
-                        if self.suspects_pending() {
-                            // A faulted peer is still inside its grace
-                            // window — wait it out rather than abort; the
-                            // next expiry either reaps it or it resumed.
-                            deadline = Some(Instant::now() + grace);
-                            continue;
-                        }
-                        gate.arrived.remove(&token);
+                    if now < deadline {
+                        self.changed
+                            .wait_timeout(fleet, deadline - now)
+                            .expect(POISONED)
+                            .0
+                    } else if fleet.outlived(token, now) {
+                        self.changed.notify_all();
+                        deadline = now + grace;
+                        fleet
+                    } else {
                         return Err((
                             ABORT_TIMEOUT,
                             WireError::Payload(format!(
-                                "EPOCH barrier for round {round} timed out waiting for \
-                                 the rest of the {}-producer fleet",
-                                self.effective_fleet()
+                                "EPOCH barrier for round {round} timed out waiting for the \
+                                 rest of the fleet"
                             )),
                         ));
                     }
-                    self.gate_cvar
-                        .wait_timeout(gate, d - now)
-                        .expect("epoch gate poisoned")
-                        .0
                 }
             };
+            verdict = fleet.barrier(round);
         }
     }
 }
@@ -493,16 +197,31 @@ impl WireServer {
     ) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let grace = match config.read_timeout_ms {
+            0 => None,
+            ms => Some(Duration::from_millis(ms)),
+        };
+        // Tokens never feed the estimates, so salting them with wall-clock
+        // entropy leaves the determinism contract alone.
+        let nonce = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0x5E55_10E5, |d| d.as_nanos() as u64);
+        let shared = Arc::new(Shared {
+            fleet: Mutex::new(Fleet::new(config.session_capacity, grace, nonce)),
+            changed: Condvar::new(),
+            grace,
+            rejected: AtomicUsize::new(0),
+            ingested: AtomicU64::new(0),
+        });
         let server = Arc::new(LdpServer::spawn(solution, config));
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(NetStats::new());
         let accept = {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ldp-accept".into())
-                .spawn(move || accept_loop(&listener, &server, &stop, &stats))
+                .spawn(move || accept_loop(&listener, &server, &stop, &shared))
                 .expect("cannot spawn accept thread")
         };
         Ok(WireServer {
@@ -510,7 +229,7 @@ impl WireServer {
             addr,
             stop,
             accept: Some(accept),
-            stats,
+            shared,
         })
     }
 
@@ -525,13 +244,14 @@ impl WireServer {
     /// instead would race a late-connecting producer and release the
     /// barrier early.
     pub fn producers(self, n: usize) -> Self {
-        self.stats.fleet.store(n.max(1), Ordering::SeqCst);
+        self.shared.fleet().declare(n);
         self
     }
 
-    /// Connections that have completed a clean DRAIN handshake so far.
+    /// Producer sessions that have completed a clean DRAIN so far, each
+    /// counted once however many times it drained.
     pub fn drained_producers(&self) -> usize {
-        *self.stats.drained.lock().expect("drain counter poisoned")
+        self.shared.fleet().drained()
     }
 
     /// The inner server's retained closed-epoch snapshots, oldest first —
@@ -545,70 +265,45 @@ impl WireServer {
 
     /// Connections dropped for protocol violations so far.
     pub fn rejected_connections(&self) -> usize {
-        self.stats.rejected.load(Ordering::SeqCst)
+        self.shared.rejected.load(Ordering::Relaxed)
     }
 
     /// Reports ingested over the wire so far (counted at frame validation,
     /// i.e. possibly slightly ahead of shard absorption).
     pub fn ingested_reports(&self) -> u64 {
-        self.stats.ingested.load(Ordering::SeqCst)
+        self.shared.ingested.load(Ordering::Relaxed)
     }
 
     /// Sessions reaped for exceeding the resume grace period so far — the
     /// deficit a degraded fleet drain should report.
     pub fn reaped_sessions(&self) -> usize {
-        self.stats.reaped.load(Ordering::SeqCst)
+        self.shared.fleet().reaped()
     }
 
-    /// Blocks until at least `n` producer connections have drained cleanly
-    /// — the server-side rendezvous for a fixed-size producer fleet.
-    /// Condvar-parked (no polling): the waiter burns no CPU however long
-    /// the fleet takes, and the guard loop re-checks the count on every
-    /// wakeup, so spurious wakeups can never miscount a producer.
-    pub fn wait_for_producers(&self, n: usize) {
-        let mut drained = self.stats.drained.lock().expect("drain counter poisoned");
-        while *drained < n {
-            drained = self
-                .stats
-                .drained_cvar
-                .wait(drained)
-                .expect("drain counter poisoned");
-        }
-    }
-
-    /// The degradation-aware twin of [`WireServer::wait_for_producers`]:
-    /// blocks until drained **plus reaped** sessions reach `n`, so a
-    /// producer that dies past its retry budget shrinks the rendezvous
-    /// instead of wedging it. With a configured
-    /// [`ServerConfig::read_timeout_ms`] the wait polls at that grace
-    /// period and reaps suspect sessions itself (the drain path has no
-    /// handler thread left to do it); with `0` it parks exactly like
-    /// `wait_for_producers` — no timeout means no reaping.
+    /// The server-side rendezvous for a fixed-size producer fleet: blocks
+    /// until drained **plus reaped** sessions reach `n`, so a producer
+    /// that dies past its retry budget shrinks the rendezvous instead of
+    /// wedging it. Parked on the fleet's condvar and re-checked on every
+    /// wakeup, so a spurious one can never miscount a producer. With a
+    /// configured [`ServerConfig::read_timeout_ms`] the wait also polls at
+    /// that grace period (clamped to 10–200 ms) and reaps suspect sessions
+    /// itself (a drained fleet has no handler thread left to do it); with
+    /// `0` nothing is ever reaped and this waits for `n` drains.
     pub fn wait_for_fleet(&self, n: usize) {
-        let grace_ms = self
-            .server
-            .as_ref()
-            .expect("server not yet finished")
-            .config()
-            .read_timeout_ms;
-        let stats = &self.stats;
-        let mut drained = stats.drained.lock().expect("drain counter poisoned");
-        while *drained + stats.reaped.load(Ordering::SeqCst) < n {
-            if grace_ms == 0 {
-                drained = stats
-                    .drained_cvar
-                    .wait(drained)
-                    .expect("drain counter poisoned");
-            } else {
-                let poll = Duration::from_millis(grace_ms.clamp(10, 200));
-                drained = stats
-                    .drained_cvar
-                    .wait_timeout(drained, poll)
-                    .expect("drain counter poisoned")
-                    .0;
-                // Lock order drained → sessions, never reversed.
-                stats.reap_suspects(Duration::from_millis(grace_ms));
-            }
+        let shared = &self.shared;
+        let mut fleet = shared.fleet();
+        while fleet.drained() + fleet.reaped() < n {
+            fleet = match shared.grace {
+                None => shared.changed.wait(fleet).expect(POISONED),
+                Some(grace) => {
+                    let poll = grace.clamp(Duration::from_millis(10), Duration::from_millis(200));
+                    let mut fleet = shared.changed.wait_timeout(fleet, poll).expect(POISONED).0;
+                    if fleet.tick(Instant::now()) > 0 {
+                        shared.changed.notify_all();
+                    }
+                    fleet
+                }
+            };
         }
     }
 
@@ -655,7 +350,7 @@ fn accept_loop(
     listener: &TcpListener,
     server: &Arc<LdpServer>,
     stop: &AtomicBool,
-    stats: &Arc<NetStats>,
+    shared: &Arc<Shared>,
 ) -> Vec<JoinHandle<()>> {
     let fingerprint = solution_fingerprint(server.solution());
     let mut handlers = Vec::new();
@@ -665,25 +360,15 @@ fn accept_loop(
         }
         let Ok(stream) = stream else { continue };
         let server = Arc::clone(server);
-        let stats = Arc::clone(stats);
+        let shared = Arc::clone(shared);
         handlers.push(
             std::thread::Builder::new()
                 .name(format!("ldp-conn-{conn}"))
                 .spawn(move || {
-                    match drive_connection(stream, &server, fingerprint, &stats, conn as u64 + 1) {
-                        // Ok(true) is a *first* drain for the session — a
-                        // re-drain after a missed DRAIN_ACK acks again but
-                        // returns Ok(false), so the fleet rendezvous never
-                        // double-counts a producer.
-                        Ok(true) => {
-                            stats.note_drained();
-                        }
-                        // A peer may disconnect without draining (e.g. a
-                        // monitoring probe); that is not a violation.
-                        Ok(false) => {}
-                        Err(_) => {
-                            stats.rejected.fetch_add(1, Ordering::SeqCst);
-                        }
+                    // A peer may disconnect without draining (e.g. a
+                    // monitoring probe); that is not a violation.
+                    if drive_connection(stream, &server, fingerprint, &shared).is_err() {
+                        shared.rejected.fetch_add(1, Ordering::Relaxed);
                     }
                 })
                 .expect("cannot spawn connection handler"),
@@ -692,37 +377,15 @@ fn accept_loop(
     handlers
 }
 
-/// The handler-local view of its session. While a connection owns a
-/// session it is the sole writer of the session's state, so this mirror is
-/// authoritative and the table only needs a lock for the write-back (which
-/// keeps the table current for a resume after this connection dies).
-struct ConnSession {
-    /// The session token — auto-issued at HELLO, possibly replaced by a
-    /// RESUME. Doubles as the connection's EPOCH-barrier identity.
-    token: u64,
-    /// Whether `token` lives in the session table (false for the
-    /// capacity-overflow sentinel: unique identity, no resume support).
-    resumable: bool,
-    /// Highest contiguously ingested BATCH_SEQ number.
-    acked: u64,
-    /// Reports ingested for the session (across its past connections).
-    ingested: u64,
-    /// Whether any batch/epoch traffic happened — a RESUME is only legal
-    /// as the very first frame after the handshake.
-    started: bool,
-}
-
-/// Runs one producer session to completion. `Ok(true)` is a clean *first*
-/// DRAIN for the session, `Ok(false)` a clean disconnect without one (or a
-/// repeat drain after a resume); any `Err` already sent a best-effort ABORT
-/// and stands for "this connection was cut, everyone else keeps going".
+/// Runs one producer connection to completion. Any `Err` already sent a
+/// best-effort ABORT and stands for "this connection was cut, everyone
+/// else keeps going".
 fn drive_connection(
     stream: TcpStream,
     server: &LdpServer,
     fingerprint: u64,
-    stats: &NetStats,
-    conn: u64,
-) -> Result<bool, WireError> {
+    shared: &Shared,
+) -> Result<(), WireError> {
     // Frames are small relative to throughput; turn Nagle off so snapshot
     // and drain acks turn around immediately.
     let _ = stream.set_nodelay(true);
@@ -732,11 +395,7 @@ fn drive_connection(
     // which ABORTs the connection instead of pinning this handler thread
     // (and any quiesced snapshot barrier queued behind its shard traffic)
     // forever. `0` keeps the historical block-forever behavior.
-    let read_timeout = match config.read_timeout_ms {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    };
-    stream.set_read_timeout(read_timeout)?;
+    stream.set_read_timeout(shared.grace)?;
     let mut reader = BufReader::with_capacity(256 * 1024, stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
@@ -756,82 +415,71 @@ fn drive_connection(
             if auth != expected_auth {
                 let reason = if expected_auth == 0 {
                     "producer presented an auth token but the server is not configured with one"
-                        .to_string()
                 } else {
-                    "producer auth token digest does not match the server's".to_string()
+                    "producer auth token digest does not match the server's"
                 };
-                abort(&mut writer, ABORT_AUTH, &reason);
-                return Err(WireError::Handshake(reason));
+                return Err(refuse(
+                    &mut writer,
+                    ABORT_AUTH,
+                    WireError::Handshake(reason.into()),
+                ));
             }
             if got != fingerprint {
                 let reason = format!(
                     "producer solution fingerprint {got:#018x} does not match the server's \
                      {fingerprint:#018x} (different solution, domains or epsilon?)"
                 );
-                abort(&mut writer, ABORT_HANDSHAKE, &reason);
-                return Err(WireError::Handshake(reason));
+                return Err(refuse(
+                    &mut writer,
+                    ABORT_HANDSHAKE,
+                    WireError::Handshake(reason),
+                ));
             }
         }
         Ok(_) => {
-            let reason = "expected HELLO as the first frame".to_string();
-            abort(&mut writer, ABORT_HANDSHAKE, &reason);
-            return Err(WireError::Handshake(reason));
+            let e = WireError::Handshake("expected HELLO as the first frame".into());
+            return Err(refuse(&mut writer, ABORT_HANDSHAKE, e));
         }
-        Err(WireError::Closed) => return Ok(false),
-        Err(e) => {
-            abort(&mut writer, abort_code(&e), &e.to_string());
-            return Err(e);
-        }
+        Err(WireError::Closed) => return Ok(()),
+        Err(e) => return Err(refuse(&mut writer, abort_code(&e), e)),
     }
 
     let ack_every = config.ack_every.max(1);
-    let (token, resumable) = stats.issue_session(config.session_capacity.max(1), conn);
-    let mut sess = ConnSession {
-        token,
-        resumable,
-        acked: 0,
-        ingested: 0,
-        started: false,
-    };
+    let (mut token, resumable) = shared.fleet().hello();
     let hello_ack = Frame::HelloAck {
         fingerprint,
         shards: config.shards as u32,
         session: if resumable { token } else { 0 },
         ack_every: ack_every.min(u64::from(u32::MAX)) as u32,
     };
-    // From here every exit must release the session so a dead producer's
-    // state becomes resumable (and, past the grace period, reapable).
-    let result = (|| {
-        write_frame(&mut writer, &hello_ack)?;
-        writer.flush()?;
+    // From here every exit must disconnect the session so a dead
+    // producer's state becomes resumable (and, past the grace period,
+    // reapable).
+    let result = send(&mut writer, &hello_ack).and_then(|()| {
         run_session(
             &mut reader,
             &mut writer,
             server,
-            stats,
-            read_timeout,
+            shared,
             ack_every,
-            conn,
-            &mut sess,
+            &mut token,
         )
-    })();
-    stats.release_session(sess.token, conn);
+    });
+    shared.fleet().disconnect(token, Instant::now());
     result
 }
 
-/// The post-handshake frame loop of one connection (see
-/// [`drive_connection`] for the return contract).
-#[allow(clippy::too_many_arguments)]
+/// The post-handshake frame loop of one connection driving session
+/// `token` (which a RESUME replaces); see [`drive_connection`] for the
+/// return contract.
 fn run_session(
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
     server: &LdpServer,
-    stats: &NetStats,
-    read_timeout: Option<Duration>,
+    shared: &Shared,
     ack_every: u64,
-    conn: u64,
-    sess: &mut ConnSession,
-) -> Result<bool, WireError> {
+    token: &mut u64,
+) -> Result<(), WireError> {
     let solution = server.solution().clone();
     let max_batch = server.config().batch;
     loop {
@@ -856,128 +504,107 @@ fn run_session(
                         .map_err(WireError::Batch)
                 };
                 if let Err(e) = checked {
-                    abort(writer, ABORT_PROTOCOL, &e.to_string());
-                    return Err(e);
+                    return Err(refuse(writer, ABORT_PROTOCOL, e));
                 }
-                sess.started = true;
-                if seq <= sess.acked {
+                let len = batch.len() as u64;
+                let verdict = shared.fleet().batch(*token, seq, len);
+                match verdict {
                     // A replay the session already ingested (reconnect ring
                     // overlap, or a duplicated frame): dropped without a
                     // single envelope reaching a shard — exactly-once.
-                    continue;
-                }
-                if seq != sess.acked + 1 {
-                    let e = WireError::Payload(format!(
-                        "BATCH_SEQ {seq} leaves a gap after acked {}",
-                        sess.acked
-                    ));
-                    abort(writer, ABORT_PROTOCOL, &e.to_string());
-                    return Err(e);
-                }
-                let len = batch.len() as u64;
-                // Hands the validated frame to one shard whole, copying no
-                // report. May block on a full shard queue — that block is
-                // the backpressure path in the module docs.
-                server.ingest_compact(batch);
-                sess.acked = seq;
-                sess.ingested += len;
-                stats.ingested.fetch_add(len, Ordering::SeqCst);
-                if sess.resumable {
-                    stats.record_batch(sess.token, seq, len);
-                }
-                if seq % ack_every == 0 {
-                    write_frame(
-                        writer,
-                        &Frame::BatchAck {
-                            seq,
-                            n: sess.ingested,
-                        },
-                    )?;
-                    writer.flush()?;
+                    Batch::Dedup => {}
+                    Batch::Gap { acked } => {
+                        let e = WireError::Payload(format!(
+                            "BATCH_SEQ {seq} does not follow acked {acked} (sequence numbers \
+                             run gapless from 1)"
+                        ));
+                        return Err(refuse(writer, ABORT_PROTOCOL, e));
+                    }
+                    Batch::Ingest { ingested } => {
+                        // Hands the validated frame to one shard whole,
+                        // copying no report. May block on a full shard
+                        // queue — that block is the backpressure path in
+                        // the module docs.
+                        server.ingest_compact(batch);
+                        shared.ingested.fetch_add(len, Ordering::Relaxed);
+                        if seq % ack_every == 0 {
+                            send(writer, &Frame::BatchAck { seq, n: ingested })?;
+                        }
+                    }
                 }
             }
             Ok(Frame::Resume {
                 session,
                 last_acked,
             }) => {
-                if sess.started {
-                    let e = WireError::Payload(
-                        "RESUME is only legal as the first frame after the handshake".into(),
-                    );
-                    abort(writer, ABORT_PROTOCOL, &e.to_string());
-                    return Err(e);
-                }
-                match stats.try_resume(session, last_acked, conn) {
-                    Ok((acked, ingested)) => {
-                        if sess.token != session {
-                            stats.forget_session(sess.token);
-                        }
-                        sess.token = session;
-                        sess.resumable = true;
-                        sess.acked = acked;
-                        sess.ingested = ingested;
-                        write_frame(writer, &Frame::ResumeAck { acked_seq: acked })?;
-                        writer.flush()?;
-                    }
-                    Err(e) => {
-                        abort(writer, ABORT_HANDSHAKE, &e.to_string());
-                        return Err(e);
-                    }
-                }
+                let resumed = shared.fleet().resume(*token, session, last_acked);
+                let acked = resumed.map_err(|why| {
+                    let (code, e) = refusal(why, session, last_acked);
+                    refuse(writer, code, e)
+                })?;
+                *token = session;
+                send(writer, &Frame::ResumeAck { acked_seq: acked })?;
             }
             Ok(Frame::SnapshotRequest { quiesce }) => {
                 if quiesce {
                     server.quiesce();
                 }
                 let snapshot = server.snapshot();
-                write_frame(writer, &Frame::Snapshot(WireSnapshot::from(&snapshot)))?;
-                writer.flush()?;
+                send(writer, &Frame::Snapshot(WireSnapshot::from(&snapshot)))?;
             }
             Ok(Frame::Epoch { round }) => {
-                sess.started = true;
                 // Fleet lockstep: held here until every declared producer
                 // announces the end of `round`; the last arrival rotates
-                // the server's epoch. The wait is bounded by the same read
-                // timeout as the socket, and a timed-out wait reaps dead
-                // fleet members before giving up, so one crashed producer
-                // degrades the fleet instead of wedging it.
-                match stats.epoch_barrier(server, round, read_timeout, sess.token) {
-                    Ok(current) => {
-                        write_frame(writer, &Frame::Epoch { round: current })?;
-                        writer.flush()?;
-                    }
-                    Err((code, e)) => {
-                        abort(writer, code, &e.to_string());
-                        return Err(e);
-                    }
+                // the server's epoch. The wait is bounded by the read
+                // timeout, and a timed-out wait reaps dead fleet members
+                // before giving up, so one crashed producer degrades the
+                // fleet instead of wedging it.
+                match shared.epoch_barrier(server, *token, round) {
+                    Ok(next) => send(writer, &Frame::Epoch { round: next })?,
+                    Err((code, e)) => return Err(refuse(writer, code, e)),
                 }
             }
             Ok(Frame::Drain) => {
-                write_frame(writer, &Frame::DrainAck { n: sess.ingested })?;
-                writer.flush()?;
-                let first = if sess.resumable {
-                    stats.mark_drained(sess.token)
-                } else {
-                    true
-                };
-                return Ok(first);
+                let ingested = shared.fleet().drain(*token);
+                shared.changed.notify_all();
+                return send(writer, &Frame::DrainAck { n: ingested });
             }
-            Ok(Frame::Abort { .. }) => return Ok(false),
+            Ok(Frame::Abort { .. }) | Err(WireError::Closed) => return Ok(()),
             Ok(other) => {
                 let e = WireError::Payload(format!(
                     "unexpected {} frame in an open session",
                     frame_name(&other)
                 ));
-                abort(writer, ABORT_PROTOCOL, &e.to_string());
-                return Err(e);
+                return Err(refuse(writer, ABORT_PROTOCOL, e));
             }
-            Err(WireError::Closed) => return Ok(false),
-            Err(e) => {
-                abort(writer, abort_code(&e), &e.to_string());
-                return Err(e);
-            }
+            Err(e) => return Err(refuse(writer, abort_code(&e), e)),
         }
     }
+}
+
+/// The ABORT code and error a refused RESUME of `session` earns.
+fn refusal(why: Refused, session: u64, last_acked: u64) -> (u16, WireError) {
+    let reason = match why {
+        Refused::Late => {
+            let e = WireError::Payload("RESUME after the session's first batch or EPOCH".into());
+            return (ABORT_PROTOCOL, e);
+        }
+        Refused::Unknown => {
+            format!("RESUME of an unknown (expired or reaped) session {session:#018x}")
+        }
+        Refused::Live => format!("session {session:#018x} is still active on another connection"),
+        Refused::Ahead(acked) => {
+            format!("RESUME claims acked seq {last_acked}, the server acked {acked}")
+        }
+    };
+    (ABORT_HANDSHAKE, WireError::Handshake(reason))
+}
+
+/// Writes one frame and flushes it.
+fn send(writer: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
+    write_frame(writer, frame)?;
+    writer.flush()?;
+    Ok(())
 }
 
 /// Picks the abort code a failed read deserves: an expired socket read
@@ -998,16 +625,12 @@ fn abort_code(e: &WireError) -> u16 {
     }
 }
 
-/// Best-effort ABORT notification; the connection is going away either way.
-fn abort(writer: &mut impl Write, code: u16, message: &str) {
-    let _ = write_frame(
-        writer,
-        &Frame::Abort {
-            code,
-            message: message.to_string(),
-        },
-    );
-    let _ = writer.flush();
+/// Sends a best-effort ABORT (the connection is going away either way)
+/// and hands back the error that caused it.
+fn refuse(writer: &mut impl Write, code: u16, e: WireError) -> WireError {
+    let message = e.to_string();
+    let _ = send(writer, &Frame::Abort { code, message });
+    e
 }
 
 fn frame_name(frame: &Frame) -> &'static str {
@@ -1093,7 +716,7 @@ mod tests {
             read_frame(&mut reader).unwrap(),
             Frame::DrainAck { n: 200 }
         ));
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         let snapshot = server.finish();
         assert_eq!(snapshot.n, 200);
     }
@@ -1168,14 +791,14 @@ mod tests {
             read_frame(&mut good_reader).unwrap(),
             Frame::DrainAck { n: 100 }
         ));
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         assert_eq!(server.rejected_connections(), 1);
         let snapshot = server.finish();
         assert_eq!(snapshot.n, 100, "corrupt frame must not poison a shard");
     }
 
     #[test]
-    fn wait_for_producers_parks_on_the_condvar_until_the_fleet_drains() {
+    fn wait_for_fleet_parks_on_the_condvar_until_the_fleet_drains() {
         let (server, solution) = spawn_server();
         let addr = server.local_addr();
         let server = Arc::new(server);
@@ -1186,7 +809,7 @@ mod tests {
         // across both).
         let waiter = {
             let server = Arc::clone(&server);
-            std::thread::spawn(move || server.wait_for_producers(2))
+            std::thread::spawn(move || server.wait_for_fleet(2))
         };
         for seed in [41u64, 43] {
             let (mut reader, stream) = handshake(addr, &solution);
@@ -1278,7 +901,7 @@ mod tests {
         for session in sessions.drain(..) {
             session.join().expect("producer session panicked");
         }
-        server.wait_for_producers(2);
+        server.wait_for_fleet(2);
         // One closed epoch holding both producers' round-0 batches.
         let epochs = server.epochs();
         assert_eq!(epochs.len(), 1);
@@ -1382,7 +1005,7 @@ mod tests {
             read_frame(&mut reader).unwrap(),
             Frame::DrainAck { n: BATCH }
         ));
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         assert_eq!(server.finish().n, BATCH);
     }
 
@@ -1445,7 +1068,7 @@ mod tests {
             read_frame(&mut reader).unwrap(),
             Frame::DrainAck { n: 30 }
         ));
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         assert_eq!(server.rejected_connections(), 2);
         assert_eq!(server.finish().n, 30);
     }
@@ -1587,7 +1210,7 @@ mod tests {
             read_frame(&mut reader).unwrap(),
             Frame::DrainAck { n: 60 }
         ));
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         let snapshot = server.finish();
         assert_eq!(snapshot.n, 60, "replays must never double-ingest");
     }

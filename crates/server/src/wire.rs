@@ -45,15 +45,16 @@
 //! ## Fault tolerance
 //!
 //! `BATCH_SEQ` carries a per-session sequence number starting at 1, strictly
-//! monotone, gapless. The server acks cumulatively with
-//! `BATCH_ACK { seq, n }` every [`crate::ServerConfig::ack_every`] batches
+//! monotone, gapless; seq 0 or a gap aborts the connection. The server acks
+//! cumulatively with `BATCH_ACK { seq, n }` every
+//! [`crate::ServerConfig::ack_every`] batches
 //! (the interval is announced in HELLO_ACK), which bounds the producer's
 //! in-flight bytes: a client keeps at most its replay-ring budget of sealed,
 //! unacked frames and blocks for an ack once the ring fills. A reconnecting
 //! producer re-handshakes and sends `RESUME { session, last_acked }` with
 //! the token its original HELLO_ACK issued; the server answers
 //! `RESUME_ACK { acked_seq }` from its bounded session table and silently
-//! discards any replayed `seq ≤ acked_seq`, so ingest stays exactly-once.
+//! discards any replayed `1 ≤ seq ≤ acked_seq`, so ingest stays exactly-once.
 //! Because every report is a pure function of `(seed, uid)` (see
 //! `ldp_sim::user_rng`), a replayed batch is bit-identical to the lost one,
 //! and a faulted fleet drain equals the clean run bit-for-bit.

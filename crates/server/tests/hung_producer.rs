@@ -89,7 +89,7 @@ fn idle_connection_is_aborted_while_a_live_producer_drains_bit_identically() {
     );
 
     // One producer drained; the hung one contributed nothing.
-    server.wait_for_producers(1);
+    server.wait_for_fleet(1);
     assert_eq!(server.drained_producers(), 1);
     let snapshot = server.finish();
     assert_eq!(snapshot.n, 40);
@@ -138,6 +138,6 @@ fn an_active_producer_is_never_timed_out_between_batches() {
         Frame::DrainAck { n } => assert_eq!(n, 15),
         other => panic!("expected DRAIN-ACK, got {other:?}"),
     }
-    server.wait_for_producers(1);
+    server.wait_for_fleet(1);
     assert_eq!(server.finish().n, 15);
 }

@@ -250,13 +250,13 @@ fn forged_resume_tokens_never_hijack_a_session() {
             other => panic!("expected DRAIN_ACK, got {other:?}"),
         }
     }
-    server.wait_for_producers(1);
+    server.wait_for_fleet(1);
     assert_eq!(server.finish().n, 30);
 }
 
 /// Replayed and out-of-order sequence numbers never double-ingest: a
-/// duplicated BATCH_SEQ is discarded silently, a gapped one ABORTs the
-/// connection, and the aggregate only ever holds the contiguous acked
+/// duplicated BATCH_SEQ is discarded silently, a gapped one (or seq 0)
+/// ABORTs the connection, and the aggregate only ever holds the contiguous acked
 /// prefix.
 #[test]
 fn replayed_and_out_of_order_seqs_never_double_ingest() {
@@ -349,7 +349,41 @@ fn replayed_and_out_of_order_seqs_never_double_ingest() {
         other => panic!("expected ABORT on gapped seq, got {other:?}"),
     }
 
-    server.wait_for_producers(1);
+    // Session three: sequence numbers are 1-based, so seq 0 on a fresh
+    // session is a protocol violation, not a replay of "nothing acked". The
+    // DRAIN behind it must never be answered.
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_frame(
+        &mut writer,
+        &Frame::Hello {
+            fingerprint,
+            auth: 0,
+        },
+    )
+    .unwrap();
+    writer.flush().unwrap();
+    assert!(matches!(
+        read_frame(&mut reader).unwrap(),
+        Frame::HelloAck { .. }
+    ));
+    write_frame(
+        &mut writer,
+        &Frame::BatchSeq {
+            seq: 0,
+            batch: batch_of(&mut rng, 0),
+        },
+    )
+    .unwrap();
+    write_frame(&mut writer, &Frame::Drain).unwrap();
+    writer.flush().unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::Abort { code, .. } => assert_eq!(code, ldp_server::ABORT_PROTOCOL),
+        other => panic!("expected ABORT on seq 0, got {other:?}"),
+    }
+
+    server.wait_for_fleet(1);
     assert_eq!(server.finish().n, 30, "the gapped session must not land");
 }
 
@@ -612,7 +646,7 @@ proptest! {
         prop_assert!(matches!(read_frame(&mut reader).unwrap(), Frame::DrainAck { n: 25 }));
 
         drop(mutated);
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         let snapshot = server.finish();
         // The clean producer's 25 reports always land; the mutated session
         // contributes its valid prefix frames only (0 or `reports`).

@@ -153,7 +153,7 @@ fn socket_drain_is_bit_identical_across_shards_and_connections() {
                 let addr = server.local_addr().to_string();
                 let acked = run_fleet(kind, 2.0, &ds, &traffic, &addr, connections);
                 assert_eq!(acked, ds.n() as u64, "{kind} s={shards} c={connections}");
-                server.wait_for_producers(connections);
+                server.wait_for_fleet(connections);
                 let snapshot = server.finish();
                 assert_drain_matches_run(
                     &snapshot,
@@ -214,7 +214,7 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
                 )
                 .unwrap();
             assert_eq!(acked, mixed.n() as u64, "{numeric:?} shards={shards}");
-            server.wait_for_producers(1);
+            server.wait_for_fleet(1);
             let snapshot = server.finish();
             assert_eq!(
                 snapshot.aggregator.num_sums(),
@@ -261,7 +261,7 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
                 )
                 .unwrap();
             assert_eq!(acked, (ROUNDS * mixed.n()) as u64, "{label}");
-            server.wait_for_producers(1);
+            server.wait_for_fleet(1);
             let epochs = server.epochs();
             let snapshot = server.finish();
             assert_eq!(
@@ -341,7 +341,7 @@ fn snapshot_polling_covers_every_round_without_touching_the_drain() {
             )
             .unwrap();
         assert_eq!(acked, (ROUNDS * ds.n()) as u64);
-        server.wait_for_producers(1);
+        server.wait_for_fleet(1);
         assert_drain_matches_run(
             &server.finish(),
             &reference,
@@ -407,7 +407,7 @@ fn mixed_multi_producer_fleet_drains_bit_identically() {
                 });
             }
         });
-        server.wait_for_producers(connections);
+        server.wait_for_fleet(connections);
         let snapshot = server.finish();
         assert_eq!(
             snapshot.aggregator.num_sums(),
@@ -444,7 +444,7 @@ fn traffic_shape_never_leaks_into_the_socket_drain() {
         let addr = server.local_addr().to_string();
         let acked = run_fleet(kind, 1.0, &ds, &traffic, &addr, 2);
         assert_eq!(acked, ds.n() as u64, "{shape}");
-        server.wait_for_producers(2);
+        server.wait_for_fleet(2);
         assert_drain_matches_run(&server.finish(), &reference, &format!("shape {shape}"));
     }
 }
@@ -520,7 +520,7 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
                 });
             }
         });
-        server.wait_for_producers(connections);
+        server.wait_for_fleet(connections);
         assert_drain_matches_run(
             &server.finish(),
             &full_reference,

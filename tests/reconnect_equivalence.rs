@@ -131,7 +131,7 @@ fn faulted_fleet_drains_bit_identically_across_shards() {
             FaultPlan::new(SEED ^ part as u64, 3)
         });
         assert_eq!(acked, ds.n() as u64, "shards={shards}: acked");
-        server.wait_for_producers(3);
+        server.wait_for_fleet(3);
         assert_eq!(server.reaped_sessions(), 0, "shards={shards}: no reaps");
         assert_drain_matches_run(
             &server.finish(),
@@ -170,7 +170,7 @@ fn every_fault_class_alone_preserves_the_drained_bits() {
             FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])
         });
         assert_eq!(acked, ds.n() as u64, "{fault:?}: acked");
-        server.wait_for_producers(2);
+        server.wait_for_fleet(2);
         assert_drain_matches_run(&server.finish(), &reference, &format!("fault {fault:?}"));
     }
 }
@@ -241,7 +241,7 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
                 handles.into_iter().map(|h| h.join().unwrap()).sum()
             });
             assert_eq!(acked, (ds.n() * ROUNDS) as u64, "{policy}: acked");
-            server.wait_for_producers(connections);
+            server.wait_for_fleet(connections);
             assert_drain_matches_run(
                 &server.finish(),
                 &reference,
