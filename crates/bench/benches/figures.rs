@@ -10,6 +10,7 @@ use ldp_core::profiling::{expected_acc_nonuniform, expected_acc_uniform};
 use ldp_core::reident::ReidentAttack;
 use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
 use ldp_datasets::priors::correct_priors;
+use ldp_datasets::Dataset;
 use ldp_gbdt::GbdtParams;
 use ldp_protocols::{deniability, ProtocolKind, UeMode};
 use ldp_sim::{
@@ -19,6 +20,15 @@ use ldp_sim::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// One streaming estimation pass over a sanitized round.
+fn estimate<S: MultidimSolution>(solution: &S, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    let mut agg = solution.aggregator();
+    for t in ds.rows() {
+        agg.absorb(&solution.report_encoded(t, rng));
+    }
+    agg.estimate()
+}
 
 fn classifier() -> AttackClassifier {
     AttackClassifier::Gbdt(GbdtParams {
@@ -118,10 +128,11 @@ fn fig03_kernel(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = bench_rng();
                 let solution = RsFd::new(protocol, &ks, 6.0).unwrap();
-                let observed: Vec<_> = ds.rows().map(|t| solution.report(t, &mut rng)).collect();
+                let (observed, labels) = solution.report_round(ds.rows(), &mut rng);
                 black_box(SampledAttributeAttack::evaluate(
                     &solution,
                     &observed,
+                    &labels,
                     &AttackModel::NoKnowledge { synth_factor: 1.0 },
                     &classifier(),
                     &mut rng,
@@ -167,8 +178,7 @@ fn fig05_kernel(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = bench_rng();
             let solution = RsFd::new(RsFdProtocol::Grr, &ks, 1.0).unwrap();
-            let reports: Vec<_> = ds.rows().map(|t| solution.report(t, &mut rng)).collect();
-            black_box(mse_avg(&truth, &solution.estimate(&reports)))
+            black_box(mse_avg(&truth, &estimate(&solution, &ds, &mut rng)))
         })
     });
     group.bench_function("rsrfd_grr_correct_prior", |b| {
@@ -176,8 +186,7 @@ fn fig05_kernel(c: &mut Criterion) {
             let mut rng = bench_rng();
             let priors = correct_priors(&ds, 0.1, &mut rng);
             let solution = RsRfd::new(RsRfdProtocol::Grr, &ks, 1.0, priors).unwrap();
-            let reports: Vec<_> = ds.rows().map(|t| solution.report(t, &mut rng)).collect();
-            black_box(mse_avg(&truth, &solution.estimate(&reports)))
+            black_box(mse_avg(&truth, &estimate(&solution, &ds, &mut rng)))
         })
     });
     group.finish();
@@ -194,10 +203,11 @@ fn fig06_kernel(c: &mut Criterion) {
             let mut rng = bench_rng();
             let priors = correct_priors(&ds, 0.1, &mut rng);
             let solution = RsRfd::new(RsRfdProtocol::Grr, &ks, 6.0, priors).unwrap();
-            let observed: Vec<_> = ds.rows().map(|t| solution.report(t, &mut rng)).collect();
+            let (observed, labels) = solution.report_round(ds.rows(), &mut rng);
             black_box(SampledAttributeAttack::evaluate(
                 &solution,
                 &observed,
+                &labels,
                 &AttackModel::NoKnowledge { synth_factor: 1.0 },
                 &classifier(),
                 &mut rng,

@@ -28,18 +28,18 @@ fn bench_clients(c: &mut Criterion) {
 
     let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, 1.0).unwrap();
     group.bench_function("RS+FD[GRR]", |b| {
-        b.iter(|| black_box(rsfd.report(black_box(&tuple), &mut rng)))
+        b.iter(|| black_box(rsfd.report_encoded(black_box(&tuple), &mut rng)))
     });
 
     let rsfd_ue = RsFd::new(RsFdProtocol::UeZ(UeMode::Optimized), &ks, 1.0).unwrap();
     group.bench_function("RS+FD[OUE-z]", |b| {
-        b.iter(|| black_box(rsfd_ue.report(black_box(&tuple), &mut rng)))
+        b.iter(|| black_box(rsfd_ue.report_encoded(black_box(&tuple), &mut rng)))
     });
 
     let priors: Vec<Vec<f64>> = ks.iter().map(|&k| vec![1.0 / k as f64; k]).collect();
     let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 1.0, priors).unwrap();
     group.bench_function("RS+RFD[GRR]", |b| {
-        b.iter(|| black_box(rsrfd.report(black_box(&tuple), &mut rng)))
+        b.iter(|| black_box(rsrfd.report_encoded(black_box(&tuple), &mut rng)))
     });
     group.finish();
 }
@@ -80,16 +80,22 @@ fn bench_estimation(c: &mut Criterion) {
     group.sample_size(20);
 
     let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, 1.0).unwrap();
-    let reports: Vec<_> = ds.rows().map(|t| rsfd.report(t, &mut rng)).collect();
-    group.bench_function("RS+FD[GRR]", |b| {
-        b.iter(|| black_box(rsfd.estimate(black_box(&reports))))
-    });
-
     let rsfd_ue = RsFd::new(RsFdProtocol::UeR(UeMode::Optimized), &ks, 1.0).unwrap();
-    let ue_reports: Vec<_> = ds.rows().map(|t| rsfd_ue.report(t, &mut rng)).collect();
-    group.bench_function("RS+FD[OUE-r]", |b| {
-        b.iter(|| black_box(rsfd_ue.estimate(black_box(&ue_reports))))
-    });
+    for (label, solution) in [("RS+FD[GRR]", &rsfd), ("RS+FD[OUE-r]", &rsfd_ue)] {
+        let reports: Vec<_> = ds
+            .rows()
+            .map(|t| solution.report_encoded(t, &mut rng))
+            .collect();
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let mut agg = solution.aggregator();
+                for report in black_box(&reports) {
+                    agg.absorb(report);
+                }
+                black_box(agg.estimate())
+            })
+        });
+    }
     group.finish();
 }
 

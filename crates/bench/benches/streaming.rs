@@ -1,7 +1,7 @@
 //! Batch vs streaming multidimensional aggregation.
 //!
 //! Documents the tentpole win of the streaming collection API: the batch
-//! path buffers every sanitized report (`Vec<MultidimReport>`, O(n·d)
+//! path buffers every sanitized report (`Vec<SolutionReport>`, O(n·d)
 //! memory) before scanning it, while the streaming pipeline absorbs each
 //! report into `O(threads · Σ_j k_j)` support counts as it is produced and
 //! merges the shards — so memory is flat in n and the pass parallelizes.
@@ -37,8 +37,15 @@ fn bench_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("RS+FD[GRR]", n), &ds, |b, ds| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(0xBA7C4);
-                let reports: Vec<_> = ds.rows().map(|t| rsfd.report(t, &mut rng)).collect();
-                black_box(rsfd.estimate(&reports))
+                let reports: Vec<_> = ds
+                    .rows()
+                    .map(|t| rsfd.report_encoded(t, &mut rng))
+                    .collect();
+                let mut agg = rsfd.aggregator();
+                for report in &reports {
+                    agg.absorb(report);
+                }
+                black_box(agg.estimate())
             })
         });
     }

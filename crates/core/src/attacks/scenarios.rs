@@ -13,7 +13,7 @@ use crate::inference::{AttackModel, InferenceOutcome, SampledAttributeAttack};
 use crate::pie;
 use crate::profiling::Profile;
 use crate::reident::{MatchScratch, ReidentAttack};
-use crate::solutions::{DynSolution, MultidimReport, MultidimSolution, SolutionReport};
+use crate::solutions::{DynSolution, MultidimSolution, SolutionReport};
 
 // ---------------------------------------------------------------------------
 // Re-identification
@@ -98,8 +98,8 @@ impl ReidentScenario {
                     p
                 })
                 .collect(),
-            DynSolution::RsFd(s) => self.profile_fake_data(s, &extract_tuples(view.observed), rng),
-            DynSolution::RsRfd(s) => self.profile_fake_data(s, &extract_tuples(view.observed), rng),
+            DynSolution::RsFd(s) => self.profile_fake_data(s, view.observed, rng),
+            DynSolution::RsRfd(s) => self.profile_fake_data(s, view.observed, rng),
             DynSolution::Mixed(_) => panic!(
                 "re-identification does not profile mixed numeric rounds; use \
                  AttackKind::NumericValueRange against mixed solutions"
@@ -107,16 +107,19 @@ impl ReidentScenario {
         }
     }
 
-    /// The chained fake-data profiling step shared by RS+FD and RS+RFD.
+    /// The chained fake-data profiling step shared by RS+FD and RS+RFD: an
+    /// NK attacker, who knows no user's sampled attribute, reads the round's
+    /// words and decodes only each predicted attribute's entry.
     fn profile_fake_data<S: MultidimSolution>(
         &self,
         solution: &S,
-        observed: &[MultidimReport],
+        observed: &[SolutionReport],
         rng: &mut dyn RngCore,
     ) -> Vec<Profile> {
         let (attack, _) = SampledAttributeAttack::train(
             solution,
             observed,
+            &[],
             &AttackModel::NoKnowledge {
                 synth_factor: self.config.synth_factor,
             },
@@ -130,11 +133,11 @@ impl ReidentScenario {
             .zip(observed)
             .map(|(&pred, r)| {
                 let attr = pred as usize;
+                let entry = r
+                    .tuple_entry(attr)
+                    .expect("predicted attribute within the tuple");
                 let mut p = Profile::new();
-                p.observe(
-                    attr,
-                    best_guess_report(&r.values[attr], solution.ks()[attr], rng),
-                );
+                p.observe(attr, best_guess_report(&entry, solution.ks()[attr], rng));
                 p
             })
             .collect()
@@ -429,11 +432,21 @@ impl Attack for InferenceScenario {
             "sampled-attribute inference needs a fake-data solution, got {}",
             view.solution.name()
         );
-        let tuples = extract_tuples(view.observed);
+        // The one reader of the hidden attribute outside tests: the ground
+        // truth PK/HM training and the scoring use, never the features.
+        let labels: Vec<usize> = view
+            .observed
+            .iter()
+            .map(|r| {
+                r.hidden_attribute()
+                    .expect("expected full fake-data tuples in the observed round")
+            })
+            .collect();
         let (attack, test_idx) = match view.solution {
             DynSolution::RsFd(s) => SampledAttributeAttack::train(
                 s,
-                &tuples,
+                view.observed,
+                &labels,
                 &self.config.model,
                 &self.config.classifier,
                 rng,
@@ -441,7 +454,8 @@ impl Attack for InferenceScenario {
             ),
             DynSolution::RsRfd(s) => SampledAttributeAttack::train(
                 s,
-                &tuples,
+                view.observed,
+                &labels,
                 &self.config.model,
                 &self.config.classifier,
                 rng,
@@ -449,15 +463,16 @@ impl Attack for InferenceScenario {
             ),
             _ => unreachable!("solution family guarded by the assert above"),
         };
-        let n_train = tuples.len() - test_idx.len() + self.config.model.synth_count(tuples.len());
+        let n = labels.len();
+        let n_train = n - test_idx.len() + self.config.model.synth_count(n);
         // Prediction is rng-free, so the per-target success bits are fixed at
         // fit time: one batch encode/predict instead of per-target calls.
-        let tests: Vec<&MultidimReport> = test_idx.iter().map(|&i| &tuples[i]).collect();
+        let tests: Vec<&SolutionReport> = test_idx.iter().map(|&i| &view.observed[i]).collect();
         let correct: Vec<bool> = attack
             .predict(&tests, self.threads)
             .iter()
-            .zip(&tests)
-            .map(|(&pred, t)| pred as usize == t.sampled)
+            .zip(&test_idx)
+            .map(|(&pred, &i)| pred as usize == labels[i])
             .collect();
         Box::new(FittedInference {
             attack,
@@ -592,25 +607,6 @@ impl FittedAttack for FittedPie {
     fn outcome(&self, _hit_counts: &[u64]) -> AttackOutcome {
         AttackOutcome::Pie(self.outcome.clone())
     }
-}
-
-/// Extracts the fake-data tuples from a round of observed messages.
-///
-/// Decodes the wire: `SampledAttributeAttack::train` (and the
-/// `MultidimSolution::estimate*` surface underneath) consumes structured
-/// `&[MultidimReport]` slices, so the fit phase transiently holds a second,
-/// decoded copy of the round.
-///
-/// # Panics
-/// Panics when a message is not a full-tuple report.
-fn extract_tuples(observed: &[SolutionReport]) -> Vec<MultidimReport> {
-    observed
-        .iter()
-        .map(|r| {
-            r.to_tuple()
-                .expect("expected full fake-data tuples in the observed round")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -759,11 +755,19 @@ mod tests {
         let got = evaluate_serial(fitted.as_ref(), 12);
         let got = got.inference().expect("inference outcome");
 
-        let tuples = extract_tuples(&observed);
+        let labels: Vec<usize> = observed
+            .iter()
+            .map(|r| r.hidden_attribute().unwrap())
+            .collect();
         let reference = match &solution {
-            DynSolution::RsFd(s) => {
-                SampledAttributeAttack::evaluate(s, &tuples, &model, &logistic(), &mut fit_rng(12))
-            }
+            DynSolution::RsFd(s) => SampledAttributeAttack::evaluate(
+                s,
+                &observed,
+                &labels,
+                &model,
+                &logistic(),
+                &mut fit_rng(12),
+            ),
             _ => unreachable!(),
         };
         assert_eq!(got.aif_acc.to_bits(), reference.aif_acc.to_bits());

@@ -12,6 +12,13 @@
 //!   `n_pk` compromised users and trains on their real tuples.
 //! * **HM** (hybrid): both.
 //!
+//! The attack works from what a collector holds: the round's
+//! [`SolutionReport`] words, with features and the attacker's frequency
+//! prior read straight from them. The sampled attributes it is scored on
+//! come in as a separate `labels` argument, read only by PK/HM training and
+//! by the scoring; the synthetic NK profiles carry the labels the attacker
+//! drew for them itself.
+//!
 //! The classifier is a stand-in for the paper's XGBoost: either
 //! [`ldp_gbdt::GbdtClassifier`] or the linear [`ldp_gbdt::LogisticRegression`]
 //! ablation.
@@ -21,7 +28,7 @@ use ldp_protocols::Report;
 use rand::seq::index::sample;
 use rand::Rng;
 
-use crate::solutions::{sample_cdf, to_cdf, MultidimReport, MultidimSolution};
+use crate::solutions::{sample_cdf, to_cdf, MultidimSolution, SolutionReport};
 
 /// Attacker knowledge model (§3.3.1–3.3.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,32 +118,45 @@ pub struct InferenceOutcome {
     pub n_test: usize,
 }
 
-/// Encodes full tuples as classifier features: concatenated bits for unary
-/// protocols, raw value codes for GRR-style protocols.
-pub fn encode_features(reports: &[&MultidimReport], ks: &[usize], unary: bool) -> DenseMatrix {
+/// Encodes fake-data tuples as classifier features straight from their
+/// words: a value entry becomes one column (its code), a `k_j`-lane
+/// bit-vector entry `k_j` columns (its bits). The header's hidden attribute
+/// is never read.
+///
+/// # Panics
+/// Panics on a report that is not a `ks.len()`-attribute tuple of value
+/// entries (`unary = false`) or of `k_j`-lane bit vectors (`unary = true`).
+pub fn encode_features(reports: &[&SolutionReport], ks: &[usize], unary: bool) -> DenseMatrix {
     let width: usize = if unary { ks.iter().sum() } else { ks.len() };
-    let mut flat = Vec::with_capacity(reports.len() * width);
-    for r in reports {
-        debug_assert_eq!(r.values.len(), ks.len(), "tuple width mismatch");
-        if unary {
-            for rep in &r.values {
-                match rep {
-                    Report::Bits(bits) => {
-                        let start = flat.len();
-                        flat.resize(start + bits.len(), 0.0f32);
-                        for b in bits.ones() {
-                            flat[start + b] = 1.0;
+    let mut flat = vec![0.0f32; reports.len() * width];
+    for (report, row) in reports.iter().zip(flat.chunks_exact_mut(width)) {
+        let (mut cursor, d) = report
+            .tuple_entries()
+            .expect("expected full fake-data tuples in the observed round");
+        assert_eq!(d, ks.len(), "tuple width mismatch");
+        let mut col = 0;
+        for &k in ks {
+            if unary {
+                let blocks = cursor
+                    .bits_entry(k)
+                    .expect("expected unary report of the attribute's width");
+                for (b, &block) in blocks.iter().enumerate() {
+                    let mut word = block;
+                    while word != 0 {
+                        let lane = 64 * b + word.trailing_zeros() as usize;
+                        if lane < k {
+                            row[col + lane] = 1.0;
                         }
+                        word &= word - 1;
                     }
-                    other => panic!("expected unary report, got {}", other.shape()),
                 }
-            }
-        } else {
-            for rep in &r.values {
-                match rep {
-                    Report::Value(v) => flat.push(*v as f32),
+                col += k;
+            } else {
+                row[col] = match cursor.decode_entry() {
+                    Report::Value(v) => v as f32,
                     other => panic!("expected value report, got {}", other.shape()),
-                }
+                };
+                col += 1;
             }
         }
     }
@@ -144,13 +164,17 @@ pub fn encode_features(reports: &[&MultidimReport], ks: &[usize], unary: bool) -
 }
 
 impl SampledAttributeAttack {
-    /// Trains the attack. `observed` holds all sanitized tuples the attacker
-    /// sees; the returned test indices point into `observed` (all users for
-    /// NK, the non-compromised ones for PK/HM). A GBDT classifier fits on up
-    /// to `threads` threads; the model is the same for every count.
+    /// Trains the attack on one observed round. `labels[i]` is the sampled
+    /// attribute of `observed[i]`: ground truth, read only for the
+    /// compromised users of PK/HM, so an NK attacker, who knows none, may
+    /// pass `&[]`. The returned test indices point into `observed` (all
+    /// users for NK, the non-compromised ones for PK/HM). A GBDT classifier
+    /// fits on up to `threads` threads; the model is the same for every
+    /// count.
     pub fn train<S: MultidimSolution, R: Rng + ?Sized>(
         solution: &S,
-        observed: &[MultidimReport],
+        observed: &[SolutionReport],
+        labels: &[usize],
         model: &AttackModel,
         classifier: &AttackClassifier,
         rng: &mut R,
@@ -179,6 +203,10 @@ impl SampledAttributeAttack {
         } else {
             Vec::new()
         };
+        assert!(
+            compromised.is_empty() || labels.len() == n,
+            "PK/HM training needs one label per observed tuple"
+        );
         compromised.sort_unstable();
         let mut is_compromised = vec![false; n];
         for &i in &compromised {
@@ -186,45 +214,56 @@ impl SampledAttributeAttack {
         }
         let test_idx: Vec<usize> = (0..n).filter(|&i| !is_compromised[i]).collect();
 
-        // Attacker-side frequency estimates over everything it observed,
-        // projected onto the simplex for sampling synthetic profiles.
-        let mut train_reports: Vec<MultidimReport> = Vec::new();
+        // Synthetic profiles (NK/HM) drawn from the attacker's frequency
+        // estimates over everything it observed, projected onto the
+        // simplex, and sanitized with the known mechanism; each is labelled
+        // with the attribute the attacker sampled for it.
         let n_synth = model.synth_count(n);
+        let mut synthetic: Vec<SolutionReport> = Vec::with_capacity(n_synth);
+        let mut train_labels: Vec<u32> = Vec::with_capacity(n_synth + compromised.len());
         if n_synth > 0 {
-            let est = solution.estimate_normalized(observed);
-            let cdfs: Vec<Vec<f64>> = est.iter().map(|f| to_cdf(f)).collect();
+            let mut prior = solution.aggregator();
+            for report in observed {
+                prior.absorb(report);
+            }
+            let cdfs: Vec<Vec<f64>> = prior
+                .estimate_normalized()
+                .iter()
+                .map(|f| to_cdf(f))
+                .collect();
             let mut tuple = vec![0u32; d];
             for _ in 0..n_synth {
                 for (j, cdf) in cdfs.iter().enumerate() {
                     tuple[j] = sample_cdf(cdf, rng) as u32;
                 }
-                train_reports.push(solution.report(&tuple, rng));
+                let sampled = rng.random_range(0..d);
+                synthetic.push(solution.report_with_sampled(&tuple, sampled, rng));
+                train_labels.push(sampled as u32);
             }
         }
-        let mut labels: Vec<u32> = train_reports.iter().map(|r| r.sampled as u32).collect();
-        let mut train_refs: Vec<&MultidimReport> = train_reports.iter().collect();
+        let mut train: Vec<&SolutionReport> = synthetic.iter().collect();
         for &i in &compromised {
-            train_refs.push(&observed[i]);
-            labels.push(observed[i].sampled as u32);
+            train.push(&observed[i]);
+            train_labels.push(labels[i] as u32);
         }
         assert!(
-            !train_refs.is_empty(),
+            !train.is_empty(),
             "attack model produced an empty training set"
         );
 
-        let x = encode_features(&train_refs, solution.ks(), unary);
+        let x = encode_features(&train, solution.ks(), unary);
         let model =
             match classifier {
                 AttackClassifier::Gbdt(params) => TrainedModel::Gbdt(GbdtClassifier::fit(
                     &x,
-                    &labels,
+                    &train_labels,
                     d,
                     params,
                     rng.random(),
                     threads,
                 )),
                 AttackClassifier::Logistic(params) => TrainedModel::Logistic(
-                    LogisticRegression::fit(&x, &labels, d, params, rng.random()),
+                    LogisticRegression::fit(&x, &train_labels, d, params, rng.random()),
                 ),
             };
         (
@@ -240,7 +279,7 @@ impl SampledAttributeAttack {
     /// Predicts the sampled attribute of each tuple; a GBDT classifier
     /// predicts on up to `threads` threads, with the same result for every
     /// count.
-    pub fn predict(&self, reports: &[&MultidimReport], threads: usize) -> Vec<u32> {
+    pub fn predict(&self, reports: &[&SolutionReport], threads: usize) -> Vec<u32> {
         if reports.is_empty() {
             return Vec::new();
         }
@@ -253,21 +292,24 @@ impl SampledAttributeAttack {
 
     /// Trains and scores the attack in one call (the Fig. 3/14/15 pipeline),
     /// on one thread: the figure grids that call it run their cells in
-    /// parallel.
+    /// parallel. `labels[i]` is the sampled attribute of `observed[i]`, read
+    /// by PK/HM training and by the scoring only.
     pub fn evaluate<S: MultidimSolution, R: Rng + ?Sized>(
         solution: &S,
-        observed: &[MultidimReport],
+        observed: &[SolutionReport],
+        labels: &[usize],
         model: &AttackModel,
         classifier: &AttackClassifier,
         rng: &mut R,
     ) -> InferenceOutcome {
-        let (attack, test_idx) = Self::train(solution, observed, model, classifier, rng, 1);
-        let test: Vec<&MultidimReport> = test_idx.iter().map(|&i| &observed[i]).collect();
+        assert_eq!(labels.len(), observed.len(), "one label per observed tuple");
+        let (attack, test_idx) = Self::train(solution, observed, labels, model, classifier, rng, 1);
+        let test: Vec<&SolutionReport> = test_idx.iter().map(|&i| &observed[i]).collect();
         let pred = attack.predict(&test, 1);
         let hits = pred
             .iter()
             .zip(&test_idx)
-            .filter(|&(&p, &i)| p as usize == observed[i].sampled)
+            .filter(|&(&p, &i)| p as usize == labels[i])
             .count();
         let n_train = observed.len() - test_idx.len() + model.synth_count(observed.len());
         InferenceOutcome {
@@ -283,7 +325,7 @@ impl SampledAttributeAttack {
 mod tests {
     use super::*;
     use crate::solutions::{RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
-    use ldp_protocols::UeMode;
+    use ldp_protocols::{BitVec, UeMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -320,13 +362,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let solution = RsFd::new(RsFdProtocol::UeZ(UeMode::Symmetric), &ks, 10.0).unwrap();
         let tuples = skewed_tuples(1200, &ks, &mut rng);
-        let observed: Vec<MultidimReport> = tuples
-            .iter()
-            .map(|t| solution.report(t, &mut rng))
-            .collect();
+        let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,
             &observed,
+            &labels,
             &AttackModel::NoKnowledge { synth_factor: 1.0 },
             &fast_gbdt(),
             &mut rng,
@@ -344,13 +384,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let solution = RsFd::new(RsFdProtocol::Grr, &ks, 6.0).unwrap();
         let tuples = skewed_tuples(1500, &ks, &mut rng);
-        let observed: Vec<MultidimReport> = tuples
-            .iter()
-            .map(|t| solution.report(t, &mut rng))
-            .collect();
+        let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,
             &observed,
+            &labels,
             &AttackModel::NoKnowledge { synth_factor: 1.0 },
             &fast_gbdt(),
             &mut rng,
@@ -369,13 +407,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let solution = RsFd::new(RsFdProtocol::Grr, &ks, 4.0).unwrap();
         let tuples = skewed_tuples(600, &ks, &mut rng);
-        let observed: Vec<MultidimReport> = tuples
-            .iter()
-            .map(|t| solution.report(t, &mut rng))
-            .collect();
+        let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,
             &observed,
+            &labels,
             &AttackModel::PartialKnowledge {
                 compromised_frac: 0.3,
             },
@@ -401,13 +437,11 @@ mod tests {
             }
         }
         let solution = RsRfd::new(RsRfdProtocol::Grr, &ks, 8.0, priors).unwrap();
-        let observed: Vec<MultidimReport> = tuples
-            .iter()
-            .map(|t| solution.report(t, &mut rng))
-            .collect();
+        let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,
             &observed,
+            &labels,
             &AttackModel::NoKnowledge { synth_factor: 1.0 },
             &fast_gbdt(),
             &mut rng,
@@ -428,13 +462,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let solution = RsFd::new(RsFdProtocol::UeZ(UeMode::Optimized), &ks, 8.0).unwrap();
         let tuples = skewed_tuples(800, &ks, &mut rng);
-        let observed: Vec<MultidimReport> = tuples
-            .iter()
-            .map(|t| solution.report(t, &mut rng))
-            .collect();
+        let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,
             &observed,
+            &labels,
             &AttackModel::NoKnowledge { synth_factor: 1.0 },
             &AttackClassifier::Logistic(LogisticParams::default()),
             &mut rng,
@@ -453,13 +485,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let solution = RsFd::new(RsFdProtocol::Grr, &ks, 4.0).unwrap();
         let tuples = skewed_tuples(400, &ks, &mut rng);
-        let observed: Vec<MultidimReport> = tuples
-            .iter()
-            .map(|t| solution.report(t, &mut rng))
-            .collect();
+        let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let (attack, test_idx) = SampledAttributeAttack::train(
             &solution,
             &observed,
+            &labels,
             &AttackModel::Hybrid {
                 synth_factor: 1.0,
                 compromised_frac: 0.1,
@@ -476,12 +506,24 @@ mod tests {
     }
 
     #[test]
+    fn encode_features_reads_values_and_bit_lanes_from_the_words() {
+        let mut bits = BitVec::zeros(70);
+        bits.set(2, true);
+        bits.set(69, true);
+        let unary = SolutionReport::tuple(&[Report::Bits(BitVec::zeros(3)), Report::Bits(bits)], 1);
+        let x = encode_features(&[&unary], &[3, 70], true);
+        assert_eq!((x.n_rows(), x.n_cols()), (1, 73));
+        let ones: Vec<usize> = (0..73).filter(|&c| x.get(0, c) == 1.0).collect();
+        assert_eq!(ones, vec![3 + 2, 3 + 69]);
+        let values = SolutionReport::tuple(&[Report::Value(2), Report::Value(0)], 0);
+        let x = encode_features(&[&values, &values], &[3, 3], false);
+        assert_eq!((x.get(1, 0), x.get(1, 1)), (2.0, 0.0));
+    }
+
+    #[test]
     #[should_panic(expected = "expected unary report")]
     fn encode_features_rejects_shape_mismatch() {
-        let r = MultidimReport {
-            values: vec![Report::Value(1), Report::Value(0)],
-            sampled: 0,
-        };
+        let r = SolutionReport::tuple(&[Report::Value(1), Report::Value(0)], 0);
         encode_features(&[&r], &[3, 3], true);
     }
 }

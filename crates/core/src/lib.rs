@@ -47,7 +47,6 @@ pub use amplification::amplify;
 pub use attacks::{Attack, AttackKind, AttackOutcome, DynAttack, FittedAttack};
 pub use numeric::{DynNumeric, NumericKind, NumericOracle, NumericReport};
 pub use solutions::{
-    DynSolution, Mixed, MixedEntry, MixedKind, MixedReport, MultidimAggregator, MultidimReport,
-    MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind, SolutionReport,
-    Spl, NUMERIC_DIM,
+    DynSolution, Mixed, MixedEntry, MixedKind, MixedReport, MultidimAggregator, MultidimSolution,
+    RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind, SolutionReport, Spl, NUMERIC_DIM,
 };

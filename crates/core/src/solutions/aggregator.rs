@@ -22,7 +22,7 @@
 //! for uid in 0..1_000u32 {
 //!     let tuple = [uid % 12, uid % 8, uid % 3];
 //!     let shard = if uid % 2 == 0 { &mut site_a } else { &mut site_b };
-//!     shard.absorb_tuple(&rsfd.report(&tuple, &mut rng));
+//!     shard.absorb(&rsfd.report_encoded(&tuple, &mut rng));
 //! }
 //! let mut server = rsfd.aggregator();
 //! server.merge(&site_a);
@@ -45,7 +45,7 @@ use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
 use super::tally::{BitSink, BitTally, PerBit};
-use super::{MultidimReport, SolutionReport};
+use super::SolutionReport;
 
 /// Which unbiased estimator [`MultidimAggregator::estimate`] applies, plus
 /// the per-attribute parameters it needs. Built by the owning solution.
@@ -165,9 +165,9 @@ impl EstimatorSpec {
 
 /// Adds one fake-data report entry (attribute `j`, for diagnostics) to its
 /// attribute's counts: a `Value` counts itself, `Bits` counts every set bit.
-/// The counting path shared by [`MultidimAggregator::absorb_tuple`] and the
-/// tests' batch reference `support_counts`; the oracle-aware sibling for
-/// SPL/SMP reports is `ldp_protocols::oracle::count_support`.
+/// The counting path of [`MultidimAggregator::absorb_tuple`]; the
+/// oracle-aware sibling for SPL/SMP reports is
+/// `ldp_protocols::oracle::count_support`.
 ///
 /// Out-of-domain entries trip a `debug_assert` so malformed reports fail
 /// loudly in tests; release builds skip them.
@@ -221,7 +221,7 @@ pub(crate) fn count_fake_data_entry(counts: &mut [u64], j: usize, rep: &Report) 
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let mut agg = rsfd.aggregator();
 /// for _ in 0..10_000 {
-///     agg.absorb_tuple(&rsfd.report(&[2, 1], &mut rng));
+///     agg.absorb(&rsfd.report_encoded(&[2, 1], &mut rng));
 /// }
 /// let est = agg.estimate();
 /// assert!((est[0][2] - 1.0).abs() < 0.1);
@@ -468,15 +468,15 @@ impl MultidimAggregator {
         }
     }
 
-    /// Absorbs one RS+FD / RS+RFD full-tuple report.
-    pub fn absorb_tuple(&mut self, report: &MultidimReport) {
+    /// Absorbs one RS+FD / RS+RFD full tuple, one entry per attribute.
+    pub fn absorb_tuple(&mut self, values: &[Report]) {
         match &self.spec {
             EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. } => {}
             _ => panic!("absorb_tuple: this aggregator does not serve fake-data tuples"),
         }
-        debug_assert_eq!(report.values.len(), self.ks.len(), "tuple width mismatch");
+        debug_assert_eq!(values.len(), self.ks.len(), "tuple width mismatch");
         self.n += 1;
-        for (j, rep) in report.values.iter().enumerate() {
+        for (j, rep) in values.iter().enumerate() {
             count_fake_data_entry(&mut self.counts[j], j, rep);
         }
     }
@@ -660,7 +660,7 @@ impl MultidimAggregator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{DynSolution, MultidimSolution, RsFd, RsFdProtocol, Smp, SolutionKind, Spl};
+    use super::super::{DynSolution, MultidimSolution, RsFd, RsFdProtocol, Smp, SolutionKind};
     use ldp_protocols::ProtocolKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -671,16 +671,16 @@ mod tests {
         let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, 1.5).unwrap();
         let mut rng = StdRng::seed_from_u64(42);
         let reports: Vec<_> = (0..900)
-            .map(|i| rsfd.report(&[i % 5, i % 3, i % 4].map(|v| v as u32), &mut rng))
+            .map(|i| rsfd.report_encoded(&[i % 5, i % 3, i % 4].map(|v| v as u32), &mut rng))
             .collect();
 
         let mut sequential = rsfd.aggregator();
         for r in &reports {
-            sequential.absorb_tuple(r);
+            sequential.absorb(r);
         }
         let mut shards: Vec<_> = (0..4).map(|_| rsfd.aggregator()).collect();
         for (i, r) in reports.iter().enumerate() {
-            shards[i % 4].absorb_tuple(r);
+            shards[i % 4].absorb(r);
         }
         let mut merged = rsfd.aggregator();
         for s in &shards {
@@ -750,23 +750,6 @@ mod tests {
             let est = agg.estimate();
             assert_eq!(est.len(), 2);
             assert!(est.iter().flatten().all(|f| f.is_finite()));
-        }
-    }
-
-    #[test]
-    fn spl_aggregator_matches_batch_estimate() {
-        let ks = [4usize, 3];
-        let spl = Spl::new(ProtocolKind::Olh, &ks, 2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let reports: Vec<_> = (0..500).map(|_| spl.report(&[2, 1], &mut rng)).collect();
-        let batch = spl.estimate(&reports);
-        let mut agg = spl.aggregator();
-        for r in &reports {
-            agg.absorb_full(r);
-        }
-        let streamed = agg.estimate();
-        for (a, b) in batch.iter().flatten().zip(streamed.iter().flatten()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

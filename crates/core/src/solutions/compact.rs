@@ -27,8 +27,10 @@
 //!     kind 2 = Tuple (a = d)           → d entries follow
 //!     kind 3 = Mixed (a = entries)     → a dimension-tagged entries follow
 //!     b is reserved and zero on the wire. In process, a tuple keeps its
-//!     hidden sampled attribute there as attack ground truth; producers
-//!     zero it before framing (CompactBatch::push_wire).
+//!     hidden sampled attribute there as attack ground truth, which only
+//!     the inference scenario reads (SolutionReport::hidden_attribute), to
+//!     label and score the §3.3 attack; producers zero it before framing
+//!     (CompactBatch::push_wire).
 //! entry header:   tag(2 bits) | payload(bits 2..)
 //!     tag 0 = Value  (payload = v)     → no extra words
 //!     tag 1 = Hashed                   → words: seed, g | value << 32
@@ -589,7 +591,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Advances past one standard entry without materializing it.
-    fn skip_entry(&mut self) {
+    pub(crate) fn skip_entry(&mut self) {
         let header = self.next();
         let payload = header >> 2;
         match header & 0b11 {
@@ -760,7 +762,7 @@ pub(crate) fn count_entry(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{MixedEntry, MixedReport, MultidimReport, SmpReport};
+    use super::super::{MixedEntry, MixedReport, SmpReport};
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -940,10 +942,7 @@ mod tests {
                     report: entry(ks[1]),
                 }),
                 SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => {
-                    SolutionReport::tuple(&MultidimReport {
-                        values: ks.iter().map(|&k| entry(k)).collect(),
-                        sampled: 0,
-                    })
+                    SolutionReport::tuple(&ks.iter().map(|&k| entry(k)).collect::<Vec<_>>(), 0)
                 }
                 SolutionKind::Mixed(_) => SolutionReport::mixed(&MixedReport {
                     entries: vec![(0, MixedEntry::Cat(entry(ks[0])))],

@@ -172,11 +172,11 @@ impl DynSolution {
 
     /// Client-side sanitization of one user tuple, born encoded: SPL\[UE\]
     /// writes every field straight from its packed draw and RS+FD / RS+RFD
-    /// write each entry as they draw it; SPL over GRR, OLH or SS and SMP
-    /// encode their structured report. Either way the report equals
-    /// [`SolutionReport::full`] / [`SolutionReport::smp`] /
-    /// [`SolutionReport::tuple`] of the structured sanitizer on the same
-    /// RNG stream. Generic over the RNG: a concrete generator is
+    /// write each entry as they draw it
+    /// ([`MultidimSolution::report_encoded`]); SPL over GRR, OLH or SS and
+    /// SMP encode their structured report, so theirs equals
+    /// [`SolutionReport::full`] / [`SolutionReport::smp`] of the structured
+    /// sanitizer on the same RNG stream. Generic over the RNG: a concrete generator is
     /// monomorphized into the sanitizer, and `&mut dyn RngCore` works too
     /// (`R = dyn RngCore`). Both draw the same stream, so the reports are
     /// identical.
@@ -337,7 +337,7 @@ mod tests {
             .build(&ks, 1.0)
             .unwrap();
         let tuple = rsfd.report(&[1, 2], &mut rng);
-        assert_eq!(tuple.to_tuple().unwrap().values.len(), 2);
+        assert_eq!(tuple.to_tuple().unwrap().len(), 2);
         // Each accessor answers only for its own shape.
         assert!(tuple.to_full().is_none() && tuple.to_smp().is_none());
         assert!(tuple.to_mixed().is_none());

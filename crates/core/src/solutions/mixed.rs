@@ -242,15 +242,6 @@ impl Mixed {
             },
         )
     }
-
-    /// Batch estimation convenience over buffered reports.
-    pub fn estimate(&self, reports: &[MixedReport]) -> Vec<Vec<f64>> {
-        let mut agg = self.aggregator();
-        for r in reports {
-            agg.absorb_mixed(r);
-        }
-        agg.estimate()
-    }
 }
 
 #[cfg(test)]
@@ -342,13 +333,12 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let n = 60_000;
-        let reports: Vec<MixedReport> = (0..n)
-            .map(|i| {
-                let cat = [1u32, if i % 2 == 0 { 0 } else { 2 }];
-                mixed.report_mixed(&cat, &[0.4, -0.6], &mut rng).unwrap()
-            })
-            .collect();
-        let est = mixed.estimate(&reports);
+        let mut agg = mixed.aggregator();
+        for i in 0..n {
+            let cat = [1u32, if i % 2 == 0 { 0 } else { 2 }];
+            agg.absorb_mixed(&mixed.report_mixed(&cat, &[0.4, -0.6], &mut rng).unwrap());
+        }
+        let est = agg.estimate();
         assert!((est[0][1] - 1.0).abs() < 0.1, "cat marginal: {:?}", est[0]);
         assert!((est[2][0] - 0.5).abs() < 0.1);
         assert!((est[2][2] - 0.5).abs() < 0.1);

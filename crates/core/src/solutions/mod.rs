@@ -34,33 +34,19 @@ pub use spl::Spl;
 
 pub(crate) use aggregator::EstimatorSpec;
 
-use ldp_protocols::{ProtocolError, Report};
+use ldp_protocols::ProtocolError;
 use rand::Rng;
-
-/// A full sanitized tuple `y = [y_1, …, y_d]` as produced by the RS+FD /
-/// RS+RFD solutions, together with the (server-hidden) sampled attribute used
-/// as attack ground truth in the experiments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultidimReport {
-    /// One report per attribute (LDP for the sampled one, fake otherwise).
-    pub values: Vec<Report>,
-    /// Index of the attribute that was actually sanitized. This is the
-    /// *secret* the §3.3 inference attack tries to recover; it is carried
-    /// here only as experiment ground truth.
-    pub sampled: usize,
-}
 
 /// Common interface of the fake-data solutions (RS+FD and RS+RFD), used by
 /// the sampled-attribute inference attack to generate attacker-side training
-/// data with the exact client mechanism, and by the streaming pipeline to
-/// drive any solution behind one object boundary.
+/// data with the exact client mechanism.
 ///
-/// The client side [`MultidimSolution::report`] is generic over
-/// `R: Rng + ?Sized`: a concrete generator is monomorphized into the
-/// sanitizer, and `&mut dyn RngCore` still works (`R = dyn RngCore`). The
-/// server side is the streaming [`MultidimSolution::aggregator`]. Runtime
-/// selection among solutions goes through [`DynSolution`], not a trait
-/// object.
+/// The client side sanitizes straight into a [`SolutionReport`]'s words —
+/// the one report form — generic over `R: Rng + ?Sized`: a concrete
+/// generator is monomorphized into the sanitizer, and `&mut dyn RngCore`
+/// still works (`R = dyn RngCore`). The server side is the streaming
+/// [`MultidimSolution::aggregator`]. Runtime selection among solutions goes
+/// through [`DynSolution`], not a trait object.
 pub trait MultidimSolution {
     /// Number of attributes `d`.
     fn d(&self) -> usize;
@@ -83,27 +69,44 @@ pub trait MultidimSolution {
     /// solution's unbiased estimator.
     fn aggregator(&self) -> MultidimAggregator;
 
-    /// Client-side sanitization of one user tuple.
-    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport;
+    /// Client-side sanitization of one user tuple with a caller-chosen
+    /// sampled attribute (the survey engine uses it to sample without
+    /// replacement across surveys, and the §3.3 attacker to label its own
+    /// synthetic profiles), written straight into the report's words: each
+    /// entry as it is drawn, the hidden `sampled` in the tuple header.
+    ///
+    /// # Panics
+    /// Panics on tuple width mismatch or `sampled >= d`.
+    fn report_with_sampled<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        sampled: usize,
+        rng: &mut R,
+    ) -> SolutionReport;
 
-    /// Batch server-side unbiased frequency estimates for every attribute:
-    /// one streaming pass of [`MultidimSolution::aggregator`] over the
-    /// buffered reports (prefer absorbing incrementally at scale).
-    fn estimate(&self, reports: &[MultidimReport]) -> Vec<Vec<f64>> {
-        let mut agg = self.aggregator();
-        for r in reports {
-            agg.absorb_tuple(r);
-        }
-        agg.estimate()
+    /// Client-side sanitization of one user tuple: draws the sampled
+    /// attribute uniformly, then [`MultidimSolution::report_with_sampled`].
+    fn report_encoded<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> SolutionReport {
+        let sampled = rng.random_range(0..self.d());
+        self.report_with_sampled(tuple, sampled, rng)
     }
 
-    /// [`MultidimSolution::estimate`] post-processed onto the probability
-    /// simplex per attribute.
-    fn estimate_normalized(&self, reports: &[MultidimReport]) -> Vec<Vec<f64>> {
-        self.estimate(reports)
-            .iter()
-            .map(|e| ldp_protocols::oracle::normalize_simplex(e))
-            .collect()
+    /// [`MultidimSolution::report_encoded`] over a whole round of tuples,
+    /// on the same RNG stream, returning each user's sampled attribute
+    /// beside the reports: the labels the §3.3 attack is scored on, known
+    /// to the caller that drew them and never read back from the words.
+    fn report_round<'a, R: Rng + ?Sized>(
+        &self,
+        tuples: impl IntoIterator<Item = &'a [u32]>,
+        rng: &mut R,
+    ) -> (Vec<SolutionReport>, Vec<usize>) {
+        tuples
+            .into_iter()
+            .map(|tuple| {
+                let sampled = rng.random_range(0..self.d());
+                (self.report_with_sampled(tuple, sampled, rng), sampled)
+            })
+            .unzip()
     }
 }
 
@@ -122,27 +125,6 @@ pub(crate) fn validate_config(ks: &[usize], epsilon: f64) -> Result<(), Protocol
     }
     ldp_protocols::validate_epsilon(epsilon)?;
     Ok(())
-}
-
-/// Support counts `C_j(v)` per attribute over full-tuple reports: value
-/// reports count their value, unary reports count every set bit.
-///
-/// Out-of-domain entries (a value ≥ k_j, a bit vector of the wrong width, a
-/// foreign report shape) trip a `debug_assert` so malformed reports fail
-/// loudly in tests; release builds skip them, as before.
-///
-/// Production estimation streams through [`MultidimAggregator`] instead;
-/// this batch helper remains as the tests' reference implementation.
-#[cfg(test)]
-pub(crate) fn support_counts(reports: &[MultidimReport], ks: &[usize]) -> Vec<Vec<u64>> {
-    let mut counts: Vec<Vec<u64>> = ks.iter().map(|&k| vec![0u64; k]).collect();
-    for r in reports {
-        debug_assert_eq!(r.values.len(), ks.len(), "tuple width mismatch");
-        for (j, rep) in r.values.iter().enumerate() {
-            aggregator::count_fake_data_entry(&mut counts[j], j, rep);
-        }
-    }
-    counts
 }
 
 /// Draws one index from a cumulative distribution by inverse CDF.
@@ -188,7 +170,6 @@ pub(crate) fn to_cdf(pmf: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_protocols::BitVec;
 
     #[test]
     fn validate_config_rejects_bad_shapes() {
@@ -196,27 +177,6 @@ mod tests {
         assert!(validate_config(&[4, 1], 1.0).is_err());
         assert!(validate_config(&[4, 4], -1.0).is_err());
         assert!(validate_config(&[4, 4], 1.0).is_ok());
-    }
-
-    #[test]
-    fn support_counts_mixes_values_and_bits() {
-        let ks = [3usize, 4];
-        let mut bits = BitVec::zeros(4);
-        bits.set(1, true);
-        bits.set(3, true);
-        let reports = vec![
-            MultidimReport {
-                values: vec![Report::Value(2), Report::Bits(bits.clone())],
-                sampled: 0,
-            },
-            MultidimReport {
-                values: vec![Report::Value(2), Report::Bits(BitVec::zeros(4))],
-                sampled: 1,
-            },
-        ];
-        let counts = support_counts(&reports, &ks);
-        assert_eq!(counts[0], vec![0, 0, 2]);
-        assert_eq!(counts[1], vec![0, 1, 0, 1]);
     }
 
     #[test]
@@ -262,27 +222,5 @@ mod tests {
     #[should_panic(expected = "pmf sums to")]
     fn to_cdf_rejects_unnormalized_pmf_in_debug() {
         to_cdf(&[0.2, 0.2]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside domain")]
-    fn support_counts_rejects_out_of_domain_value_in_debug() {
-        let reports = vec![MultidimReport {
-            values: vec![Report::Value(7), Report::Value(0)],
-            sampled: 0,
-        }];
-        support_counts(&reports, &[3, 4]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "bit-vector width")]
-    fn support_counts_rejects_wrong_width_bits_in_debug() {
-        let reports = vec![MultidimReport {
-            values: vec![Report::Value(0), Report::Bits(BitVec::zeros(3))],
-            sampled: 0,
-        }];
-        support_counts(&reports, &[3, 4]);
     }
 }

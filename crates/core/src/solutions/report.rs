@@ -5,8 +5,9 @@
 //! `solutions/compact.rs` documents. The constructors here are the only code that
 //! writes entry words, so a batch push is one copy, aggregation walks the
 //! words without decoding them, and the SPL\[UE\] sanitizer writes each field
-//! straight from its packed draw. The typed accessors decode the structured
-//! shapes back for the attacks and the tests.
+//! straight from its packed draw. The §3.3 attack reads a fake-data tuple's
+//! entries from the words too; the typed accessors decode the structured
+//! shapes back for the deniability guesses and the tests.
 //!
 //! [`CompactBatch`]: super::CompactBatch
 
@@ -18,7 +19,6 @@ use super::compact::{
 };
 use super::mixed::{MixedEntry, MixedReport};
 use super::smp::SmpReport;
-use super::MultidimReport;
 use crate::numeric::NumericReport;
 
 /// One sanitized client message, covering every solution's report shape,
@@ -31,8 +31,10 @@ use crate::numeric::NumericReport;
 /// the matching `to_*` accessor, each `None` for a report of another shape.
 ///
 /// A fake-data tuple's header keeps its hidden sampled attribute in process,
-/// as ground truth for the §3.3 attack scoring; the producer's wire path
-/// zeroes it ([`CompactBatch::push_wire`](super::CompactBatch::push_wire)).
+/// as ground truth for the §3.3 attack scoring: only
+/// [`SolutionReport::hidden_attribute`] reads it, and outside tests only the
+/// inference scenario calls that. The producer's wire path zeroes it
+/// ([`CompactBatch::push_wire`](super::CompactBatch::push_wire)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolutionReport {
     words: Vec<u64>,
@@ -63,12 +65,13 @@ impl SolutionReport {
         })
     }
 
-    /// An RS+FD / RS+RFD report: a full fake-data tuple, whose hidden
-    /// sampled attribute rides in the header's `b` bits.
-    pub fn tuple(report: &MultidimReport) -> Self {
-        let len = 1 + report.values.iter().map(entry_len).sum::<usize>();
-        SolutionReport::encode_tuple(report.values.len(), report.sampled, len, |entries| {
-            for value in &report.values {
+    /// An RS+FD / RS+RFD report: a full fake-data tuple of one entry per
+    /// attribute, whose hidden `sampled` attribute rides in the header's `b`
+    /// bits.
+    pub fn tuple(values: &[Report], sampled: usize) -> Self {
+        let len = 1 + values.iter().map(entry_len).sum::<usize>();
+        SolutionReport::encode_tuple(values.len(), sampled, len, |entries| {
+            for value in values {
                 entries.push(value);
             }
         })
@@ -151,15 +154,39 @@ impl SolutionReport {
         })
     }
 
-    /// The fake-data tuple, or `None` for another shape. Its `sampled` is
-    /// the header's `b` bits: the hidden attribute in process, zero once a
-    /// producer has concealed it for the wire.
-    pub fn to_tuple(&self) -> Option<MultidimReport> {
-        let (mut cursor, kind, d, sampled) = self.open();
-        (kind == KIND_TUPLE).then(|| MultidimReport {
-            values: (0..d).map(|_| cursor.decode_entry()).collect(),
-            sampled,
+    /// The fake-data tuple's entries, one per attribute, or `None` for
+    /// another shape.
+    pub fn to_tuple(&self) -> Option<Vec<Report>> {
+        let (mut cursor, d) = self.tuple_entries()?;
+        Some((0..d).map(|_| cursor.decode_entry()).collect())
+    }
+
+    /// Entry `j` of a fake-data tuple, decoded alone, or `None` for another
+    /// shape or `j ≥ d`.
+    pub fn tuple_entry(&self, j: usize) -> Option<Report> {
+        let (mut cursor, d) = self.tuple_entries()?;
+        (j < d).then(|| {
+            for _ in 0..j {
+                cursor.skip_entry();
+            }
+            cursor.decode_entry()
         })
+    }
+
+    /// A fake-data tuple's hidden sampled attribute — the header's `b`
+    /// bits — or `None` for another shape. In process this is the §3.3
+    /// attack's ground truth, read only to score it; once a producer has
+    /// concealed it for the wire it is zero.
+    pub fn hidden_attribute(&self) -> Option<usize> {
+        let (_, kind, _, b) = self.open();
+        (kind == KIND_TUPLE).then_some(b)
+    }
+
+    /// A cursor past a fake-data tuple's header, with its width `d`, or
+    /// `None` for another shape. The header's `b` bits are not read.
+    pub(crate) fn tuple_entries(&self) -> Option<(Cursor<'_>, usize)> {
+        let (cursor, kind, d, _) = self.open();
+        (kind == KIND_TUPLE).then_some((cursor, d))
     }
 
     /// The mixed report's dimension-tagged entries, or `None` for another

@@ -12,14 +12,11 @@
 //! The server-side unbiased estimators are the ones derived in [4] and
 //! restated in §2.3.2 of the paper.
 
-use ldp_protocols::{BitVec, FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
+use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
 use rand::Rng;
 
 use super::report::fixed_shape_words;
-use super::{
-    validate_config, EstimatorSpec, MultidimAggregator, MultidimReport, MultidimSolution,
-    SolutionReport,
-};
+use super::{validate_config, EstimatorSpec, MultidimAggregator, MultidimSolution, SolutionReport};
 use crate::amplification::amplify;
 
 /// Which LDP protocol and fake-data procedure RS+FD runs.
@@ -124,74 +121,6 @@ impl RsFd {
         };
         d * d * gamma * (1.0 - gamma) / (n as f64 * (p - q) * (p - q))
     }
-
-    /// Sanitizes a tuple with a *caller-chosen* sampled attribute (used by
-    /// the survey engine to enforce sampling without replacement across
-    /// surveys). [`MultidimSolution::report`] delegates here with a uniform
-    /// choice.
-    ///
-    /// # Panics
-    /// Panics on tuple width mismatch or `sampled >= d`.
-    pub fn report_with_sampled<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        sampled: usize,
-        rng: &mut R,
-    ) -> MultidimReport {
-        let mut values = Vec::with_capacity(self.d());
-        self.sanitize_each(tuple, sampled, rng, |entry| values.push(entry));
-        MultidimReport { values, sampled }
-    }
-
-    /// [`MultidimSolution::report`] born encoded: each entry is written
-    /// into the report's words as it is drawn, equal to
-    /// [`SolutionReport::tuple`] of the structured report on the same RNG
-    /// stream.
-    pub(crate) fn report_encoded<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        rng: &mut R,
-    ) -> SolutionReport {
-        let sampled = rng.random_range(0..self.d());
-        let len = fixed_shape_words(&self.ks, self.is_unary());
-        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
-            self.sanitize_each(tuple, sampled, rng, |entry| entries.push(&entry))
-        })
-    }
-
-    /// Draws every attribute's entry in order — the sampled one sanitized
-    /// at ε′, the others fake — handing each to `emit`.
-    ///
-    /// # Panics
-    /// Panics on tuple width mismatch or `sampled >= d`.
-    fn sanitize_each<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        sampled: usize,
-        rng: &mut R,
-        mut emit: impl FnMut(Report),
-    ) {
-        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
-        assert!(sampled < self.d(), "sampled attribute out of range");
-        for (i, &k) in self.ks.iter().enumerate() {
-            emit(match (&self.randomizers, i == sampled) {
-                (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
-                (Randomizers::Grr(_), false) => Report::Value(rng.random_range(0..k as u32)),
-                (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
-                (Randomizers::Ue(ues), false) => match self.protocol {
-                    // UE-z fake: no zero vector is ever materialized — the
-                    // word-parallel background sampler writes Bernoulli(q)
-                    // words straight into the report.
-                    RsFdProtocol::UeZ(_) => Report::Bits(ues[i].perturb_zero_vector(rng)),
-                    RsFdProtocol::UeR(_) => {
-                        let fake = rng.random_range(0..k as u32);
-                        ues[i].randomize(fake, rng)
-                    }
-                    RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
-                },
-            });
-        }
-    }
 }
 
 impl MultidimSolution for RsFd {
@@ -215,9 +144,38 @@ impl MultidimSolution for RsFd {
         matches!(self.protocol, RsFdProtocol::UeZ(_) | RsFdProtocol::UeR(_))
     }
 
-    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport {
-        let sampled = rng.random_range(0..self.d());
-        self.report_with_sampled(tuple, sampled, rng)
+    /// Draws every attribute's entry in order — the sampled one sanitized
+    /// at ε′, the others fake — writing each into the report as it is
+    /// drawn.
+    fn report_with_sampled<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        sampled: usize,
+        rng: &mut R,
+    ) -> SolutionReport {
+        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
+        assert!(sampled < self.d(), "sampled attribute out of range");
+        let len = fixed_shape_words(&self.ks, self.is_unary());
+        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
+            for (i, &k) in self.ks.iter().enumerate() {
+                entries.push(&match (&self.randomizers, i == sampled) {
+                    (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
+                    (Randomizers::Grr(_), false) => Report::Value(rng.random_range(0..k as u32)),
+                    (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
+                    (Randomizers::Ue(ues), false) => match self.protocol {
+                        // UE-z fake: no zero vector is ever materialized —
+                        // the word-parallel background sampler writes
+                        // Bernoulli(q) words straight into the report.
+                        RsFdProtocol::UeZ(_) => Report::Bits(ues[i].perturb_zero_vector(rng)),
+                        RsFdProtocol::UeR(_) => {
+                            let fake = rng.random_range(0..k as u32);
+                            ues[i].randomize(fake, rng)
+                        }
+                        RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
+                    },
+                });
+            }
+        })
     }
 
     fn aggregator(&self) -> MultidimAggregator {
@@ -230,12 +188,6 @@ impl MultidimSolution for RsFd {
             },
         )
     }
-}
-
-/// Fake one-hot helper shared with tests.
-#[allow(dead_code)]
-pub(crate) fn one_hot(k: usize, v: u32) -> BitVec {
-    BitVec::one_hot(k, v as usize)
 }
 
 #[cfg(test)]
@@ -271,9 +223,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for protocol in RsFdProtocol::ALL {
             let rsfd = RsFd::new(protocol, &[4, 3], 2.0).unwrap();
-            let reports: Vec<MultidimReport> =
-                tuples.iter().map(|t| rsfd.report(t, &mut rng)).collect();
-            let est = rsfd.estimate(&reports);
+            let mut agg = rsfd.aggregator();
+            for t in &tuples {
+                agg.absorb(&rsfd.report_encoded(t, &mut rng));
+            }
+            let est = agg.estimate();
             for j in 0..2 {
                 for v in 0..truth[j].len() {
                     assert!(
@@ -294,7 +248,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut counts = [0usize; 3];
         for _ in 0..9000 {
-            counts[rsfd.report(&[0, 0, 0], &mut rng).sampled] += 1;
+            let report = rsfd.report_encoded(&[0, 0, 0], &mut rng);
+            counts[report.hidden_attribute().unwrap()] += 1;
         }
         for c in counts {
             assert!((c as f64 / 9000.0 - 1.0 / 3.0).abs() < 0.03);
@@ -305,9 +260,9 @@ mod tests {
     fn reports_cover_every_attribute() {
         let rsfd = RsFd::new(RsFdProtocol::UeZ(UeMode::Optimized), &[4, 3], 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let r = rsfd.report(&[1, 2], &mut rng);
-        assert_eq!(r.values.len(), 2);
-        for (j, rep) in r.values.iter().enumerate() {
+        let values = rsfd.report_encoded(&[1, 2], &mut rng).to_tuple().unwrap();
+        assert_eq!(values.len(), 2);
+        for (j, rep) in values.iter().enumerate() {
             match rep {
                 Report::Bits(b) => assert_eq!(b.len(), [4, 3][j]),
                 other => panic!("unexpected shape {other:?}"),
@@ -326,7 +281,6 @@ mod tests {
     fn ue_z_fakes_have_fewer_ones_than_ue_r_fakes() {
         // The structural difference the §4.3 attack exploits: zero-vector
         // fakes only set bits at rate q, one-hot fakes at ~(p + (k−1)q)/k.
-        let d = 2;
         let k = 20;
         let mut rng = StdRng::seed_from_u64(8);
         let z = RsFd::new(RsFdProtocol::UeZ(UeMode::Optimized), &[k, k], 5.0).unwrap();
@@ -335,13 +289,12 @@ mod tests {
             let mut total = 0usize;
             let mut fakes = 0usize;
             for _ in 0..4000 {
-                let rep = rsfd.report(&[0, 0], rng);
-                for j in 0..d {
-                    if j != rep.sampled {
-                        if let Report::Bits(b) = &rep.values[j] {
-                            total += b.count_ones();
-                            fakes += 1;
-                        }
+                let rep = rsfd.report_encoded(&[0, 0], rng);
+                let sampled = rep.hidden_attribute().unwrap();
+                for (j, value) in rep.to_tuple().unwrap().iter().enumerate() {
+                    if let (false, Report::Bits(b)) = (j == sampled, value) {
+                        total += b.count_ones();
+                        fakes += 1;
                     }
                 }
             }

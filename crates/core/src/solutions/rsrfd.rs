@@ -14,8 +14,8 @@ use rand::Rng;
 
 use super::report::fixed_shape_words;
 use super::{
-    sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator, MultidimReport,
-    MultidimSolution, SolutionReport,
+    sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator, MultidimSolution,
+    SolutionReport,
 };
 use crate::amplification::amplify;
 
@@ -167,68 +167,6 @@ impl RsRfd {
         let k = self.ks[j];
         (0..k).map(|v| self.variance(j, v, 0.0, n)).sum::<f64>() / k as f64
     }
-
-    /// Sanitizes a tuple with a caller-chosen sampled attribute (see
-    /// [`RsFd::report_with_sampled`](super::RsFd::report_with_sampled)).
-    ///
-    /// # Panics
-    /// Panics on tuple width mismatch or `sampled >= d`.
-    pub fn report_with_sampled<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        sampled: usize,
-        rng: &mut R,
-    ) -> MultidimReport {
-        let mut values = Vec::with_capacity(self.d());
-        self.sanitize_each(tuple, sampled, rng, |entry| values.push(entry));
-        MultidimReport { values, sampled }
-    }
-
-    /// [`MultidimSolution::report`] born encoded: each entry is written
-    /// into the report's words as it is drawn, equal to
-    /// [`SolutionReport::tuple`] of the structured report on the same RNG
-    /// stream.
-    pub(crate) fn report_encoded<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        rng: &mut R,
-    ) -> SolutionReport {
-        let sampled = rng.random_range(0..self.d());
-        let len = fixed_shape_words(&self.ks, self.is_unary());
-        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
-            self.sanitize_each(tuple, sampled, rng, |entry| entries.push(&entry))
-        })
-    }
-
-    /// Draws every attribute's entry in order — the sampled one sanitized
-    /// at ε′, the others fake samples of the prior — handing each to `emit`.
-    ///
-    /// # Panics
-    /// Panics on tuple width mismatch or `sampled >= d`.
-    fn sanitize_each<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        sampled: usize,
-        rng: &mut R,
-        mut emit: impl FnMut(Report),
-    ) {
-        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
-        assert!(sampled < self.d(), "sampled attribute out of range");
-        for i in 0..self.d() {
-            emit(match (&self.randomizers, i == sampled) {
-                (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
-                (Randomizers::Grr(_), false) => {
-                    // Alg. 1 line 6: a *plain* sample from the prior.
-                    Report::Value(sample_cdf(&self.prior_cdfs[i], rng) as u32)
-                }
-                (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
-                (Randomizers::Ue(ues), false) => {
-                    let fake = sample_cdf(&self.prior_cdfs[i], rng) as u32;
-                    ues[i].randomize(fake, rng)
-                }
-            });
-        }
-    }
 }
 
 impl MultidimSolution for RsRfd {
@@ -252,9 +190,34 @@ impl MultidimSolution for RsRfd {
         matches!(self.protocol, RsRfdProtocol::UeR(_))
     }
 
-    fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> MultidimReport {
-        let sampled = rng.random_range(0..self.d());
-        self.report_with_sampled(tuple, sampled, rng)
+    /// Draws every attribute's entry in order — the sampled one sanitized
+    /// at ε′, the others fake samples of the prior — writing each into the
+    /// report as it is drawn.
+    fn report_with_sampled<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        sampled: usize,
+        rng: &mut R,
+    ) -> SolutionReport {
+        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
+        assert!(sampled < self.d(), "sampled attribute out of range");
+        let len = fixed_shape_words(&self.ks, self.is_unary());
+        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
+            for i in 0..self.d() {
+                entries.push(&match (&self.randomizers, i == sampled) {
+                    (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
+                    (Randomizers::Grr(_), false) => {
+                        // Alg. 1 line 6: a *plain* sample from the prior.
+                        Report::Value(sample_cdf(&self.prior_cdfs[i], rng) as u32)
+                    }
+                    (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
+                    (Randomizers::Ue(ues), false) => {
+                        let fake = sample_cdf(&self.prior_cdfs[i], rng) as u32;
+                        ues[i].randomize(fake, rng)
+                    }
+                });
+            }
+        })
     }
 
     fn aggregator(&self) -> MultidimAggregator {
@@ -308,9 +271,11 @@ mod theorems {
         let mut rng = StdRng::seed_from_u64(11);
         for protocol in RsRfdProtocol::ALL {
             let rsrfd = RsRfd::new(protocol, &KS, 2.0, priors()).unwrap();
-            let reports: Vec<MultidimReport> =
-                tuples.iter().map(|t| rsrfd.report(t, &mut rng)).collect();
-            let est = rsrfd.estimate(&reports);
+            let mut agg = rsrfd.aggregator();
+            for t in &tuples {
+                agg.absorb(&rsrfd.report_encoded(t, &mut rng));
+            }
+            let est = agg.estimate();
             for j in 0..2 {
                 for v in 0..truth[j].len() {
                     assert!(
@@ -338,9 +303,11 @@ mod theorems {
             let (j, v) = (0usize, 1usize);
             let mut estimates = Vec::with_capacity(reps);
             for _ in 0..reps {
-                let reports: Vec<MultidimReport> =
-                    tuples.iter().map(|t| rsrfd.report(t, &mut rng)).collect();
-                estimates.push(rsrfd.estimate(&reports)[j][v]);
+                let mut agg = rsrfd.aggregator();
+                for t in &tuples {
+                    agg.absorb(&rsrfd.report_encoded(t, &mut rng));
+                }
+                estimates.push(agg.estimate()[j][v]);
             }
             let mean = estimates.iter().sum::<f64>() / reps as f64;
             let var = estimates
@@ -407,9 +374,9 @@ mod tests {
         let mut fake_counts = [0usize; 4];
         let mut fakes = 0usize;
         for _ in 0..20_000 {
-            let r = rsrfd.report(&[3, 1], &mut rng);
-            if r.sampled != 0 {
-                if let Report::Value(v) = r.values[0] {
+            let r = rsrfd.report_encoded(&[3, 1], &mut rng);
+            if r.hidden_attribute() != Some(0) {
+                if let Some(Report::Value(v)) = r.tuple_entry(0) {
                     fake_counts[v as usize] += 1;
                     fakes += 1;
                 }
@@ -441,10 +408,13 @@ mod tests {
         let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let tuples: Vec<Vec<u32>> = (0..5000).map(|i| vec![(i % 4) as u32, 0]).collect();
-        let reports: Vec<MultidimReport> =
-            tuples.iter().map(|t| rsrfd.report(t, &mut rng)).collect();
-        let a = rsrfd.estimate(&reports);
-        let b = rsfd.estimate(&reports);
+        let (mut a, mut b) = (rsrfd.aggregator(), rsfd.aggregator());
+        for t in &tuples {
+            let report = rsrfd.report_encoded(t, &mut rng);
+            a.absorb(&report);
+            b.absorb(&report);
+        }
+        let (a, b) = (a.estimate(), b.estimate());
         for j in 0..2 {
             for v in 0..ks[j] {
                 assert!(

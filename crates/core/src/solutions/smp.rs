@@ -103,24 +103,6 @@ impl Smp {
             },
         )
     }
-
-    /// Batch server-side estimation: one streaming pass over the buffered
-    /// reports, grouped by disclosed attribute with its own `n_j`.
-    pub fn estimate(&self, reports: &[SmpReport]) -> Vec<Vec<f64>> {
-        let mut agg = self.aggregator();
-        for r in reports {
-            agg.absorb_smp(r);
-        }
-        agg.estimate()
-    }
-
-    /// [`Smp::estimate`] projected onto the probability simplex.
-    pub fn estimate_normalized(&self, reports: &[SmpReport]) -> Vec<Vec<f64>> {
-        self.estimate(reports)
-            .iter()
-            .map(|e| ldp_protocols::oracle::normalize_simplex(e))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -140,11 +122,11 @@ mod tests {
     fn estimates_recover_marginals() {
         let smp = Smp::new(ProtocolKind::Grr, &[4, 3], 3.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let reports: Vec<SmpReport> = toy_population(40_000)
-            .iter()
-            .map(|t| smp.report(t, &mut rng))
-            .collect();
-        let est = smp.estimate(&reports);
+        let mut agg = smp.aggregator();
+        for t in toy_population(40_000) {
+            agg.absorb_smp(&smp.report(&t, &mut rng));
+        }
+        let est = agg.estimate();
         assert!((est[0][1] - 1.0).abs() < 0.05, "est {est:?}");
         assert!((est[1][0] - 0.5).abs() < 0.05);
         assert!((est[1][2] - 0.5).abs() < 0.05);
@@ -182,9 +164,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for kind in ProtocolKind::ALL {
             let smp = Smp::new(kind, &[6, 4], 2.0).unwrap();
-            let reports: Vec<SmpReport> =
-                (0..4000).map(|_| smp.report(&[3, 1], &mut rng)).collect();
-            let est = smp.estimate(&reports);
+            let mut agg = smp.aggregator();
+            for _ in 0..4000 {
+                agg.absorb_smp(&smp.report(&[3, 1], &mut rng));
+            }
+            let est = agg.estimate();
             assert!(
                 (est[0][3] - 1.0).abs() < 0.15,
                 "{kind}: est[0] = {:?}",

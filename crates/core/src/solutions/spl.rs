@@ -78,13 +78,6 @@ impl Spl {
         &self.oracles[j]
     }
 
-    /// Whether tuple sanitization runs through the word-fused UE path
-    /// (exposed so benches and conformance tests can assert which path a
-    /// configuration exercises).
-    pub fn fused_sanitize(&self) -> bool {
-        self.fused.is_some()
-    }
-
     /// Sanitizes the full tuple, one (ε/d)-LDP report per attribute.
     ///
     /// UE families fuse the whole tuple into one packed multi-word draw
@@ -139,16 +132,6 @@ impl Spl {
             },
         )
     }
-
-    /// Batch server-side estimation: one streaming pass over the buffered
-    /// reports (every user contributes to every attribute).
-    pub fn estimate(&self, reports: &[Vec<Report>]) -> Vec<Vec<f64>> {
-        let mut agg = self.aggregator();
-        for tuple in reports {
-            agg.absorb_full(tuple);
-        }
-        agg.estimate()
-    }
 }
 
 #[cfg(test)]
@@ -162,9 +145,11 @@ mod tests {
         let ks = [4usize, 3];
         let spl = Spl::new(ProtocolKind::Grr, &ks, 4.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let tuples: Vec<Vec<u32>> = (0..30_000).map(|i| vec![1u32, (i % 3) as u32]).collect();
-        let reports: Vec<Vec<Report>> = tuples.iter().map(|t| spl.report(t, &mut rng)).collect();
-        let est = spl.estimate(&reports);
+        let mut agg = spl.aggregator();
+        for i in 0..30_000 {
+            agg.absorb_full(&spl.report(&[1, i % 3], &mut rng));
+        }
+        let est = agg.estimate();
         assert!((est[0][1] - 1.0).abs() < 0.1, "est {est:?}");
         assert!((est[1][0] - 1.0 / 3.0).abs() < 0.1);
     }
@@ -188,16 +173,21 @@ mod tests {
         let eps = 2.0;
         let n = 20_000;
         let mut rng = StdRng::seed_from_u64(7);
-        let tuples: Vec<Vec<u32>> = (0..n).map(|_| vec![2u32, 2, 2, 2]).collect();
+        let tuple = [2u32, 2, 2, 2];
 
         let spl = Spl::new(ProtocolKind::Grr, &ks, eps).unwrap();
-        let spl_reports: Vec<Vec<Report>> =
-            tuples.iter().map(|t| spl.report(t, &mut rng)).collect();
-        let spl_est = spl.estimate(&spl_reports);
+        let mut spl_agg = spl.aggregator();
+        for _ in 0..n {
+            spl_agg.absorb_full(&spl.report(&tuple, &mut rng));
+        }
+        let spl_est = spl_agg.estimate();
 
         let smp = super::super::Smp::new(ProtocolKind::Grr, &ks, eps).unwrap();
-        let smp_reports: Vec<_> = tuples.iter().map(|t| smp.report(t, &mut rng)).collect();
-        let smp_est = smp.estimate(&smp_reports);
+        let mut smp_agg = smp.aggregator();
+        for _ in 0..n {
+            smp_agg.absorb_smp(&smp.report(&tuple, &mut rng));
+        }
+        let smp_est = smp_agg.estimate();
 
         let err = |est: &[Vec<f64>]| -> f64 {
             est.iter()
@@ -232,18 +222,21 @@ mod tests {
         let widest = Spl::new(ProtocolKind::Oue, &[300, 150, 100], 3.0).unwrap();
         let shapes = [&narrow, &wide, &wider, &widest];
         for spl in shapes {
-            assert!(spl.fused_sanitize(), "{:?} {:?}", spl.kind(), spl.ks());
+            assert!(spl.fused.is_some(), "{:?} {:?}", spl.kind(), spl.ks());
         }
-        assert!(!Spl::new(ProtocolKind::Grr, &[16, 8, 5, 4], 1.0)
+        assert!(Spl::new(ProtocolKind::Grr, &[16, 8, 5, 4], 1.0)
             .unwrap()
-            .fused_sanitize());
+            .fused
+            .is_none());
         // Every fused shape still recovers a point-mass marginal end to end.
         for spl in shapes {
             let mut rng = StdRng::seed_from_u64(0xF5ED);
             let tuple: Vec<u32> = spl.ks().iter().map(|_| 1u32).collect();
-            let reports: Vec<Vec<Report>> =
-                (0..40_000).map(|_| spl.report(&tuple, &mut rng)).collect();
-            let est = spl.estimate(&reports);
+            let mut agg = spl.aggregator();
+            for _ in 0..40_000 {
+                agg.absorb_full(&spl.report(&tuple, &mut rng));
+            }
+            let est = agg.estimate();
             for (j, attr) in est.iter().enumerate() {
                 assert!(
                     (attr[1] - 1.0).abs() < 0.15,

@@ -5,7 +5,7 @@ use ldp_core::inference::{encode_features, AttackClassifier, AttackModel, Sample
 use ldp_core::pie;
 use ldp_core::profiling::Profile;
 use ldp_core::reident::{MatchScratch, ReidentAttack};
-use ldp_core::solutions::{MultidimReport, MultidimSolution, RsFd, RsFdProtocol, Smp, SmpReport};
+use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, Smp};
 use ldp_datasets::{Dataset, Schema};
 use ldp_gbdt::GbdtParams;
 use ldp_protocols::{ProtocolKind, Report};
@@ -18,10 +18,11 @@ fn smp_estimate_with_unsampled_attribute_is_zero() {
     // (n_j = 0), not NaN.
     let smp = Smp::new(ProtocolKind::Grr, &[3, 4], 1.0).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
-    let reports: Vec<SmpReport> = (0..100)
-        .map(|_| smp.report_attr(&[1, 2], 0, &mut rng))
-        .collect();
-    let est = smp.estimate(&reports);
+    let mut agg = smp.aggregator();
+    for _ in 0..100 {
+        agg.absorb_smp(&smp.report_attr(&[1, 2], 0, &mut rng));
+    }
+    let est = agg.estimate();
     assert!(est[0].iter().all(|f| f.is_finite()));
     assert_eq!(
         est[1],
@@ -33,7 +34,7 @@ fn smp_estimate_with_unsampled_attribute_is_zero() {
 #[test]
 fn rsfd_estimate_of_empty_report_set_is_zero() {
     let rsfd = RsFd::new(RsFdProtocol::Grr, &[3, 4], 1.0).unwrap();
-    let est = rsfd.estimate(&[]);
+    let est = rsfd.aggregator().estimate();
     assert_eq!(est.len(), 2);
     assert!(est.iter().flatten().all(|&f| f == 0.0));
 }
@@ -50,10 +51,11 @@ fn inference_attack_with_minimum_population() {
     // valid percentages.
     let rsfd = RsFd::new(RsFdProtocol::Grr, &[3, 3], 2.0).unwrap();
     let mut rng = StdRng::seed_from_u64(2);
-    let observed: Vec<MultidimReport> = (0..2).map(|_| rsfd.report(&[1, 2], &mut rng)).collect();
+    let (observed, labels) = rsfd.report_round([[1, 2].as_slice(); 2], &mut rng);
     let out = SampledAttributeAttack::evaluate(
         &rsfd,
         &observed,
+        &labels,
         &AttackModel::NoKnowledge { synth_factor: 1.0 },
         &AttackClassifier::Gbdt(GbdtParams {
             rounds: 2,
@@ -115,8 +117,11 @@ fn multidim_report_shapes_are_stable_for_every_variant() {
     let mut rng = StdRng::seed_from_u64(5);
     for protocol in RsFdProtocol::ALL {
         let rsfd = RsFd::new(protocol, &ks, 1.0).unwrap();
-        let r = rsfd.report(&[3, 1, 0], &mut rng);
-        for (j, rep) in r.values.iter().enumerate() {
+        let values = rsfd
+            .report_encoded(&[3, 1, 0], &mut rng)
+            .to_tuple()
+            .unwrap();
+        for (j, rep) in values.iter().enumerate() {
             match (rsfd.is_unary(), rep) {
                 (true, Report::Bits(b)) => assert_eq!(b.len(), ks[j]),
                 (false, Report::Value(v)) => assert!((*v as usize) < ks[j]),

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::metrics::mean_std;
 use ldp_core::reident::ReidentAttack;
-use ldp_core::solutions::{MultidimReport, MultidimSolution, RsFd, RsFdProtocol};
+use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
 use ldp_gbdt::LogisticParams;
 use ldp_protocols::hash::{mix2, mix3};
 use ldp_protocols::{ProtocolKind, UeMode};
@@ -58,11 +58,11 @@ pub fn run_classifier(cfg: &ExpConfig) -> ExperimentReport {
         let ds = cfg.acs(run);
         let ks = ds.schema().cardinalities();
         let solution = RsFd::new(protocols[pi], &ks, eps[ei]).expect("rsfd");
-        let observed: Vec<MultidimReport> =
-            ds.rows().map(|t| solution.report(t, &mut rng)).collect();
+        let (observed, sampled) = solution.report_round(ds.rows(), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,
             &observed,
+            &sampled,
             &AttackModel::NoKnowledge { synth_factor: 1.0 },
             &classifiers_ref[ci].1,
             &mut rng,

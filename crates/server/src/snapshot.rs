@@ -99,13 +99,13 @@ mod tests {
         let rsfd = RsFd::new(RsFdProtocol::Grr, &[4, 3], 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let reports: Vec<_> = (0..300)
-            .map(|i| rsfd.report(&[i % 4, i % 3], &mut rng))
+            .map(|i| rsfd.report_encoded(&[i % 4, i % 3], &mut rng))
             .collect();
         let mut sequential = rsfd.aggregator();
         let mut shards = [rsfd.aggregator(), rsfd.aggregator()];
         for (i, r) in reports.iter().enumerate() {
-            sequential.absorb_tuple(r);
-            shards[i % 2].absorb_tuple(r);
+            sequential.absorb(r);
+            shards[i % 2].absorb(r);
         }
         let snap = ServerSnapshot::merge(rsfd.aggregator(), &shards);
         assert_eq!(snap.n, 300);

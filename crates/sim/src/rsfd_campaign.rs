@@ -9,7 +9,7 @@
 
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::profiling::Profile;
-use ldp_core::solutions::{MultidimReport, RsFd, RsFdProtocol};
+use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, SolutionReport};
 use ldp_datasets::Dataset;
 use ldp_protocols::deniability::best_guess_report;
 use ldp_protocols::hash::mix3;
@@ -59,7 +59,7 @@ pub fn run_rsfd_campaign(
         // Users sample (uniform metric: without replacement on *global*
         // attribute ids) and sanitize, in parallel.
         let sv_seed = mix3(seed, sv as u64, 0xF00D_CAFE);
-        let reports: Vec<(MultidimReport, usize)> =
+        let (observed, sampled): (Vec<SolutionReport>, Vec<usize>) =
             par_users(n, threads, sv_seed, 0x000F_DCA3, |uid, rng| {
                 let fresh: Vec<usize> = (0..attrs.len())
                     .filter(|&li| !already[uid][attrs[li]])
@@ -71,17 +71,20 @@ pub fn run_rsfd_campaign(
                 };
                 let tuple: Vec<u32> = attrs.iter().map(|&a| dataset.value(uid, a)).collect();
                 (rsfd.report_with_sampled(&tuple, local, rng), local)
-            });
-        for (uid, &(_, local)) in reports.iter().enumerate() {
+            })
+            .into_iter()
+            .unzip();
+        for (uid, &local) in sampled.iter().enumerate() {
             already[uid][attrs[local]] = true;
         }
 
-        // Adversary: NK classifier over this survey's tuples.
-        let observed: Vec<MultidimReport> = reports.iter().map(|(r, _)| r.clone()).collect();
+        // Adversary: NK classifier over this survey's tuples; it knows no
+        // user's sampled attribute.
         let mut attack_rng = StdRng::seed_from_u64(mix3(sv_seed, 0xA7_7A, 1));
         let (attack, _) = SampledAttributeAttack::train(
             &rsfd,
             &observed,
+            &[],
             &AttackModel::NoKnowledge {
                 synth_factor: config.synth_factor,
             },
@@ -92,12 +95,15 @@ pub fn run_rsfd_campaign(
         let predicted = attack.predict(&observed.iter().collect::<Vec<_>>(), threads);
 
         // Chain: predicted attribute → deniability guess on its report.
-        for (uid, (&pred_local, (report, _))) in predicted.iter().zip(reports.iter()).enumerate() {
+        for (uid, (&pred_local, report)) in predicted.iter().zip(&observed).enumerate() {
             let pred_local = pred_local as usize;
             let global = attrs[pred_local];
             let k = ks[pred_local];
             let mut rng = StdRng::seed_from_u64(mix3(sv_seed, uid as u64, 0x617E55));
-            let value = best_guess_report(&report.values[pred_local], k, &mut rng);
+            let entry = report
+                .tuple_entry(pred_local)
+                .expect("predicted attribute within the tuple");
+            let value = best_guess_report(&entry, k, &mut rng);
             profiles[uid].observe(global, value);
         }
         snapshots.push(profiles.clone());

@@ -23,8 +23,8 @@
 
 use ldp_core::solutions::{
     CompactBatch, DynSolution, MixedEntry, MixedKind, MixedReport, MultidimAggregator,
-    MultidimReport, MultidimSolution, RsFdProtocol, RsRfdProtocol, SmpReport, SolutionKind,
-    SolutionReport, NUMERIC_DIM,
+    MultidimSolution, RsFdProtocol, RsRfdProtocol, SmpReport, SolutionKind, SolutionReport,
+    NUMERIC_DIM,
 };
 use ldp_core::{NumericKind, NumericReport};
 use ldp_datasets::corpora::adult_like;
@@ -186,10 +186,10 @@ fn saturating_report(solution: &DynSolution, uid: u64) -> SolutionReport {
                 report: all_ones(ks[attr]),
             })
         }
-        SolutionKind::RsFd(_) => SolutionReport::tuple(&MultidimReport {
-            values: ks.iter().map(|&k| all_ones(k)).collect(),
-            sampled: uid as usize % ks.len(),
-        }),
+        SolutionKind::RsFd(_) => SolutionReport::tuple(
+            &ks.iter().map(|&k| all_ones(k)).collect::<Vec<_>>(),
+            uid as usize % ks.len(),
+        ),
         SolutionKind::Mixed(_) => SolutionReport::mixed(&MixedReport {
             entries: ks
                 .iter()
@@ -412,20 +412,28 @@ fn assert_same(got: &ServerSnapshot, want: &ServerSnapshot, label: &str) {
 enum Structured {
     Full(Vec<Report>),
     Smp(SmpReport),
-    Tuple(MultidimReport),
+    /// A fake-data tuple's entries and its hidden sampled attribute.
+    Tuple(Vec<Report>, usize),
     Mixed(MixedReport),
 }
 
 impl Structured {
     /// Sanitizes one user through the solution's structured path
-    /// (`Spl::report`, `Smp::report`, `MultidimSolution::report`,
-    /// `Mixed::report_mixed`).
+    /// (`Spl::report`, `Smp::report`, `Mixed::report_mixed`). The fake-data
+    /// solutions sanitize only into words: their reference draws the
+    /// sampled attribute itself, calls `report_with_sampled` and decodes
+    /// the result.
     fn draw(solution: &DynSolution, cat: &[u32], num: &[f64], rng: &mut StdRng) -> Self {
+        fn tuple<S: MultidimSolution>(s: &S, cat: &[u32], rng: &mut StdRng) -> Structured {
+            let sampled = rng.random_range(0..s.d());
+            let report = s.report_with_sampled(cat, sampled, rng);
+            Structured::Tuple(report.to_tuple().unwrap(), sampled)
+        }
         match solution {
             DynSolution::Spl(s) => Structured::Full(s.report(cat, rng)),
             DynSolution::Smp(s) => Structured::Smp(s.report(cat, rng)),
-            DynSolution::RsFd(s) => Structured::Tuple(MultidimSolution::report(s, cat, rng)),
-            DynSolution::RsRfd(s) => Structured::Tuple(MultidimSolution::report(s, cat, rng)),
+            DynSolution::RsFd(s) => tuple(s, cat, rng),
+            DynSolution::RsRfd(s) => tuple(s, cat, rng),
             DynSolution::Mixed(s) => Structured::Mixed(s.report_mixed(cat, num, rng).unwrap()),
         }
     }
@@ -435,7 +443,7 @@ impl Structured {
         match self {
             Structured::Full(reports) => SolutionReport::full(reports),
             Structured::Smp(report) => SolutionReport::smp(report),
-            Structured::Tuple(report) => SolutionReport::tuple(report),
+            Structured::Tuple(values, sampled) => SolutionReport::tuple(values, *sampled),
             Structured::Mixed(report) => SolutionReport::mixed(report),
         }
     }
@@ -445,7 +453,9 @@ impl Structured {
         let decoded = [
             report.to_full().map(Structured::Full),
             report.to_smp().map(Structured::Smp),
-            report.to_tuple().map(Structured::Tuple),
+            report
+                .to_tuple()
+                .map(|values| Structured::Tuple(values, report.hidden_attribute().unwrap())),
             report.to_mixed().map(Structured::Mixed),
         ];
         let mut shapes = decoded.into_iter().flatten();
@@ -459,7 +469,7 @@ impl Structured {
         match self {
             Structured::Full(reports) => agg.absorb_full(reports),
             Structured::Smp(report) => agg.absorb_smp(report),
-            Structured::Tuple(report) => agg.absorb_tuple(report),
+            Structured::Tuple(values, _) => agg.absorb_tuple(values),
             Structured::Mixed(report) => agg.absorb_mixed(report),
         }
     }

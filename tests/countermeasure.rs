@@ -1,22 +1,43 @@
 //! Integration: the RS+RFD countermeasure improves utility (Fig. 5) and
 //! suppresses the sampled-attribute inference attack (Fig. 6 / Fig. 17).
 
-use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
+use ldp_core::inference::{
+    AttackClassifier, AttackModel, InferenceOutcome, SampledAttributeAttack,
+};
 use ldp_core::metrics::mse_avg;
 use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
 use ldp_datasets::corpora::{acs_employment_like, ACS_EMPLOYMENT_N};
 use ldp_datasets::priors::{correct_priors_scaled, IncorrectPrior};
+use ldp_datasets::Dataset;
 use ldp_gbdt::GbdtParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn classifier() -> AttackClassifier {
-    AttackClassifier::Gbdt(GbdtParams {
+/// One streaming estimation pass over a sanitized round.
+fn estimate<S: MultidimSolution>(solution: &S, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    let mut agg = solution.aggregator();
+    for t in ds.rows() {
+        agg.absorb(&solution.report_encoded(t, rng));
+    }
+    agg.estimate()
+}
+
+/// The NK attack on a sanitized round, scored on the sampled attributes
+/// the round drew.
+fn nk_attack<S: MultidimSolution>(
+    solution: &S,
+    ds: &Dataset,
+    rng: &mut StdRng,
+) -> InferenceOutcome {
+    let (reports, labels) = solution.report_round(ds.rows(), rng);
+    let nk = AttackModel::NoKnowledge { synth_factor: 1.0 };
+    let classifier = AttackClassifier::Gbdt(GbdtParams {
         rounds: 15,
         max_depth: 4,
         min_child_weight: 0.05,
         ..GbdtParams::default()
-    })
+    });
+    SampledAttributeAttack::evaluate(solution, &reports, &labels, &nk, &classifier, rng)
 }
 
 #[test]
@@ -30,13 +51,11 @@ fn correct_priors_beat_uniform_fakes_on_mse() {
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(100 + seed);
         let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, eps).expect("rsfd");
-        let reports: Vec<_> = ds.rows().map(|t| rsfd.report(t, &mut rng)).collect();
-        mse_fd += mse_avg(&truth, &rsfd.estimate(&reports));
+        mse_fd += mse_avg(&truth, &estimate(&rsfd, &ds, &mut rng));
 
         let priors = correct_priors_scaled(&ds, 0.1, ACS_EMPLOYMENT_N, &mut rng);
         let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, eps, priors).expect("rsrfd");
-        let reports: Vec<_> = ds.rows().map(|t| rsrfd.report(t, &mut rng)).collect();
-        mse_rfd += mse_avg(&truth, &rsrfd.estimate(&reports));
+        mse_rfd += mse_avg(&truth, &estimate(&rsrfd, &ds, &mut rng));
     }
     assert!(
         mse_rfd < mse_fd,
@@ -49,16 +68,12 @@ fn correct_priors_suppress_the_inference_attack() {
     let ds = acs_employment_like(1_500, 10);
     let ks = ds.schema().cardinalities();
     let mut rng = StdRng::seed_from_u64(11);
-    let nk = AttackModel::NoKnowledge { synth_factor: 1.0 };
-
     let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, 10.0).expect("rsfd");
-    let fd_reports: Vec<_> = ds.rows().map(|t| rsfd.report(t, &mut rng)).collect();
-    let fd = SampledAttributeAttack::evaluate(&rsfd, &fd_reports, &nk, &classifier(), &mut rng);
+    let fd = nk_attack(&rsfd, &ds, &mut rng);
 
     let priors = correct_priors_scaled(&ds, 0.1, ACS_EMPLOYMENT_N, &mut rng);
     let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 10.0, priors).expect("rsrfd");
-    let rfd_reports: Vec<_> = ds.rows().map(|t| rsrfd.report(t, &mut rng)).collect();
-    let rfd = SampledAttributeAttack::evaluate(&rsrfd, &rfd_reports, &nk, &classifier(), &mut rng);
+    let rfd = nk_attack(&rsrfd, &ds, &mut rng);
 
     assert!(
         rfd.aif_acc < fd.aif_acc,
@@ -79,16 +94,12 @@ fn even_wrong_zipf_priors_help_against_the_attack() {
     let ds = acs_employment_like(1_500, 12);
     let ks = ds.schema().cardinalities();
     let mut rng = StdRng::seed_from_u64(13);
-    let nk = AttackModel::NoKnowledge { synth_factor: 1.0 };
-
     let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, 10.0).expect("rsfd");
-    let fd_reports: Vec<_> = ds.rows().map(|t| rsfd.report(t, &mut rng)).collect();
-    let fd = SampledAttributeAttack::evaluate(&rsfd, &fd_reports, &nk, &classifier(), &mut rng);
+    let fd = nk_attack(&rsfd, &ds, &mut rng);
 
     let priors = IncorrectPrior::Zipf.generate_all(&ks, &mut rng);
     let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 10.0, priors).expect("rsrfd");
-    let rfd_reports: Vec<_> = ds.rows().map(|t| rsrfd.report(t, &mut rng)).collect();
-    let rfd = SampledAttributeAttack::evaluate(&rsrfd, &rfd_reports, &nk, &classifier(), &mut rng);
+    let rfd = nk_attack(&rsrfd, &ds, &mut rng);
 
     assert!(
         rfd.aif_acc < fd.aif_acc,
@@ -108,8 +119,7 @@ fn rsrfd_estimators_recover_marginals_with_wrong_priors() {
     let mut rng = StdRng::seed_from_u64(15);
     let priors = IncorrectPrior::Dirichlet.generate_all(&ks, &mut rng);
     let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 3.0, priors).expect("rsrfd");
-    let reports: Vec<_> = ds.rows().map(|t| rsrfd.report(t, &mut rng)).collect();
-    let est = rsrfd.estimate(&reports);
+    let est = estimate(&rsrfd, &ds, &mut rng);
     // Spot-check the largest attribute's head value.
     let head = truth[0]
         .iter()

@@ -37,9 +37,9 @@ proptest! {
         let solution = RsFd::new(protocol, &ks, eps).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let tuple: Vec<u32> = ks.iter().map(|&k| (seed % k as u64) as u32).collect();
-        let report = solution.report(&tuple, &mut rng);
-        prop_assert_eq!(report.values.len(), ks.len());
-        prop_assert!(report.sampled < ks.len());
+        let report = solution.report_encoded(&tuple, &mut rng);
+        prop_assert_eq!(report.to_tuple().unwrap().len(), ks.len());
+        prop_assert!(report.hidden_attribute().unwrap() < ks.len());
         // Feature encoding accepts every report the solution produces.
         let x = encode_features(&[&report], &ks, solution.is_unary());
         let width: usize = if solution.is_unary() { ks.iter().sum() } else { ks.len() };
@@ -77,10 +77,11 @@ proptest! {
         let ks = vec![k, k];
         let smp = Smp::new(kind, &ks, 4.0).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let reports: Vec<_> = (0..4000u32)
-            .map(|i| smp.report(&[i % k as u32, (i / 7) % k as u32], &mut rng))
-            .collect();
-        let est = smp.estimate_normalized(&reports);
+        let mut agg = smp.aggregator();
+        for i in 0..4000u32 {
+            agg.absorb_smp(&smp.report(&[i % k as u32, (i / 7) % k as u32], &mut rng));
+        }
+        let est = agg.estimate_normalized();
         for attr in &est {
             for &f in attr {
                 prop_assert!((f - 1.0 / k as f64).abs() < 0.2, "estimate {f} too far from uniform");

@@ -25,13 +25,11 @@ fn nk_aif(dataset: &Dataset, protocol: RsFdProtocol, epsilon: f64, seed: u64) ->
     let ks = dataset.schema().cardinalities();
     let mut rng = StdRng::seed_from_u64(seed);
     let solution = RsFd::new(protocol, &ks, epsilon).expect("rsfd");
-    let observed: Vec<_> = dataset
-        .rows()
-        .map(|t| solution.report(t, &mut rng))
-        .collect();
+    let (observed, sampled) = solution.report_round(dataset.rows(), &mut rng);
     let out = SampledAttributeAttack::evaluate(
         &solution,
         &observed,
+        &sampled,
         &AttackModel::NoKnowledge { synth_factor: 1.0 },
         &classifier(),
         &mut rng,

@@ -585,7 +585,7 @@ fn net_client_frames_never_carry_the_sampled_attribute() {
         let mut hidden = 0;
         for uid in 0..ds.n() as u64 {
             let report = solution.report(ds.row(uid as usize), &mut user_rng(SEED, uid));
-            hidden += (report.to_tuple().unwrap().sampled != 0) as usize;
+            hidden += (report.hidden_attribute().unwrap() != 0) as usize;
             client.push(uid, &report).unwrap();
         }
         assert_eq!(client.finish().unwrap(), ds.n() as u64, "{kind}");

@@ -1,11 +1,11 @@
 //! Property tests: the streaming `MultidimAggregator` — absorbed one report
 //! at a time, or filled in shards and `merge()`d — produces **bit-identical**
-//! estimates to the batch `estimate()` path, for all four solutions and
-//! every protocol variant.
+//! estimates to the batch `DynSolution::estimate` path, for all four
+//! solutions and every protocol variant.
 
 use ldp_core::solutions::{
-    MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind, SolutionReport,
-    Spl,
+    DynSolution, MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind,
+    SolutionReport, Spl,
 };
 use ldp_protocols::{ProtocolKind, UeMode};
 use proptest::prelude::*;
@@ -73,17 +73,18 @@ fn assert_bit_identical(batch: &[Vec<f64>], streamed: &[Vec<f64>], label: &str) 
     }
 }
 
-/// Streams `reports` through one sequential aggregator and through three
-/// merged shards; checks both against `batch`.
-fn check_streaming<S: MultidimSolution>(
+/// Streams `reports` through one sequential aggregator, fed the decoded
+/// entries, and through three merged shards, fed the words; checks both
+/// against the batch estimate.
+fn check_streaming<S: MultidimSolution + Clone + Into<DynSolution>>(
     solution: &S,
-    reports: &[ldp_core::solutions::MultidimReport],
-    batch: &[Vec<f64>],
+    reports: &[SolutionReport],
     label: &str,
 ) {
+    let batch = &solution.clone().into().estimate(reports);
     let mut sequential = solution.aggregator();
     for r in reports {
-        sequential.absorb_tuple(r);
+        sequential.absorb_tuple(&r.to_tuple().unwrap());
     }
     assert_bit_identical(batch, &sequential.estimate(), label);
 
@@ -93,7 +94,7 @@ fn check_streaming<S: MultidimSolution>(
         solution.aggregator(),
     ];
     for (i, r) in reports.iter().enumerate() {
-        shards[i % 3].absorb_tuple(r);
+        shards[i % 3].absorb(r);
     }
     let mut merged = solution.aggregator();
     for s in &shards {
@@ -118,10 +119,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let reports: Vec<_> = tuples(&ks, 120, &mut rng)
             .iter()
-            .map(|t| solution.report(t, &mut rng))
+            .map(|t| solution.report_encoded(t, &mut rng))
             .collect();
-        let batch = solution.estimate(&reports);
-        check_streaming(&solution, &reports, &batch, &protocol.name());
+        check_streaming(&solution, &reports, &protocol.name());
     }
 
     /// RS+RFD: same, with a skewed prior.
@@ -137,10 +137,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let reports: Vec<_> = tuples(&ks, 120, &mut rng)
             .iter()
-            .map(|t| solution.report(t, &mut rng))
+            .map(|t| solution.report_encoded(t, &mut rng))
             .collect();
-        let batch = solution.estimate(&reports);
-        check_streaming(&solution, &reports, &batch, &protocol.name());
+        check_streaming(&solution, &reports, &protocol.name());
     }
 
     /// SPL: per-attribute Eq. (2) — streaming equals batch for every oracle.
@@ -157,7 +156,8 @@ proptest! {
             .iter()
             .map(|t| solution.report(t, &mut rng))
             .collect();
-        let batch = solution.estimate(&reports);
+        let words: Vec<_> = reports.iter().map(|r| SolutionReport::full(r)).collect();
+        let batch = DynSolution::from(solution.clone()).estimate(&words);
 
         let mut shards = [solution.aggregator(), solution.aggregator()];
         for (i, r) in reports.iter().enumerate() {
@@ -184,7 +184,8 @@ proptest! {
             .iter()
             .map(|t| solution.report(t, &mut rng))
             .collect();
-        let batch = solution.estimate(&reports);
+        let words: Vec<_> = reports.iter().map(SolutionReport::smp).collect();
+        let batch = DynSolution::from(solution.clone()).estimate(&words);
 
         let mut shards = [solution.aggregator(), solution.aggregator()];
         for (i, r) in reports.iter().enumerate() {
