@@ -1,13 +1,18 @@
 //! Property tests: the sharded `AttackPipeline` produces **bit-identical**
 //! RID-ACC and ASR to the serial `evaluate_serial` reference, for every
 //! `SolutionKind` variant and thread count — the adversary counterpart of
-//! `streaming_equivalence.rs`.
+//! `streaming_equivalence.rs` — and the attacks read nothing a collector
+//! could not log: their outcomes do not move when the tuple headers lose
+//! the hidden sampled attribute.
 
 use ldp_core::attacks::{
-    evaluate_serial, AttackKind, AttackOutcome, InferenceConfig, ReidentConfig,
+    evaluate_serial, fit_rng, AdversaryView, Attack, AttackKind, AttackOutcome, AveragingConfig,
+    InferenceConfig, ReidentConfig,
 };
-use ldp_core::inference::{AttackClassifier, AttackModel};
-use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
+use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
+use ldp_core::solutions::{
+    CompactBatch, DynSolution, RsFdProtocol, RsRfdProtocol, SolutionKind, SolutionReport,
+};
 use ldp_datasets::{Dataset, Schema};
 use ldp_gbdt::{GbdtParams, LogisticParams};
 use ldp_protocols::ProtocolKind;
@@ -53,6 +58,32 @@ fn dataset(n: usize, ks: &[usize], seed: u64) -> Dataset {
 /// proptest.
 fn logistic() -> AttackClassifier {
     AttackClassifier::Logistic(LogisticParams::default())
+}
+
+/// `rounds` rounds of `solution` over `ds`, round-major, as a collector logs
+/// them: each report pushed with `CompactBatch::push` (its header keeps the
+/// hidden sampled attribute) or with `push_wire` (those bits zeroed), then
+/// read back through `CompactBatch::iter`.
+fn logged_rounds(
+    solution: &DynSolution,
+    ds: &Dataset,
+    rounds: u64,
+    seed: u64,
+    wire: bool,
+) -> Vec<SolutionReport> {
+    let mut batch = CompactBatch::new();
+    for round in 0..rounds {
+        let mut rng = StdRng::seed_from_u64(seed ^ round);
+        for uid in 0..ds.n() {
+            let report = solution.report(ds.row(uid), &mut rng);
+            if wire {
+                batch.push_wire(uid as u64, &report);
+            } else {
+                batch.push(uid as u64, &report);
+            }
+        }
+    }
+    batch.iter().map(|(_, report)| report).collect()
 }
 
 fn assert_outcomes_bit_identical(a: &AttackOutcome, b: &AttackOutcome, label: &str) {
@@ -171,6 +202,91 @@ proptest! {
                     &sharded.outcome,
                     &format!("{kind} (t={threads})"),
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The attacks are blind to the header's hidden attribute: on every
+    /// RS+FD and RS+RFD variant, a round logged with `push` and the same
+    /// round logged with `push_wire` give bit-identical re-identification
+    /// and two-round averaging outcomes, and bit-identical
+    /// `SampledAttributeAttack::evaluate` outcomes under every attacker
+    /// model when both get the same explicit labels.
+    #[test]
+    fn attacks_are_blind_to_the_hidden_attribute_bits(
+        seed in any::<u64>(),
+        eps in 1.0f64..8.0,
+    ) {
+        let ks = [5usize, 4, 6];
+        let ds = dataset(120, &ks, seed);
+        let n = ds.n();
+        let kinds = RsFdProtocol::ALL
+            .map(SolutionKind::RsFd)
+            .into_iter()
+            .chain(RsRfdProtocol::ALL.map(SolutionKind::RsRfd));
+        for kind in kinds {
+            let solution = kind.build(&ks, eps).unwrap();
+            let kept = logged_rounds(&solution, &ds, 2, seed, false);
+            let wire = logged_rounds(&solution, &ds, 2, seed, true);
+            let labels: Vec<usize> = kept[..n]
+                .iter()
+                .map(|r| r.hidden_attribute().unwrap())
+                .collect();
+            prop_assert!(labels.iter().any(|&b| b != 0), "{}: nothing hidden", kind);
+            prop_assert!(wire.iter().all(|r| r.hidden_attribute() == Some(0)));
+
+            let reident = ReidentConfig {
+                classifier: logistic(),
+                ..ReidentConfig::default()
+            };
+            let attacks = [
+                (AttackKind::Reident(reident.clone()), n),
+                (AttackKind::Averaging(AveragingConfig { rounds: 2, reident }), 2 * n),
+            ];
+            for (attack, len) in attacks {
+                let attack = attack.build().unwrap();
+                let outcome = |observed: &[SolutionReport]| {
+                    let view = AdversaryView {
+                        dataset: &ds,
+                        solution: &solution,
+                        observed,
+                        numeric_truth: None,
+                    };
+                    evaluate_serial(attack.fit(&view, &mut fit_rng(seed)).as_ref(), seed)
+                };
+                assert_outcomes_bit_identical(
+                    &outcome(&kept[..len]),
+                    &outcome(&wire[..len]),
+                    &format!("{kind} {}", attack.name()),
+                );
+            }
+
+            let models = [
+                AttackModel::NoKnowledge { synth_factor: 1.0 },
+                AttackModel::PartialKnowledge { compromised_frac: 0.3 },
+                AttackModel::Hybrid { synth_factor: 1.0, compromised_frac: 0.3 },
+            ];
+            for model in models {
+                let evaluate = |observed: &[SolutionReport]| {
+                    let mut rng = fit_rng(seed);
+                    match &solution {
+                        DynSolution::RsFd(s) => SampledAttributeAttack::evaluate(
+                            s, observed, &labels, &model, &logistic(), &mut rng,
+                        ),
+                        DynSolution::RsRfd(s) => SampledAttributeAttack::evaluate(
+                            s, observed, &labels, &model, &logistic(), &mut rng,
+                        ),
+                        _ => unreachable!("fake-data kinds only"),
+                    }
+                };
+                let (a, b) = (evaluate(&kept[..n]), evaluate(&wire[..n]));
+                let label = format!("{kind} AIF[{}]", model.name());
+                prop_assert_eq!(a.aif_acc.to_bits(), b.aif_acc.to_bits(), "{}", label);
+                prop_assert_eq!((a.n_train, a.n_test), (b.n_train, b.n_test), "{}", label);
             }
         }
     }
