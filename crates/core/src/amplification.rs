@@ -20,13 +20,6 @@ pub fn amplify(epsilon: f64, d: usize) -> f64 {
     (d as f64 * (epsilon.exp() - 1.0) + 1.0).ln()
 }
 
-/// Inverse of [`amplify`]: the per-user budget ε that yields `eps_amp` after
-/// amplification over `d` attributes.
-pub fn deamplify(eps_amp: f64, d: usize) -> f64 {
-    assert!(d >= 1, "need at least one attribute");
-    ((eps_amp.exp() - 1.0) / d as f64 + 1.0).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,16 +49,6 @@ mod tests {
         // d = 3, ε = ln 2 → ε′ = ln(3·1 + 1) = ln 4 = 2 ln 2.
         let a = amplify(2.0f64.ln(), 3);
         assert!((a - 4.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deamplify_inverts_amplify() {
-        for d in [2usize, 5, 10, 18] {
-            for eps in [0.3, 1.0, 6.0] {
-                let round = deamplify(amplify(eps, d), d);
-                assert!((round - eps).abs() < 1e-9, "d={d} eps={eps}: {round}");
-            }
-        }
     }
 
     #[test]

@@ -35,16 +35,6 @@ pub fn alpha_from_bayes_error(beta: f64, n: usize) -> f64 {
     ((1.0 - beta) * (n as f64).log2() - 1.0).max(0.0)
 }
 
-/// α guaranteed by an ε-LDP mechanism over `n` users and domain size `k`
-/// (Proposition 1): `α = min(ε·log2 e, ε²·log2 e, log2 n, log2 k)`.
-pub fn alpha_of_ldp(epsilon: f64, n: usize, k: usize) -> f64 {
-    let log2e = std::f64::consts::LOG2_E;
-    (epsilon * log2e)
-        .min(epsilon * epsilon * log2e)
-        .min((n as f64).log2())
-        .min((k as f64).log2())
-}
-
 /// Largest ε such that `min(ε, ε²)·log2(e) ≤ α`.
 ///
 /// For `c = α·ln 2`: when `c ≥ 1` the binding term is ε itself (ε ≥ 1), so
@@ -103,6 +93,16 @@ mod tests {
         let c = alpha * std::f64::consts::LN_2;
         assert!((epsilon_from_alpha(alpha) - c.sqrt()).abs() < 1e-12);
         assert!(epsilon_from_alpha(alpha) < 1.0);
+    }
+
+    /// α guaranteed by an ε-LDP mechanism over `n` users and domain size
+    /// `k` (Proposition 1): `α = min(ε·log2 e, ε²·log2 e, log2 n, log2 k)`.
+    fn alpha_of_ldp(epsilon: f64, n: usize, k: usize) -> f64 {
+        let log2e = std::f64::consts::LOG2_E;
+        (epsilon * log2e)
+            .min(epsilon * epsilon * log2e)
+            .min((n as f64).log2())
+            .min((k as f64).log2())
     }
 
     #[test]

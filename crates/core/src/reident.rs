@@ -69,14 +69,6 @@ impl ReidentAttack {
         self.n
     }
 
-    /// Attributes available to the matcher, in ascending order.
-    pub fn known_attrs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.postings
-            .iter()
-            .enumerate()
-            .filter_map(|(j, lists)| lists.as_ref().map(|_| j))
-    }
-
     /// The posting list of records holding `value` on `attr`, or `None` when
     /// the entry is unusable: the attribute is outside the background
     /// knowledge or the value outside its domain.
@@ -432,14 +424,6 @@ mod tests {
             attack.hits_into(&p, 2, &[1, 2, 4], &mut scratch, &mut buf, &mut rng_b);
             assert_eq!(alloc, buf.to_vec());
         }
-    }
-
-    #[test]
-    fn known_attrs_are_ascending() {
-        let ds = Dataset::new(Schema::from_cardinalities(&[2; 5]), vec![0; 10]);
-        let attack = ReidentAttack::build(&ds, &[4, 0, 3, 1]);
-        assert_eq!(attack.known_attrs().collect::<Vec<_>>(), vec![0, 1, 3, 4]);
-        assert_eq!(ReidentAttack::build(&ds, &[]).known_attrs().count(), 0);
     }
 
     /// The counting path for every profile with a usable entry: the

@@ -158,18 +158,6 @@ impl DynSolution {
         }
     }
 
-    /// Budget actually applied to each sanitized attribute report: ε/d for
-    /// SPL, ε for SMP, the amplified ε′ for the fake-data solutions.
-    pub fn epsilon_per_report(&self) -> f64 {
-        match self {
-            DynSolution::Spl(s) => s.epsilon() / s.d() as f64,
-            DynSolution::Smp(s) => s.epsilon(),
-            DynSolution::RsFd(s) => s.epsilon_amplified(),
-            DynSolution::RsRfd(s) => s.epsilon_amplified(),
-            DynSolution::Mixed(s) => s.epsilon_per_dim(),
-        }
-    }
-
     /// Client-side sanitization of one user tuple, born encoded: SPL\[UE\]
     /// writes every field straight from its packed draw and RS+FD / RS+RFD
     /// write each entry as they draw it
@@ -386,7 +374,6 @@ mod tests {
         let solution = kind.build(&ks, 1.5).unwrap();
         assert_eq!(solution.kind(), kind);
         assert_eq!(solution.ks(), &ks[..]);
-        assert!((solution.epsilon_per_report() - 0.75).abs() < 1e-12);
         let mut rng = StdRng::seed_from_u64(7);
         let report = solution.report_mixed(&[1, 2], &[0.5], &mut rng).unwrap();
         assert_eq!(report.to_mixed().unwrap().entries.len(), 2);

@@ -129,11 +129,6 @@ impl Mixed {
         self.epsilon
     }
 
-    /// Budget applied to each sampled dimension: `ε / sample_k`.
-    pub fn epsilon_per_dim(&self) -> f64 {
-        self.epsilon / self.kind.sample_k as f64
-    }
-
     /// Number of dimensions `d`.
     pub fn d(&self) -> usize {
         self.ks.len()
@@ -160,14 +155,6 @@ impl Mixed {
     /// dimensions).
     pub fn oracle(&self, j: usize) -> Option<&Oracle> {
         self.oracles[j].as_ref()
-    }
-
-    /// Analytic variance of the dimension-`j` numeric mean estimate at
-    /// population size `n`, for a user whose true value is `t`:
-    /// `Var_mech(t) / n_j` with `n_j = n · sample_k / d` expected reports.
-    pub fn numeric_mean_variance(&self, t: f64, n: usize) -> f64 {
-        let n_j = n as f64 * self.kind.sample_k as f64 / self.d() as f64;
-        self.numeric.variance(t) / n_j
     }
 
     /// Client-side sanitization: samples `sample_k` dimensions without

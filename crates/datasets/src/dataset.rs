@@ -106,22 +106,6 @@ impl Dataset {
         unique as f64 / self.n() as f64
     }
 
-    /// Size of the anonymity set (equivalence class) of each user under the
-    /// projection onto `attrs`.
-    pub fn anonymity_sets(&self, attrs: &[usize]) -> Vec<u32> {
-        let mut groups: HashMap<Vec<u32>, u32> = HashMap::with_capacity(self.n());
-        for i in 0..self.n() {
-            let key: Vec<u32> = attrs.iter().map(|&j| self.value(i, j)).collect();
-            *groups.entry(key).or_insert(0) += 1;
-        }
-        (0..self.n())
-            .map(|i| {
-                let key: Vec<u32> = attrs.iter().map(|&j| self.value(i, j)).collect();
-                groups[&key]
-            })
-            .collect()
-    }
-
     /// Uniform random subsample of `m` users (without replacement), keeping
     /// the schema. Returns a clone when `m >= n`.
     pub fn subsample<R: Rng + ?Sized>(&self, m: usize, rng: &mut R) -> Dataset {
@@ -139,23 +123,6 @@ impl Dataset {
             schema: self.schema.clone(),
             data,
         }
-    }
-
-    /// Restricts the dataset to a subset of attributes (in the given order),
-    /// producing the partial background knowledge `D_PK` of §3.2.4.
-    pub fn project(&self, attrs: &[usize]) -> Dataset {
-        let atts = attrs
-            .iter()
-            .map(|&j| self.schema.attributes()[j].clone())
-            .collect();
-        let schema = Schema::new(atts);
-        let mut data = Vec::with_capacity(self.n() * attrs.len());
-        for i in 0..self.n() {
-            for &j in attrs {
-                data.push(self.value(i, j));
-            }
-        }
-        Dataset { schema, data }
     }
 }
 
@@ -201,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn anonymity_sets_match_group_sizes() {
-        let ds = toy();
-        assert_eq!(ds.anonymity_sets(&[0]), vec![2, 2, 2, 2]);
-        assert_eq!(ds.anonymity_sets(&[0, 1]), vec![2, 1, 2, 1]);
-    }
-
-    #[test]
     fn subsample_preserves_schema_and_rows() {
         let ds = toy();
         let mut rng = StdRng::seed_from_u64(1);
@@ -219,15 +179,6 @@ mod tests {
         }
         // m >= n returns everything.
         assert_eq!(ds.subsample(10, &mut rng).n(), 4);
-    }
-
-    #[test]
-    fn project_reorders_attributes() {
-        let ds = toy();
-        let p = ds.project(&[1]);
-        assert_eq!(p.d(), 1);
-        assert_eq!(p.row(1), &[2]);
-        assert_eq!(p.schema().attributes()[0].name, "A2");
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! Dirichlet(1) / Zipf / Exponential priors.
 
 pub mod corpora;
-pub mod csv;
 pub mod dataset;
 pub mod generator;
 pub mod mixed;

@@ -432,11 +432,6 @@ impl GbdtClassifier {
         self.n_classes
     }
 
-    /// Total number of fitted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.iter().map(Vec::len).sum()
-    }
-
     /// Gain-weighted feature importance over `n_features` features,
     /// normalized to sum to 1 (all-zeros when no split was ever made).
     ///
@@ -622,7 +617,7 @@ mod tests {
             ..GbdtParams::default()
         };
         let model = GbdtClassifier::fit(&x, &y, 3, &params, 0, 1);
-        assert_eq!(model.n_trees(), 12);
+        assert_eq!(model.trees.iter().map(Vec::len).sum::<usize>(), 12);
     }
 
     #[test]

@@ -437,11 +437,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Adds this tree's split gains per feature into `importance`
     /// (gain-weighted feature importance — robust against late rounds
     /// chasing noise with many near-zero-gain splits).
@@ -674,7 +669,7 @@ mod tests {
             ..TreeParams::default()
         };
         let tree = RegressionTree::fit(&x, &grad, &hess, &rows, &[0], &params);
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert!((tree.predict_binned(x.row(0)) + 3.0).abs() < 1e-6); // -(2+4)/2
     }
 
@@ -690,7 +685,7 @@ mod tests {
             ..TreeParams::default()
         };
         let tree = RegressionTree::fit(&x, &grad, &hess, &rows, &[0], &params);
-        assert_eq!(tree.node_count(), 1, "split should be blocked");
+        assert_eq!(tree.nodes.len(), 1, "split should be blocked");
     }
 
     #[test]
@@ -848,7 +843,7 @@ mod tests {
         };
         assert_matches_reference(&x, &grad, &hess, &[2, 1], &[0], &params);
         let tree = RegressionTree::fit(&x, &grad, &hess, &[2, 1], &[0], &params);
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.nodes.len(), 1);
     }
 
     #[test]

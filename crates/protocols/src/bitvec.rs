@@ -163,16 +163,6 @@ impl BitVec {
         self.words_mut()[wi] = word & mask;
     }
 
-    /// ORs `word` into word `wi`, masking off lanes past [`BitVec::len`].
-    ///
-    /// # Panics
-    /// Panics if `wi >= word_count`.
-    #[inline]
-    pub fn or_word(&mut self, wi: usize, word: u64) {
-        let mask = self.lane_mask(wi);
-        self.words_mut()[wi] |= word & mask;
-    }
-
     /// Clears every bit (length unchanged) — the run-writer reset that lets
     /// a pooled vector be reused without reallocating.
     #[inline]
@@ -352,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn set_word_masks_the_tail_and_or_word_accumulates() {
+    fn set_word_masks_the_tail_and_clear_resets() {
         for k in [5usize, 64, 65, 130, 192] {
             let mut bv = BitVec::zeros(k);
             assert_eq!(bv.word_count(), k.div_ceil(64));
@@ -365,9 +355,6 @@ mod tests {
             assert_eq!(rebuilt, bv);
             bv.clear();
             assert_eq!(bv.count_ones(), 0);
-            bv.or_word(0, 0b101);
-            bv.or_word(0, 0b110);
-            assert_eq!(bv.ones_vec(), vec![0, 1, 2]);
         }
     }
 

@@ -10,12 +10,11 @@
 //!   several; a uniform domain guess when none.
 //!
 //! [`expected_acc`] gives the closed-form expected attacker accuracy of each
-//! rule using the *actual integer* protocol parameters (ω, g); the
-//! [`paper`] submodule keeps the continuous-approximation formulas printed in
-//! the paper for comparison. Note: the paper's SUE formula contains a
-//! typographical slip (`e^{ε/2}/(e^{ε/2}+1)^i`); the derivation consistent
-//! with its own OUE formula is `p/i · Bin(i−1; k−1, q)`, which is what we
-//! implement and validate against Monte-Carlo simulation.
+//! rule using the *actual integer* protocol parameters (ω, g). Note: the
+//! paper's SUE formula contains a typographical slip
+//! (`e^{ε/2}/(e^{ε/2}+1)^i`); the derivation consistent with its own OUE
+//! formula is `p/i · Bin(i−1; k−1, q)`, which is what we implement and
+//! validate against Monte-Carlo simulation.
 
 use rand::Rng;
 
@@ -143,39 +142,6 @@ pub fn acc_ue(k: usize, p: f64, q: f64) -> f64 {
     acc
 }
 
-/// Continuous-approximation closed forms exactly as printed in the paper
-/// (§3.2.1), useful to reproduce Fig. 1 with the paper's own algebra.
-pub mod paper {
-    /// `ACC_GRR = e^ε / (e^ε + k − 1)`.
-    pub fn acc_grr(epsilon: f64, k: usize) -> f64 {
-        let e = epsilon.exp();
-        e / (e + k as f64 - 1.0)
-    }
-
-    /// `ACC_OLH = 1 / (2 · max(k/(e^ε+1), 1))`.
-    pub fn acc_olh(epsilon: f64, k: usize) -> f64 {
-        let e = epsilon.exp();
-        1.0 / (2.0 * (k as f64 / (e + 1.0)).max(1.0))
-    }
-
-    /// `ACC_SS = (e^ε + 1) / (2k)`, capped at the ω=1 limit `e^ε/(e^ε+k−1)`.
-    pub fn acc_ss(epsilon: f64, k: usize) -> f64 {
-        let e = epsilon.exp();
-        ((e + 1.0) / (2.0 * k as f64)).min(acc_grr(epsilon, k))
-    }
-
-    /// SUE accuracy with the corrected `p/i` term (see module docs).
-    pub fn acc_sue(epsilon: f64, k: usize) -> f64 {
-        let e2 = (epsilon / 2.0).exp();
-        super::acc_ue(k, e2 / (e2 + 1.0), 1.0 / (e2 + 1.0))
-    }
-
-    /// OUE accuracy: `(1/(2k))(e^ε/(e^ε+1))^{k−1} + Σ (1/(2i))Bin(i−1;k−1,1/(e^ε+1))`.
-    pub fn acc_oue(epsilon: f64, k: usize) -> f64 {
-        super::acc_ue(k, 0.5, 1.0 / (epsilon.exp() + 1.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,35 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn paper_formulas_close_to_integer_parameter_versions() {
-        // The continuous approximations should track the exact forms closely
-        // at the Fig. 1 operating points.
-        for eps in [1.0f64, 3.0, 6.0] {
-            let k = 74;
-            let exact_ss = expected_acc(&ProtocolKind::Ss.build(k, eps).unwrap());
-            let approx_ss = paper::acc_ss(eps, k);
-            assert!(
-                (exact_ss - approx_ss).abs() < 0.05,
-                "eps={eps}: exact {exact_ss} vs paper {approx_ss}"
-            );
-            let exact_olh = expected_acc(&ProtocolKind::Olh.build(k, eps).unwrap());
-            let approx_olh = paper::acc_olh(eps, k);
-            // The paper's OLH approximation is loosest near k ≈ e^ε + 1.
-            assert!(
-                (exact_olh - approx_olh).abs() < 0.1,
-                "eps={eps}: exact {exact_olh} vs paper {approx_olh}"
-            );
-        }
-    }
-
-    #[test]
     fn acc_ue_is_a_probability_and_binomial_sums_to_one() {
         for k in [2usize, 7, 92] {
             for eps in [0.5, 2.0, 8.0] {
-                let a = paper::acc_sue(eps, k);
-                assert!((0.0..=1.0).contains(&a), "k={k} eps={eps}: {a}");
-                let b = paper::acc_oue(eps, k);
-                assert!((0.0..=1.0).contains(&b), "k={k} eps={eps}: {b}");
+                for kind in [ProtocolKind::Sue, ProtocolKind::Oue] {
+                    let a = expected_acc(&kind.build(k, eps).unwrap());
+                    assert!((0.0..=1.0).contains(&a), "{kind} k={k} eps={eps}: {a}");
+                }
             }
         }
     }

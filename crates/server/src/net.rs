@@ -53,7 +53,7 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -109,8 +109,6 @@ struct Shared {
     grace: Option<Duration>,
     /// Connections dropped for a protocol violation.
     rejected: AtomicUsize,
-    /// Reports ingested over all connections.
-    ingested: AtomicU64,
 }
 
 impl Shared {
@@ -211,7 +209,6 @@ impl WireServer {
             changed: Condvar::new(),
             grace,
             rejected: AtomicUsize::new(0),
-            ingested: AtomicU64::new(0),
         });
         let server = Arc::new(LdpServer::spawn(solution, config));
         let stop = Arc::new(AtomicBool::new(false));
@@ -266,12 +263,6 @@ impl WireServer {
     /// Connections dropped for protocol violations so far.
     pub fn rejected_connections(&self) -> usize {
         self.shared.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Reports ingested over the wire so far (counted at frame validation,
-    /// i.e. possibly slightly ahead of shard absorption).
-    pub fn ingested_reports(&self) -> u64 {
-        self.shared.ingested.load(Ordering::Relaxed)
     }
 
     /// Sessions reaped for exceeding the resume grace period so far — the
@@ -526,7 +517,6 @@ fn run_session(
                         // queue — that block is the backpressure path in
                         // the module docs.
                         server.ingest_compact(batch);
-                        shared.ingested.fetch_add(len, Ordering::Relaxed);
                         if seq % ack_every == 0 {
                             send(writer, &Frame::BatchAck { seq, n: ingested })?;
                         }

@@ -96,12 +96,6 @@ impl FaultPlan {
         }
     }
 
-    /// Caps the total number of injected faults.
-    pub fn max_faults(mut self, max: u64) -> FaultPlan {
-        self.max = max;
-        self
-    }
-
     /// Restricts the schedule to the given classes (empty is rejected by
     /// [`FaultPlan::parse`]; programmatic callers keep what they pass).
     pub fn kinds(mut self, kinds: &[FaultKind]) -> FaultPlan {

@@ -41,18 +41,6 @@ impl SurveyPlan {
         }
     }
 
-    /// Builds a plan from explicit subsets.
-    ///
-    /// # Panics
-    /// Panics when any subset is empty.
-    pub fn from_subsets(attrs: Vec<Vec<usize>>) -> Self {
-        assert!(!attrs.is_empty(), "need at least one survey");
-        for a in &attrs {
-            assert!(!a.is_empty(), "surveys cannot be empty");
-        }
-        SurveyPlan { attrs }
-    }
-
     /// Number of surveys.
     pub fn n_surveys(&self) -> usize {
         self.attrs.len()
@@ -104,11 +92,5 @@ mod tests {
         let plan = SurveyPlan::generate(10, 50, &mut rng);
         let sizes: std::collections::HashSet<usize> = plan.iter().map(<[usize]>::len).collect();
         assert!(sizes.len() > 1, "sizes never varied: {sizes:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be empty")]
-    fn from_subsets_rejects_empty_survey() {
-        SurveyPlan::from_subsets(vec![vec![0], vec![]]);
     }
 }
