@@ -378,7 +378,10 @@ pub fn auth_fingerprint(token: &str) -> u64 {
 /// compile time — the workspace vendors no checksum crate. `CRC_TABLES[0]`
 /// is the classic bytewise table; `CRC_TABLES[t][i]` advances
 /// `CRC_TABLES[0][i]` by `t` further zero bytes, so eight table lookups fold
-/// eight input bytes per step instead of one.
+/// eight input bytes per step instead of one. They drive [`crc32_update`],
+/// the table path: the whole checksum off x86_64, on CPUs without
+/// PCLMULQDQ and for inputs shorter than 128 bytes (every control frame),
+/// and the sub-16-byte tail of the folded kernel.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -409,12 +412,41 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
+/// Shortest input [`crc32`] hands to the folded kernel. The kernel needs 64
+/// bytes to load its four accumulators; from 128 on it also runs at least
+/// one four-block fold step. Control frames (0–24 bytes) stay on the table
+/// path, and batch frames are far longer.
+#[cfg(target_arch = "x86_64")]
+const CRC_FOLD_MIN_LEN: usize = 128;
+
 /// CRC-32 (IEEE) of `bytes` — the checksum carried in every frame header.
-/// Slice-by-8: eight bytes per step through `CRC_TABLES`, then the
-/// remainder bytewise; the result is the plain bytewise CRC bit for bit.
+/// On x86_64 CPUs with PCLMULQDQ and SSE4.1 (detected at run time), an
+/// input of at least 128 bytes goes through `crc32_folded`, the
+/// carry-less-multiply kernel; everything else takes the slice-by-8 table
+/// path `crc32_update`. Both yield the plain bytewise CRC bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if bytes.len() >= CRC_FOLD_MIN_LEN
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: `crc32_folded` is safe apart from its target features,
+            // and both were detected on this CPU just above.
+            #[allow(unsafe_code)]
+            let state = unsafe { crc32_folded(!0, bytes) };
+            return !state;
+        }
+    }
+    !crc32_update(!0, bytes)
+}
+
+/// Advances the CRC-32 register `state` (pre- and post-inversion are the
+/// caller's) over `bytes` by the slice-by-8 table path: eight bytes per step
+/// through `CRC_TABLES`, then the remainder bytewise.
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
+    let mut c = state;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -430,7 +462,81 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// Advances the CRC-32 register `state` over `bytes` (at least 64 of them)
+/// by carry-less multiplication, after Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in
+/// its bit-reflected form. Four 128-bit accumulators fold 64 bytes per step,
+/// collapse into one that folds the remaining 16-byte blocks, and a
+/// 128→64-bit fold plus a Barrett reduction bring it to 32 bits; the last
+/// `len % 16` bytes go through [`crc32_update`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_folded(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+    // x^e mod P(x) for the IEEE polynomial, bit-reflected and shifted left
+    // by one, as the reflected fold needs: K1/K2 fold across four blocks
+    // (e = 4·128 ± 32), K3/K4 across one (e = 128 ± 32), K5 64 → 32 bits
+    // (e = 64); P is the polynomial and MU = ⌊x^64 / P(x)⌋, both reflected.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// 16 input bytes as one little-endian lane pair.
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(block[..8].try_into().expect("8-byte slice"));
+        let hi = u64::from_le_bytes(block[8..16].try_into().expect("8-byte slice"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+    /// `acc` carried forward by the distance `k` encodes, plus `data`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, data: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(data, lo), hi)
+    }
+
+    let (head, body) = bytes.split_at(64);
+    let mut x = [0, 1, 2, 3].map(|i| load(&head[16 * i..]));
+    x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    let mut blocks = body.chunks_exact(64);
+    for block in &mut blocks {
+        for (i, acc) in x.iter_mut().enumerate() {
+            *acc = fold(*acc, load(&block[16 * i..]), k1k2);
+        }
+    }
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    let mut acc = fold(fold(fold(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+    let mut rest = blocks.remainder().chunks_exact(16);
+    for block in &mut rest {
+        acc = fold(acc, load(block), k3k4);
+    }
+
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    let acc = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+        _mm_srli_si128::<8>(acc),
+    );
+    let acc = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+        _mm_srli_si128::<4>(acc),
+    );
+    let pmu = _mm_set_epi64x(MU, P);
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), pmu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+    let folded = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t2)) as u32;
+    crc32_update(folded, rest.remainder())
 }
 
 /// Serializes `frame` into `buf` (cleared first), returning the encoded
@@ -934,29 +1040,117 @@ mod tests {
         );
     }
 
-    /// Bytewise CRC-32: the reference the slice-by-8 [`crc32`] must match.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    /// One bytewise step of the CRC-32 register, bit by bit over the
+    /// reflected polynomial: the reference both paths must match, sharing no
+    /// table or constant with either.
+    fn crc32_bitwise_step(mut c: u32, byte: u8) -> u32 {
+        c ^= u32::from(byte);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
         }
-        !c
+        c
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
 
-        /// Slice-by-8 equals the bytewise reference on every length 0..=300
-        /// at every start offset mod 8 — the 8-byte body, the remainder
-        /// loop and unaligned slices alike.
+        /// [`crc32`] and the table path [`crc32_update`] both equal the
+        /// bitwise reference on every length 0..=4096 at every start offset
+        /// 0..16 — 127/128 B at the dispatch threshold, the folded kernel's
+        /// 64-byte body, its 16-byte loop and every tail length 0..15,
+        /// aligned or not — and on a whole frame-sized buffer of ~100 KB.
+        /// Calling the table path directly keeps it checked on long inputs
+        /// on CPUs where [`crc32`] always folds.
         #[test]
         fn crc32_matches_the_bytewise_reference(
-            buf in proptest::collection::vec(proptest::any::<u8>(), 308..309),
-            offset in 0usize..8,
-            len in 0usize..301,
+            buf in proptest::collection::vec(proptest::any::<u8>(), 100_000..100_016),
         ) {
-            let bytes = &buf[offset..offset + len];
-            proptest::prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+            for offset in 0..16 {
+                let window = &buf[offset..offset + 4097];
+                let mut reference = !0u32;
+                for (len, &next) in window.iter().enumerate() {
+                    let bytes = &window[..len];
+                    let (fast, table) = (crc32(bytes), !crc32_update(!0, bytes));
+                    proptest::prop_assert_eq!(fast, !reference, "offset {offset} len {len}");
+                    proptest::prop_assert_eq!(table, !reference, "offset {offset} len {len}");
+                    reference = crc32_bitwise_step(reference, next);
+                }
+            }
+            let whole = !buf.iter().fold(!0u32, |c, &b| crc32_bitwise_step(c, b));
+            proptest::prop_assert_eq!(crc32(&buf), whole);
+            proptest::prop_assert_eq!(!crc32_update(!0, &buf), whole);
+        }
+    }
+
+    /// A full 1024-report RS+FD[GRR] BATCH_SEQ frame on Adult's shape —
+    /// ~100 KB of payload, so its CRC runs through the folded kernel — must
+    /// reject every single flipped payload bit at the sampled positions
+    /// (the first 64 B, the folded body, the last 15 B) and every burst of
+    /// at most 32 bits, which CRC-32 detects by construction.
+    #[test]
+    fn corruption_of_a_full_batch_frame_is_a_checksum_mismatch() {
+        use rand::Rng;
+
+        let dataset = ldp_datasets::corpora::adult_like(1024, 5);
+        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+            .build(&dataset.schema().cardinalities(), 1.0)
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut batch = CompactBatch::new();
+        for (uid, row) in dataset.rows().enumerate() {
+            batch.push(uid as u64, &solution.report(row, &mut rng));
+        }
+        let mut frame = Vec::new();
+        encode_batch_seq_frame(1, &batch, &mut frame);
+        assert!(read_frame(&mut &frame[..]).is_ok());
+        let payload_bits = (frame.len() - 16) * 8;
+        assert!(payload_bits > 64 * 1024 * 8, "the frame is frame-sized");
+
+        let rejects = |flip: &dyn Fn(&mut [u8])| {
+            let mut bad = frame.clone();
+            flip(&mut bad[16..]);
+            matches!(
+                read_frame(&mut &bad[..]),
+                Err(WireError::ChecksumMismatch { .. })
+            )
+        };
+        let flip_bit = |payload: &mut [u8], bit: usize| payload[bit / 8] ^= 1 << (bit % 8);
+
+        let head = 0..64 * 8;
+        let tail = payload_bits - 15 * 8..payload_bits;
+        let body = (64 * 8..tail.start).step_by(61);
+        for bit in head.clone().chain(body).chain(tail.clone()) {
+            assert!(rejects(&|p| flip_bit(p, bit)), "payload bit {bit}");
+        }
+
+        // Bursts: first and last bit flipped, `width` bits apart at most 32,
+        // random bits between, starting in each sampled region.
+        let starts = head
+            .step_by(7)
+            .chain((64 * 8..tail.start).step_by(4099))
+            .chain(payload_bits - 32..payload_bits);
+        for start in starts {
+            for width in 1..=32usize.min(payload_bits - start) {
+                let inner: u32 = rng.random();
+                assert!(
+                    rejects(&|p| {
+                        flip_bit(p, start);
+                        for i in 1..width.saturating_sub(1) {
+                            if inner >> i & 1 != 0 {
+                                flip_bit(p, start + i);
+                            }
+                        }
+                        if width > 1 {
+                            flip_bit(p, start + width - 1);
+                        }
+                    }),
+                    "{width}-bit burst at payload bit {start}"
+                );
+            }
         }
     }
 
