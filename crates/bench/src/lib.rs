@@ -13,6 +13,8 @@
 //! * `figures` — one scaled-down kernel per paper figure (the inner loop of
 //!   each experiment binary).
 
+#![deny(unsafe_code)]
+
 use ldp_datasets::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -31,7 +31,7 @@
 //!   RS+FD/RS+RFD with the NK / PK / HM attacker models.
 //! * [`pie`] — the relaxed PIE privacy model of Appendix C.
 
-#![deny(missing_docs)]
+#![deny(missing_docs, unsafe_code)]
 
 pub mod amplification;
 pub mod attacks;

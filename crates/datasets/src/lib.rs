@@ -22,6 +22,8 @@
 //! priors from a Laplace mechanism on the true marginals and "Incorrect"
 //! Dirichlet(1) / Zipf / Exponential priors.
 
+#![deny(unsafe_code)]
+
 pub mod corpora;
 pub mod dataset;
 pub mod generator;

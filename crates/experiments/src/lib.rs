@@ -26,6 +26,8 @@
 //! * `RISKS_FULL=1` — paper scale (`runs = 20`, `scale = 1.0`).
 //! * `RISKS_OUT` — output directory for CSVs (default `results`).
 
+#![deny(unsafe_code)]
+
 pub mod ablation;
 pub mod aif;
 pub mod cli;

@@ -28,6 +28,8 @@
 //! assert_eq!(model.predict(&x, 1), y);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod boosting;
 pub mod data;
 pub mod logistic;

@@ -41,6 +41,8 @@
 //! assert!((est[2] - 1.0).abs() < 0.05);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod bitvec;
 pub mod deniability;
 pub mod error;

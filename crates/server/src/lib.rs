@@ -43,7 +43,8 @@
 //! [`SolutionReport`]: ldp_core::solutions::SolutionReport
 //! [`MultidimAggregator`]: ldp_core::solutions::MultidimAggregator
 
-#![deny(missing_docs)]
+#![deny(missing_docs, unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod config;
 mod fleet;

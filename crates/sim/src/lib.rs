@@ -43,7 +43,7 @@
 //! * [`par`] — deterministic scoped-thread parallel helpers used by the heavy
 //!   sweeps.
 
-#![deny(missing_docs)]
+#![deny(missing_docs, unsafe_code)]
 
 pub mod attack_pipeline;
 pub mod campaign;

@@ -118,6 +118,8 @@
 //! assert_eq!(streamed.aggregator.counts(), batch.aggregator.counts());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use ldp_core as core;
 pub use ldp_datasets as datasets;
 pub use ldp_gbdt as gbdt;
