@@ -41,7 +41,7 @@ use ldp_core::{DynSolution, NumericKind};
 use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolKind;
 use ldp_server::{Envelope, LdpServer, ServerConfig, WireServer};
-use ldp_sim::{BudgetPolicy, NetClient};
+use ldp_sim::{BudgetPolicy, ClientConfig, NetClient};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -197,9 +197,9 @@ fn run_once_tcp(
         for p in 0..producers {
             let solution = &solution;
             scope.spawn(move || {
-                let mut client = NetClient::connect(addr, solution)
-                    .expect("producer connects")
-                    .batch_size(batch);
+                let mut client =
+                    NetClient::connect_with(addr, solution, ClientConfig::default().batch(batch))
+                        .expect("producer connects");
                 let lo = p * n / producers;
                 let hi = (p + 1) * n / producers;
                 for uid in lo as u64..hi as u64 {

@@ -19,13 +19,12 @@ use ldp_sim::{rid_acc_multi, PrivacyModel, SamplingSetting, SmpCampaign, SurveyP
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::registry::ExperimentReport;
 use crate::table::{fnum, Table};
 use crate::ExpConfig;
 
 /// Classifier-family ablation on the Fig. 3 setting (ACSEmployment, NK,
 /// s = 1n): GBDT vs logistic regression per RS+FD protocol.
-pub fn run_classifier(cfg: &ExpConfig) -> ExperimentReport {
+pub fn run_classifier(cfg: &ExpConfig) -> Vec<Table> {
     let eps = [2.0, 6.0, 10.0];
     let protocols = [
         RsFdProtocol::Grr,
@@ -94,12 +93,12 @@ pub fn run_classifier(cfg: &ExpConfig) -> ExperimentReport {
             fnum(ms.std),
         ]);
     }
-    ExperimentReport::new().with("ablation_classifier.csv", table)
+    vec![table]
 }
 
 /// Top-k sensitivity of the SMP re-identification decision (Adult, GRR,
 /// uniform metric, 5 surveys).
-pub fn run_topk(cfg: &ExpConfig) -> ExperimentReport {
+pub fn run_topk(cfg: &ExpConfig) -> Vec<Table> {
     let eps = [2.0, 6.0, 10.0];
     let top_ks = [1usize, 5, 10, 50, 100];
     let fig_seed = mix2(cfg.seed, 0x00AB_1A70);
@@ -149,5 +148,5 @@ pub fn run_topk(cfg: &ExpConfig) -> ExperimentReport {
             fnum(100.0 * top_ks[slot] as f64 / n as f64),
         ]);
     }
-    ExperimentReport::new().with("ablation_topk.csv", table)
+    vec![table]
 }

@@ -3,10 +3,10 @@
 //! vendors its dependencies — no clap) and lives here, out of the binary, so
 //! it is unit-testable.
 
-use crate::registry::{markdown_matrix, Experiment, ExperimentKind};
+use crate::registry::{markdown_matrix, Experiment, EXPERIMENTS};
 use crate::runner::{run_experiments, ExpStatus, RunOptions};
 use crate::serve::{solution_from_id, ListenOpts, ServeDataset, ServeSpec};
-use crate::ExpConfig;
+use crate::{ExpConfig, Overrides};
 use ldp_sim::traffic::TrafficShape;
 use ldp_sim::BudgetPolicy;
 
@@ -118,24 +118,16 @@ pub enum Command {
     /// `risks describe <ids…|all>`.
     Describe {
         /// The selected experiments.
-        kinds: Vec<ExperimentKind>,
+        experiments: Vec<&'static Experiment>,
     },
     /// `risks run <ids…|all> [options]`.
     Run {
         /// The selected experiments.
-        kinds: Vec<ExperimentKind>,
-        /// `--runs` override.
-        runs: Option<usize>,
-        /// `--scale` override.
-        scale: Option<f64>,
-        /// `--seed` override.
-        seed: Option<u64>,
-        /// `--threads` override.
-        threads: Option<usize>,
+        experiments: Vec<&'static Experiment>,
+        /// `--runs` / `--scale` / `--seed` / `--threads` / `--out`.
+        flags: Overrides,
         /// `--jobs` cap on concurrent experiments.
         jobs: Option<usize>,
-        /// `--out` override.
-        out: Option<String>,
         /// `--force` re-run flag.
         force: bool,
         /// `--quiet` table suppression.
@@ -147,14 +139,9 @@ pub enum Command {
         spec: ServeSpec,
         /// `--listen`/`--producers`/`--addr-file` networked-mode options.
         listen: Option<ListenOpts>,
-        /// `--scale` override.
-        scale: Option<f64>,
-        /// `--seed` override.
-        seed: Option<u64>,
-        /// `--threads` override (server shards + sanitization threads).
-        threads: Option<usize>,
-        /// `--out` override.
-        out: Option<String>,
+        /// `--scale` / `--seed` / `--threads` (server shards + sanitization
+        /// threads) / `--out`.
+        flags: Overrides,
         /// `--quiet` table suppression.
         quiet: bool,
     },
@@ -173,10 +160,8 @@ pub enum Command {
         /// Client-side wire behavior: `--auth-token`, `--retries`,
         /// `--client-timeout-ms`, `--fault-plan`.
         client: ldp_sim::ClientConfig,
-        /// `--scale` override.
-        scale: Option<f64>,
-        /// `--seed` override.
-        seed: Option<u64>,
+        /// `--scale` / `--seed`.
+        flags: Overrides,
         /// `--quiet` snapshot-log suppression.
         quiet: bool,
     },
@@ -201,59 +186,48 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         Some("describe") => {
             let mut it = it.peekable();
-            let kinds = parse_ids(&mut it)?;
+            let experiments = parse_ids(&mut it)?;
             if let Some(extra) = it.next() {
                 return Err(format!("unknown `describe` argument `{extra}`"));
             }
-            Ok(Command::Describe { kinds })
+            Ok(Command::Describe { experiments })
         }
         Some("run") => {
             let mut it = it.peekable();
-            let kinds = parse_ids(&mut it)?;
-            let (mut runs, mut scale, mut seed, mut threads, mut jobs, mut out) =
-                (None, None, None, None, None, None);
-            let (mut force, mut quiet) = (false, false);
+            let experiments = parse_ids(&mut it)?;
+            let mut flags = Overrides::default();
+            let (mut jobs, mut force, mut quiet) = (None, false, false);
             while let Some(arg) = it.next() {
+                if parse_config_flag(arg, &CONFIG_FLAGS, &mut it, &mut flags)? {
+                    continue;
+                }
                 match arg {
                     "--force" => force = true,
                     "--quiet" => quiet = true,
-                    "--runs" => runs = Some(flag_value(arg, it.next())?),
-                    "--scale" => scale = Some(flag_value(arg, it.next())?),
-                    "--seed" => seed = Some(flag_value(arg, it.next())?),
-                    "--threads" => threads = Some(flag_value(arg, it.next())?),
                     "--jobs" => jobs = Some(flag_value(arg, it.next())?),
-                    "--out" => {
-                        out = Some(
-                            it.next()
-                                .ok_or("`--out` needs a directory argument")?
-                                .to_string(),
-                        )
-                    }
                     other => return Err(format!("unknown `run` argument `{other}`")),
                 }
             }
             Ok(Command::Run {
-                kinds,
-                runs,
-                scale,
-                seed,
-                threads,
+                experiments,
+                flags,
                 jobs,
-                out,
                 force,
                 quiet,
             })
         }
         Some("serve") => {
             let mut spec = ServeSpec::default();
-            let (mut scale, mut seed, mut threads, mut out) = (None, None, None, None);
+            let mut flags = Overrides::default();
             let mut quiet = false;
             let (mut listen_addr, mut producers, mut addr_file) =
                 (None::<String>, None::<usize>, None::<String>);
             let mut read_timeout_ms = None::<u64>;
             let mut auth_token = None::<String>;
             while let Some(arg) = it.next() {
-                if parse_spec_flag(arg, &mut it, &mut spec)? {
+                if parse_spec_flag(arg, &mut it, &mut spec)?
+                    || parse_config_flag(arg, &CONFIG_FLAGS[1..], &mut it, &mut flags)?
+                {
                     continue;
                 }
                 match arg {
@@ -278,16 +252,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         addr_file = Some(
                             it.next()
                                 .ok_or("`--addr-file` needs a file path")?
-                                .to_string(),
-                        )
-                    }
-                    "--scale" => scale = Some(flag_value(arg, it.next())?),
-                    "--seed" => seed = Some(flag_value(arg, it.next())?),
-                    "--threads" => threads = Some(flag_value(arg, it.next())?),
-                    "--out" => {
-                        out = Some(
-                            it.next()
-                                .ok_or("`--out` needs a directory argument")?
                                 .to_string(),
                         )
                     }
@@ -316,23 +280,22 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Serve {
                 spec,
                 listen,
-                scale,
-                seed,
-                threads,
-                out,
+                flags,
                 quiet,
             })
         }
         Some("produce") => {
             let mut spec = ServeSpec::default();
-            let (mut scale, mut seed) = (None, None);
+            let mut flags = Overrides::default();
             let mut quiet = false;
             let mut connect = None::<String>;
             let mut part = (0usize, 1usize);
             let mut snapshot_every = 0usize;
             let mut client = ldp_sim::ClientConfig::resilient();
             while let Some(arg) = it.next() {
-                if parse_spec_flag(arg, &mut it, &mut spec)? {
+                if parse_spec_flag(arg, &mut it, &mut spec)?
+                    || parse_config_flag(arg, &["--scale", "--seed"], &mut it, &mut flags)?
+                {
                     continue;
                 }
                 match arg {
@@ -364,8 +327,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                                 .map_err(|e| format!("invalid `--fault-plan`: {e}"))?,
                         );
                     }
-                    "--scale" => scale = Some(flag_value(arg, it.next())?),
-                    "--seed" => seed = Some(flag_value(arg, it.next())?),
                     other => return Err(format!("unknown `produce` argument `{other}`")),
                 }
             }
@@ -377,13 +338,40 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 parts: part.1,
                 snapshot_every,
                 client,
-                scale,
-                seed,
+                flags,
                 quiet,
             })
         }
         Some(other) => Err(format!("unknown subcommand `{other}` (try `risks help`)")),
     }
+}
+
+/// The configuration flags of `run`; `serve` takes all but `--runs`.
+const CONFIG_FLAGS: [&str; 5] = ["--runs", "--scale", "--seed", "--threads", "--out"];
+
+/// Parses one of the `allowed` configuration flags into `flags`. Returns
+/// whether `arg` was consumed.
+fn parse_config_flag<'a>(
+    arg: &str,
+    allowed: &[&str],
+    it: &mut impl Iterator<Item = &'a str>,
+    flags: &mut Overrides,
+) -> Result<bool, String> {
+    if !allowed.contains(&arg) {
+        return Ok(false);
+    }
+    match arg {
+        "--runs" => flags.runs = Some(flag_value(arg, it.next())?),
+        "--scale" => flags.scale = Some(flag_value(arg, it.next())?),
+        "--seed" => flags.seed = Some(flag_value(arg, it.next())?),
+        "--threads" => flags.threads = Some(flag_value(arg, it.next())?),
+        "--out" => {
+            let dir = it.next().ok_or("`--out` needs a directory argument")?;
+            flags.out = Some(dir.to_string());
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 /// Parses the [`ServeSpec`] flags shared by `serve` and `produce`
@@ -468,32 +456,30 @@ fn parse_part(raw: &str) -> Result<(usize, usize), String> {
 /// stopping at the first `--flag`. Duplicates are dropped, order kept.
 fn parse_ids<'a, I: Iterator<Item = &'a str>>(
     it: &mut std::iter::Peekable<I>,
-) -> Result<Vec<ExperimentKind>, String> {
-    let mut kinds: Vec<ExperimentKind> = Vec::new();
+) -> Result<Vec<&'static Experiment>, String> {
+    let mut selected: Vec<&'static Experiment> = Vec::new();
     while let Some(&arg) = it.peek() {
         if arg.starts_with("--") {
             break;
         }
         it.next();
-        if arg == "all" {
-            for k in ExperimentKind::ALL {
-                if !kinds.contains(&k) {
-                    kinds.push(k);
-                }
+        let matched: &'static [Experiment] = if arg == "all" {
+            &EXPERIMENTS
+        } else {
+            std::slice::from_ref(Experiment::from_id(arg).ok_or_else(|| {
+                format!("unknown experiment `{arg}` (see `risks list` for the registry)")
+            })?)
+        };
+        for exp in matched {
+            if !selected.contains(&exp) {
+                selected.push(exp);
             }
-            continue;
-        }
-        let kind = ExperimentKind::from_id(arg).ok_or_else(|| {
-            format!("unknown experiment `{arg}` (see `risks list` for the registry)")
-        })?;
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
         }
     }
-    if kinds.is_empty() {
+    if selected.is_empty() {
         return Err("no experiments selected (pass ids or `all`)".to_string());
     }
-    Ok(kinds)
+    Ok(selected)
 }
 
 fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
@@ -505,25 +491,25 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T
 /// The plain `risks list` table.
 pub fn list_text() -> String {
     let mut out = String::new();
-    let width = ExperimentKind::ALL
-        .iter()
-        .map(|k| k.id().len())
-        .max()
-        .unwrap_or(0);
-    for kind in ExperimentKind::ALL {
-        let exp = kind.build();
+    let width = EXPERIMENTS.iter().map(|e| e.id.len()).max().unwrap_or(0);
+    for exp in &EXPERIMENTS {
         out.push_str(&format!(
             "{id:<width$}  {paper:<22} {title}\n",
-            id = exp.id(),
-            paper = exp.paper_ref(),
-            title = exp.title(),
+            id = exp.id,
+            paper = exp.paper_ref,
+            title = exp.title,
         ));
     }
     out
 }
 
-/// Executes a parsed command, returning the process exit code.
+/// Executes a parsed command, returning the process exit code: 2 when a
+/// `RISKS_*` variable is malformed.
 pub fn execute(cmd: Command) -> i32 {
+    let config = |flags: &Overrides| {
+        ExpConfig::resolve(|key| std::env::var(key).ok(), flags)
+            .map_err(|msg| eprintln!("risks: {msg}"))
+    };
     match cmd {
         Command::Help => {
             print!("{USAGE}");
@@ -537,50 +523,31 @@ pub fn execute(cmd: Command) -> i32 {
             }
             0
         }
-        Command::Describe { kinds } => {
-            for kind in kinds {
-                print!("{}", kind.build().describe());
+        Command::Describe { experiments } => {
+            for exp in experiments {
+                print!("{}", exp.describe());
             }
             0
         }
         Command::Run {
-            kinds,
-            runs,
-            scale,
-            seed,
-            threads,
+            experiments,
+            flags,
             jobs,
-            out,
             force,
             quiet,
         } => {
-            let mut cfg = ExpConfig::from_env();
-            if let Some(v) = runs {
-                cfg.runs = v.max(1);
-            }
-            if let Some(v) = scale {
-                cfg.scale = v.clamp(0.01, 1.0);
-            }
-            if let Some(v) = seed {
-                cfg.seed = v;
-            }
-            if let Some(v) = threads {
-                cfg.threads = v.max(1);
-            }
-            if let Some(v) = out {
-                cfg.out_dir = std::path::PathBuf::from(v);
-            }
+            let Ok(cfg) = config(&flags) else { return 2 };
             let opts = RunOptions { force, jobs, quiet };
             eprintln!(
                 "[risks] {} experiment(s): runs={} scale={} threads={} seed={} out={}",
-                kinds.len(),
+                experiments.len(),
                 cfg.runs,
                 cfg.scale,
                 cfg.threads,
                 cfg.seed,
                 cfg.out_dir.display()
             );
-            let summary = run_experiments(&kinds, &cfg, &opts);
+            let summary = run_experiments(&experiments, &cfg, &opts);
             let (done, cached, failed) = summary.partition_ids();
             eprintln!(
                 "[risks] finished in {:.1}s: {} completed, {} cached, {} failed",
@@ -589,9 +556,9 @@ pub fn execute(cmd: Command) -> i32 {
                 cached.len(),
                 failed.len()
             );
-            for (kind, status) in &summary.results {
+            for (exp, status) in &summary.results {
                 if let ExpStatus::Failed(msg) = status {
-                    eprintln!("[risks]   {} failed: {msg}", kind.id());
+                    eprintln!("[risks]   {} failed: {msg}", exp.id);
                 }
             }
             i32::from(summary.any_failed())
@@ -599,25 +566,10 @@ pub fn execute(cmd: Command) -> i32 {
         Command::Serve {
             spec,
             listen,
-            scale,
-            seed,
-            threads,
-            out,
+            flags,
             quiet,
         } => {
-            let mut cfg = ExpConfig::from_env();
-            if let Some(v) = scale {
-                cfg.scale = v.clamp(0.01, 1.0);
-            }
-            if let Some(v) = seed {
-                cfg.seed = v;
-            }
-            if let Some(v) = threads {
-                cfg.threads = v.max(1);
-            }
-            if let Some(v) = out {
-                cfg.out_dir = std::path::PathBuf::from(v);
-            }
+            let Ok(cfg) = config(&flags) else { return 2 };
             crate::serve::execute_serve(&spec, &cfg, quiet, listen.as_ref())
         }
         Command::Produce {
@@ -627,17 +579,10 @@ pub fn execute(cmd: Command) -> i32 {
             parts,
             snapshot_every,
             mut client,
-            scale,
-            seed,
+            flags,
             quiet,
         } => {
-            let mut cfg = ExpConfig::from_env();
-            if let Some(v) = scale {
-                cfg.scale = v.clamp(0.01, 1.0);
-            }
-            if let Some(v) = seed {
-                cfg.seed = v;
-            }
+            let Ok(cfg) = config(&flags) else { return 2 };
             // Desynchronize the fleet's reconnect jitter: producers sharing
             // a seed must not retry in lockstep.
             client.backoff_seed = cfg.seed ^ ((part as u64) << 32) ^ parts as u64;
@@ -685,15 +630,21 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                kinds,
-                scale,
+                experiments,
+                flags,
                 jobs,
                 force,
                 quiet,
-                ..
             } => {
-                assert_eq!(kinds, vec![ExperimentKind::Fig04, ExperimentKind::Fig01]);
-                assert_eq!(scale, Some(0.01));
+                let ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
+                assert_eq!(ids, ["fig04", "fig01"]);
+                assert_eq!(
+                    flags,
+                    Overrides {
+                        scale: Some(0.01),
+                        ..Overrides::default()
+                    }
+                );
                 assert_eq!(jobs, Some(2));
                 assert!(force);
                 assert!(!quiet);
@@ -706,9 +657,9 @@ mod tests {
     fn all_expands_and_dedupes() {
         let cmd = parse(&s(&["describe", "fig04", "all"])).unwrap();
         match cmd {
-            Command::Describe { kinds } => {
-                assert_eq!(kinds.len(), ExperimentKind::ALL.len());
-                assert_eq!(kinds[0], ExperimentKind::Fig04);
+            Command::Describe { experiments } => {
+                assert_eq!(experiments.len(), EXPERIMENTS.len());
+                assert_eq!(experiments[0].id, "fig04");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -721,6 +672,10 @@ mod tests {
         assert!(parse(&s(&["run", "fig01", "--bogus"])).is_err());
         assert!(parse(&s(&["run", "fig01", "--scale"])).is_err());
         assert!(parse(&s(&["describe", "fig01", "--markdwon"])).is_err());
+        // Each command takes only the configuration flags it uses.
+        assert!(parse(&s(&["serve", "--runs", "2"])).is_err());
+        assert!(parse(&s(&["produce", "--connect", "h:1", "--threads", "2"])).is_err());
+        assert!(parse(&s(&["produce", "--connect", "h:1", "--out", "d"])).is_err());
         assert!(parse(&s(&["frobnicate"])).is_err());
     }
 
@@ -729,10 +684,10 @@ mod tests {
         let cmd = parse(&s(&["serve"])).unwrap();
         match cmd {
             Command::Serve {
-                spec, scale, quiet, ..
+                spec, flags, quiet, ..
             } => {
                 assert_eq!(spec, ServeSpec::default());
-                assert_eq!(scale, None);
+                assert_eq!(flags, Overrides::default());
                 assert!(!quiet);
             }
             other => panic!("unexpected {other:?}"),
@@ -754,10 +709,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Serve {
-                spec,
-                threads,
-                quiet,
-                ..
+                spec, flags, quiet, ..
             } => {
                 assert_eq!(
                     spec.solution,
@@ -766,7 +718,7 @@ mod tests {
                 assert_eq!(spec.dataset, ServeDataset::Nursery);
                 assert_eq!(spec.shape, TrafficShape::Churn);
                 assert_eq!(spec.epsilon, 2.5);
-                assert_eq!(threads, Some(8));
+                assert_eq!(flags.threads, Some(8));
                 assert!(quiet);
             }
             other => panic!("unexpected {other:?}"),
@@ -1009,7 +961,7 @@ mod tests {
     #[test]
     fn list_text_covers_registry() {
         let text = list_text();
-        assert_eq!(text.lines().count(), ExperimentKind::ALL.len());
+        assert_eq!(text.lines().count(), EXPERIMENTS.len());
         assert!(text.contains("fig04"));
         assert!(text.contains("ablation_topk"));
     }

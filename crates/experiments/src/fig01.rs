@@ -5,7 +5,6 @@
 use ldp_core::profiling::{expected_acc_nonuniform, expected_acc_uniform};
 use ldp_protocols::{deniability, ProtocolKind};
 
-use crate::registry::ExperimentReport;
 use crate::table::{fnum, Table};
 use crate::{eps_grid, ExpConfig};
 
@@ -19,8 +18,8 @@ pub fn acc_per_attribute(kind: ProtocolKind, eps: f64, ks: &[usize]) -> Vec<f64>
         .collect()
 }
 
-/// Runs the figure; the report carries `fig01.csv`.
-pub fn run(cfg: &ExpConfig) -> ExperimentReport {
+/// Runs the figure: one table, written as `fig01.csv`.
+pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let _ = cfg; // analytical: nothing to scale or seed
     let mut table = Table::new(
         "Fig 1: analytical expected ACC after #surveys = d = 3 (k = [74, 7, 16])",
@@ -37,5 +36,5 @@ pub fn run(cfg: &ExpConfig) -> ExperimentReport {
             ]);
         }
     }
-    ExperimentReport::new().with("fig01.csv", table)
+    vec![table]
 }

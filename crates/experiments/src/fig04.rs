@@ -15,12 +15,11 @@ use ldp_sim::{run_rsfd_campaign, AttackPipeline, RsFdCampaignConfig, SurveyPlan}
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::registry::ExperimentReport;
 use crate::table::{fnum, Table};
 use crate::{eps_grid, ExpConfig, SURVEY_COUNTS, TOP_KS};
 
-/// Runs the figure; the report carries `fig04.csv`.
-pub fn run(cfg: &ExpConfig) -> ExperimentReport {
+/// Runs the figure: one table, written as `fig04.csv`.
+pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let eps = eps_grid();
     let fig_seed = mix2(cfg.seed, 0x000F_1604);
     let n_surveys = 5usize;
@@ -93,5 +92,5 @@ pub fn run(cfg: &ExpConfig) -> ExperimentReport {
             fnum(100.0 * k as f64 / n_population as f64),
         ]);
     }
-    ExperimentReport::new().with("fig04.csv", table)
+    vec![table]
 }

@@ -2,39 +2,26 @@
 //! ACSEmployment — RS+RFD vs RS+FD with "Correct" and "Incorrect"
 //! (Dirichlet) priors, ε ∈ {ln 2, …, ln 7}.
 
-use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol};
 use ldp_datasets::priors::IncorrectPrior;
-use ldp_protocols::UeMode;
 
 use crate::aif::{AifDataset, PriorSpec};
-use crate::mse::{MseMethod, MseParams};
-use crate::registry::ExperimentReport;
+use crate::mse::{rsrfd_vs_rsfd, MseParams};
+use crate::table::Table;
 use crate::{eps_ln_grid, ExpConfig};
 
-fn methods(prior: PriorSpec) -> Vec<MseMethod> {
-    vec![
-        MseMethod::RsRfd(RsRfdProtocol::Grr, prior),
-        MseMethod::RsRfd(RsRfdProtocol::UeR(UeMode::Symmetric), prior),
-        MseMethod::RsRfd(RsRfdProtocol::UeR(UeMode::Optimized), prior),
-        MseMethod::RsFd(RsFdProtocol::Grr),
-        MseMethod::RsFd(RsFdProtocol::UeR(UeMode::Symmetric)),
-        MseMethod::RsFd(RsFdProtocol::UeR(UeMode::Optimized)),
-    ]
-}
-
-/// Runs the figure; the report carries `fig05_correct.csv` and
-/// `fig05_incorrect.csv`.
-pub fn run(cfg: &ExpConfig) -> ExperimentReport {
+/// Runs the figure: the correct-prior table, then the incorrect-prior one
+/// (`fig05_correct.csv`, `fig05_incorrect.csv`).
+pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let correct = MseParams {
         dataset: AifDataset::Acs,
-        methods: methods(PriorSpec::Correct),
+        methods: rsrfd_vs_rsfd(PriorSpec::Correct),
         eps: eps_ln_grid(),
     };
     let t_correct = crate::mse::run(cfg, &correct, "Fig 5a (ACSEmployment, correct priors)");
 
     let incorrect = MseParams {
         dataset: AifDataset::Acs,
-        methods: methods(PriorSpec::Incorrect(IncorrectPrior::Dirichlet)),
+        methods: rsrfd_vs_rsfd(PriorSpec::Incorrect(IncorrectPrior::Dirichlet)),
         eps: eps_ln_grid(),
     };
     let t_incorrect = crate::mse::run(
@@ -42,7 +29,5 @@ pub fn run(cfg: &ExpConfig) -> ExperimentReport {
         &incorrect,
         "Fig 5b (ACSEmployment, incorrect DIR priors)",
     );
-    ExperimentReport::new()
-        .with("fig05_correct.csv", t_correct)
-        .with("fig05_incorrect.csv", t_incorrect)
+    vec![t_correct, t_incorrect]
 }

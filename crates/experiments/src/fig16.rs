@@ -2,48 +2,36 @@
 //! (averaged MSE) utility on Adult for RS+RFD vs RS+FD under "Correct" and
 //! the three "Incorrect" prior families (DIR / ZIPF / EXP).
 
-use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol};
 use ldp_datasets::priors::IncorrectPrior;
-use ldp_protocols::UeMode;
 
 use crate::aif::{AifDataset, PriorSpec};
-use crate::mse::{MseMethod, MseParams};
-use crate::registry::ExperimentReport;
+use crate::mse::{rsrfd_vs_rsfd, MseParams};
+use crate::table::Table;
 use crate::{eps_ln_grid, ExpConfig};
 
-fn methods(prior: PriorSpec) -> Vec<MseMethod> {
-    vec![
-        MseMethod::RsRfd(RsRfdProtocol::Grr, prior),
-        MseMethod::RsRfd(RsRfdProtocol::UeR(UeMode::Symmetric), prior),
-        MseMethod::RsRfd(RsRfdProtocol::UeR(UeMode::Optimized), prior),
-        MseMethod::RsFd(RsFdProtocol::Grr),
-        MseMethod::RsFd(RsFdProtocol::UeR(UeMode::Symmetric)),
-        MseMethod::RsFd(RsFdProtocol::UeR(UeMode::Optimized)),
-    ]
-}
-
-/// Runs the figure; the report carries one `fig16_<prior>.csv` per prior
-/// family. The `analytic_var` column carries the paper's analytical curves.
-pub fn run(cfg: &ExpConfig) -> ExperimentReport {
+/// Runs the figure: one table per prior family, in the order of the
+/// `fig16_<prior>.csv` outputs. The `analytic_var` column carries the
+/// paper's analytical curves.
+pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let priors = [
         ("correct", PriorSpec::Correct),
         ("dir", PriorSpec::Incorrect(IncorrectPrior::Dirichlet)),
         ("zipf", PriorSpec::Incorrect(IncorrectPrior::Zipf)),
         ("exp", PriorSpec::Incorrect(IncorrectPrior::Exp)),
     ];
-    let mut report = ExperimentReport::new();
-    for (label, prior) in priors {
-        let params = MseParams {
-            dataset: AifDataset::Adult,
-            methods: methods(prior),
-            eps: eps_ln_grid(),
-        };
-        let table = crate::mse::run(
-            cfg,
-            &params,
-            &format!("Fig 16 (Adult, {label} priors, analytic + experimental)"),
-        );
-        report = report.with(format!("fig16_{label}.csv"), table);
-    }
-    report
+    priors
+        .into_iter()
+        .map(|(label, prior)| {
+            let params = MseParams {
+                dataset: AifDataset::Adult,
+                methods: rsrfd_vs_rsfd(prior),
+                eps: eps_ln_grid(),
+            };
+            crate::mse::run(
+                cfg,
+                &params,
+                &format!("Fig 16 (Adult, {label} priors, analytic + experimental)"),
+            )
+        })
+        .collect()
 }

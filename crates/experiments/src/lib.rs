@@ -1,9 +1,9 @@
 //! # ldp-experiments
 //!
 //! Reproduction harness behind one registry-driven entry point: every figure,
-//! table and ablation of the paper's evaluation is an [`registry::ExperimentKind`]
-//! (the experiment-layer mirror of `SolutionKind`/`AttackKind`), and the
-//! `risks` binary drives the whole registry:
+//! table and ablation of the paper's evaluation is one [`Experiment`] row of
+//! [`registry::EXPERIMENTS`] (id, paper reference, datasets, CSV outputs,
+//! cost, run function), and the `risks` binary drives the whole table:
 //!
 //! ```sh
 //! risks list                    # enumerate the registry
@@ -17,7 +17,9 @@
 //! outputs, git rev) so identical re-runs are cache hits (see
 //! [`manifest`] / [`runner`]).
 //!
-//! Scale knobs (environment variables; `risks run` flags override them):
+//! Scale knobs (environment variables; `risks run` flags override them, and
+//! a value that does not parse is an error naming its variable — see
+//! [`ExpConfig::resolve`]):
 //!
 //! * `RISKS_RUNS` — repetitions averaged per point (default 3; paper: 20).
 //! * `RISKS_SCALE` — dataset-size fraction of the paper's n (default 0.15).
@@ -43,23 +45,12 @@ pub mod smp_reident;
 pub mod table;
 
 pub mod fig01;
-pub mod fig02;
-pub mod fig03;
 pub mod fig04;
 pub mod fig05;
-pub mod fig06;
-pub mod fig09;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
 pub mod fig16;
-pub mod fig17;
 
-pub use config::ExpConfig;
-pub use registry::{DynExperiment, Experiment, ExperimentKind, ExperimentReport};
+pub use config::{ExpConfig, Overrides};
+pub use registry::{Experiment, EXPERIMENTS};
 pub use table::Table;
 
 /// The paper's ε grid for the attack experiments (§4.2).

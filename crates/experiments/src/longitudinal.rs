@@ -25,7 +25,6 @@ use ldp_protocols::ProtocolKind;
 use ldp_sim::par::par_map;
 use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline};
 
-use crate::registry::ExperimentReport;
 use crate::table::{fnum, Table};
 use crate::{ExpConfig, TOP_KS};
 
@@ -69,7 +68,7 @@ fn policy_grid(cfg: &ExpConfig, fig_seed: u64) -> Vec<(BudgetPolicy, usize, u64,
 
 /// `longitudinal_risk`: averaging-attack ASR vs round count, per budget
 /// policy (`policy, rounds, top_k, asr_mean, asr_std, baseline`).
-pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
+pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
     let fig_seed = fig_seed(cfg, "longitudinal_risk");
     let grid = policy_grid(cfg, fig_seed);
 
@@ -131,12 +130,12 @@ pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
             fnum(baseline),
         ]);
     }
-    ExperimentReport::new().with("longitudinal_risk.csv", table)
+    vec![table]
 }
 
 /// `longitudinal_mse`: averaged-estimator MSE vs round count, per budget
 /// policy (`policy, rounds, mse_mean, mse_std`).
-pub fn run_mse(cfg: &ExpConfig) -> ExperimentReport {
+pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
     let fig_seed = fig_seed(cfg, "longitudinal_mse");
     let grid = policy_grid(cfg, fig_seed);
 
@@ -185,7 +184,7 @@ pub fn run_mse(cfg: &ExpConfig) -> ExperimentReport {
             fnum(ms.std),
         ]);
     }
-    ExperimentReport::new().with("longitudinal_mse.csv", table)
+    vec![table]
 }
 
 #[cfg(test)]
@@ -205,8 +204,7 @@ mod tests {
 
     #[test]
     fn risk_table_covers_the_policy_by_rounds_grid() {
-        let report = run_risk(&tiny_cfg());
-        let table = &report.tables[0].table;
+        let table = &run_risk(&tiny_cfg())[0];
         assert_eq!(
             table.len(),
             BudgetPolicy::ALL.len() * ROUNDS_GRID.len() * TOP_KS.len()
@@ -219,8 +217,7 @@ mod tests {
 
     #[test]
     fn mse_table_covers_the_grid_and_memoize_is_flat() {
-        let report = run_mse(&tiny_cfg());
-        let table = &report.tables[0].table;
+        let table = &run_mse(&tiny_cfg())[0];
         assert_eq!(table.len(), BudgetPolicy::ALL.len() * ROUNDS_GRID.len());
         // Memoized rounds replay round 0, so the averaged estimator — and
         // its MSE — is identical at every round count.

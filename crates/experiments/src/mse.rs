@@ -8,6 +8,7 @@ use ldp_core::metrics::{mean_std, mse_avg};
 use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
 use ldp_datasets::Dataset;
 use ldp_protocols::hash::{mix2, mix3};
+use ldp_protocols::UeMode;
 use ldp_sim::par::par_map;
 use ldp_sim::CollectionPipeline;
 use rand::rngs::StdRng;
@@ -24,6 +25,19 @@ pub enum MseMethod {
     RsFd(RsFdProtocol),
     /// RS+RFD with prior-driven fake data.
     RsRfd(RsRfdProtocol, PriorSpec),
+}
+
+/// The methods Figs. 5 and 16 compare under one RS+RFD prior: RS+RFD
+/// against RS+FD for GRR and both UE-r modes.
+pub fn rsrfd_vs_rsfd(prior: PriorSpec) -> Vec<MseMethod> {
+    vec![
+        MseMethod::RsRfd(RsRfdProtocol::Grr, prior),
+        MseMethod::RsRfd(RsRfdProtocol::UeR(UeMode::Symmetric), prior),
+        MseMethod::RsRfd(RsRfdProtocol::UeR(UeMode::Optimized), prior),
+        MseMethod::RsFd(RsFdProtocol::Grr),
+        MseMethod::RsFd(RsFdProtocol::UeR(UeMode::Symmetric)),
+        MseMethod::RsFd(RsFdProtocol::UeR(UeMode::Optimized)),
+    ]
 }
 
 impl MseMethod {

@@ -21,7 +21,6 @@ use ldp_protocols::ProtocolKind;
 use ldp_sim::par::par_map;
 use ldp_sim::{AttackPipeline, CollectionPipeline};
 
-use crate::registry::ExperimentReport;
 use crate::table::{fnum, Table};
 use crate::ExpConfig;
 
@@ -76,10 +75,10 @@ fn analytic_mean_mse(mixed: &MixedDataset, j: usize, mech: NumericKind, eps: f64
     (mech_var + (1.0 - frac) * pop_var) / (n * frac)
 }
 
-/// Runs the utility sweep; the report carries `numeric_mse.csv` with
+/// Runs the utility sweep: one table, written as `numeric_mse.csv`, of
 /// `(mechanism, eps, mse_mean, mse_std, analytic_var)` rows where the MSE
 /// averages the squared mean-estimate error over the numeric attributes.
-pub fn run_mse(cfg: &ExpConfig) -> ExperimentReport {
+pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
     let fig_seed = mix2(cfg.seed, 0x4E55_4D4D_5345); // "NUMMSE"
     let eps_grid = crate::eps_grid();
     let grid: Vec<(usize, usize, u64)> = (0..MECHANISMS.len())
@@ -133,14 +132,14 @@ pub fn run_mse(cfg: &ExpConfig) -> ExperimentReport {
             fnum(analytic),
         ]);
     }
-    ExperimentReport::new().with("numeric_mse.csv", table)
+    vec![table]
 }
 
-/// Runs the risk sweep; the report carries `numeric_risk.csv` with
+/// Runs the risk sweep: one table, written as `numeric_risk.csv`, of
 /// `(mechanism, eps, acc_mean, acc_std, baseline, lift)` rows — NUM-VRI
 /// accuracy (%) on the first numeric attribute against every mechanism,
 /// next to the population-prior baseline it must beat.
-pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
+pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
     let fig_seed = mix2(cfg.seed, 0x4E55_4D52_4953); // "NUMRIS"
     let eps_grid = crate::eps_grid();
     let grid: Vec<(usize, usize, u64)> = (0..MECHANISMS.len())
@@ -205,5 +204,5 @@ pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
             fnum(ms.mean - baseline),
         ]);
     }
-    ExperimentReport::new().with("numeric_risk.csv", table)
+    vec![table]
 }

@@ -1,21 +1,19 @@
-//! The unified experiment registry: every figure, table and ablation of the
-//! reproduction as a runtime-selectable [`ExperimentKind`], mirroring the
-//! `SolutionKind`/`AttackKind` construction pattern one layer up.
+//! The experiment table: every figure, table and ablation of the
+//! reproduction is one [`Experiment`] row of [`EXPERIMENTS`] — its id, paper
+//! reference, datasets, CSV outputs, cost estimate and run function.
 //!
-//! [`ExperimentKind::build`] yields a [`DynExperiment`] behind the
-//! object-safe [`Experiment`] trait; the `risks` CLI binary drives the whole
-//! registry through it (`risks list` / `risks describe` / `risks run`), and
-//! [`crate::runner`] schedules selected experiments across threads,
-//! cost-sorted longest-first, writing one JSON manifest per run.
+//! The `risks` CLI binary reads the rows (`risks list` / `risks describe` /
+//! `risks run`), and [`crate::runner`] schedules selected rows across
+//! threads, cost-sorted longest-first, pairing each returned table with the
+//! row's `outputs` and writing one JSON manifest per run. Adding an
+//! experiment is writing its run function and adding one row.
 //!
 //! ```
-//! use ldp_experiments::registry::{Experiment, ExperimentKind};
+//! use ldp_experiments::registry::Experiment;
 //! use ldp_experiments::ExpConfig;
 //!
-//! // Runtime selection, exactly like SolutionKind/AttackKind one layer down:
-//! let exp = ExperimentKind::from_id("fig01").unwrap().build();
-//! assert_eq!(exp.id(), "fig01");
-//! assert_eq!(exp.paper_ref(), "§3.2.3, Fig. 1");
+//! let exp = Experiment::from_id("fig01").unwrap();
+//! assert_eq!(exp.paper_ref, "§3.2.3, Fig. 1");
 //!
 //! // Fig. 1 is analytical (no simulation), so it is cheap enough to run in
 //! // a doctest; heavier experiments go through `risks run`.
@@ -26,444 +24,430 @@
 //!     seed: 42,
 //!     out_dir: std::env::temp_dir().join("risks_doctest"),
 //! };
-//! let report = exp.run(&cfg);
-//! assert_eq!(report.files(), ["fig01.csv"]);
-//! assert!(report.total_rows() > 0);
+//! let tables = (exp.run)(&cfg);
+//! assert_eq!(tables.len(), exp.outputs.len());
+//! assert!(!tables[0].is_empty());
 //! ```
 
-use std::path::Path;
+use ldp_core::inference::AttackModel;
+use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol};
+use ldp_datasets::priors::IncorrectPrior::{Dirichlet, Exp, Zipf};
+use ldp_protocols::ProtocolKind;
+use ldp_sim::SamplingSetting;
 
+use crate::aif::{self, AifDataset, AifParams, PriorSpec, SolutionSpec};
+use crate::smp_reident::{self, Background, DatasetChoice, SmpReidentParams, XAxis};
 use crate::table::Table;
-use crate::ExpConfig;
+use crate::{beta_grid, eps_grid, ExpConfig};
 
-/// One produced table plus the CSV file name it is persisted under.
-#[derive(Debug, Clone)]
-pub struct TableOutput {
-    /// CSV file name (relative to the configured output directory).
-    pub file: String,
-    /// The table itself.
-    pub table: Table,
-}
-
-/// Structured result of one experiment run: every table the experiment
-/// produced, tagged with its output file name. Replaces the ad-hoc
-/// `Table` / `(Table, Table)` / `Vec<Table>` returns of the old per-figure
-/// binaries; printing and CSV persistence are the runner's job, so the
-/// experiment bodies stay pure.
-#[derive(Debug, Clone, Default)]
-pub struct ExperimentReport {
-    /// The produced tables in presentation order.
-    pub tables: Vec<TableOutput>,
-}
-
-impl ExperimentReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        ExperimentReport::default()
-    }
-
-    /// Adds a table under the given CSV file name (builder style).
-    pub fn with(mut self, file: impl Into<String>, table: Table) -> Self {
-        self.tables.push(TableOutput {
-            file: file.into(),
-            table,
-        });
-        self
-    }
-
-    /// The output file names, in order.
-    pub fn files(&self) -> Vec<String> {
-        self.tables.iter().map(|t| t.file.clone()).collect()
-    }
-
-    /// Total data rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.iter().map(|t| t.table.len()).sum()
-    }
-
-    /// Renders every table to one string (single `print!` keeps output from
-    /// concurrently finishing experiments unscrambled).
-    pub fn render(&self) -> String {
-        self.tables
-            .iter()
-            .map(|t| t.table.render())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Writes every table as CSV into `dir`.
-    ///
-    /// # Panics
-    /// Panics on I/O failure — experiment runs should fail loudly.
-    pub fn write_csvs(&self, dir: &Path) {
-        for t in &self.tables {
-            t.table.write_csv(dir, &t.file);
-        }
-    }
-}
-
-/// An experiment of the reproduction, object-safe so the runner can schedule
-/// heterogeneous experiments through one `&dyn Experiment` surface — the
-/// experiment-layer counterpart of `MultidimSolution` / `Attack`.
-pub trait Experiment {
+/// One experiment of the reproduction.
+#[derive(Debug)]
+pub struct Experiment {
     /// Stable identifier (`"fig04"`, `"ablation_topk"`); the `risks` CLI and
     /// the manifests key on it.
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// One-line description of what the experiment measures.
-    fn title(&self) -> &'static str;
+    pub title: &'static str,
     /// Where in the paper the reproduced figure/table lives.
-    fn paper_ref(&self) -> &'static str;
+    pub paper_ref: &'static str,
     /// The datasets the experiment simulates (empty for analytical plots).
-    fn datasets(&self) -> &'static [&'static str];
-    /// CSV files a successful run produces.
-    fn outputs(&self) -> &'static [&'static str];
-    /// Relative cost estimate (≈ seconds at default scale on a small box).
-    /// The scheduler sorts descending on this, longest-first.
-    fn estimated_cost(&self) -> f64;
-    /// Runs the experiment and returns its tables.
-    fn run(&self, cfg: &ExpConfig) -> ExperimentReport;
+    pub datasets: &'static [&'static str],
+    /// CSV files a successful run produces, one per returned table, in order.
+    pub outputs: &'static [&'static str],
+    /// Rough single-core seconds at the default scale (runs = 3,
+    /// scale = 0.15); only the *ordering* matters to the scheduler, which
+    /// runs the most expensive experiments first.
+    pub cost: f64,
+    /// Runs the experiment and returns its tables, in `outputs` order.
+    pub run: fn(&ExpConfig) -> Vec<Table>,
 }
 
-/// Every experiment of the reproduction as a plain enum for sweeps and
-/// runtime configuration — 15 paper figures (the paper numbers its plots 1–17
-/// with 7–8 being diagrams) plus the two DESIGN.md ablation studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExperimentKind {
-    /// Fig. 1: analytical expected attacker ACC over multiple collections.
-    Fig01,
-    /// Fig. 2: RID-ACC on Adult, SMP, FK-RI, uniform ε-LDP.
-    Fig02,
-    /// Fig. 3: AIF-ACC on ACSEmployment against RS+FD (NK/PK/HM).
-    Fig03,
-    /// Fig. 4: RID-ACC on Adult against RS+FD\[GRR\] (chained attack).
-    Fig04,
-    /// Fig. 5: averaged MSE on ACSEmployment, RS+RFD vs RS+FD.
-    Fig05,
-    /// Fig. 6: AIF-ACC on ACSEmployment against the RS+RFD countermeasure.
-    Fig06,
-    /// Fig. 9: RID-ACC on ACSEmployment, SMP, FK-RI.
-    Fig09,
-    /// Fig. 10: RID-ACC on Adult, SMP, PK-RI.
-    Fig10,
-    /// Fig. 11: RID-ACC on Adult under the non-uniform ε-LDP metric.
-    Fig11,
-    /// Fig. 12: RID-ACC on Adult under α-PIE, uniform sampling.
-    Fig12,
-    /// Fig. 13: RID-ACC on Adult under α-PIE, non-uniform sampling.
-    Fig13,
-    /// Fig. 14: AIF-ACC on Adult against RS+FD (NK/PK/HM).
-    Fig14,
-    /// Fig. 15: AIF-ACC on Nursery (the negative control).
-    Fig15,
-    /// Fig. 16: analytical + experimental utility on Adult, four priors.
-    Fig16,
-    /// Fig. 17: AIF-ACC on ACSEmployment against RS+RFD, incorrect priors.
-    Fig17,
-    /// Ablation: classifier family (GBDT vs logistic regression).
-    AblationClassifier,
-    /// Ablation: top-k sensitivity of the re-identification decision.
-    AblationTopk,
-    /// Extension: mean-estimation MSE of the numeric mechanisms vs ε.
-    NumericMse,
-    /// Extension: NUM-VRI value-range inference risk vs ε.
-    NumericRisk,
-    /// Extension: averaging-attack ASR vs rounds under the budget policies.
-    LongitudinalRisk,
-    /// Extension: averaged-estimator MSE vs rounds under the budget policies.
-    LongitudinalMse,
-}
-
-impl ExperimentKind {
-    /// Every experiment, in presentation order.
-    pub const ALL: [ExperimentKind; 21] = [
-        ExperimentKind::Fig01,
-        ExperimentKind::Fig02,
-        ExperimentKind::Fig03,
-        ExperimentKind::Fig04,
-        ExperimentKind::Fig05,
-        ExperimentKind::Fig06,
-        ExperimentKind::Fig09,
-        ExperimentKind::Fig10,
-        ExperimentKind::Fig11,
-        ExperimentKind::Fig12,
-        ExperimentKind::Fig13,
-        ExperimentKind::Fig14,
-        ExperimentKind::Fig15,
-        ExperimentKind::Fig16,
-        ExperimentKind::Fig17,
-        ExperimentKind::AblationClassifier,
-        ExperimentKind::AblationTopk,
-        ExperimentKind::NumericMse,
-        ExperimentKind::NumericRisk,
-        ExperimentKind::LongitudinalRisk,
-        ExperimentKind::LongitudinalMse,
-    ];
-
-    /// Stable identifier, equal to `build().id()`.
-    pub fn id(self) -> &'static str {
-        self.build().id()
+/// Rows are the same experiment when their ids are.
+impl PartialEq for Experiment {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
     }
+}
 
+impl Experiment {
     /// Looks an experiment up by its identifier.
-    pub fn from_id(id: &str) -> Option<ExperimentKind> {
-        ExperimentKind::ALL.into_iter().find(|k| k.id() == id)
-    }
-
-    /// Builds the runnable experiment — the single construction path, the
-    /// counterpart of `SolutionKind::build` / `AttackKind::build`.
-    /// (Experiment selection has no invalid configurations, so unlike those
-    /// this one is infallible.)
-    pub fn build(self) -> DynExperiment {
-        DynExperiment { kind: self }
-    }
-}
-
-impl std::fmt::Display for ExperimentKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
-    }
-}
-
-/// Dispatcher over the registered experiments (the counterpart of
-/// `DynSolution` / `DynAttack`): one object-safe experiment surface with the
-/// figure chosen at runtime.
-#[derive(Debug, Clone, Copy)]
-pub struct DynExperiment {
-    kind: ExperimentKind,
-}
-
-impl DynExperiment {
-    /// The experiment this instance runs.
-    pub fn kind(&self) -> ExperimentKind {
-        self.kind
+    pub fn from_id(id: &str) -> Option<&'static Experiment> {
+        EXPERIMENTS.iter().find(|e| e.id == id)
     }
 
     /// Stable multi-line description used by `risks describe` (and asserted
     /// stable by the registry tests).
     pub fn describe(&self) -> String {
-        let datasets = if self.datasets().is_empty() {
+        let datasets = if self.datasets.is_empty() {
             "none (analytical)".to_string()
         } else {
-            self.datasets().join(", ")
+            self.datasets.join(", ")
         };
         format!(
             "{id}: {title}\n  paper:    {paper}\n  datasets: {datasets}\n  \
              outputs:  {outputs}\n  est. cost: {cost} (default scale) / {full} (RISKS_FULL=1)\n",
-            id = self.id(),
-            title = self.title(),
-            paper = self.paper_ref(),
-            outputs = self.outputs().join(", "),
-            cost = human_secs(self.estimated_cost()),
-            full = human_secs(self.estimated_cost() * self.full_scale_factor()),
+            id = self.id,
+            title = self.title,
+            paper = self.paper_ref,
+            outputs = self.outputs.join(", "),
+            cost = human_secs(self.cost),
+            full = human_secs(self.full_cost()),
         )
     }
 
-    /// How much longer a `RISKS_FULL=1` run takes than the default scale
-    /// (runs 3→20 and n 0.15→1.0 compound; analytical figures are flat).
-    pub fn full_scale_factor(&self) -> f64 {
-        match self.kind {
-            ExperimentKind::Fig01 => 1.0,
-            _ => 60.0,
+    /// The cost estimate of a `RISKS_FULL=1` run: runs 3→20 and n 0.15→1.0
+    /// compound to ~60×, while analytical figures are flat.
+    fn full_cost(&self) -> f64 {
+        if self.datasets.is_empty() {
+            self.cost
+        } else {
+            self.cost * 60.0
         }
     }
 }
 
-impl Experiment for DynExperiment {
-    fn id(&self) -> &'static str {
-        match self.kind {
-            ExperimentKind::Fig01 => "fig01",
-            ExperimentKind::Fig02 => "fig02",
-            ExperimentKind::Fig03 => "fig03",
-            ExperimentKind::Fig04 => "fig04",
-            ExperimentKind::Fig05 => "fig05",
-            ExperimentKind::Fig06 => "fig06",
-            ExperimentKind::Fig09 => "fig09",
-            ExperimentKind::Fig10 => "fig10",
-            ExperimentKind::Fig11 => "fig11",
-            ExperimentKind::Fig12 => "fig12",
-            ExperimentKind::Fig13 => "fig13",
-            ExperimentKind::Fig14 => "fig14",
-            ExperimentKind::Fig15 => "fig15",
-            ExperimentKind::Fig16 => "fig16",
-            ExperimentKind::Fig17 => "fig17",
-            ExperimentKind::AblationClassifier => "ablation_classifier",
-            ExperimentKind::AblationTopk => "ablation_topk",
-            ExperimentKind::NumericMse => "numeric_mse",
-            ExperimentKind::NumericRisk => "numeric_risk",
-            ExperimentKind::LongitudinalRisk => "longitudinal_risk",
-            ExperimentKind::LongitudinalMse => "longitudinal_mse",
-        }
-    }
-
-    fn title(&self) -> &'static str {
-        match self.kind {
-            ExperimentKind::Fig01 => "analytical expected attacker ACC over multiple collections",
-            ExperimentKind::Fig02 => "RID-ACC on Adult (SMP, FK-RI, uniform eps-LDP)",
-            ExperimentKind::Fig03 => "AIF-ACC on ACSEmployment vs RS+FD (NK/PK/HM)",
-            ExperimentKind::Fig04 => "RID-ACC on Adult vs RS+FD[GRR] (chained attack)",
-            ExperimentKind::Fig05 => "averaged MSE on ACSEmployment (RS+RFD vs RS+FD)",
-            ExperimentKind::Fig06 => "AIF-ACC on ACSEmployment vs RS+RFD (correct priors)",
-            ExperimentKind::Fig09 => "RID-ACC on ACSEmployment (SMP, FK-RI)",
-            ExperimentKind::Fig10 => "RID-ACC on Adult (SMP, PK-RI)",
-            ExperimentKind::Fig11 => "RID-ACC on Adult (non-uniform eps-LDP metric)",
-            ExperimentKind::Fig12 => "RID-ACC on Adult (alpha-PIE, uniform sampling)",
-            ExperimentKind::Fig13 => "RID-ACC on Adult (alpha-PIE, non-uniform sampling)",
-            ExperimentKind::Fig14 => "AIF-ACC on Adult vs RS+FD (NK/PK/HM)",
-            ExperimentKind::Fig15 => "AIF-ACC on Nursery (negative control)",
-            ExperimentKind::Fig16 => "analytical + experimental utility on Adult (four priors)",
-            ExperimentKind::Fig17 => "AIF-ACC on ACSEmployment vs RS+RFD (incorrect priors)",
-            ExperimentKind::AblationClassifier => "inference-attack classifier family ablation",
-            ExperimentKind::AblationTopk => "re-identification top-k sensitivity ablation",
-            ExperimentKind::NumericMse => {
-                "mean-estimation MSE of Duchi/PM/HM in a mixed k-of-d collection"
-            }
-            ExperimentKind::NumericRisk => {
-                "NUM-VRI value-range inference accuracy vs the numeric mechanisms"
-            }
-            ExperimentKind::LongitudinalRisk => {
-                "averaging-attack ASR vs rounds: eps-splitting vs memoization"
-            }
-            ExperimentKind::LongitudinalMse => {
-                "averaged-estimator MSE vs rounds: eps-splitting vs memoization"
-            }
-        }
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        match self.kind {
-            ExperimentKind::Fig01 => "§3.2.3, Fig. 1",
-            ExperimentKind::Fig02 => "§4.2, Fig. 2",
-            ExperimentKind::Fig03 => "§4.2, Fig. 3",
-            ExperimentKind::Fig04 => "§4.2, Fig. 4",
-            ExperimentKind::Fig05 => "§5.2.2, Fig. 5",
-            ExperimentKind::Fig06 => "§5.2.3, Fig. 6",
-            ExperimentKind::Fig09 => "Appendix C, Fig. 9",
-            ExperimentKind::Fig10 => "Appendix C, Fig. 10",
-            ExperimentKind::Fig11 => "Appendix C, Fig. 11",
-            ExperimentKind::Fig12 => "Appendix C, Fig. 12",
-            ExperimentKind::Fig13 => "Appendix C, Fig. 13",
-            ExperimentKind::Fig14 => "Appendix D, Fig. 14",
-            ExperimentKind::Fig15 => "Appendix D, Fig. 15",
-            ExperimentKind::Fig16 => "Appendix E, Fig. 16",
-            ExperimentKind::Fig17 => "Appendix E, Fig. 17",
-            ExperimentKind::AblationClassifier => "DESIGN.md ablation (Fig. 3 setting)",
-            ExperimentKind::AblationTopk => "DESIGN.md ablation (Fig. 2 setting)",
-            ExperimentKind::NumericMse => "extension (§7 outlook): numeric utility",
-            ExperimentKind::NumericRisk => "extension (§7 outlook): numeric risk",
-            ExperimentKind::LongitudinalRisk => "extension (§7 outlook): longitudinal risk",
-            ExperimentKind::LongitudinalMse => "extension (§7 outlook): longitudinal utility",
-        }
-    }
-
-    fn datasets(&self) -> &'static [&'static str] {
-        match self.kind {
-            ExperimentKind::Fig01 => &[],
-            ExperimentKind::Fig02
-            | ExperimentKind::Fig04
-            | ExperimentKind::Fig10
-            | ExperimentKind::Fig11
-            | ExperimentKind::Fig12
-            | ExperimentKind::Fig13
-            | ExperimentKind::Fig14
-            | ExperimentKind::Fig16
-            | ExperimentKind::AblationTopk => &["Adult"],
-            ExperimentKind::Fig03
-            | ExperimentKind::Fig05
-            | ExperimentKind::Fig06
-            | ExperimentKind::Fig09
-            | ExperimentKind::Fig17
-            | ExperimentKind::AblationClassifier => &["ACSEmployment"],
-            ExperimentKind::Fig15 => &["Nursery"],
-            ExperimentKind::NumericMse | ExperimentKind::NumericRisk => &["MixedSurvey"],
-            ExperimentKind::LongitudinalRisk | ExperimentKind::LongitudinalMse => &["Adult"],
-        }
-    }
-
-    fn outputs(&self) -> &'static [&'static str] {
-        match self.kind {
-            ExperimentKind::Fig01 => &["fig01.csv"],
-            ExperimentKind::Fig02 => &["fig02.csv"],
-            ExperimentKind::Fig03 => &["fig03.csv"],
-            ExperimentKind::Fig04 => &["fig04.csv"],
-            ExperimentKind::Fig05 => &["fig05_correct.csv", "fig05_incorrect.csv"],
-            ExperimentKind::Fig06 => &["fig06.csv"],
-            ExperimentKind::Fig09 => &["fig09.csv"],
-            ExperimentKind::Fig10 => &["fig10.csv"],
-            ExperimentKind::Fig11 => &["fig11_fk.csv", "fig11_pk.csv"],
-            ExperimentKind::Fig12 => &["fig12_fk.csv", "fig12_pk.csv"],
-            ExperimentKind::Fig13 => &["fig13_fk.csv", "fig13_pk.csv"],
-            ExperimentKind::Fig14 => &["fig14.csv"],
-            ExperimentKind::Fig15 => &["fig15.csv"],
-            ExperimentKind::Fig16 => &[
-                "fig16_correct.csv",
-                "fig16_dir.csv",
-                "fig16_zipf.csv",
-                "fig16_exp.csv",
-            ],
-            ExperimentKind::Fig17 => &["fig17.csv"],
-            ExperimentKind::AblationClassifier => &["ablation_classifier.csv"],
-            ExperimentKind::AblationTopk => &["ablation_topk.csv"],
-            ExperimentKind::NumericMse => &["numeric_mse.csv"],
-            ExperimentKind::NumericRisk => &["numeric_risk.csv"],
-            ExperimentKind::LongitudinalRisk => &["longitudinal_risk.csv"],
-            ExperimentKind::LongitudinalMse => &["longitudinal_mse.csv"],
-        }
-    }
-
-    fn estimated_cost(&self) -> f64 {
-        // Rough single-core seconds at the default scale (runs = 3,
-        // scale = 0.15); only the *ordering* matters to the scheduler.
-        match self.kind {
-            ExperimentKind::Fig01 => 0.1,
-            ExperimentKind::Fig02 => 150.0,
-            ExperimentKind::Fig03 => 120.0,
-            ExperimentKind::Fig04 => 200.0,
-            ExperimentKind::Fig05 => 60.0,
-            ExperimentKind::Fig06 => 100.0,
-            ExperimentKind::Fig09 => 130.0,
-            ExperimentKind::Fig10 => 140.0,
-            ExperimentKind::Fig11 => 280.0,
-            ExperimentKind::Fig12 => 260.0,
-            ExperimentKind::Fig13 => 260.0,
-            ExperimentKind::Fig14 => 110.0,
-            ExperimentKind::Fig15 => 90.0,
-            ExperimentKind::Fig16 => 120.0,
-            ExperimentKind::Fig17 => 100.0,
-            ExperimentKind::AblationClassifier => 70.0,
-            ExperimentKind::AblationTopk => 80.0,
-            ExperimentKind::NumericMse => 40.0,
-            ExperimentKind::NumericRisk => 85.0,
-            ExperimentKind::LongitudinalRisk => 180.0,
-            ExperimentKind::LongitudinalMse => 50.0,
-        }
-    }
-
-    fn run(&self, cfg: &ExpConfig) -> ExperimentReport {
-        match self.kind {
-            ExperimentKind::Fig01 => crate::fig01::run(cfg),
-            ExperimentKind::Fig02 => crate::fig02::run(cfg),
-            ExperimentKind::Fig03 => crate::fig03::run(cfg),
-            ExperimentKind::Fig04 => crate::fig04::run(cfg),
-            ExperimentKind::Fig05 => crate::fig05::run(cfg),
-            ExperimentKind::Fig06 => crate::fig06::run(cfg),
-            ExperimentKind::Fig09 => crate::fig09::run(cfg),
-            ExperimentKind::Fig10 => crate::fig10::run(cfg),
-            ExperimentKind::Fig11 => crate::fig11::run(cfg),
-            ExperimentKind::Fig12 => crate::fig12::run(cfg),
-            ExperimentKind::Fig13 => crate::fig13::run(cfg),
-            ExperimentKind::Fig14 => crate::fig14::run(cfg),
-            ExperimentKind::Fig15 => crate::fig15::run(cfg),
-            ExperimentKind::Fig16 => crate::fig16::run(cfg),
-            ExperimentKind::Fig17 => crate::fig17::run(cfg),
-            ExperimentKind::AblationClassifier => crate::ablation::run_classifier(cfg),
-            ExperimentKind::AblationTopk => crate::ablation::run_topk(cfg),
-            ExperimentKind::NumericMse => crate::numeric::run_mse(cfg),
-            ExperimentKind::NumericRisk => crate::numeric::run_risk(cfg),
-            ExperimentKind::LongitudinalRisk => crate::longitudinal::run_risk(cfg),
-            ExperimentKind::LongitudinalMse => crate::longitudinal::run_mse(cfg),
-        }
-    }
+/// An SMP re-identification sweep over every protocol after 5 surveys
+/// (Figs. 2 and 9–13). The paper plots GRR / SUE / OLH / OUE and notes
+/// ω-SS ≈ GRR; ω-SS is included explicitly.
+fn smp(
+    cfg: &ExpConfig,
+    dataset: DatasetChoice,
+    xaxis: XAxis,
+    setting: SamplingSetting,
+    background: Background,
+    label: &str,
+) -> Table {
+    let params = SmpReidentParams {
+        dataset,
+        kinds: ProtocolKind::ALL.to_vec(),
+        xaxis,
+        setting,
+        background,
+        n_surveys: 5,
+    };
+    smp_reident::run(cfg, &params, label)
 }
+
+/// The FK-RI and PK-RI sweeps on Adult under one privacy metric
+/// (Figs. 11–13).
+fn fk_pk(cfg: &ExpConfig, xaxis: XAxis, setting: SamplingSetting, labels: [&str; 2]) -> Vec<Table> {
+    [Background::Full, Background::Partial]
+        .into_iter()
+        .zip(labels)
+        .map(|(bg, label)| smp(cfg, DatasetChoice::Adult, xaxis.clone(), setting, bg, label))
+        .collect()
+}
+
+/// A sampled-attribute inference sweep over the paper's ε grid
+/// (Figs. 3, 6, 14, 15 and 17).
+fn aif_sweep(
+    cfg: &ExpConfig,
+    dataset: AifDataset,
+    specs: Vec<SolutionSpec>,
+    models: Vec<(String, AttackModel)>,
+    label: &str,
+) -> Vec<Table> {
+    let params = AifParams {
+        dataset,
+        specs,
+        models,
+        eps: eps_grid(),
+    };
+    vec![aif::run(cfg, &params, label)]
+}
+
+/// Figs. 3, 14 and 15: every RS+FD protocol against the paper's nine
+/// attacker models.
+fn rsfd_aif(cfg: &ExpConfig, dataset: AifDataset, label: &str) -> Vec<Table> {
+    let specs = RsFdProtocol::ALL.map(SolutionSpec::RsFd).to_vec();
+    aif_sweep(cfg, dataset, specs, aif::paper_models(), label)
+}
+
+/// Every experiment, in presentation order: the paper's 15 figures (it
+/// numbers its plots 1–17, with 7–8 being diagrams), the two DESIGN.md
+/// ablations and four extensions.
+pub static EXPERIMENTS: [Experiment; 21] = [
+    Experiment {
+        id: "fig01",
+        title: "analytical expected attacker ACC over multiple collections",
+        paper_ref: "§3.2.3, Fig. 1",
+        datasets: &[],
+        outputs: &["fig01.csv"],
+        cost: 0.1,
+        run: crate::fig01::run,
+    },
+    Experiment {
+        id: "fig02",
+        title: "RID-ACC on Adult (SMP, FK-RI, uniform eps-LDP)",
+        paper_ref: "§4.2, Fig. 2",
+        datasets: &["Adult"],
+        outputs: &["fig02.csv"],
+        cost: 150.0,
+        run: |cfg| {
+            vec![smp(
+                cfg,
+                DatasetChoice::Adult,
+                XAxis::Epsilon(eps_grid()),
+                SamplingSetting::Uniform,
+                Background::Full,
+                "Fig 2 (Adult, FK-RI, uniform eps-LDP)",
+            )]
+        },
+    },
+    Experiment {
+        id: "fig03",
+        title: "AIF-ACC on ACSEmployment vs RS+FD (NK/PK/HM)",
+        paper_ref: "§4.2, Fig. 3",
+        datasets: &["ACSEmployment"],
+        outputs: &["fig03.csv"],
+        cost: 120.0,
+        run: |cfg| rsfd_aif(cfg, AifDataset::Acs, "Fig 3 (ACSEmployment, RS+FD)"),
+    },
+    Experiment {
+        id: "fig04",
+        title: "RID-ACC on Adult vs RS+FD[GRR] (chained attack)",
+        paper_ref: "§4.2, Fig. 4",
+        datasets: &["Adult"],
+        outputs: &["fig04.csv"],
+        cost: 200.0,
+        run: crate::fig04::run,
+    },
+    Experiment {
+        id: "fig05",
+        title: "averaged MSE on ACSEmployment (RS+RFD vs RS+FD)",
+        paper_ref: "§5.2.2, Fig. 5",
+        datasets: &["ACSEmployment"],
+        outputs: &["fig05_correct.csv", "fig05_incorrect.csv"],
+        cost: 60.0,
+        run: crate::fig05::run,
+    },
+    Experiment {
+        id: "fig06",
+        title: "AIF-ACC on ACSEmployment vs RS+RFD (correct priors)",
+        paper_ref: "§5.2.3, Fig. 6",
+        datasets: &["ACSEmployment"],
+        outputs: &["fig06.csv"],
+        cost: 100.0,
+        run: |cfg| {
+            let specs = RsRfdProtocol::ALL.map(|p| SolutionSpec::RsRfd(p, PriorSpec::Correct));
+            aif_sweep(
+                cfg,
+                AifDataset::Acs,
+                specs.to_vec(),
+                aif::paper_models(),
+                "Fig 6 (ACSEmployment, RS+RFD, correct priors)",
+            )
+        },
+    },
+    Experiment {
+        id: "fig09",
+        title: "RID-ACC on ACSEmployment (SMP, FK-RI)",
+        paper_ref: "Appendix C, Fig. 9",
+        datasets: &["ACSEmployment"],
+        outputs: &["fig09.csv"],
+        cost: 130.0,
+        run: |cfg| {
+            vec![smp(
+                cfg,
+                DatasetChoice::Acs,
+                XAxis::Epsilon(eps_grid()),
+                SamplingSetting::Uniform,
+                Background::Full,
+                "Fig 9 (ACSEmployment, FK-RI, uniform eps-LDP)",
+            )]
+        },
+    },
+    Experiment {
+        id: "fig10",
+        title: "RID-ACC on Adult (SMP, PK-RI)",
+        paper_ref: "Appendix C, Fig. 10",
+        datasets: &["Adult"],
+        outputs: &["fig10.csv"],
+        cost: 140.0,
+        run: |cfg| {
+            vec![smp(
+                cfg,
+                DatasetChoice::Adult,
+                XAxis::Epsilon(eps_grid()),
+                SamplingSetting::Uniform,
+                Background::Partial,
+                "Fig 10 (Adult, PK-RI, uniform eps-LDP)",
+            )]
+        },
+    },
+    Experiment {
+        id: "fig11",
+        title: "RID-ACC on Adult (non-uniform eps-LDP metric)",
+        paper_ref: "Appendix C, Fig. 11",
+        datasets: &["Adult"],
+        outputs: &["fig11_fk.csv", "fig11_pk.csv"],
+        cost: 280.0,
+        run: |cfg| {
+            fk_pk(
+                cfg,
+                XAxis::Epsilon(eps_grid()),
+                SamplingSetting::NonUniform,
+                [
+                    "Fig 11 FK-RI (Adult, non-uniform eps-LDP)",
+                    "Fig 11 PK-RI (Adult, non-uniform eps-LDP)",
+                ],
+            )
+        },
+    },
+    Experiment {
+        id: "fig12",
+        title: "RID-ACC on Adult (alpha-PIE, uniform sampling)",
+        paper_ref: "Appendix C, Fig. 12",
+        datasets: &["Adult"],
+        outputs: &["fig12_fk.csv", "fig12_pk.csv"],
+        cost: 260.0,
+        run: |cfg| {
+            fk_pk(
+                cfg,
+                XAxis::Beta(beta_grid()),
+                SamplingSetting::Uniform,
+                [
+                    "Fig 12 FK-RI (Adult, uniform alpha-PIE)",
+                    "Fig 12 PK-RI (Adult, uniform alpha-PIE)",
+                ],
+            )
+        },
+    },
+    Experiment {
+        id: "fig13",
+        title: "RID-ACC on Adult (alpha-PIE, non-uniform sampling)",
+        paper_ref: "Appendix C, Fig. 13",
+        datasets: &["Adult"],
+        outputs: &["fig13_fk.csv", "fig13_pk.csv"],
+        cost: 260.0,
+        run: |cfg| {
+            fk_pk(
+                cfg,
+                XAxis::Beta(beta_grid()),
+                SamplingSetting::NonUniform,
+                [
+                    "Fig 13 FK-RI (Adult, non-uniform alpha-PIE)",
+                    "Fig 13 PK-RI (Adult, non-uniform alpha-PIE)",
+                ],
+            )
+        },
+    },
+    Experiment {
+        id: "fig14",
+        title: "AIF-ACC on Adult vs RS+FD (NK/PK/HM)",
+        paper_ref: "Appendix D, Fig. 14",
+        datasets: &["Adult"],
+        outputs: &["fig14.csv"],
+        cost: 110.0,
+        run: |cfg| rsfd_aif(cfg, AifDataset::Adult, "Fig 14 (Adult, RS+FD)"),
+    },
+    Experiment {
+        id: "fig15",
+        title: "AIF-ACC on Nursery (negative control)",
+        paper_ref: "Appendix D, Fig. 15",
+        datasets: &["Nursery"],
+        outputs: &["fig15.csv"],
+        cost: 90.0,
+        // Uniform-like marginals make uniform fake data indistinguishable,
+        // so only RS+FD[UE-z] should leak.
+        run: |cfg| rsfd_aif(cfg, AifDataset::Nursery, "Fig 15 (Nursery, RS+FD)"),
+    },
+    Experiment {
+        id: "fig16",
+        title: "analytical + experimental utility on Adult (four priors)",
+        paper_ref: "Appendix E, Fig. 16",
+        datasets: &["Adult"],
+        outputs: &[
+            "fig16_correct.csv",
+            "fig16_dir.csv",
+            "fig16_zipf.csv",
+            "fig16_exp.csv",
+        ],
+        cost: 120.0,
+        run: crate::fig16::run,
+    },
+    Experiment {
+        id: "fig17",
+        title: "AIF-ACC on ACSEmployment vs RS+RFD (incorrect priors)",
+        paper_ref: "Appendix E, Fig. 17",
+        datasets: &["ACSEmployment"],
+        outputs: &["fig17.csv"],
+        cost: 100.0,
+        // RS+RFD under each incorrect prior family, NK models only.
+        run: |cfg| {
+            let priors = [Dirichlet, Zipf, Exp].map(PriorSpec::Incorrect);
+            let specs = priors
+                .iter()
+                .flat_map(|&prior| RsRfdProtocol::ALL.map(|p| SolutionSpec::RsRfd(p, prior)))
+                .collect();
+            let nk = aif::paper_models()
+                .into_iter()
+                .filter(|(_, model)| matches!(model, AttackModel::NoKnowledge { .. }))
+                .collect();
+            aif_sweep(
+                cfg,
+                AifDataset::Acs,
+                specs,
+                nk,
+                "Fig 17 (ACSEmployment, RS+RFD, incorrect priors)",
+            )
+        },
+    },
+    Experiment {
+        id: "ablation_classifier",
+        title: "inference-attack classifier family ablation",
+        paper_ref: "DESIGN.md ablation (Fig. 3 setting)",
+        datasets: &["ACSEmployment"],
+        outputs: &["ablation_classifier.csv"],
+        cost: 70.0,
+        run: crate::ablation::run_classifier,
+    },
+    Experiment {
+        id: "ablation_topk",
+        title: "re-identification top-k sensitivity ablation",
+        paper_ref: "DESIGN.md ablation (Fig. 2 setting)",
+        datasets: &["Adult"],
+        outputs: &["ablation_topk.csv"],
+        cost: 80.0,
+        run: crate::ablation::run_topk,
+    },
+    Experiment {
+        id: "numeric_mse",
+        title: "mean-estimation MSE of Duchi/PM/HM in a mixed k-of-d collection",
+        paper_ref: "extension (§7 outlook): numeric utility",
+        datasets: &["MixedSurvey"],
+        outputs: &["numeric_mse.csv"],
+        cost: 40.0,
+        run: crate::numeric::run_mse,
+    },
+    Experiment {
+        id: "numeric_risk",
+        title: "NUM-VRI value-range inference accuracy vs the numeric mechanisms",
+        paper_ref: "extension (§7 outlook): numeric risk",
+        datasets: &["MixedSurvey"],
+        outputs: &["numeric_risk.csv"],
+        cost: 85.0,
+        run: crate::numeric::run_risk,
+    },
+    Experiment {
+        id: "longitudinal_risk",
+        title: "averaging-attack ASR vs rounds: eps-splitting vs memoization",
+        paper_ref: "extension (§7 outlook): longitudinal risk",
+        datasets: &["Adult"],
+        outputs: &["longitudinal_risk.csv"],
+        cost: 180.0,
+        run: crate::longitudinal::run_risk,
+    },
+    Experiment {
+        id: "longitudinal_mse",
+        title: "averaged-estimator MSE vs rounds: eps-splitting vs memoization",
+        paper_ref: "extension (§7 outlook): longitudinal utility",
+        datasets: &["Adult"],
+        outputs: &["longitudinal_mse.csv"],
+        cost: 50.0,
+        run: crate::longitudinal::run_mse,
+    },
+];
 
 /// Formats a duration estimate for humans: `~8 s`, `~3 min`, `~2.5 h`.
 pub fn human_secs(secs: f64) -> String {
@@ -485,19 +469,18 @@ pub fn markdown_matrix() -> String {
     let mut out = String::new();
     out.push_str("| id | reproduces | datasets | command | est. default | est. `RISKS_FULL=1` |\n");
     out.push_str("|---|---|---|---|---|---|\n");
-    for kind in ExperimentKind::ALL {
-        let exp = kind.build();
-        let datasets = if exp.datasets().is_empty() {
+    for exp in &EXPERIMENTS {
+        let datasets = if exp.datasets.is_empty() {
             "—".to_string()
         } else {
-            exp.datasets().join(", ")
+            exp.datasets.join(", ")
         };
         out.push_str(&format!(
             "| `{id}` | {paper} | {datasets} | `risks run {id}` | {cost} | {full} |\n",
-            id = exp.id(),
-            paper = exp.paper_ref(),
-            cost = human_secs(exp.estimated_cost()),
-            full = human_secs(exp.estimated_cost() * exp.full_scale_factor()),
+            id = exp.id,
+            paper = exp.paper_ref,
+            cost = human_secs(exp.cost),
+            full = human_secs(exp.full_cost()),
         ));
     }
     out
@@ -506,23 +489,6 @@ pub fn markdown_matrix() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_kinds_build_and_roundtrip_ids() {
-        for kind in ExperimentKind::ALL {
-            let exp = kind.build();
-            assert_eq!(ExperimentKind::from_id(exp.id()), Some(kind));
-            assert!(!exp.title().is_empty());
-            assert!(!exp.outputs().is_empty());
-            assert!(exp.estimated_cost() > 0.0);
-        }
-    }
-
-    #[test]
-    fn trait_is_object_safe() {
-        let exp: Box<dyn Experiment> = Box::new(ExperimentKind::Fig01.build());
-        assert_eq!(exp.id(), "fig01");
-    }
 
     #[test]
     fn human_secs_ranges() {
@@ -535,10 +501,10 @@ mod tests {
     #[test]
     fn matrix_has_one_row_per_experiment() {
         let matrix = markdown_matrix();
-        // Header + separator + one row per kind.
-        assert_eq!(matrix.lines().count(), 2 + ExperimentKind::ALL.len());
-        for kind in ExperimentKind::ALL {
-            assert!(matrix.contains(&format!("`risks run {kind}`")));
+        // Header + separator + one row per experiment.
+        assert_eq!(matrix.lines().count(), 2 + EXPERIMENTS.len());
+        for exp in &EXPERIMENTS {
+            assert!(matrix.contains(&format!("`risks run {}`", exp.id)));
         }
     }
 }

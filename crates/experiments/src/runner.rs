@@ -16,7 +16,8 @@ use std::time::Instant;
 use ldp_sim::par::par_queue;
 
 use crate::manifest::{config_hash, git_rev, Manifest};
-use crate::registry::{Experiment, ExperimentKind};
+use crate::registry::Experiment;
+use crate::table::Table;
 use crate::ExpConfig;
 
 /// Options of one `risks run` invocation.
@@ -43,7 +44,8 @@ pub enum ExpStatus {
     /// Skipped: a manifest with the same config hash and intact outputs
     /// already exists (pass `--force` to re-run).
     Cached,
-    /// The experiment panicked; the payload is the panic message.
+    /// The experiment panicked (the payload is the panic message) or
+    /// returned a different number of tables than its row has outputs.
     Failed(String),
 }
 
@@ -51,7 +53,7 @@ pub enum ExpStatus {
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Per-experiment status, in the order the experiments were requested.
-    pub results: Vec<(ExperimentKind, ExpStatus)>,
+    pub results: Vec<(&'static Experiment, ExpStatus)>,
     /// Wall-clock seconds for the whole pass.
     pub wall_secs: f64,
 }
@@ -70,11 +72,11 @@ impl RunSummary {
         let mut done = Vec::new();
         let mut cached = Vec::new();
         let mut failed = Vec::new();
-        for (kind, status) in &self.results {
+        for (exp, status) in &self.results {
             match status {
-                ExpStatus::Completed { .. } => done.push(kind.id()),
-                ExpStatus::Cached => cached.push(kind.id()),
-                ExpStatus::Failed(_) => failed.push(kind.id()),
+                ExpStatus::Completed { .. } => done.push(exp.id),
+                ExpStatus::Cached => cached.push(exp.id),
+                ExpStatus::Failed(_) => failed.push(exp.id),
             }
         }
         (done, cached, failed)
@@ -82,40 +84,39 @@ impl RunSummary {
 }
 
 /// Runs the selected experiments under `cfg`, returning one status per
-/// requested kind (input order). See the module docs for the scheduling
-/// model.
-pub fn run_experiments(kinds: &[ExperimentKind], cfg: &ExpConfig, opts: &RunOptions) -> RunSummary {
+/// requested experiment (input order). See the module docs for the
+/// scheduling model.
+pub fn run_experiments(
+    experiments: &[&'static Experiment],
+    cfg: &ExpConfig,
+    opts: &RunOptions,
+) -> RunSummary {
     let started = Instant::now();
     let rev = git_rev();
 
     // Cache pass: a fresh manifest (same config hash and code revision,
     // outputs intact) is a hit unless --force.
-    let mut scheduled: Vec<ExperimentKind> = Vec::new();
-    let mut statuses: Vec<(ExperimentKind, Option<ExpStatus>)> = Vec::new();
-    for &kind in kinds {
-        let exp = kind.build();
+    let mut scheduled: Vec<&'static Experiment> = Vec::new();
+    let mut statuses: Vec<(&'static Experiment, Option<ExpStatus>)> = Vec::new();
+    for &exp in experiments {
         let fresh = !opts.force
-            && Manifest::load(&cfg.out_dir, exp.id())
-                .is_some_and(|m| m.is_fresh(exp.id(), cfg, rev.as_deref()));
+            && Manifest::load(&cfg.out_dir, exp.id)
+                .is_some_and(|m| m.is_fresh(exp.id, cfg, rev.as_deref()));
         if fresh {
             eprintln!(
                 "[risks] {} cached (manifest fresh; --force to re-run)",
-                exp.id()
+                exp.id
             );
-            statuses.push((kind, Some(ExpStatus::Cached)));
+            statuses.push((exp, Some(ExpStatus::Cached)));
         } else {
-            scheduled.push(kind);
-            statuses.push((kind, None));
+            scheduled.push(exp);
+            statuses.push((exp, None));
         }
     }
 
     // Longest-first: the queue hands jobs out in order, so sorting by
     // descending cost keeps the expensive figures from becoming the tail.
-    scheduled.sort_by(|a, b| {
-        b.build()
-            .estimated_cost()
-            .total_cmp(&a.build().estimated_cost())
-    });
+    scheduled.sort_by(|a, b| b.cost.total_cmp(&a.cost));
 
     let jobs = opts
         .jobs
@@ -128,65 +129,77 @@ pub fn run_experiments(kinds: &[ExperimentKind], cfg: &ExpConfig, opts: &RunOpti
         ..cfg.clone()
     };
 
-    let outcomes: Vec<(ExperimentKind, ExpStatus)> = par_queue(scheduled.len(), jobs, |i| {
-        let kind = scheduled[i];
-        (kind, run_one(kind, &inner, opts, rev.as_deref()))
+    let outcomes: Vec<(&'static Experiment, ExpStatus)> = par_queue(scheduled.len(), jobs, |i| {
+        let exp = scheduled[i];
+        (exp, run_one(exp, &inner, opts, rev.as_deref()))
     });
 
-    for (kind, status) in outcomes {
+    for (exp, status) in outcomes {
         let slot = statuses
             .iter_mut()
-            .find(|(k, s)| *k == kind && s.is_none())
+            .find(|(e, s)| e.id == exp.id && s.is_none())
             .expect("scheduled experiment came from the request list");
         slot.1 = Some(status);
     }
     RunSummary {
         results: statuses
             .into_iter()
-            .map(|(k, s)| (k, s.expect("every experiment got a status")))
+            .map(|(e, s)| (e, s.expect("every experiment got a status")))
             .collect(),
         wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 
-/// Runs one experiment, prints its tables, persists CSVs + manifest.
+/// Runs one experiment, prints its tables, and persists each as the CSV its
+/// row names plus the manifest.
+///
+/// # Panics
+/// Panics on I/O failure — experiment runs should fail loudly.
 fn run_one(
-    kind: ExperimentKind,
+    exp: &Experiment,
     cfg: &ExpConfig,
     opts: &RunOptions,
     git_rev: Option<&str>,
 ) -> ExpStatus {
-    let exp = kind.build();
-    eprintln!("[risks] running {} ({}) …", exp.id(), exp.paper_ref());
+    eprintln!("[risks] running {} ({}) …", exp.id, exp.paper_ref);
     let started = Instant::now();
-    let report = match catch_unwind(AssertUnwindSafe(|| exp.run(cfg))) {
-        Ok(report) => report,
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            eprintln!("[risks] {} FAILED: {msg}", exp.id());
-            return ExpStatus::Failed(msg);
+    let fail = |msg: String| {
+        eprintln!("[risks] {} FAILED: {msg}", exp.id);
+        ExpStatus::Failed(msg)
+    };
+    let tables = match catch_unwind(AssertUnwindSafe(|| (exp.run)(cfg))) {
+        Ok(tables) if tables.len() == exp.outputs.len() => tables,
+        Ok(tables) => {
+            let (got, want) = (tables.len(), exp.outputs.len());
+            return fail(format!("returned {got} tables for {want} outputs"));
         }
+        Err(payload) => return fail(panic_message(payload.as_ref())),
     };
     let wall_secs = started.elapsed().as_secs_f64();
     if !opts.quiet {
-        print!("{}", report.render());
+        // One `print!` keeps the output of concurrently finishing
+        // experiments unscrambled.
+        let rendered: Vec<String> = tables.iter().map(Table::render).collect();
+        print!("{}", rendered.join("\n"));
     }
-    report.write_csvs(&cfg.out_dir);
+    for (table, file) in tables.iter().zip(exp.outputs) {
+        table.write_csv(&cfg.out_dir, file);
+    }
     let manifest = Manifest {
-        id: exp.id().to_string(),
-        config_hash: config_hash(exp.id(), cfg),
+        id: exp.id.to_string(),
+        config_hash: config_hash(exp.id, cfg),
         seed: cfg.seed,
         runs: cfg.runs,
         scale: cfg.scale,
         wall_secs,
-        rows: report.total_rows(),
+        rows: tables.iter().map(Table::len).sum(),
         git_rev: git_rev.map(str::to_string),
-        outputs: report.files(),
+        outputs: exp.outputs.iter().map(|f| f.to_string()).collect(),
     };
     let path = manifest.write(&cfg.out_dir);
     eprintln!(
         "[risks] {} done in {wall_secs:.1}s ({} rows) → {} + {}",
-        exp.id(),
+        exp.id,
         manifest.rows,
         manifest.outputs.join(", "),
         path.display()
@@ -211,20 +224,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::EXPERIMENTS;
 
     #[test]
     fn summary_partitions_and_flags_failures() {
         let summary = RunSummary {
             results: vec![
                 (
-                    ExperimentKind::Fig01,
+                    &EXPERIMENTS[0],
                     ExpStatus::Completed {
                         wall_secs: 0.1,
                         rows: 5,
                     },
                 ),
-                (ExperimentKind::Fig02, ExpStatus::Cached),
-                (ExperimentKind::Fig03, ExpStatus::Failed("boom".into())),
+                (&EXPERIMENTS[1], ExpStatus::Cached),
+                (&EXPERIMENTS[2], ExpStatus::Failed("boom".into())),
             ],
             wall_secs: 0.2,
         };
@@ -233,5 +247,32 @@ mod tests {
         assert_eq!(done, ["fig01"]);
         assert_eq!(cached, ["fig02"]);
         assert_eq!(failed, ["fig03"]);
+    }
+
+    #[test]
+    fn a_table_count_that_differs_from_the_outputs_fails_the_experiment() {
+        let one_table = EXPERIMENTS[0].run;
+        let two_outputs = Experiment {
+            id: "miscounted",
+            outputs: &["a.csv", "b.csv"],
+            run: one_table,
+            ..EXPERIMENTS[0]
+        };
+        let out_dir = std::env::temp_dir().join("risks_runner_miscounted");
+        let cfg = ExpConfig {
+            runs: 1,
+            scale: 0.01,
+            threads: 1,
+            seed: 1,
+            out_dir: out_dir.clone(),
+        };
+        let status = run_one(&two_outputs, &cfg, &RunOptions::default(), None);
+        assert_eq!(
+            status,
+            ExpStatus::Failed("returned 1 tables for 2 outputs".into())
+        );
+        // Nothing is persisted for a failed experiment.
+        assert!(!out_dir.join("a.csv").exists());
+        assert!(!out_dir.join("miscounted.manifest.json").exists());
     }
 }

@@ -7,25 +7,27 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use ldp_experiments::manifest::Manifest;
-use ldp_experiments::registry::{markdown_matrix, Experiment, ExperimentKind};
+use ldp_experiments::registry::{markdown_matrix, Experiment, EXPERIMENTS};
 use ldp_experiments::runner::{run_experiments, ExpStatus, RunOptions};
 use ldp_experiments::ExpConfig;
 
 #[test]
-fn every_kind_constructs_with_unique_ids_and_outputs() {
+fn every_row_has_a_unique_id_and_unique_outputs() {
     let mut ids = HashSet::new();
     let mut outputs = HashSet::new();
-    for kind in ExperimentKind::ALL {
-        let exp = kind.build();
-        assert!(ids.insert(exp.id()), "duplicate id {}", exp.id());
-        assert!(!exp.paper_ref().is_empty());
-        assert!(exp.estimated_cost() > 0.0);
-        for o in exp.outputs() {
+    for exp in &EXPERIMENTS {
+        assert!(ids.insert(exp.id), "duplicate id {}", exp.id);
+        assert!(!exp.title.is_empty());
+        assert!(!exp.paper_ref.is_empty());
+        assert!(exp.cost > 0.0);
+        assert!(!exp.outputs.is_empty());
+        for o in exp.outputs {
             assert!(outputs.insert(*o), "output {o} produced by two experiments");
             assert!(o.ends_with(".csv"));
         }
-        assert_eq!(ExperimentKind::from_id(exp.id()), Some(kind));
+        assert_eq!(Experiment::from_id(exp.id).map(|e| e.id), Some(exp.id));
     }
+    assert!(Experiment::from_id("fig07").is_none());
     assert_eq!(ids.len(), 21, "the registry covers all 21 experiments");
 }
 
@@ -34,7 +36,7 @@ fn describe_output_is_stable() {
     // `risks describe` is part of the documented surface; a change here must
     // be deliberate (and mirrored in docs).
     assert_eq!(
-        ExperimentKind::Fig04.build().describe(),
+        Experiment::from_id("fig04").unwrap().describe(),
         "fig04: RID-ACC on Adult vs RS+FD[GRR] (chained attack)\n  \
          paper:    §4.2, Fig. 4\n  \
          datasets: Adult\n  \
@@ -42,7 +44,7 @@ fn describe_output_is_stable() {
          est. cost: ~3 min (default scale) / ~3.3 h (RISKS_FULL=1)\n"
     );
     assert_eq!(
-        ExperimentKind::Fig01.build().describe(),
+        Experiment::from_id("fig01").unwrap().describe(),
         "fig01: analytical expected attacker ACC over multiple collections\n  \
          paper:    §3.2.3, Fig. 1\n  \
          datasets: none (analytical)\n  \
@@ -67,8 +69,10 @@ fn smoke_run_roundtrips_a_cached_manifest() {
         ..RunOptions::default()
     };
 
+    let fig04 = Experiment::from_id("fig04").unwrap();
+
     // First invocation runs fig04 and writes CSV + manifest.
-    let summary = run_experiments(&[ExperimentKind::Fig04], &cfg, &opts);
+    let summary = run_experiments(&[fig04], &cfg, &opts);
     assert!(!summary.any_failed());
     assert!(
         matches!(summary.results[0].1, ExpStatus::Completed { rows, .. } if rows > 0),
@@ -84,7 +88,7 @@ fn smoke_run_roundtrips_a_cached_manifest() {
     assert!(manifest.wall_secs > 0.0);
 
     // A second identical invocation recognizes the manifest as a cache hit.
-    let summary = run_experiments(&[ExperimentKind::Fig04], &cfg, &opts);
+    let summary = run_experiments(&[fig04], &cfg, &opts);
     assert_eq!(summary.results[0].1, ExpStatus::Cached);
 
     // Changing a result-determining knob invalidates the cache; --force does
@@ -93,13 +97,13 @@ fn smoke_run_roundtrips_a_cached_manifest() {
         seed: 7,
         ..cfg.clone()
     };
-    let summary = run_experiments(&[ExperimentKind::Fig04], &reseeded, &opts);
+    let summary = run_experiments(&[fig04], &reseeded, &opts);
     assert!(matches!(summary.results[0].1, ExpStatus::Completed { .. }));
     let forced = RunOptions {
         force: true,
         ..opts.clone()
     };
-    let summary = run_experiments(&[ExperimentKind::Fig04], &cfg, &forced);
+    let summary = run_experiments(&[fig04], &cfg, &forced);
     assert!(matches!(summary.results[0].1, ExpStatus::Completed { .. }));
 
     std::fs::remove_dir_all(&out_dir).ok();

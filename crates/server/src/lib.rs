@@ -29,12 +29,10 @@
 //!     .unwrap();
 //! let server = LdpServer::spawn(solution.clone(), ServerConfig::default());
 //! let mut rng = StdRng::seed_from_u64(7);
-//! for uid in 0..1_000u64 {
-//!     server.ingest(Envelope {
-//!         uid,
-//!         report: solution.report(&[1, 2], &mut rng),
-//!     });
-//! }
+//! server.ingest_batch((0..1_000u64).map(|uid| Envelope {
+//!     uid,
+//!     report: solution.report(&[1, 2], &mut rng),
+//! }));
 //! let snapshot = server.drain();
 //! assert_eq!(snapshot.n, 1_000);
 //! assert_eq!(snapshot.estimates.len(), 2);

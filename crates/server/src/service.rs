@@ -11,17 +11,17 @@
 //! ```
 //!
 //! The routing unit is the channel message, not the report: every message
-//! (a single envelope, a filled batch, or a validated wire frame) goes to
-//! the next shard of one round-robin counter, whole. Which shard absorbs a
-//! report cannot change any estimate — the shards hold exact integer
-//! counts and sums — so nothing is ever re-sharded report by report.
+//! (a filled batch or a validated wire frame) goes to the next shard of one
+//! round-robin counter, whole. Which shard absorbs a report cannot change
+//! any estimate — the shards hold exact integer counts and sums — so
+//! nothing is ever re-sharded report by report.
 //!
 //! Every shard has its own **bounded** `sync_channel`; a full queue blocks
 //! the producer (backpressure), so server-side memory stays flat no matter
 //! how bursty the traffic is. Each worker **owns** its
 //! [`MultidimAggregator`] shard outright — no aggregation state is ever
 //! behind a lock — and every cross-thread interaction is a message: batches
-//! and single reports fold straight into the owned shard,
+//! fold straight into the owned shard,
 //! [`LdpServer::snapshot`] requests a clone of each shard through a reply
 //! channel, and [`LdpServer::drain`] collects the shards as the workers'
 //! join values. The shards merge exactly (integer counts), which is what
@@ -42,9 +42,7 @@
 //! mutexes are the only shared state on the ingest path, each touched once
 //! per *message*; no pool is shared across shards. A validated wire batch
 //! ([`LdpServer::ingest_compact`]) is moved into a queue without copying a
-//! word. The unbatched [`LdpServer::ingest`] sends its envelope as a
-//! dedicated single-report message rather than wrapping it in a
-//! one-element batch.
+//! word.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,8 +78,6 @@ pub struct Envelope {
 
 /// What flows through a shard channel.
 enum Msg {
-    /// A single envelope (the unbatched [`LdpServer::ingest`] path).
-    One(Envelope),
     /// A compact-encoded batch of envelopes, in order.
     Batch(CompactBatch),
     /// Barrier: acknowledge once every earlier message is absorbed.
@@ -105,8 +101,8 @@ enum Msg {
 /// A running ingestion service over one collection solution.
 ///
 /// Spawn it with [`LdpServer::spawn`], push sanitized reports through
-/// [`LdpServer::ingest`] / [`LdpServer::ingest_batch`], or already-encoded
-/// ones through [`LdpServer::ingest_compact`] (callable from any number of
+/// [`LdpServer::ingest_batch`], or already-encoded ones through
+/// [`LdpServer::ingest_compact`] (callable from any number of
 /// producer threads — the sender side is `Sync`), observe the
 /// running state with [`LdpServer::snapshot`], and finish with
 /// [`LdpServer::drain`]. See the [module docs](crate::service) for the
@@ -179,25 +175,15 @@ impl LdpServer {
         &self.config
     }
 
-    /// Ingests one envelope as a single-report message, blocking while the
-    /// target shard's queue is full (backpressure). No batch wrapper is
-    /// allocated; prefer [`LdpServer::ingest_batch`] on hot paths anyway —
-    /// one channel message per envelope is the slow road.
-    ///
-    /// # Panics
-    /// Panics when the target worker has died (it panicked absorbing an
-    /// earlier report, e.g. one of a foreign solution's shape).
-    pub fn ingest(&self, envelope: Envelope) {
-        self.send(|_| Msg::One(envelope));
-    }
-
     /// Ingests a batch: the envelopes' report words are copied, in order,
     /// into one (pool-recycled) buffer of up to `config.batch` reports at a
     /// time, and each filled buffer is sent whole, as one message. Blocks
-    /// whenever the target shard's queue is full.
+    /// whenever the target shard's queue is full (backpressure). A single
+    /// envelope goes in as `ingest_batch(std::iter::once(envelope))`.
     ///
     /// # Panics
-    /// Panics when a target worker has died.
+    /// Panics when a target worker has died (it panicked absorbing an
+    /// earlier report, e.g. one of a foreign solution's shape).
     pub fn ingest_batch(&self, envelopes: impl IntoIterator<Item = Envelope>) {
         let mut envelopes = envelopes.into_iter().peekable();
         while envelopes.peek().is_some() {
@@ -398,7 +384,6 @@ fn worker_loop(
 ) -> MultidimAggregator {
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::One(envelope) => aggregator.absorb(&envelope.report),
             Msg::Batch(mut batch) => {
                 aggregator.absorb_compact(&batch);
                 // Back to the shard's pool for producer reuse; a full pool
@@ -502,14 +487,15 @@ mod tests {
             ServerConfig::default().shards(2).queue_depth(1).batch(1),
         );
         for e in envelopes(&solution, 200, 11) {
-            server.ingest(e);
+            server.ingest_batch(std::iter::once(e));
         }
         assert_eq!(server.drain().n, 200);
     }
 
     #[test]
     fn mixed_single_and_batched_ingest_absorb_everything() {
-        // Msg::One and Msg::Batch interleave on the same shard queues.
+        // One-report batches and full batches interleave on the same shard
+        // queues.
         let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
@@ -522,7 +508,7 @@ mod tests {
         for (i, chunk) in envs.chunks(100).enumerate() {
             if i % 2 == 0 {
                 for e in chunk {
-                    server.ingest(e.clone());
+                    server.ingest_batch(std::iter::once(e.clone()));
                 }
             } else {
                 server.ingest_batch(chunk.iter().cloned());

@@ -235,15 +235,6 @@ impl NetClient {
         })
     }
 
-    /// Sets the reports-per-frame batch size (clamped to ≥ 1). A server
-    /// queues each frame whole, so it aborts the session with
-    /// `ABORT_PROTOCOL` on any frame of more reports than its
-    /// `ServerConfig::batch` (default 1024): keep the size at or below it.
-    pub fn batch_size(mut self, size: usize) -> Self {
-        self.batch_size = size.max(1);
-        self
-    }
-
     /// The server's shard count, as announced in HELLO_ACK.
     pub fn server_shards(&self) -> u32 {
         self.server_shards

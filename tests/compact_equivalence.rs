@@ -358,11 +358,13 @@ fn frame_routing_drains_bit_identically_to_report_routing() {
             by_reports.ingest_batch(envelopes(batch));
             assert_same(&by_reports.drain(), &reference, &format!("{label} reports"));
 
-            // All three entries interleaved on one server.
+            // Both entries interleaved on one server, one-report batches
+            // included.
             let mixed = LdpServer::spawn(solution.clone(), config);
             for (k, frame) in frames.iter().enumerate() {
                 match k % 3 {
-                    0 => envelopes(frame).for_each(|envelope| mixed.ingest(envelope)),
+                    0 => envelopes(frame)
+                        .for_each(|envelope| mixed.ingest_batch(std::iter::once(envelope))),
                     1 => mixed.ingest_batch(envelopes(frame)),
                     _ => mixed.ingest_compact(frame.clone()),
                 }

@@ -27,7 +27,7 @@ use ldp_protocols::{ProtocolKind, UeMode};
 use ldp_server::wire::{read_frame, write_frame, Frame, WireSnapshot};
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline, CollectionRun, NetClient};
+use ldp_sim::{user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, CollectionRun, NetClient};
 
 const SEED: u64 = 17;
 
@@ -392,7 +392,9 @@ fn mixed_multi_producer_fleet_drains_bit_identically() {
             for part in 0..connections {
                 let (solution, addr, mixed) = (solution.clone(), addr.as_str(), &mixed);
                 s.spawn(move || {
-                    let mut client = NetClient::connect(addr, &solution).unwrap().batch_size(16);
+                    let mut client =
+                        NetClient::connect_with(addr, &solution, ClientConfig::default().batch(16))
+                            .unwrap();
                     for uid in (0..mixed.n() as u64).filter(|&u| u as usize % connections == part) {
                         let report = solution
                             .report_mixed(
@@ -487,7 +489,9 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
                 let (ds, flushed, snapped) = (&ds, &flushed, &snapped);
                 let prefix_reference = &prefix_reference;
                 s.spawn(move || {
-                    let mut client = NetClient::connect(addr, &solution).unwrap().batch_size(32);
+                    let mut client =
+                        NetClient::connect_with(addr, &solution, ClientConfig::default().batch(32))
+                            .unwrap();
                     let mine = |uid: u64| uid as usize % connections == part;
                     for uid in (0..PREFIX as u64).filter(|&u| mine(u)) {
                         let report =
@@ -581,7 +585,8 @@ fn net_client_frames_never_carry_the_sampled_attribute() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let collector = thread::spawn(move || capture_session(listener));
-        let mut client = NetClient::connect(addr, &solution).unwrap().batch_size(64);
+        let mut client =
+            NetClient::connect_with(addr, &solution, ClientConfig::default().batch(64)).unwrap();
         let mut hidden = 0;
         for uid in 0..ds.n() as u64 {
             let report = solution.report(ds.row(uid as usize), &mut user_rng(SEED, uid));

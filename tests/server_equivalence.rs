@@ -250,7 +250,7 @@ fn permanent_dropouts_leave_valid_estimates_over_the_reporting_subset() {
         }
         let report = solution.report(ds.row(uid as usize), &mut user_rng(99, uid));
         reference.absorb(&report);
-        server.ingest(Envelope { uid, report });
+        server.ingest_batch(std::iter::once(Envelope { uid, report }));
         reported += 1;
     }
     let snapshot = server.drain();
