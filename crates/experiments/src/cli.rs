@@ -232,6 +232,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 match arg {
                     "--quiet" => quiet = true,
+                    "--retain" => {
+                        spec.retain = flag_value(arg, it.next())?;
+                        if spec.retain == 0 {
+                            return Err("`--retain` must keep at least 1 epoch window".to_string());
+                        }
+                    }
                     "--auth-token" => {
                         auth_token = Some(
                             it.next()
@@ -375,8 +381,8 @@ fn parse_config_flag<'a>(
 }
 
 /// Parses the [`ServeSpec`] flags shared by `serve` and `produce`
-/// (`--solution`, `--dataset`, `--shape`, `--eps`, `--users`). Returns
-/// whether `arg` was consumed.
+/// (`--solution`, `--dataset`, `--shape`, `--eps`, `--users`, `--rounds`,
+/// `--budget`). Returns whether `arg` was consumed.
 fn parse_spec_flag<'a>(
     arg: &str,
     it: &mut impl Iterator<Item = &'a str>,
@@ -422,13 +428,6 @@ fn parse_spec_flag<'a>(
                 return Err("`--rounds` must be at least 1".to_string());
             }
             spec.rounds = rounds;
-        }
-        "--retain" => {
-            let retain: usize = flag_value(arg, it.next())?;
-            if retain == 0 {
-                return Err("`--retain` must keep at least 1 epoch window".to_string());
-            }
-            spec.retain = retain;
         }
         "--budget" => {
             let raw = it.next().ok_or("`--budget` needs an id")?;
@@ -956,6 +955,7 @@ mod tests {
         // Unknown and serve-only flags.
         assert!(parse(&s(&["produce", "--connect", "h:1", "--bogus"])).is_err());
         assert!(parse(&s(&["produce", "--connect", "h:1", "--listen", "x"])).is_err());
+        assert!(parse(&s(&["produce", "--connect", "h:1", "--retain", "2"])).is_err());
     }
 
     #[test]

@@ -50,11 +50,6 @@ pub struct ServerConfig {
     /// producer's replay ring (less to re-send after a fault); larger
     /// values cut ack traffic on the return path.
     pub ack_every: u64,
-    /// Bound on the wire listener's session table (clamped to ≥ 1). At
-    /// capacity the oldest *inactive* session is evicted; if every session
-    /// is live the newcomer gets the 0 sentinel token and simply cannot
-    /// resume — memory stays bounded however many producers churn.
-    pub session_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -67,7 +62,6 @@ impl Default for ServerConfig {
             read_timeout_ms: 0,
             auth_token: None,
             ack_every: 32,
-            session_capacity: 1024,
         }
     }
 }
@@ -119,12 +113,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the session-table capacity (clamped to ≥ 1).
-    pub fn session_capacity(mut self, capacity: usize) -> Self {
-        self.session_capacity = capacity.max(1);
-        self
-    }
-
     /// The configuration with every field clamped to its valid range.
     pub(crate) fn sanitized(&self) -> ServerConfig {
         ServerConfig {
@@ -135,7 +123,6 @@ impl ServerConfig {
             read_timeout_ms: self.read_timeout_ms,
             auth_token: self.auth_token.clone(),
             ack_every: self.ack_every.max(1),
-            session_capacity: self.session_capacity.max(1),
         }
     }
 }
@@ -153,8 +140,7 @@ mod tests {
             .retain(0)
             .read_timeout_ms(250)
             .auth_token(Some("secret".into()))
-            .ack_every(0)
-            .session_capacity(0);
+            .ack_every(0);
         assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.queue_depth, 1);
         assert_eq!(cfg.batch, 1);
@@ -162,7 +148,6 @@ mod tests {
         assert_eq!(cfg.read_timeout_ms, 250);
         assert_eq!(cfg.auth_token.as_deref(), Some("secret"));
         assert_eq!(cfg.ack_every, 1);
-        assert_eq!(cfg.session_capacity, 1);
     }
 
     #[test]
@@ -175,10 +160,9 @@ mod tests {
             read_timeout_ms: 0,
             auth_token: None,
             ack_every: 0,
-            session_capacity: 0,
         }
         .sanitized();
         assert!(cfg.shards >= 1 && cfg.queue_depth >= 1 && cfg.batch >= 1 && cfg.retain >= 1);
-        assert!(cfg.ack_every >= 1 && cfg.session_capacity >= 1);
+        assert!(cfg.ack_every >= 1);
     }
 }

@@ -81,6 +81,11 @@ pub const ABORT_TIMEOUT: u16 = 3;
 pub const ABORT_AUTH: u16 = 4;
 
 const POISONED: &str = "fleet state poisoned";
+/// Bound on the session table. At capacity the oldest *inactive* session
+/// is evicted; if every session is live the newcomer gets the 0 sentinel
+/// token and cannot resume, so memory stays bounded however many
+/// producers churn.
+const SESSION_CAPACITY: usize = 1024;
 
 /// A TCP ingestion frontend wrapping one [`LdpServer`].
 ///
@@ -205,7 +210,7 @@ impl WireServer {
             .duration_since(SystemTime::UNIX_EPOCH)
             .map_or(0x5E55_10E5, |d| d.as_nanos() as u64);
         let shared = Arc::new(Shared {
-            fleet: Mutex::new(Fleet::new(config.session_capacity, grace, nonce)),
+            fleet: Mutex::new(Fleet::new(SESSION_CAPACITY, grace, nonce)),
             changed: Condvar::new(),
             grace,
             rejected: AtomicUsize::new(0),
@@ -384,8 +389,7 @@ fn drive_connection(
     // The idle-connection guard: a producer that stays silent past the
     // configured timeout surfaces as a typed [`WireError::Timeout`] below,
     // which ABORTs the connection instead of pinning this handler thread
-    // (and any quiesced snapshot barrier queued behind its shard traffic)
-    // forever. `0` keeps the historical block-forever behavior.
+    // forever. `0` disables the guard: reads block until the peer speaks.
     stream.set_read_timeout(shared.grace)?;
     let mut reader = BufReader::with_capacity(256 * 1024, stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
@@ -535,10 +539,10 @@ fn run_session(
                 *token = session;
                 send(writer, &Frame::ResumeAck { acked_seq: acked })?;
             }
-            Ok(Frame::SnapshotRequest { quiesce }) => {
-                if quiesce {
-                    server.quiesce();
-                }
+            Ok(Frame::SnapshotRequest { .. }) => {
+                // Channel FIFO already puts the snapshot behind every batch
+                // this connection ingested, so the quiesce flag needs no
+                // barrier of its own.
                 let snapshot = server.snapshot();
                 send(writer, &Frame::Snapshot(WireSnapshot::from(&snapshot)))?;
             }

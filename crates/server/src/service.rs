@@ -80,8 +80,6 @@ pub struct Envelope {
 enum Msg {
     /// A compact-encoded batch of envelopes, in order.
     Batch(CompactBatch),
-    /// Barrier: acknowledge once every earlier message is absorbed.
-    Sync(Sender<()>),
     /// Reply with a clone of the worker's shard state at this point of its
     /// queue (the estimate-while-ingesting snapshot protocol).
     Snapshot(Sender<MultidimAggregator>),
@@ -224,46 +222,15 @@ impl LdpServer {
             .expect("ingestion worker disconnected (did it panic?)");
     }
 
-    /// Blocks until every envelope ingested *before* this call has been
-    /// absorbed into its shard (channel FIFO barrier). Useful before a
-    /// [`LdpServer::snapshot`] that must reflect a known prefix of the
-    /// traffic; plain monitoring snapshots don't need it.
-    pub fn quiesce(&self) {
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(Msg::Sync(ack_tx.clone()))
-                .expect("ingestion worker disconnected (did it panic?)");
-        }
-        drop(ack_tx);
-        for _ in 0..self.txs.len() {
-            ack_rx
-                .recv()
-                .expect("ingestion worker dropped the sync barrier");
-        }
-    }
-
     /// Merged view of everything absorbed so far, while ingestion keeps
     /// running: each worker replies with a clone of its owned shard at its
-    /// current queue position (no lock is ever taken). Pair with
-    /// [`LdpServer::quiesce`] when the snapshot must cover an exact set of
-    /// ingested envelopes.
+    /// current queue position (no lock is ever taken). Channel FIFO makes
+    /// the snapshot cover every envelope ingested before this call.
     ///
     /// # Panics
     /// Panics when a worker has died.
     pub fn snapshot(&self) -> ServerSnapshot {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(Msg::Snapshot(reply_tx.clone()))
-                .expect("ingestion worker disconnected (did it panic?)");
-        }
-        drop(reply_tx);
-        let shards: Vec<MultidimAggregator> = (0..self.txs.len())
-            .map(|_| {
-                reply_rx
-                    .recv()
-                    .expect("ingestion worker dropped the snapshot reply")
-            })
-            .collect();
+        let shards = self.broadcast(Msg::Snapshot);
         // Reply order is arbitrary; the merge is exact integer addition, so
         // the snapshot is independent of it. Closed epochs re-enter through
         // the cumulative base (empty until the first rotation).
@@ -273,12 +240,11 @@ impl LdpServer {
 
     /// Closes the current collection epoch: every worker swaps its shard
     /// for a fresh one (channel FIFO scopes the closed shards to exactly
-    /// the envelopes ingested before this call — quiesce semantics are
-    /// built in), the closed shards merge into one windowed
-    /// [`EpochSnapshot`] pushed onto the retention ring, and their counts
-    /// fold into the cumulative aggregate so [`LdpServer::snapshot`] /
-    /// [`LdpServer::drain`] keep covering the full collection. Returns the
-    /// closed epoch's snapshot.
+    /// the envelopes ingested before this call), the closed shards merge
+    /// into one windowed [`EpochSnapshot`] pushed onto the retention ring,
+    /// and their counts fold into the cumulative aggregate so
+    /// [`LdpServer::snapshot`] / [`LdpServer::drain`] keep covering the full
+    /// collection. Returns the closed epoch's snapshot.
     ///
     /// Callers coordinating several producers must stop ingesting for the
     /// closing epoch *before* advancing — the wire tier's EPOCH barrier
@@ -287,22 +253,10 @@ impl LdpServer {
     /// # Panics
     /// Panics when a worker has died.
     pub fn advance_epoch(&self) -> EpochSnapshot {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(Msg::Rotate {
-                fresh: Box::new(self.solution.aggregator()),
-                reply: reply_tx.clone(),
-            })
-            .expect("ingestion worker disconnected (did it panic?)");
-        }
-        drop(reply_tx);
-        let shards: Vec<MultidimAggregator> = (0..self.txs.len())
-            .map(|_| {
-                reply_rx
-                    .recv()
-                    .expect("ingestion worker dropped the rotation reply")
-            })
-            .collect();
+        let shards = self.broadcast(|reply| Msg::Rotate {
+            fresh: Box::new(self.solution.aggregator()),
+            reply,
+        });
         let snapshot = ServerSnapshot::merge(self.solution.aggregator(), &shards);
         {
             let mut closed = self.closed.lock().expect("epoch state poisoned");
@@ -362,6 +316,24 @@ impl LdpServer {
         ServerSnapshot::merge(base, &shards)
     }
 
+    /// Sends `make(reply)` to every shard and collects the one shard state
+    /// each worker replies with, in arbitrary order. Channel FIFO puts each
+    /// message behind everything already queued on its shard.
+    fn broadcast(
+        &self,
+        make: impl Fn(Sender<MultidimAggregator>) -> Msg,
+    ) -> Vec<MultidimAggregator> {
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        for tx in &self.txs {
+            tx.send(make(reply_tx.clone()))
+                .expect("ingestion worker disconnected (did it panic?)");
+        }
+        drop(reply_tx);
+        (0..self.txs.len())
+            .map(|_| reply_rx.recv().expect("ingestion worker dropped a reply"))
+            .collect()
+    }
+
     /// A cleared batch buffer for `shard`, recycled from its pool when one
     /// is available.
     fn pooled_buffer(&self, shard: usize) -> CompactBatch {
@@ -374,7 +346,7 @@ impl LdpServer {
 }
 
 /// One worker: receive messages in order, fold reports into the **owned**
-/// shard, recycle drained batch buffers, answer barriers and snapshot
+/// shard, recycle drained batch buffers, answer snapshot and rotation
 /// requests. Exits when every sender is gone, handing the shard back as the
 /// thread's join value.
 fn worker_loop(
@@ -395,12 +367,6 @@ fn worker_loop(
                         pool.push(batch);
                     }
                 }
-            }
-            Msg::Sync(ack) => {
-                // Channel FIFO: everything sent before the barrier is
-                // already absorbed. A dropped receiver just means the
-                // barrier caller gave up waiting.
-                let _ = ack.send(());
             }
             Msg::Snapshot(reply) => {
                 let _ = reply.send(aggregator.clone());
@@ -457,14 +423,13 @@ mod tests {
     }
 
     #[test]
-    fn quiesced_snapshot_covers_everything_sent() {
+    fn snapshot_covers_everything_ingested_before_it() {
         let solution = SolutionKind::Smp(ldp_protocols::ProtocolKind::Grr)
             .build(&[4, 3], 2.0)
             .unwrap();
         let envs = envelopes(&solution, 300, 4);
         let server = LdpServer::spawn(solution.clone(), ServerConfig::default().shards(3));
         server.ingest_batch(envs[..120].iter().cloned());
-        server.quiesce();
         let mid = server.snapshot();
         assert_eq!(mid.n, 120);
         let mut reference = solution.aggregator();
@@ -583,7 +548,6 @@ mod tests {
         server.ingest_batch(envs[..100].iter().cloned());
         server.advance_epoch();
         server.ingest_batch(envs[100..].iter().cloned());
-        server.quiesce();
         let snap = server.snapshot();
         let mut reference = solution.aggregator();
         for e in &envs {
@@ -604,8 +568,9 @@ mod tests {
             ServerConfig::default().shards(2).batch(16),
         );
         server.ingest_batch(envelopes(&solution, 256, 17));
-        server.quiesce();
-        // After quiescing, the workers have returned their drained buffers.
+        // A snapshot queues behind every batch, so once it returns the
+        // workers have handed their drained buffers back.
+        server.snapshot();
         let pooled = |server: &LdpServer| -> usize {
             server.pools.iter().map(|p| p.lock().unwrap().len()).sum()
         };
@@ -616,7 +581,7 @@ mod tests {
         // A second pass reuses them rather than growing the pools without
         // bound (each shard's pool is individually capped).
         server.ingest_batch(envelopes(&solution, 256, 18));
-        server.quiesce();
+        server.snapshot();
         assert!(pooled(&server) <= server.config.shards * POOL_SLACK_PER_SHARD);
         assert_eq!(server.drain().n, 512);
     }

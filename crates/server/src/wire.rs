@@ -12,7 +12,7 @@
 //!      0     4  magic     = 0x4C445057 ("LDPW")
 //!      4     2  version   = 2
 //!      6     1  frame type (see below)
-//!      7     1  flags     (SNAPSHOT_REQUEST bit 0 = quiesce first)
+//!      7     1  flags     (SNAPSHOT_REQUEST bit 0 = quiesce, no effect)
 //!      8     4  payload length in bytes (≤ 64 MiB)
 //!     12     4  CRC-32 (IEEE) over the payload bytes
 //! ```
@@ -22,7 +22,7 @@
 //! | 0    | HELLO            | fingerprint (u64) + auth digest (u64)        |
 //! | 1    | HELLO_ACK        | fingerprint (u64) + shards (u32) + session token (u64) + ack interval (u32) |
 //! | 2    | *(retired)*      | was the unsequenced BATCH; now rejected as [`WireError::UnknownFrameType`] |
-//! | 3    | SNAPSHOT_REQUEST | empty (flags bit 0 requests a quiesce)       |
+//! | 3    | SNAPSHOT_REQUEST | empty (flags bit 0: quiesce, kept, no effect) |
 //! | 4    | SNAPSHOT         | [`WireSnapshot`] (estimates + normalized)    |
 //! | 5    | DRAIN            | empty — producer is done                     |
 //! | 6    | DRAIN_ACK        | reports the server ingested for this session |
@@ -243,8 +243,10 @@ pub enum Frame {
     },
     /// Client → server request for the current merged estimates.
     SnapshotRequest {
-        /// Barrier first, so the snapshot covers everything this producer
-        /// sent before the request (see `LdpServer::quiesce`).
+        /// Kept so the frame bytes stay those of wire version 2; it has no
+        /// effect. Every snapshot already covers everything the producer
+        /// sent before the request, because it queues behind those batches
+        /// on each shard.
         quiesce: bool,
     },
     /// Server → client incremental snapshot of the merged estimates.

@@ -54,6 +54,12 @@ use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultPlan};
 /// default server accepts.
 const DEFAULT_BATCH: usize = 1024;
 
+/// First reconnect backoff in milliseconds, doubled per attempt.
+const BACKOFF_BASE_MS: u64 = 10;
+
+/// Reconnect backoff ceiling in milliseconds.
+const BACKOFF_MAX_MS: u64 = 1000;
+
 /// Client-side wire behavior: auth, deadlines, reconnect policy, replay
 /// ring sizing and (for tests/chaos runs) fault injection.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,17 +68,11 @@ pub struct ClientConfig {
     /// zero digest, accepted only by servers with no token configured).
     pub auth: Option<String>,
     /// Socket read (and connect) deadline in milliseconds; `0` blocks
-    /// forever, matching the historical client. An expired deadline is a
-    /// typed [`WireError::Timeout`].
+    /// forever. An expired deadline is a typed [`WireError::Timeout`].
     pub read_timeout_ms: u64,
     /// Reconnect attempts per fault before the producer gives up. `0`
-    /// disables reconnection entirely — the first transport fault is fatal,
-    /// the pre-fault-tolerance semantics.
+    /// disables reconnection entirely: the first transport fault is fatal.
     pub retries: u32,
-    /// First reconnect backoff in milliseconds (doubled per attempt).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_max_ms: u64,
     /// Seed of the backoff jitter stream — faulted runs stay reproducible.
     pub backoff_seed: u64,
     /// Max unacked frames in the replay ring before the producer blocks
@@ -97,19 +97,11 @@ impl ClientConfig {
             auth: None,
             read_timeout_ms: 0,
             retries: 8,
-            backoff_base_ms: 10,
-            backoff_max_ms: 1000,
             backoff_seed: 0,
             ack_window: 64,
             fault_plan: None,
             batch: 0,
         }
-    }
-
-    /// Sets the shared-secret auth token.
-    pub fn auth(mut self, token: Option<String>) -> Self {
-        self.auth = token;
-        self
     }
 
     /// Sets the read/connect deadline in milliseconds (`0` = none).
@@ -127,12 +119,6 @@ impl ClientConfig {
     /// Sets the backoff jitter seed.
     pub fn backoff_seed(mut self, seed: u64) -> Self {
         self.backoff_seed = seed;
-        self
-    }
-
-    /// Sets the replay-ring window in frames (clamped to ≥ 1).
-    pub fn ack_window(mut self, frames: usize) -> Self {
-        self.ack_window = frames.max(1);
         self
     }
 
@@ -275,33 +261,14 @@ impl NetClient {
         Ok(())
     }
 
-    /// Requests the server's current merged estimates; with `quiesce`, the
-    /// server barriers first so the snapshot covers at least everything
-    /// this producer pushed before the call (buffered reports are flushed
-    /// first). This is the incremental estimate-while-ingesting stream.
+    /// Requests the server's current merged estimates, covering at least
+    /// everything this producer pushed before the call (buffered reports
+    /// are flushed first). This is the incremental estimate-while-ingesting
+    /// stream. `quiesce` is carried in the frame for wire compatibility
+    /// and has no effect.
     pub fn snapshot(&mut self, quiesce: bool) -> Result<WireSnapshot, WireError> {
-        self.flush()?;
-        let mut attempts = 0u32;
-        loop {
-            match self.snapshot_once(quiesce) {
-                Ok(snapshot) => return Ok(snapshot),
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > self.cfg.retries {
-                        return Err(e);
-                    }
-                    self.recover(e)?;
-                }
-            }
-        }
-    }
-
-    fn snapshot_once(&mut self, quiesce: bool) -> Result<WireSnapshot, WireError> {
-        write_frame(&mut self.stream, &Frame::SnapshotRequest { quiesce })?;
-        self.stream.flush()?;
-        match self.read_response()? {
+        match self.request(&Frame::SnapshotRequest { quiesce })? {
             Frame::Snapshot(snapshot) => Ok(snapshot),
-            Frame::Abort { code, message } => Err(WireError::Remote { code, message }),
             other => Err(WireError::Payload(format!(
                 "expected SNAPSHOT, got {other:?}"
             ))),
@@ -316,31 +283,11 @@ impl NetClient {
     /// Safe across faults: barrier arrival is keyed by session token and
     /// idempotent, so a re-announce after a resume never double-counts.
     pub fn advance_epoch(&mut self, round: u64) -> Result<u64, WireError> {
-        self.flush()?;
-        let mut attempts = 0u32;
-        loop {
-            match self.advance_epoch_once(round) {
-                Ok(next) => return Ok(next),
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > self.cfg.retries {
-                        return Err(e);
-                    }
-                    self.recover(e)?;
-                }
-            }
-        }
-    }
-
-    fn advance_epoch_once(&mut self, round: u64) -> Result<u64, WireError> {
-        write_frame(&mut self.stream, &Frame::Epoch { round })?;
-        self.stream.flush()?;
-        match self.read_response()? {
+        match self.request(&Frame::Epoch { round })? {
             Frame::Epoch { round: next } if next == round + 1 => Ok(next),
             Frame::Epoch { round: next } => Err(WireError::Payload(format!(
                 "epoch ack skewed: sent round {round}, server acked {next}"
             ))),
-            Frame::Abort { code, message } => Err(WireError::Remote { code, message }),
             other => Err(WireError::Payload(format!("expected EPOCH, got {other:?}"))),
         }
     }
@@ -352,35 +299,41 @@ impl NetClient {
     /// are checksummed, sequenced and deduplicated, and the ack counts
     /// post-validation envelopes across every connection of the session).
     pub fn finish(mut self) -> Result<u64, WireError> {
-        self.flush()?;
-        let mut attempts = 0u32;
-        loop {
-            match self.finish_once() {
-                Ok(n) => return Ok(n),
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > self.cfg.retries {
-                        return Err(e);
-                    }
-                    self.recover(e)?;
-                }
-            }
-        }
-    }
-
-    fn finish_once(&mut self) -> Result<u64, WireError> {
-        write_frame(&mut self.stream, &Frame::Drain)?;
-        self.stream.flush()?;
-        match self.read_response()? {
+        match self.request(&Frame::Drain)? {
             Frame::DrainAck { n } => {
                 // Everything sent is ingested — the ring is history.
                 self.ring.clear();
                 Ok(n)
             }
-            Frame::Abort { code, message } => Err(WireError::Remote { code, message }),
             other => Err(WireError::Payload(format!(
                 "expected DRAIN_ACK, got {other:?}"
             ))),
+        }
+    }
+
+    /// The one request path behind every control round trip: flushes the
+    /// buffered reports, sends `frame` and returns the server's reply. A
+    /// server ABORT is fatal and comes back as [`WireError::Remote`]; any
+    /// other failed attempt goes through [`NetClient::recover`] and is
+    /// retried, at most `cfg.retries` times.
+    fn request(&mut self, frame: &Frame) -> Result<Frame, WireError> {
+        self.flush()?;
+        let mut attempts = 0u32;
+        loop {
+            let reply = write_frame(&mut self.stream, frame)
+                .and_then(|()| self.stream.flush().map_err(WireError::from))
+                .and_then(|()| self.read_response());
+            match reply {
+                Ok(Frame::Abort { code, message }) => {
+                    return Err(WireError::Remote { code, message })
+                }
+                Ok(reply) => return Ok(reply),
+                Err(e) if attempts == self.cfg.retries => return Err(e),
+                Err(e) => {
+                    attempts += 1;
+                    self.recover(e)?;
+                }
+            }
         }
     }
 
@@ -531,10 +484,9 @@ impl NetClient {
     /// Seeded exponential backoff with jitter: attempt `a` sleeps in
     /// `[cap/2, cap]` where `cap = min(base · 2^a, max)`.
     fn backoff_delay(&mut self, attempt: u32) -> Duration {
-        let base = self.cfg.backoff_base_ms.max(1);
-        let cap = base
+        let cap = BACKOFF_BASE_MS
             .saturating_mul(1u64 << attempt.min(20))
-            .min(self.cfg.backoff_max_ms.max(base));
+            .min(BACKOFF_MAX_MS);
         let jitter = splitmix64(&mut self.jitter) % (cap / 2 + 1);
         Duration::from_millis(cap - jitter)
     }

@@ -530,7 +530,7 @@ impl CollectionPipeline {
     /// follows each round so the whole fleet advances epochs in lockstep
     /// (the server must have been bound with `WireServer::producers(parts)`);
     /// a single round sends no `EPOCH` frame. With `snapshot_every > 0`, a
-    /// (non-quiescing) SNAPSHOT round trip is interleaved every that many
+    /// SNAPSHOT round trip is interleaved every that many
     /// waves, counted across rounds, and handed to `on_snapshot` — the
     /// incremental estimate-while-ingesting stream.
     ///

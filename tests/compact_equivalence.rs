@@ -8,7 +8,7 @@
 //! (3) Handing each frame of a batch to one shard whole
 //! (`LdpServer::ingest_compact`) drains bit-identically to batching the
 //! decoded reports (`LdpServer::ingest_batch`) and to a serial absorb, and
-//! quiesced snapshots cover exactly the frames sent, which is what licenses
+//! snapshots cover exactly the frames sent before them, which is what licenses
 //! the wire tier to queue frames without decoding or copying them. (4) The
 //! word-parallel bit-vector tally inside `absorb_compact` counts exactly at
 //! its edges: byte lanes saturated by all-ones reports, flushes at every
@@ -342,9 +342,8 @@ fn frame_routing_drains_bit_identically_to_report_routing() {
             for (k, frame) in frames.iter().enumerate() {
                 by_frames.ingest_compact(frame.clone());
                 if k == 2 {
-                    // Per-shard FIFO: a quiesced snapshot covers exactly
-                    // the frames sent so far.
-                    by_frames.quiesce();
+                    // Per-shard FIFO: a snapshot covers exactly the
+                    // frames sent so far.
                     assert_same(
                         &by_frames.snapshot(),
                         &serial(&reports[..3 * 43]),

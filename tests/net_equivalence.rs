@@ -2,8 +2,8 @@
 //! [`WireServer`] fed sanitized reports over real loopback sockets drains
 //! **bit-identically** to the in-process batch `CollectionPipeline::run` at
 //! equal seed — for every solution family, across server shard counts
-//! {1, 2, 8} × producer connections {1, 2, 4}, and including a quiesced
-//! snapshot taken mid-stream while the producer fleet holds at a barrier.
+//! {1, 2, 8} × producer connections {1, 2, 4}, and including a snapshot
+//! taken mid-stream while the producer fleet holds at a barrier.
 //!
 //! This is the socket-tier extension of `tests/server_equivalence.rs`: the
 //! per-user randomness is pinned by `user_rng(seed, uid)` on the producer
@@ -454,9 +454,10 @@ fn traffic_shape_never_leaks_into_the_socket_drain() {
 #[test]
 fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
     // While the whole producer fleet holds at a barrier after streaming the
-    // users 0..PREFIX, a quiesced SNAPSHOT round trip must report exactly
-    // the prefix — bit-identical to a batch run over those users — before
-    // the fleet resumes and the final drain equals the full-population run.
+    // users 0..PREFIX, a SNAPSHOT round trip must report exactly the prefix
+    // — bit-identical to a batch run over those users — before the fleet
+    // resumes and the final drain equals the full-population run. The
+    // frame's quiesce flag has no effect, so both settings must agree.
     const PREFIX: usize = 260;
     let ds = adult_like(500, 9);
     let ks = ds.schema().cardinalities();
@@ -473,7 +474,10 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
         .seed(SEED)
         .run(&ds);
 
-    for connections in [1usize, 2, 4] {
+    for (quiesce, connections) in [false, true]
+        .into_iter()
+        .flat_map(|q| [1usize, 2, 4].map(|c| (q, c)))
+    {
         let server = WireServer::bind(
             "127.0.0.1:0",
             solution.clone(),
@@ -504,14 +508,13 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
                     client.snapshot(false).unwrap();
                     flushed.wait();
                     if part == 0 {
-                        // Everyone has flushed and holds; the quiesce
-                        // barriers the shards, so the snapshot covers the
-                        // prefix exactly.
-                        let snapshot = client.snapshot(true).unwrap();
+                        // Everyone has flushed and holds, so the snapshot
+                        // covers the prefix exactly.
+                        let snapshot = client.snapshot(quiesce).unwrap();
                         assert_wire_snapshot_matches_run(
                             &snapshot,
                             prefix_reference,
-                            &format!("quiesced prefix, {connections} connections"),
+                            &format!("prefix, quiesce={quiesce}, {connections} connections"),
                         );
                     }
                     snapped.wait();
@@ -528,7 +531,7 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
         assert_drain_matches_run(
             &server.finish(),
             &full_reference,
-            &format!("full drain, {connections} connections"),
+            &format!("full drain, quiesce={quiesce}, {connections} connections"),
         );
     }
 }

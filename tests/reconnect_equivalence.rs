@@ -8,9 +8,11 @@
 //!
 //! Also pinned here: graceful degradation (a producer that exceeds its
 //! retry budget is reaped from the fleet, which completes minus that
-//! partition and reports the deficit) and the client-side read deadline
+//! partition and reports the deficit), the client-side read deadline
 //! (a silent server surfaces as a typed [`WireError::Timeout`], not a
-//! hang).
+//! hang) and the client's one request path (a server ABORT is fatal at
+//! once; a dropped connection is redialed, resumed and the request sent
+//! again).
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -20,8 +22,10 @@ use std::time::Duration;
 use ldp_core::solutions::{RsFdProtocol, SolutionKind};
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::Dataset;
-use ldp_server::wire::{read_frame, solution_fingerprint, write_frame, Frame, WireError};
-use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
+use ldp_server::wire::{
+    read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
+};
+use ldp_server::{ServerConfig, ServerSnapshot, WireServer, ABORT_PROTOCOL};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
 use ldp_sim::{
     user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, CollectionRun, FaultKind, FaultPlan,
@@ -64,26 +68,27 @@ fn chaos_client(part: usize, plan: FaultPlan) -> ClientConfig {
 }
 
 /// Drives a faulted `connections`-producer fleet against `addr`; producer
-/// `part` runs under `plan_for(part)`. Returns the summed DRAIN-acked
-/// counts.
+/// `part` runs under `plan_for(part)` and takes a SNAPSHOT every
+/// `snapshot_every` waves (0 = never). Checks that each producer's snapshot
+/// `n` never decreases and returns the summed DRAIN-acked counts with the
+/// largest snapshot `n` any producer saw.
 fn run_faulted_fleet(
-    kind: SolutionKind,
-    epsilon: f64,
+    pipeline: &CollectionPipeline,
     ds: &Dataset,
     traffic: &TrafficGenerator,
     addr: &str,
     connections: usize,
+    snapshot_every: usize,
     plan_for: impl Fn(usize) -> FaultPlan + Sync,
-) -> u64 {
-    let ks = ds.schema().cardinalities();
+) -> (u64, u64) {
     thread::scope(|s| {
         let handles: Vec<_> = (0..connections)
             .map(|part| {
-                let (ks, addr, plan_for) = (ks.clone(), addr, &plan_for);
+                let plan_for = &plan_for;
                 s.spawn(move || {
-                    CollectionPipeline::from_kind(kind, &ks, epsilon)
-                        .unwrap()
-                        .seed(SEED)
+                    let (mut snapshots, mut last) = (0usize, 0u64);
+                    let acked = pipeline
+                        .clone()
                         .client(chaos_client(part, plan_for(part)))
                         .serve_remote_rounds(
                             ds,
@@ -93,14 +98,30 @@ fn run_faulted_fleet(
                             connections,
                             1,
                             BudgetPolicy::SplitEps,
-                            0,
-                            &mut |_| {},
+                            snapshot_every,
+                            &mut |snapshot: &WireSnapshot| {
+                                assert!(
+                                    snapshot.n >= last,
+                                    "producer {part}: snapshot n fell from {last} to {}",
+                                    snapshot.n
+                                );
+                                (snapshots, last) = (snapshots + 1, snapshot.n);
+                            },
                         )
-                        .unwrap()
+                        .unwrap();
+                    assert_eq!(
+                        snapshots > 0,
+                        snapshot_every > 0,
+                        "producer {part}: snapshots taken"
+                    );
+                    (acked, last)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(acked, top), (a, last)| (acked + a, top.max(last)))
     })
 }
 
@@ -111,11 +132,11 @@ fn faulted_fleet_drains_bit_identically_across_shards() {
     let ds = adult_like(600, 3);
     let ks = ds.schema().cardinalities();
     let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
-    let reference = CollectionPipeline::from_kind(kind, &ks, 2.0)
+    let pipeline = CollectionPipeline::from_kind(kind, &ks, 2.0)
         .unwrap()
         .seed(SEED)
-        .threads(1)
-        .run(&ds);
+        .threads(1);
+    let reference = pipeline.run(&ds);
     let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n())
         .seed(SEED)
         .wave(61);
@@ -127,7 +148,7 @@ fn faulted_fleet_drains_bit_identically_across_shards() {
         )
         .unwrap();
         let addr = server.local_addr().to_string();
-        let acked = run_faulted_fleet(kind, 2.0, &ds, &traffic, &addr, 3, |part| {
+        let (acked, _) = run_faulted_fleet(&pipeline, &ds, &traffic, &addr, 3, 0, |part| {
             FaultPlan::new(SEED ^ part as u64, 3)
         });
         assert_eq!(acked, ds.n() as u64, "shards={shards}: acked");
@@ -146,19 +167,25 @@ fn every_fault_class_alone_preserves_the_drained_bits() {
     // Each class isolated, firing on every second frame: drop and truncate
     // exercise pure replay, reset exercises dedup-after-replay, duplicate
     // exercises dedup without a reconnect, delay exercises nothing but
-    // patience.
+    // patience. Every class runs once without and once with SNAPSHOT round
+    // trips interleaved: the snapshots ride the same request path as the
+    // drain, must never count backwards, and may not disturb the drain.
     let ds = adult_like(400, 5);
     let ks = ds.schema().cardinalities();
     let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
-    let reference = CollectionPipeline::from_kind(kind, &ks, 1.5)
+    let pipeline = CollectionPipeline::from_kind(kind, &ks, 1.5)
         .unwrap()
         .seed(SEED)
-        .threads(1)
-        .run(&ds);
+        .threads(1);
+    let reference = pipeline.run(&ds);
     let traffic = TrafficGenerator::new(TrafficShape::Burst, ds.n())
         .seed(SEED)
         .wave(53);
-    for fault in FaultKind::ALL {
+    for (fault, snapshot_every) in FaultKind::ALL
+        .into_iter()
+        .flat_map(|f| [(f, 0usize), (f, 2)])
+    {
+        let label = format!("fault {fault:?}, snapshot every {snapshot_every}");
         let server = WireServer::bind(
             "127.0.0.1:0",
             kind.build(&ks, 1.5).unwrap(),
@@ -166,12 +193,15 @@ fn every_fault_class_alone_preserves_the_drained_bits() {
         )
         .unwrap();
         let addr = server.local_addr().to_string();
-        let acked = run_faulted_fleet(kind, 1.5, &ds, &traffic, &addr, 2, |part| {
-            FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])
-        });
-        assert_eq!(acked, ds.n() as u64, "{fault:?}: acked");
+        let (acked, top) =
+            run_faulted_fleet(&pipeline, &ds, &traffic, &addr, 2, snapshot_every, |part| {
+                FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])
+            });
+        assert_eq!(acked, ds.n() as u64, "{label}: acked");
         server.wait_for_fleet(2);
-        assert_drain_matches_run(&server.finish(), &reference, &format!("fault {fault:?}"));
+        let drained = server.finish();
+        assert!(top <= drained.n, "{label}: snapshot n {top} > drain");
+        assert_drain_matches_run(&drained, &reference, &label);
     }
 }
 
@@ -443,4 +473,105 @@ fn client_read_deadline_surfaces_as_typed_timeout() {
         "the deadline must fire well before the server gives up"
     );
     hold.join().unwrap();
+}
+
+#[test]
+fn server_abort_is_fatal_to_the_request_path() {
+    // An EPOCH for a round the fleet is not on is a protocol violation: the
+    // server ABORTs. A resilient client must hand that ABORT back as
+    // `WireError::Remote` at once, on its one connection — an ABORT is a
+    // verdict, not a transport fault, so nothing is redialed or re-sent.
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[4, 3, 2], 1.0)
+        .unwrap();
+    let server = WireServer::bind("127.0.0.1:0", solution.clone(), ServerConfig::default())
+        .unwrap()
+        .producers(1);
+    let mut client =
+        ldp_sim::NetClient::connect_with(server.local_addr(), &solution, ClientConfig::resilient())
+            .unwrap();
+    let err = client
+        .advance_epoch(7)
+        .expect_err("round 7 is not the fleet's round");
+    assert!(
+        matches!(
+            err,
+            WireError::Remote {
+                code: ABORT_PROTOCOL,
+                ..
+            }
+        ),
+        "expected ABORT_PROTOCOL, got {err:?}"
+    );
+    drop(client);
+    // The handler counts its rejection after sending the ABORT.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.rejected_connections() == 0 && std::time::Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.rejected_connections(),
+        1,
+        "one connection, no retries"
+    );
+    assert!(server.epochs().is_empty(), "no epoch closed");
+    assert_eq!(server.finish().n, 0);
+}
+
+#[test]
+fn control_request_retries_across_a_dropped_connection() {
+    // Fault plans fire on batch frames only, so here a stand-in collector
+    // drops the connection on the first SNAPSHOT_REQUEST instead. That
+    // forces the request itself through reconnect-and-resume: the client
+    // redials, resumes its session, sends the request again and gets the
+    // reply on the new connection.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let snapshot = WireSnapshot {
+        n: 7,
+        shards: 1,
+        estimates: vec![vec![0.25, 0.75]],
+        normalized: vec![vec![0.25, 0.75]],
+    };
+    let reply = snapshot.clone();
+    let collector = thread::spawn(move || {
+        for connection in 0..2 {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let Frame::Hello { fingerprint, .. } = read_frame(&mut reader).unwrap() else {
+                panic!("expected HELLO");
+            };
+            let hello_ack = Frame::HelloAck {
+                fingerprint,
+                shards: 1,
+                session: 42,
+                ack_every: 1,
+            };
+            write_frame(&mut writer, &hello_ack).unwrap();
+            if connection == 1 {
+                let resume = Frame::Resume {
+                    session: 42,
+                    last_acked: 0,
+                };
+                assert_eq!(read_frame(&mut reader).unwrap(), resume);
+                write_frame(&mut writer, &Frame::ResumeAck { acked_seq: 0 }).unwrap();
+            }
+            assert!(matches!(
+                read_frame(&mut reader).unwrap(),
+                Frame::SnapshotRequest { .. }
+            ));
+            if connection == 1 {
+                write_frame(&mut writer, &Frame::Snapshot(reply.clone())).unwrap();
+            }
+            // The first connection closes here, unanswered.
+        }
+    });
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[4, 3, 2], 1.0)
+        .unwrap();
+    let mut client =
+        ldp_sim::NetClient::connect_with(addr, &solution, ClientConfig::resilient()).unwrap();
+    assert_eq!(client.snapshot(false).unwrap(), snapshot);
+    collector.join().unwrap();
 }

@@ -106,11 +106,10 @@ fn mid_stream_snapshot_equals_batch_over_the_absorbed_prefix() {
                 uid,
                 report: solution.report(ds.row(uid as usize), &mut user_rng(23, uid)),
             }));
-            // Snapshot after every third wave: quiesce so the snapshot
-            // covers exactly the ingested prefix, then compare against a
-            // batch pipeline run over the same prefix of users.
+            // Snapshot after every third wave: it covers exactly the
+            // ingested prefix, so compare against a batch pipeline run over
+            // the same prefix of users.
             if i % 3 == 2 {
-                server.quiesce();
                 let snapshot = server.snapshot();
                 assert_eq!(snapshot.n, absorbed as u64, "{kind}: wave {i}");
                 let prefix = Dataset::new(
