@@ -18,6 +18,19 @@
 //! counting. [`CompactBatch::iter`] copies each report's words back out as
 //! an owned report; no server path calls it.
 //!
+//! ## Checked decoding
+//!
+//! Both public decoders return only checked batches, and each makes one
+//! pass over the words after a bulk copy. [`CompactBatch::decode_from`]
+//! walks the structure alone; [`CompactBatch::decode_for`], the server's
+//! decoder, applies every structural and domain rule of the receiver's
+//! solution ([`CompactBatch::validate_for_solution`]) instead. For the
+//! fixed-shape solutions (SPL over GRR/SUE/OUE, every RS+FD and RS+RFD
+//! kind) that pass is a template of one rule per word position, ANDed over
+//! the whole batch without a branch on the data; the entry-by-entry walk
+//! runs only to name the error of a batch the template rejects, and for
+//! the variable-shape kinds.
+//!
 //! ## Wire format (per report, in 64-bit words)
 //!
 //! ```text
@@ -85,10 +98,11 @@ pub struct CompactBatch {
 }
 
 /// Why a byte buffer failed to decode as a [`CompactBatch`] — the typed
-/// rejection surface of [`CompactBatch::decode_from`] and
-/// [`CompactBatch::validate_for`]. Untrusted (network) input is funneled
-/// through these two checks before any panicky fast path
-/// ([`CompactBatch::iter`], `absorb_compact`) ever touches the words.
+/// rejection surface of [`CompactBatch::decode_from`],
+/// [`CompactBatch::decode_for`] and [`CompactBatch::validate_for`].
+/// Untrusted (network) input is funneled through [`CompactBatch::decode_for`]
+/// before any panicky fast path ([`CompactBatch::iter`], `absorb_compact`)
+/// ever touches the words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompactDecodeError {
     /// Fewer bytes than the fixed 16-byte batch header.
@@ -209,17 +223,20 @@ impl CompactBatch {
 
     /// Appends the batch's byte encoding to `out`: `uids.len()` and
     /// `words.len()` as little-endian `u64`, then both buffers verbatim
-    /// (little-endian words). Exactly [`CompactBatch::encoded_len`] bytes;
-    /// the inverse of [`CompactBatch::decode_from`].
+    /// (little-endian words). Exactly [`CompactBatch::encoded_len`] bytes,
+    /// written by one `resize` and a fixed-stride copy; the inverse of
+    /// [`CompactBatch::decode_from`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
-        out.extend_from_slice(&(self.uids.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.words.len() as u64).to_le_bytes());
-        for &uid in &self.uids {
-            out.extend_from_slice(&uid.to_le_bytes());
-        }
-        for &word in &self.words {
-            out.extend_from_slice(&word.to_le_bytes());
+        let start = out.len();
+        out.resize(start + self.encoded_len(), 0);
+        let (header, body) = out[start..].split_at_mut(16);
+        header[..8].copy_from_slice(&(self.uids.len() as u64).to_le_bytes());
+        header[8..].copy_from_slice(&(self.words.len() as u64).to_le_bytes());
+        let (uid_bytes, word_bytes) = body.split_at_mut(8 * self.uids.len());
+        for (bytes, values) in [(uid_bytes, &self.uids), (word_bytes, &self.words)] {
+            for (dst, value) in bytes.chunks_exact_mut(8).zip(values) {
+                dst.copy_from_slice(&value.to_le_bytes());
+            }
         }
     }
 
@@ -230,9 +247,40 @@ impl CompactBatch {
     /// words present, no trailing garbage, bit-vector padding clean). A
     /// decoded batch is therefore always safe to hand to the panicky fast
     /// paths ([`CompactBatch::iter`], `absorb_compact`) — though untrusted
-    /// input should additionally pass [`CompactBatch::validate_for`] before
-    /// being aggregated.
+    /// input should be decoded with [`CompactBatch::decode_for`] instead,
+    /// which adds the target solution's shape and domain rules.
     pub fn decode_from(bytes: &[u8]) -> Result<CompactBatch, CompactDecodeError> {
+        let batch = CompactBatch::decode_unchecked(bytes)?;
+        walk_words(&batch.words, batch.len(), None)?;
+        Ok(batch)
+    }
+
+    /// Decodes an [`CompactBatch::encode_into`] buffer in one checked pass
+    /// against the solution the receiver built: the byte-length checks and
+    /// word copy of [`CompactBatch::decode_from`], then
+    /// [`CompactBatch::validate_for_solution`] in place of the structural
+    /// walk, since validation applies every structural rule too. A
+    /// fixed-shape batch is accepted by the per-position template of
+    /// [`CompactBatch::validate_for`] and walked by no one. A rejected batch
+    /// gets exactly the error `decode_from` followed by
+    /// `validate_for_solution` would give: a structural fault outranks a
+    /// domain one. This is the wire tier's decoder.
+    pub fn decode_for(
+        bytes: &[u8],
+        solution: &DynSolution,
+    ) -> Result<CompactBatch, CompactDecodeError> {
+        let batch = CompactBatch::decode_unchecked(bytes)?;
+        if let Err(e) = batch.validate_for_solution(solution) {
+            walk_words(&batch.words, batch.len(), None)?;
+            return Err(e);
+        }
+        Ok(batch)
+    }
+
+    /// The unchecked half of both decoders: the byte length must match the
+    /// header counts exactly, then both buffers are copied out word by word.
+    /// The words are not looked at.
+    fn decode_unchecked(bytes: &[u8]) -> Result<CompactBatch, CompactDecodeError> {
         if bytes.len() < 16 {
             return Err(CompactDecodeError::Truncated);
         }
@@ -259,17 +307,17 @@ impl CompactBatch {
                 got: bytes.len(),
             });
         }
-        let word_at = |i: usize| {
-            u64::from_le_bytes(
-                bytes[16 + 8 * i..24 + 8 * i]
-                    .try_into()
-                    .expect("8-byte slice"),
-            )
+        let le_words = |bytes: &[u8]| -> Vec<u64> {
+            bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                .collect()
         };
-        let uids: Vec<u64> = (0..n_uids).map(word_at).collect();
-        let words: Vec<u64> = (n_uids..n_uids + n_words).map(word_at).collect();
-        walk_words(&words, n_uids, None)?;
-        Ok(CompactBatch { uids, words })
+        let (uids, words) = bytes[16..].split_at(8 * n_uids);
+        Ok(CompactBatch {
+            uids: le_words(uids),
+            words: le_words(words),
+        })
     }
 
     /// Checks every encoded report against the target solution's shape and
@@ -286,7 +334,20 @@ impl CompactBatch {
     /// This is the gate that keeps a malformed network batch from ever
     /// reaching an aggregator shard, whose counting path only
     /// debug-asserts.
+    ///
+    /// Every rule above also holds the batch's structure, so a batch that
+    /// passes is one [`CompactBatch::decode_from`] accepts too. SPL over
+    /// GRR/SUE/OUE and every RS+FD and RS+RFD kind write reports of one
+    /// fixed word length, and for those the check is first a branch-free
+    /// pass of a per-position template over the words (see `Rule`); the
+    /// walk over entries runs only when the template rejects, or for a
+    /// variable-shape kind (SMP, OLH, SS, mixed), so a rejection's error is
+    /// the walk's.
     pub fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
+        let rules = template(kind, ks);
+        if rules.is_some_and(|rules| template_accepts(&rules, &self.words, self.len())) {
+            return Ok(());
+        }
         walk_words(&self.words, self.uids.len(), Some((kind, ks)))
     }
 
@@ -348,6 +409,85 @@ fn entry_tag(solution: SolutionKind) -> u64 {
         }
         SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => TAG_BITS,
     }
+}
+
+/// One word position's rule in a fixed-shape template: a word `w` passes
+/// when `w & mask == want` and `w >> shift <= max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rule {
+    mask: u64,
+    want: u64,
+    shift: u32,
+    max: u64,
+}
+
+impl Rule {
+    /// Accepts every word: a bit-vector block whose lanes are all in use.
+    const ANY: Rule = Rule::new(0, 0, 0, u64::MAX);
+
+    const fn new(mask: u64, want: u64, shift: u32, max: u64) -> Rule {
+        Rule {
+            mask,
+            want,
+            shift,
+            max,
+        }
+    }
+
+    #[inline(always)]
+    fn accepts(self, w: u64) -> bool {
+        (w & self.mask == self.want) & (w >> self.shift <= self.max)
+    }
+}
+
+/// The per-position rules every report of a fixed-shape solution must pass,
+/// one per word, or `None` for a variable shape (SMP, SPL over OLH or SS,
+/// mixed) and for a domain no value fits (`d = 0` tuples, `k_j = 0` values).
+/// Together the rules are [`CompactBatch::validate_for`]'s: the header's
+/// kind and `a == d` (and `b < d` for a tuple; SPL leaves `b` alone), each
+/// value entry's tag and `v < k_j`, each bit-vector header
+/// `== TAG_BITS | k_j << 2`, and clean padding in its last block.
+fn template(kind: SolutionKind, ks: &[usize]) -> Option<Vec<Rule>> {
+    const KIND_AND_A: u64 = (1 << 33) - 1;
+    let d = ks.len() as u64;
+    let header = match kind {
+        SolutionKind::Spl(ProtocolKind::Grr | ProtocolKind::Sue | ProtocolKind::Oue) => {
+            Rule::new(KIND_AND_A, KIND_FULL | d << 2, 0, u64::MAX)
+        }
+        SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => {
+            Rule::new(KIND_AND_A, KIND_TUPLE | d << 2, 33, d.checked_sub(1)?)
+        }
+        _ => return None,
+    };
+    let tag = entry_tag(kind);
+    let mut rules = vec![header];
+    for &k in ks {
+        if tag == TAG_VALUE {
+            rules.push(Rule::new(0b11, TAG_VALUE, 2, (k as u64).checked_sub(1)?));
+            continue;
+        }
+        rules.push(Rule::new(!0, TAG_BITS | (k as u64) << 2, 0, u64::MAX));
+        rules.extend(std::iter::repeat_n(Rule::ANY, k.div_ceil(64)));
+        if k % 64 != 0 {
+            *rules.last_mut().expect("k > 0 has a block") = Rule::new(0, 0, (k % 64) as u32, 0);
+        }
+    }
+    Some(rules)
+}
+
+/// Whether `words` are exactly `n_reports` reports that each pass `rules`
+/// position by position: one AND over every word, no branch on the data.
+fn template_accepts(rules: &[Rule], words: &[u64], n_reports: usize) -> bool {
+    if n_reports.checked_mul(rules.len()) != Some(words.len()) {
+        return false;
+    }
+    let mut ok = true;
+    for report in words.chunks_exact(rules.len()) {
+        for (&w, rule) in report.iter().zip(rules) {
+            ok &= rule.accepts(w);
+        }
+    }
+    ok
 }
 
 /// Shared structural (and optionally domain) validation walk over a batch's
@@ -1165,6 +1305,195 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// Every kind whose reports are one fixed word length: the ones
+    /// [`template`] covers.
+    fn fixed_shape_kinds() -> Vec<SolutionKind> {
+        let mut kinds: Vec<SolutionKind> =
+            [ProtocolKind::Grr, ProtocolKind::Sue, ProtocolKind::Oue]
+                .map(SolutionKind::Spl)
+                .into();
+        kinds.extend(RsFdProtocol::ALL.map(SolutionKind::RsFd));
+        kinds.extend(RsRfdProtocol::ALL.map(SolutionKind::RsRfd));
+        kinds
+    }
+
+    /// [`CompactBatch::encode_into`] against the per-word little-endian
+    /// encoding it replaced, appended after a prefix the way a frame
+    /// encoder calls it: every solution kind and two mixed kinds.
+    #[test]
+    fn encode_into_matches_a_per_word_reference() {
+        let reference = |batch: &CompactBatch| {
+            let mut out = b"prefix".to_vec();
+            for v in [batch.uids.len() as u64, batch.words.len() as u64] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            for v in batch.uids.iter().chain(&batch.words) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out
+        };
+        let ks = [7usize, 4, 65];
+        let mut batches: Vec<(String, CompactBatch)> = all_kinds()
+            .into_iter()
+            .chain(fixed_shape_kinds())
+            .map(|kind| (kind.name(), sample_batch(kind, &ks, 37, 21)))
+            .collect();
+        batches.push(("mixed GRR".into(), sample_mixed_batch(29, 22, 2.0, 3)));
+        let olh_mixed = SolutionKind::Mixed(super::super::MixedKind {
+            protocol: ProtocolKind::Olh,
+            numeric: crate::numeric::NumericKind::Duchi,
+            sample_k: 4,
+        });
+        let solution = olh_mixed.build(&MIXED_KS, 1.0).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut batch = CompactBatch::new();
+        for uid in 0..31u64 {
+            let num = [(uid % 5) as f64 / 2.5 - 1.0, 0.25];
+            let report = solution.report_mixed(&[uid as u32 % 5, uid as u32 % 3], &num, &mut rng);
+            batch.push(uid, &report.unwrap());
+        }
+        batches.push(("mixed OLH".into(), batch));
+        batches.push(("empty".into(), CompactBatch::new()));
+        for (name, batch) in batches {
+            let mut out = b"prefix".to_vec();
+            batch.encode_into(&mut out);
+            assert_eq!(out, reference(&batch), "{name}");
+        }
+    }
+
+    /// Word offset of each entry's header within one report of `kind`.
+    fn entry_offsets(kind: SolutionKind, ks: &[usize]) -> Vec<usize> {
+        let mut at = 1;
+        ks.iter()
+            .map(|&k| {
+                let offset = at;
+                at += if entry_tag(kind) == TAG_VALUE {
+                    1
+                } else {
+                    1 + k.div_ceil(64)
+                };
+                offset
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// The fixed-shape template accepts exactly what the entry walk
+        /// accepts, for every fixed-shape kind over widths at and around the
+        /// 64-lane block boundary and over Adult's domains, under each
+        /// mutation class: none, one flipped bit anywhere, a tuple header's
+        /// `b ≥ d`, dirty bit-vector padding, a dropped or an extra trailing
+        /// word, and an entry of `k_j` (a value, or a width one past it).
+        /// `decode_for` returns what `decode_from` then
+        /// `validate_for_solution` return on the same bytes.
+        #[test]
+        fn template_verdict_equals_the_walk(
+            n in 1u64..5,
+            seed in proptest::any::<u64>(),
+            pick in proptest::any::<u64>(),
+            bit in 0u32..64,
+        ) {
+            let adult = ldp_datasets::corpora::adult_schema().cardinalities();
+            let mut shapes: Vec<Vec<usize>> =
+                [2usize, 63, 64, 65, 128, 129].iter().map(|&k| vec![k, 3, k]).collect();
+            shapes.push(adult);
+            let mut accepted = 0;
+            for kind in fixed_shape_kinds() {
+                for ks in &shapes {
+                    let solution = kind.build(ks, 2.0).unwrap();
+                    let batch = sample_batch(kind, ks, n, seed);
+                    let rules = template(kind, ks).expect("a fixed-shape kind");
+                    let len = rules.len();
+                    let report = (pick as usize % batch.len()) * len;
+                    let offsets = entry_offsets(kind, ks);
+                    let j = (pick >> 32) as usize % ks.len();
+                    let unary = entry_tag(kind) == TAG_BITS;
+                    for mutation in 0..7 {
+                        let mut words = batch.words.clone();
+                        match mutation {
+                            0 => {}
+                            1 => words[pick as usize % batch.words.len()] ^= 1 << bit,
+                            2 => {
+                                let b = ks.len() as u64 + u64::from(bit);
+                                words[report] = (words[report] & !HEADER_B) | b << 33;
+                            }
+                            3 if unary => {
+                                // The last block of the first entry with padding.
+                                let j = (0..ks.len()).find(|&j| ks[j] % 64 != 0).unwrap();
+                                let last = report + offsets[j] + ks[j].div_ceil(64);
+                                words[last] |= 1 << (ks[j] % 64).max(bit as usize);
+                            }
+                            3 => words[report + offsets[j]] |= 1 << 63,
+                            4 => {
+                                words.pop();
+                            }
+                            5 => words.push(u64::from(bit)),
+                            _ => {
+                                let k = ks[j] as u64 + u64::from(unary);
+                                words[report + offsets[j]] = entry_tag(kind) | k << 2;
+                            }
+                        }
+                        let by_template = template_accepts(&rules, &words, batch.len());
+                        let by_walk = walk_words(&words, batch.len(), Some((kind, ks)));
+                        proptest::prop_assert_eq!(
+                            by_template,
+                            by_walk.is_ok(),
+                            "{} over {:?}, mutation {}: walk says {:?}",
+                            kind,
+                            ks,
+                            mutation,
+                            by_walk
+                        );
+                        accepted += usize::from(by_template);
+
+                        let mut bytes = Vec::new();
+                        CompactBatch { uids: batch.uids.clone(), words }.encode_into(&mut bytes);
+                        let two_pass = CompactBatch::decode_from(&bytes)
+                            .and_then(|b| b.validate_for_solution(&solution).map(|()| b));
+                        proptest::prop_assert_eq!(CompactBatch::decode_for(&bytes, &solution), two_pass);
+                    }
+                }
+            }
+            // Unmutated batches at least: the accept side is exercised too.
+            proptest::prop_assert!(accepted >= fixed_shape_kinds().len() * shapes.len());
+        }
+    }
+
+    /// A batch with a domain fault in an early report and a structural
+    /// fault in a later one: `decode_for` names the structural fault, as
+    /// `decode_from` would have before validation ran.
+    #[test]
+    fn decode_for_ranks_a_structural_fault_over_a_domain_fault() {
+        let ks = [4usize, 3];
+        let kind = SolutionKind::Spl(ProtocolKind::Sue);
+        let solution = kind.build(&ks, 1.0).unwrap();
+        let mut batch = sample_batch(kind, &ks, 3, 8);
+        let len = template(kind, &ks).unwrap().len();
+        // Report 0: attribute 0's bit vector claims 5 lanes (a domain fault).
+        batch.words[1] = TAG_BITS | 5 << 2;
+        let mut bytes = Vec::new();
+        batch.encode_into(&mut bytes);
+        let domain = CompactBatch::decode_for(&bytes, &solution);
+        assert!(
+            matches!(domain, Err(CompactDecodeError::Domain(_))),
+            "{domain:?}"
+        );
+        // Report 2: attribute 1's block sets lane 3 of 3 (dirty padding).
+        batch.words[2 * len + 4] |= 1 << 3;
+        bytes.clear();
+        batch.encode_into(&mut bytes);
+        assert_eq!(
+            CompactBatch::decode_for(&bytes, &solution),
+            Err(CompactDecodeError::DirtyBitPadding)
+        );
+        assert_eq!(
+            CompactBatch::decode_from(&bytes),
+            Err(CompactDecodeError::DirtyBitPadding)
+        );
     }
 
     #[test]

@@ -286,6 +286,7 @@ pub fn run_serve_listen(
     // one dead producer degrades the run instead of wedging it.
     server.wait_for_fleet(listen.producers);
     let rejected = server.rejected_connections();
+    let dropped = server.dropped_connections();
     let reaped = server.reaped_sessions();
     let epochs = server.epochs();
     let snapshot = server.finish();
@@ -305,6 +306,12 @@ pub fn run_serve_listen(
     }
     if rejected > 0 {
         eprintln!("[risks] serve: rejected {rejected} malformed connection(s)");
+    }
+    if dropped > 0 {
+        eprintln!(
+            "[risks] serve: {dropped} connection(s) ended in a transport fault \
+             (hung up mid-frame, socket error or read timeout)"
+        );
     }
     let mae = mean_abs_error(&snapshot.normalized, &truth);
     Ok(ServeOutcome {

@@ -6,9 +6,14 @@
 //!
 //! ```text
 //!  producer sockets ──► per-connection handler threads ──► LdpServer
-//!        (N)                 read_frame / validate          bounded
+//!        (N)                 one checked read per frame     bounded
 //!                            ingest_compact (may block)     shard queues
 //! ```
+//!
+//! A handler reads each frame into its own reused payload buffer and
+//! decodes a BATCH_SEQ against the server's solution in the same pass
+//! ([`CompactBatch::decode_for`]), so a batch leaves the reader checked
+//! against every shape and domain rule and is not walked again.
 //!
 //! One OS thread per connection, blocking reads — no async runtime, per the
 //! vendored-dependency constraint, and none needed: ingestion is
@@ -38,7 +43,11 @@
 //! ABORT frame to the peer. The whole frame is validated against the
 //! server's solution before any envelope of it is ingested, so a bad frame
 //! never half-poisons a shard; other connections and the aggregation
-//! workers never notice.
+//! workers never notice. The listener counts the two ways a connection can
+//! end badly apart: refused for what the peer sent
+//! ([`WireServer::rejected_connections`]), or cut under the frames by a
+//! transport fault the producer may resume from
+//! ([`WireServer::dropped_connections`]).
 //!
 //! ## Determinism
 //!
@@ -50,6 +59,8 @@
 //! bit-identical to in-process ingestion of the same reports — the
 //! invariant `tests/net_equivalence.rs` pins across thread and connection
 //! counts.
+//!
+//! [`CompactBatch::decode_for`]: ldp_core::solutions::CompactBatch::decode_for
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -65,7 +76,8 @@ use crate::fleet::{Batch, Epoch, Fleet, Refused};
 use crate::service::LdpServer;
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 use crate::wire::{
-    auth_fingerprint, read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
+    auth_fingerprint, read_checked_frame, read_frame, solution_fingerprint, write_frame, Frame,
+    WireError, WireSnapshot,
 };
 
 /// Abort code sent to peers that fail the handshake.
@@ -112,8 +124,10 @@ struct Shared {
     /// The reap grace period and EPOCH-barrier timeout
     /// ([`ServerConfig::read_timeout_ms`]; `None` waits forever).
     grace: Option<Duration>,
-    /// Connections dropped for a protocol violation.
+    /// Connections refused for a protocol violation.
     rejected: AtomicUsize,
+    /// Connections cut by a transport fault ([`WireError::is_transport`]).
+    dropped: AtomicUsize,
 }
 
 impl Shared {
@@ -214,6 +228,7 @@ impl WireServer {
             changed: Condvar::new(),
             grace,
             rejected: AtomicUsize::new(0),
+            dropped: AtomicUsize::new(0),
         });
         let server = Arc::new(LdpServer::spawn(solution, config));
         let stop = Arc::new(AtomicBool::new(false));
@@ -268,6 +283,14 @@ impl WireServer {
     /// Connections dropped for protocol violations so far.
     pub fn rejected_connections(&self) -> usize {
         self.shared.rejected.load(Ordering::Relaxed)
+    }
+
+    /// Connections that ended in a transport fault so far: the peer hung
+    /// up mid-frame, the socket failed, or it stayed silent past the read
+    /// timeout. A producer that faulted this way may have resumed on a new
+    /// connection, so these are not counted as rejections.
+    pub fn dropped_connections(&self) -> usize {
+        self.shared.dropped.load(Ordering::Relaxed)
     }
 
     /// Sessions reaped for exceeding the resume grace period so far — the
@@ -363,8 +386,13 @@ fn accept_loop(
                 .spawn(move || {
                     // A peer may disconnect without draining (e.g. a
                     // monitoring probe); that is not a violation.
-                    if drive_connection(stream, &server, fingerprint, &shared).is_err() {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    if let Err(e) = drive_connection(stream, &server, fingerprint, &shared) {
+                        let count = if e.is_transport() {
+                            &shared.dropped
+                        } else {
+                            &shared.rejected
+                        };
+                        count.fetch_add(1, Ordering::Relaxed);
                     }
                 })
                 .expect("cannot spawn connection handler"),
@@ -475,30 +503,25 @@ fn run_session(
     ack_every: u64,
     token: &mut u64,
 ) -> Result<(), WireError> {
-    let solution = server.solution().clone();
+    let solution = server.solution();
     let max_batch = server.config().batch;
+    let mut payload = Vec::new();
     loop {
-        match read_frame(reader) {
+        // A BATCH_SEQ comes out of the read checked, whole, against the
+        // server's solution (the mixed kinds' numeric magnitudes too):
+        // frames are atomic, so a malformed one is refused as
+        // `WireError::Batch` below without a single envelope reaching a
+        // shard.
+        match read_checked_frame(reader, &mut payload, Some(solution)) {
             Ok(Frame::BatchSeq { seq, batch }) => {
-                // Validate the *whole* frame before ingesting any of it:
-                // frames are atomic, so a malformed one is rejected without
-                // a single envelope reaching a shard. A frame is queued
-                // whole, so one of more than `batch` reports is rejected
-                // too: it would break the `shards · queue_depth · batch`
-                // memory bound. The solution-instance check additionally
-                // bounds numeric fixed-point magnitudes for mixed batches (a
-                // forged huge report would otherwise poison the exact sums).
-                let checked = if batch.len() > max_batch {
-                    Err(WireError::Payload(format!(
+                // A frame is queued whole, so one of more than `batch`
+                // reports is refused too: it would break the
+                // `shards · queue_depth · batch` memory bound.
+                if batch.len() > max_batch {
+                    let e = WireError::Payload(format!(
                         "BATCH_SEQ of {} reports exceeds the server's batch of {max_batch}",
                         batch.len()
-                    )))
-                } else {
-                    batch
-                        .validate_for_solution(&solution)
-                        .map_err(WireError::Batch)
-                };
-                if let Err(e) = checked {
+                    ));
                     return Err(refuse(writer, ABORT_PROTOCOL, e));
                 }
                 let len = batch.len() as u64;
@@ -918,29 +941,114 @@ mod tests {
         assert_eq!(server.finish().n, 0);
     }
 
+    /// A BATCH_SEQ frame of `batch` whose encoded words `edit` rewrites (it
+    /// may add or drop words), resealed so that its CRC is valid.
+    fn forged_frame(batch: &CompactBatch, edit: impl FnOnce(&mut Vec<u64>)) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        batch.encode_into(&mut bytes);
+        let words_at = 16 + 8 * batch.len();
+        let mut words: Vec<u64> = bytes[words_at..]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        edit(&mut words);
+        bytes.truncate(words_at);
+        bytes[8..16].copy_from_slice(&(words.len() as u64).to_le_bytes());
+        for w in words {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        let mut frame = Vec::new();
+        crate::wire::encode_batch_seq_frame(1, &CompactBatch::new(), &mut frame);
+        frame.truncate(24); // header + seq
+        frame.extend_from_slice(&bytes);
+        let len = (frame.len() - 16) as u32;
+        frame[8..12].copy_from_slice(&len.to_le_bytes());
+        let crc = crate::wire::crc32(&frame[16..]);
+        frame[12..16].copy_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    /// Frames with a valid CRC whose batch the server's solution does not
+    /// admit: each is refused whole with ABORT_PROTOCOL before any envelope
+    /// lands. The inputs: structurally valid words of the wrong shape (an
+    /// SMP batch for a fake-data server), a value `≥ k_j`, dirty bit-vector
+    /// padding on an RS+FD[OUE-z] server, and a trailing word.
     #[test]
     fn foreign_solution_batch_is_rejected_atomically() {
+        let grr = SolutionKind::RsFd(RsFdProtocol::Grr);
+        let oue_z = SolutionKind::RsFd(RsFdProtocol::UeZ(ldp_protocols::UeMode::Optimized));
+        let batch_of = |kind: SolutionKind| {
+            let solution = kind.build(&[4, 3], 1.0).unwrap();
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut batch = CompactBatch::new();
+            for uid in 0..50u64 {
+                batch.push_wire(uid, &solution.report(&[1, 1], &mut rng));
+            }
+            batch
+        };
+        let smp = batch_of(SolutionKind::Smp(ldp_protocols::ProtocolKind::Grr));
+        let cases: [(&str, SolutionKind, Vec<u8>); 4] = [
+            ("foreign shape", grr, forged_frame(&smp, |_| {})),
+            (
+                "value of k_j",
+                grr,
+                // Report 0 = [header, attr 0, attr 1]: attr 1 reads 3 of 3.
+                forged_frame(&batch_of(grr), |words| words[2] = 3 << 2),
+            ),
+            (
+                "dirty padding",
+                oue_z,
+                // Report 0 = [header, bits(4), block, bits(3), block]: lane
+                // 3 of attr 1's 3 lanes.
+                forged_frame(&batch_of(oue_z), |words| words[4] |= 1 << 3),
+            ),
+            (
+                "trailing word",
+                grr,
+                forged_frame(&batch_of(grr), |words| words.push(0)),
+            ),
+        ];
+        for (name, kind, frame) in cases {
+            let solution = kind.build(&[4, 3], 1.0).unwrap();
+            let config = ServerConfig::default().shards(2);
+            let server = WireServer::bind("127.0.0.1:0", solution.clone(), config).unwrap();
+            let (mut reader, mut stream) = handshake(server.local_addr(), &solution);
+            stream.write_all(&frame).unwrap();
+            match read_frame(&mut reader).unwrap() {
+                Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL, "{name}"),
+                other => panic!("{name}: expected ABORT, got {other:?}"),
+            }
+            let snapshot = server.finish();
+            assert_eq!(
+                snapshot.n, 0,
+                "{name}: no envelope of a rejected frame may land"
+            );
+        }
+    }
+
+    /// A producer that hangs up halfway through a BATCH_SEQ has suffered a
+    /// transport fault, not sent a malformed frame: the connection counts
+    /// as dropped, never as rejected.
+    #[test]
+    fn a_producer_hanging_up_mid_frame_is_dropped_not_rejected() {
         let (server, solution) = spawn_server();
-        let (mut reader, stream) = handshake(server.local_addr(), &solution);
-        let mut writer = stream.try_clone().unwrap();
-        // Structurally valid words, wrong shape: an SMP batch for a fake-
-        // data server. The whole frame must be rejected pre-ingest.
-        let smp = SolutionKind::Smp(ldp_protocols::ProtocolKind::Grr)
-            .build(&[4, 3], 1.0)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
+        let (_reader, mut stream) = handshake(server.local_addr(), &solution);
+        let mut rng = StdRng::seed_from_u64(8);
         let mut batch = CompactBatch::new();
-        for uid in 0..50u64 {
-            batch.push(uid, &smp.report(&[1, 1], &mut rng));
+        for uid in 0..40u64 {
+            batch.push(uid, &solution.report(&[2, 1], &mut rng));
         }
-        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
-        writer.flush().unwrap();
-        match read_frame(&mut reader).unwrap() {
-            Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL),
-            other => panic!("expected ABORT, got {other:?}"),
+        let mut frame = Vec::new();
+        crate::wire::encode_batch_seq_frame(1, &batch, &mut frame);
+        stream.write_all(&frame[..frame.len() / 2]).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.dropped_connections() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
-        let snapshot = server.finish();
-        assert_eq!(snapshot.n, 0, "no envelope of a rejected frame may land");
+        assert_eq!(server.dropped_connections(), 1);
+        assert_eq!(server.rejected_connections(), 0);
+        assert_eq!(server.finish().n, 0);
     }
 
     #[test]

@@ -198,12 +198,13 @@ impl LdpServer {
     /// Ingests an already-encoded batch by moving it, whole, into one
     /// shard's queue: no report is decoded or copied, and the drain is
     /// bit-identical to `ingest_batch(batch.iter())`. This is the wire
-    /// tier's entry: the batch must already have passed
-    /// [`CompactBatch::validate_for_solution`] (or been built locally with
-    /// [`CompactBatch::push`]) — the workers' counting path only
-    /// debug-asserts domains. The batch is one queued message whatever its
-    /// length, so the caller bounds it; the wire tier rejects any frame of
-    /// more than `config.batch` reports.
+    /// tier's entry: the batch must already have been checked against this
+    /// server's solution ([`CompactBatch::decode_for`], which the wire tier
+    /// decodes with, or [`CompactBatch::validate_for_solution`]) or been
+    /// built locally with [`CompactBatch::push`] — the workers' counting
+    /// path only debug-asserts domains. The batch is one queued message
+    /// whatever its length, so the caller bounds it; the wire tier rejects
+    /// any frame of more than `config.batch` reports.
     ///
     /// # Panics
     /// Panics when the target worker has died.

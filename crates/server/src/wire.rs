@@ -139,8 +139,8 @@ pub enum WireError {
     },
     /// A control frame's payload is malformed.
     Payload(String),
-    /// A BATCH_SEQ payload failed [`CompactBatch::decode_from`] or
-    /// [`CompactBatch::validate_for`].
+    /// A BATCH_SEQ payload failed [`CompactBatch::decode_from`], or on the
+    /// server [`CompactBatch::decode_for`] against its solution.
     Batch(CompactDecodeError),
     /// Handshake violation: missing HELLO, or a solution fingerprint that
     /// does not match the server's.
@@ -185,6 +185,20 @@ impl std::fmt::Display for WireError {
                 write!(f, "peer aborted (code {code}): {message}")
             }
         }
+    }
+}
+
+impl WireError {
+    /// Whether the connection failed under the frames rather than in them:
+    /// an I/O error, a close, a mid-frame truncation or an expired read
+    /// deadline. These are the faults a producer recovers from by
+    /// reconnecting and resuming; every other variant is a refusal of what
+    /// a peer sent.
+    pub fn is_transport(&self) -> bool {
+        matches!(
+            self,
+            WireError::Io(_) | WireError::Closed | WireError::Truncated | WireError::Timeout
+        )
     }
 }
 
@@ -664,16 +678,33 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
 /// frame boundary ([`WireError::Closed`]) from a mid-frame truncation
 /// ([`WireError::Truncated`]). The CRC is verified before any payload byte
 /// is interpreted, so a flipped bit surfaces as
-/// [`WireError::ChecksumMismatch`], never as a bogus decoded value.
+/// [`WireError::ChecksumMismatch`], never as a bogus decoded value. A
+/// BATCH_SEQ batch is checked structurally ([`CompactBatch::decode_from`]);
+/// the server reads through the same parser with its solution, which checks
+/// each batch against it in the same pass ([`CompactBatch::decode_for`]).
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
+    read_checked_frame(r, &mut Vec::new(), None)
+}
+
+/// [`read_frame`] over a caller-owned payload buffer that is reused from
+/// frame to frame (it only grows, and is never zeroed again). With a
+/// `solution`, a BATCH_SEQ batch is decoded by
+/// [`CompactBatch::decode_for`], so it arrives checked against every shape
+/// and domain rule of that solution and needs no second pass; a batch that
+/// fails surfaces as [`WireError::Batch`].
+pub(crate) fn read_checked_frame(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+    solution: Option<&DynSolution>,
+) -> Result<Frame, WireError> {
     let mut header = [0u8; 16];
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Err(WireError::Closed),
-        Ok(_) => {}
-        Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            return read_frame(r);
+    loop {
+        match r.read(&mut header[..1]) {
+            Ok(0) => return Err(WireError::Closed),
+            Ok(_) => break,
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::from(e)),
         }
-        Err(e) => return Err(WireError::from(e)),
     }
     read_exact_or_truncated(r, &mut header[1..])?;
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice"));
@@ -690,16 +721,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
         return Err(WireError::Oversize(len));
     }
     let expected_crc = u32::from_le_bytes(header[12..16].try_into().expect("4-byte slice"));
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_truncated(r, &mut payload)?;
-    let got_crc = crc32(&payload);
+    let len = len as usize;
+    if payload.len() < len {
+        payload.resize(len, 0);
+    }
+    let payload = &mut payload[..len];
+    read_exact_or_truncated(r, payload)?;
+    let got_crc = crc32(payload);
     if got_crc != expected_crc {
         return Err(WireError::ChecksumMismatch {
             expected: expected_crc,
             got: got_crc,
         });
     }
-    decode_payload(ftype, flags, &payload)
+    decode_payload(ftype, flags, payload, solution)
 }
 
 fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), WireError> {
@@ -715,7 +750,13 @@ fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Wire
 /// Decodes a CRC-verified payload into its frame. Every length is checked
 /// before the corresponding bytes (or allocation) are touched, so even a
 /// payload that *happens* to pass the CRC can only yield a typed error.
-fn decode_payload(ftype: u8, flags: u8, payload: &[u8]) -> Result<Frame, WireError> {
+/// `solution` picks the batch decoder (see [`read_checked_frame`]).
+fn decode_payload(
+    ftype: u8,
+    flags: u8,
+    payload: &[u8],
+    solution: Option<&DynSolution>,
+) -> Result<Frame, WireError> {
     let exact = |n: usize| -> Result<(), WireError> {
         if payload.len() == n {
             Ok(())
@@ -783,9 +824,13 @@ fn decode_payload(ftype: u8, flags: u8, payload: &[u8]) -> Result<Frame, WireErr
                     "BATCH_SEQ payload shorter than its sequence number".into(),
                 ));
             }
+            let bytes = &payload[8..];
             Ok(Frame::BatchSeq {
                 seq: u64::from_le_bytes(payload[0..8].try_into().expect("8-byte slice")),
-                batch: CompactBatch::decode_from(&payload[8..])?,
+                batch: match solution {
+                    Some(solution) => CompactBatch::decode_for(bytes, solution)?,
+                    None => CompactBatch::decode_from(bytes)?,
+                },
             })
         }
         FT_BATCH_ACK => {

@@ -456,11 +456,7 @@ impl NetClient {
     /// reconnect-and-resume loop; anything else (a server ABORT, a
     /// protocol violation) is fatal and propagates.
     fn recover(&mut self, e: WireError) -> Result<(), WireError> {
-        let transport = matches!(
-            e,
-            WireError::Io(_) | WireError::Closed | WireError::Truncated | WireError::Timeout
-        );
-        if !transport || self.cfg.retries == 0 {
+        if !e.is_transport() || self.cfg.retries == 0 {
             return Err(e);
         }
         if self.session == 0 {
