@@ -25,11 +25,10 @@
 //! walks the structure alone; [`CompactBatch::decode_for`], the server's
 //! decoder, applies every structural and domain rule of the receiver's
 //! solution ([`CompactBatch::validate_for_solution`]) instead. For the
-//! fixed-shape solutions (SPL over GRR/SUE/OUE, every RS+FD and RS+RFD
-//! kind) that pass is a template of one rule per word position, ANDed over
-//! the whole batch without a branch on the data; the entry-by-entry walk
-//! runs only to name the error of a batch the template rejects, and for
-//! the variable-shape kinds.
+//! value-entry solutions (SPL, RS+FD and RS+RFD over GRR) that pass is a
+//! template of one rule per word position, ANDed over the whole batch
+//! without a branch on the data; the entry-by-entry walk runs only to name
+//! the error of a batch the template rejects, and for every other kind.
 //!
 //! ## Wire format (per report, in 64-bit words)
 //!
@@ -260,8 +259,9 @@ impl CompactBatch {
     /// word copy of [`CompactBatch::decode_from`], then
     /// [`CompactBatch::validate_for_solution`] in place of the structural
     /// walk, since validation applies every structural rule too. A
-    /// fixed-shape batch is accepted by the per-position template of
-    /// [`CompactBatch::validate_for`] and walked by no one. A rejected batch
+    /// value-entry batch (SPL, RS+FD or RS+RFD over GRR) is accepted by the
+    /// per-position template of [`CompactBatch::validate_for`] and walked by
+    /// no one; any other is walked once. A rejected batch
     /// gets exactly the error `decode_from` followed by
     /// `validate_for_solution` would give: a structural fault outranks a
     /// domain one. This is the wire tier's decoder.
@@ -336,13 +336,12 @@ impl CompactBatch {
     /// debug-asserts.
     ///
     /// Every rule above also holds the batch's structure, so a batch that
-    /// passes is one [`CompactBatch::decode_from`] accepts too. SPL over
-    /// GRR/SUE/OUE and every RS+FD and RS+RFD kind write reports of one
-    /// fixed word length, and for those the check is first a branch-free
-    /// pass of a per-position template over the words (see `Rule`); the
-    /// walk over entries runs only when the template rejects, or for a
-    /// variable-shape kind (SMP, OLH, SS, mixed), so a rejection's error is
-    /// the walk's.
+    /// passes is one [`CompactBatch::decode_from`] accepts too. SPL, RS+FD
+    /// and RS+RFD over GRR write reports of one header and one value word
+    /// per attribute, and for those the check is first a branch-free pass
+    /// of a per-position template over the words (see `Rule`); the walk
+    /// over entries runs only when the template rejects, or for any other
+    /// kind, so a rejection's error is the walk's.
     pub fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
         let rules = template(kind, ks);
         if rules.is_some_and(|rules| template_accepts(&rules, &self.words, self.len())) {
@@ -411,7 +410,7 @@ fn entry_tag(solution: SolutionKind) -> u64 {
     }
 }
 
-/// One word position's rule in a fixed-shape template: a word `w` passes
+/// One word position's rule in a value-entry template: a word `w` passes
 /// when `w & mask == want` and `w >> shift <= max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Rule {
@@ -422,9 +421,6 @@ struct Rule {
 }
 
 impl Rule {
-    /// Accepts every word: a bit-vector block whose lanes are all in use.
-    const ANY: Rule = Rule::new(0, 0, 0, u64::MAX);
-
     const fn new(mask: u64, want: u64, shift: u32, max: u64) -> Rule {
         Rule {
             mask,
@@ -440,37 +436,30 @@ impl Rule {
     }
 }
 
-/// The per-position rules every report of a fixed-shape solution must pass,
-/// one per word, or `None` for a variable shape (SMP, SPL over OLH or SS,
-/// mixed) and for a domain no value fits (`d = 0` tuples, `k_j = 0` values).
-/// Together the rules are [`CompactBatch::validate_for`]'s: the header's
-/// kind and `a == d` (and `b < d` for a tuple; SPL leaves `b` alone), each
-/// value entry's tag and `v < k_j`, each bit-vector header
-/// `== TAG_BITS | k_j << 2`, and clean padding in its last block.
+/// The per-position rules every report of a value-entry solution (SPL,
+/// RS+FD or RS+RFD over GRR: a header, then one value word per attribute)
+/// must pass, one per word. Together they are [`CompactBatch::validate_for`]'s
+/// rules: the header's kind and `a == d` (and `b < d` for a tuple; SPL
+/// leaves `b` alone), and each entry's tag and `v < k_j`. `None` for every
+/// other kind, which the walk checks: the variable shapes (SMP, SPL over
+/// OLH or SS, mixed), the bit-vector kinds (whose walk reads two words per
+/// entry where a template would read every block), and a domain no value
+/// fits (`d = 0` tuples, `k_j = 0`).
 fn template(kind: SolutionKind, ks: &[usize]) -> Option<Vec<Rule>> {
     const KIND_AND_A: u64 = (1 << 33) - 1;
     let d = ks.len() as u64;
     let header = match kind {
-        SolutionKind::Spl(ProtocolKind::Grr | ProtocolKind::Sue | ProtocolKind::Oue) => {
+        SolutionKind::Spl(ProtocolKind::Grr) => {
             Rule::new(KIND_AND_A, KIND_FULL | d << 2, 0, u64::MAX)
         }
-        SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => {
+        SolutionKind::RsFd(RsFdProtocol::Grr) | SolutionKind::RsRfd(RsRfdProtocol::Grr) => {
             Rule::new(KIND_AND_A, KIND_TUPLE | d << 2, 33, d.checked_sub(1)?)
         }
         _ => return None,
     };
-    let tag = entry_tag(kind);
     let mut rules = vec![header];
     for &k in ks {
-        if tag == TAG_VALUE {
-            rules.push(Rule::new(0b11, TAG_VALUE, 2, (k as u64).checked_sub(1)?));
-            continue;
-        }
-        rules.push(Rule::new(!0, TAG_BITS | (k as u64) << 2, 0, u64::MAX));
-        rules.extend(std::iter::repeat_n(Rule::ANY, k.div_ceil(64)));
-        if k % 64 != 0 {
-            *rules.last_mut().expect("k > 0 has a block") = Rule::new(0, 0, (k % 64) as u32, 0);
-        }
+        rules.push(Rule::new(0b11, TAG_VALUE, 2, (k as u64).checked_sub(1)?));
     }
     Some(rules)
 }
@@ -1307,8 +1296,8 @@ mod tests {
         }
     }
 
-    /// Every kind whose reports are one fixed word length: the ones
-    /// [`template`] covers.
+    /// Every kind whose reports are one fixed word length; [`template`]
+    /// covers the value-entry ones among them.
     fn fixed_shape_kinds() -> Vec<SolutionKind> {
         let mut kinds: Vec<SolutionKind> =
             [ProtocolKind::Grr, ProtocolKind::Sue, ProtocolKind::Oue]
@@ -1382,13 +1371,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(12))]
 
-        /// The fixed-shape template accepts exactly what the entry walk
-        /// accepts, for every fixed-shape kind over widths at and around the
+        /// The value-entry template accepts exactly what the entry walk
+        /// accepts, for every kind it covers over widths at and around the
         /// 64-lane block boundary and over Adult's domains, under each
         /// mutation class: none, one flipped bit anywhere, a tuple header's
-        /// `b ≥ d`, dirty bit-vector padding, a dropped or an extra trailing
-        /// word, and an entry of `k_j` (a value, or a width one past it).
-        /// `decode_for` returns what `decode_from` then
+        /// `b ≥ d`, a value word's top bit set, a dropped or an extra
+        /// trailing word, and a value of `k_j`. For every fixed-shape kind
+        /// (the bit-vector ones mutated with dirty padding and a width one
+        /// past `k_j`), `decode_for` returns what `decode_from` then
         /// `validate_for_solution` return on the same bytes.
         #[test]
         fn template_verdict_equals_the_walk(
@@ -1402,16 +1392,19 @@ mod tests {
                 [2usize, 63, 64, 65, 128, 129].iter().map(|&k| vec![k, 3, k]).collect();
             shapes.push(adult);
             let mut accepted = 0;
+            let mut templated = 0;
             for kind in fixed_shape_kinds() {
                 for ks in &shapes {
                     let solution = kind.build(ks, 2.0).unwrap();
                     let batch = sample_batch(kind, ks, n, seed);
-                    let rules = template(kind, ks).expect("a fixed-shape kind");
-                    let len = rules.len();
+                    let unary = entry_tag(kind) == TAG_BITS;
+                    let rules = template(kind, ks);
+                    proptest::prop_assert_eq!(rules.is_some(), !unary, "{}", kind);
+                    templated += usize::from(rules.is_some());
+                    let len = batch.words.len() / batch.len();
                     let report = (pick as usize % batch.len()) * len;
                     let offsets = entry_offsets(kind, ks);
                     let j = (pick >> 32) as usize % ks.len();
-                    let unary = entry_tag(kind) == TAG_BITS;
                     for mutation in 0..7 {
                         let mut words = batch.words.clone();
                         match mutation {
@@ -1437,18 +1430,20 @@ mod tests {
                                 words[report + offsets[j]] = entry_tag(kind) | k << 2;
                             }
                         }
-                        let by_template = template_accepts(&rules, &words, batch.len());
-                        let by_walk = walk_words(&words, batch.len(), Some((kind, ks)));
-                        proptest::prop_assert_eq!(
-                            by_template,
-                            by_walk.is_ok(),
-                            "{} over {:?}, mutation {}: walk says {:?}",
-                            kind,
-                            ks,
-                            mutation,
-                            by_walk
-                        );
-                        accepted += usize::from(by_template);
+                        if let Some(rules) = &rules {
+                            let by_template = template_accepts(rules, &words, batch.len());
+                            let by_walk = walk_words(&words, batch.len(), Some((kind, ks)));
+                            proptest::prop_assert_eq!(
+                                by_template,
+                                by_walk.is_ok(),
+                                "{} over {:?}, mutation {}: walk says {:?}",
+                                kind,
+                                ks,
+                                mutation,
+                                by_walk
+                            );
+                            accepted += usize::from(by_template);
+                        }
 
                         let mut bytes = Vec::new();
                         CompactBatch { uids: batch.uids.clone(), words }.encode_into(&mut bytes);
@@ -1459,7 +1454,7 @@ mod tests {
                 }
             }
             // Unmutated batches at least: the accept side is exercised too.
-            proptest::prop_assert!(accepted >= fixed_shape_kinds().len() * shapes.len());
+            proptest::prop_assert!(accepted >= templated);
         }
     }
 
@@ -1472,7 +1467,7 @@ mod tests {
         let kind = SolutionKind::Spl(ProtocolKind::Sue);
         let solution = kind.build(&ks, 1.0).unwrap();
         let mut batch = sample_batch(kind, &ks, 3, 8);
-        let len = template(kind, &ks).unwrap().len();
+        let len = batch.words.len() / batch.len();
         // Report 0: attribute 0's bit vector claims 5 lanes (a domain fault).
         batch.words[1] = TAG_BITS | 5 << 2;
         let mut bytes = Vec::new();

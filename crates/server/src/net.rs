@@ -503,27 +503,15 @@ fn run_session(
     ack_every: u64,
     token: &mut u64,
 ) -> Result<(), WireError> {
-    let solution = server.solution();
-    let max_batch = server.config().batch;
+    let check = Some((server.solution(), server.config().batch));
     let mut payload = Vec::new();
     loop {
         // A BATCH_SEQ comes out of the read checked, whole, against the
-        // server's solution (the mixed kinds' numeric magnitudes too):
-        // frames are atomic, so a malformed one is refused as
-        // `WireError::Batch` below without a single envelope reaching a
-        // shard.
-        match read_checked_frame(reader, &mut payload, Some(solution)) {
+        // server's solution (the mixed kinds' numeric magnitudes too) and
+        // its batch size: frames are atomic, so a malformed or oversize one
+        // is refused below without a single envelope reaching a shard.
+        match read_checked_frame(reader, &mut payload, check) {
             Ok(Frame::BatchSeq { seq, batch }) => {
-                // A frame is queued whole, so one of more than `batch`
-                // reports is refused too: it would break the
-                // `shards · queue_depth · batch` memory bound.
-                if batch.len() > max_batch {
-                    let e = WireError::Payload(format!(
-                        "BATCH_SEQ of {} reports exceeds the server's batch of {max_batch}",
-                        batch.len()
-                    ));
-                    return Err(refuse(writer, ABORT_PROTOCOL, e));
-                }
                 let len = batch.len() as u64;
                 let verdict = shared.fleet().batch(*token, seq, len);
                 match verdict {
@@ -670,7 +658,7 @@ fn frame_name(frame: &Frame) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::solutions::{CompactBatch, RsFdProtocol, SolutionKind};
+    use ldp_core::solutions::{CompactBatch, CompactDecodeError, RsFdProtocol, SolutionKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1083,10 +1071,40 @@ mod tests {
         write_frame(&mut writer, &frame(BATCH + 1)).unwrap();
         writer.flush().unwrap();
         match read_frame(&mut reader).unwrap() {
-            Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL),
+            Frame::Abort { code, message } => {
+                assert_eq!(code, ABORT_PROTOCOL);
+                assert!(message.contains("exceeds the server's batch"), "{message}");
+            }
             other => panic!("expected ABORT, got {other:?}"),
         }
         assert!(matches!(read_frame(&mut reader), Err(WireError::Closed)));
+
+        // The reader takes the count from the batch header: an oversize
+        // batch with a domain fault is refused for its size, one with a
+        // structural fault for that fault, and a batch within the bound
+        // for its domain fault.
+        let batch = |n: u64| match frame(n) {
+            Frame::BatchSeq { batch, .. } => batch,
+            _ => unreachable!(),
+        };
+        let read = |bytes: Vec<u8>| {
+            let check = Some((&solution, BATCH as usize));
+            read_checked_frame(&mut &bytes[..], &mut Vec::new(), check)
+        };
+        // Report 0 = [header, attr 0, attr 1]: attr 1 reads 3 of 3.
+        let value_of_k = |words: &mut Vec<u64>| words[2] = 3 << 2;
+        match read(forged_frame(&batch(BATCH + 1), value_of_k)) {
+            Err(WireError::Payload(m)) => assert!(m.contains("exceeds"), "{m}"),
+            other => panic!("oversize + domain fault: {other:?}"),
+        }
+        assert!(matches!(
+            read(forged_frame(&batch(BATCH + 1), |words| words.push(0))),
+            Err(WireError::Batch(CompactDecodeError::TrailingWords))
+        ));
+        assert!(matches!(
+            read(forged_frame(&batch(BATCH), value_of_k)),
+            Err(WireError::Batch(CompactDecodeError::Domain(_)))
+        ));
 
         let (mut reader, stream) = handshake(server.local_addr(), &solution);
         let mut writer = stream.try_clone().unwrap();

@@ -85,7 +85,11 @@ pub const WIRE_VERSION: u16 = 2;
 
 /// Hard cap on a frame payload — far above any sane batch (a default
 /// 1024-report batch is a few hundred KiB), small enough that a forged
-/// length cannot balloon server memory.
+/// length cannot balloon server memory. The cap alone is not enough: a
+/// payload buffer must grow by a zeroed allocation (`vec![0u8; len]`, which
+/// the OS backs with lazy zero pages) and never by writing the zeros, so
+/// that a 16-byte header declaring `MAX_PAYLOAD` commits memory only as
+/// the peer actually sends bytes — before any handshake has been checked.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
 const FT_HELLO: u8 = 0;
@@ -687,15 +691,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
 }
 
 /// [`read_frame`] over a caller-owned payload buffer that is reused from
-/// frame to frame (it only grows, and is never zeroed again). With a
-/// `solution`, a BATCH_SEQ batch is decoded by
+/// frame to frame (it only grows, and is never zeroed again). With
+/// `check = Some((solution, max_batch))`, a BATCH_SEQ batch of more than
+/// `max_batch` reports is refused as [`WireError::Payload`] without being
+/// checked against the solution, and any other is decoded by
 /// [`CompactBatch::decode_for`], so it arrives checked against every shape
 /// and domain rule of that solution and needs no second pass; a batch that
 /// fails surfaces as [`WireError::Batch`].
 pub(crate) fn read_checked_frame(
     r: &mut impl Read,
     payload: &mut Vec<u8>,
-    solution: Option<&DynSolution>,
+    check: Option<(&DynSolution, usize)>,
 ) -> Result<Frame, WireError> {
     let mut header = [0u8; 16];
     loop {
@@ -723,7 +729,8 @@ pub(crate) fn read_checked_frame(
     let expected_crc = u32::from_le_bytes(header[12..16].try_into().expect("4-byte slice"));
     let len = len as usize;
     if payload.len() < len {
-        payload.resize(len, 0);
+        // A fresh zeroed allocation, not `resize`: see `MAX_PAYLOAD`.
+        *payload = vec![0u8; len];
     }
     let payload = &mut payload[..len];
     read_exact_or_truncated(r, payload)?;
@@ -734,7 +741,7 @@ pub(crate) fn read_checked_frame(
             got: got_crc,
         });
     }
-    decode_payload(ftype, flags, payload, solution)
+    decode_payload(ftype, flags, payload, check)
 }
 
 fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), WireError> {
@@ -750,12 +757,12 @@ fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Wire
 /// Decodes a CRC-verified payload into its frame. Every length is checked
 /// before the corresponding bytes (or allocation) are touched, so even a
 /// payload that *happens* to pass the CRC can only yield a typed error.
-/// `solution` picks the batch decoder (see [`read_checked_frame`]).
+/// `check` picks the batch decoder (see [`read_checked_frame`]).
 fn decode_payload(
     ftype: u8,
     flags: u8,
     payload: &[u8],
-    solution: Option<&DynSolution>,
+    check: Option<(&DynSolution, usize)>,
 ) -> Result<Frame, WireError> {
     let exact = |n: usize| -> Result<(), WireError> {
         if payload.len() == n {
@@ -827,8 +834,8 @@ fn decode_payload(
             let bytes = &payload[8..];
             Ok(Frame::BatchSeq {
                 seq: u64::from_le_bytes(payload[0..8].try_into().expect("8-byte slice")),
-                batch: match solution {
-                    Some(solution) => CompactBatch::decode_for(bytes, solution)?,
+                batch: match check {
+                    Some((solution, max_batch)) => decode_bounded(bytes, solution, max_batch)?,
                     None => CompactBatch::decode_from(bytes)?,
                 },
             })
@@ -855,6 +862,30 @@ fn decode_payload(
         }
         other => Err(WireError::UnknownFrameType(other)),
     }
+}
+
+/// The server's batch decoder: [`CompactBatch::decode_for`] for a batch of
+/// at most `max_batch` reports. A frame is queued whole, so one of more
+/// reports is refused, since it would break the `shards · queue_depth ·
+/// batch` memory bound. Its report count is read from the batch header, so
+/// the refusal skips the solution's rules; only the structural walk runs
+/// first, since a structural fault outranks every other refusal of a batch
+/// (as in [`CompactBatch::decode_for`]).
+fn decode_bounded(
+    bytes: &[u8],
+    solution: &DynSolution,
+    max_batch: usize,
+) -> Result<CompactBatch, WireError> {
+    let reports = bytes.get(0..8).map_or(0, |b| {
+        u64::from_le_bytes(b.try_into().expect("8-byte slice"))
+    });
+    if reports > max_batch as u64 {
+        CompactBatch::decode_from(bytes)?;
+        return Err(WireError::Payload(format!(
+            "BATCH_SEQ of {reports} reports exceeds the server's batch of {max_batch}"
+        )));
+    }
+    Ok(CompactBatch::decode_for(bytes, solution)?)
 }
 
 fn decode_snapshot(payload: &[u8]) -> Result<Frame, WireError> {
