@@ -127,6 +127,24 @@ pub(crate) fn validate_config(ks: &[usize], epsilon: f64) -> Result<(), Protocol
     Ok(())
 }
 
+/// Checks a fake-data tuple once per report, before any draw: its width is
+/// `d` and every value lies inside its attribute's domain. A value a
+/// sanitizer would only reach when its attribute is sampled panics all the
+/// same, in every build profile.
+///
+/// # Panics
+/// Panics on a width mismatch or an out-of-domain value.
+#[inline]
+pub(crate) fn assert_tuple_in_domain(tuple: &[u32], ks: &[usize]) {
+    assert_eq!(tuple.len(), ks.len(), "tuple width mismatch");
+    for (j, (&v, &k)) in tuple.iter().zip(ks).enumerate() {
+        assert!(
+            (v as usize) < k,
+            "attribute {j}: value {v} outside its domain 0..{k}"
+        );
+    }
+}
+
 /// Draws one index from a cumulative distribution by inverse CDF.
 pub(crate) fn sample_cdf<R: Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> usize {
     let u: f64 = rng.random();

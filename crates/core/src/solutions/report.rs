@@ -4,8 +4,10 @@
 //! report: the solution header, then its entries, in the wire format that
 //! `solutions/compact.rs` documents. The constructors here are the only code that
 //! writes entry words, so a batch push is one copy, aggregation walks the
-//! words without decoding them, and the SPL\[UE\] sanitizer writes each field
-//! straight from its packed draw. The §3.3 attack reads a fake-data tuple's
+//! words without decoding them, the SPL\[UE\] sanitizer writes each field
+//! straight from its packed draw, and every GRR-backed sanitizer (SPL, SMP,
+//! RS+FD and RS+RFD over GRR) writes each value word straight from its draw,
+//! with no [`Report`] in between. The §3.3 attack reads a fake-data tuple's
 //! entries from the words too; the typed accessors decode the structured
 //! shapes back for the deniability guesses and the tests.
 //!
@@ -59,10 +61,15 @@ impl SolutionReport {
 
     /// An SMP report: the disclosed sampled attribute plus its ε-LDP entry.
     pub fn smp(report: &SmpReport) -> Self {
-        let header = KIND_SMP | (report.attr as u64) << 2;
-        SolutionReport::encode(header, 1 + entry_len(&report.report), |entries| {
+        SolutionReport::encode_smp(report.attr, 1 + entry_len(&report.report), |entries| {
             entries.push(&report.report)
         })
+    }
+
+    /// An SMP report disclosing `attr`, whose one entry `fill` appends,
+    /// making `len` words with the header.
+    pub(crate) fn encode_smp(attr: usize, len: usize, fill: impl FnOnce(&mut Entries)) -> Self {
+        SolutionReport::encode(KIND_SMP | (attr as u64) << 2, len, fill)
     }
 
     /// An RS+FD / RS+RFD report: a full fake-data tuple of one entry per
@@ -227,7 +234,7 @@ impl Entries<'_> {
     pub(crate) fn push(&mut self, report: &Report) {
         let words = &mut *self.0;
         match report {
-            Report::Value(v) => words.push(TAG_VALUE | u64::from(*v) << 2),
+            Report::Value(v) => self.value(*v),
             Report::Hashed { seed, g, value } => {
                 words.push(TAG_HASHED);
                 words.push(*seed);
@@ -242,6 +249,12 @@ impl Entries<'_> {
             }
             Report::Bits(bits) => self.bits(bits.len(), bits.blocks()),
         }
+    }
+
+    /// Appends a value entry: one word, as a [`Report::Value`] of `v`.
+    #[inline]
+    pub(crate) fn value(&mut self, v: u32) {
+        self.0.push(TAG_VALUE | u64::from(v) << 2);
     }
 
     /// Appends a `k`-lane bit-vector entry from its `⌈k/64⌉` blocks, whose

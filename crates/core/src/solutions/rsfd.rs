@@ -16,7 +16,10 @@ use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEn
 use rand::Rng;
 
 use super::report::fixed_shape_words;
-use super::{validate_config, EstimatorSpec, MultidimAggregator, MultidimSolution, SolutionReport};
+use super::{
+    assert_tuple_in_domain, validate_config, EstimatorSpec, MultidimAggregator, MultidimSolution,
+    SolutionReport,
+};
 use crate::amplification::amplify;
 
 /// Which LDP protocol and fake-data procedure RS+FD runs.
@@ -146,34 +149,48 @@ impl MultidimSolution for RsFd {
 
     /// Draws every attribute's entry in order — the sampled one sanitized
     /// at ε′, the others fake — writing each into the report as it is
-    /// drawn.
+    /// drawn. A GRR entry is written straight from its draw.
+    ///
+    /// # Panics
+    /// Also panics, in every build profile, when any value of the tuple is
+    /// outside its attribute's domain, whichever attribute is sampled.
     fn report_with_sampled<R: Rng + ?Sized>(
         &self,
         tuple: &[u32],
         sampled: usize,
         rng: &mut R,
     ) -> SolutionReport {
-        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
+        assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
         let len = fixed_shape_words(&self.ks, self.is_unary());
-        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
-            for (i, &k) in self.ks.iter().enumerate() {
-                entries.push(&match (&self.randomizers, i == sampled) {
-                    (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
-                    (Randomizers::Grr(_), false) => Report::Value(rng.random_range(0..k as u32)),
-                    (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
-                    (Randomizers::Ue(ues), false) => match self.protocol {
-                        // UE-z fake: no zero vector is ever materialized —
-                        // the word-parallel background sampler writes
-                        // Bernoulli(q) words straight into the report.
-                        RsFdProtocol::UeZ(_) => Report::Bits(ues[i].perturb_zero_vector(rng)),
-                        RsFdProtocol::UeR(_) => {
-                            let fake = rng.random_range(0..k as u32);
-                            ues[i].randomize(fake, rng)
+        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| match &self.randomizers {
+            Randomizers::Grr(grrs) => {
+                for (i, grr) in grrs.iter().enumerate() {
+                    entries.value(if i == sampled {
+                        grr.draw(tuple[i], rng)
+                    } else {
+                        rng.random_range(0..grr.domain_size() as u32)
+                    });
+                }
+            }
+            Randomizers::Ue(ues) => {
+                for (i, ue) in ues.iter().enumerate() {
+                    entries.push(&if i == sampled {
+                        ue.randomize(tuple[i], rng)
+                    } else {
+                        match self.protocol {
+                            // UE-z fake: no zero vector is ever materialized —
+                            // the word-parallel background sampler writes
+                            // Bernoulli(q) words straight into the report.
+                            RsFdProtocol::UeZ(_) => Report::Bits(ue.perturb_zero_vector(rng)),
+                            RsFdProtocol::UeR(_) => {
+                                let fake = rng.random_range(0..ue.domain_size() as u32);
+                                ue.randomize(fake, rng)
+                            }
+                            RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
                         }
-                        RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
-                    },
-                });
+                    });
+                }
             }
         })
     }
@@ -268,6 +285,22 @@ mod tests {
                 other => panic!("unexpected shape {other:?}"),
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "attribute 2: value 5 outside its domain")]
+    fn out_of_domain_fake_attribute_panics_in_every_build() {
+        // Attribute 2 is never sampled here, so its value would only be
+        // replaced by a fake: the tuple check still rejects it.
+        let rsfd = RsFd::new(RsFdProtocol::Grr, &[4, 3, 5], 1.0).unwrap();
+        rsfd.report_with_sampled(&[0, 0, 5], 0, &mut StdRng::seed_from_u64(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "attribute 0: value 4 outside its domain")]
+    fn out_of_domain_sampled_attribute_panics_for_ue_variants_too() {
+        let rsfd = RsFd::new(RsFdProtocol::UeZ(UeMode::Optimized), &[4, 3], 1.0).unwrap();
+        rsfd.report_with_sampled(&[4, 0], 0, &mut StdRng::seed_from_u64(9));
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! Eq. (6) (GRR) and Eq. (7) (UE-r), and the closed-form variances of
 //! Theorems 2 and 4.
 
-use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
+use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, UeMode, UnaryEncoding};
 use rand::Rng;
 
 use super::report::fixed_shape_words;
 use super::{
-    sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator, MultidimSolution,
-    SolutionReport,
+    assert_tuple_in_domain, sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator,
+    MultidimSolution, SolutionReport,
 };
 use crate::amplification::amplify;
 
@@ -192,30 +192,40 @@ impl MultidimSolution for RsRfd {
 
     /// Draws every attribute's entry in order — the sampled one sanitized
     /// at ε′, the others fake samples of the prior — writing each into the
-    /// report as it is drawn.
+    /// report as it is drawn. A GRR entry is written straight from its draw.
+    ///
+    /// # Panics
+    /// Also panics, in every build profile, when any value of the tuple is
+    /// outside its attribute's domain, whichever attribute is sampled.
     fn report_with_sampled<R: Rng + ?Sized>(
         &self,
         tuple: &[u32],
         sampled: usize,
         rng: &mut R,
     ) -> SolutionReport {
-        assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
+        assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
         let len = fixed_shape_words(&self.ks, self.is_unary());
-        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| {
-            for i in 0..self.d() {
-                entries.push(&match (&self.randomizers, i == sampled) {
-                    (Randomizers::Grr(grrs), true) => grrs[i].randomize(tuple[i], rng),
-                    (Randomizers::Grr(_), false) => {
+        let cdfs = &self.prior_cdfs;
+        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| match &self.randomizers {
+            Randomizers::Grr(grrs) => {
+                for (i, grr) in grrs.iter().enumerate() {
+                    entries.value(if i == sampled {
+                        grr.draw(tuple[i], rng)
+                    } else {
                         // Alg. 1 line 6: a *plain* sample from the prior.
-                        Report::Value(sample_cdf(&self.prior_cdfs[i], rng) as u32)
-                    }
-                    (Randomizers::Ue(ues), true) => ues[i].randomize(tuple[i], rng),
-                    (Randomizers::Ue(ues), false) => {
-                        let fake = sample_cdf(&self.prior_cdfs[i], rng) as u32;
-                        ues[i].randomize(fake, rng)
-                    }
-                });
+                        sample_cdf(&cdfs[i], rng) as u32
+                    });
+                }
+            }
+            Randomizers::Ue(ues) => {
+                for (i, ue) in ues.iter().enumerate() {
+                    entries.push(&if i == sampled {
+                        ue.randomize(tuple[i], rng)
+                    } else {
+                        ue.randomize(sample_cdf(&cdfs[i], rng) as u32, rng)
+                    });
+                }
             }
         })
     }
@@ -331,6 +341,7 @@ mod theorems {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_protocols::Report;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -363,6 +374,16 @@ mod tests {
             vec![vec![0.25; 4], vec![1.2, -0.1, -0.1]]
         )
         .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "attribute 1: value 3 outside its domain")]
+    fn out_of_domain_fake_attribute_panics_in_every_build() {
+        // Attribute 1 is not sampled here, so its value would only be
+        // replaced by a prior sample: the tuple check still rejects it.
+        let priors = vec![vec![0.25; 4], vec![0.5, 0.3, 0.2]];
+        let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &[4, 3], 1.0, priors).unwrap();
+        rsrfd.report_with_sampled(&[1, 3], 0, &mut StdRng::seed_from_u64(4));
     }
 
     #[test]

@@ -85,8 +85,8 @@ impl Spl {
     /// Both paths produce identical per-report marginals.
     ///
     /// # Panics
-    /// Panics on tuple width mismatch, or (UE families) on a value outside
-    /// its attribute's domain.
+    /// Panics on tuple width mismatch, or (UE and GRR families) on a value
+    /// outside its attribute's domain.
     pub fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> Vec<Report> {
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
         if let Some(fused) = &self.fused {
@@ -103,8 +103,9 @@ impl Spl {
 
     /// [`Spl::report`] born encoded, equal to [`SolutionReport::full`] of
     /// it on the same RNG stream. UE families write every field's header
-    /// and blocks straight from the packed draw, with no per-attribute
-    /// report in between.
+    /// and blocks straight from the packed draw, and GRR writes each value
+    /// word straight from its draw, with no per-attribute report in
+    /// between; OLH and SS encode the structured report.
     ///
     /// # Panics
     /// As [`Spl::report`].
@@ -113,13 +114,24 @@ impl Spl {
         tuple: &[u32],
         rng: &mut R,
     ) -> SolutionReport {
-        let Some(fused) = &self.fused else {
-            return SolutionReport::full(&self.report(tuple, rng));
-        };
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
-        SolutionReport::encode_full(self.d(), self.ue_words, |entries| {
-            fused.randomize_tuple_fields(tuple, rng, |k, blocks| entries.bits(k, blocks))
-        })
+        match (&self.fused, self.kind) {
+            (Some(fused), _) => SolutionReport::encode_full(self.d(), self.ue_words, |entries| {
+                fused.randomize_tuple_fields(tuple, rng, |k, blocks| entries.bits(k, blocks))
+            }),
+            (None, ProtocolKind::Grr) => {
+                let len = fixed_shape_words(&self.ks, false);
+                SolutionReport::encode_full(self.d(), len, |entries| {
+                    for (&v, oracle) in tuple.iter().zip(&self.oracles) {
+                        let Oracle::Grr(grr) = oracle else {
+                            unreachable!("SPL[GRR] holds GRR oracles")
+                        };
+                        entries.value(grr.draw(v, rng));
+                    }
+                })
+            }
+            (None, _) => SolutionReport::full(&self.report(tuple, rng)),
+        }
     }
 
     /// A fresh streaming aggregator configured with the per-attribute
@@ -245,6 +257,13 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "value 3 outside the domain 0..3")]
+    fn grr_report_rejects_an_out_of_domain_value_in_every_build() {
+        let spl = Spl::new(ProtocolKind::Grr, &[4, 3], 1.0).unwrap();
+        spl.report_encoded(&[0, 3], &mut StdRng::seed_from_u64(2));
     }
 
     #[test]

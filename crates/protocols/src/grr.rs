@@ -44,6 +44,35 @@ impl Grr {
     pub fn q(&self) -> f64 {
         self.q
     }
+
+    /// The one GRR draw: `value` with probability `p`, otherwise one of the
+    /// `k − 1` other values uniformly. [`FrequencyOracle::randomize`] wraps
+    /// it in a [`Report::Value`]; the multidimensional sanitizers write the
+    /// drawn value straight into their report's words.
+    ///
+    /// # Panics
+    /// Panics when `value ≥ k`, in every build profile: an out-of-domain
+    /// value kept with probability `p` would leave the domain on the wire.
+    #[inline]
+    pub fn draw<R: Rng + ?Sized>(&self, value: u32, rng: &mut R) -> u32 {
+        assert!(
+            (value as usize) < self.k,
+            "value {value} outside the domain 0..{}",
+            self.k
+        );
+        if rng.random::<f64>() < self.p {
+            value
+        } else {
+            // Uniform over the k−1 other values: draw from 0..k−1 and skip
+            // the true value by shifting.
+            let r = rng.random_range(0..self.k as u32 - 1);
+            if r >= value {
+                r + 1
+            } else {
+                r
+            }
+        }
+    }
 }
 
 impl FrequencyOracle for Grr {
@@ -56,15 +85,7 @@ impl FrequencyOracle for Grr {
     }
 
     fn randomize<R: Rng + ?Sized>(&self, value: u32, rng: &mut R) -> Report {
-        debug_assert!((value as usize) < self.k, "value out of domain");
-        if rng.random::<f64>() < self.p {
-            Report::Value(value)
-        } else {
-            // Uniform over the k−1 other values: draw from 0..k−1 and skip
-            // the true value by shifting.
-            let r = rng.random_range(0..self.k as u32 - 1);
-            Report::Value(if r >= value { r + 1 } else { r })
-        }
+        Report::Value(self.draw(value, rng))
     }
 
     fn supports(&self, report: &Report, value: u32) -> bool {
@@ -146,6 +167,13 @@ mod tests {
             "empirical {rate} vs p {}",
             g.p()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the domain")]
+    fn draw_rejects_an_out_of_domain_value_in_every_build() {
+        let g = Grr::new(4, 1.0).unwrap();
+        g.draw(4, &mut StdRng::seed_from_u64(1));
     }
 
     #[test]

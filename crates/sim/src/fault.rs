@@ -2,17 +2,24 @@
 //!
 //! A [`FaultPlan`] is a seeded schedule of transport faults — dropped
 //! writes, connection resets, mid-frame truncations, duplicated frames,
-//! short delays — that [`crate::NetClient`] consults once per batch send.
-//! The schedule is a pure function of the plan (SplitMix64 over the seed),
+//! short delays — that [`crate::NetClient`] consults once per frame send:
+//! every BATCH_SEQ frame and every control request (EPOCH,
+//! SNAPSHOT_REQUEST, DRAIN) takes one step of the schedule. A control
+//! request takes only the classes the server cannot act on ([`FaultKind::Drop`],
+//! [`FaultKind::Truncate`], [`FaultKind::Delay`]); drawn a
+//! [`FaultKind::Reset`] or [`FaultKind::Duplicate`], it is sent unfaulted,
+//! since a DRAIN or EPOCH that reached the server twice would be acted on
+//! twice, while a batch replay is deduplicated by sequence number. The
+//! schedule is a pure function of the plan (SplitMix64 over the seed),
 //! so a faulted run is exactly reproducible: the same plan against the same
-//! producer yields the same faults at the same batch indices, which is what
+//! producer yields the same faults at the same send indices, which is what
 //! lets `tests/reconnect_equivalence.rs` demand *bit-identical* estimates
 //! from a faulted fleet and a clean one.
 //!
-//! Faults fire only on a frame's **first** transmission — replays after a
-//! reconnect are fault-free — so every plan terminates: a producer with a
-//! bounded retry budget either lands all its batches or exceeds the budget
-//! and degrades the fleet, never livelocks.
+//! Faults fire only on a frame's **first** transmission — replays and
+//! re-sent requests after a reconnect are fault-free — so every plan
+//! terminates: a producer with a bounded retry budget either lands all its
+//! frames or exceeds the budget and degrades the fleet, never livelocks.
 
 use std::fmt;
 use std::str::FromStr;
@@ -70,13 +77,14 @@ impl FaultKind {
 ///
 /// The textual form (CLI `--fault-plan`, [`FaultPlan::parse`]) is
 /// `seed=7,every=4,max=10,kinds=drop+reset+truncate` — `kinds` defaults to
-/// every class, `max` to unbounded. Every `every`-th batch send draws one
-/// of `kinds` from the seeded stream, up to `max` faults total.
+/// every class, `max` to unbounded. Every `every`-th frame send (batch or
+/// control request) draws one of `kinds` from the seeded stream, up to
+/// `max` faults total.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the fault schedule's SplitMix64 stream.
     pub seed: u64,
-    /// Fire on every `every`-th batch send (≥ 1).
+    /// Fire on every `every`-th frame send (≥ 1).
     pub every: u64,
     /// Total faults to inject before the plan goes quiet (`u64::MAX` for
     /// unbounded).
@@ -191,8 +199,9 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// The running state of a [`FaultPlan`]: consulted once per batch send,
-/// answers "inject which fault, if any, on this op".
+/// The running state of a [`FaultPlan`]: consulted once per first
+/// transmission of a frame (a batch or a control request), answers "inject
+/// which fault, if any, on this op".
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -202,8 +211,9 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Advances the schedule by one batch send and returns the fault to
-    /// inject on it, if any.
+    /// Advances the schedule by one frame send and returns the fault to
+    /// inject on it, if any. A draw a control request cannot take still
+    /// counts as fired.
     pub fn next_fault(&mut self) -> Option<FaultKind> {
         self.ops += 1;
         if self.fired >= self.plan.max || !self.ops.is_multiple_of(self.plan.every) {

@@ -27,9 +27,11 @@
 //! [`WireError::Timeout`] instead of a forever-blocked producer.
 //!
 //! A deterministic [`FaultPlan`] can be attached to inject transport faults
-//! on the client's own first-transmission sends (replays are fault-free),
-//! which is how the reconnect path is exercised reproducibly in tests and
-//! via `risks produce --fault-plan`.
+//! on the client's own first-transmission sends (replays are fault-free):
+//! every BATCH_SEQ frame, and every control request (EPOCH,
+//! SNAPSHOT_REQUEST, DRAIN) with the classes a request can take (see
+//! `NetClient::request`). That is how the reconnect path is exercised
+//! reproducibly in tests and via `risks produce --fault-plan`.
 //!
 //! Backpressure needs no client-side code: when the server's shard queues
 //! fill, its handler stops reading, the TCP window closes, and the
@@ -43,8 +45,8 @@ use std::time::Duration;
 
 use ldp_core::solutions::{CompactBatch, DynSolution, SolutionReport};
 use ldp_server::wire::{
-    auth_fingerprint, encode_batch_seq_frame, read_frame, solution_fingerprint, write_frame, Frame,
-    WireError, WireSnapshot,
+    auth_fingerprint, encode_batch_seq_frame, encode_frame, read_frame, solution_fingerprint,
+    write_frame, Frame, WireError, WireSnapshot,
 };
 
 use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultPlan};
@@ -316,11 +318,31 @@ impl NetClient {
     /// server ABORT is fatal and comes back as [`WireError::Remote`]; any
     /// other failed attempt goes through [`NetClient::recover`] and is
     /// retried, at most `cfg.retries` times.
+    ///
+    /// The first attempt consults the fault injector like a batch's first
+    /// transmission, but applies only the classes that leave the server
+    /// nothing to act on: a dropped, truncated or delayed request is simply
+    /// sent again. A reset or duplicated request would reach the server
+    /// whole, and a DRAIN or EPOCH acted on twice is not the same as once,
+    /// so those two classes stay batch-only (BATCH_SEQ frames are
+    /// deduplicated by sequence number) and the request goes out unfaulted.
     fn request(&mut self, frame: &Frame) -> Result<Frame, WireError> {
         self.flush()?;
+        let mut bytes = Vec::new();
+        encode_frame(frame, &mut bytes);
+        let mut fault = self
+            .injector
+            .as_mut()
+            .and_then(|i| i.next_fault())
+            .filter(|kind| {
+                matches!(
+                    kind,
+                    FaultKind::Drop | FaultKind::Truncate | FaultKind::Delay
+                )
+            });
         let mut attempts = 0u32;
         loop {
-            let reply = write_frame(&mut self.stream, frame)
+            let reply = transmit(&mut self.stream, &bytes, fault.take())
                 .and_then(|()| self.stream.flush().map_err(WireError::from))
                 .and_then(|()| self.read_response());
             match reply {
@@ -374,47 +396,9 @@ impl NetClient {
     /// faults fire at most once per logical batch, so every plan
     /// terminates.
     fn send_new_frame(&mut self) -> Result<(), WireError> {
-        let bytes = &self.ring.back().expect("frame was just ringed").1;
         let fault = self.injector.as_mut().and_then(|i| i.next_fault());
-        match fault {
-            None => {
-                self.stream.write_all(bytes)?;
-                Ok(())
-            }
-            Some(FaultKind::Delay) => {
-                std::thread::sleep(Duration::from_millis(3));
-                self.stream.write_all(bytes)?;
-                Ok(())
-            }
-            Some(FaultKind::Duplicate) => {
-                // The server discards the second copy by its sequence
-                // number — the dedup path without a reconnect.
-                self.stream.write_all(bytes)?;
-                self.stream.write_all(bytes)?;
-                Ok(())
-            }
-            Some(FaultKind::Drop) => {
-                // Nothing reaches the wire; the server sees a clean close.
-                let _ = self.stream.shutdown(Shutdown::Both);
-                Err(injected_fault("drop"))
-            }
-            Some(FaultKind::Truncate) => {
-                // The server sees a mid-frame truncation and ABORTs.
-                let half = bytes.len() / 2;
-                let _ = self.stream.write_all(&bytes[..half]);
-                let _ = self.stream.flush();
-                let _ = self.stream.shutdown(Shutdown::Both);
-                Err(injected_fault("truncate"))
-            }
-            Some(FaultKind::Reset) => {
-                // The frame lands whole, then the connection dies — the
-                // replay after resume must be deduplicated (exactly-once).
-                let _ = self.stream.write_all(bytes);
-                let _ = self.stream.flush();
-                let _ = self.stream.shutdown(Shutdown::Both);
-                Err(injected_fault("reset"))
-            }
-        }
+        let bytes = &self.ring.back().expect("frame was just ringed").1;
+        transmit(&mut self.stream, bytes, fault)
     }
 
     /// Blocks for one frame while streaming batches; only cumulative acks
@@ -580,6 +564,53 @@ fn hello(
         other => Err(WireError::Handshake(format!(
             "expected HELLO_ACK, got {other:?}"
         ))),
+    }
+}
+
+/// Writes one encoded frame, through `fault` when one is injected.
+fn transmit(
+    stream: &mut TcpStream,
+    bytes: &[u8],
+    fault: Option<FaultKind>,
+) -> Result<(), WireError> {
+    match fault {
+        None => {
+            stream.write_all(bytes)?;
+            Ok(())
+        }
+        Some(FaultKind::Delay) => {
+            std::thread::sleep(Duration::from_millis(3));
+            stream.write_all(bytes)?;
+            Ok(())
+        }
+        Some(FaultKind::Duplicate) => {
+            // The server discards the second copy by its sequence
+            // number — the dedup path without a reconnect.
+            stream.write_all(bytes)?;
+            stream.write_all(bytes)?;
+            Ok(())
+        }
+        Some(FaultKind::Drop) => {
+            // Nothing reaches the wire; the server sees a clean close.
+            let _ = stream.shutdown(Shutdown::Both);
+            Err(injected_fault("drop"))
+        }
+        Some(FaultKind::Truncate) => {
+            // The server sees a mid-frame truncation and ABORTs.
+            let half = bytes.len() / 2;
+            let _ = stream.write_all(&bytes[..half]);
+            let _ = stream.flush();
+            let _ = stream.shutdown(Shutdown::Both);
+            Err(injected_fault("truncate"))
+        }
+        Some(FaultKind::Reset) => {
+            // The frame lands whole, then the connection dies — the
+            // replay after resume must be deduplicated (exactly-once).
+            let _ = stream.write_all(bytes);
+            let _ = stream.flush();
+            let _ = stream.shutdown(Shutdown::Both);
+            Err(injected_fault("reset"))
+        }
     }
 }
 

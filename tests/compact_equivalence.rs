@@ -16,8 +16,9 @@
 //! split at any size. (5) A report is
 //! born encoded: `DynSolution::report` writes exactly the words the
 //! `SolutionReport` constructors encode for the structured report the
-//! solution-level sanitizer draws from the same RNG stream, and the typed
-//! accessors decode them back. (6) Absorbing reports one by one counts
+//! solution-level sanitizer draws from the same RNG stream (for RS+FD and
+//! RS+RFD, which have no structured sanitizer, a reference assembled from
+//! the public protocol objects), and the typed accessors decode them back. (6) Absorbing reports one by one counts
 //! exactly what one batch of them counts, and what the structured reports
 //! count.
 
@@ -29,7 +30,7 @@ use ldp_core::solutions::{
 use ldp_core::{NumericKind, NumericReport};
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::mixed::mixed_survey_like;
-use ldp_protocols::{BitVec, ProtocolKind, Report, UeMode};
+use ldp_protocols::{BitVec, FrequencyOracle, Grr, ProtocolKind, Report, UeMode, UnaryEncoding};
 use ldp_server::{Envelope, LdpServer, ServerConfig, ServerSnapshot};
 use ldp_sim::user_rng;
 use proptest::prelude::*;
@@ -421,20 +422,13 @@ enum Structured {
 impl Structured {
     /// Sanitizes one user through the solution's structured path
     /// (`Spl::report`, `Smp::report`, `Mixed::report_mixed`). The fake-data
-    /// solutions sanitize only into words: their reference draws the
-    /// sampled attribute itself, calls `report_with_sampled` and decodes
-    /// the result.
+    /// solutions sanitize only into words, so their reference is
+    /// [`fake_data_tuple`], which shares no code with them.
     fn draw(solution: &DynSolution, cat: &[u32], num: &[f64], rng: &mut StdRng) -> Self {
-        fn tuple<S: MultidimSolution>(s: &S, cat: &[u32], rng: &mut StdRng) -> Structured {
-            let sampled = rng.random_range(0..s.d());
-            let report = s.report_with_sampled(cat, sampled, rng);
-            Structured::Tuple(report.to_tuple().unwrap(), sampled)
-        }
         match solution {
             DynSolution::Spl(s) => Structured::Full(s.report(cat, rng)),
             DynSolution::Smp(s) => Structured::Smp(s.report(cat, rng)),
-            DynSolution::RsFd(s) => tuple(s, cat, rng),
-            DynSolution::RsRfd(s) => tuple(s, cat, rng),
+            DynSolution::RsFd(_) | DynSolution::RsRfd(_) => fake_data_tuple(solution, cat, rng),
             DynSolution::Mixed(s) => Structured::Mixed(s.report_mixed(cat, num, rng).unwrap()),
         }
     }
@@ -474,6 +468,81 @@ impl Structured {
             Structured::Mixed(report) => agg.absorb_mixed(report),
         }
     }
+}
+
+/// How a fake-data solution draws the entry of an attribute it did not
+/// sample.
+enum Fake<'a> {
+    /// A uniform value of the domain (RS+FD over GRR and UE-r).
+    Uniform,
+    /// A UE-perturbed zero vector (RS+FD over UE-z).
+    ZeroVector,
+    /// A sample of the attribute's prior (RS+RFD).
+    Prior(&'a [Vec<f64>]),
+}
+
+/// An RS+FD / RS+RFD tuple built from public protocol objects at the
+/// solution's `epsilon_amplified()`: the sampled index is drawn first, then
+/// each attribute in order gets either its value sanitized by `Grr` /
+/// `UnaryEncoding::randomize` or a fake. A GRR fake is the plain value; a
+/// UE-r fake is the value one-hot encoded and randomized; a UE-z fake is
+/// `perturb_zero_vector`.
+fn fake_data_tuple(solution: &DynSolution, cat: &[u32], rng: &mut StdRng) -> Structured {
+    let (eps, ue, fake) = match solution {
+        DynSolution::RsFd(s) => match s.protocol() {
+            RsFdProtocol::Grr => (s.epsilon_amplified(), None, Fake::Uniform),
+            RsFdProtocol::UeZ(m) => (s.epsilon_amplified(), Some(m), Fake::ZeroVector),
+            RsFdProtocol::UeR(m) => (s.epsilon_amplified(), Some(m), Fake::Uniform),
+        },
+        DynSolution::RsRfd(s) => {
+            let ue = match s.protocol() {
+                RsRfdProtocol::Grr => None,
+                RsRfdProtocol::UeR(m) => Some(m),
+            };
+            (s.epsilon_amplified(), ue, Fake::Prior(s.priors()))
+        }
+        other => unreachable!("{} is not a fake-data solution", other.name()),
+    };
+    let sampled = rng.random_range(0..cat.len());
+    let mut values = Vec::with_capacity(cat.len());
+    for (j, (&k, &v)) in solution.ks().iter().zip(cat).enumerate() {
+        let fake_value = |rng: &mut StdRng| match fake {
+            Fake::Prior(priors) => sample_prior(&priors[j], rng),
+            _ => rng.random_range(0..k as u32),
+        };
+        values.push(match ue {
+            None if j == sampled => Grr::new(k, eps).unwrap().randomize(v, rng),
+            None => Report::Value(fake_value(rng)),
+            Some(mode) => {
+                let ue = UnaryEncoding::new(k, eps, mode).unwrap();
+                match fake {
+                    _ if j == sampled => ue.randomize(v, rng),
+                    Fake::ZeroVector => Report::Bits(ue.perturb_zero_vector(rng)),
+                    _ => {
+                        let value = fake_value(rng);
+                        ue.randomize(value, rng)
+                    }
+                }
+            }
+        });
+    }
+    Structured::Tuple(values, sampled)
+}
+
+/// One inverse-CDF sample of `pmf`, as RS+RFD draws a fake: the first value
+/// whose renormalized running sum reaches a uniform `u`, the last value if
+/// none does before it.
+fn sample_prior(pmf: &[f64], rng: &mut StdRng) -> u32 {
+    let total: f64 = pmf.iter().sum();
+    let u: f64 = rng.random();
+    let mut acc = 0.0;
+    for (v, &p) in pmf[..pmf.len() - 1].iter().enumerate() {
+        acc += p;
+        if acc / total >= u {
+            return v as u32;
+        }
+    }
+    (pmf.len() - 1) as u32
 }
 
 /// Every solution kind: SPL and SMP over the five oracles, RS+FD over GRR,

@@ -11,8 +11,8 @@
 //! partition and reports the deficit), the client-side read deadline
 //! (a silent server surfaces as a typed [`WireError::Timeout`], not a
 //! hang) and the client's one request path (a server ABORT is fatal at
-//! once; a dropped connection is redialed, resumed and the request sent
-//! again).
+//! once; a dropped connection, or a fault injected into the request
+//! itself, is redialed, resumed and the request sent again).
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -282,6 +282,90 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
 }
 
 #[test]
+fn faults_on_control_requests_preserve_the_drained_bits() {
+    // Every first send takes the fault (`every = 1`), so each EPOCH,
+    // SNAPSHOT_REQUEST and DRAIN takes it on its first attempt. A request
+    // that is dropped or truncated goes through reconnect-and-resume and is
+    // sent again; a delayed one only waits. Each producer's batch holds its
+    // whole partition, so a round's reports go out in the one frame the
+    // round's SNAPSHOT flushes: per producer two batch frames and five
+    // requests (SNAPSHOT and EPOCH per round, then DRAIN), seven faulted
+    // sends. A truncation ends its connection as a transport fault on the
+    // server, which counts all seven. The drain must equal the clean
+    // in-process run.
+    const ROUNDS: usize = 2;
+    let connections = 2usize;
+    let ds = adult_like(64, 19);
+    let ks = ds.schema().cardinalities();
+    let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
+    let policy = BudgetPolicy::SplitEps;
+    let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n())
+        .seed(SEED)
+        .wave(ds.n());
+    let pipeline = CollectionPipeline::from_kind(kind, &ks, 2.0)
+        .unwrap()
+        .seed(SEED)
+        .threads(1);
+    let reference = pipeline
+        .serve_rounds(&ds, &traffic, ROUNDS, policy, 2)
+        .unwrap()
+        .cumulative;
+    let per_round = kind
+        .build(&ks, 2.0)
+        .and_then(|s| policy.round_solution(&s, ROUNDS))
+        .unwrap();
+    for fault in [FaultKind::Drop, FaultKind::Truncate, FaultKind::Delay] {
+        let server = WireServer::bind(
+            "127.0.0.1:0",
+            per_round.clone(),
+            ServerConfig::default().shards(2),
+        )
+        .unwrap()
+        .producers(connections);
+        let addr = server.local_addr().to_string();
+        let acked: u64 = thread::scope(|s| {
+            let handles: Vec<_> = (0..connections)
+                .map(|part| {
+                    let (pipeline, ds, traffic, addr) = (&pipeline, &ds, &traffic, &addr);
+                    s.spawn(move || {
+                        let plan = FaultPlan::new(SEED ^ part as u64, 1).kinds(&[fault]);
+                        pipeline
+                            .clone()
+                            .client(chaos_client(part, plan).batch(ds.n()))
+                            .serve_remote_rounds(
+                                ds,
+                                traffic,
+                                addr,
+                                part,
+                                connections,
+                                ROUNDS,
+                                policy,
+                                1,
+                                &mut |_| {},
+                            )
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let label = format!("{fault:?} on every send");
+        assert_eq!(acked, (ds.n() * ROUNDS) as u64, "{label}: acked");
+        server.wait_for_fleet(connections);
+        if fault == FaultKind::Truncate {
+            let want = 7 * connections;
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while server.dropped_connections() < want && std::time::Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(server.dropped_connections(), want, "{label}: truncations");
+        }
+        assert_eq!(server.reaped_sessions(), 0, "{label}: no reaps");
+        assert_drain_matches_run(&server.finish(), &reference, &label);
+    }
+}
+
+#[test]
 fn producer_past_its_retry_budget_degrades_the_fleet() {
     // Producer 1 drops every fourth frame with a zero retry budget: its
     // fourth batch dies on the wire and the producer gives up. The fleet
@@ -520,8 +604,8 @@ fn server_abort_is_fatal_to_the_request_path() {
 
 #[test]
 fn control_request_retries_across_a_dropped_connection() {
-    // Fault plans fire on batch frames only, so here a stand-in collector
-    // drops the connection on the first SNAPSHOT_REQUEST instead. That
+    // A stand-in collector reads the first SNAPSHOT_REQUEST whole and
+    // closes the connection unanswered, a fault no client plan injects. That
     // forces the request itself through reconnect-and-resume: the client
     // redials, resumes its session, sends the request again and gets the
     // reply on the new connection.
