@@ -159,16 +159,15 @@ impl DynSolution {
     }
 
     /// Client-side sanitization of one user tuple, born encoded: SPL\[UE\]
-    /// writes every field straight from its packed draw, every GRR-backed
-    /// family writes each value word straight from its draw, and RS+FD /
-    /// RS+RFD write each entry as they draw it
-    /// ([`MultidimSolution::report_encoded`]). SPL and SMP over OLH or SS
-    /// (and SMP over UE) encode their structured report. Either way the
-    /// report equals [`SolutionReport::full`] / [`SolutionReport::smp`] of
-    /// the structured sanitizer on the same RNG stream. Generic over the
-    /// RNG: a concrete generator is monomorphized into the sanitizer, and
-    /// `&mut dyn RngCore` works too (`R = dyn RngCore`). Both draw the same
-    /// stream, so the reports are identical.
+    /// writes every field straight from its packed draw and RS+FD / RS+RFD
+    /// write each entry as they draw it, a GRR value word straight from its
+    /// draw ([`MultidimSolution::report_encoded`]); SPL over GRR, OLH or SS
+    /// and SMP encode their structured report, so theirs equals
+    /// [`SolutionReport::full`] / [`SolutionReport::smp`] of the structured
+    /// sanitizer on the same RNG stream. Generic over the RNG: a concrete
+    /// generator is monomorphized into the sanitizer, and `&mut dyn RngCore`
+    /// works too (`R = dyn RngCore`). Both draw the same stream, so the
+    /// reports are identical.
     ///
     /// # Panics
     ///
@@ -178,7 +177,7 @@ impl DynSolution {
     pub fn report<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> SolutionReport {
         match self {
             DynSolution::Spl(s) => s.report_encoded(tuple, rng),
-            DynSolution::Smp(s) => s.report_encoded(tuple, rng),
+            DynSolution::Smp(s) => SolutionReport::smp(&s.report(tuple, rng)),
             DynSolution::RsFd(s) => s.report_encoded(tuple, rng),
             DynSolution::RsRfd(s) => s.report_encoded(tuple, rng),
             DynSolution::Mixed(_) => {

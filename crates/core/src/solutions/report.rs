@@ -5,9 +5,8 @@
 //! `solutions/compact.rs` documents. The constructors here are the only code that
 //! writes entry words, so a batch push is one copy, aggregation walks the
 //! words without decoding them, the SPL\[UE\] sanitizer writes each field
-//! straight from its packed draw, and every GRR-backed sanitizer (SPL, SMP,
-//! RS+FD and RS+RFD over GRR) writes each value word straight from its draw,
-//! with no [`Report`] in between. The §3.3 attack reads a fake-data tuple's
+//! straight from its packed draw, and RS+FD and RS+RFD over GRR write each
+//! value word straight from its draw, with no [`Report`] in between. The §3.3 attack reads a fake-data tuple's
 //! entries from the words too; the typed accessors decode the structured
 //! shapes back for the deniability guesses and the tests.
 //!
@@ -61,15 +60,10 @@ impl SolutionReport {
 
     /// An SMP report: the disclosed sampled attribute plus its ε-LDP entry.
     pub fn smp(report: &SmpReport) -> Self {
-        SolutionReport::encode_smp(report.attr, 1 + entry_len(&report.report), |entries| {
+        let header = KIND_SMP | (report.attr as u64) << 2;
+        SolutionReport::encode(header, 1 + entry_len(&report.report), |entries| {
             entries.push(&report.report)
         })
-    }
-
-    /// An SMP report disclosing `attr`, whose one entry `fill` appends,
-    /// making `len` words with the header.
-    pub(crate) fn encode_smp(attr: usize, len: usize, fill: impl FnOnce(&mut Entries)) -> Self {
-        SolutionReport::encode(KIND_SMP | (attr as u64) << 2, len, fill)
     }
 
     /// An RS+FD / RS+RFD report: a full fake-data tuple of one entry per

@@ -6,7 +6,7 @@
 use ldp_protocols::{FrequencyOracle, Oracle, ProtocolError, ProtocolKind, Report};
 use rand::Rng;
 
-use super::{validate_config, EstimatorSpec, MultidimAggregator, SolutionReport};
+use super::{validate_config, EstimatorSpec, MultidimAggregator};
 
 /// One SMP message: the disclosed attribute index plus its ε-LDP report.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,31 +90,6 @@ impl Smp {
         SmpReport {
             attr,
             report: self.oracles[attr].randomize(tuple[attr], rng),
-        }
-    }
-
-    /// [`Smp::report`] born encoded, equal to [`SolutionReport::smp`] of it
-    /// on the same RNG stream. GRR writes its value word straight from the
-    /// draw; the other families encode the structured report.
-    ///
-    /// # Panics
-    /// As [`Smp::report_attr`]; GRR also panics on a sampled value outside
-    /// its attribute's domain.
-    pub(crate) fn report_encoded<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        rng: &mut R,
-    ) -> SolutionReport {
-        let attr = rng.random_range(0..self.d());
-        match &self.oracles[attr] {
-            Oracle::Grr(grr) => {
-                assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
-                // The header and one value word.
-                SolutionReport::encode_smp(attr, 2, |entries| {
-                    entries.value(grr.draw(tuple[attr], rng))
-                })
-            }
-            _ => SolutionReport::smp(&self.report_attr(tuple, attr, rng)),
         }
     }
 

@@ -103,9 +103,8 @@ impl Spl {
 
     /// [`Spl::report`] born encoded, equal to [`SolutionReport::full`] of
     /// it on the same RNG stream. UE families write every field's header
-    /// and blocks straight from the packed draw, and GRR writes each value
-    /// word straight from its draw, with no per-attribute report in
-    /// between; OLH and SS encode the structured report.
+    /// and blocks straight from the packed draw, with no per-attribute
+    /// report in between; GRR, OLH and SS encode the structured report.
     ///
     /// # Panics
     /// As [`Spl::report`].
@@ -114,24 +113,13 @@ impl Spl {
         tuple: &[u32],
         rng: &mut R,
     ) -> SolutionReport {
+        let Some(fused) = &self.fused else {
+            return SolutionReport::full(&self.report(tuple, rng));
+        };
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
-        match (&self.fused, self.kind) {
-            (Some(fused), _) => SolutionReport::encode_full(self.d(), self.ue_words, |entries| {
-                fused.randomize_tuple_fields(tuple, rng, |k, blocks| entries.bits(k, blocks))
-            }),
-            (None, ProtocolKind::Grr) => {
-                let len = fixed_shape_words(&self.ks, false);
-                SolutionReport::encode_full(self.d(), len, |entries| {
-                    for (&v, oracle) in tuple.iter().zip(&self.oracles) {
-                        let Oracle::Grr(grr) = oracle else {
-                            unreachable!("SPL[GRR] holds GRR oracles")
-                        };
-                        entries.value(grr.draw(v, rng));
-                    }
-                })
-            }
-            (None, _) => SolutionReport::full(&self.report(tuple, rng)),
-        }
+        SolutionReport::encode_full(self.d(), self.ue_words, |entries| {
+            fused.randomize_tuple_fields(tuple, rng, |k, blocks| entries.bits(k, blocks))
+        })
     }
 
     /// A fresh streaming aggregator configured with the per-attribute

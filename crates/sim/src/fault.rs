@@ -79,7 +79,8 @@ impl FaultKind {
 /// `seed=7,every=4,max=10,kinds=drop+reset+truncate` — `kinds` defaults to
 /// every class, `max` to unbounded. Every `every`-th frame send (batch or
 /// control request) draws one of `kinds` from the seeded stream, up to
-/// `max` faults total.
+/// `max` faults injected. A draw a control request cannot take is not
+/// injected and does not count against `max`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the fault schedule's SplitMix64 stream.
@@ -212,8 +213,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Advances the schedule by one frame send and returns the fault to
-    /// inject on it, if any. A draw a control request cannot take still
-    /// counts as fired.
+    /// inject on it, if any.
     pub fn next_fault(&mut self) -> Option<FaultKind> {
         self.ops += 1;
         if self.fired >= self.plan.max || !self.ops.is_multiple_of(self.plan.every) {
@@ -222,6 +222,20 @@ impl FaultInjector {
         self.fired += 1;
         let draw = splitmix64(&mut self.state);
         Some(self.plan.kinds[(draw % self.plan.kinds.len() as u64) as usize])
+    }
+
+    /// [`FaultInjector::next_fault`] for a send that can take only the
+    /// `allowed` classes. A drawn class outside them is not injected and
+    /// does not count against the plan's `max`, so `max` stays the number
+    /// of faults injected; the schedule still advances by one step.
+    pub fn next_fault_among(&mut self, allowed: &[FaultKind]) -> Option<FaultKind> {
+        let kind = self.next_fault()?;
+        if allowed.contains(&kind) {
+            Some(kind)
+        } else {
+            self.fired -= 1;
+            None
+        }
     }
 
     /// Faults injected so far.
@@ -302,5 +316,18 @@ mod tests {
             assert_eq!(inj.next_fault(), Some(FaultKind::Reset));
         }
         assert_eq!(inj.fired(), 50);
+    }
+
+    #[test]
+    fn skipped_draws_do_not_count_against_max() {
+        let plan = FaultPlan::parse("seed=5,every=1,max=3,kinds=reset+duplicate").unwrap();
+        let mut inj = plan.injector();
+        let control = [FaultKind::Drop, FaultKind::Truncate, FaultKind::Delay];
+        for _ in 0..10 {
+            assert_eq!(inj.next_fault_among(&control), None);
+        }
+        assert_eq!(inj.fired(), 0, "no request took a fault");
+        let batch: Vec<_> = (0..10).filter_map(|_| inj.next_fault()).collect();
+        assert_eq!(batch.len(), 3, "max is the number of faults injected");
     }
 }

@@ -330,16 +330,9 @@ impl NetClient {
         self.flush()?;
         let mut bytes = Vec::new();
         encode_frame(frame, &mut bytes);
-        let mut fault = self
-            .injector
-            .as_mut()
-            .and_then(|i| i.next_fault())
-            .filter(|kind| {
-                matches!(
-                    kind,
-                    FaultKind::Drop | FaultKind::Truncate | FaultKind::Delay
-                )
-            });
+        let mut fault = self.injector.as_mut().and_then(|i| {
+            i.next_fault_among(&[FaultKind::Drop, FaultKind::Truncate, FaultKind::Delay])
+        });
         let mut attempts = 0u32;
         loop {
             let reply = transmit(&mut self.stream, &bytes, fault.take())

@@ -67,38 +67,58 @@ fn chaos_client(part: usize, plan: FaultPlan) -> ClientConfig {
         .fault_plan(Some(plan))
 }
 
-/// Drives a faulted `connections`-producer fleet against `addr`; producer
-/// `part` runs under `plan_for(part)` and takes a SNAPSHOT every
-/// `snapshot_every` waves (0 = never). Checks that each producer's snapshot
-/// `n` never decreases and returns the summed DRAIN-acked counts with the
-/// largest snapshot `n` any producer saw.
+/// The shape of a faulted fleet run: `connections` producers, each serving
+/// `rounds` rounds under `policy` and taking a SNAPSHOT every
+/// `snapshot_every` waves (0 = never).
+#[derive(Clone, Copy)]
+struct Fleet {
+    connections: usize,
+    rounds: usize,
+    policy: BudgetPolicy,
+    snapshot_every: usize,
+}
+
+impl Fleet {
+    fn one_round(connections: usize, snapshot_every: usize) -> Fleet {
+        Fleet {
+            connections,
+            rounds: 1,
+            policy: BudgetPolicy::SplitEps,
+            snapshot_every,
+        }
+    }
+}
+
+/// Drives a faulted `fleet` against `addr`; producer `part` runs under
+/// `client_for(part)`. Checks that each producer's snapshot `n` never
+/// decreases and returns the summed DRAIN-acked counts with the largest
+/// snapshot `n` any producer saw.
 fn run_faulted_fleet(
     pipeline: &CollectionPipeline,
     ds: &Dataset,
     traffic: &TrafficGenerator,
     addr: &str,
-    connections: usize,
-    snapshot_every: usize,
-    plan_for: impl Fn(usize) -> FaultPlan + Sync,
+    fleet: Fleet,
+    client_for: impl Fn(usize) -> ClientConfig + Sync,
 ) -> (u64, u64) {
     thread::scope(|s| {
-        let handles: Vec<_> = (0..connections)
+        let handles: Vec<_> = (0..fleet.connections)
             .map(|part| {
-                let plan_for = &plan_for;
+                let client_for = &client_for;
                 s.spawn(move || {
                     let (mut snapshots, mut last) = (0usize, 0u64);
                     let acked = pipeline
                         .clone()
-                        .client(chaos_client(part, plan_for(part)))
+                        .client(client_for(part))
                         .serve_remote_rounds(
                             ds,
                             traffic,
                             addr,
                             part,
-                            connections,
-                            1,
-                            BudgetPolicy::SplitEps,
-                            snapshot_every,
+                            fleet.connections,
+                            fleet.rounds,
+                            fleet.policy,
+                            fleet.snapshot_every,
                             &mut |snapshot: &WireSnapshot| {
                                 assert!(
                                     snapshot.n >= last,
@@ -111,7 +131,7 @@ fn run_faulted_fleet(
                         .unwrap();
                     assert_eq!(
                         snapshots > 0,
-                        snapshot_every > 0,
+                        fleet.snapshot_every > 0,
                         "producer {part}: snapshots taken"
                     );
                     (acked, last)
@@ -148,9 +168,14 @@ fn faulted_fleet_drains_bit_identically_across_shards() {
         )
         .unwrap();
         let addr = server.local_addr().to_string();
-        let (acked, _) = run_faulted_fleet(&pipeline, &ds, &traffic, &addr, 3, 0, |part| {
-            FaultPlan::new(SEED ^ part as u64, 3)
-        });
+        let (acked, _) = run_faulted_fleet(
+            &pipeline,
+            &ds,
+            &traffic,
+            &addr,
+            Fleet::one_round(3, 0),
+            |part| chaos_client(part, FaultPlan::new(SEED ^ part as u64, 3)),
+        );
         assert_eq!(acked, ds.n() as u64, "shards={shards}: acked");
         server.wait_for_fleet(3);
         assert_eq!(server.reaped_sessions(), 0, "shards={shards}: no reaps");
@@ -193,10 +218,14 @@ fn every_fault_class_alone_preserves_the_drained_bits() {
         )
         .unwrap();
         let addr = server.local_addr().to_string();
-        let (acked, top) =
-            run_faulted_fleet(&pipeline, &ds, &traffic, &addr, 2, snapshot_every, |part| {
-                FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])
-            });
+        let (acked, top) = run_faulted_fleet(
+            &pipeline,
+            &ds,
+            &traffic,
+            &addr,
+            Fleet::one_round(2, snapshot_every),
+            |part| chaos_client(part, FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])),
+        );
         assert_eq!(acked, ds.n() as u64, "{label}: acked");
         server.wait_for_fleet(2);
         let drained = server.finish();
@@ -205,79 +234,86 @@ fn every_fault_class_alone_preserves_the_drained_bits() {
     }
 }
 
+/// Serves `rounds` rounds of RS+FD[GRR] at ε = `eps` over the EPOCH
+/// barrier with a faulted `fleet` against a real two-shard server, and
+/// checks that every report is acked and that the cumulative drain equals
+/// the clean in-process longitudinal run. With `dropped`, also checks that
+/// the server counted that many connections lost to transport faults.
+fn check_faulted_rounds(
+    ds: &Dataset,
+    traffic: &TrafficGenerator,
+    eps: f64,
+    fleet: Fleet,
+    client_for: impl Fn(usize) -> ClientConfig + Sync,
+    dropped: Option<usize>,
+    label: &str,
+) {
+    let ks = ds.schema().cardinalities();
+    let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
+    let pipeline = CollectionPipeline::from_kind(kind, &ks, eps)
+        .unwrap()
+        .seed(SEED)
+        .threads(1);
+    let reference = pipeline
+        .serve_rounds(ds, traffic, fleet.rounds, fleet.policy, 2)
+        .unwrap()
+        .cumulative;
+    let per_round = kind
+        .build(&ks, eps)
+        .and_then(|s| fleet.policy.round_solution(&s, fleet.rounds))
+        .unwrap();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        per_round,
+        ServerConfig::default().shards(2).ack_every(2),
+    )
+    .unwrap()
+    .producers(fleet.connections);
+    let addr = server.local_addr().to_string();
+    let (acked, top) = run_faulted_fleet(&pipeline, ds, traffic, &addr, fleet, client_for);
+    assert_eq!(acked, (ds.n() * fleet.rounds) as u64, "{label}: acked");
+    server.wait_for_fleet(fleet.connections);
+    if let Some(want) = dropped {
+        // A connection thread counts its drop as it exits, after the
+        // producer has already redialed.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.dropped_connections() < want && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.dropped_connections(), want, "{label}: dropped");
+    }
+    assert_eq!(server.reaped_sessions(), 0, "{label}: no reaps");
+    let drained = server.finish();
+    assert!(top <= drained.n, "{label}: snapshot n {top} > drain");
+    assert_drain_matches_run(&drained, &reference, label);
+}
+
 #[test]
 fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
     // Three rounds over the EPOCH barrier with faults injected mid-round:
     // the resumed sessions re-announce idempotently and the cumulative
     // drained aggregate equals the clean in-process longitudinal run, for
     // both ways of spending the budget across rounds.
-    const ROUNDS: usize = 3;
     let ds = adult_like(300, 7);
-    let ks = ds.schema().cardinalities();
-    let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
     let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n())
         .seed(SEED)
         .wave(47);
     for policy in BudgetPolicy::ALL {
-        let reference = CollectionPipeline::from_kind(kind, &ks, 3.0)
-            .unwrap()
-            .seed(SEED)
-            .threads(1)
-            .serve_rounds(&ds, &traffic, ROUNDS, policy, 2)
-            .unwrap()
-            .cumulative;
-        {
-            let connections = 2usize;
-            let per_round = kind
-                .build(&ks, 3.0)
-                .and_then(|s| policy.round_solution(&s, ROUNDS))
-                .unwrap();
-            let server = WireServer::bind(
-                "127.0.0.1:0",
-                per_round,
-                ServerConfig::default().shards(2).ack_every(2),
-            )
-            .unwrap()
-            .producers(connections);
-            let addr = server.local_addr().to_string();
-            let acked: u64 = thread::scope(|s| {
-                let handles: Vec<_> = (0..connections)
-                    .map(|part| {
-                        let (ks, addr) = (ks.clone(), addr.as_str());
-                        let (ds, traffic) = (&ds, &traffic);
-                        s.spawn(move || {
-                            CollectionPipeline::from_kind(kind, &ks, 3.0)
-                                .unwrap()
-                                .seed(SEED)
-                                .client(chaos_client(
-                                    part,
-                                    FaultPlan::new(SEED ^ 0xEB0C ^ part as u64, 4),
-                                ))
-                                .serve_remote_rounds(
-                                    ds,
-                                    traffic,
-                                    addr,
-                                    part,
-                                    connections,
-                                    ROUNDS,
-                                    policy,
-                                    0,
-                                    &mut |_| {},
-                                )
-                                .unwrap()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(acked, (ds.n() * ROUNDS) as u64, "{policy}: acked");
-            server.wait_for_fleet(connections);
-            assert_drain_matches_run(
-                &server.finish(),
-                &reference,
-                &format!("faulted longitudinal, {policy}"),
-            );
-        }
+        let fleet = Fleet {
+            connections: 2,
+            rounds: 3,
+            policy,
+            snapshot_every: 0,
+        };
+        check_faulted_rounds(
+            &ds,
+            &traffic,
+            3.0,
+            fleet,
+            |part| chaos_client(part, FaultPlan::new(SEED ^ 0xEB0C ^ part as u64, 4)),
+            None,
+            &format!("faulted longitudinal, {policy}"),
+        );
     }
 }
 
@@ -293,75 +329,29 @@ fn faults_on_control_requests_preserve_the_drained_bits() {
     // sends. A truncation ends its connection as a transport fault on the
     // server, which counts all seven. The drain must equal the clean
     // in-process run.
-    const ROUNDS: usize = 2;
-    let connections = 2usize;
     let ds = adult_like(64, 19);
-    let ks = ds.schema().cardinalities();
-    let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
-    let policy = BudgetPolicy::SplitEps;
     let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n())
         .seed(SEED)
         .wave(ds.n());
-    let pipeline = CollectionPipeline::from_kind(kind, &ks, 2.0)
-        .unwrap()
-        .seed(SEED)
-        .threads(1);
-    let reference = pipeline
-        .serve_rounds(&ds, &traffic, ROUNDS, policy, 2)
-        .unwrap()
-        .cumulative;
-    let per_round = kind
-        .build(&ks, 2.0)
-        .and_then(|s| policy.round_solution(&s, ROUNDS))
-        .unwrap();
+    let fleet = Fleet {
+        connections: 2,
+        rounds: 2,
+        policy: BudgetPolicy::SplitEps,
+        snapshot_every: 1,
+    };
     for fault in [FaultKind::Drop, FaultKind::Truncate, FaultKind::Delay] {
-        let server = WireServer::bind(
-            "127.0.0.1:0",
-            per_round.clone(),
-            ServerConfig::default().shards(2),
-        )
-        .unwrap()
-        .producers(connections);
-        let addr = server.local_addr().to_string();
-        let acked: u64 = thread::scope(|s| {
-            let handles: Vec<_> = (0..connections)
-                .map(|part| {
-                    let (pipeline, ds, traffic, addr) = (&pipeline, &ds, &traffic, &addr);
-                    s.spawn(move || {
-                        let plan = FaultPlan::new(SEED ^ part as u64, 1).kinds(&[fault]);
-                        pipeline
-                            .clone()
-                            .client(chaos_client(part, plan).batch(ds.n()))
-                            .serve_remote_rounds(
-                                ds,
-                                traffic,
-                                addr,
-                                part,
-                                connections,
-                                ROUNDS,
-                                policy,
-                                1,
-                                &mut |_| {},
-                            )
-                            .unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        let label = format!("{fault:?} on every send");
-        assert_eq!(acked, (ds.n() * ROUNDS) as u64, "{label}: acked");
-        server.wait_for_fleet(connections);
-        if fault == FaultKind::Truncate {
-            let want = 7 * connections;
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while server.dropped_connections() < want && std::time::Instant::now() < deadline {
-                thread::sleep(Duration::from_millis(5));
-            }
-            assert_eq!(server.dropped_connections(), want, "{label}: truncations");
-        }
-        assert_eq!(server.reaped_sessions(), 0, "{label}: no reaps");
-        assert_drain_matches_run(&server.finish(), &reference, &label);
+        check_faulted_rounds(
+            &ds,
+            &traffic,
+            2.0,
+            fleet,
+            |part| {
+                let plan = FaultPlan::new(SEED ^ part as u64, 1).kinds(&[fault]);
+                chaos_client(part, plan).batch(ds.n())
+            },
+            (fault == FaultKind::Truncate).then_some(7 * fleet.connections),
+            &format!("{fault:?} on every send"),
+        );
     }
 }
 
