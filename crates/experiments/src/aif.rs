@@ -1,33 +1,20 @@
 //! Shared runner for the sampled-attribute inference sweeps
 //! (Figs. 3, 6, 14, 15, 17).
 
-use std::collections::BTreeMap;
-
 use ldp_core::attacks::{AttackKind, InferenceConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel};
 use ldp_core::metrics::mean_std;
 use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_datasets::priors::{correct_priors_scaled, IncorrectPrior};
 use ldp_datasets::Dataset;
-use ldp_protocols::hash::{mix2, mix3};
-use ldp_sim::par::par_map;
+use ldp_protocols::hash::mix3;
 use ldp_sim::{AttackPipeline, CollectionPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::sweep::{fig_seed, sweep};
 use crate::table::{fnum, Table};
-use crate::ExpConfig;
-
-/// Which corpus the sweep collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AifDataset {
-    /// Adult-like (d = 10).
-    Adult,
-    /// ACSEmployment-like (d = 18).
-    Acs,
-    /// Nursery-like (d = 9, uniform marginals — the negative control).
-    Nursery,
-}
+use crate::{Corpus, ExpConfig};
 
 /// How RS+RFD priors are obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,20 +34,15 @@ impl PriorSpec {
         }
     }
 
-    /// Builds per-attribute priors for `dataset`. "Correct" priors calibrate
-    /// their Laplace noise to the *paper-scale* population of the matching
-    /// corpus (a Census release does not get noisier because an experiment
-    /// subsamples its users).
-    pub fn build(self, dataset: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    /// Builds per-attribute priors for `dataset`, drawn from `corpus`.
+    /// "Correct" priors calibrate their Laplace noise to the corpus's
+    /// *paper-scale* population (a Census release does not get noisier
+    /// because an experiment subsamples its users).
+    pub fn build(self, corpus: Corpus, dataset: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
         match self {
             PriorSpec::Correct => {
-                let reference_n = match dataset.d() {
-                    10 => ldp_datasets::corpora::ADULT_N,
-                    18 => ldp_datasets::corpora::ACS_EMPLOYMENT_N,
-                    9 => ldp_datasets::corpora::NURSERY_N,
-                    _ => dataset.n(),
-                };
-                correct_priors_scaled(dataset, 0.1, reference_n.max(dataset.n()), rng)
+                let reference_n = corpus.paper_n().max(dataset.n());
+                correct_priors_scaled(dataset, 0.1, reference_n, rng)
             }
             PriorSpec::Incorrect(p) => p.generate_all(&dataset.schema().cardinalities(), rng),
         }
@@ -90,7 +72,7 @@ impl SolutionSpec {
 #[derive(Debug, Clone)]
 pub struct AifParams {
     /// Corpus.
-    pub dataset: AifDataset,
+    pub dataset: Corpus,
     /// Solutions to attack.
     pub specs: Vec<SolutionSpec>,
     /// Attacker models with display labels (e.g. `"NK s=1"`).
@@ -99,36 +81,23 @@ pub struct AifParams {
     pub eps: Vec<f64>,
 }
 
-fn load(cfg: &ExpConfig, choice: AifDataset, run: u64) -> Dataset {
-    match choice {
-        AifDataset::Adult => cfg.adult(run),
-        AifDataset::Acs => cfg.acs(run),
-        AifDataset::Nursery => cfg.nursery(run),
-    }
-}
-
 /// Runs the sweep and returns
 /// (`solution, model, eps, aif_acc_mean, aif_acc_std, baseline`).
 pub fn run(cfg: &ExpConfig, params: &AifParams, fig: &str) -> Table {
-    let fig_seed = mix2(
-        cfg.seed,
-        fig.bytes().fold(0u64, |h, b| mix2(h, u64::from(b))),
-    );
-    let grid: Vec<(usize, usize, usize, u64)> = (0..params.specs.len())
+    let cells: Vec<(usize, usize, usize)> = (0..params.specs.len())
         .flat_map(|si| {
-            (0..params.eps.len()).flat_map(move |ei| {
-                (0..params.models.len())
-                    .flat_map(move |mi| (0..cfg.runs as u64).map(move |run| (si, ei, mi, run)))
-            })
+            (0..params.eps.len())
+                .flat_map(move |ei| (0..params.models.len()).map(move |mi| (si, ei, mi)))
         })
         .collect();
 
-    let measurements: Vec<(usize, usize, usize, f64, f64)> =
-        par_map(grid.len(), cfg.threads, |g| {
-            let (si, ei, mi, run) = grid[g];
+    let outcomes = sweep(
+        cfg,
+        fig_seed(cfg, fig),
+        &cells,
+        |&(si, ei, mi), run, item_seed| {
             let eps = params.eps[ei];
-            let item_seed = mix3(fig_seed, g as u64, run);
-            let dataset = load(cfg, params.dataset, run);
+            let dataset = params.dataset.build(cfg, run);
             let ks = dataset.schema().cardinalities();
             let classifier = AttackClassifier::Gbdt(cfg.attack_gbdt());
             let model = params.models[mi].1;
@@ -143,7 +112,7 @@ pub fn run(cfg: &ExpConfig, params: &AifParams, fig: &str) -> Table {
                 }
                 SolutionSpec::RsRfd(protocol, prior_spec) => {
                     let mut prior_rng = StdRng::seed_from_u64(mix3(item_seed, 0x9812, 0));
-                    let priors = prior_spec.build(&dataset, &mut prior_rng);
+                    let priors = prior_spec.build(params.dataset, &dataset, &mut prior_rng);
                     CollectionPipeline::new(
                         SolutionKind::RsRfd(protocol)
                             .build_with_priors(&ks, eps, priors)
@@ -165,16 +134,9 @@ pub fn run(cfg: &ExpConfig, params: &AifParams, fig: &str) -> Table {
             .threads(1)
             .run(&collection, &dataset);
             let outcome = run.outcome.inference().expect("inference outcome");
-            (si, ei, mi, outcome.aif_acc, outcome.baseline)
-        });
-
-    let mut buckets: BTreeMap<(usize, usize, usize), (Vec<f64>, f64)> = BTreeMap::new();
-    for (si, ei, mi, acc, baseline) in measurements {
-        let e = buckets
-            .entry((si, mi, ei))
-            .or_insert((Vec::new(), baseline));
-        e.0.push(acc);
-    }
+            (outcome.aif_acc, outcome.baseline)
+        },
+    );
 
     let mut table = Table::new(
         format!("{fig}: sampled-attribute inference (AIF-ACC %)"),
@@ -187,15 +149,18 @@ pub fn run(cfg: &ExpConfig, params: &AifParams, fig: &str) -> Table {
             "baseline",
         ],
     );
-    for ((si, mi, ei), (accs, baseline)) in buckets {
-        let ms = mean_std(&accs);
+    // Rows go solution-major, then model, then ε; the baseline is run 0's.
+    let mut rows: Vec<_> = cells.iter().zip(&outcomes).collect();
+    rows.sort_by_key(|&(&(si, ei, mi), _)| (si, mi, ei));
+    for (&(si, ei, mi), runs) in rows {
+        let ms = mean_std(&runs.iter().map(|&(acc, _)| acc).collect::<Vec<_>>());
         table.row(vec![
             params.specs[si].name(),
             params.models[mi].0.clone(),
             fnum(params.eps[ei]),
             fnum(ms.mean),
             fnum(ms.std),
-            fnum(baseline),
+            fnum(runs[0].1),
         ]);
     }
     table
@@ -245,7 +210,7 @@ mod tests {
             out_dir: PathBuf::from("/tmp/risks-ldp-test"),
         };
         let params = AifParams {
-            dataset: AifDataset::Adult,
+            dataset: Corpus::Adult,
             specs: vec![
                 SolutionSpec::RsFd(RsFdProtocol::Grr),
                 SolutionSpec::RsRfd(RsRfdProtocol::Grr, PriorSpec::Correct),

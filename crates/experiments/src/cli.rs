@@ -5,8 +5,8 @@
 
 use crate::registry::{markdown_matrix, Experiment, EXPERIMENTS};
 use crate::runner::{run_experiments, ExpStatus, RunOptions};
-use crate::serve::{solution_from_id, ListenOpts, ServeDataset, ServeSpec};
-use crate::{ExpConfig, Overrides};
+use crate::serve::{solution_from_id, ListenOpts, ServeSpec};
+use crate::{Corpus, ExpConfig, Overrides};
 use ldp_sim::traffic::TrafficShape;
 use ldp_sim::BudgetPolicy;
 
@@ -396,7 +396,7 @@ fn parse_spec_flag<'a>(
         }
         "--dataset" => {
             let raw = it.next().ok_or("`--dataset` needs an id")?;
-            spec.dataset = ServeDataset::from_id(raw)
+            spec.dataset = Corpus::from_id(raw)
                 .ok_or_else(|| format!("unknown dataset `{raw}` (adult | acs | nursery)"))?;
         }
         "--shape" => {
@@ -714,7 +714,7 @@ mod tests {
                     spec.solution,
                     crate::serve::solution_from_id("smp-oue").unwrap()
                 );
-                assert_eq!(spec.dataset, ServeDataset::Nursery);
+                assert_eq!(spec.dataset, Corpus::Nursery);
                 assert_eq!(spec.shape, TrafficShape::Churn);
                 assert_eq!(spec.epsilon, 2.5);
                 assert_eq!(flags.threads, Some(8));

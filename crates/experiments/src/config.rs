@@ -87,27 +87,6 @@ impl ExpConfig {
             .min(paper_n)
     }
 
-    /// Adult-like dataset at the configured scale.
-    pub fn adult(&self, run: u64) -> Dataset {
-        corpora::adult_like(self.scaled(corpora::ADULT_N, 2000), self.seed ^ (run << 8))
-    }
-
-    /// ACSEmployment-like dataset at the configured scale.
-    pub fn acs(&self, run: u64) -> Dataset {
-        corpora::acs_employment_like(
-            self.scaled(corpora::ACS_EMPLOYMENT_N, 1500),
-            self.seed ^ (run << 8) ^ 0xACE,
-        )
-    }
-
-    /// Nursery-like dataset at the configured scale.
-    pub fn nursery(&self, run: u64) -> Dataset {
-        corpora::nursery_like(
-            self.scaled(corpora::NURSERY_N, 1500),
-            self.seed ^ (run << 8) ^ 0x9925,
-        )
-    }
-
     /// MixedSurvey corpus (categorical survey plus age / hours-per-week
     /// continuous attributes) at the configured scale — the bed of the
     /// numeric-dimension extension experiments.
@@ -134,6 +113,90 @@ impl ExpConfig {
             min_child_weight: 0.05,
             ..GbdtParams::default()
         }
+    }
+}
+
+/// One of the paper's three categorical corpora. Its generator, its seed
+/// salt, its paper-scale n and its scale floor are defined here and nowhere
+/// else, so every experiment and every `risks serve` / `risks produce`
+/// process that names a corpus draws the same population.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Corpus {
+    /// Adult-like (d = 10).
+    Adult,
+    /// ACSEmployment-like (d = 18).
+    Acs,
+    /// Nursery-like (d = 9, uniform marginals — the negative control).
+    Nursery,
+}
+
+impl Corpus {
+    /// Every corpus, in CLI documentation order.
+    pub const ALL: [Corpus; 3] = [Corpus::Adult, Corpus::Acs, Corpus::Nursery];
+
+    /// Stable CLI identifier.
+    pub fn id(self) -> &'static str {
+        match self {
+            Corpus::Adult => "adult",
+            Corpus::Acs => "acs",
+            Corpus::Nursery => "nursery",
+        }
+    }
+
+    /// Looks a corpus up by its CLI identifier.
+    pub fn from_id(id: &str) -> Option<Corpus> {
+        Corpus::ALL.into_iter().find(|c| c.id() == id)
+    }
+
+    /// The population size of the paper's corpus.
+    pub fn paper_n(self) -> usize {
+        match self {
+            Corpus::Adult => corpora::ADULT_N,
+            Corpus::Acs => corpora::ACS_EMPLOYMENT_N,
+            Corpus::Nursery => corpora::NURSERY_N,
+        }
+    }
+
+    /// The population size at `cfg`'s scale: the paper's n scaled, but
+    /// never below the corpus's floor.
+    pub fn n(self, cfg: &ExpConfig) -> usize {
+        let floor = match self {
+            Corpus::Adult => 2000,
+            Corpus::Acs | Corpus::Nursery => 1500,
+        };
+        cfg.scaled(self.paper_n(), floor)
+    }
+
+    /// `n` users drawn from `seed` under this corpus's salt.
+    fn generate(self, n: usize, seed: u64) -> Dataset {
+        match self {
+            Corpus::Adult => corpora::adult_like(n, seed),
+            Corpus::Acs => corpora::acs_employment_like(n, seed ^ 0xACE),
+            Corpus::Nursery => corpora::nursery_like(n, seed ^ 0x9925),
+        }
+    }
+
+    /// Repetition `run`'s corpus at `cfg`'s scale.
+    pub fn build(self, cfg: &ExpConfig, run: u64) -> Dataset {
+        self.generate(self.n(cfg), cfg.seed ^ (run << 8))
+    }
+
+    /// The run-0 corpus, with `users` (at least 1) in place of the scaled n
+    /// when given.
+    ///
+    /// `--users` exists because `--scale` is capped at the paper's n (the
+    /// Adult corpus tops out at 45,222 users) while the ingestion-tier soak
+    /// runs want millions. Server and producer processes agree on the corpus
+    /// bit for bit whenever they agree on `(corpus, seed, users)`.
+    pub fn build_sized(self, cfg: &ExpConfig, users: Option<usize>) -> Dataset {
+        let n = users.map_or_else(|| self.n(cfg), |n| n.max(1));
+        self.generate(n, cfg.seed)
+    }
+}
+
+impl std::fmt::Display for Corpus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.id())
     }
 }
 
@@ -236,7 +299,36 @@ mod tests {
     }
 
     #[test]
-    fn datasets_match_schema_dimensions() {
+    fn corpus_ids_roundtrip() {
+        for corpus in Corpus::ALL {
+            assert_eq!(Corpus::from_id(corpus.id()), Some(corpus));
+        }
+        assert_eq!(Corpus::from_id("mnist"), None);
+    }
+
+    /// The experiments' corpus (`build`) and the one `risks serve` and
+    /// `risks produce --users` draw (`build_sized`) are the same population
+    /// at the same n, and `n` predicts that size without generating it.
+    #[test]
+    fn both_corpus_paths_draw_the_same_population() {
+        for scale in [0.01, 0.2] {
+            let cfg = ExpConfig {
+                runs: 1,
+                scale,
+                threads: 1,
+                seed: 7,
+                out_dir: PathBuf::from("results"),
+            };
+            for (corpus, d) in Corpus::ALL.into_iter().zip([10, 18, 9]) {
+                let run0 = corpus.build(&cfg, 0);
+                assert_eq!(run0.d(), d, "{corpus}");
+                assert_eq!(corpus.n(&cfg), run0.n(), "{corpus} at scale {scale}");
+                let sized = corpus.build_sized(&cfg, Some(corpus.n(&cfg)));
+                assert!(sized.rows().eq(run0.rows()), "{corpus} at scale {scale}");
+                assert!(corpus.build_sized(&cfg, None).rows().eq(run0.rows()));
+                assert!(!corpus.build(&cfg, 1).rows().eq(run0.rows()));
+            }
+        }
         let cfg = ExpConfig {
             runs: 1,
             scale: 0.05,
@@ -244,8 +336,7 @@ mod tests {
             seed: 7,
             out_dir: PathBuf::from("results"),
         };
-        assert_eq!(cfg.adult(0).d(), 10);
-        assert_eq!(cfg.acs(0).d(), 18);
-        assert_eq!(cfg.nursery(0).d(), 9);
+        assert_eq!(Corpus::Adult.build_sized(&cfg, Some(777)).n(), 777);
+        assert_eq!(Corpus::Acs.build_sized(&cfg, Some(0)).n(), 1);
     }
 }

@@ -4,10 +4,10 @@
 
 use ldp_datasets::priors::IncorrectPrior;
 
-use crate::aif::{AifDataset, PriorSpec};
+use crate::aif::PriorSpec;
 use crate::mse::{rsrfd_vs_rsfd, MseParams};
 use crate::table::Table;
-use crate::{eps_ln_grid, ExpConfig};
+use crate::{eps_ln_grid, Corpus, ExpConfig};
 
 /// Runs the figure: one table per prior family, in the order of the
 /// `fig16_<prior>.csv` outputs. The `analytic_var` column carries the
@@ -23,7 +23,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         .into_iter()
         .map(|(label, prior)| {
             let params = MseParams {
-                dataset: AifDataset::Adult,
+                dataset: Corpus::Adult,
                 methods: rsrfd_vs_rsfd(prior),
                 eps: eps_ln_grid(),
             };

@@ -17,6 +17,12 @@
 //! outputs, git rev) so identical re-runs are cache hits (see
 //! [`manifest`] / [`runner`]).
 //!
+//! Every parameter grid runs through one helper, `sweep::sweep`: the one
+//! place a (grid point, repetition) pair gets its seed and its worker
+//! thread. Every corpus is a [`Corpus`], the one place its generator, seed
+//! salt and size at a given scale are defined (its ids are the `--dataset`
+//! ids of `risks serve` and `risks produce`).
+//!
 //! Scale knobs (environment variables; `risks run` flags override them, and
 //! a value that does not parse is an error naming its variable — see
 //! [`ExpConfig::resolve`]):
@@ -42,6 +48,7 @@ pub mod registry;
 pub mod runner;
 pub mod serve;
 pub mod smp_reident;
+mod sweep;
 pub mod table;
 
 pub mod fig01;
@@ -49,7 +56,7 @@ pub mod fig04;
 pub mod fig05;
 pub mod fig16;
 
-pub use config::{ExpConfig, Overrides};
+pub use config::{Corpus, ExpConfig, Overrides};
 pub use registry::{Experiment, EXPERIMENTS};
 pub use table::Table;
 

@@ -15,18 +15,16 @@
 //!   `1/R` averaging gain buys back), memoization keeps the full-ε
 //!   single-round error on every round.
 
-use std::collections::BTreeMap;
-
 use ldp_core::attacks::{AttackKind, AveragingConfig, ReidentConfig};
 use ldp_core::metrics::{mean_std, mse_avg};
 use ldp_core::solutions::SolutionKind;
-use ldp_protocols::hash::{mix2, mix3};
+use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::par::par_map;
 use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline};
 
+use crate::sweep::{fig_seed, sweep};
 use crate::table::{fnum, Table};
-use crate::{ExpConfig, TOP_KS};
+use crate::{Corpus, ExpConfig, TOP_KS};
 
 /// Round counts both longitudinal sweeps evaluate.
 pub const ROUNDS_GRID: [usize; 4] = [1, 2, 4, 8];
@@ -41,41 +39,45 @@ const RISK_EPSILON: f64 = 32.0;
 /// hurts without drowning every round in noise).
 const MSE_EPSILON: f64 = 4.0;
 
-fn fig_seed(cfg: &ExpConfig, tag: &str) -> u64 {
-    mix2(
-        cfg.seed,
-        tag.bytes().fold(0u64, |h, b| mix2(h, u64::from(b))),
-    )
-}
-
-/// Grid items carry their own seed, derived from `(policy, run)` but **not**
-/// from `rounds`: round counts of the same campaign share users and
-/// randomness streams, which makes the R-axis a paired comparison —
-/// memoization is exactly flat per run, and the ε-splitting curve is not
-/// blurred by re-drawing the population at every R.
-fn policy_grid(cfg: &ExpConfig, fig_seed: u64) -> Vec<(BudgetPolicy, usize, u64, u64)> {
-    BudgetPolicy::ALL
-        .into_iter()
-        .enumerate()
-        .flat_map(|(p, policy)| {
-            ROUNDS_GRID.into_iter().flat_map(move |rounds| {
-                (0..cfg.runs as u64)
-                    .map(move |run| (policy, rounds, run, mix3(fig_seed, p as u64, run)))
-            })
-        })
-        .collect()
+/// The (policy, rounds) cells of both sweeps, measured by `measure(policy,
+/// rounds, run, item_seed)` and returned in row order: policies by id, then
+/// round counts.
+///
+/// Item seeds are derived from `(policy, run)` but **not** from `rounds`:
+/// round counts of the same campaign share users and randomness streams,
+/// which makes the R-axis a paired comparison — memoization is exactly flat
+/// per run, and the ε-splitting curve is not blurred by re-drawing the
+/// population at every R.
+fn policy_sweep<T: Send>(
+    cfg: &ExpConfig,
+    label: &str,
+    measure: impl Fn(BudgetPolicy, usize, u64, u64) -> T + Sync,
+) -> Vec<((BudgetPolicy, usize), Vec<T>)> {
+    let fig_seed = fig_seed(cfg, label);
+    let cells: Vec<(u64, BudgetPolicy, usize)> = (0u64..)
+        .zip(BudgetPolicy::ALL)
+        .flat_map(|(p, policy)| ROUNDS_GRID.map(|rounds| (p, policy, rounds)))
+        .collect();
+    let runs = sweep(cfg, fig_seed, &cells, |&(p, policy, rounds), run, _| {
+        measure(policy, rounds, run, mix3(fig_seed, p, run))
+    });
+    let mut rows: Vec<_> = cells
+        .iter()
+        .map(|&(_, policy, rounds)| (policy, rounds))
+        .zip(runs)
+        .collect();
+    rows.sort_by_key(|&((policy, rounds), _)| (policy.id(), rounds));
+    rows
 }
 
 /// `longitudinal_risk`: averaging-attack ASR vs round count, per budget
 /// policy (`policy, rounds, top_k, asr_mean, asr_std, baseline`).
 pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
-    let fig_seed = fig_seed(cfg, "longitudinal_risk");
-    let grid = policy_grid(cfg, fig_seed);
-
-    let points: Vec<(BudgetPolicy, usize, Vec<f64>, Vec<f64>)> =
-        par_map(grid.len(), cfg.threads, |g| {
-            let (policy, rounds, run, item_seed) = grid[g];
-            let dataset = cfg.adult(run);
+    let rows = policy_sweep(
+        cfg,
+        "longitudinal_risk",
+        |policy, rounds, run, item_seed| {
+            let dataset = Corpus::Adult.build(cfg, run);
             let ks = dataset.schema().cardinalities();
             let collection = CollectionPipeline::from_kind(
                 SolutionKind::Smp(ProtocolKind::Grr),
@@ -100,18 +102,9 @@ pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
                 .expect("per-round solution builds")
                 .outcome;
             let o = outcome.reident().expect("reident outcome");
-            (policy, rounds, o.rid_acc.clone(), o.baseline.clone())
-        });
-
-    let mut buckets: BTreeMap<(&'static str, usize, usize), (Vec<f64>, f64)> = BTreeMap::new();
-    for (policy, rounds, accs, baselines) in points {
-        for (slot, &k) in TOP_KS.iter().enumerate() {
-            let entry = buckets
-                .entry((policy.id(), rounds, k))
-                .or_insert_with(|| (Vec::new(), baselines[slot]));
-            entry.0.push(accs[slot]);
-        }
-    }
+            (o.rid_acc.clone(), o.baseline.clone())
+        },
+    );
 
     let mut table = Table::new(
         "longitudinal_risk: averaging-attack RID-ACC (%) vs rounds, SMP[GRR], Adult".to_string(),
@@ -119,16 +112,19 @@ pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
             "policy", "rounds", "top_k", "asr_mean", "asr_std", "baseline",
         ],
     );
-    for ((policy, rounds, k), (accs, baseline)) in buckets {
-        let ms = mean_std(&accs);
-        table.row(vec![
-            policy.to_string(),
-            rounds.to_string(),
-            k.to_string(),
-            fnum(ms.mean),
-            fnum(ms.std),
-            fnum(baseline),
-        ]);
+    // The baseline is run 0's.
+    for ((policy, rounds), runs) in rows {
+        for (slot, k) in TOP_KS.into_iter().enumerate() {
+            let ms = mean_std(&runs.iter().map(|(accs, _)| accs[slot]).collect::<Vec<_>>());
+            table.row(vec![
+                policy.to_string(),
+                rounds.to_string(),
+                k.to_string(),
+                fnum(ms.mean),
+                fnum(ms.std),
+                fnum(runs[0].1[slot]),
+            ]);
+        }
     }
     vec![table]
 }
@@ -136,12 +132,8 @@ pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
 /// `longitudinal_mse`: averaged-estimator MSE vs round count, per budget
 /// policy (`policy, rounds, mse_mean, mse_std`).
 pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
-    let fig_seed = fig_seed(cfg, "longitudinal_mse");
-    let grid = policy_grid(cfg, fig_seed);
-
-    let points: Vec<(BudgetPolicy, usize, f64)> = par_map(grid.len(), cfg.threads, |g| {
-        let (policy, rounds, run, item_seed) = grid[g];
-        let dataset = cfg.adult(run);
+    let rows = policy_sweep(cfg, "longitudinal_mse", |policy, rounds, run, item_seed| {
+        let dataset = Corpus::Adult.build(cfg, run);
         let ks = dataset.schema().cardinalities();
         let truth = dataset.marginals();
         let pipeline =
@@ -163,19 +155,14 @@ pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
                 }
             }
         }
-        (policy, rounds, mse_avg(&truth, &avg))
+        mse_avg(&truth, &avg)
     });
-
-    let mut buckets: BTreeMap<(&'static str, usize), Vec<f64>> = BTreeMap::new();
-    for (policy, rounds, mse) in points {
-        buckets.entry((policy.id(), rounds)).or_default().push(mse);
-    }
 
     let mut table = Table::new(
         "longitudinal_mse: averaged-estimator MSE vs rounds, SMP[GRR], Adult".to_string(),
         &["policy", "rounds", "mse_mean", "mse_std"],
     );
-    for ((policy, rounds), mses) in buckets {
+    for ((policy, rounds), mses) in rows {
         let ms = mean_std(&mses);
         table.row(vec![
             policy.to_string(),

@@ -2,21 +2,17 @@
 //! sweeps (Figs. 5 and 16): empirical `MSE_avg` plus the analytic
 //! approximate-variance curves.
 
-use std::collections::BTreeMap;
-
 use ldp_core::metrics::{mean_std, mse_avg};
 use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
-use ldp_datasets::Dataset;
-use ldp_protocols::hash::{mix2, mix3};
 use ldp_protocols::UeMode;
-use ldp_sim::par::par_map;
 use ldp_sim::CollectionPipeline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::aif::{AifDataset, PriorSpec};
+use crate::aif::PriorSpec;
+use crate::sweep::{fig_seed, sweep};
 use crate::table::{fnum, Table};
-use crate::ExpConfig;
+use crate::{Corpus, ExpConfig};
 
 /// One estimation method under comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,19 +50,11 @@ impl MseMethod {
 #[derive(Debug, Clone)]
 pub struct MseParams {
     /// Corpus.
-    pub dataset: AifDataset,
+    pub dataset: Corpus,
     /// Methods to compare.
     pub methods: Vec<MseMethod>,
     /// ε grid (the paper uses ln 2 … ln 7).
     pub eps: Vec<f64>,
-}
-
-fn load(cfg: &ExpConfig, choice: AifDataset, run: u64) -> Dataset {
-    match choice {
-        AifDataset::Adult => cfg.adult(run),
-        AifDataset::Acs => cfg.acs(run),
-        AifDataset::Nursery => cfg.nursery(run),
-    }
 }
 
 /// Runs the sweep; returns
@@ -76,73 +64,65 @@ fn load(cfg: &ExpConfig, choice: AifDataset, run: u64) -> Dataset {
 /// attributes and values (the paper's Fig. 16 analytic curves); for RS+RFD it
 /// uses the run-0 priors.
 pub fn run(cfg: &ExpConfig, params: &MseParams, fig: &str) -> Table {
-    let fig_seed = mix2(
-        cfg.seed,
-        fig.bytes().fold(0u64, |h, b| mix2(h, u64::from(b))),
-    );
-    let grid: Vec<(usize, usize, u64)> = (0..params.methods.len())
-        .flat_map(|mi| {
-            (0..params.eps.len())
-                .flat_map(move |ei| (0..cfg.runs as u64).map(move |run| (mi, ei, run)))
-        })
+    let cells: Vec<(MseMethod, f64)> = params
+        .methods
+        .iter()
+        .flat_map(|&method| params.eps.iter().map(move |&eps| (method, eps)))
         .collect();
 
-    let measurements: Vec<(usize, usize, f64, f64)> = par_map(grid.len(), cfg.threads, |g| {
-        let (mi, ei, run) = grid[g];
-        let eps = params.eps[ei];
-        let collect_seed = mix3(fig_seed, g as u64, run);
-        let mut rng = StdRng::seed_from_u64(collect_seed);
-        let dataset = load(cfg, params.dataset, run);
-        let ks = dataset.schema().cardinalities();
-        let truth = dataset.marginals();
-        let n = dataset.n();
+    let measurements = sweep(
+        cfg,
+        fig_seed(cfg, fig),
+        &cells,
+        |&(method, eps), run, seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dataset = params.dataset.build(cfg, run);
+            let ks = dataset.schema().cardinalities();
+            let truth = dataset.marginals();
+            let n = dataset.n();
 
-        // Each grid point is already one parallel work item, so the inner
-        // pipeline streams single-threaded: sanitize → absorb, no buffering.
-        let (solution, analytic) = match params.methods[mi] {
-            MseMethod::RsFd(protocol) => {
-                let solution = RsFd::new(protocol, &ks, eps).expect("rsfd construction");
-                let analytic = (0..ks.len())
-                    .map(|j| solution.approx_variance(j, n))
-                    .sum::<f64>()
-                    / ks.len() as f64;
-                (solution.into(), analytic)
-            }
-            MseMethod::RsRfd(protocol, prior_spec) => {
-                let priors = prior_spec.build(&dataset, &mut rng);
-                let solution = RsRfd::new(protocol, &ks, eps, priors).expect("rsrfd construction");
-                let analytic = (0..ks.len())
-                    .map(|j| solution.approx_variance_avg(j, n))
-                    .sum::<f64>()
-                    / ks.len() as f64;
-                (solution.into(), analytic)
-            }
-        };
-        let out = CollectionPipeline::new(solution)
-            .seed(collect_seed)
-            .threads(1)
-            .run(&dataset);
-        (mi, ei, mse_avg(&truth, &out.estimates), analytic)
-    });
-
-    let mut buckets: BTreeMap<(usize, usize), (Vec<f64>, f64)> = BTreeMap::new();
-    for (mi, ei, mse, analytic) in measurements {
-        let e = buckets.entry((mi, ei)).or_insert((Vec::new(), analytic));
-        e.0.push(mse);
-    }
+            // Each grid point is already one parallel work item, so the inner
+            // pipeline streams single-threaded: sanitize → absorb, no buffering.
+            let (solution, analytic) = match method {
+                MseMethod::RsFd(protocol) => {
+                    let solution = RsFd::new(protocol, &ks, eps).expect("rsfd construction");
+                    let analytic = (0..ks.len())
+                        .map(|j| solution.approx_variance(j, n))
+                        .sum::<f64>()
+                        / ks.len() as f64;
+                    (solution.into(), analytic)
+                }
+                MseMethod::RsRfd(protocol, prior_spec) => {
+                    let priors = prior_spec.build(params.dataset, &dataset, &mut rng);
+                    let solution =
+                        RsRfd::new(protocol, &ks, eps, priors).expect("rsrfd construction");
+                    let analytic = (0..ks.len())
+                        .map(|j| solution.approx_variance_avg(j, n))
+                        .sum::<f64>()
+                        / ks.len() as f64;
+                    (solution.into(), analytic)
+                }
+            };
+            let out = CollectionPipeline::new(solution)
+                .seed(seed)
+                .threads(1)
+                .run(&dataset);
+            (mse_avg(&truth, &out.estimates), analytic)
+        },
+    );
 
     let mut table = Table::new(
         format!("{fig}: multidimensional frequency estimation (MSE_avg)"),
         &["method", "eps", "mse_mean", "mse_std", "analytic_var"],
     );
-    for ((mi, ei), (mses, analytic)) in buckets {
-        let ms = mean_std(&mses);
+    for (&(method, eps), runs) in cells.iter().zip(&measurements) {
+        let ms = mean_std(&runs.iter().map(|&(mse, _)| mse).collect::<Vec<_>>());
         table.row(vec![
-            params.methods[mi].name(),
-            fnum(params.eps[ei]),
+            method.name(),
+            fnum(eps),
             fnum(ms.mean),
             fnum(ms.std),
-            fnum(analytic),
+            fnum(runs[0].1),
         ]);
     }
     table

@@ -9,18 +9,16 @@
 //! * `numeric_risk` — NUM-VRI (value-range inference) attacker accuracy vs
 //!   ε against every mechanism, with the population-prior baseline.
 
-use std::collections::BTreeMap;
-
 use ldp_core::attacks::{AttackKind, NumericConfig};
 use ldp_core::metrics::mean_std;
 use ldp_core::solutions::{MixedKind, SolutionKind};
 use ldp_core::{NumericKind, NumericOracle};
 use ldp_datasets::MixedDataset;
-use ldp_protocols::hash::{mix2, mix3};
+use ldp_protocols::hash::mix2;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::par::par_map;
 use ldp_sim::{AttackPipeline, CollectionPipeline};
 
+use crate::sweep::sweep;
 use crate::table::{fnum, Table};
 use crate::ExpConfig;
 
@@ -75,27 +73,24 @@ fn analytic_mean_mse(mixed: &MixedDataset, j: usize, mech: NumericKind, eps: f64
     (mech_var + (1.0 - frac) * pop_var) / (n * frac)
 }
 
+/// Every (mechanism, ε) cell of the paper's ε grid, mechanism-major.
+fn mechanism_cells() -> Vec<(NumericKind, f64)> {
+    MECHANISMS
+        .into_iter()
+        .flat_map(|mech| crate::eps_grid().into_iter().map(move |eps| (mech, eps)))
+        .collect()
+}
+
 /// Runs the utility sweep: one table, written as `numeric_mse.csv`, of
 /// `(mechanism, eps, mse_mean, mse_std, analytic_var)` rows where the MSE
 /// averages the squared mean-estimate error over the numeric attributes.
 pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
     let fig_seed = mix2(cfg.seed, 0x4E55_4D4D_5345); // "NUMMSE"
-    let eps_grid = crate::eps_grid();
-    let grid: Vec<(usize, usize, u64)> = (0..MECHANISMS.len())
-        .flat_map(|mi| {
-            (0..eps_grid.len())
-                .flat_map(move |ei| (0..cfg.runs as u64).map(move |run| (mi, ei, run)))
-        })
-        .collect();
-
-    let measurements: Vec<(usize, usize, f64, f64)> = par_map(grid.len(), cfg.threads, |g| {
-        let (mi, ei, run) = grid[g];
-        let eps = eps_grid[ei];
-        let mech = MECHANISMS[mi];
-        let collect_seed = mix3(fig_seed, g as u64, run);
+    let cells = mechanism_cells();
+    let measurements = sweep(cfg, fig_seed, &cells, |&(mech, eps), run, seed| {
         let mixed = cfg.mixed_survey(run);
         let out = CollectionPipeline::new(mixed_solution(&mixed, mech, eps))
-            .seed(collect_seed)
+            .seed(seed)
             .threads(1)
             .run(&mixed);
         let d_cat = mixed.d_cat();
@@ -107,29 +102,21 @@ pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
             .map(|j| analytic_mean_mse(&mixed, j, mech, eps))
             .sum::<f64>()
             / mixed.d_num() as f64;
-        (mi, ei, mse, analytic)
+        (mse, analytic)
     });
-
-    let mut buckets: BTreeMap<(usize, usize), (Vec<f64>, Vec<f64>)> = BTreeMap::new();
-    for (mi, ei, mse, analytic) in measurements {
-        let e = buckets.entry((mi, ei)).or_default();
-        e.0.push(mse);
-        e.1.push(analytic);
-    }
 
     let mut table = Table::new(
         "numeric_mse: mean-estimation MSE of numeric mechanisms (mixed k-of-d collection)",
         &["mechanism", "eps", "mse_mean", "mse_std", "analytic_var"],
     );
-    for ((mi, ei), (mses, analytics)) in buckets {
-        let ms = mean_std(&mses);
-        let analytic = analytics.iter().sum::<f64>() / analytics.len() as f64;
+    for (&(mech, eps), runs) in cells.iter().zip(&measurements) {
+        let ms = mean_std(&runs.iter().map(|&(mse, _)| mse).collect::<Vec<_>>());
         table.row(vec![
-            MECHANISMS[mi].name().to_string(),
-            fnum(eps_grid[ei]),
+            mech.name().to_string(),
+            fnum(eps),
             fnum(ms.mean),
             fnum(ms.std),
-            fnum(analytic),
+            fnum(runs.iter().map(|&(_, analytic)| analytic).sum::<f64>() / runs.len() as f64),
         ]);
     }
     vec![table]
@@ -141,45 +128,23 @@ pub fn run_mse(cfg: &ExpConfig) -> Vec<Table> {
 /// next to the population-prior baseline it must beat.
 pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
     let fig_seed = mix2(cfg.seed, 0x4E55_4D52_4953); // "NUMRIS"
-    let eps_grid = crate::eps_grid();
-    let grid: Vec<(usize, usize, u64)> = (0..MECHANISMS.len())
-        .flat_map(|mi| {
-            (0..eps_grid.len())
-                .flat_map(move |ei| (0..cfg.runs as u64).map(move |run| (mi, ei, run)))
-        })
-        .collect();
-
-    let measurements: Vec<(usize, usize, f64, f64)> = par_map(grid.len(), cfg.threads, |g| {
-        let (mi, ei, run) = grid[g];
-        let eps = eps_grid[ei];
-        let mech = MECHANISMS[mi];
-        let collect_seed = mix3(fig_seed, g as u64, run);
+    let cells = mechanism_cells();
+    let measurements = sweep(cfg, fig_seed, &cells, |&(mech, eps), run, seed| {
         let mixed = cfg.mixed_survey(run);
         let collection = CollectionPipeline::new(mixed_solution(&mixed, mech, eps))
-            .seed(collect_seed)
+            .seed(seed)
             .threads(1);
         let attack = AttackPipeline::from_kind(AttackKind::NumericValueRange(NumericConfig {
             dim: mixed.d_cat(),
             buckets: RISK_BUCKETS,
         }))
         .expect("numeric attack construction")
-        .seed(collect_seed)
+        .seed(seed)
         .threads(1);
-        let outcome = attack
-            .run(&collection, &mixed)
-            .outcome
-            .numeric()
-            .expect("numeric outcome")
-            .clone();
-        (mi, ei, outcome.acc, outcome.baseline)
+        let run = attack.run(&collection, &mixed);
+        let outcome = run.outcome.numeric().expect("numeric outcome");
+        (outcome.acc, outcome.baseline)
     });
-
-    let mut buckets: BTreeMap<(usize, usize), (Vec<f64>, Vec<f64>)> = BTreeMap::new();
-    for (mi, ei, acc, baseline) in measurements {
-        let e = buckets.entry((mi, ei)).or_default();
-        e.0.push(acc);
-        e.1.push(baseline);
-    }
 
     let mut table = Table::new(
         "numeric_risk: NUM-VRI attacker accuracy vs numeric mechanisms",
@@ -192,12 +157,12 @@ pub fn run_risk(cfg: &ExpConfig) -> Vec<Table> {
             "lift",
         ],
     );
-    for ((mi, ei), (accs, baselines)) in buckets {
-        let ms = mean_std(&accs);
-        let baseline = baselines.iter().sum::<f64>() / baselines.len() as f64;
+    for (&(mech, eps), runs) in cells.iter().zip(&measurements) {
+        let ms = mean_std(&runs.iter().map(|&(acc, _)| acc).collect::<Vec<_>>());
+        let baseline = runs.iter().map(|&(_, b)| b).sum::<f64>() / runs.len() as f64;
         table.row(vec![
-            MECHANISMS[mi].name().to_string(),
-            fnum(eps_grid[ei]),
+            mech.name().to_string(),
+            fnum(eps),
             fnum(ms.mean),
             fnum(ms.std),
             fnum(baseline),

@@ -35,10 +35,10 @@ use ldp_datasets::priors::IncorrectPrior::{Dirichlet, Exp, Zipf};
 use ldp_protocols::ProtocolKind;
 use ldp_sim::SamplingSetting;
 
-use crate::aif::{self, AifDataset, AifParams, PriorSpec, SolutionSpec};
-use crate::smp_reident::{self, Background, DatasetChoice, SmpReidentParams, XAxis};
+use crate::aif::{self, AifParams, PriorSpec, SolutionSpec};
+use crate::smp_reident::{self, Background, SmpReidentParams, XAxis};
 use crate::table::Table;
-use crate::{beta_grid, eps_grid, ExpConfig};
+use crate::{beta_grid, eps_grid, Corpus, ExpConfig};
 
 /// One experiment of the reproduction.
 #[derive(Debug)]
@@ -111,7 +111,7 @@ impl Experiment {
 /// ω-SS ≈ GRR; ω-SS is included explicitly.
 fn smp(
     cfg: &ExpConfig,
-    dataset: DatasetChoice,
+    dataset: Corpus,
     xaxis: XAxis,
     setting: SamplingSetting,
     background: Background,
@@ -134,7 +134,7 @@ fn fk_pk(cfg: &ExpConfig, xaxis: XAxis, setting: SamplingSetting, labels: [&str;
     [Background::Full, Background::Partial]
         .into_iter()
         .zip(labels)
-        .map(|(bg, label)| smp(cfg, DatasetChoice::Adult, xaxis.clone(), setting, bg, label))
+        .map(|(bg, label)| smp(cfg, Corpus::Adult, xaxis.clone(), setting, bg, label))
         .collect()
 }
 
@@ -142,7 +142,7 @@ fn fk_pk(cfg: &ExpConfig, xaxis: XAxis, setting: SamplingSetting, labels: [&str;
 /// (Figs. 3, 6, 14, 15 and 17).
 fn aif_sweep(
     cfg: &ExpConfig,
-    dataset: AifDataset,
+    dataset: Corpus,
     specs: Vec<SolutionSpec>,
     models: Vec<(String, AttackModel)>,
     label: &str,
@@ -158,7 +158,7 @@ fn aif_sweep(
 
 /// Figs. 3, 14 and 15: every RS+FD protocol against the paper's nine
 /// attacker models.
-fn rsfd_aif(cfg: &ExpConfig, dataset: AifDataset, label: &str) -> Vec<Table> {
+fn rsfd_aif(cfg: &ExpConfig, dataset: Corpus, label: &str) -> Vec<Table> {
     let specs = RsFdProtocol::ALL.map(SolutionSpec::RsFd).to_vec();
     aif_sweep(cfg, dataset, specs, aif::paper_models(), label)
 }
@@ -186,7 +186,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         run: |cfg| {
             vec![smp(
                 cfg,
-                DatasetChoice::Adult,
+                Corpus::Adult,
                 XAxis::Epsilon(eps_grid()),
                 SamplingSetting::Uniform,
                 Background::Full,
@@ -201,7 +201,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         datasets: &["ACSEmployment"],
         outputs: &["fig03.csv"],
         cost: 120.0,
-        run: |cfg| rsfd_aif(cfg, AifDataset::Acs, "Fig 3 (ACSEmployment, RS+FD)"),
+        run: |cfg| rsfd_aif(cfg, Corpus::Acs, "Fig 3 (ACSEmployment, RS+FD)"),
     },
     Experiment {
         id: "fig04",
@@ -232,7 +232,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
             let specs = RsRfdProtocol::ALL.map(|p| SolutionSpec::RsRfd(p, PriorSpec::Correct));
             aif_sweep(
                 cfg,
-                AifDataset::Acs,
+                Corpus::Acs,
                 specs.to_vec(),
                 aif::paper_models(),
                 "Fig 6 (ACSEmployment, RS+RFD, correct priors)",
@@ -249,7 +249,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         run: |cfg| {
             vec![smp(
                 cfg,
-                DatasetChoice::Acs,
+                Corpus::Acs,
                 XAxis::Epsilon(eps_grid()),
                 SamplingSetting::Uniform,
                 Background::Full,
@@ -267,7 +267,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         run: |cfg| {
             vec![smp(
                 cfg,
-                DatasetChoice::Adult,
+                Corpus::Adult,
                 XAxis::Epsilon(eps_grid()),
                 SamplingSetting::Uniform,
                 Background::Partial,
@@ -339,7 +339,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         datasets: &["Adult"],
         outputs: &["fig14.csv"],
         cost: 110.0,
-        run: |cfg| rsfd_aif(cfg, AifDataset::Adult, "Fig 14 (Adult, RS+FD)"),
+        run: |cfg| rsfd_aif(cfg, Corpus::Adult, "Fig 14 (Adult, RS+FD)"),
     },
     Experiment {
         id: "fig15",
@@ -350,7 +350,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
         cost: 90.0,
         // Uniform-like marginals make uniform fake data indistinguishable,
         // so only RS+FD[UE-z] should leak.
-        run: |cfg| rsfd_aif(cfg, AifDataset::Nursery, "Fig 15 (Nursery, RS+FD)"),
+        run: |cfg| rsfd_aif(cfg, Corpus::Nursery, "Fig 15 (Nursery, RS+FD)"),
     },
     Experiment {
         id: "fig16",
@@ -386,7 +386,7 @@ pub static EXPERIMENTS: [Experiment; 21] = [
                 .collect();
             aif_sweep(
                 cfg,
-                AifDataset::Acs,
+                Corpus::Acs,
                 specs,
                 nk,
                 "Fig 17 (ACSEmployment, RS+RFD, incorrect priors)",

@@ -13,7 +13,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
-use ldp_datasets::{corpora, Dataset};
 use ldp_protocols::{ProtocolKind, UeMode};
 use ldp_server::{EpochSnapshot, ServerConfig, WireServer};
 use ldp_sim::{
@@ -23,75 +22,7 @@ use ldp_sim::{
 
 use crate::manifest::{config_hash, git_rev, Manifest};
 use crate::table::{fnum, Table};
-use crate::ExpConfig;
-
-/// The corpora `risks serve` can stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeDataset {
-    /// Adult-like (d = 10).
-    Adult,
-    /// ACSEmployment-like (d = 18).
-    Acs,
-    /// Nursery-like (d = 9).
-    Nursery,
-}
-
-impl ServeDataset {
-    /// Every dataset, in CLI documentation order.
-    pub const ALL: [ServeDataset; 3] = [
-        ServeDataset::Adult,
-        ServeDataset::Acs,
-        ServeDataset::Nursery,
-    ];
-
-    /// Stable CLI identifier.
-    pub fn id(self) -> &'static str {
-        match self {
-            ServeDataset::Adult => "adult",
-            ServeDataset::Acs => "acs",
-            ServeDataset::Nursery => "nursery",
-        }
-    }
-
-    /// Looks a dataset up by its CLI identifier.
-    pub fn from_id(id: &str) -> Option<ServeDataset> {
-        ServeDataset::ALL.into_iter().find(|d| d.id() == id)
-    }
-
-    /// Materializes the corpus at the configured scale.
-    pub fn build(self, cfg: &ExpConfig) -> Dataset {
-        match self {
-            ServeDataset::Adult => cfg.adult(0),
-            ServeDataset::Acs => cfg.acs(0),
-            ServeDataset::Nursery => cfg.nursery(0),
-        }
-    }
-
-    /// [`ServeDataset::build`] with an optional explicit population size.
-    ///
-    /// `--users` exists because `--scale` is capped at the paper's n (the
-    /// Adult corpus tops out at 45,222 users) while the ingestion-tier soak
-    /// runs want millions. The override uses the same run-0 seed derivations
-    /// as [`ServeDataset::build`], so server and producer processes agree on
-    /// the corpus bit-for-bit whenever they agree on `(dataset, seed, users)`.
-    pub fn build_sized(self, cfg: &ExpConfig, users: Option<usize>) -> Dataset {
-        let Some(n) = users else {
-            return self.build(cfg);
-        };
-        let n = n.max(1);
-        match self {
-            ServeDataset::Adult => corpora::adult_like(n, cfg.seed),
-            ServeDataset::Acs => corpora::acs_employment_like(n, cfg.seed ^ 0xACE),
-            ServeDataset::Nursery => corpora::nursery_like(n, cfg.seed ^ 0x9925),
-        }
-    }
-}
-
-impl std::fmt::Display for ServeDataset {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
-    }
-}
+use crate::{Corpus, ExpConfig};
 
 /// The `(id, kind)` table behind [`solution_from_id`] — also the CLI help's
 /// source of truth, so the docs cannot drift from the parser.
@@ -136,7 +67,7 @@ pub struct ServeSpec {
     /// Collection solution to stream.
     pub solution: SolutionKind,
     /// Corpus to synthesize.
-    pub dataset: ServeDataset,
+    pub dataset: Corpus,
     /// Arrival schedule shape.
     pub shape: TrafficShape,
     /// User-level privacy budget ε (for the whole campaign: under
@@ -156,7 +87,7 @@ impl Default for ServeSpec {
     fn default() -> Self {
         ServeSpec {
             solution: SolutionKind::RsFd(RsFdProtocol::Grr),
-            dataset: ServeDataset::Adult,
+            dataset: Corpus::Adult,
             shape: TrafficShape::Steady,
             epsilon: 1.0,
             users: None,
@@ -621,29 +552,21 @@ mod tests {
     }
 
     #[test]
-    fn dataset_ids_roundtrip() {
-        for ds in ServeDataset::ALL {
-            assert_eq!(ServeDataset::from_id(ds.id()), Some(ds));
-        }
-        assert_eq!(ServeDataset::from_id("mnist"), None);
-    }
-
-    #[test]
     fn run_serve_measures_a_real_stream() {
         let cfg = tiny_cfg();
         let spec = ServeSpec {
             solution: SolutionKind::Smp(ProtocolKind::Grr),
-            dataset: ServeDataset::Nursery,
+            dataset: Corpus::Nursery,
             shape: TrafficShape::Burst,
             epsilon: 2.0,
             ..ServeSpec::default()
         };
         let outcome = run_serve(&spec, &cfg);
-        assert_eq!(outcome.run.n as usize, cfg.nursery(0).n());
+        assert_eq!(outcome.run.n as usize, Corpus::Nursery.n(&cfg));
         assert!(outcome.reports_per_sec > 0.0);
         assert!(outcome.mae.is_finite() && outcome.mae < 0.5);
         // Streamed serve equals the batch pipeline at equal seed.
-        let ds = spec.dataset.build(&cfg);
+        let ds = spec.dataset.build(&cfg, 0);
         let batch = CollectionPipeline::from_kind(
             spec.solution,
             &ds.schema().cardinalities(),
@@ -657,27 +580,10 @@ mod tests {
     }
 
     #[test]
-    fn users_override_sizes_the_corpus_deterministically() {
-        let cfg = tiny_cfg();
-        let spec = ServeSpec {
-            users: Some(777),
-            ..ServeSpec::default()
-        };
-        let ds = spec.dataset.build_sized(&cfg, spec.users);
-        assert_eq!(ds.n(), 777);
-        // Same seed derivation as the scale path: at the natural size the
-        // override reproduces `build` exactly.
-        let natural = spec.dataset.build(&cfg);
-        let sized = spec.dataset.build_sized(&cfg, Some(natural.n()));
-        assert_eq!(sized.n(), natural.n());
-        assert_eq!(sized.marginals(), natural.marginals());
-    }
-
-    #[test]
     fn listen_mode_drains_a_remote_producer_bit_identically() {
         let cfg = tiny_cfg();
         let spec = ServeSpec {
-            dataset: ServeDataset::Nursery,
+            dataset: Corpus::Nursery,
             users: Some(400),
             ..ServeSpec::default()
         };
@@ -749,7 +655,7 @@ mod tests {
     fn multi_round_listen_matches_the_in_process_longitudinal_run() {
         let cfg = tiny_cfg();
         let spec = ServeSpec {
-            dataset: ServeDataset::Nursery,
+            dataset: Corpus::Nursery,
             users: Some(300),
             rounds: 2,
             retain: 2,
@@ -834,7 +740,7 @@ mod tests {
                 ..base.clone()
             },
             ServeSpec {
-                dataset: ServeDataset::Acs,
+                dataset: Corpus::Acs,
                 ..base.clone()
             },
             ServeSpec {

@@ -1,30 +1,20 @@
 //! Shared runner for the SMP re-identification sweeps
 //! (Figs. 2, 9, 10, 11, 12, 13).
 
-use std::collections::BTreeMap;
-
 use ldp_core::attacks::{AttackKind, BackgroundKnowledge, ReidentConfig};
 use ldp_core::metrics::mean_std;
-use ldp_datasets::Dataset;
-use ldp_protocols::hash::{mix2, mix3};
+use ldp_core::profiling::Profile;
+use ldp_core::reident::ReidentAttack;
+use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::par::par_map;
 use ldp_sim::{AttackPipeline, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
 
+use crate::sweep::{fig_seed, sweep};
 use crate::table::{fnum, Table};
-use crate::{ExpConfig, SURVEY_COUNTS, TOP_KS};
-
-/// Which corpus the sweep collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetChoice {
-    /// Adult-like (d = 10).
-    Adult,
-    /// ACSEmployment-like (d = 18).
-    Acs,
-}
+use crate::{Corpus, ExpConfig, SURVEY_COUNTS, TOP_KS};
 
 /// The x-axis of the sweep: ε for LDP, β for α-PIE.
 #[derive(Debug, Clone)]
@@ -48,7 +38,7 @@ pub enum Background {
 #[derive(Debug, Clone)]
 pub struct SmpReidentParams {
     /// Corpus.
-    pub dataset: DatasetChoice,
+    pub dataset: Corpus,
     /// Frequency-oracle families to evaluate.
     pub kinds: Vec<ProtocolKind>,
     /// Privacy sweep axis.
@@ -61,15 +51,31 @@ pub struct SmpReidentParams {
     pub n_surveys: usize,
 }
 
-fn load(cfg: &ExpConfig, choice: DatasetChoice, run: u64) -> Dataset {
-    match choice {
-        DatasetChoice::Adult => cfg.adult(run),
-        DatasetChoice::Acs => cfg.acs(run),
-    }
+/// The `(surveys, top_k)` pairs RID-ACC is measured at over `n_surveys`
+/// surveys, in row order.
+pub(crate) fn survey_slots(n_surveys: usize) -> Vec<(usize, usize)> {
+    SURVEY_COUNTS
+        .iter()
+        .filter(|&&sv| sv <= n_surveys)
+        .flat_map(|&sv| TOP_KS.map(|k| (sv, k)))
+        .collect()
 }
 
-/// One measured point: RID-ACC (%) per (survey count, top-k).
-type Point = Vec<((usize, usize), f64)>;
+/// RID-ACC (%) of `evaluator` against `index` after each survey count of
+/// [`survey_slots`], in its order; `snapshots[s]` holds the profiles after
+/// `s + 1` surveys.
+pub(crate) fn rid_acc_by_survey(
+    evaluator: &AttackPipeline,
+    index: &ReidentAttack,
+    snapshots: &[Vec<Profile>],
+    n_surveys: usize,
+) -> Vec<f64> {
+    SURVEY_COUNTS
+        .iter()
+        .filter(|&&sv| sv <= n_surveys)
+        .flat_map(|&sv| evaluator.rid_acc(index, &snapshots[sv - 1]))
+        .collect()
+}
 
 /// Runs the sweep and returns the result table
 /// (`protocol, x, surveys, k, rid_acc_mean, rid_acc_std, baseline`).
@@ -81,27 +87,15 @@ pub fn run(cfg: &ExpConfig, params: &SmpReidentParams, fig: &str) -> Table {
         XAxis::Epsilon(_) => "eps",
         XAxis::Beta(_) => "beta",
     };
-    let fig_seed = mix2(
-        cfg.seed,
-        fig.bytes().fold(0u64, |h, b| mix2(h, u64::from(b))),
-    );
-
-    // Flatten the (kind, x, run) grid for outer-loop parallelism.
-    let grid: Vec<(usize, usize, u64)> = (0..params.kinds.len())
-        .flat_map(|ki| {
-            xs.iter()
-                .enumerate()
-                .flat_map(move |(xi, _)| (0..cfg.runs as u64).map(move |run| (ki, xi, run)))
-        })
+    let fig_seed = fig_seed(cfg, fig);
+    let cells: Vec<(ProtocolKind, f64)> = params
+        .kinds
+        .iter()
+        .flat_map(|&kind| xs.iter().map(move |&x| (kind, x)))
         .collect();
 
-    let points: Vec<(usize, usize, Point)> = par_map(grid.len(), cfg.threads, |g| {
-        let (ki, xi, run) = grid[g];
-        let kind = params.kinds[ki];
-        let x = xs[xi];
-        let item_seed = mix3(fig_seed, g as u64, run);
-
-        let dataset = load(cfg, params.dataset, run);
+    let points = sweep(cfg, fig_seed, &cells, |&(kind, x), run, item_seed| {
+        let dataset = params.dataset.build(cfg, run);
         let ks = dataset.schema().cardinalities();
         let mut plan_rng = StdRng::seed_from_u64(mix3(fig_seed, run, 0x91A7));
         let plan = SurveyPlan::generate(dataset.d(), params.n_surveys, &mut plan_rng);
@@ -136,27 +130,11 @@ pub fn run(cfg: &ExpConfig, params: &SmpReidentParams, fig: &str) -> Table {
         .expect("reident attack kind")
         .seed(item_seed)
         .threads(1);
-        let attack = evaluator.reident_index(&dataset);
-
-        let mut point = Vec::new();
-        for &sv in SURVEY_COUNTS.iter().filter(|&&s| s <= params.n_surveys) {
-            let accs = evaluator.rid_acc(&attack, &snapshots[sv - 1]);
-            for (k_slot, &k) in TOP_KS.iter().enumerate() {
-                point.push(((sv, k), accs[k_slot]));
-            }
-        }
-        (ki, xi, point)
+        let index = evaluator.reident_index(&dataset);
+        rid_acc_by_survey(&evaluator, &index, &snapshots, params.n_surveys)
     });
 
-    // Aggregate runs.
-    let mut buckets: BTreeMap<(usize, usize, usize, usize), Vec<f64>> = BTreeMap::new();
-    for (ki, xi, point) in points {
-        for ((sv, k), acc) in point {
-            buckets.entry((ki, xi, sv, k)).or_default().push(acc);
-        }
-    }
-
-    let n_population = load(cfg, params.dataset, 0).n();
+    let n_population = params.dataset.n(cfg);
     let mut table = Table::new(
         format!("{fig}: SMP re-identification (RID-ACC %)"),
         &[
@@ -169,17 +147,19 @@ pub fn run(cfg: &ExpConfig, params: &SmpReidentParams, fig: &str) -> Table {
             "baseline",
         ],
     );
-    for ((ki, xi, sv, k), accs) in buckets {
-        let ms = mean_std(&accs);
-        table.row(vec![
-            params.kinds[ki].name().to_string(),
-            fnum(xs[xi]),
-            sv.to_string(),
-            k.to_string(),
-            fnum(ms.mean),
-            fnum(ms.std),
-            fnum(100.0 * k as f64 / n_population as f64),
-        ]);
+    for (&(kind, x), runs) in cells.iter().zip(&points) {
+        for (slot, (sv, k)) in survey_slots(params.n_surveys).into_iter().enumerate() {
+            let ms = mean_std(&runs.iter().map(|accs| accs[slot]).collect::<Vec<_>>());
+            table.row(vec![
+                kind.name().to_string(),
+                fnum(x),
+                sv.to_string(),
+                k.to_string(),
+                fnum(ms.mean),
+                fnum(ms.std),
+                fnum(100.0 * k as f64 / n_population as f64),
+            ]);
+        }
     }
     table
 }
@@ -199,7 +179,7 @@ mod tests {
             out_dir: PathBuf::from("/tmp/risks-ldp-test"),
         };
         let params = SmpReidentParams {
-            dataset: DatasetChoice::Adult,
+            dataset: Corpus::Adult,
             kinds: vec![ProtocolKind::Grr],
             xaxis: XAxis::Epsilon(vec![6.0]),
             setting: SamplingSetting::Uniform,

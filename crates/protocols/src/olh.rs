@@ -83,7 +83,11 @@ impl FrequencyOracle for Olh {
     }
 
     fn randomize<R: Rng + ?Sized>(&self, value: u32, rng: &mut R) -> Report {
-        debug_assert!((value as usize) < self.k, "value out of domain");
+        assert!(
+            (value as usize) < self.k,
+            "value {value} outside the domain 0..{}",
+            self.k
+        );
         let seed: u64 = rng.random();
         let h = self.hash(seed, value);
         let reported = if rng.random::<f64>() < self.p_hash {
@@ -155,6 +159,13 @@ mod tests {
     use crate::oracle::Aggregator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    #[should_panic(expected = "outside the domain")]
+    fn randomize_rejects_an_out_of_domain_value_in_every_build() {
+        let oracle = Olh::new(4, 1.0).unwrap();
+        oracle.randomize(7, &mut StdRng::seed_from_u64(1));
+    }
 
     #[test]
     fn g_follows_rounded_exponential() {

@@ -83,7 +83,11 @@ impl FrequencyOracle for SubsetSelection {
     }
 
     fn randomize<R: Rng + ?Sized>(&self, value: u32, rng: &mut R) -> Report {
-        debug_assert!((value as usize) < self.k, "value out of domain");
+        assert!(
+            (value as usize) < self.k,
+            "value {value} outside the domain 0..{}",
+            self.k
+        );
         let include_true = rng.random::<f64>() < self.p;
         let fill = if include_true {
             self.omega - 1
@@ -122,6 +126,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    #[should_panic(expected = "outside the domain")]
+    fn randomize_rejects_an_out_of_domain_value_in_every_build() {
+        let oracle = SubsetSelection::new(4, 1.0).unwrap();
+        oracle.randomize(7, &mut StdRng::seed_from_u64(1));
+    }
 
     #[test]
     fn optimal_omega_matches_formula() {

@@ -70,24 +70,13 @@ pub use traffic::{TrafficGenerator, TrafficShape};
 use ldp_core::profiling::Profile;
 use ldp_core::reident::ReidentAttack;
 
-/// Thread-parallel RID-ACC (%) evaluation: profiles are matched against the
-/// background index in contiguous user chunks, each thread reusing one
-/// scratch buffer. Deterministic for a fixed `seed` regardless of `threads`.
+/// Thread-parallel RID-ACC (%) evaluation, one per entry of `top_ks`, all
+/// sharing one matching pass: profiles are matched against the background
+/// index in contiguous user chunks, each thread reusing one scratch buffer.
+/// Deterministic for a fixed `seed` regardless of `threads`.
 ///
 /// Convenience over the [`AttackPipeline`] machinery (identical rng
 /// streams); prefer the pipeline for end-to-end runs.
-pub fn rid_acc_parallel(
-    attack: &ReidentAttack,
-    profiles: &[Profile],
-    top_k: usize,
-    seed: u64,
-    threads: usize,
-) -> f64 {
-    rid_acc_multi(attack, profiles, &[top_k], seed, threads)[0]
-}
-
-/// [`rid_acc_parallel`] for several top-k values sharing one matching pass.
-/// Returns one RID-ACC (%) per entry of `top_ks`.
 pub fn rid_acc_multi(
     attack: &ReidentAttack,
     profiles: &[Profile],
@@ -119,11 +108,11 @@ mod tests {
                 p
             })
             .collect();
-        let acc = rid_acc_parallel(&attack, &profiles, 1, 7, 4);
+        let acc = rid_acc_multi(&attack, &profiles, &[1], 7, 4)[0];
         let uniq = 100.0 * ds.uniqueness_fraction(&all);
         assert!(acc >= uniq - 1.0, "acc {acc} vs uniqueness {uniq}");
         // Deterministic across thread counts.
-        let acc2 = rid_acc_parallel(&attack, &profiles, 1, 7, 1);
+        let acc2 = rid_acc_multi(&attack, &profiles, &[1], 7, 1)[0];
         assert!((acc - acc2).abs() < 1e-9);
     }
 }

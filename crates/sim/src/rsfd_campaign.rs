@@ -159,7 +159,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let plan = SurveyPlan::generate(ds.d(), 3, &mut rng);
         let snaps = run_rsfd_campaign(&ds, &plan, &fast_config(8.0), 11, 2).unwrap();
-        let acc = crate::rid_acc_parallel(&attack, &snaps[2], 10, 3, 2);
+        let acc = crate::rid_acc_multi(&attack, &snaps[2], &[10], 3, 2)[0];
         // Perfect 3-attribute profiles would re-identify a large share of a
         // 400-user population; the chained attack must stay well below.
         assert!(acc < 60.0, "RID-ACC suspiciously high: {acc}");
