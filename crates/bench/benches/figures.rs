@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_acs, bench_adult, bench_rng};
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::metrics::mse_avg;
 use ldp_core::profiling::{expected_acc_nonuniform, expected_acc_uniform};
@@ -14,12 +15,20 @@ use ldp_datasets::Dataset;
 use ldp_gbdt::GbdtParams;
 use ldp_protocols::{deniability, ProtocolKind, UeMode};
 use ldp_sim::{
-    rid_acc_multi, run_rsfd_campaign, PrivacyModel, RsFdCampaignConfig, SamplingSetting,
+    run_rsfd_campaign, AttackPipeline, PrivacyModel, RsFdCampaignConfig, SamplingSetting,
     SmpCampaign, SurveyPlan,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// A single-thread RID-ACC evaluator at top-1 and top-10 (the paper's two `k`).
+fn reident_pipeline(seed: u64) -> AttackPipeline {
+    AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig::default()))
+        .unwrap()
+        .seed(seed)
+        .threads(1)
+}
 
 /// One streaming estimation pass over a sanitized round.
 fn estimate<S: MultidimSolution>(solution: &S, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
@@ -81,7 +90,7 @@ fn fig02_kernel(c: &mut Criterion) {
             )
             .unwrap();
             let snaps = campaign.run(&ds, &plan, 3, 1);
-            black_box(rid_acc_multi(&attack, &snaps[2], &[1, 10], 5, 1))
+            black_box(reident_pipeline(5).rid_acc(&attack, &snaps[2]))
         })
     });
     group.finish();
@@ -108,7 +117,7 @@ fn fig12_kernel(c: &mut Criterion) {
             )
             .unwrap();
             let snaps = campaign.run(&ds, &plan, 4, 1);
-            black_box(rid_acc_multi(&attack, &snaps[2], &[1, 10], 6, 1))
+            black_box(reident_pipeline(6).rid_acc(&attack, &snaps[2]))
         })
     });
     group.finish();
@@ -161,7 +170,7 @@ fn fig04_kernel(c: &mut Criterion) {
     group.bench_function("grr_eps6_2surveys", |b| {
         b.iter(|| {
             let snaps = run_rsfd_campaign(&ds, &plan, &config, 7, 1).unwrap();
-            black_box(rid_acc_multi(&attack, &snaps[1], &[1, 10], 8, 1))
+            black_box(reident_pipeline(8).rid_acc(&attack, &snaps[1]))
         })
     });
     group.finish();

@@ -201,22 +201,6 @@ impl ReidentAttack {
         (better, tied)
     }
 
-    /// RID-ACC (%) over per-user profiles, where `profiles[i]` targets the
-    /// background record with id `i` (the paper's setting: the collected
-    /// population is the background population).
-    pub fn rid_acc<R: Rng + ?Sized>(&self, profiles: &[Profile], k: usize, rng: &mut R) -> f64 {
-        if profiles.is_empty() {
-            return 0.0;
-        }
-        let mut scratch = MatchScratch::default();
-        let hits = profiles
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| self.hit_in_top_k(p, *i as u32, k, &mut scratch, rng))
-            .count();
-        100.0 * hits as f64 / profiles.len() as f64
-    }
-
     /// Expected RID-ACC (%) of the random-guess baseline: `100·k/n`, or 0
     /// when the background is empty (no record to guess — the former
     /// `100·k/0` returned NaN and poisoned downstream aggregation).
@@ -390,8 +374,10 @@ mod tests {
         let profiles: Vec<Profile> = (0..4)
             .map(|i| profile(&[(0, ds.value(i, 0)), (1, ds.value(i, 1))]))
             .collect();
-        let acc = attack.rid_acc(&profiles, 1, &mut rng);
-        assert!((acc - 100.0).abs() < 1e-9);
+        let mut scratch = MatchScratch::default();
+        for (i, p) in profiles.iter().enumerate() {
+            assert!(attack.hit_in_top_k(p, i as u32, 1, &mut scratch, &mut rng));
+        }
         assert!((attack.baseline(1) - 25.0).abs() < 1e-12);
         assert!((attack.baseline(2) - 50.0).abs() < 1e-12);
     }

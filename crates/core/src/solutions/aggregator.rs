@@ -32,10 +32,12 @@
 //! assert_eq!(estimates.len(), 3);
 //! ```
 
-use ldp_protocols::oracle::count_support;
-use ldp_protocols::{FrequencyOracle, Oracle, Report};
+use std::sync::Arc;
 
-use crate::numeric::{DynNumeric, NUMERIC_SCALE};
+use ldp_protocols::oracle::{count_support, estimate_eq2};
+use ldp_protocols::Report;
+
+use crate::numeric::NUMERIC_SCALE;
 
 use super::compact::{
     count_entry, Cursor, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, SUBTAG_CAT, SUBTAG_NUM,
@@ -45,123 +47,7 @@ use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
 use super::tally::{BitSink, BitTally, PerBit};
-use super::SolutionReport;
-
-/// Which unbiased estimator [`MultidimAggregator::estimate`] applies, plus
-/// the per-attribute parameters it needs. Built by the owning solution.
-#[derive(Debug, Clone)]
-pub(crate) enum EstimatorSpec {
-    /// SPL: every report covers every attribute at ε/d; Eq. (2) per attribute
-    /// over the global `n`.
-    Spl {
-        /// Per-attribute (ε/d)-budget oracles (needed to count OLH reports).
-        oracles: Vec<Oracle>,
-    },
-    /// SMP: reports are grouped by disclosed attribute; Eq. (2) per attribute
-    /// over that attribute's own `n_j`.
-    Smp {
-        /// Per-attribute ε-budget oracles.
-        oracles: Vec<Oracle>,
-    },
-    /// RS+FD: the §2.3.2 estimators of the chosen fake-data procedure.
-    RsFd {
-        /// Fake-data variant.
-        protocol: RsFdProtocol,
-        /// Per-attribute effective `(p, q)` at the amplified budget.
-        pqs: Vec<(f64, f64)>,
-    },
-    /// RS+RFD: the Eq. (6)/(7) estimators with the configured priors.
-    RsRfd {
-        /// Protocol variant.
-        protocol: RsRfdProtocol,
-        /// Per-attribute effective `(p, q)` at the amplified budget.
-        pqs: Vec<(f64, f64)>,
-        /// Per-attribute fake-data priors `f̃`.
-        priors: Vec<Vec<f64>>,
-    },
-    /// Mixed categorical+numeric: per-dimension Eq. (2) for categorical
-    /// dims over their own `n_j`, exact fixed-point means for numeric dims.
-    Mixed {
-        /// Per-dimension `(ε / sample_k)`-budget oracles (None for numeric
-        /// dims).
-        oracles: Vec<Option<Oracle>>,
-        /// The numeric mechanism (at `ε / sample_k`).
-        numeric: DynNumeric,
-        /// Dimensions sampled per user.
-        sample_k: usize,
-    },
-}
-
-impl EstimatorSpec {
-    /// Whether two specs describe the same estimator configuration (merge
-    /// compatibility).
-    fn same_config(&self, other: &EstimatorSpec) -> bool {
-        fn same_oracles(a: &[Oracle], b: &[Oracle]) -> bool {
-            a.len() == b.len()
-                && a.iter().zip(b).all(|(x, y)| {
-                    x.kind() == y.kind()
-                        && x.domain_size() == y.domain_size()
-                        && x.epsilon() == y.epsilon()
-                })
-        }
-        match (self, other) {
-            (EstimatorSpec::Spl { oracles: a }, EstimatorSpec::Spl { oracles: b }) => {
-                same_oracles(a, b)
-            }
-            (EstimatorSpec::Smp { oracles: a }, EstimatorSpec::Smp { oracles: b }) => {
-                same_oracles(a, b)
-            }
-            (
-                EstimatorSpec::RsFd {
-                    protocol: pa,
-                    pqs: qa,
-                },
-                EstimatorSpec::RsFd {
-                    protocol: pb,
-                    pqs: qb,
-                },
-            ) => pa == pb && qa == qb,
-            (
-                EstimatorSpec::RsRfd {
-                    protocol: pa,
-                    pqs: qa,
-                    priors: ra,
-                },
-                EstimatorSpec::RsRfd {
-                    protocol: pb,
-                    pqs: qb,
-                    priors: rb,
-                },
-            ) => pa == pb && qa == qb && ra == rb,
-            (
-                EstimatorSpec::Mixed {
-                    oracles: oa,
-                    numeric: na,
-                    sample_k: ka,
-                },
-                EstimatorSpec::Mixed {
-                    oracles: ob,
-                    numeric: nb,
-                    sample_k: kb,
-                },
-            ) => {
-                na == nb
-                    && ka == kb
-                    && oa.len() == ob.len()
-                    && oa.iter().zip(ob).all(|(x, y)| match (x, y) {
-                        (None, None) => true,
-                        (Some(x), Some(y)) => {
-                            x.kind() == y.kind()
-                                && x.domain_size() == y.domain_size()
-                                && x.epsilon() == y.epsilon()
-                        }
-                        _ => false,
-                    })
-            }
-            _ => false,
-        }
-    }
-}
+use super::{DynSolution, SolutionReport};
 
 /// Adds one fake-data report entry (attribute `j`, for diagnostics) to its
 /// attribute's counts: a `Value` counts itself, `Bits` counts every set bit.
@@ -228,7 +114,10 @@ pub(crate) fn count_fake_data_entry(counts: &mut [u64], j: usize, rep: &Report) 
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultidimAggregator {
-    ks: Vec<usize>,
+    /// The solution this aggregator estimates for: every estimator
+    /// parameter is read from it. Shards, snapshots and epochs built from
+    /// one aggregator share the handle, so cloning one copies counts only.
+    solution: Arc<DynSolution>,
     /// Support counts `C_j(v)`, one vector per attribute.
     counts: Vec<Vec<u64>>,
     /// Reports contributing to each attribute. Maintained under SMP and the
@@ -242,27 +131,30 @@ pub struct MultidimAggregator {
     num_sums: Vec<i128>,
     /// Total reports absorbed.
     n: u64,
-    spec: EstimatorSpec,
     /// Byte-lane counters `absorb_compact` adds bit-vector entries into;
     /// flushed into `counts` before it returns, so all-zero between calls.
     tally: BitTally,
 }
 
 impl MultidimAggregator {
-    pub(crate) fn new(ks: Vec<usize>, spec: EstimatorSpec) -> Self {
-        let counts = ks.iter().map(|&k| vec![0u64; k]).collect();
-        let n_attr = vec![0; ks.len()];
-        let num_sums = vec![0; ks.len()];
-        let tally = BitTally::new(&ks);
+    /// An empty aggregator holding `solution`: the one constructor, behind
+    /// every solution's `aggregator()`.
+    pub(crate) fn new(solution: DynSolution) -> Self {
+        let solution = Arc::new(solution);
+        let ks = solution.ks();
         MultidimAggregator {
-            ks,
-            counts,
-            n_attr,
-            num_sums,
+            counts: ks.iter().map(|&k| vec![0u64; k]).collect(),
+            n_attr: vec![0; ks.len()],
+            num_sums: vec![0; ks.len()],
             n: 0,
-            spec,
-            tally,
+            tally: BitTally::new(ks),
+            solution,
         }
+    }
+
+    /// The solution this aggregator estimates for.
+    pub fn solution(&self) -> &DynSolution {
+        &self.solution
     }
 
     /// Whether dimension `j` is a numeric `[-1, 1]` dimension (mixed
@@ -270,12 +162,12 @@ impl MultidimAggregator {
     /// single mean instead of a frequency vector and must not be projected
     /// onto the probability simplex.
     pub fn is_numeric_dim(&self, j: usize) -> bool {
-        matches!(&self.spec, EstimatorSpec::Mixed { oracles, .. } if oracles[j].is_none())
+        matches!(&*self.solution, DynSolution::Mixed(m) if m.is_numeric(j))
     }
 
     /// Domain sizes `k_j`.
     pub fn ks(&self) -> &[usize] {
-        &self.ks
+        self.solution.ks()
     }
 
     /// Total number of absorbed reports.
@@ -312,31 +204,28 @@ impl MultidimAggregator {
     /// dimension's entry is counted (categorical) or summed exactly in fixed
     /// point (numeric).
     pub fn absorb_mixed(&mut self, report: &MixedReport) {
-        let EstimatorSpec::Mixed {
-            oracles, sample_k, ..
-        } = &self.spec
-        else {
+        let DynSolution::Mixed(mixed) = &*self.solution else {
             panic!("absorb_mixed: this aggregator does not serve mixed reports");
         };
         assert_eq!(
             report.entries.len(),
-            *sample_k,
+            mixed.mixed_kind().sample_k,
             "mixed report must carry exactly sample_k entries"
         );
         self.n += 1;
         for (j, entry) in &report.entries {
-            assert!(*j < self.ks.len(), "dimension index out of range");
+            assert!(*j < mixed.d(), "dimension index out of range");
             self.n_attr[*j] += 1;
             match entry {
                 MixedEntry::Cat(rep) => {
-                    let oracle = oracles[*j]
-                        .as_ref()
+                    let oracle = mixed
+                        .oracle(*j)
                         .expect("categorical entry on a numeric dimension");
                     count_support(oracle, &mut self.counts[*j], rep);
                 }
                 MixedEntry::Num(y) => {
                     assert!(
-                        oracles[*j].is_none(),
+                        mixed.is_numeric(*j),
                         "numeric entry on a categorical dimension"
                     );
                     self.num_sums[*j] += y.raw() as i128;
@@ -347,26 +236,26 @@ impl MultidimAggregator {
 
     /// Absorbs one SPL report: one sanitized value per attribute.
     pub fn absorb_full(&mut self, reports: &[Report]) {
-        let EstimatorSpec::Spl { oracles } = &self.spec else {
+        let DynSolution::Spl(spl) = &*self.solution else {
             panic!("absorb_full: this aggregator does not serve SPL reports");
         };
-        debug_assert_eq!(reports.len(), self.ks.len(), "tuple width mismatch");
+        debug_assert_eq!(reports.len(), spl.d(), "tuple width mismatch");
         self.n += 1;
-        for ((counts, oracle), report) in self.counts.iter_mut().zip(oracles).zip(reports) {
-            count_support(oracle, counts, report);
+        for (j, (counts, report)) in self.counts.iter_mut().zip(reports).enumerate() {
+            count_support(spl.oracle(j), counts, report);
         }
     }
 
     /// Absorbs one SMP report: a disclosed attribute plus its ε-LDP report.
     pub fn absorb_smp(&mut self, report: &SmpReport) {
-        let EstimatorSpec::Smp { oracles } = &self.spec else {
+        let DynSolution::Smp(smp) = &*self.solution else {
             panic!("absorb_smp: this aggregator does not serve SMP reports");
         };
-        assert!(report.attr < self.ks.len(), "attribute index out of range");
+        assert!(report.attr < smp.d(), "attribute index out of range");
         self.n += 1;
         self.n_attr[report.attr] += 1;
         count_support(
-            &oracles[report.attr],
+            smp.oracle(report.attr),
             &mut self.counts[report.attr],
             &report.report,
         );
@@ -406,54 +295,54 @@ impl MultidimAggregator {
     #[inline]
     fn absorb_next(&mut self, cursor: &mut Cursor, bits: &mut impl BitSink) {
         let (kind, a, _sampled) = cursor.solution_header();
-        match (kind, &self.spec) {
-            (KIND_FULL, EstimatorSpec::Spl { oracles }) => {
+        match (kind, &*self.solution) {
+            (KIND_FULL, DynSolution::Spl(spl)) => {
                 // Hard assert: a width mismatch would desync the cursor.
-                assert_eq!(a, self.ks.len(), "tuple width mismatch");
+                assert_eq!(a, self.counts.len(), "tuple width mismatch");
                 self.n += 1;
-                for (j, (counts, oracle)) in self.counts.iter_mut().zip(oracles).enumerate() {
+                for (j, counts) in self.counts.iter_mut().enumerate() {
                     // SPL[UE] entries have fixed headers: feed their words
                     // straight to the bit sink.
                     match cursor.bits_entry(counts.len()) {
                         Some(words) => bits.add(counts, j, words),
-                        None => count_entry(counts, Some(oracle), j, cursor, bits),
+                        None => count_entry(counts, Some(spl.oracle(j)), j, cursor, bits),
                     }
                 }
             }
-            (KIND_SMP, EstimatorSpec::Smp { oracles }) => {
-                assert!(a < self.ks.len(), "attribute index out of range");
+            (KIND_SMP, DynSolution::Smp(smp)) => {
+                assert!(a < self.counts.len(), "attribute index out of range");
                 self.n += 1;
                 self.n_attr[a] += 1;
-                count_entry(&mut self.counts[a], Some(&oracles[a]), a, cursor, bits);
+                count_entry(&mut self.counts[a], Some(smp.oracle(a)), a, cursor, bits);
             }
-            (KIND_TUPLE, EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. }) => {
+            (KIND_TUPLE, DynSolution::RsFd(_) | DynSolution::RsRfd(_)) => {
                 // Hard assert: a width mismatch would desync the cursor.
-                assert_eq!(a, self.ks.len(), "tuple width mismatch");
+                assert_eq!(a, self.counts.len(), "tuple width mismatch");
                 self.n += 1;
                 for (j, counts) in self.counts.iter_mut().enumerate() {
                     count_entry(counts, None, j, cursor, bits);
                 }
             }
-            (KIND_MIXED, EstimatorSpec::Mixed { oracles, .. }) => {
+            (KIND_MIXED, DynSolution::Mixed(mixed)) => {
                 // `a` = number of entries; validated against sample_k by
-                // `CompactBatch::validate_for`.
+                // `CompactBatch::validate_for_solution`.
                 self.n += 1;
                 for _ in 0..a {
                     let dim_word = cursor.next();
                     let subtag = dim_word & 0b11;
                     let j = (dim_word >> 2) as usize;
-                    assert!(j < self.ks.len(), "dimension index out of range");
+                    assert!(j < self.counts.len(), "dimension index out of range");
                     self.n_attr[j] += 1;
                     match subtag {
                         SUBTAG_CAT => {
-                            let oracle = oracles[j]
-                                .as_ref()
+                            let oracle = mixed
+                                .oracle(j)
                                 .expect("categorical entry on a numeric dimension");
                             count_entry(&mut self.counts[j], Some(oracle), j, cursor, bits);
                         }
                         SUBTAG_NUM => {
                             assert!(
-                                oracles[j].is_none(),
+                                mixed.is_numeric(j),
                                 "numeric entry on a categorical dimension"
                             );
                             self.num_sums[j] += (cursor.next() as i64) as i128;
@@ -470,11 +359,11 @@ impl MultidimAggregator {
 
     /// Absorbs one RS+FD / RS+RFD full tuple, one entry per attribute.
     pub fn absorb_tuple(&mut self, values: &[Report]) {
-        match &self.spec {
-            EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. } => {}
+        match &*self.solution {
+            DynSolution::RsFd(_) | DynSolution::RsRfd(_) => {}
             _ => panic!("absorb_tuple: this aggregator does not serve fake-data tuples"),
         }
-        debug_assert_eq!(values.len(), self.ks.len(), "tuple width mismatch");
+        debug_assert_eq!(values.len(), self.counts.len(), "tuple width mismatch");
         self.n += 1;
         for (j, rep) in values.iter().enumerate() {
             count_fake_data_entry(&mut self.counts[j], j, rep);
@@ -486,10 +375,12 @@ impl MultidimAggregator {
     ///
     /// # Panics
     /// Panics when the shards were built for different solutions or
-    /// configurations.
+    /// configurations (see [`DynSolution::fingerprint`] for what makes two
+    /// solutions the same).
     pub fn merge(&mut self, other: &MultidimAggregator) {
         assert!(
-            self.ks == other.ks && self.spec.same_config(&other.spec),
+            Arc::ptr_eq(&self.solution, &other.solution)
+                || self.solution.identity() == other.solution.identity(),
             "cannot merge aggregators with different solution configurations"
         );
         self.n += other.n;
@@ -506,137 +397,96 @@ impl MultidimAggregator {
         }
     }
 
-    /// Unbiased frequency estimates for every attribute, using the owning
-    /// solution's estimator. Attributes without any contributing report
-    /// estimate all-zeros.
+    /// Unbiased frequency estimates for every attribute, using the
+    /// solution's estimator: Eq. (2) per attribute for SPL (over every
+    /// report) and SMP (over the attribute's own `n_j`), the §2.3.2
+    /// estimators for RS+FD, Eqs. (6)–(7) for RS+RFD, and for a mixed
+    /// solution Eq. (2) or the exact fixed-point mean per dimension over its
+    /// own `n_j`. Attributes without any contributing report estimate
+    /// all-zeros.
     pub fn estimate(&self) -> Vec<Vec<f64>> {
-        // Per-attribute Eq. (2) shared by SPL (n = every report) and SMP
-        // (n = the attribute's own n_j).
-        let eq2 = |oracles: &[Oracle], n_of: &dyn Fn(usize) -> u64| -> Vec<Vec<f64>> {
-            self.counts
-                .iter()
-                .enumerate()
-                .map(|(j, cj)| {
-                    let nj = n_of(j);
-                    if nj == 0 {
-                        return vec![0.0; cj.len()];
-                    }
-                    let n = nj as f64;
-                    let p = oracles[j].est_p();
-                    let q = oracles[j].est_q();
-                    let denom = p - q;
-                    cj.iter().map(|&c| (c as f64 / n - q) / denom).collect()
-                })
-                .collect()
-        };
-        match &self.spec {
-            EstimatorSpec::Spl { oracles } => eq2(oracles, &|_| self.n),
-            EstimatorSpec::Smp { oracles } => eq2(oracles, &|j| self.n_attr[j]),
-            EstimatorSpec::Mixed { oracles, .. } => self
-                .counts
-                .iter()
-                .enumerate()
+        let counts = self.counts.iter().enumerate();
+        match &*self.solution {
+            DynSolution::Spl(s) => counts
+                .map(|(j, cj)| estimate_eq2(s.oracle(j), cj, self.n))
+                .collect(),
+            DynSolution::Smp(s) => counts
+                .map(|(j, cj)| estimate_eq2(s.oracle(j), cj, self.n_attr[j]))
+                .collect(),
+            DynSolution::Mixed(s) => counts
                 .map(|(j, cj)| {
                     let nj = self.n_attr[j];
-                    match &oracles[j] {
+                    match s.oracle(j) {
+                        Some(oracle) => estimate_eq2(oracle, cj, nj),
                         // Numeric dimension: the mean of unbiased per-report
                         // values, computed from the exact fixed-point sum.
                         // Length-1 row = a single mean, not a frequency
                         // vector.
-                        None => {
-                            if nj == 0 {
-                                return vec![0.0];
-                            }
-                            vec![self.num_sums[j] as f64 / NUMERIC_SCALE as f64 / nj as f64]
-                        }
-                        // Categorical dimension: Eq. (2) over its own n_j.
-                        Some(oracle) => {
-                            if nj == 0 {
-                                return vec![0.0; cj.len()];
-                            }
-                            let n = nj as f64;
-                            let p = oracle.est_p();
-                            let q = oracle.est_q();
-                            let denom = p - q;
-                            cj.iter().map(|&c| (c as f64 / n - q) / denom).collect()
-                        }
+                        None if nj == 0 => vec![0.0],
+                        None => vec![self.num_sums[j] as f64 / NUMERIC_SCALE as f64 / nj as f64],
                     }
                 })
                 .collect(),
-            EstimatorSpec::RsFd { protocol, pqs } => {
-                let n = self.n as f64;
-                let d = self.ks.len() as f64;
-                self.counts
-                    .iter()
-                    .enumerate()
-                    .map(|(j, cj)| {
-                        let k = self.ks[j] as f64;
-                        let (p, q) = pqs[j];
-                        cj.iter()
-                            .map(|&c| {
-                                let c = c as f64;
-                                if n == 0.0 {
-                                    return 0.0;
-                                }
-                                match protocol {
-                                    // f̂ = (C·d·k − n(qk + d − 1)) / (n·k·(p − q))
-                                    RsFdProtocol::Grr => {
-                                        (c * d * k - n * (q * k + d - 1.0)) / (n * k * (p - q))
-                                    }
-                                    // f̂ = d(C − nq) / (n(p − q))
-                                    RsFdProtocol::UeZ(_) => d * (c - n * q) / (n * (p - q)),
-                                    // f̂ = (C·d·k − n(qk + (p−q)(d−1) + qk(d−1)))
-                                    //     / (n·k·(p−q))
-                                    RsFdProtocol::UeR(_) => {
-                                        (c * d * k
-                                            - n * (q * k + (p - q) * (d - 1.0) + q * k * (d - 1.0)))
-                                            / (n * k * (p - q))
-                                    }
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect()
+            DynSolution::RsFd(s) => {
+                let (n, d) = (self.n as f64, self.counts.len() as f64);
+                self.fake_data_estimate(|j, _, c| {
+                    let k = self.counts[j].len() as f64;
+                    let (p, q) = s.pq(j);
+                    match s.protocol() {
+                        // f̂ = (C·d·k − n(qk + d − 1)) / (n·k·(p − q))
+                        RsFdProtocol::Grr => {
+                            (c * d * k - n * (q * k + d - 1.0)) / (n * k * (p - q))
+                        }
+                        // f̂ = d(C − nq) / (n(p − q))
+                        RsFdProtocol::UeZ(_) => d * (c - n * q) / (n * (p - q)),
+                        // f̂ = (C·d·k − n(qk + (p−q)(d−1) + qk(d−1)))
+                        //     / (n·k·(p−q))
+                        RsFdProtocol::UeR(_) => {
+                            (c * d * k - n * (q * k + (p - q) * (d - 1.0) + q * k * (d - 1.0)))
+                                / (n * k * (p - q))
+                        }
+                    }
+                })
             }
-            EstimatorSpec::RsRfd {
-                protocol,
-                pqs,
-                priors,
-            } => {
-                let n = self.n as f64;
-                let d = self.ks.len() as f64;
-                self.counts
-                    .iter()
-                    .enumerate()
-                    .map(|(j, cj)| {
-                        let (p, q) = pqs[j];
-                        cj.iter()
-                            .enumerate()
-                            .map(|(v, &c)| {
-                                if n == 0.0 {
-                                    return 0.0;
-                                }
-                                let c = c as f64;
-                                let prior = priors[j][v];
-                                match protocol {
-                                    // Eq. (6): f̂ = (dC − n(q + (d−1)f̃)) / (n(p−q)).
-                                    RsRfdProtocol::Grr => {
-                                        (d * c - n * (q + (d - 1.0) * prior)) / (n * (p - q))
-                                    }
-                                    // Eq. (7): f̂ = (dC − n(q + (p−q)(d−1)f̃ + q(d−1)))
-                                    //              / (n(p−q)).
-                                    RsRfdProtocol::UeR(_) => {
-                                        (d * c
-                                            - n * (q + (p - q) * (d - 1.0) * prior + q * (d - 1.0)))
-                                            / (n * (p - q))
-                                    }
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect()
+            DynSolution::RsRfd(s) => {
+                let (n, d) = (self.n as f64, self.counts.len() as f64);
+                self.fake_data_estimate(|j, v, c| {
+                    let (p, q) = s.pq(j);
+                    let prior = s.priors()[j][v];
+                    match s.protocol() {
+                        // Eq. (6): f̂ = (dC − n(q + (d−1)f̃)) / (n(p−q)).
+                        RsRfdProtocol::Grr => (d * c - n * (q + (d - 1.0) * prior)) / (n * (p - q)),
+                        // Eq. (7): f̂ = (dC − n(q + (p−q)(d−1)f̃ + q(d−1)))
+                        //              / (n(p−q)).
+                        RsRfdProtocol::UeR(_) => {
+                            (d * c - n * (q + (p - q) * (d - 1.0) * prior + q * (d - 1.0)))
+                                / (n * (p - q))
+                        }
+                    }
+                })
             }
         }
+    }
+
+    /// The fake-data solutions' estimates: `estimate(j, v, C_j(v))` per
+    /// attribute value, all-zeros before the first report.
+    fn fake_data_estimate(&self, estimate: impl Fn(usize, usize, f64) -> f64) -> Vec<Vec<f64>> {
+        self.counts
+            .iter()
+            .enumerate()
+            .map(|(j, cj)| {
+                cj.iter()
+                    .enumerate()
+                    .map(|(v, &c)| {
+                        if self.n == 0 {
+                            0.0
+                        } else {
+                            estimate(j, v, c as f64)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// [`MultidimAggregator::estimate`] projected onto the probability
@@ -660,8 +510,12 @@ impl MultidimAggregator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{DynSolution, MultidimSolution, RsFd, RsFdProtocol, Smp, SolutionKind};
-    use ldp_protocols::ProtocolKind;
+    use super::super::{
+        DynSolution, MixedKind, MultidimSolution, RsFd, RsFdProtocol, RsRfdProtocol, Smp,
+        SolutionKind, NUMERIC_DIM,
+    };
+    use crate::numeric::NumericKind;
+    use ldp_protocols::{ProtocolKind, UeMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -714,13 +568,112 @@ mod tests {
         assert_eq!(est[1], vec![0.0; 4]);
     }
 
+    /// Solution pairs that differ in exactly one identity parameter.
+    fn one_parameter_apart() -> Vec<(&'static str, DynSolution, DynSolution)> {
+        let build = |kind: SolutionKind, ks: &[usize], epsilon| kind.build(ks, epsilon).unwrap();
+        let rsrfd = |prior0: [f64; 4]| {
+            SolutionKind::RsRfd(RsRfdProtocol::Grr)
+                .build_with_priors(&[4, 3], 1.0, vec![prior0.to_vec(), vec![0.5, 0.3, 0.2]])
+                .unwrap()
+        };
+        let mixed = |numeric, sample_k| {
+            let kind = MixedKind {
+                protocol: ProtocolKind::Grr,
+                numeric,
+                sample_k,
+            };
+            build(SolutionKind::Mixed(kind), &[4, NUMERIC_DIM, 3], 1.0)
+        };
+        let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr);
+        vec![
+            (
+                "epsilon",
+                build(rsfd, &[4, 3], 1.0),
+                build(rsfd, &[4, 3], 2.0),
+            ),
+            ("ks", build(rsfd, &[4, 3], 1.0), build(rsfd, &[4, 5], 1.0)),
+            (
+                "SPL vs SMP",
+                build(SolutionKind::Spl(ProtocolKind::Grr), &[4, 3], 1.0),
+                build(SolutionKind::Smp(ProtocolKind::Grr), &[4, 3], 1.0),
+            ),
+            (
+                "SUE vs OUE",
+                build(SolutionKind::Smp(ProtocolKind::Sue), &[4, 3], 1.0),
+                build(SolutionKind::Smp(ProtocolKind::Oue), &[4, 3], 1.0),
+            ),
+            (
+                "UE-z vs UE-r",
+                build(
+                    SolutionKind::RsFd(RsFdProtocol::UeZ(UeMode::Optimized)),
+                    &[4, 3],
+                    1.0,
+                ),
+                build(
+                    SolutionKind::RsFd(RsFdProtocol::UeR(UeMode::Optimized)),
+                    &[4, 3],
+                    1.0,
+                ),
+            ),
+            (
+                "RS+RFD priors",
+                rsrfd([0.4, 0.3, 0.2, 0.1]),
+                rsrfd([0.25, 0.25, 0.25, 0.25]),
+            ),
+            (
+                "numeric mechanism",
+                mixed(NumericKind::Piecewise, 2),
+                mixed(NumericKind::Duchi, 2),
+            ),
+            (
+                "sample_k",
+                mixed(NumericKind::Piecewise, 2),
+                mixed(NumericKind::Piecewise, 1),
+            ),
+        ]
+    }
+
     #[test]
-    #[should_panic(expected = "different solution configurations")]
     fn merge_rejects_mismatched_solutions() {
-        let rsfd = RsFd::new(RsFdProtocol::Grr, &[4, 3], 1.0).unwrap();
-        let other = RsFd::new(RsFdProtocol::Grr, &[4, 3], 2.0).unwrap();
-        let mut a = rsfd.aggregator();
-        a.merge(&other.aggregator());
+        for (what, a, b) in one_parameter_apart() {
+            let merge = std::panic::catch_unwind(|| a.aggregator().merge(&b.aggregator()));
+            let payload = merge.expect_err(what);
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                message.contains("different solution configurations"),
+                "{what}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn separately_built_equal_solutions_merge() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for (what, a, _) in one_parameter_apart() {
+            // Same parameters, separate handles: the merge compares
+            // identities, not pointers.
+            let twin = match &a {
+                DynSolution::RsRfd(s) => SolutionKind::RsRfd(s.protocol())
+                    .build_with_priors(s.ks(), s.epsilon(), s.priors().to_vec())
+                    .unwrap(),
+                _ => a.kind().build(a.ks(), a.epsilon()).unwrap(),
+            };
+            let mut agg = twin.aggregator();
+            let num: &[f64] = if matches!(a, DynSolution::Mixed(_)) {
+                &[0.5]
+            } else {
+                &[]
+            };
+            let report = a.report_mixed(&[1, 2], num, &mut rng).unwrap();
+            let mut other = a.aggregator();
+            other.absorb(&report);
+            agg.merge(&other);
+            assert_eq!(agg.counts(), other.counts(), "{what}");
+        }
     }
 
     #[test]

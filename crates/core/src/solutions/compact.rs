@@ -98,7 +98,7 @@ pub struct CompactBatch {
 
 /// Why a byte buffer failed to decode as a [`CompactBatch`] — the typed
 /// rejection surface of [`CompactBatch::decode_from`],
-/// [`CompactBatch::decode_for`] and [`CompactBatch::validate_for`].
+/// [`CompactBatch::decode_for`] and [`CompactBatch::validate_for_solution`].
 /// Untrusted (network) input is funneled through [`CompactBatch::decode_for`]
 /// before any panicky fast path ([`CompactBatch::iter`], `absorb_compact`)
 /// ever touches the words.
@@ -122,7 +122,7 @@ pub enum CompactDecodeError {
     /// A bit-vector entry has a padding bit set past its declared width.
     DirtyBitPadding,
     /// Structurally sound, but the report shape or a value is out of domain
-    /// for the target solution (see [`CompactBatch::validate_for`]).
+    /// for the target solution (see [`CompactBatch::validate_for_solution`]).
     Domain(String),
 }
 
@@ -260,7 +260,7 @@ impl CompactBatch {
     /// [`CompactBatch::validate_for_solution`] in place of the structural
     /// walk, since validation applies every structural rule too. A
     /// value-entry batch (SPL, RS+FD or RS+RFD over GRR) is accepted by the
-    /// per-position template of [`CompactBatch::validate_for`] and walked by
+    /// per-position template of `CompactBatch::validate_for` and walked by
     /// no one; any other is walked once. A rejected batch
     /// gets exactly the error `decode_from` followed by
     /// `validate_for_solution` would give: a structural fault outranks a
@@ -320,6 +320,16 @@ impl CompactBatch {
         })
     }
 
+    /// The rules of [`CompactBatch::validate_for_solution`] that the kind
+    /// and domain sizes alone decide: all but the numeric-magnitude bound.
+    fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
+        let rules = template(kind, ks);
+        if rules.is_some_and(|rules| template_accepts(&rules, &self.words, self.len())) {
+            return Ok(());
+        }
+        walk_words(&self.words, self.uids.len(), Some((kind, ks)))
+    }
+
     /// Checks every encoded report against the target solution's shape and
     /// domains: the report kind must match the solution family (SPL ⇒ full,
     /// SMP ⇒ sampled, RS+FD/RS+RFD ⇒ tuple), entry counts must equal `d`,
@@ -331,9 +341,13 @@ impl CompactBatch {
     /// solution's categorical entries ⇒ its protocol's tag), and every
     /// entry must fit its attribute's domain (`Value < k_j`, subset members
     /// `< k_j`, bit-vector width `== k_j`, hashed reports with `value < g`).
-    /// This is the gate that keeps a malformed network batch from ever
-    /// reaching an aggregator shard, whose counting path only
-    /// debug-asserts.
+    /// For mixed solutions it also bounds every numeric entry's magnitude
+    /// by the mechanism's output bound (Duchi/PM/HM reports all lie in
+    /// `[-C, C]`), so a forged fixed-point payload cannot drag a mean
+    /// estimate arbitrarily far — the numeric analogue of the categorical
+    /// `Value < k_j` domain rule. This is the gate that keeps a malformed
+    /// network batch from ever reaching an aggregator shard, whose counting
+    /// path only debug-asserts.
     ///
     /// Every rule above also holds the batch's structure, so a batch that
     /// passes is one [`CompactBatch::decode_from`] accepts too. SPL, RS+FD
@@ -342,20 +356,6 @@ impl CompactBatch {
     /// of a per-position template over the words (see `Rule`); the walk
     /// over entries runs only when the template rejects, or for any other
     /// kind, so a rejection's error is the walk's.
-    pub fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
-        let rules = template(kind, ks);
-        if rules.is_some_and(|rules| template_accepts(&rules, &self.words, self.len())) {
-            return Ok(());
-        }
-        walk_words(&self.words, self.uids.len(), Some((kind, ks)))
-    }
-
-    /// [`CompactBatch::validate_for`] plus the solution-instance checks only
-    /// a built solution can supply. For mixed solutions this bounds every
-    /// numeric entry's magnitude by the mechanism's output bound (Duchi/PM/HM
-    /// reports all lie in `[-C, C]`), so a forged fixed-point payload cannot
-    /// drag a mean estimate arbitrarily far — the numeric analogue of the
-    /// categorical `Value < k_j` domain rule.
     pub fn validate_for_solution(&self, solution: &DynSolution) -> Result<(), CompactDecodeError> {
         self.validate_for(solution.kind(), solution.ks())?;
         let DynSolution::Mixed(mixed) = solution else {
@@ -438,7 +438,7 @@ impl Rule {
 
 /// The per-position rules every report of a value-entry solution (SPL,
 /// RS+FD or RS+RFD over GRR: a header, then one value word per attribute)
-/// must pass, one per word. Together they are [`CompactBatch::validate_for`]'s
+/// must pass, one per word. Together they are `CompactBatch::validate_for`'s
 /// rules: the header's kind and `a == d` (and `b < d` for a tuple; SPL
 /// leaves `b` alone), and each entry's tag and `v < k_j`. `None` for every
 /// other kind, which the walk checks: the variable shapes (SMP, SPL over
@@ -483,7 +483,7 @@ fn template_accepts(rules: &[Rule], words: &[u64], n_reports: usize) -> bool {
 /// encoded words: `n_reports` well-formed reports, nothing more, nothing
 /// less. With `check = Some((kind, ks))` it additionally enforces the
 /// solution-shape, entry-tag and domain rules of
-/// [`CompactBatch::validate_for`].
+/// `CompactBatch::validate_for`.
 fn walk_words(
     words: &[u64],
     n_reports: usize,

@@ -9,6 +9,7 @@
 //! per draw, while a `&mut dyn RngCore` still drives every solution across
 //! an object boundary.
 
+use ldp_protocols::hash::mix2;
 use ldp_protocols::{ProtocolError, ProtocolKind};
 use rand::Rng;
 
@@ -205,16 +206,57 @@ impl DynSolution {
         }
     }
 
-    /// A fresh streaming aggregator configured with this solution's
-    /// estimator.
+    /// A fresh streaming aggregator holding a copy of this solution, whose
+    /// parameters its estimator reads.
     pub fn aggregator(&self) -> MultidimAggregator {
-        match self {
-            DynSolution::Spl(s) => s.aggregator(),
-            DynSolution::Smp(s) => s.aggregator(),
-            DynSolution::RsFd(s) => s.aggregator(),
-            DynSolution::RsRfd(s) => s.aggregator(),
-            DynSolution::Mixed(s) => s.aggregator(),
+        MultidimAggregator::new(self.clone())
+    }
+
+    /// The parameters that make two solutions the same: the kind (family,
+    /// protocol, UE mode, mixed mechanism and `sample_k`), the domain sizes,
+    /// ε and, for RS+RFD, the fake-data priors. Everything else a solution
+    /// holds (oracles, `(p, q)` pairs, the numeric mechanism) is derived
+    /// from these. Aggregators merge only across equal identities, and
+    /// [`DynSolution::fingerprint`] hashes it.
+    pub(crate) fn identity(&self) -> SolutionIdentity<'_> {
+        SolutionIdentity {
+            kind: self.kind(),
+            ks: self.ks(),
+            epsilon: self.epsilon(),
+            priors: match self {
+                DynSolution::RsRfd(s) => Some(s.priors()),
+                _ => None,
+            },
         }
+    }
+
+    /// A 64-bit hash of the solution's identity, exchanged in the wire
+    /// tier's HELLO so a producer sanitizing for a different solution —
+    /// which would silently bias every estimate — is refused at handshake.
+    /// Equal solutions hash equal; the kind enters by its display name,
+    /// plus a mixed solution's mechanism tag and `sample_k`.
+    pub fn fingerprint(&self) -> u64 {
+        let SolutionIdentity {
+            kind,
+            ks,
+            epsilon,
+            priors,
+        } = self.identity();
+        let mut h = mix2(0x11D9_F00D, epsilon.to_bits());
+        for &k in ks {
+            h = mix2(h, k as u64);
+        }
+        for b in kind.name().bytes() {
+            h = mix2(h, u64::from(b));
+        }
+        if let SolutionKind::Mixed(m) = kind {
+            h = mix2(h, m.numeric.tag());
+            h = mix2(h, m.sample_k as u64);
+        }
+        for f in priors.into_iter().flatten().flatten() {
+            h = mix2(h, f.to_bits());
+        }
+        h
     }
 
     /// Batch estimation convenience over buffered reports (prefer streaming
@@ -226,6 +268,15 @@ impl DynSolution {
         }
         agg.estimate()
     }
+}
+
+/// See [`DynSolution::identity`].
+#[derive(PartialEq)]
+pub(crate) struct SolutionIdentity<'a> {
+    kind: SolutionKind,
+    ks: &'a [usize],
+    epsilon: f64,
+    priors: Option<&'a [Vec<f64>]>,
 }
 
 impl From<Spl> for DynSolution {
@@ -385,6 +436,87 @@ mod tests {
         let full = spl.report_mixed(&[1, 2], &[], &mut rng).unwrap();
         assert!(full.to_full().is_some());
         assert!(spl.report_mixed(&[1, 2], &[0.5], &mut rng).is_err());
+    }
+
+    #[test]
+    fn fingerprint_separates_solution_configurations() {
+        let base = SolutionKind::RsFd(RsFdProtocol::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        assert_eq!(base.fingerprint(), base.clone().fingerprint());
+        for other in [
+            SolutionKind::RsFd(RsFdProtocol::Grr)
+                .build(&[4, 3], 2.0)
+                .unwrap(),
+            SolutionKind::RsFd(RsFdProtocol::Grr)
+                .build(&[4, 5], 1.0)
+                .unwrap(),
+            SolutionKind::RsRfd(RsRfdProtocol::Grr)
+                .build(&[4, 3], 1.0)
+                .unwrap(),
+        ] {
+            assert_ne!(base.fingerprint(), other.fingerprint(), "{}", other.name());
+        }
+    }
+
+    #[test]
+    fn fingerprint_covers_rsrfd_priors() {
+        // Two RS+RFD[GRR] solutions apart only in their priors used to
+        // share one HELLO fingerprint (0x61a9dfa59bba8c37), so a producer
+        // drawing fake data from the wrong priors passed the handshake.
+        let with_priors = |prior0: Vec<f64>| {
+            SolutionKind::RsRfd(RsRfdProtocol::Grr)
+                .build_with_priors(&[4, 3], 1.0, vec![prior0, vec![0.5, 0.3, 0.2]])
+                .unwrap()
+        };
+        let a = with_priors(vec![0.4, 0.3, 0.2, 0.1]);
+        let b = with_priors(vec![0.25; 4]);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(
+            a.fingerprint(),
+            with_priors(vec![0.4, 0.3, 0.2, 0.1]).fingerprint()
+        );
+    }
+
+    #[test]
+    fn fingerprints_of_prior_free_kinds_are_pinned() {
+        // The HELLO bytes every producer and server exchange: a changed
+        // value here breaks the handshake between builds.
+        let mixed = SolutionKind::Mixed(MixedKind {
+            protocol: ProtocolKind::Grr,
+            numeric: crate::numeric::NumericKind::Piecewise,
+            sample_k: 2,
+        });
+        for (kind, ks, epsilon, pinned) in [
+            (
+                SolutionKind::Spl(ProtocolKind::Oue),
+                &[4, 3, 5][..],
+                1.0,
+                0x3629_b3e4_a03f_c3c3,
+            ),
+            (
+                SolutionKind::Smp(ProtocolKind::Grr),
+                &[4, 3],
+                2.0,
+                0x5307_698e_93a1_c9d7,
+            ),
+            (
+                SolutionKind::RsFd(RsFdProtocol::Grr),
+                &[4, 3],
+                1.0,
+                0x748b_ce22_b907_3eff,
+            ),
+            (
+                SolutionKind::RsFd(RsFdProtocol::UeZ(ldp_protocols::UeMode::Optimized)),
+                &[4, 3],
+                1.0,
+                0xe2a4_a0e8_9ad0_4862,
+            ),
+            (mixed, &[4, 0, 3], 1.0, 0x0fb5_7ea2_1162_a602),
+        ] {
+            let solution = kind.build(ks, epsilon).unwrap();
+            assert_eq!(solution.fingerprint(), pinned, "{kind}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rand::Rng;
 
 use crate::numeric::{DynNumeric, NumericKind, NumericOracle, NumericReport};
 
-use super::{EstimatorSpec, MultidimAggregator};
+use super::MultidimAggregator;
 
 /// Sentinel cardinality marking a numeric dimension in a mixed `ks` vector.
 pub const NUMERIC_DIM: usize = 0;
@@ -220,14 +220,7 @@ impl Mixed {
     /// categorical dimension's own `n_j`, exact fixed-point mean over each
     /// numeric dimension's `n_j`.
     pub fn aggregator(&self) -> MultidimAggregator {
-        MultidimAggregator::new(
-            self.ks.clone(),
-            EstimatorSpec::Mixed {
-                oracles: self.oracles.clone(),
-                numeric: self.numeric,
-                sample_k: self.kind.sample_k,
-            },
-        )
+        MultidimAggregator::new(self.clone().into())
     }
 }
 

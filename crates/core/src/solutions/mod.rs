@@ -32,8 +32,6 @@ pub use rsrfd::{RsRfd, RsRfdProtocol};
 pub use smp::{Smp, SmpReport};
 pub use spl::Spl;
 
-pub(crate) use aggregator::EstimatorSpec;
-
 use ldp_protocols::ProtocolError;
 use rand::Rng;
 

@@ -17,8 +17,7 @@ use rand::Rng;
 
 use super::report::fixed_shape_words;
 use super::{
-    assert_tuple_in_domain, validate_config, EstimatorSpec, MultidimAggregator, MultidimSolution,
-    SolutionReport,
+    assert_tuple_in_domain, validate_config, MultidimAggregator, MultidimSolution, SolutionReport,
 };
 use crate::amplification::amplify;
 
@@ -196,14 +195,7 @@ impl MultidimSolution for RsFd {
     }
 
     fn aggregator(&self) -> MultidimAggregator {
-        let pqs = (0..self.d()).map(|j| self.pq(j)).collect();
-        MultidimAggregator::new(
-            self.ks.clone(),
-            EstimatorSpec::RsFd {
-                protocol: self.protocol,
-                pqs,
-            },
-        )
+        MultidimAggregator::new(self.clone().into())
     }
 }
 

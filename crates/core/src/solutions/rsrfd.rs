@@ -14,7 +14,7 @@ use rand::Rng;
 
 use super::report::fixed_shape_words;
 use super::{
-    assert_tuple_in_domain, sample_cdf, to_cdf, validate_config, EstimatorSpec, MultidimAggregator,
+    assert_tuple_in_domain, sample_cdf, to_cdf, validate_config, MultidimAggregator,
     MultidimSolution, SolutionReport,
 };
 use crate::amplification::amplify;
@@ -231,15 +231,7 @@ impl MultidimSolution for RsRfd {
     }
 
     fn aggregator(&self) -> MultidimAggregator {
-        let pqs = (0..self.d()).map(|j| self.pq(j)).collect();
-        MultidimAggregator::new(
-            self.ks.clone(),
-            EstimatorSpec::RsRfd {
-                protocol: self.protocol,
-                pqs,
-                priors: self.priors.clone(),
-            },
-        )
+        MultidimAggregator::new(self.clone().into())
     }
 }
 

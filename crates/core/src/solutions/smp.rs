@@ -6,7 +6,7 @@
 use ldp_protocols::{FrequencyOracle, Oracle, ProtocolError, ProtocolKind, Report};
 use rand::Rng;
 
-use super::{validate_config, EstimatorSpec, MultidimAggregator};
+use super::{validate_config, MultidimAggregator};
 
 /// One SMP message: the disclosed attribute index plus its ε-LDP report.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,12 +96,7 @@ impl Smp {
     /// A fresh streaming aggregator configured with the per-attribute
     /// full-budget Eq. (2) estimators over each attribute's own `n_j`.
     pub fn aggregator(&self) -> MultidimAggregator {
-        MultidimAggregator::new(
-            self.ks.clone(),
-            EstimatorSpec::Smp {
-                oracles: self.oracles.clone(),
-            },
-        )
+        MultidimAggregator::new(self.clone().into())
     }
 }
 

@@ -6,7 +6,7 @@ use ldp_protocols::{FrequencyOracle, FusedUeGroup, Oracle, ProtocolError, Protoc
 use rand::Rng;
 
 use super::report::fixed_shape_words;
-use super::{validate_config, EstimatorSpec, MultidimAggregator, SolutionReport};
+use super::{validate_config, MultidimAggregator, SolutionReport};
 
 /// SPL solution over `d` attributes with a single frequency-oracle family.
 #[derive(Debug, Clone)]
@@ -125,12 +125,7 @@ impl Spl {
     /// A fresh streaming aggregator configured with the per-attribute
     /// (ε/d)-budget Eq. (2) estimators.
     pub fn aggregator(&self) -> MultidimAggregator {
-        MultidimAggregator::new(
-            self.ks.clone(),
-            EstimatorSpec::Spl {
-                oracles: self.oracles.clone(),
-            },
-        )
+        MultidimAggregator::new(self.clone().into())
     }
 }
 

@@ -14,11 +14,8 @@ use std::time::Instant;
 
 use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_protocols::{ProtocolKind, UeMode};
-use ldp_server::{EpochSnapshot, ServerConfig, WireServer};
-use ldp_sim::{
-    BudgetPolicy, CollectionPipeline, CollectionRun, LongitudinalRun, TrafficGenerator,
-    TrafficShape,
-};
+use ldp_server::{EpochSnapshot, ServerConfig, ServerSnapshot, WireServer};
+use ldp_sim::{BudgetPolicy, CollectionPipeline, LongitudinalRun, TrafficGenerator, TrafficShape};
 
 use crate::manifest::{config_hash, git_rev, Manifest};
 use crate::table::{fnum, Table};
@@ -102,7 +99,7 @@ impl Default for ServeSpec {
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// The drained collection run.
-    pub run: CollectionRun,
+    pub run: ServerSnapshot,
     /// Wall-clock seconds from first wave to drained snapshot.
     pub wall_secs: f64,
     /// End-to-end ingestion throughput (sanitize + route + absorb + drain).
@@ -247,13 +244,7 @@ pub fn run_serve_listen(
     let mae = mean_abs_error(&snapshot.normalized, &truth);
     Ok(ServeOutcome {
         reports_per_sec: snapshot.n as f64 / wall_secs.max(1e-9),
-        run: CollectionRun {
-            aggregator: snapshot.aggregator,
-            estimates: snapshot.estimates,
-            normalized: snapshot.normalized,
-            n: snapshot.n,
-            shards: snapshot.shards,
-        },
+        run: snapshot,
         wall_secs,
         mae,
         epochs,

@@ -306,22 +306,10 @@ impl<'a, O: FrequencyOracle> Aggregator<'a, O> {
         &self.counts
     }
 
-    /// Unbiased frequency estimates via Eq. (2):
-    /// `f̂(v) = (C(v)/n − q*) / (p* − q*)`.
-    ///
-    /// Returns all-zeros when no report has been absorbed.
+    /// Unbiased frequency estimates via Eq. (2) ([`estimate_eq2`]);
+    /// all-zeros when no report has been absorbed.
     pub fn estimate(&self) -> Vec<f64> {
-        if self.n == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        let n = self.n as f64;
-        let p = self.oracle.est_p();
-        let q = self.oracle.est_q();
-        let denom = p - q;
-        self.counts
-            .iter()
-            .map(|&c| (c as f64 / n - q) / denom)
-            .collect()
+        estimate_eq2(self.oracle, &self.counts, self.n)
     }
 
     /// Estimates post-processed onto the probability simplex: negative
@@ -331,6 +319,22 @@ impl<'a, O: FrequencyOracle> Aggregator<'a, O> {
     pub fn estimate_normalized(&self) -> Vec<f64> {
         normalize_simplex(&self.estimate())
     }
+}
+
+/// The paper's Eq. (2): unbiased frequency estimates
+/// `f̂(v) = (C(v)/n − q*) / (p* − q*)` from the support counts `C` of `n`
+/// reports, all-zeros when `n = 0`. The one copy of the estimator, behind
+/// [`Aggregator::estimate`] and the SPL, SMP and mixed-categorical arms of
+/// the multidimensional streaming aggregator one layer up.
+pub fn estimate_eq2<O: FrequencyOracle>(oracle: &O, counts: &[u64], n: u64) -> Vec<f64> {
+    if n == 0 {
+        return vec![0.0; counts.len()];
+    }
+    let n = n as f64;
+    let p = oracle.est_p();
+    let q = oracle.est_q();
+    let denom = p - q;
+    counts.iter().map(|&c| (c as f64 / n - q) / denom).collect()
 }
 
 /// Adds one report's support to a raw count vector — the oracle-aware

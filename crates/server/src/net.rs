@@ -76,8 +76,7 @@ use crate::fleet::{Batch, Epoch, Fleet, Refused};
 use crate::service::LdpServer;
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 use crate::wire::{
-    auth_fingerprint, read_checked_frame, read_frame, solution_fingerprint, write_frame, Frame,
-    WireError, WireSnapshot,
+    auth_fingerprint, read_checked_frame, read_frame, write_frame, Frame, WireError, WireSnapshot,
 };
 
 /// Abort code sent to peers that fail the handshake.
@@ -371,7 +370,7 @@ fn accept_loop(
     stop: &AtomicBool,
     shared: &Arc<Shared>,
 ) -> Vec<JoinHandle<()>> {
-    let fingerprint = solution_fingerprint(server.solution());
+    let fingerprint = server.solution().fingerprint();
     let mut handlers = Vec::new();
     for (conn, stream) in listener.incoming().enumerate() {
         if stop.load(Ordering::SeqCst) {
@@ -658,7 +657,9 @@ fn frame_name(frame: &Frame) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::solutions::{CompactBatch, CompactDecodeError, RsFdProtocol, SolutionKind};
+    use ldp_core::solutions::{
+        CompactBatch, CompactDecodeError, RsFdProtocol, RsRfdProtocol, SolutionKind,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -682,7 +683,7 @@ mod tests {
         write_frame(
             &mut writer,
             &Frame::Hello {
-                fingerprint: solution_fingerprint(solution),
+                fingerprint: solution.fingerprint(),
                 auth: 0,
             },
         )
@@ -747,6 +748,61 @@ mod tests {
         }
         // The server survives and still serves valid producers.
         assert_eq!(server.finish().n, 0);
+    }
+
+    #[test]
+    fn rsrfd_producer_with_other_priors_is_refused_at_hello() {
+        // RS+RFD's estimator reads the priors its producers draw fake data
+        // from, so the HELLO fingerprint must tell two prior sets apart.
+        let with_priors = |prior0: Vec<f64>| {
+            SolutionKind::RsRfd(RsRfdProtocol::Grr)
+                .build_with_priors(&[4, 3], 1.0, vec![prior0, vec![0.5, 0.3, 0.2]])
+                .unwrap()
+        };
+        let priors_a = with_priors(vec![0.4, 0.3, 0.2, 0.1]);
+        let priors_b = with_priors(vec![0.25; 4]);
+        let bind = || {
+            WireServer::bind(
+                "127.0.0.1:0",
+                priors_a.clone(),
+                ServerConfig::default().shards(2),
+            )
+            .unwrap()
+        };
+
+        let server = bind();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let hello = Frame::Hello {
+            fingerprint: priors_b.fingerprint(),
+            auth: 0,
+        };
+        write_frame(&mut writer, &hello).unwrap();
+        writer.flush().unwrap();
+        match read_frame(&mut reader).unwrap() {
+            Frame::Abort { code, .. } => assert_eq!(code, ABORT_HANDSHAKE),
+            other => panic!("expected ABORT, got {other:?}"),
+        }
+        assert_eq!(server.finish().n, 0);
+
+        let server = bind();
+        let (mut reader, stream) = handshake(server.local_addr(), &priors_a);
+        let mut writer = stream.try_clone().unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut batch = CompactBatch::new();
+        for uid in 0..100u64 {
+            batch.push_wire(uid, &priors_a.report(&[3, 1], &mut rng));
+        }
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
+        write_frame(&mut writer, &Frame::Drain).unwrap();
+        writer.flush().unwrap();
+        assert!(matches!(
+            read_frame(&mut reader).unwrap(),
+            Frame::DrainAck { n: 100 }
+        ));
+        server.wait_for_fleet(1);
+        assert_eq!(server.finish().n, 100);
     }
 
     #[test]
@@ -874,7 +930,7 @@ mod tests {
                         write_frame(
                             &mut writer,
                             &Frame::Hello {
-                                fingerprint: solution_fingerprint(&solution),
+                                fingerprint: solution.fingerprint(),
                                 auth: 0,
                             },
                         )
@@ -1144,7 +1200,7 @@ mod tests {
         )
         .unwrap();
         let addr = server.local_addr();
-        let fingerprint = solution_fingerprint(&solution);
+        let fingerprint = solution.fingerprint();
 
         // No token, then the wrong token: both ABORT_AUTH.
         for auth in [0, auth_fingerprint("wrong-token")] {
@@ -1216,7 +1272,7 @@ mod tests {
             write_frame(
                 &mut writer,
                 &Frame::Hello {
-                    fingerprint: solution_fingerprint(&solution),
+                    fingerprint: solution.fingerprint(),
                     auth: 0,
                 },
             )
@@ -1259,7 +1315,7 @@ mod tests {
         write_frame(
             &mut writer,
             &Frame::Hello {
-                fingerprint: solution_fingerprint(&solution),
+                fingerprint: solution.fingerprint(),
                 auth: 0,
             },
         )
@@ -1290,7 +1346,7 @@ mod tests {
                     write_frame(
                         &mut writer,
                         &Frame::Hello {
-                            fingerprint: solution_fingerprint(&solution),
+                            fingerprint: solution.fingerprint(),
                             auth: 0,
                         },
                     )

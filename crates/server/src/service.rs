@@ -107,7 +107,10 @@ enum Msg {
 /// channel topology, the allocation budget and the determinism argument.
 #[derive(Debug)]
 pub struct LdpServer {
-    solution: DynSolution,
+    /// An empty aggregator for the server's solution: every shard, epoch
+    /// rotation and merge base is a clone of it, so all of them share its
+    /// solution handle.
+    empty: MultidimAggregator,
     config: ServerConfig,
     txs: Vec<SyncSender<Msg>>,
     workers: Vec<JoinHandle<MultidimAggregator>>,
@@ -133,13 +136,14 @@ impl LdpServer {
     /// shard behind a bounded channel.
     pub fn spawn(solution: DynSolution, config: ServerConfig) -> Self {
         let config = config.sanitized();
+        let empty = solution.aggregator();
         let pools: Arc<Vec<Mutex<Vec<CompactBatch>>>> =
             Arc::new((0..config.shards).map(|_| Mutex::new(Vec::new())).collect());
         let mut txs = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             let (tx, rx) = sync_channel::<Msg>(config.queue_depth);
-            let aggregator = solution.aggregator();
+            let aggregator = empty.clone();
             let pools = Arc::clone(&pools);
             workers.push(
                 std::thread::Builder::new()
@@ -149,9 +153,9 @@ impl LdpServer {
             );
             txs.push(tx);
         }
-        let closed = Mutex::new(solution.aggregator());
+        let closed = Mutex::new(empty.clone());
         LdpServer {
-            solution,
+            empty,
             config,
             txs,
             workers,
@@ -165,7 +169,7 @@ impl LdpServer {
 
     /// The solution this server aggregates for.
     pub fn solution(&self) -> &DynSolution {
-        &self.solution
+        self.empty.solution()
     }
 
     /// The (sanitized) configuration the server runs with.
@@ -255,10 +259,10 @@ impl LdpServer {
     /// Panics when a worker has died.
     pub fn advance_epoch(&self) -> EpochSnapshot {
         let shards = self.broadcast(|reply| Msg::Rotate {
-            fresh: Box::new(self.solution.aggregator()),
+            fresh: Box::new(self.empty.clone()),
             reply,
         });
-        let snapshot = ServerSnapshot::merge(self.solution.aggregator(), &shards);
+        let snapshot = ServerSnapshot::merge(self.empty.clone(), &shards);
         {
             let mut closed = self.closed.lock().expect("epoch state poisoned");
             for shard in &shards {

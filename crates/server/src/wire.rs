@@ -33,6 +33,11 @@
 //! | 11   | RESUME           | session token (u64) + last acked seq (u64)   |
 //! | 12   | RESUME_ACK       | server's cumulative acked seq (u64)          |
 //!
+//! The HELLO fingerprint is [`DynSolution::fingerprint`], a hash of the
+//! solution identity the server's aggregators merge on (kind, domain sizes,
+//! ε and RS+RFD's priors); a producer whose fingerprint differs is refused
+//! with `ABORT_HANDSHAKE` before any report is read.
+//!
 //! A session is `HELLO → HELLO_ACK`, then any interleaving of `BATCH_SEQ`
 //! and `SNAPSHOT_REQUEST → SNAPSHOT`, closed by
 //! `DRAIN → DRAIN_ACK`. A longitudinal producer additionally sends
@@ -236,7 +241,7 @@ impl From<CompactDecodeError> for WireError {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client → server session opener carrying the client's solution
-    /// fingerprint (see [`solution_fingerprint`]).
+    /// fingerprint ([`DynSolution::fingerprint`]).
     Hello {
         /// Fingerprint of the solution the client sanitizes for.
         fingerprint: u64,
@@ -348,31 +353,6 @@ impl From<&ServerSnapshot> for WireSnapshot {
             normalized: snapshot.normalized.clone(),
         }
     }
-}
-
-/// Fingerprint of a solution's wire-relevant configuration (family name,
-/// domain sizes, ε — and for mixed solutions the numeric mechanism and
-/// sample budget). HELLO/HELLO_ACK exchange it so a producer sanitizing
-/// for a different solution — which would silently bias every estimate —
-/// is rejected at handshake instead of poisoning the aggregate.
-pub fn solution_fingerprint(solution: &DynSolution) -> u64 {
-    let mut h = mix2(0x11D9_F00D, solution.epsilon().to_bits());
-    for &k in solution.ks() {
-        h = mix2(h, k as u64);
-    }
-    for b in solution.name().bytes() {
-        h = mix2(h, u64::from(b));
-    }
-    // The heterogeneous schema (0-sentinel dimensions) is already folded via
-    // `ks`; pin the numeric mechanism and per-user budget split explicitly so
-    // the handshake rejects a producer randomizing the same schema with a
-    // different mechanism even if display names ever collide.
-    if let DynSolution::Mixed(m) = solution {
-        let mk = m.mixed_kind();
-        h = mix2(h, mk.numeric.tag());
-        h = mix2(h, mk.sample_k as u64);
-    }
-    h
 }
 
 /// Digest of a shared-secret auth token, carried in [`Frame::Hello`]. Never
@@ -1230,28 +1210,6 @@ mod tests {
                     "{width}-bit burst at payload bit {start}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fingerprint_separates_solution_configurations() {
-        let base = SolutionKind::RsFd(RsFdProtocol::Grr)
-            .build(&[4, 3], 1.0)
-            .unwrap();
-        let fp = solution_fingerprint(&base);
-        assert_eq!(fp, solution_fingerprint(&base.clone()));
-        for other in [
-            SolutionKind::RsFd(RsFdProtocol::Grr)
-                .build(&[4, 3], 2.0)
-                .unwrap(),
-            SolutionKind::RsFd(RsFdProtocol::Grr)
-                .build(&[4, 5], 1.0)
-                .unwrap(),
-            SolutionKind::RsRfd(ldp_core::solutions::RsRfdProtocol::Grr)
-                .build(&[4, 3], 1.0)
-                .unwrap(),
-        ] {
-            assert_ne!(fp, solution_fingerprint(&other), "{}", other.name());
         }
     }
 

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use ldp_core::solutions::{CompactBatch, RsFdProtocol, SolutionKind, SolutionReport};
-use ldp_server::wire::{read_frame, solution_fingerprint, write_frame, Frame};
+use ldp_server::wire::{read_frame, write_frame, Frame};
 use ldp_server::{ServerConfig, WireServer, ABORT_TIMEOUT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +46,7 @@ fn idle_connection_is_aborted_while_a_live_producer_drains_bit_identically() {
     )
     .unwrap();
     let addr = server.local_addr();
-    let fingerprint = solution_fingerprint(&solution);
+    let fingerprint = solution.fingerprint();
 
     // The hung producer: handshake, then silence. Its reader blocks until
     // the server gives up on the connection.
@@ -114,7 +114,7 @@ fn an_active_producer_is_never_timed_out_between_batches() {
         ServerConfig::default().shards(2).read_timeout_ms(200),
     )
     .unwrap();
-    let (mut reader, mut writer) = handshake(server.local_addr(), solution_fingerprint(&solution));
+    let (mut reader, mut writer) = handshake(server.local_addr(), solution.fingerprint());
     let mut rng = StdRng::seed_from_u64(11);
     // Three batches spaced just under the timeout: each write resets the
     // idle clock, so a slow-but-alive producer survives.

@@ -11,8 +11,8 @@ use ldp_core::solutions::{CompactBatch, MixedKind, RsFdProtocol, SolutionKind};
 use ldp_core::NumericKind;
 use ldp_protocols::ProtocolKind;
 use ldp_server::wire::{
-    crc32, encode_frame, read_frame, solution_fingerprint, write_frame, Frame, WireError,
-    WireSnapshot, WIRE_MAGIC, WIRE_VERSION,
+    crc32, encode_frame, read_frame, write_frame, Frame, WireError, WireSnapshot, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 use ldp_server::{ServerConfig, WireServer, ABORT_PROTOCOL};
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn session_bytes(seed: u64, reports: u64) -> Vec<u8> {
     let mut stream = Vec::new();
     let mut buf = Vec::new();
     let mut frames = vec![Frame::Hello {
-        fingerprint: solution_fingerprint(&solution),
+        fingerprint: solution.fingerprint(),
         auth: 0,
     }];
     let mut batch = CompactBatch::new();
@@ -66,7 +66,7 @@ fn mixed_session_bytes(seed: u64, reports: u64) -> Vec<u8> {
     let mut stream = Vec::new();
     let mut buf = Vec::new();
     let mut frames = vec![Frame::Hello {
-        fingerprint: solution_fingerprint(&solution),
+        fingerprint: solution.fingerprint(),
         auth: 0,
     }];
     let mut batch = CompactBatch::new();
@@ -117,13 +117,13 @@ fn mixed_fingerprint_covers_numeric_mechanism_and_schema() {
     let duchi = build(NumericKind::Duchi, 2);
     let pm_k1 = build(NumericKind::Piecewise, 1);
     assert_ne!(
-        solution_fingerprint(&pm),
-        solution_fingerprint(&duchi),
+        pm.fingerprint(),
+        duchi.fingerprint(),
         "numeric mechanism must be part of the fingerprint"
     );
     assert_ne!(
-        solution_fingerprint(&pm),
-        solution_fingerprint(&pm_k1),
+        pm.fingerprint(),
+        pm_k1.fingerprint(),
         "sample budget must be part of the fingerprint"
     );
 
@@ -136,7 +136,7 @@ fn mixed_fingerprint_covers_numeric_mechanism_and_schema() {
     write_frame(
         &mut writer,
         &Frame::Hello {
-            fingerprint: solution_fingerprint(&duchi),
+            fingerprint: duchi.fingerprint(),
             auth: 0,
         },
     )
@@ -166,7 +166,7 @@ fn forged_resume_tokens_never_hijack_a_session() {
         ServerConfig::default().shards(2),
     )
     .unwrap();
-    let fingerprint = solution_fingerprint(&solution);
+    let fingerprint = solution.fingerprint();
 
     // A clean producer holds an open session while the forgers probe.
     let clean = TcpStream::connect(server.local_addr()).unwrap();
@@ -269,7 +269,7 @@ fn replayed_and_out_of_order_seqs_never_double_ingest() {
         ServerConfig::default().shards(2),
     )
     .unwrap();
-    let fingerprint = solution_fingerprint(&solution);
+    let fingerprint = solution.fingerprint();
     let mut rng = StdRng::seed_from_u64(0xD0D0);
     let batch_of = |rng: &mut StdRng, base: u64| {
         let mut batch = CompactBatch::new();
@@ -428,7 +428,7 @@ fn retired_batch_frame_type_is_rejected() {
     write_frame(
         &mut writer,
         &Frame::Hello {
-            fingerprint: solution_fingerprint(&solution),
+            fingerprint: solution.fingerprint(),
             auth: 0,
         },
     )
@@ -463,11 +463,11 @@ fn resume_session_bytes(seed: u64, reports: u64) -> Vec<u8> {
     }
     let frames = [
         Frame::Hello {
-            fingerprint: solution_fingerprint(&solution),
+            fingerprint: solution.fingerprint(),
             auth: seed ^ 0xA11,
         },
         Frame::HelloAck {
-            fingerprint: solution_fingerprint(&solution),
+            fingerprint: solution.fingerprint(),
             shards: 2,
             session: seed.wrapping_mul(0x9E37_79B9) | 1,
             ack_every: 32,
@@ -629,7 +629,7 @@ proptest! {
         let mut reader = std::io::BufReader::new(clean.try_clone().unwrap());
         let mut writer = clean;
         write_frame(&mut writer, &Frame::Hello {
-            fingerprint: solution_fingerprint(&solution),
+            fingerprint: solution.fingerprint(),
             auth: 0,
         })
         .unwrap();

@@ -7,9 +7,12 @@
 //! *evaluation targets* across threads via [`par::par_users_with`], each
 //! target drawing its randomness from its own
 //! [`target_rng`](ldp_core::attacks::target_rng) stream derived from the
-//! pipeline seed — replacing the single serial rng the old
-//! `ReidentAttack::rid_acc` threaded through all users. One
+//! pipeline seed, so no serial rng is threaded through all users. One
 //! [`MatchScratch`] is reused per shard, so evaluation is allocation-flat.
+//! A run's [`AttackRun::collection`] is the collection's
+//! [`ServerSnapshot`], and [`AttackPipeline::rid_acc`] scores externally
+//! built profiles (e.g. multi-survey campaign snapshots) on the same
+//! sharded evaluator.
 //! The same thread budget reaches the fit's §3.3 classifier (see
 //! [`AttackPipeline::threads`]).
 //! Results are **bit-identical** to the serial
@@ -48,9 +51,10 @@ use ldp_core::profiling::Profile;
 use ldp_core::reident::{MatchScratch, ReidentAttack};
 use ldp_datasets::Dataset;
 use ldp_protocols::ProtocolError;
+use ldp_server::ServerSnapshot;
 
 use crate::par;
-use crate::pipeline::{BudgetPolicy, CollectionPipeline, CollectionRun, Population};
+use crate::pipeline::{BudgetPolicy, CollectionPipeline, Population};
 
 /// Configurable sharded attack run. Build with [`AttackPipeline::new`] /
 /// [`AttackPipeline::from_kind`], chain the builder setters, then either
@@ -72,7 +76,7 @@ pub struct AttackRun {
     /// merged aggregator included — collection and observation share one
     /// sanitization pass, so the attack does not re-sanitize the
     /// population).
-    pub collection: CollectionRun,
+    pub collection: ServerSnapshot,
     /// The fitted adversary, reusable for further [`AttackPipeline::evaluate`]
     /// calls (e.g. at different evaluation seeds).
     pub fitted: Box<dyn FittedAttack>,
@@ -173,9 +177,17 @@ impl AttackPipeline {
         };
         let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
         let outcome = self.evaluate(fitted.as_ref());
+        // The rounds of one pass share one shard count: the cumulative
+        // snapshot keeps it.
+        let shards = runs[0].shards;
+        let mut runs = runs.into_iter().map(|run| run.aggregator);
+        let mut cumulative = runs.next().expect("a collection has at least one round");
+        for round in runs {
+            cumulative.merge(&round);
+        }
         Ok(AttackRun {
             outcome,
-            collection: CollectionRun::merged(runs),
+            collection: ServerSnapshot::from_aggregator(cumulative, shards),
             fitted,
         })
     }
@@ -218,8 +230,15 @@ impl AttackPipeline {
     /// # Panics
     /// Panics when the configured attack is not `Reident`.
     pub fn rid_acc(&self, index: &ReidentAttack, profiles: &[Profile]) -> Vec<f64> {
-        let top_ks = &self.reident_scenario().config().top_ks;
-        rid_acc_sharded(index, profiles, top_ks, self.seed, self.threads)
+        let eval = ReidentEval {
+            index,
+            profiles,
+            top_ks: &self.reident_scenario().config().top_ks,
+        };
+        match self.evaluate(&eval) {
+            AttackOutcome::Reident(o) => o.rid_acc,
+            _ => unreachable!("ReidentEval always yields a reident outcome"),
+        }
     }
 }
 
@@ -258,26 +277,6 @@ pub(crate) fn evaluate_sharded(
         }
     }
     fitted.outcome(&counts)
-}
-
-/// Sharded RID-ACC over borrowed profiles (the engine behind
-/// [`AttackPipeline::rid_acc`] and the legacy `rid_acc_multi` helpers).
-pub(crate) fn rid_acc_sharded(
-    index: &ReidentAttack,
-    profiles: &[Profile],
-    top_ks: &[usize],
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
-    let eval = ReidentEval {
-        index,
-        profiles,
-        top_ks,
-    };
-    match evaluate_sharded(&eval, seed, threads) {
-        AttackOutcome::Reident(o) => o.rid_acc,
-        _ => unreachable!("ReidentEval always yields a reident outcome"),
-    }
 }
 
 #[cfg(test)]
@@ -372,6 +371,36 @@ mod tests {
             top_ks: &[1, 10],
         });
         assert_eq!(accs, via_eval.reident().unwrap().rid_acc);
+    }
+
+    #[test]
+    fn parallel_rid_acc_matches_serial_distribution() {
+        let ds = adult_like(400, 3);
+        let all: Vec<usize> = (0..ds.d()).collect();
+        let index = ReidentAttack::build(&ds, &all);
+        // Perfect profiles: RID-ACC should be ≈ the uniqueness fraction or
+        // higher (ties only among identical records).
+        let profiles: Vec<Profile> = (0..ds.n())
+            .map(|i| {
+                let mut p = Profile::new();
+                for j in 0..ds.d() {
+                    p.observe(j, ds.value(i, j));
+                }
+                p
+            })
+            .collect();
+        let pipeline = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig {
+            top_ks: vec![1],
+            ..ReidentConfig::default()
+        }))
+        .unwrap()
+        .seed(7);
+        let acc = pipeline.clone().threads(4).rid_acc(&index, &profiles)[0];
+        let uniq = 100.0 * ds.uniqueness_fraction(&all);
+        assert!(acc >= uniq - 1.0, "acc {acc} vs uniqueness {uniq}");
+        // Deterministic across thread counts.
+        let acc2 = pipeline.threads(1).rid_acc(&index, &profiles)[0];
+        assert_eq!(acc.to_bits(), acc2.to_bits());
     }
 
     #[test]

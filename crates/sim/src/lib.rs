@@ -13,8 +13,9 @@
 //!   adversary must first *infer* the sampled attribute with the §3.3
 //!   classifier before profiling.
 //! * [`pipeline::CollectionPipeline`] — the streaming frequency-estimation
-//!   pipeline: [`Population`] → solution → sharded aggregators → merged
-//!   estimates, memory-flat in the population size. Every pass collects
+//!   pipeline: [`Population`] → solution → sharded aggregators → one merged
+//!   `ldp_server::ServerSnapshot`, the value a server drain returns,
+//!   memory-flat in the population size. Every pass collects
 //!   `rounds ≥ 1` rounds under a [`BudgetPolicy`] (a single round is
 //!   `rounds = 1`), with one call per sink: in-process aggregates
 //!   ([`CollectionPipeline::run_rounds`], or its one-round shorthand
@@ -25,7 +26,8 @@
 //! * [`attack_pipeline::AttackPipeline`] — the adversary mirror: dataset →
 //!   collection run → adversary fit (profiles / classifier / index) →
 //!   sharded, per-target-seeded ASR evaluation, bit-identical for every
-//!   thread count.
+//!   thread count; [`AttackPipeline::rid_acc`] is the one RID-ACC evaluator
+//!   over externally built profiles (e.g. campaign snapshots).
 //! * [`traffic::TrafficGenerator`] — seeded arrival schedules (steady,
 //!   burst, diurnal-ish ramp, churn) that drive the streamed
 //!   [`CollectionPipeline::serve_rounds`] mode through the `ldp_server`
@@ -60,59 +62,8 @@ pub use campaign::{PrivacyModel, SamplingSetting, SmpCampaign};
 pub use fault::{FaultKind, FaultPlan};
 pub use net_client::{ClientConfig, NetClient};
 pub use pipeline::{
-    user_rng, user_rng_round, BudgetPolicy, CollectionPipeline, CollectionRun, LongitudinalRun,
-    Population,
+    user_rng, user_rng_round, BudgetPolicy, CollectionPipeline, LongitudinalRun, Population,
 };
 pub use rsfd_campaign::{run_rsfd_campaign, RsFdCampaignConfig};
 pub use survey::SurveyPlan;
 pub use traffic::{TrafficGenerator, TrafficShape};
-
-use ldp_core::profiling::Profile;
-use ldp_core::reident::ReidentAttack;
-
-/// Thread-parallel RID-ACC (%) evaluation, one per entry of `top_ks`, all
-/// sharing one matching pass: profiles are matched against the background
-/// index in contiguous user chunks, each thread reusing one scratch buffer.
-/// Deterministic for a fixed `seed` regardless of `threads`.
-///
-/// Convenience over the [`AttackPipeline`] machinery (identical rng
-/// streams); prefer the pipeline for end-to-end runs.
-pub fn rid_acc_multi(
-    attack: &ReidentAttack,
-    profiles: &[Profile],
-    top_ks: &[usize],
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
-    attack_pipeline::rid_acc_sharded(attack, profiles, top_ks, seed, threads)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ldp_datasets::corpora::adult_like;
-
-    #[test]
-    fn parallel_rid_acc_matches_serial_distribution() {
-        let ds = adult_like(400, 3);
-        let all: Vec<usize> = (0..ds.d()).collect();
-        let attack = ReidentAttack::build(&ds, &all);
-        // Perfect profiles: RID-ACC should be ≈ the uniqueness fraction or
-        // higher (ties only among identical records).
-        let profiles: Vec<Profile> = (0..ds.n())
-            .map(|i| {
-                let mut p = Profile::new();
-                for j in 0..ds.d() {
-                    p.observe(j, ds.value(i, j));
-                }
-                p
-            })
-            .collect();
-        let acc = rid_acc_multi(&attack, &profiles, &[1], 7, 4)[0];
-        let uniq = 100.0 * ds.uniqueness_fraction(&all);
-        assert!(acc >= uniq - 1.0, "acc {acc} vs uniqueness {uniq}");
-        // Deterministic across thread counts.
-        let acc2 = rid_acc_multi(&attack, &profiles, &[1], 7, 1)[0];
-        assert!((acc - acc2).abs() < 1e-9);
-    }
-}

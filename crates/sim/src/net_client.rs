@@ -45,8 +45,8 @@ use std::time::Duration;
 
 use ldp_core::solutions::{CompactBatch, DynSolution, SolutionReport};
 use ldp_server::wire::{
-    auth_fingerprint, encode_batch_seq_frame, encode_frame, read_frame, solution_fingerprint,
-    write_frame, Frame, WireError, WireSnapshot,
+    auth_fingerprint, encode_batch_seq_frame, encode_frame, read_frame, write_frame, Frame,
+    WireError, WireSnapshot,
 };
 
 use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultPlan};
@@ -189,7 +189,7 @@ impl NetClient {
                 "address resolved to nothing".to_string(),
             ));
         }
-        let fingerprint = solution_fingerprint(solution);
+        let fingerprint = solution.fingerprint();
         let auth = cfg.auth.as_deref().map(auth_fingerprint).unwrap_or(0);
         let (stream, mut reader) = dial(&addrs, &cfg)?;
         let mut writer = stream.try_clone()?;

@@ -4,7 +4,7 @@
 //!
 //! This is the paper's §3.1 server loop at production shape: each worker
 //! thread sanitizes its user range and absorbs the reports **directly** into
-//! its own [`MultidimAggregator`] shard — no report is ever buffered — and
+//! its own [`MultidimAggregator`](ldp_core::solutions::MultidimAggregator) shard — no report is ever buffered — and
 //! the shards are merged exactly (integer counts), so results are
 //! bit-identical for every thread count and peak memory is
 //! `O(threads · Σ_j k_j)` regardless of the population size.
@@ -12,7 +12,10 @@
 //! Every pass reads a [`Population`] (a categorical [`Dataset`] or a mixed
 //! categorical + numeric [`MixedDataset`]) and collects it over
 //! `rounds ≥ 1` rounds under a [`BudgetPolicy`]; a single round is
-//! `rounds = 1`. There is one call per sink:
+//! `rounds = 1`. An in-process pass returns each round as the server's own
+//! [`ServerSnapshot`] (merged aggregator, estimates, normalized estimates,
+//! `n`, shard count), so a batch run and a server drain are the same type.
+//! There is one call per sink:
 //!
 //! * [`CollectionPipeline::run_rounds`] — per-round in-process aggregates
 //!   ([`CollectionPipeline::run`] is its one-round shorthand);
@@ -50,7 +53,7 @@
 //! assert_eq!(run.estimates.len(), dataset.d());
 //! ```
 
-use ldp_core::solutions::{DynSolution, MultidimAggregator, SolutionKind, SolutionReport};
+use ldp_core::solutions::{DynSolution, SolutionKind, SolutionReport};
 use ldp_datasets::{Dataset, MixedDataset};
 use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolError;
@@ -272,7 +275,7 @@ impl Population for MixedDataset {
 pub struct LongitudinalRun {
     /// The full-campaign drain (all rounds merged) — bit-identical to
     /// batch-collecting every round's reports.
-    pub cumulative: CollectionRun,
+    pub cumulative: ServerSnapshot,
     /// The retained closed-epoch snapshots, oldest first (at most the
     /// server's configured retention; empty for a single round, which
     /// closes no epoch).
@@ -288,22 +291,6 @@ pub struct CollectionPipeline {
     seed: u64,
     threads: usize,
     net: ClientConfig,
-}
-
-/// The outcome of one pipeline pass.
-#[derive(Debug, Clone)]
-pub struct CollectionRun {
-    /// The merged server state (reusable: keep absorbing or merge further
-    /// shards, e.g. from other collection sites).
-    pub aggregator: MultidimAggregator,
-    /// Unbiased per-attribute frequency estimates.
-    pub estimates: Vec<Vec<f64>>,
-    /// Estimates projected onto the probability simplex.
-    pub normalized: Vec<Vec<f64>>,
-    /// Number of users collected.
-    pub n: u64,
-    /// Number of parallel shards that were merged.
-    pub shards: usize,
 }
 
 impl CollectionPipeline {
@@ -355,19 +342,19 @@ impl CollectionPipeline {
 
     /// One round of [`CollectionPipeline::run_rounds`]: every user's tuple
     /// is sanitized with its own deterministic RNG ([`user_rng`]) and
-    /// absorbed straight into a per-thread aggregator shard; shards merge
-    /// into [`CollectionRun::aggregator`].
+    /// absorbed straight into a per-thread aggregator shard; the shards
+    /// merge into one [`ServerSnapshot`], the form a server drain takes.
     ///
     /// # Panics
     /// Panics when the population's schema differs from the solution's.
-    pub fn run(&self, population: &impl Population) -> CollectionRun {
+    pub fn run(&self, population: &impl Population) -> ServerSnapshot {
         self.run_rounds(population, 1, BudgetPolicy::SplitEps)
             .expect("a single round collects with the configured solution")
             .remove(0)
     }
 
     /// Collects the population over `rounds` rounds under `policy`,
-    /// returning one [`CollectionRun`] per round. The configured solution
+    /// returning one [`ServerSnapshot`] per round. The configured solution
     /// carries the **total** budget ε; [`BudgetPolicy::SplitEps`] sanitizes
     /// each round with fresh randomness at ε/R, [`BudgetPolicy::Memoize`]
     /// computes the round-0 report at full ε and replays it bit-identically
@@ -382,17 +369,18 @@ impl CollectionPipeline {
         population: &impl Population,
         rounds: usize,
         policy: BudgetPolicy,
-    ) -> Result<Vec<CollectionRun>, ProtocolError> {
+    ) -> Result<Vec<ServerSnapshot>, ProtocolError> {
         let per_round = self.round_pipeline(policy, rounds)?;
+        let empty = per_round.solution.aggregator();
         Ok(per_round
             .sanitize_rounds(
                 population,
                 rounds,
                 policy,
-                || per_round.solution.aggregator(),
+                || empty.clone(),
                 |agg, report| agg.absorb(&report),
             )
-            .map(|shards| per_round.merge_shards(&shards))
+            .map(|shards| ServerSnapshot::merge(empty.clone(), &shards))
             .collect())
     }
 
@@ -414,15 +402,16 @@ impl CollectionPipeline {
         population: &impl Population,
         rounds: usize,
         policy: BudgetPolicy,
-    ) -> Result<(Vec<CollectionRun>, Vec<SolutionReport>), ProtocolError> {
+    ) -> Result<(Vec<ServerSnapshot>, Vec<SolutionReport>), ProtocolError> {
         let per_round = self.round_pipeline(policy, rounds)?;
+        let empty = per_round.solution.aggregator();
         let mut observed = Vec::with_capacity(rounds.max(1) * population.n());
         let runs = per_round
             .sanitize_rounds(
                 population,
                 rounds,
                 policy,
-                || (per_round.solution.aggregator(), Vec::new()),
+                || (empty.clone(), Vec::new()),
                 |(agg, reports), report| {
                     agg.absorb(&report);
                     reports.push(report);
@@ -434,7 +423,7 @@ impl CollectionPipeline {
                     shards.push(agg);
                     observed.extend(reports);
                 }
-                per_round.merge_shards(&shards)
+                ServerSnapshot::merge(empty.clone(), &shards)
             })
             .collect();
         Ok((runs, observed))
@@ -512,8 +501,10 @@ impl CollectionPipeline {
             }
         }
         let epochs = server.epochs();
-        let cumulative = CollectionRun::from_snapshot(server.drain());
-        Ok(LongitudinalRun { cumulative, epochs })
+        Ok(LongitudinalRun {
+            cumulative: server.drain(),
+            epochs,
+        })
     }
 
     /// The multi-process twin of [`CollectionPipeline::serve_rounds`]: one
@@ -640,11 +631,6 @@ impl CollectionPipeline {
             })
         })
     }
-
-    /// Merges per-thread shards into the final [`CollectionRun`].
-    fn merge_shards(&self, shards: &[MultidimAggregator]) -> CollectionRun {
-        CollectionRun::from_snapshot(ServerSnapshot::merge(self.solution.aggregator(), shards))
-    }
 }
 
 fn assert_traffic(traffic: &TrafficGenerator, n: usize) {
@@ -653,38 +639,6 @@ fn assert_traffic(traffic: &TrafficGenerator, n: usize) {
         n,
         "traffic schedule does not match the dataset population"
     );
-}
-
-impl CollectionRun {
-    /// A run from a drained/merged server snapshot. Shared by the batch and
-    /// streamed paths, so both produce identical estimates from identical
-    /// counts — including the zero-users edge, where the estimates are
-    /// all-zero (not NaN, and not a fabricated uniform distribution).
-    pub(crate) fn from_snapshot(snapshot: ServerSnapshot) -> CollectionRun {
-        CollectionRun {
-            estimates: snapshot.estimates,
-            normalized: snapshot.normalized,
-            n: snapshot.n,
-            shards: snapshot.shards,
-            aggregator: snapshot.aggregator,
-        }
-    }
-
-    /// The cumulative run over several rounds' runs (e.g. the rounds of
-    /// one campaign): their aggregators merged exactly, estimated once.
-    ///
-    /// # Panics
-    /// Panics when `runs` is empty.
-    pub(crate) fn merged(runs: Vec<CollectionRun>) -> CollectionRun {
-        let mut runs = runs.into_iter();
-        let first = runs.next().expect("a collection has at least one round");
-        let shards = first.shards;
-        let aggregator = runs.fold(first.aggregator, |mut acc, run| {
-            acc.merge(&run.aggregator);
-            acc
-        });
-        CollectionRun::from_snapshot(ServerSnapshot::from_aggregator(aggregator, shards))
-    }
 }
 
 #[cfg(test)]
@@ -701,7 +655,7 @@ mod tests {
         pipeline: &CollectionPipeline,
         population: &impl Population,
         traffic: &TrafficGenerator,
-    ) -> CollectionRun {
+    ) -> ServerSnapshot {
         let served = pipeline
             .serve_rounds(population, traffic, 1, BudgetPolicy::SplitEps, 1)
             .unwrap();

@@ -114,6 +114,8 @@ pub fn run_rsfd_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AttackPipeline;
+    use ldp_core::attacks::{AttackKind, ReidentConfig};
     use ldp_core::reident::ReidentAttack;
     use ldp_datasets::corpora::adult_like;
     use ldp_gbdt::GbdtParams;
@@ -159,7 +161,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let plan = SurveyPlan::generate(ds.d(), 3, &mut rng);
         let snaps = run_rsfd_campaign(&ds, &plan, &fast_config(8.0), 11, 2).unwrap();
-        let acc = crate::rid_acc_multi(&attack, &snaps[2], &[10], 3, 2)[0];
+        let acc = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig {
+            top_ks: vec![10],
+            ..ReidentConfig::default()
+        }))
+        .unwrap()
+        .seed(3)
+        .threads(2)
+        .rid_acc(&attack, &snaps[2])[0];
         // Perfect 3-attribute profiles would re-identify a large share of a
         // 400-user population; the chained attack must stay well below.
         assert!(acc < 60.0, "RID-ACC suspiciously high: {acc}");

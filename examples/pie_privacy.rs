@@ -6,11 +6,12 @@
 //! cargo run --release --example pie_privacy
 //! ```
 
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::pie::{self, PieDecision};
 use ldp_core::reident::ReidentAttack;
 use ldp_datasets::corpora::adult_like;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::{rid_acc_multi, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
+use ldp_sim::{AttackPipeline, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -71,7 +72,11 @@ fn main() {
         )
         .expect("campaign");
         let snaps = campaign.run(&dataset, &plan, 77, 2);
-        let accs = rid_acc_multi(&attack, &snaps[4], &[1, 10], 5, 2);
+        let accs = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig::default()))
+            .unwrap()
+            .seed(5)
+            .threads(2)
+            .rid_acc(&attack, &snaps[4]);
         println!("{:<26} {:>9.2} {:>9.2}", label, accs[0], accs[1]);
     }
 

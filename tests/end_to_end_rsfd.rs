@@ -1,6 +1,7 @@
 //! Integration: RS+FD attribute inference (Fig. 3/15) and the collapse of
 //! re-identification under RS+FD (Fig. 4).
 
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::reident::ReidentAttack;
 use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
@@ -8,7 +9,7 @@ use ldp_datasets::corpora::{acs_employment_like, adult_like, nursery_like};
 use ldp_datasets::Dataset;
 use ldp_gbdt::GbdtParams;
 use ldp_protocols::UeMode;
-use ldp_sim::{rid_acc_multi, run_rsfd_campaign, RsFdCampaignConfig, SurveyPlan};
+use ldp_sim::{run_rsfd_campaign, AttackPipeline, RsFdCampaignConfig, SurveyPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,7 +99,14 @@ fn rsfd_reidentification_collapses_relative_to_smp() {
     )
     .expect("campaign");
     let smp_snaps = smp.run(&dataset, &plan, 21, 2);
-    let smp_acc = rid_acc_multi(&attack, &smp_snaps[3], &[10], 5, 2)[0];
+    let top10 = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig {
+        top_ks: vec![10],
+        ..ReidentConfig::default()
+    }))
+    .unwrap()
+    .seed(5)
+    .threads(2);
+    let smp_acc = top10.rid_acc(&attack, &smp_snaps[3])[0];
 
     // RS+FD[GRR] with the chained classifier attack.
     let config = RsFdCampaignConfig {
@@ -108,7 +116,7 @@ fn rsfd_reidentification_collapses_relative_to_smp() {
         classifier: classifier(),
     };
     let rsfd_snaps = run_rsfd_campaign(&dataset, &plan, &config, 22, 2).expect("campaign");
-    let rsfd_acc = rid_acc_multi(&attack, &rsfd_snaps[3], &[10], 5, 2)[0];
+    let rsfd_acc = top10.rid_acc(&attack, &rsfd_snaps[3])[0];
 
     assert!(
         rsfd_acc < 0.5 * smp_acc,

@@ -1,10 +1,11 @@
 //! Integration: the full SMP collection → profiling → re-identification
 //! pipeline reproduces the paper's qualitative Fig. 2 findings.
 
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::reident::ReidentAttack;
 use ldp_datasets::corpora::adult_like;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::{rid_acc_multi, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
+use ldp_sim::{AttackPipeline, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +29,11 @@ fn rid_after_five_surveys(
     let snaps = campaign.run(&dataset, &plan, 31, 2);
     let all: Vec<usize> = (0..dataset.d()).collect();
     let attack = ReidentAttack::build(&dataset, &all);
-    let accs = rid_acc_multi(&attack, &snaps[4], &[1, 10], 7, 2);
+    let accs = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig::default()))
+        .unwrap()
+        .seed(7)
+        .threads(2)
+        .rid_acc(&attack, &snaps[4]);
     (accs[0], accs[1])
 }
 
@@ -88,8 +93,15 @@ fn partial_background_knowledge_reduces_risk() {
     let all: Vec<usize> = (0..dataset.d()).collect();
     let fk = ReidentAttack::build(&dataset, &all);
     let pk = ReidentAttack::build(&dataset, &all[..dataset.d() / 2]);
-    let fk_acc = rid_acc_multi(&fk, &snaps[4], &[10], 3, 2)[0];
-    let pk_acc = rid_acc_multi(&pk, &snaps[4], &[10], 3, 2)[0];
+    let top10 = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig {
+        top_ks: vec![10],
+        ..ReidentConfig::default()
+    }))
+    .unwrap()
+    .seed(3)
+    .threads(2);
+    let fk_acc = top10.rid_acc(&fk, &snaps[4])[0];
+    let pk_acc = top10.rid_acc(&pk, &snaps[4])[0];
     assert!(
         pk_acc < fk_acc,
         "PK-RI must be weaker than FK-RI: {pk_acc} vs {fk_acc}"

@@ -27,11 +27,11 @@ use ldp_protocols::{ProtocolKind, UeMode};
 use ldp_server::wire::{read_frame, write_frame, Frame, WireSnapshot};
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, CollectionRun, NetClient};
+use ldp_sim::{user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, NetClient};
 
 const SEED: u64 = 17;
 
-fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &CollectionRun, label: &str) {
+fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &ServerSnapshot, label: &str) {
     assert_eq!(snapshot.n, reference.n, "{label}: n");
     assert_eq!(
         snapshot.aggregator.counts(),
@@ -58,7 +58,7 @@ fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &CollectionRun
 
 fn assert_wire_snapshot_matches_run(
     snapshot: &WireSnapshot,
-    reference: &CollectionRun,
+    reference: &ServerSnapshot,
     label: &str,
 ) {
     assert_eq!(snapshot.n, reference.n, "{label}: n");

@@ -22,18 +22,14 @@ use std::time::Duration;
 use ldp_core::solutions::{RsFdProtocol, SolutionKind};
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::Dataset;
-use ldp_server::wire::{
-    read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
-};
+use ldp_server::wire::{read_frame, write_frame, Frame, WireError, WireSnapshot};
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer, ABORT_PROTOCOL};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{
-    user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, CollectionRun, FaultKind, FaultPlan,
-};
+use ldp_sim::{user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, FaultKind, FaultPlan};
 
 const SEED: u64 = 17;
 
-fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &CollectionRun, label: &str) {
+fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &ServerSnapshot, label: &str) {
     assert_eq!(snapshot.n, reference.n, "{label}: n");
     assert_eq!(
         snapshot.aggregator.counts(),
@@ -440,7 +436,7 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
         .build(&ks, 2.0)
         .and_then(|s| BudgetPolicy::SplitEps.round_solution(&s, ROUNDS))
         .unwrap();
-    let fingerprint = solution_fingerprint(&per_round);
+    let fingerprint = per_round.fingerprint();
     let server = WireServer::bind(
         "127.0.0.1:0",
         per_round,

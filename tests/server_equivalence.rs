@@ -10,9 +10,9 @@ use ldp_datasets::corpora::adult_like;
 use ldp_datasets::Dataset;
 use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolKind;
-use ldp_server::{Envelope, LdpServer, ServerConfig};
+use ldp_server::{Envelope, LdpServer, ServerConfig, ServerSnapshot};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline, CollectionRun};
+use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline};
 
 fn all_kinds() -> Vec<SolutionKind> {
     vec![
@@ -26,7 +26,7 @@ fn all_kinds() -> Vec<SolutionKind> {
     ]
 }
 
-fn assert_runs_bit_identical(a: &CollectionRun, b: &CollectionRun, label: &str) {
+fn assert_runs_bit_identical(a: &ServerSnapshot, b: &ServerSnapshot, label: &str) {
     assert_eq!(a.n, b.n, "{label}: n");
     assert_eq!(
         a.aggregator.counts(),
