@@ -24,11 +24,10 @@
 //! ablation.
 
 use ldp_gbdt::{DenseMatrix, GbdtClassifier, GbdtParams, LogisticParams, LogisticRegression};
-use ldp_protocols::Report;
 use rand::seq::index::sample;
 use rand::Rng;
 
-use crate::solutions::{sample_cdf, to_cdf, MultidimSolution, SolutionReport};
+use crate::solutions::{sample_cdf, to_cdf, Entry, Field, MultidimSolution, SolutionReport};
 
 /// Attacker knowledge model (§3.3.1–3.3.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,14 +118,15 @@ pub struct InferenceOutcome {
 }
 
 /// Encodes fake-data tuples as classifier features straight from their
-/// words: a value entry becomes one column (its code), a `k_j`-lane
-/// bit-vector entry `k_j` columns (its bits). The header's hidden attribute
-/// is never read.
+/// words, field by field of the tuple layout RS+FD and RS+RFD build: a
+/// value entry becomes one column (its code), a `k_j`-lane bit-vector entry
+/// `k_j` columns (its bits). The header's hidden attribute is never read.
 ///
 /// # Panics
 /// Panics on a report that is not a `ks.len()`-attribute tuple of value
 /// entries (`unary = false`) or of `k_j`-lane bit vectors (`unary = true`).
 pub fn encode_features(reports: &[&SolutionReport], ks: &[usize], unary: bool) -> DenseMatrix {
+    let fields: Vec<Field> = ks.iter().map(|&k| Field::fake_data(k, unary)).collect();
     let width: usize = if unary { ks.iter().sum() } else { ks.len() };
     let mut flat = vec![0.0f32; reports.len() * width];
     for (report, row) in reports.iter().zip(flat.chunks_exact_mut(width)) {
@@ -135,8 +135,8 @@ pub fn encode_features(reports: &[&SolutionReport], ks: &[usize], unary: bool) -
             .expect("expected full fake-data tuples in the observed round");
         assert_eq!(d, ks.len(), "tuple width mismatch");
         let mut col = 0;
-        for &k in ks {
-            if unary {
+        for &field in &fields {
+            if let Field::Bits { k } = field {
                 let blocks = cursor
                     .bits_entry(k)
                     .expect("expected unary report of the attribute's width");
@@ -152,9 +152,9 @@ pub fn encode_features(reports: &[&SolutionReport], ks: &[usize], unary: bool) -
                 }
                 col += k;
             } else {
-                row[col] = match cursor.decode_entry() {
-                    Report::Value(v) => v as f32,
-                    other => panic!("expected value report, got {}", other.shape()),
+                row[col] = match cursor.entry() {
+                    Ok(Entry::Value(v)) => v as f32,
+                    other => panic!("expected value report, got {other:?}"),
                 };
                 col += 1;
             }
@@ -325,7 +325,7 @@ impl SampledAttributeAttack {
 mod tests {
     use super::*;
     use crate::solutions::{RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
-    use ldp_protocols::{BitVec, UeMode};
+    use ldp_protocols::{BitVec, Report, UeMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -35,13 +35,11 @@
 use std::sync::Arc;
 
 use ldp_protocols::oracle::{count_support, estimate_eq2};
-use ldp_protocols::Report;
+use ldp_protocols::{FrequencyOracle, Report};
 
 use crate::numeric::NUMERIC_SCALE;
 
-use super::compact::{
-    count_entry, Cursor, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, SUBTAG_CAT, SUBTAG_NUM,
-};
+use super::layout::{Cursor, Entry, Field, KIND_MIXED, KIND_SMP, WELL_FORMED};
 use super::mixed::{MixedEntry, MixedReport};
 use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
@@ -85,6 +83,60 @@ pub(crate) fn count_fake_data_entry(counts: &mut [u64], j: usize, rep: &Report) 
         other => {
             debug_assert!(false, "attr {j}: unexpected report shape {other:?}");
         }
+    }
+}
+
+/// Counts one encoded entry of attribute `j` into `counts`: the encoded
+/// twin of `ldp_protocols::oracle::count_support` (for SPL, SMP and mixed
+/// entries, whose solution has an oracle for `j`) and of
+/// [`count_fake_data_entry`] (for tuple entries, which never carry hashed
+/// or subset shapes). Identical counting semantics, including the
+/// debug-assert rejection of out-of-domain entries and the release-mode
+/// skip of stray ones.
+///
+/// A bit-vector entry's words go whole to `bits`: a batch's byte-lane
+/// tally, which the caller flushes into `counts` before the batch is done,
+/// or a single report's direct per-bit count.
+fn count_entry(
+    counts: &mut [u64],
+    solution: &DynSolution,
+    j: usize,
+    entry: Entry,
+    bits: &mut impl BitSink,
+) {
+    match entry {
+        Entry::Value(v) => count_value(counts, j, v),
+        Entry::Bits { k, blocks } => {
+            debug_assert_eq!(k, counts.len(), "attr {j}: bit-vector width is not k_j");
+            bits.add(counts, j, blocks);
+        }
+        // Per-report dispatch into the oracle's tightest domain sweep
+        // (monomorphized for OLH). A fake-data tuple entry of this shape or
+        // the next is malformed: rejected loudly in tests, skipped in
+        // release, as `count_fake_data_entry` does.
+        Entry::Hashed { seed, g, value } => match solution.oracle(j) {
+            Some(oracle) => oracle.count_hashed(counts, &Report::Hashed { seed, g, value }),
+            None => debug_assert!(false, "attr {j}: unexpected hashed entry in a tuple"),
+        },
+        Entry::Subset { .. } => match solution.oracle(j) {
+            Some(_) => entry
+                .members()
+                .for_each(|m| count_value(counts, j, m.into())),
+            None => debug_assert!(false, "attr {j}: unexpected subset entry in a tuple"),
+        },
+        Entry::Numeric(_) => unreachable!("numeric entries are summed, not counted"),
+    }
+}
+
+/// Counts value `v` of attribute `j`, which must lie in its domain.
+fn count_value(counts: &mut [u64], j: usize, v: u64) {
+    debug_assert!(
+        (v as usize) < counts.len(),
+        "attr {j}: report value {v} outside domain of size {}",
+        counts.len()
+    );
+    if let Some(c) = counts.get_mut(v as usize) {
+        *c += 1;
     }
 }
 
@@ -290,69 +342,70 @@ impl MultidimAggregator {
         self.tally = tally;
     }
 
-    /// Counts the report at `cursor` and advances past it, sending
-    /// bit-vector entries to `bits`.
+    /// Counts the report at `cursor` and advances past it, following the
+    /// solution's layout; bit-vector entries go to `bits`.
     #[inline]
     fn absorb_next(&mut self, cursor: &mut Cursor, bits: &mut impl BitSink) {
-        let (kind, a, _sampled) = cursor.solution_header();
-        match (kind, &*self.solution) {
-            (KIND_FULL, DynSolution::Spl(spl)) => {
-                // Hard assert: a width mismatch would desync the cursor.
-                assert_eq!(a, self.counts.len(), "tuple width mismatch");
-                self.n += 1;
-                for (j, counts) in self.counts.iter_mut().enumerate() {
-                    // SPL[UE] entries have fixed headers: feed their words
-                    // straight to the bit sink.
-                    match cursor.bits_entry(counts.len()) {
-                        Some(words) => bits.add(counts, j, words),
-                        None => count_entry(counts, Some(spl.oracle(j)), j, cursor, bits),
-                    }
-                }
-            }
-            (KIND_SMP, DynSolution::Smp(smp)) => {
+        let solution = &*self.solution;
+        let layout = solution.layout();
+        let (kind, a, _sampled) = cursor.header().expect(WELL_FORMED);
+        assert!(
+            kind == layout.kind(),
+            "absorb: report kind {kind} does not match this aggregator's solution"
+        );
+        self.n += 1;
+        match kind {
+            KIND_SMP => {
                 assert!(a < self.counts.len(), "attribute index out of range");
-                self.n += 1;
                 self.n_attr[a] += 1;
-                count_entry(&mut self.counts[a], Some(smp.oracle(a)), a, cursor, bits);
+                let entry = cursor.entry().expect(WELL_FORMED);
+                count_entry(&mut self.counts[a], solution, a, entry, bits);
             }
-            (KIND_TUPLE, DynSolution::RsFd(_) | DynSolution::RsRfd(_)) => {
-                // Hard assert: a width mismatch would desync the cursor.
-                assert_eq!(a, self.counts.len(), "tuple width mismatch");
-                self.n += 1;
-                for (j, counts) in self.counts.iter_mut().enumerate() {
-                    count_entry(counts, None, j, cursor, bits);
-                }
-            }
-            (KIND_MIXED, DynSolution::Mixed(mixed)) => {
+            KIND_MIXED => {
                 // `a` = number of entries; validated against sample_k by
                 // `CompactBatch::validate_for_solution`.
-                self.n += 1;
-                for _ in 0..a {
-                    let dim_word = cursor.next();
-                    let subtag = dim_word & 0b11;
-                    let j = (dim_word >> 2) as usize;
+                for i in 0..a {
+                    let (j, entry) = cursor.report_entry(kind, a, i).expect(WELL_FORMED);
                     assert!(j < self.counts.len(), "dimension index out of range");
                     self.n_attr[j] += 1;
-                    match subtag {
-                        SUBTAG_CAT => {
-                            let oracle = mixed
-                                .oracle(j)
-                                .expect("categorical entry on a numeric dimension");
-                            count_entry(&mut self.counts[j], Some(oracle), j, cursor, bits);
-                        }
-                        SUBTAG_NUM => {
-                            assert!(
-                                mixed.is_numeric(j),
-                                "numeric entry on a categorical dimension"
-                            );
-                            self.num_sums[j] += (cursor.next() as i64) as i128;
-                        }
-                        other => panic!("absorb: invalid mixed subtag {other}"),
+                    let numeric = matches!(layout.fields()[j], Field::Numeric { .. });
+                    match entry {
+                        Entry::Numeric(raw) if numeric => self.num_sums[j] += i128::from(raw),
+                        Entry::Numeric(_) => panic!("numeric entry on a categorical dimension"),
+                        _ if numeric => panic!("categorical entry on a numeric dimension"),
+                        entry => count_entry(&mut self.counts[j], solution, j, entry, bits),
                     }
                 }
             }
-            (kind, _) => {
-                panic!("absorb: report kind {kind} does not match this aggregator's solution")
+            _ => {
+                // Hard assert: a width mismatch would desync the cursor.
+                assert_eq!(a, self.counts.len(), "tuple width mismatch");
+                for (j, (counts, &field)) in self.counts.iter_mut().zip(layout.fields()).enumerate()
+                {
+                    // The field's own entries skip the tag dispatch.
+                    match field {
+                        Field::Value { .. } => {
+                            if let Some(v) = cursor.value_entry() {
+                                count_value(counts, j, v);
+                                continue;
+                            }
+                        }
+                        Field::Bits { k } => {
+                            if let Some(blocks) = cursor.bits_entry(k) {
+                                bits.add(counts, j, blocks);
+                                continue;
+                            }
+                        }
+                        _ => {}
+                    }
+                    count_entry(
+                        counts,
+                        solution,
+                        j,
+                        cursor.entry().expect(WELL_FORMED),
+                        bits,
+                    );
+                }
             }
         }
     }
@@ -405,28 +458,7 @@ impl MultidimAggregator {
     /// own `n_j`. Attributes without any contributing report estimate
     /// all-zeros.
     pub fn estimate(&self) -> Vec<Vec<f64>> {
-        let counts = self.counts.iter().enumerate();
         match &*self.solution {
-            DynSolution::Spl(s) => counts
-                .map(|(j, cj)| estimate_eq2(s.oracle(j), cj, self.n))
-                .collect(),
-            DynSolution::Smp(s) => counts
-                .map(|(j, cj)| estimate_eq2(s.oracle(j), cj, self.n_attr[j]))
-                .collect(),
-            DynSolution::Mixed(s) => counts
-                .map(|(j, cj)| {
-                    let nj = self.n_attr[j];
-                    match s.oracle(j) {
-                        Some(oracle) => estimate_eq2(oracle, cj, nj),
-                        // Numeric dimension: the mean of unbiased per-report
-                        // values, computed from the exact fixed-point sum.
-                        // Length-1 row = a single mean, not a frequency
-                        // vector.
-                        None if nj == 0 => vec![0.0],
-                        None => vec![self.num_sums[j] as f64 / NUMERIC_SCALE as f64 / nj as f64],
-                    }
-                })
-                .collect(),
             DynSolution::RsFd(s) => {
                 let (n, d) = (self.n as f64, self.counts.len() as f64);
                 self.fake_data_estimate(|j, _, c| {
@@ -465,6 +497,24 @@ impl MultidimAggregator {
                     }
                 })
             }
+            // SPL over every report, SMP and mixed over each attribute's own
+            // `n_j`.
+            solution => (self.counts.iter().enumerate())
+                .map(|(j, cj)| {
+                    let nj = match solution {
+                        DynSolution::Spl(_) => self.n,
+                        _ => self.n_attr[j],
+                    };
+                    match solution.oracle(j) {
+                        Some(oracle) => estimate_eq2(oracle, cj, nj),
+                        // A numeric dimension: the mean of unbiased per-report
+                        // values, from the exact fixed-point sum, as a length-1
+                        // row.
+                        None if nj == 0 => vec![0.0],
+                        None => vec![self.num_sums[j] as f64 / NUMERIC_SCALE as f64 / nj as f64],
+                    }
+                })
+                .collect(),
         }
     }
 

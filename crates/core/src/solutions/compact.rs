@@ -9,28 +9,20 @@
 //! batches back to the producers through a pool, so steady-state ingestion
 //! crosses the channel without any fresh heap allocation.
 //!
-//! Nothing on the server side rematerializes reports: the cursor-based
-//! [`count_entry`] counts support directly from the encoded words (see
-//! [`MultidimAggregator::absorb_compact`]), dispatching on the oracle once
-//! per report and adding bit-vector words whole into a byte-lane tally.
-//! Neither does the routing side: a server hands each validated batch to
-//! one shard whole, so no report's words are copied between arrival and
-//! counting. [`CompactBatch::iter`] copies each report's words back out as
-//! an owned report; no server path calls it.
-//!
-//! ## Checked decoding
-//!
-//! Both public decoders return only checked batches, and each makes one
-//! pass over the words after a bulk copy. [`CompactBatch::decode_from`]
-//! walks the structure alone; [`CompactBatch::decode_for`], the server's
-//! decoder, applies every structural and domain rule of the receiver's
-//! solution ([`CompactBatch::validate_for_solution`]) instead. For the
-//! value-entry solutions (SPL, RS+FD and RS+RFD over GRR) that pass is a
-//! template of one rule per word position, ANDed over the whole batch
-//! without a branch on the data; the entry-by-entry walk runs only to name
-//! the error of a batch the template rejects, and for every other kind.
+//! Nothing on the server side rematerializes reports: the aggregator counts
+//! support directly from the encoded words (see
+//! [`MultidimAggregator::absorb_compact`]), and a server hands each
+//! validated batch to one shard whole. Both public decoders return only
+//! checked batches, each in one pass over the words after a bulk copy:
+//! [`CompactBatch::decode_from`] checks the structure alone, and
+//! [`CompactBatch::decode_for`], the server's decoder, every rule of the
+//! receiver's solution ([`CompactBatch::validate_for_solution`]).
 //!
 //! ## Wire format (per report, in 64-bit words)
+//!
+//! This block is the one prose spec of the report words. Its code is each
+//! solution's `Layout` (`solutions/layout.rs`), which the writer, the
+//! checked walk, the reader and the counter all follow.
 //!
 //! ```text
 //! solution header: kind(2 bits) | a(bits 2..33) | b(bits 33..64)
@@ -56,34 +48,9 @@
 //!
 //! [`MultidimAggregator::absorb_compact`]: super::MultidimAggregator::absorb_compact
 
-use ldp_protocols::{BitVec, FrequencyOracle, Oracle, ProtocolKind, Report};
-
-use crate::numeric::{NumericOracle, NUMERIC_SCALE};
-
-use super::kind::{DynSolution, SolutionKind};
-use super::mixed::NUMERIC_DIM;
-use super::rsfd::RsFdProtocol;
-use super::rsrfd::RsRfdProtocol;
-use super::tally::BitSink;
+use super::kind::DynSolution;
+use super::layout::{walk, Cursor, HEADER_B};
 use super::SolutionReport;
-
-pub(super) const KIND_FULL: u64 = 0;
-pub(super) const KIND_SMP: u64 = 1;
-pub(super) const KIND_TUPLE: u64 = 2;
-pub(super) const KIND_MIXED: u64 = 3;
-
-/// A solution header's `b` bits (33..64): reserved, zero on the wire.
-const HEADER_B: u64 = !0 << 33;
-
-pub(super) const SUBTAG_CAT: u64 = 0;
-pub(super) const SUBTAG_NUM: u64 = 1;
-
-pub(super) const TAG_VALUE: u64 = 0;
-pub(super) const TAG_HASHED: u64 = 1;
-pub(super) const TAG_SUBSET: u64 = 2;
-pub(super) const TAG_BITS: u64 = 3;
-/// Entry tags by value, for error messages.
-const TAG_NAMES: [&str; 4] = ["value", "hashed", "subset", "bits"];
 
 /// A batch of `(uid, SolutionReport)` pairs held as two reusable buffers:
 /// the uids, and every report's encoded words back to back. Build with
@@ -194,8 +161,7 @@ impl CompactBatch {
 
     /// Every `(uid, report)` pair, each report a copy of its words — the
     /// round-trip inverse of [`CompactBatch::push`]. No server path calls
-    /// this: aggregation counts from the encoded words and routing moves
-    /// whole batches.
+    /// this.
     pub fn iter(&self) -> impl Iterator<Item = (u64, SolutionReport)> + '_ {
         let mut cursor = self.cursor();
         self.uids.iter().map(move |&uid| {
@@ -250,28 +216,25 @@ impl CompactBatch {
     /// which adds the target solution's shape and domain rules.
     pub fn decode_from(bytes: &[u8]) -> Result<CompactBatch, CompactDecodeError> {
         let batch = CompactBatch::decode_unchecked(bytes)?;
-        walk_words(&batch.words, batch.len(), None)?;
+        walk(&batch.words, batch.len(), None)?;
         Ok(batch)
     }
 
     /// Decodes an [`CompactBatch::encode_into`] buffer in one checked pass
     /// against the solution the receiver built: the byte-length checks and
     /// word copy of [`CompactBatch::decode_from`], then
-    /// [`CompactBatch::validate_for_solution`] in place of the structural
-    /// walk, since validation applies every structural rule too. A
-    /// value-entry batch (SPL, RS+FD or RS+RFD over GRR) is accepted by the
-    /// per-position template of `CompactBatch::validate_for` and walked by
-    /// no one; any other is walked once. A rejected batch
-    /// gets exactly the error `decode_from` followed by
-    /// `validate_for_solution` would give: a structural fault outranks a
-    /// domain one. This is the wire tier's decoder.
+    /// [`CompactBatch::validate_for_solution`], which applies every
+    /// structural rule too. A rejected batch gets exactly the error
+    /// `decode_from` followed by `validate_for_solution` would give: a
+    /// structural fault outranks a domain one. This is the wire tier's
+    /// decoder.
     pub fn decode_for(
         bytes: &[u8],
         solution: &DynSolution,
     ) -> Result<CompactBatch, CompactDecodeError> {
         let batch = CompactBatch::decode_unchecked(bytes)?;
         if let Err(e) = batch.validate_for_solution(solution) {
-            walk_words(&batch.words, batch.len(), None)?;
+            walk(&batch.words, batch.len(), None)?;
             return Err(e);
         }
         Ok(batch)
@@ -320,581 +283,51 @@ impl CompactBatch {
         })
     }
 
-    /// The rules of [`CompactBatch::validate_for_solution`] that the kind
-    /// and domain sizes alone decide: all but the numeric-magnitude bound.
-    fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
-        let rules = template(kind, ks);
-        if rules.is_some_and(|rules| template_accepts(&rules, &self.words, self.len())) {
-            return Ok(());
-        }
-        walk_words(&self.words, self.uids.len(), Some((kind, ks)))
-    }
-
-    /// Checks every encoded report against the target solution's shape and
-    /// domains: the report kind must match the solution family (SPL ⇒ full,
-    /// SMP ⇒ sampled, RS+FD/RS+RFD ⇒ tuple), entry counts must equal `d`,
-    /// an SMP attribute index must be `< d`, so must a tuple header's
-    /// reserved `b` (producers send zero; a batch built in process may hold
-    /// the hidden sampled index there), every entry must carry the
-    /// tag its protocol emits (GRR ⇒ value, OLH ⇒ hashed, SS ⇒ subset,
-    /// SUE/OUE ⇒ bits; RS+FD/RS+RFD GRR ⇒ value, UE-z/UE-r ⇒ bits; a mixed
-    /// solution's categorical entries ⇒ its protocol's tag), and every
-    /// entry must fit its attribute's domain (`Value < k_j`, subset members
-    /// `< k_j`, bit-vector width `== k_j`, hashed reports with `value < g`).
-    /// For mixed solutions it also bounds every numeric entry's magnitude
-    /// by the mechanism's output bound (Duchi/PM/HM reports all lie in
-    /// `[-C, C]`), so a forged fixed-point payload cannot drag a mean
-    /// estimate arbitrarily far — the numeric analogue of the categorical
-    /// `Value < k_j` domain rule. This is the gate that keeps a malformed
+    /// Checks every encoded report against the target solution's layout:
+    /// the header's kind (SPL ⇒ full, SMP ⇒ sampled, RS+FD/RS+RFD ⇒ tuple,
+    /// mixed ⇒ mixed), its entry count (`d`, or `sample_k`), an SMP
+    /// attribute `< d`, a tuple's reserved `b < d` (producers send zero; in
+    /// process it may hold the hidden sampled index), a mixed report's
+    /// dimensions ascending below `d`, and each entry against its
+    /// attribute's field: the tag its protocol emits and its domain
+    /// (`Value < k_j`, subset members `< k_j`, bit-vector width `== k_j`,
+    /// hashed reports with `value < g`, numeric entries within the
+    /// mechanism's output bound). This is the gate that keeps a malformed
     /// network batch from ever reaching an aggregator shard, whose counting
-    /// path only debug-asserts.
+    /// path only debug-asserts. A batch that passes is one
+    /// [`CompactBatch::decode_from`] accepts too.
     ///
-    /// Every rule above also holds the batch's structure, so a batch that
-    /// passes is one [`CompactBatch::decode_from`] accepts too. SPL, RS+FD
-    /// and RS+RFD over GRR write reports of one header and one value word
-    /// per attribute, and for those the check is first a branch-free pass
-    /// of a per-position template over the words (see `Rule`); the walk
-    /// over entries runs only when the template rejects, or for any other
-    /// kind, so a rejection's error is the walk's.
+    /// SPL, RS+FD and RS+RFD over GRR write a header and one value word per
+    /// attribute; their batches first get a branch-free pass of the
+    /// layout's per-word template, and the entry walk runs only when the
+    /// template rejects (so a rejection's error is the walk's), or for any
+    /// other kind.
     pub fn validate_for_solution(&self, solution: &DynSolution) -> Result<(), CompactDecodeError> {
-        self.validate_for(solution.kind(), solution.ks())?;
-        let DynSolution::Mixed(mixed) = solution else {
+        if solution.layout().template_accepts(&self.words, self.len()) {
             return Ok(());
-        };
-        // One rounding step of slack: a legitimate boundary report quantizes
-        // to at most round(C · 2^40). Held as u64 so the comparison below
-        // never needs i64::abs, which i64::MIN (a forgeable wire value)
-        // would overflow; the `as u64` cast saturates if C is enormous.
-        let bound_raw = ((mixed.numeric_oracle().bound() * NUMERIC_SCALE as f64).round() as u64)
-            .saturating_add(1);
-        let mut cursor = self.cursor();
-        while !cursor.done() {
-            // Structure already validated above: every header is kind 3 with
-            // `a` well-formed dimension-tagged entries.
-            let (_, a, _) = cursor.solution_header();
-            for _ in 0..a {
-                let dim_word = cursor.next();
-                let j = (dim_word >> 2) as usize;
-                if dim_word & 0b11 == SUBTAG_NUM {
-                    let raw = cursor.next() as i64;
-                    if raw.unsigned_abs() > bound_raw {
-                        return Err(CompactDecodeError::Domain(format!(
-                            "dim {j}: numeric report {raw} exceeds the mechanism bound \
-                             {bound_raw}"
-                        )));
-                    }
-                } else {
-                    cursor.skip_entry();
-                }
-            }
         }
-        Ok(())
-    }
-}
-
-/// The tag every categorical entry of `solution`'s reports carries.
-fn entry_tag(solution: SolutionKind) -> u64 {
-    let oracle_tag = |protocol| match protocol {
-        ProtocolKind::Grr => TAG_VALUE,
-        ProtocolKind::Olh => TAG_HASHED,
-        ProtocolKind::Ss => TAG_SUBSET,
-        ProtocolKind::Sue | ProtocolKind::Oue => TAG_BITS,
-    };
-    match solution {
-        SolutionKind::Spl(protocol) | SolutionKind::Smp(protocol) => oracle_tag(protocol),
-        SolutionKind::Mixed(mixed) => oracle_tag(mixed.protocol),
-        SolutionKind::RsFd(RsFdProtocol::Grr) | SolutionKind::RsRfd(RsRfdProtocol::Grr) => {
-            TAG_VALUE
-        }
-        SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => TAG_BITS,
-    }
-}
-
-/// One word position's rule in a value-entry template: a word `w` passes
-/// when `w & mask == want` and `w >> shift <= max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Rule {
-    mask: u64,
-    want: u64,
-    shift: u32,
-    max: u64,
-}
-
-impl Rule {
-    const fn new(mask: u64, want: u64, shift: u32, max: u64) -> Rule {
-        Rule {
-            mask,
-            want,
-            shift,
-            max,
-        }
-    }
-
-    #[inline(always)]
-    fn accepts(self, w: u64) -> bool {
-        (w & self.mask == self.want) & (w >> self.shift <= self.max)
-    }
-}
-
-/// The per-position rules every report of a value-entry solution (SPL,
-/// RS+FD or RS+RFD over GRR: a header, then one value word per attribute)
-/// must pass, one per word. Together they are `CompactBatch::validate_for`'s
-/// rules: the header's kind and `a == d` (and `b < d` for a tuple; SPL
-/// leaves `b` alone), and each entry's tag and `v < k_j`. `None` for every
-/// other kind, which the walk checks: the variable shapes (SMP, SPL over
-/// OLH or SS, mixed), the bit-vector kinds (whose walk reads two words per
-/// entry where a template would read every block), and a domain no value
-/// fits (`d = 0` tuples, `k_j = 0`).
-fn template(kind: SolutionKind, ks: &[usize]) -> Option<Vec<Rule>> {
-    const KIND_AND_A: u64 = (1 << 33) - 1;
-    let d = ks.len() as u64;
-    let header = match kind {
-        SolutionKind::Spl(ProtocolKind::Grr) => {
-            Rule::new(KIND_AND_A, KIND_FULL | d << 2, 0, u64::MAX)
-        }
-        SolutionKind::RsFd(RsFdProtocol::Grr) | SolutionKind::RsRfd(RsRfdProtocol::Grr) => {
-            Rule::new(KIND_AND_A, KIND_TUPLE | d << 2, 33, d.checked_sub(1)?)
-        }
-        _ => return None,
-    };
-    let mut rules = vec![header];
-    for &k in ks {
-        rules.push(Rule::new(0b11, TAG_VALUE, 2, (k as u64).checked_sub(1)?));
-    }
-    Some(rules)
-}
-
-/// Whether `words` are exactly `n_reports` reports that each pass `rules`
-/// position by position: one AND over every word, no branch on the data.
-fn template_accepts(rules: &[Rule], words: &[u64], n_reports: usize) -> bool {
-    if n_reports.checked_mul(rules.len()) != Some(words.len()) {
-        return false;
-    }
-    let mut ok = true;
-    for report in words.chunks_exact(rules.len()) {
-        for (&w, rule) in report.iter().zip(rules) {
-            ok &= rule.accepts(w);
-        }
-    }
-    ok
-}
-
-/// Shared structural (and optionally domain) validation walk over a batch's
-/// encoded words: `n_reports` well-formed reports, nothing more, nothing
-/// less. With `check = Some((kind, ks))` it additionally enforces the
-/// solution-shape, entry-tag and domain rules of
-/// `CompactBatch::validate_for`.
-fn walk_words(
-    words: &[u64],
-    n_reports: usize,
-    check: Option<(SolutionKind, &[usize])>,
-) -> Result<(), CompactDecodeError> {
-    let check = check.map(|(solution, ks)| (solution, entry_tag(solution), ks));
-    let mut pos = 0usize;
-    for _ in 0..n_reports {
-        let header = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
-        pos += 1;
-        let kind = header & 0b11;
-        let a = ((header >> 2) & 0x7FFF_FFFF) as usize;
-        let b = (header >> 33) as usize;
-        let entries = match kind {
-            KIND_FULL | KIND_TUPLE | KIND_MIXED => a,
-            KIND_SMP => 1,
-            other => return Err(CompactDecodeError::BadSolutionKind(other)),
-        };
-        if let Some((solution, _, ks)) = check {
-            let d = ks.len();
-            match (solution, kind) {
-                (SolutionKind::Spl(_), KIND_FULL) if a == d => {}
-                (SolutionKind::Smp(_), KIND_SMP) if a < d => {}
-                (SolutionKind::RsFd(_) | SolutionKind::RsRfd(_), KIND_TUPLE) if a == d && b < d => {
-                }
-                (SolutionKind::Mixed(m), KIND_MIXED) if a == m.sample_k && a <= d && b == 0 => {}
-                _ => {
-                    return Err(CompactDecodeError::Domain(format!(
-                        "report header (kind {kind}, a {a}, b {b}) does not fit {} over d = {d}",
-                        solution.name()
-                    )))
-                }
-            }
-        }
-        if kind == KIND_MIXED {
-            // Dimension-tagged entries: each is a dim word (subtag | j << 2)
-            // followed by a standard categorical entry or one numeric word.
-            let mut prev_dim: Option<usize> = None;
-            for _ in 0..entries {
-                let dim_word = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
-                pos += 1;
-                let subtag = dim_word & 0b11;
-                let j = (dim_word >> 2) as usize;
-                if let Some((_, _, ks)) = check {
-                    if j >= ks.len() {
-                        return Err(CompactDecodeError::Domain(format!(
-                            "mixed entry dimension {j} outside d = {}",
-                            ks.len()
-                        )));
-                    }
-                    if prev_dim.is_some_and(|p| j <= p) {
-                        return Err(CompactDecodeError::Domain(format!(
-                            "mixed entry dimensions must be strictly ascending, got {j} after \
-                             {prev_dim:?}"
-                        )));
-                    }
-                    prev_dim = Some(j);
-                    let is_numeric = ks[j] == NUMERIC_DIM;
-                    if (subtag == SUBTAG_NUM) != is_numeric {
-                        return Err(CompactDecodeError::Domain(format!(
-                            "mixed entry subtag {subtag} does not match dimension {j} \
-                             (k_j = {})",
-                            ks[j]
-                        )));
-                    }
-                }
-                match subtag {
-                    SUBTAG_CAT => {
-                        pos = walk_entry(words, pos, check.map(|(_, tag, ks)| (tag, ks[j], j)))?;
-                    }
-                    SUBTAG_NUM => {
-                        if pos >= words.len() {
-                            return Err(CompactDecodeError::TruncatedWords);
-                        }
-                        pos += 1;
-                    }
-                    other => return Err(CompactDecodeError::BadSolutionKind(other)),
-                }
-            }
-            continue;
-        }
-        for entry in 0..entries {
-            // The attribute this entry estimates for: position for
-            // full/tuple reports, the disclosed sampled index for SMP.
-            let j = if kind == KIND_SMP { a } else { entry };
-            pos = walk_entry(words, pos, check.map(|(_, tag, ks)| (tag, ks[j], j)))?;
-        }
-    }
-    if pos == words.len() {
-        Ok(())
-    } else {
-        Err(CompactDecodeError::TrailingWords)
-    }
-}
-
-/// Validates one encoded entry starting at `words[pos]`, returning the
-/// position just past it. `check = Some((tag, k, j))` adds the rules for
-/// attribute `j` of size `k` whose protocol emits `tag` entries.
-fn walk_entry(
-    words: &[u64],
-    mut pos: usize,
-    check: Option<(u64, usize, usize)>,
-) -> Result<usize, CompactDecodeError> {
-    let header = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
-    pos += 1;
-    let payload = header >> 2;
-    let tag = header & 0b11;
-    if let Some((want, _, j)) = check {
-        if tag != want {
-            return Err(CompactDecodeError::Domain(format!(
-                "attr {j}: {} entry where the protocol emits {} entries",
-                TAG_NAMES[tag as usize], TAG_NAMES[want as usize]
-            )));
-        }
-    }
-    match tag {
-        TAG_VALUE => {
-            if let Some((_, k, j)) = check {
-                if payload >= k as u64 {
-                    return Err(CompactDecodeError::Domain(format!(
-                        "attr {j}: value {payload} outside domain of size {k}"
-                    )));
-                }
-            }
-        }
-        TAG_HASHED => {
-            // seed + packed(g | value << 32).
-            let packed = *words
-                .get(pos + 1)
-                .ok_or(CompactDecodeError::TruncatedWords)?;
-            pos += 2;
-            if let Some((_, _, j)) = check {
-                let (g, value) = (packed as u32, (packed >> 32) as u32);
-                if g < 2 || value >= g {
-                    return Err(CompactDecodeError::Domain(format!(
-                        "attr {j}: hashed report value {value} outside hash range g = {g}"
-                    )));
-                }
-            }
-        }
-        TAG_SUBSET => {
-            let len = payload as usize;
-            let packed_words = len.div_ceil(2);
-            if packed_words > words.len() - pos {
-                return Err(CompactDecodeError::TruncatedWords);
-            }
-            if let Some((_, k, j)) = check {
-                for i in 0..len {
-                    let packed = words[pos + i / 2];
-                    let member = if i % 2 == 0 {
-                        packed as u32
-                    } else {
-                        (packed >> 32) as u32
-                    };
-                    if member as usize >= k {
-                        return Err(CompactDecodeError::Domain(format!(
-                            "attr {j}: subset member {member} outside domain of size {k}"
-                        )));
-                    }
-                }
-            }
-            pos += packed_words;
-        }
-        TAG_BITS => {
-            let nbits = payload as usize;
-            let blocks = nbits.div_ceil(64);
-            if blocks > words.len() - pos {
-                return Err(CompactDecodeError::TruncatedWords);
-            }
-            // Dirty padding would trip `BitVec::from_blocks`' debug assert
-            // on the decode path — reject it structurally.
-            if !nbits.is_multiple_of(64)
-                && blocks > 0
-                && words[pos + blocks - 1] >> (nbits % 64) != 0
-            {
-                return Err(CompactDecodeError::DirtyBitPadding);
-            }
-            if let Some((_, k, j)) = check {
-                if nbits != k {
-                    return Err(CompactDecodeError::Domain(format!(
-                        "attr {j}: bit-vector width {nbits} does not match domain size {k}"
-                    )));
-                }
-            }
-            pos += blocks;
-        }
-        _ => unreachable!("2-bit tag"),
-    }
-    Ok(pos)
-}
-
-/// Sequential reader over a batch's encoded words.
-pub(crate) struct Cursor<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(words: &'a [u64]) -> Self {
-        Cursor { words, pos: 0 }
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.pos >= self.words.len()
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        let w = self.words[self.pos];
-        self.pos += 1;
-        w
-    }
-
-    /// Advances past one whole report (solution header and entries)
-    /// without materializing it.
-    fn skip_report(&mut self) {
-        let (kind, a, _) = self.solution_header();
-        match kind {
-            KIND_SMP => self.skip_entry(),
-            KIND_MIXED => {
-                for _ in 0..a {
-                    if self.next() & 0b11 == SUBTAG_NUM {
-                        self.pos += 1;
-                    } else {
-                        self.skip_entry();
-                    }
-                }
-            }
-            _ => {
-                for _ in 0..a {
-                    self.skip_entry();
-                }
-            }
-        }
-    }
-
-    /// Advances past one standard entry without materializing it.
-    pub(crate) fn skip_entry(&mut self) {
-        let header = self.next();
-        let payload = header >> 2;
-        match header & 0b11 {
-            TAG_VALUE => {}
-            TAG_HASHED => self.pos += 2,
-            TAG_SUBSET => self.pos += (payload as usize).div_ceil(2),
-            TAG_BITS => self.pos += (payload as usize).div_ceil(64),
-            other => unreachable!("corrupt entry tag {other}"),
-        }
-    }
-
-    /// If the next entry is a bit vector of exactly `nbits` lanes, advances
-    /// past it and returns its words; otherwise leaves the cursor as is.
-    /// One compare against the fixed header, no tag dispatch.
-    #[inline]
-    pub(crate) fn bits_entry(&mut self, nbits: usize) -> Option<&'a [u64]> {
-        if self.words[self.pos] != TAG_BITS | ((nbits as u64) << 2) {
-            return None;
-        }
-        let start = self.pos + 1;
-        self.pos = start + nbits.div_ceil(64);
-        Some(&self.words[start..self.pos])
-    }
-
-    /// Reads a solution header, returning `(kind, a, b)` per the wire format.
-    pub(crate) fn solution_header(&mut self) -> (u64, usize, usize) {
-        let header = self.next();
-        (
-            header & 0b11,
-            ((header >> 2) & 0x7FFF_FFFF) as usize,
-            (header >> 33) as usize,
-        )
-    }
-
-    /// Materializes the next standard entry as a structured report.
-    pub(crate) fn decode_entry(&mut self) -> Report {
-        let header = self.next();
-        let payload = header >> 2;
-        match header & 0b11 {
-            TAG_VALUE => Report::Value(payload as u32),
-            TAG_HASHED => {
-                let seed = self.next();
-                let packed = self.next();
-                Report::Hashed {
-                    seed,
-                    g: packed as u32,
-                    value: (packed >> 32) as u32,
-                }
-            }
-            TAG_SUBSET => {
-                let len = payload as usize;
-                let mut subset = Vec::with_capacity(len);
-                for i in 0..len.div_ceil(2) {
-                    let packed = self.next();
-                    subset.push(packed as u32);
-                    if 2 * i + 1 < len {
-                        subset.push((packed >> 32) as u32);
-                    }
-                }
-                Report::Subset(subset)
-            }
-            TAG_BITS => {
-                let nbits = payload as usize;
-                let blocks = &self.words[self.pos..self.pos + nbits.div_ceil(64)];
-                self.pos += blocks.len();
-                Report::Bits(BitVec::from_blocks(blocks, nbits))
-            }
-            other => unreachable!("corrupt entry tag {other}"),
-        }
-    }
-}
-
-/// Counts one encoded entry's support into `counts`, advancing the cursor —
-/// the encoded twin of `ldp_protocols::oracle::count_support` (with an
-/// oracle, for SPL/SMP entries) and of
-/// [`count_fake_data_entry`](super::aggregator::count_fake_data_entry)
-/// (`oracle = None`, for fake-data tuple entries, which never carry
-/// hashed/subset shapes). Identical counting semantics, including the
-/// debug-assert rejection of out-of-domain entries and the release-mode
-/// skip of stray ones.
-///
-/// A bit-vector entry's words go whole to `bits`: a batch's byte-lane
-/// tally, which the caller flushes into `counts` before the batch is done,
-/// or a single report's direct per-bit count.
-pub(crate) fn count_entry(
-    counts: &mut [u64],
-    oracle: Option<&Oracle>,
-    j: usize,
-    cur: &mut Cursor,
-    bits: &mut impl BitSink,
-) {
-    let header = cur.next();
-    let payload = header >> 2;
-    match header & 0b11 {
-        TAG_VALUE => {
-            debug_assert!(
-                (payload as usize) < counts.len(),
-                "attr {j}: report value {payload} outside domain of size {}",
-                counts.len()
-            );
-            if let Some(c) = counts.get_mut(payload as usize) {
-                *c += 1;
-            }
-        }
-        TAG_HASHED => {
-            let seed = cur.next();
-            let packed = cur.next();
-            let report = Report::Hashed {
-                seed,
-                g: packed as u32,
-                value: (packed >> 32) as u32,
-            };
-            match oracle {
-                // Per-report dispatch into the oracle's tightest domain
-                // sweep (monomorphized for OLH).
-                Some(oracle) => oracle.count_hashed(counts, &report),
-                None => debug_assert!(false, "attr {j}: unexpected hashed entry in a tuple"),
-            }
-        }
-        TAG_SUBSET => {
-            let len = payload as usize;
-            if oracle.is_none() {
-                // Mirrors `count_fake_data_entry`: a tuple entry of this
-                // shape is malformed — reject loudly in tests, skip the
-                // words without counting in release.
-                debug_assert!(false, "attr {j}: unexpected subset entry in a tuple");
-                cur.pos += len.div_ceil(2);
-                return;
-            }
-            for i in 0..len.div_ceil(2) {
-                let packed = cur.next();
-                let lo = packed as u32;
-                let hi = (packed >> 32) as u32;
-                debug_assert!(
-                    (lo as usize) < counts.len(),
-                    "attr {j}: subset entry {lo} outside domain of size {}",
-                    counts.len()
-                );
-                if let Some(c) = counts.get_mut(lo as usize) {
-                    *c += 1;
-                }
-                if 2 * i + 1 < len {
-                    debug_assert!(
-                        (hi as usize) < counts.len(),
-                        "attr {j}: subset entry {hi} outside domain of size {}",
-                        counts.len()
-                    );
-                    if let Some(c) = counts.get_mut(hi as usize) {
-                        *c += 1;
-                    }
-                }
-            }
-        }
-        TAG_BITS => {
-            let nbits = payload as usize;
-            debug_assert_eq!(
-                nbits,
-                counts.len(),
-                "attr {j}: bit-vector width does not match the domain"
-            );
-            let blocks = nbits.div_ceil(64);
-            bits.add(counts, j, &cur.words[cur.pos..cur.pos + blocks]);
-            cur.pos += blocks;
-        }
-        other => unreachable!("corrupt entry tag {other}"),
+        walk(&self.words, self.len(), Some(solution))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{MixedEntry, MixedReport, SmpReport};
+    use super::super::layout::{walk, Field, HEADER_B, TAG_BITS};
+    use super::super::{
+        MixedEntry, MixedKind, MixedReport, RsFdProtocol, RsRfdProtocol, SmpReport, SolutionKind,
+    };
     use super::*;
+    use ldp_protocols::{BitVec, ProtocolKind, Report};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl CompactBatch {
+        /// [`CompactBatch::validate_for_solution`] against `kind` built
+        /// over `ks` at ε = 2.
+        fn validate_for(&self, kind: SolutionKind, ks: &[usize]) -> Result<(), CompactDecodeError> {
+            self.validate_for_solution(&kind.build(ks, 2.0).unwrap())
+        }
+    }
 
     fn all_kinds() -> Vec<SolutionKind> {
         let mut kinds = Vec::new();
@@ -1061,6 +494,12 @@ mod tests {
             ("subset", &subset),
             ("bits", &all_ones),
         ];
+        // A mixed solution needs a numeric dimension; its forged report
+        // carries attribute 0 only.
+        let ks_of = |kind: SolutionKind| match kind {
+            SolutionKind::Mixed(_) => vec![4, 3, 0],
+            _ => ks.to_vec(),
+        };
         let forge = |kind: SolutionKind, entry: &dyn Fn(usize) -> Report| {
             let report = match kind {
                 SolutionKind::Spl(_) => {
@@ -1089,7 +528,7 @@ mod tests {
             families.push((SolutionKind::Spl(protocol), tag));
             families.push((SolutionKind::Smp(protocol), tag));
             families.push((
-                SolutionKind::Mixed(super::super::MixedKind {
+                SolutionKind::Mixed(MixedKind {
                     protocol,
                     numeric: crate::numeric::NumericKind::Piecewise,
                     sample_k: 1,
@@ -1112,7 +551,7 @@ mod tests {
         ));
         for (kind, tag) in families {
             for (shape, entry) in shapes {
-                let result = forge(kind, entry).validate_for(kind, &ks);
+                let result = forge(kind, entry).validate_for(kind, &ks_of(kind));
                 if shape == tag {
                     assert_eq!(result, Ok(()), "{kind}: {shape} entries are its own");
                 } else {
@@ -1152,7 +591,7 @@ mod tests {
     const MIXED_KS: [usize; 4] = [5, 0, 3, 0];
 
     fn mixed_kind(sample_k: usize) -> SolutionKind {
-        SolutionKind::Mixed(super::super::MixedKind {
+        SolutionKind::Mixed(MixedKind {
             protocol: ProtocolKind::Grr,
             numeric: crate::numeric::NumericKind::Piecewise,
             sample_k,
@@ -1212,7 +651,7 @@ mod tests {
         let batch = sample_mixed_batch(6, 9, 2.0, 4);
         // Shape gates in both directions.
         assert!(matches!(
-            batch.validate_for(SolutionKind::Spl(ProtocolKind::Grr), &MIXED_KS),
+            batch.validate_for(SolutionKind::Spl(ProtocolKind::Grr), &[5, 2, 3, 2]),
             Err(CompactDecodeError::Domain(_))
         ));
         let spl = sample_batch(SolutionKind::Spl(ProtocolKind::Grr), &[4, 3], 5, 2);
@@ -1245,13 +684,13 @@ mod tests {
             Err(CompactDecodeError::Domain(_))
         ));
         // A forged numeric payload far past the mechanism bound passes the
-        // structural walk but not the solution-instance magnitude gate.
+        // structural walk but not the numeric field's magnitude rule.
         let mut forged = batch.clone();
         // words: [header, dim0, value0, dim1, raw1, ...] — words[4] is the
         // first numeric fixed-point payload.
         assert_eq!(forged.words[3] & 0b11, 1);
         forged.words[4] = (i64::MAX / 2) as u64;
-        assert!(forged.validate_for(mixed_kind(4), &MIXED_KS).is_ok());
+        assert!(walk(&forged.words, forged.len(), None).is_ok());
         assert!(matches!(
             forged.validate_for_solution(&solution),
             Err(CompactDecodeError::Domain(_))
@@ -1296,8 +735,8 @@ mod tests {
         }
     }
 
-    /// Every kind whose reports are one fixed word length; [`template`]
-    /// covers the value-entry ones among them.
+    /// Every kind whose reports are one fixed word length; a layout
+    /// template covers the value-entry ones among them.
     fn fixed_shape_kinds() -> Vec<SolutionKind> {
         let mut kinds: Vec<SolutionKind> =
             [ProtocolKind::Grr, ProtocolKind::Sue, ProtocolKind::Oue]
@@ -1330,7 +769,7 @@ mod tests {
             .map(|kind| (kind.name(), sample_batch(kind, &ks, 37, 21)))
             .collect();
         batches.push(("mixed GRR".into(), sample_mixed_batch(29, 22, 2.0, 3)));
-        let olh_mixed = SolutionKind::Mixed(super::super::MixedKind {
+        let olh_mixed = SolutionKind::Mixed(MixedKind {
             protocol: ProtocolKind::Olh,
             numeric: crate::numeric::NumericKind::Duchi,
             sample_k: 4,
@@ -1352,18 +791,14 @@ mod tests {
         }
     }
 
-    /// Word offset of each entry's header within one report of `kind`.
-    fn entry_offsets(kind: SolutionKind, ks: &[usize]) -> Vec<usize> {
+    /// Word offset of each entry's header within one report of `fields`.
+    fn entry_offsets(fields: &[Field]) -> Vec<usize> {
         let mut at = 1;
-        ks.iter()
-            .map(|&k| {
-                let offset = at;
-                at += if entry_tag(kind) == TAG_VALUE {
-                    1
-                } else {
-                    1 + k.div_ceil(64)
-                };
-                offset
+        fields
+            .iter()
+            .map(|field| {
+                at += field.words();
+                at - field.words()
             })
             .collect()
     }
@@ -1396,14 +831,17 @@ mod tests {
             for kind in fixed_shape_kinds() {
                 for ks in &shapes {
                     let solution = kind.build(ks, 2.0).unwrap();
+                    let layout = solution.layout();
                     let batch = sample_batch(kind, ks, n, seed);
-                    let unary = entry_tag(kind) == TAG_BITS;
-                    let rules = template(kind, ks);
-                    proptest::prop_assert_eq!(rules.is_some(), !unary, "{}", kind);
-                    templated += usize::from(rules.is_some());
+                    let unary = matches!(layout.fields()[0], Field::Bits { .. });
+                    // The value-entry layouts compile to a template, which
+                    // accepts their own batches; the bit-vector ones do not.
+                    let templated_kind = layout.template_accepts(&batch.words, batch.len());
+                    proptest::prop_assert_eq!(templated_kind, !unary, "{}", kind);
+                    templated += usize::from(templated_kind);
                     let len = batch.words.len() / batch.len();
                     let report = (pick as usize % batch.len()) * len;
-                    let offsets = entry_offsets(kind, ks);
+                    let offsets = entry_offsets(layout.fields());
                     let j = (pick >> 32) as usize % ks.len();
                     for mutation in 0..7 {
                         let mut words = batch.words.clone();
@@ -1427,12 +865,13 @@ mod tests {
                             5 => words.push(u64::from(bit)),
                             _ => {
                                 let k = ks[j] as u64 + u64::from(unary);
-                                words[report + offsets[j]] = entry_tag(kind) | k << 2;
+                                let tag = if unary { TAG_BITS } else { 0 };
+                                words[report + offsets[j]] = tag | k << 2;
                             }
                         }
-                        if let Some(rules) = &rules {
-                            let by_template = template_accepts(rules, &words, batch.len());
-                            let by_walk = walk_words(&words, batch.len(), Some((kind, ks)));
+                        if templated_kind {
+                            let by_template = layout.template_accepts(&words, batch.len());
+                            let by_walk = walk(&words, batch.len(), Some(&solution));
                             proptest::prop_assert_eq!(
                                 by_template,
                                 by_walk.is_ok(),

@@ -10,9 +10,10 @@
 //! an object boundary.
 
 use ldp_protocols::hash::mix2;
-use ldp_protocols::{ProtocolError, ProtocolKind};
+use ldp_protocols::{Oracle, ProtocolError, ProtocolKind};
 use rand::Rng;
 
+use super::layout::Layout;
 use super::mixed::{Mixed, MixedKind};
 use super::rsfd::{RsFd, RsFdProtocol};
 use super::rsrfd::{RsRfd, RsRfdProtocol};
@@ -145,6 +146,31 @@ impl DynSolution {
             DynSolution::RsFd(s) => s.ks(),
             DynSolution::RsRfd(s) => s.ks(),
             DynSolution::Mixed(s) => s.ks(),
+        }
+    }
+
+    /// The word layout of this solution's reports, built with it: what
+    /// the writer writes and the checked decode, the cursor and the counter
+    /// read.
+    pub(crate) fn layout(&self) -> &Layout {
+        match self {
+            DynSolution::Spl(s) => &s.layout,
+            DynSolution::Smp(s) => &s.layout,
+            DynSolution::RsFd(s) => &s.layout,
+            DynSolution::RsRfd(s) => &s.layout,
+            DynSolution::Mixed(s) => &s.layout,
+        }
+    }
+
+    /// The frequency oracle attribute `j`'s entries are counted with: SPL,
+    /// SMP and a mixed solution's categorical dimensions have one; fake-data
+    /// tuples and numeric dimensions do not.
+    pub(crate) fn oracle(&self, j: usize) -> Option<&Oracle> {
+        match self {
+            DynSolution::Spl(s) => Some(s.oracle(j)),
+            DynSolution::Smp(s) => Some(s.oracle(j)),
+            DynSolution::Mixed(s) => s.oracle(j),
+            DynSolution::RsFd(_) | DynSolution::RsRfd(_) => None,
         }
     }
 

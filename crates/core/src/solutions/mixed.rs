@@ -22,6 +22,7 @@ use rand::Rng;
 
 use crate::numeric::{DynNumeric, NumericKind, NumericOracle, NumericReport};
 
+use super::layout::{Field, Layout};
 use super::MultidimAggregator;
 
 /// Sentinel cardinality marking a numeric dimension in a mixed `ks` vector.
@@ -68,6 +69,7 @@ pub struct Mixed {
     oracles: Vec<Option<Oracle>>,
     /// The shared numeric mechanism at `ε / sample_k`.
     numeric: DynNumeric,
+    pub(super) layout: Layout,
 }
 
 impl Mixed {
@@ -110,7 +112,13 @@ impl Mixed {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let numeric = kind.numeric.build(eps_dim)?;
+        let numeric_field = Field::numeric(numeric.bound());
+        let fields = oracles
+            .iter()
+            .map(|o| o.as_ref().map_or(numeric_field, Field::of))
+            .collect();
         Ok(Mixed {
+            layout: Layout::mixed(fields, kind.sample_k),
             kind,
             epsilon,
             ks: ks.to_vec(),

@@ -14,6 +14,7 @@
 mod aggregator;
 mod compact;
 mod kind;
+mod layout;
 mod mixed;
 mod report;
 mod rsfd;
@@ -25,6 +26,7 @@ mod tally;
 pub use aggregator::MultidimAggregator;
 pub use compact::{CompactBatch, CompactDecodeError};
 pub use kind::{DynSolution, SolutionKind};
+pub(crate) use layout::{Entry, Field};
 pub use mixed::{Mixed, MixedEntry, MixedKind, MixedReport, NUMERIC_DIM};
 pub use report::SolutionReport;
 pub use rsfd::{RsFd, RsFdProtocol};

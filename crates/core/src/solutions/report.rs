@@ -1,26 +1,20 @@
 //! One sanitized client message, born encoded.
 //!
 //! A [`SolutionReport`] *is* the word span a [`CompactBatch`] stores for one
-//! report: the solution header, then its entries, in the wire format that
-//! `solutions/compact.rs` documents. The constructors here are the only code that
-//! writes entry words, so a batch push is one copy, aggregation walks the
-//! words without decoding them, the SPL\[UE\] sanitizer writes each field
-//! straight from its packed draw, and RS+FD and RS+RFD over GRR write each
-//! value word straight from its draw, with no [`Report`] in between. The §3.3 attack reads a fake-data tuple's
-//! entries from the words too; the typed accessors decode the structured
-//! shapes back for the deniability guesses and the tests.
+//! report, in the wire format `solutions/compact.rs` documents, so a batch
+//! push is one copy. Its words are written by the entry writer of
+//! `solutions/layout.rs` (SPL\[UE\], RS+FD and RS+RFD straight from their
+//! draws, into the words their layout gives) and read by that module's
+//! entry parser: by the aggregator and the §3.3 attack without decoding,
+//! and by the typed accessors, which decode the structured shapes.
 //!
 //! [`CompactBatch`]: super::CompactBatch
 
 use ldp_protocols::Report;
 
-use super::compact::{
-    Cursor, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, SUBTAG_CAT, SUBTAG_NUM, TAG_BITS,
-    TAG_HASHED, TAG_SUBSET, TAG_VALUE,
-};
+use super::layout::{Cursor, Entries, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, WELL_FORMED};
 use super::mixed::{MixedEntry, MixedReport};
 use super::smp::SmpReport;
-use crate::numeric::NumericReport;
 
 /// One sanitized client message, covering every solution's report shape,
 /// held as its encoded words — well formed by construction.
@@ -44,88 +38,46 @@ pub struct SolutionReport {
 impl SolutionReport {
     /// An SPL report: one (ε/d)-LDP entry per attribute; nothing is hidden.
     pub fn full(reports: &[Report]) -> Self {
-        let len = 1 + reports.iter().map(entry_len).sum::<usize>();
-        SolutionReport::encode_full(reports.len(), len, |entries| {
-            for report in reports {
-                entries.push(report);
-            }
+        let header = KIND_FULL | (reports.len() as u64) << 2;
+        SolutionReport::encode(header, 1 + reports.len(), |entries| {
+            reports.iter().for_each(|report| entries.push(report))
         })
-    }
-
-    /// An SPL report of `d` entries written by `fill`, which must append
-    /// exactly `d` entries making `len` words with the header.
-    pub(crate) fn encode_full(d: usize, len: usize, fill: impl FnOnce(&mut Entries)) -> Self {
-        SolutionReport::encode(KIND_FULL | (d as u64) << 2, len, fill)
     }
 
     /// An SMP report: the disclosed sampled attribute plus its ε-LDP entry.
     pub fn smp(report: &SmpReport) -> Self {
         let header = KIND_SMP | (report.attr as u64) << 2;
-        SolutionReport::encode(header, 1 + entry_len(&report.report), |entries| {
-            entries.push(&report.report)
-        })
+        SolutionReport::encode(header, 2, |entries| entries.push(&report.report))
     }
 
     /// An RS+FD / RS+RFD report: a full fake-data tuple of one entry per
     /// attribute, whose hidden `sampled` attribute rides in the header's `b`
     /// bits.
     pub fn tuple(values: &[Report], sampled: usize) -> Self {
-        let len = 1 + values.iter().map(entry_len).sum::<usize>();
-        SolutionReport::encode_tuple(values.len(), sampled, len, |entries| {
-            for value in values {
-                entries.push(value);
-            }
+        let header = KIND_TUPLE | (values.len() as u64) << 2 | (sampled as u64) << 33;
+        SolutionReport::encode(header, 1 + values.len(), |entries| {
+            values.iter().for_each(|value| entries.push(value))
         })
-    }
-
-    /// A fake-data tuple of `d` entries hiding `sampled`, written by `fill`,
-    /// which must append exactly `d` entries making `len` words with the
-    /// header.
-    pub(crate) fn encode_tuple(
-        d: usize,
-        sampled: usize,
-        len: usize,
-        fill: impl FnOnce(&mut Entries),
-    ) -> Self {
-        let header = KIND_TUPLE | (d as u64) << 2 | (sampled as u64) << 33;
-        SolutionReport::encode(header, len, fill)
     }
 
     /// A mixed categorical+numeric report: `sample_k` disclosed dimensions,
     /// each with a frequency-oracle or a fixed-point numeric entry.
     pub fn mixed(report: &MixedReport) -> Self {
         let header = KIND_MIXED | (report.entries.len() as u64) << 2;
-        let len = 1 + report
-            .entries
-            .iter()
-            .map(|(_, entry)| match entry {
-                MixedEntry::Cat(rep) => 1 + entry_len(rep),
-                MixedEntry::Num(_) => 2,
-            })
-            .sum::<usize>();
-        SolutionReport::encode(header, len, |entries| {
+        SolutionReport::encode(header, 1 + 2 * report.entries.len(), |entries| {
             for (j, entry) in &report.entries {
-                match entry {
-                    MixedEntry::Cat(rep) => {
-                        entries.0.push(SUBTAG_CAT | (*j as u64) << 2);
-                        entries.push(rep);
-                    }
-                    MixedEntry::Num(y) => {
-                        entries.0.push(SUBTAG_NUM | (*j as u64) << 2);
-                        entries.0.push(y.raw() as u64);
-                    }
-                }
+                entries.mixed(*j, entry);
             }
         })
     }
 
-    /// The header word, then `fill`'s entries, into exactly `len` words.
-    fn encode(header: u64, len: usize, fill: impl FnOnce(&mut Entries)) -> Self {
-        let mut words = Vec::with_capacity(len);
-        words.push(header);
-        fill(&mut Entries(&mut words));
-        debug_assert_eq!(words.len(), len, "report length mismatch");
-        SolutionReport { words }
+    /// The header word, then `fill`'s entries, in a buffer with room for
+    /// `words`: a solution passes its layout's header and word count.
+    pub(crate) fn encode(header: u64, words: usize, fill: impl FnOnce(&mut Entries)) -> Self {
+        let mut buf = Vec::with_capacity(words);
+        buf.push(header);
+        fill(&mut Entries(&mut buf));
+        SolutionReport { words: buf }
     }
 
     /// A copy of one report's span of a well-formed batch.
@@ -143,7 +95,7 @@ impl SolutionReport {
     /// The SPL entries, one per attribute, or `None` for another shape.
     pub fn to_full(&self) -> Option<Vec<Report>> {
         let (mut cursor, kind, a, _) = self.open();
-        (kind == KIND_FULL).then(|| (0..a).map(|_| cursor.decode_entry()).collect())
+        (kind == KIND_FULL).then(|| (0..a).map(|_| next_report(&mut cursor)).collect())
     }
 
     /// The SMP attribute and entry, or `None` for another shape.
@@ -151,7 +103,7 @@ impl SolutionReport {
         let (mut cursor, kind, attr, _) = self.open();
         (kind == KIND_SMP).then(|| SmpReport {
             attr,
-            report: cursor.decode_entry(),
+            report: next_report(&mut cursor),
         })
     }
 
@@ -159,7 +111,7 @@ impl SolutionReport {
     /// another shape.
     pub fn to_tuple(&self) -> Option<Vec<Report>> {
         let (mut cursor, d) = self.tuple_entries()?;
-        Some((0..d).map(|_| cursor.decode_entry()).collect())
+        Some((0..d).map(|_| next_report(&mut cursor)).collect())
     }
 
     /// Entry `j` of a fake-data tuple, decoded alone, or `None` for another
@@ -168,9 +120,9 @@ impl SolutionReport {
         let (mut cursor, d) = self.tuple_entries()?;
         (j < d).then(|| {
             for _ in 0..j {
-                cursor.skip_entry();
+                cursor.entry().expect(WELL_FORMED);
             }
-            cursor.decode_entry()
+            next_report(&mut cursor)
         })
     }
 
@@ -196,17 +148,9 @@ impl SolutionReport {
         let (mut cursor, kind, a, _) = self.open();
         (kind == KIND_MIXED).then(|| MixedReport {
             entries: (0..a)
-                .map(|_| {
-                    let dim_word = cursor.next();
-                    let j = (dim_word >> 2) as usize;
-                    match dim_word & 0b11 {
-                        SUBTAG_CAT => (j, MixedEntry::Cat(cursor.decode_entry())),
-                        SUBTAG_NUM => (
-                            j,
-                            MixedEntry::Num(NumericReport::from_raw(cursor.next() as i64)),
-                        ),
-                        other => unreachable!("corrupt mixed subtag {other}"),
-                    }
+                .map(|i| {
+                    let (j, entry) = cursor.report_entry(kind, a, i).expect(WELL_FORMED);
+                    (j, entry.decode())
                 })
                 .collect(),
         })
@@ -215,71 +159,15 @@ impl SolutionReport {
     /// A cursor past the header, with the header's `(kind, a, b)`.
     fn open(&self) -> (Cursor<'_>, u64, usize, usize) {
         let mut cursor = Cursor::new(&self.words);
-        let (kind, a, b) = cursor.solution_header();
+        let (kind, a, b) = cursor.header().expect(WELL_FORMED);
         (cursor, kind, a, b)
     }
 }
 
-/// Appends encoded entries to a report's words.
-pub(crate) struct Entries<'a>(&'a mut Vec<u64>);
-
-impl Entries<'_> {
-    /// Appends one entry in the shape of `report`.
-    pub(crate) fn push(&mut self, report: &Report) {
-        let words = &mut *self.0;
-        match report {
-            Report::Value(v) => self.value(*v),
-            Report::Hashed { seed, g, value } => {
-                words.push(TAG_HASHED);
-                words.push(*seed);
-                words.push(u64::from(*g) | u64::from(*value) << 32);
-            }
-            Report::Subset(subset) => {
-                words.push(TAG_SUBSET | (subset.len() as u64) << 2);
-                for pair in subset.chunks(2) {
-                    let hi = pair.get(1).copied().unwrap_or(0);
-                    words.push(u64::from(pair[0]) | u64::from(hi) << 32);
-                }
-            }
-            Report::Bits(bits) => self.bits(bits.len(), bits.blocks()),
-        }
-    }
-
-    /// Appends a value entry: one word, as a [`Report::Value`] of `v`.
-    #[inline]
-    pub(crate) fn value(&mut self, v: u32) {
-        self.0.push(TAG_VALUE | u64::from(v) << 2);
-    }
-
-    /// Appends a `k`-lane bit-vector entry from its `⌈k/64⌉` blocks, whose
-    /// lanes past `k` must be zero.
-    #[inline]
-    pub(crate) fn bits(&mut self, k: usize, blocks: &[u64]) {
-        debug_assert_eq!(blocks.len(), k.div_ceil(64), "block count mismatch");
-        self.0.push(TAG_BITS | (k as u64) << 2);
-        // One or two words per field: pushing them beats a memcpy call.
-        for &block in blocks {
-            self.0.push(block);
-        }
-    }
-}
-
-/// Words a report over domains `ks` takes when every entry is a value
-/// (`unary = false`) or a `k_j`-lane bit vector (`unary = true`).
-pub(crate) fn fixed_shape_words(ks: &[usize], unary: bool) -> usize {
-    if unary {
-        1 + ks.iter().map(|k| 1 + k.div_ceil(64)).sum::<usize>()
-    } else {
-        1 + ks.len()
-    }
-}
-
-/// Words one entry in the shape of `report` takes.
-fn entry_len(report: &Report) -> usize {
-    match report {
-        Report::Value(_) => 1,
-        Report::Hashed { .. } => 3,
-        Report::Subset(subset) => 1 + subset.len().div_ceil(2),
-        Report::Bits(bits) => 1 + bits.len().div_ceil(64),
+/// The next categorical entry of well-formed words, as its report.
+fn next_report(cursor: &mut Cursor) -> Report {
+    match cursor.entry().expect(WELL_FORMED).decode() {
+        MixedEntry::Cat(report) => report,
+        MixedEntry::Num(_) => unreachable!("only a mixed report has numeric entries"),
     }
 }

@@ -15,7 +15,7 @@
 use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
 use rand::Rng;
 
-use super::report::fixed_shape_words;
+use super::layout::{Field, Layout};
 use super::{
     assert_tuple_in_domain, validate_config, MultidimAggregator, MultidimSolution, SolutionReport,
 };
@@ -66,6 +66,7 @@ pub struct RsFd {
     epsilon: f64,
     epsilon_amp: f64,
     randomizers: Randomizers,
+    pub(super) layout: Layout,
 }
 
 impl RsFd {
@@ -85,8 +86,10 @@ impl RsFd {
                     .collect::<Result<_, _>>()?,
             ),
         };
+        let unary = !matches!(randomizers, Randomizers::Grr(_));
         Ok(RsFd {
             protocol,
+            layout: Layout::tuple(ks.iter().map(|&k| Field::fake_data(k, unary)).collect()),
             ks: ks.to_vec(),
             epsilon,
             epsilon_amp,
@@ -161,37 +164,40 @@ impl MultidimSolution for RsFd {
     ) -> SolutionReport {
         assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
-        let len = fixed_shape_words(&self.ks, self.is_unary());
-        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| match &self.randomizers {
-            Randomizers::Grr(grrs) => {
-                for (i, grr) in grrs.iter().enumerate() {
-                    entries.value(if i == sampled {
-                        grr.draw(tuple[i], rng)
-                    } else {
-                        rng.random_range(0..grr.domain_size() as u32)
-                    });
+        SolutionReport::encode(
+            self.layout.header(sampled),
+            self.layout.words(),
+            |entries| match &self.randomizers {
+                Randomizers::Grr(grrs) => {
+                    for (i, grr) in grrs.iter().enumerate() {
+                        entries.value(if i == sampled {
+                            grr.draw(tuple[i], rng)
+                        } else {
+                            rng.random_range(0..grr.domain_size() as u32)
+                        });
+                    }
                 }
-            }
-            Randomizers::Ue(ues) => {
-                for (i, ue) in ues.iter().enumerate() {
-                    entries.push(&if i == sampled {
-                        ue.randomize(tuple[i], rng)
-                    } else {
-                        match self.protocol {
-                            // UE-z fake: no zero vector is ever materialized —
-                            // the word-parallel background sampler writes
-                            // Bernoulli(q) words straight into the report.
-                            RsFdProtocol::UeZ(_) => Report::Bits(ue.perturb_zero_vector(rng)),
-                            RsFdProtocol::UeR(_) => {
-                                let fake = rng.random_range(0..ue.domain_size() as u32);
-                                ue.randomize(fake, rng)
+                Randomizers::Ue(ues) => {
+                    for (i, ue) in ues.iter().enumerate() {
+                        entries.push(&if i == sampled {
+                            ue.randomize(tuple[i], rng)
+                        } else {
+                            match self.protocol {
+                                // UE-z fake: no zero vector is ever materialized —
+                                // the word-parallel background sampler writes
+                                // Bernoulli(q) words straight into the report.
+                                RsFdProtocol::UeZ(_) => Report::Bits(ue.perturb_zero_vector(rng)),
+                                RsFdProtocol::UeR(_) => {
+                                    let fake = rng.random_range(0..ue.domain_size() as u32);
+                                    ue.randomize(fake, rng)
+                                }
+                                RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
                             }
-                            RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
-                        }
-                    });
+                        });
+                    }
                 }
-            }
-        })
+            },
+        )
     }
 
     fn aggregator(&self) -> MultidimAggregator {

@@ -12,7 +12,7 @@
 use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, UeMode, UnaryEncoding};
 use rand::Rng;
 
-use super::report::fixed_shape_words;
+use super::layout::{Field, Layout};
 use super::{
     assert_tuple_in_domain, sample_cdf, to_cdf, validate_config, MultidimAggregator,
     MultidimSolution, SolutionReport,
@@ -62,6 +62,7 @@ pub struct RsRfd {
     priors: Vec<Vec<f64>>,
     prior_cdfs: Vec<Vec<f64>>,
     randomizers: Randomizers,
+    pub(super) layout: Layout,
 }
 
 impl RsRfd {
@@ -116,8 +117,10 @@ impl RsRfd {
             ),
         };
         let prior_cdfs = priors.iter().map(|p| to_cdf(p)).collect();
+        let unary = !matches!(randomizers, Randomizers::Grr(_));
         Ok(RsRfd {
             protocol,
+            layout: Layout::tuple(ks.iter().map(|&k| Field::fake_data(k, unary)).collect()),
             ks: ks.to_vec(),
             epsilon,
             epsilon_amp,
@@ -205,29 +208,32 @@ impl MultidimSolution for RsRfd {
     ) -> SolutionReport {
         assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
-        let len = fixed_shape_words(&self.ks, self.is_unary());
         let cdfs = &self.prior_cdfs;
-        SolutionReport::encode_tuple(self.d(), sampled, len, |entries| match &self.randomizers {
-            Randomizers::Grr(grrs) => {
-                for (i, grr) in grrs.iter().enumerate() {
-                    entries.value(if i == sampled {
-                        grr.draw(tuple[i], rng)
-                    } else {
-                        // Alg. 1 line 6: a *plain* sample from the prior.
-                        sample_cdf(&cdfs[i], rng) as u32
-                    });
+        SolutionReport::encode(
+            self.layout.header(sampled),
+            self.layout.words(),
+            |entries| match &self.randomizers {
+                Randomizers::Grr(grrs) => {
+                    for (i, grr) in grrs.iter().enumerate() {
+                        entries.value(if i == sampled {
+                            grr.draw(tuple[i], rng)
+                        } else {
+                            // Alg. 1 line 6: a *plain* sample from the prior.
+                            sample_cdf(&cdfs[i], rng) as u32
+                        });
+                    }
                 }
-            }
-            Randomizers::Ue(ues) => {
-                for (i, ue) in ues.iter().enumerate() {
-                    entries.push(&if i == sampled {
-                        ue.randomize(tuple[i], rng)
-                    } else {
-                        ue.randomize(sample_cdf(&cdfs[i], rng) as u32, rng)
-                    });
+                Randomizers::Ue(ues) => {
+                    for (i, ue) in ues.iter().enumerate() {
+                        entries.push(&if i == sampled {
+                            ue.randomize(tuple[i], rng)
+                        } else {
+                            ue.randomize(sample_cdf(&cdfs[i], rng) as u32, rng)
+                        });
+                    }
                 }
-            }
-        })
+            },
+        )
     }
 
     fn aggregator(&self) -> MultidimAggregator {

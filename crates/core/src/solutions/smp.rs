@@ -6,6 +6,7 @@
 use ldp_protocols::{FrequencyOracle, Oracle, ProtocolError, ProtocolKind, Report};
 use rand::Rng;
 
+use super::layout::{Field, Layout};
 use super::{validate_config, MultidimAggregator};
 
 /// One SMP message: the disclosed attribute index plus its ε-LDP report.
@@ -24,6 +25,7 @@ pub struct Smp {
     epsilon: f64,
     ks: Vec<usize>,
     oracles: Vec<Oracle>,
+    pub(super) layout: Layout,
 }
 
 impl Smp {
@@ -38,6 +40,7 @@ impl Smp {
             kind,
             epsilon,
             ks: ks.to_vec(),
+            layout: Layout::smp(oracles.iter().map(Field::of).collect()),
             oracles,
         })
     }

@@ -5,7 +5,7 @@
 use ldp_protocols::{FrequencyOracle, FusedUeGroup, Oracle, ProtocolError, ProtocolKind, Report};
 use rand::Rng;
 
-use super::report::fixed_shape_words;
+use super::layout::{Field, Layout};
 use super::{validate_config, MultidimAggregator, SolutionReport};
 
 /// SPL solution over `d` attributes with a single frequency-oracle family.
@@ -20,9 +20,7 @@ pub struct Spl {
     /// attributes by construction and the whole tuple is one packed draw of
     /// `⌈Σk/64⌉` words (see [`FusedUeGroup`]). `None` for GRR, OLH and SS.
     fused: Option<FusedUeGroup>,
-    /// Words of an encoded UE report: the header, then one header and
-    /// `⌈k_j/64⌉` blocks per attribute.
-    ue_words: usize,
+    pub(super) layout: Layout,
 }
 
 impl Spl {
@@ -45,7 +43,7 @@ impl Spl {
         Ok(Spl {
             kind,
             epsilon,
-            ue_words: fixed_shape_words(ks, true),
+            layout: Layout::full(oracles.iter().map(Field::of).collect()),
             ks: ks.to_vec(),
             oracles,
             fused,
@@ -102,9 +100,10 @@ impl Spl {
     }
 
     /// [`Spl::report`] born encoded, equal to [`SolutionReport::full`] of
-    /// it on the same RNG stream. UE families write every field's header
-    /// and blocks straight from the packed draw, with no per-attribute
-    /// report in between; GRR, OLH and SS encode the structured report.
+    /// it on the same RNG stream, in the words its layout gives. UE
+    /// families write every field's header and blocks straight from the
+    /// packed draw, with no per-attribute report in between; GRR, OLH and
+    /// SS encode the structured report.
     ///
     /// # Panics
     /// As [`Spl::report`].
@@ -113,11 +112,15 @@ impl Spl {
         tuple: &[u32],
         rng: &mut R,
     ) -> SolutionReport {
+        let (header, words) = (self.layout.header(0), self.layout.words());
         let Some(fused) = &self.fused else {
-            return SolutionReport::full(&self.report(tuple, rng));
+            let reports = self.report(tuple, rng);
+            return SolutionReport::encode(header, words, |entries| {
+                reports.iter().for_each(|report| entries.push(report))
+            });
         };
         assert_eq!(tuple.len(), self.d(), "tuple width mismatch");
-        SolutionReport::encode_full(self.d(), self.ue_words, |entries| {
+        SolutionReport::encode(header, words, |entries| {
             fused.randomize_tuple_fields(tuple, rng, |k, blocks| entries.bits(k, blocks))
         })
     }
