@@ -478,21 +478,32 @@ mod tests {
     /// Each entry must carry the tag its protocol emits: an all-ones `Bits`
     /// entry accepted for a GRR attribute would credit every value of that
     /// attribute from one forged report, where GRR supports exactly one.
+    /// The forged hashed and subset entries take the attribute's own `g`
+    /// and `ω` where it has them, so a solution's own shape is accepted.
     #[test]
     fn validate_for_rejects_entries_their_protocol_never_emits() {
         let ks = [4usize, 3];
-        let value = |_: usize| Report::Value(1);
-        let hashed = |_: usize| Report::Hashed {
+        let value = |_: usize, _: Field| Report::Value(1);
+        let hashed = |_: usize, field: Field| Report::Hashed {
             seed: 7,
-            g: 3,
+            g: match field {
+                Field::Hashed { g } => g,
+                _ => 3,
+            },
             value: 1,
         };
-        let subset = |_: usize| Report::Subset(vec![0, 2]);
-        let shapes: [(&str, &dyn Fn(usize) -> Report); 4] = [
+        let subset = |_: usize, field: Field| match field {
+            Field::Subset { omega, .. } => Report::Subset((0..omega as u32).collect()),
+            _ => Report::Subset(vec![0, 2]),
+        };
+        let bits = |k: usize, _: Field| all_ones(k);
+        /// An entry forged for an attribute of size `k` and field `field`.
+        type Forge<'a> = &'a dyn Fn(usize, Field) -> Report;
+        let shapes: [(&str, Forge); 4] = [
             ("value", &value),
             ("hashed", &hashed),
             ("subset", &subset),
-            ("bits", &all_ones),
+            ("bits", &bits),
         ];
         // A mixed solution needs a numeric dimension; its forged report
         // carries attribute 0 only.
@@ -500,20 +511,18 @@ mod tests {
             SolutionKind::Mixed(_) => vec![4, 3, 0],
             _ => ks.to_vec(),
         };
-        let forge = |kind: SolutionKind, entry: &dyn Fn(usize) -> Report| {
-            let report = match kind {
-                SolutionKind::Spl(_) => {
-                    SolutionReport::full(&ks.iter().map(|&k| entry(k)).collect::<Vec<_>>())
-                }
+        let forge = |solution: &DynSolution, entry: Forge| {
+            let fields = solution.layout().fields();
+            let all: Vec<Report> = (0..ks.len()).map(|j| entry(ks[j], fields[j])).collect();
+            let report = match solution.kind() {
+                SolutionKind::Spl(_) => SolutionReport::full(&all),
                 SolutionKind::Smp(_) => SolutionReport::smp(&SmpReport {
                     attr: 1,
-                    report: entry(ks[1]),
+                    report: all[1].clone(),
                 }),
-                SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => {
-                    SolutionReport::tuple(&ks.iter().map(|&k| entry(k)).collect::<Vec<_>>(), 0)
-                }
+                SolutionKind::RsFd(_) | SolutionKind::RsRfd(_) => SolutionReport::tuple(&all, 0),
                 SolutionKind::Mixed(_) => SolutionReport::mixed(&MixedReport {
-                    entries: vec![(0, MixedEntry::Cat(entry(ks[0])))],
+                    entries: vec![(0, MixedEntry::Cat(all[0].clone()))],
                 }),
             };
             let mut batch = CompactBatch::new();
@@ -550,8 +559,9 @@ mod tests {
             "bits",
         ));
         for (kind, tag) in families {
+            let solution = kind.build(&ks_of(kind), 2.0).unwrap();
             for (shape, entry) in shapes {
-                let result = forge(kind, entry).validate_for(kind, &ks_of(kind));
+                let result = forge(&solution, entry).validate_for_solution(&solution);
                 if shape == tag {
                     assert_eq!(result, Ok(()), "{kind}: {shape} entries are its own");
                 } else {
@@ -561,6 +571,61 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// An SS entry must be exactly ω strictly ascending members and an OLH
+    /// entry must carry its oracle's hash range `g`. A forged SPL[SS]
+    /// subset of a thousand zeros would otherwise add 1000 to `C_0(0)` from
+    /// one report, and a foreign `g` reached `Olh::count_hashed`'s debug
+    /// assert (a worker panic) or, in release, was counted against the
+    /// wrong hash range.
+    #[test]
+    fn validate_for_rejects_subsets_and_hash_ranges_their_oracle_never_draws() {
+        let ks = [8usize, 8];
+        let ss = SolutionKind::Spl(ProtocolKind::Ss).build(&ks, 1.0).unwrap();
+        let olh = SolutionKind::Smp(ProtocolKind::Olh)
+            .build(&ks, 1.0)
+            .unwrap();
+        assert_eq!(ss.layout().fields()[0], Field::Subset { k: 8, omega: 3 });
+        assert_eq!(olh.layout().fields()[0], Field::Hashed { g: 4 });
+        let check = |solution: &DynSolution, report: SolutionReport| {
+            let mut batch = CompactBatch::new();
+            batch.push(0, &report);
+            batch.validate_for_solution(solution)
+        };
+        let spl = |members: Vec<u32>| {
+            SolutionReport::full(&[Report::Subset(members), Report::Subset(vec![1, 4, 7])])
+        };
+        assert_eq!(check(&ss, spl(vec![0, 2, 5])), Ok(()));
+        for (members, fault) in [
+            (vec![0; 1000], "subset of 1000 members"),
+            (vec![0, 2], "subset of 2 members"),
+            (vec![5, 2, 0], "not strictly ascending"),
+            (vec![0, 0, 2], "not strictly ascending"),
+            (vec![0, 2, 8], "outside domain"),
+        ] {
+            let result = check(&ss, spl(members.clone()));
+            assert!(
+                matches!(&result, Err(CompactDecodeError::Domain(m)) if m.contains(fault)),
+                "{members:?}: {result:?}"
+            );
+        }
+        let smp = |g: u32, value: u32| {
+            let report = Report::Hashed { seed: 7, g, value };
+            SolutionReport::smp(&SmpReport { attr: 1, report })
+        };
+        assert_eq!(check(&olh, smp(4, 3)), Ok(()));
+        for (g, value, fault) in [
+            (2, 1, "g = 2"),
+            (5, 1, "g = 5"),
+            (4, 4, "outside hash range"),
+        ] {
+            let result = check(&olh, smp(g, value));
+            assert!(
+                matches!(&result, Err(CompactDecodeError::Domain(m)) if m.contains(fault)),
+                "g = {g}, value {value}: {result:?}"
+            );
         }
     }
 

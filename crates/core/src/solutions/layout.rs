@@ -43,9 +43,11 @@ pub(crate) enum Field {
     Value { k: usize },
     /// UE: a header, then the `⌈k/64⌉` blocks of a `k`-lane bit vector.
     Bits { k: usize },
-    /// OLH: a header, the seed, then `g | value << 32` with `value < g`.
+    /// OLH: a header, the seed, then `g | value << 32`: the oracle's hash
+    /// range `g`, and `value < g`.
     Hashed { g: u32 },
-    /// SS: a header, then `⌈ω/2⌉` words of two members each, all `< k`.
+    /// SS: a header, then `⌈ω/2⌉` words of two members each: exactly `ω`
+    /// strictly ascending members `< k`, as the oracle draws them.
     Subset { k: usize, omega: usize },
     /// A mixed solution's numeric dimension: one fixed-point word of
     /// magnitude at most `bound`.
@@ -121,12 +123,30 @@ impl Field {
             }
             (Field::Bits { k }, Entry::Bits { k: width, .. }) => (width != k)
                 .then(|| format!("bit-vector width {width} does not match domain size {k}")),
-            (Field::Hashed { .. }, Entry::Hashed { g, value, .. }) => (g < 2 || value >= g)
+            (Field::Hashed { g: want }, Entry::Hashed { g, .. }) if g != want => {
+                Some(format!("hash range g = {g} where the oracle's is {want}"))
+            }
+            (Field::Hashed { .. }, Entry::Hashed { g, value, .. }) => (value >= g)
                 .then(|| format!("hashed report value {value} outside hash range g = {g}")),
-            (Field::Subset { k, .. }, _) => entry
-                .members()
-                .find(|&m| m as usize >= k)
-                .map(|m| format!("subset member {m} outside domain of size {k}")),
+            (Field::Subset { omega, .. }, Entry::Subset { len, .. }) if len != omega => Some(
+                format!("subset of {len} members where the protocol sends {omega}"),
+            ),
+            (Field::Subset { k, .. }, _) => {
+                let mut prev = None;
+                entry.members().find_map(|m| {
+                    let fault = if m as usize >= k {
+                        Some(format!("subset member {m} outside domain of size {k}"))
+                    } else if prev.is_some_and(|p| m <= p) {
+                        Some(format!(
+                            "subset member {m} after {prev:?}: not strictly ascending"
+                        ))
+                    } else {
+                        None
+                    };
+                    prev = Some(m);
+                    fault
+                })
+            }
             (Field::Numeric { bound }, Entry::Numeric(raw)) => (raw.unsigned_abs() > bound)
                 .then(|| format!("numeric report {raw} exceeds the mechanism bound {bound}")),
             _ => None,

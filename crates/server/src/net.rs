@@ -1070,6 +1070,109 @@ mod tests {
         }
     }
 
+    /// Entries of the right tag that their oracle never draws: SPL[SS]
+    /// subsets of other than ω strictly ascending members (one report of a
+    /// thousand zeros would add 1000 to `C_0(0)`), and SMP[OLH] reports
+    /// whose hash range is not the oracle's `g` (they reached
+    /// `Olh::count_hashed`'s debug assert, a worker panic). Each forged
+    /// frame is refused with ABORT_PROTOCOL, and the server keeps serving:
+    /// an honest producer's batches around them drain bit-identically to a
+    /// clean in-process run.
+    #[test]
+    fn forged_subsets_and_hash_ranges_are_refused_and_the_server_keeps_serving() {
+        use ldp_core::solutions::{SmpReport, SolutionReport};
+        use ldp_protocols::{ProtocolKind, Report};
+        let frame_of = |report: SolutionReport| {
+            let mut batch = CompactBatch::new();
+            batch.push_wire(0, &report);
+            let mut frame = Vec::new();
+            crate::wire::encode_batch_seq_frame(1, &batch, &mut frame);
+            frame
+        };
+        // At ε = 1 over k = 8: SPL[SS] draws ω = 3 members per attribute,
+        // SMP[OLH] hashes into g = 4.
+        let subsets = |first: Vec<u32>| {
+            frame_of(SolutionReport::full(&[
+                Report::Subset(first),
+                Report::Subset(vec![1, 4, 7]),
+            ]))
+        };
+        let hashed = |g: u32| {
+            let report = Report::Hashed {
+                seed: 7,
+                g,
+                value: 1,
+            };
+            frame_of(SolutionReport::smp(&SmpReport { attr: 0, report }))
+        };
+        let cases = [
+            (
+                SolutionKind::Spl(ProtocolKind::Ss),
+                vec![
+                    subsets(vec![0; 1000]),
+                    subsets(vec![5, 2, 0]),
+                    subsets(vec![0, 0, 2]),
+                ],
+            ),
+            (
+                SolutionKind::Smp(ProtocolKind::Olh),
+                vec![hashed(2), hashed(5)],
+            ),
+        ];
+        for (kind, forged) in cases {
+            let solution = kind.build(&[8, 8], 1.0).unwrap();
+            let config = ServerConfig::default().shards(2);
+            let server = WireServer::bind("127.0.0.1:0", solution.clone(), config).unwrap();
+            let mut rng = StdRng::seed_from_u64(9);
+            let honest: Vec<CompactBatch> = (0..2)
+                .map(|_| {
+                    let mut batch = CompactBatch::new();
+                    for uid in 0..40u64 {
+                        let tuple = [(uid % 8) as u32, 3];
+                        batch.push_wire(uid, &solution.report(&tuple, &mut rng));
+                    }
+                    batch
+                })
+                .collect();
+            let (mut reader, stream) = handshake(server.local_addr(), &solution);
+            let mut writer = stream.try_clone().unwrap();
+            let batch = honest[0].clone();
+            write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
+            writer.flush().unwrap();
+            for frame in forged {
+                let (mut forged_reader, mut forged_stream) =
+                    handshake(server.local_addr(), &solution);
+                // An accepted frame gets no reply: fail, do not hang.
+                let timeout = Some(Duration::from_secs(10));
+                forged_stream.set_read_timeout(timeout).unwrap();
+                forged_stream.write_all(&frame).unwrap();
+                match read_frame(&mut forged_reader).unwrap() {
+                    Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL, "{kind}"),
+                    other => panic!("{kind}: expected ABORT, got {other:?}"),
+                }
+            }
+            let batch = honest[1].clone();
+            write_frame(&mut writer, &Frame::BatchSeq { seq: 2, batch }).unwrap();
+            write_frame(&mut writer, &Frame::Drain).unwrap();
+            writer.flush().unwrap();
+            loop {
+                match read_frame(&mut reader).unwrap() {
+                    Frame::BatchAck { .. } => {}
+                    Frame::DrainAck { n } => break assert_eq!(n, 80, "{kind}"),
+                    other => panic!("{kind}: expected DRAIN_ACK, got {other:?}"),
+                }
+            }
+            server.wait_for_fleet(1);
+            let snapshot = server.finish();
+            let mut clean = solution.aggregator();
+            honest.iter().for_each(|batch| clean.absorb_compact(batch));
+            assert_eq!(snapshot.n, 80, "{kind}");
+            assert_eq!(snapshot.aggregator.counts(), clean.counts(), "{kind}");
+            let bits = |e: &[Vec<f64>]| e.iter().flatten().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&snapshot.estimates), bits(&clean.estimate()), "{kind}");
+        }
+    }
+
     /// A producer that hangs up halfway through a BATCH_SEQ has suffered a
     /// transport fault, not sent a malformed frame: the connection counts
     /// as dropped, never as rejected.
