@@ -350,7 +350,7 @@ impl MultidimAggregator {
         let layout = solution.layout();
         let (kind, a, _sampled) = cursor.header().expect(WELL_FORMED);
         assert!(
-            kind == layout.kind(),
+            kind == layout.kind,
             "absorb: report kind {kind} does not match this aggregator's solution"
         );
         self.n += 1;
@@ -368,7 +368,7 @@ impl MultidimAggregator {
                     let (j, entry) = cursor.report_entry(kind, a, i).expect(WELL_FORMED);
                     assert!(j < self.counts.len(), "dimension index out of range");
                     self.n_attr[j] += 1;
-                    let numeric = matches!(layout.fields()[j], Field::Numeric { .. });
+                    let numeric = matches!(layout.fields[j], Field::Numeric { .. });
                     match entry {
                         Entry::Numeric(raw) if numeric => self.num_sums[j] += i128::from(raw),
                         Entry::Numeric(_) => panic!("numeric entry on a categorical dimension"),
@@ -380,7 +380,7 @@ impl MultidimAggregator {
             _ => {
                 // Hard assert: a width mismatch would desync the cursor.
                 assert_eq!(a, self.counts.len(), "tuple width mismatch");
-                for (j, (counts, &field)) in self.counts.iter_mut().zip(layout.fields()).enumerate()
+                for (j, (counts, &field)) in self.counts.iter_mut().zip(&layout.fields).enumerate()
                 {
                     // The field's own entries skip the tag dispatch.
                     match field {
@@ -398,13 +398,8 @@ impl MultidimAggregator {
                         }
                         _ => {}
                     }
-                    count_entry(
-                        counts,
-                        solution,
-                        j,
-                        cursor.entry().expect(WELL_FORMED),
-                        bits,
-                    );
+                    let entry = cursor.entry().expect(WELL_FORMED);
+                    count_entry(counts, solution, j, entry, bits);
                 }
             }
         }
@@ -458,7 +453,28 @@ impl MultidimAggregator {
     /// own `n_j`. Attributes without any contributing report estimate
     /// all-zeros.
     pub fn estimate(&self) -> Vec<Vec<f64>> {
+        let counts = self.counts.iter().enumerate();
         match &*self.solution {
+            DynSolution::Spl(s) => counts
+                .map(|(j, cj)| estimate_eq2(s.oracle(j), cj, self.n))
+                .collect(),
+            DynSolution::Smp(s) => counts
+                .map(|(j, cj)| estimate_eq2(s.oracle(j), cj, self.n_attr[j]))
+                .collect(),
+            DynSolution::Mixed(s) => counts
+                .map(|(j, cj)| {
+                    let nj = self.n_attr[j];
+                    match s.oracle(j) {
+                        Some(oracle) => estimate_eq2(oracle, cj, nj),
+                        // Numeric dimension: the mean of unbiased per-report
+                        // values, computed from the exact fixed-point sum.
+                        // Length-1 row = a single mean, not a frequency
+                        // vector.
+                        None if nj == 0 => vec![0.0],
+                        None => vec![self.num_sums[j] as f64 / NUMERIC_SCALE as f64 / nj as f64],
+                    }
+                })
+                .collect(),
             DynSolution::RsFd(s) => {
                 let (n, d) = (self.n as f64, self.counts.len() as f64);
                 self.fake_data_estimate(|j, _, c| {
@@ -497,24 +513,6 @@ impl MultidimAggregator {
                     }
                 })
             }
-            // SPL over every report, SMP and mixed over each attribute's own
-            // `n_j`.
-            solution => (self.counts.iter().enumerate())
-                .map(|(j, cj)| {
-                    let nj = match solution {
-                        DynSolution::Spl(_) => self.n,
-                        _ => self.n_attr[j],
-                    };
-                    match solution.oracle(j) {
-                        Some(oracle) => estimate_eq2(oracle, cj, nj),
-                        // A numeric dimension: the mean of unbiased per-report
-                        // values, from the exact fixed-point sum, as a length-1
-                        // row.
-                        None if nj == 0 => vec![0.0],
-                        None => vec![self.num_sums[j] as f64 / NUMERIC_SCALE as f64 / nj as f64],
-                    }
-                })
-                .collect(),
         }
     }
 

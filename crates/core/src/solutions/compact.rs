@@ -512,7 +512,7 @@ mod tests {
             _ => ks.to_vec(),
         };
         let forge = |solution: &DynSolution, entry: Forge| {
-            let fields = solution.layout().fields();
+            let fields = &solution.layout().fields;
             let all: Vec<Report> = (0..ks.len()).map(|j| entry(ks[j], fields[j])).collect();
             let report = match solution.kind() {
                 SolutionKind::Spl(_) => SolutionReport::full(&all),
@@ -587,8 +587,8 @@ mod tests {
         let olh = SolutionKind::Smp(ProtocolKind::Olh)
             .build(&ks, 1.0)
             .unwrap();
-        assert_eq!(ss.layout().fields()[0], Field::Subset { k: 8, omega: 3 });
-        assert_eq!(olh.layout().fields()[0], Field::Hashed { g: 4 });
+        assert_eq!(ss.layout().fields[0], Field::Subset { k: 8, omega: 3 });
+        assert_eq!(olh.layout().fields[0], Field::Hashed { g: 4 });
         let check = |solution: &DynSolution, report: SolutionReport| {
             let mut batch = CompactBatch::new();
             batch.push(0, &report);
@@ -601,9 +601,9 @@ mod tests {
         for (members, fault) in [
             (vec![0; 1000], "subset of 1000 members"),
             (vec![0, 2], "subset of 2 members"),
-            (vec![5, 2, 0], "not strictly ascending"),
-            (vec![0, 0, 2], "not strictly ascending"),
-            (vec![0, 2, 8], "outside domain"),
+            (vec![5, 2, 0], "member 2 is not strictly ascending"),
+            (vec![0, 0, 2], "member 0 is not strictly ascending"),
+            (vec![0, 2, 8], "member 8 is not strictly ascending below 8"),
         ] {
             let result = check(&ss, spl(members.clone()));
             assert!(
@@ -617,9 +617,9 @@ mod tests {
         };
         assert_eq!(check(&olh, smp(4, 3)), Ok(()));
         for (g, value, fault) in [
-            (2, 1, "g = 2"),
-            (5, 1, "g = 5"),
-            (4, 4, "outside hash range"),
+            (2, 1, "g = 2;"),
+            (5, 1, "g = 5;"),
+            (4, 4, "value 4 in g = 4;"),
         ] {
             let result = check(&olh, smp(g, value));
             assert!(
@@ -898,7 +898,7 @@ mod tests {
                     let solution = kind.build(ks, 2.0).unwrap();
                     let layout = solution.layout();
                     let batch = sample_batch(kind, ks, n, seed);
-                    let unary = matches!(layout.fields()[0], Field::Bits { .. });
+                    let unary = matches!(layout.fields[0], Field::Bits { .. });
                     // The value-entry layouts compile to a template, which
                     // accepts their own batches; the bit-vector ones do not.
                     let templated_kind = layout.template_accepts(&batch.words, batch.len());
@@ -906,7 +906,7 @@ mod tests {
                     templated += usize::from(templated_kind);
                     let len = batch.words.len() / batch.len();
                     let report = (pick as usize % batch.len()) * len;
-                    let offsets = entry_offsets(layout.fields());
+                    let offsets = entry_offsets(&layout.fields);
                     let j = (pick >> 32) as usize % ks.len();
                     for mutation in 0..7 {
                         let mut words = batch.words.clone();
@@ -959,6 +959,99 @@ mod tests {
             }
             // Unmutated batches at least: the accept side is exercised too.
             proptest::prop_assert!(accepted >= templated);
+
+            // Every other kind's rules come from the same layouts: SMP, SPL
+            // over OLH and SS, and mixed solutions, under an unmutated
+            // batch, one flipped bit anywhere, and a dropped or an extra
+            // trailing word.
+            let mut variable: Vec<(DynSolution, CompactBatch)> = Vec::new();
+            for protocol in ProtocolKind::ALL {
+                let ks = [5usize, 3, 65];
+                for kind in [SolutionKind::Smp(protocol), SolutionKind::Spl(protocol)] {
+                    variable.push((kind.build(&ks, 2.0).unwrap(), sample_batch(kind, &ks, n, seed)));
+                }
+                let mixed = SolutionKind::Mixed(MixedKind {
+                    protocol,
+                    numeric: crate::numeric::NumericKind::Piecewise,
+                    sample_k: 3,
+                });
+                let solution = mixed.build(&MIXED_KS, 2.0).unwrap();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut batch = CompactBatch::new();
+                for uid in 0..n {
+                    let cat = [uid as u32 % 5, uid as u32 % 3];
+                    let report = solution.report_mixed(&cat, &[0.5, -0.25], &mut rng).unwrap();
+                    batch.push(uid, &report);
+                }
+                variable.push((solution, batch));
+            }
+            for (solution, batch) in &variable {
+                for mutation in 0..4 {
+                    let mut words = batch.words.clone();
+                    match mutation {
+                        0 => {}
+                        1 => words[pick as usize % batch.words.len()] ^= 1 << bit,
+                        2 => {
+                            words.pop();
+                        }
+                        _ => words.push(u64::from(bit)),
+                    }
+                    let mut bytes = Vec::new();
+                    CompactBatch { uids: batch.uids.clone(), words }.encode_into(&mut bytes);
+                    let two_pass = CompactBatch::decode_from(&bytes)
+                        .and_then(|b| b.validate_for_solution(solution).map(|()| b));
+                    let one_pass = CompactBatch::decode_for(&bytes, solution);
+                    proptest::prop_assert_eq!(&one_pass, &two_pass, "{}, mutation {}", solution.name(), mutation);
+                    proptest::prop_assert!(mutation != 0 || one_pass.is_ok(), "{}", solution.name());
+                }
+            }
+        }
+    }
+
+    /// The layout's word counts are the words each writer emits, for every
+    /// kind: SPL, RS+FD and RS+RFD reports take the layout's fixed count,
+    /// an SMP report one header and its attribute's field, a mixed report
+    /// one header and a dimension word plus a field per sampled dimension.
+    #[test]
+    fn layout_word_counts_equal_what_each_writer_emits() {
+        let ks = [7usize, 4, 65, 130];
+        let mut solutions: Vec<DynSolution> = all_kinds()
+            .into_iter()
+            .chain(fixed_shape_kinds())
+            .map(|kind| kind.build(&ks, 1.5).unwrap())
+            .collect();
+        for protocol in ProtocolKind::ALL {
+            let mixed = SolutionKind::Mixed(MixedKind {
+                protocol,
+                numeric: crate::numeric::NumericKind::Duchi,
+                sample_k: 3,
+            });
+            solutions.push(mixed.build(&MIXED_KS, 1.5).unwrap());
+        }
+        let mut rng = StdRng::seed_from_u64(31);
+        for solution in &solutions {
+            let fields = &solution.layout().fields;
+            for uid in 0..50u32 {
+                let (report, expected) = match solution {
+                    DynSolution::Mixed(_) => {
+                        let cat = [uid % 5, uid % 3];
+                        let report = solution.report_mixed(&cat, &[0.5, -0.5], &mut rng).unwrap();
+                        let dims = report.to_mixed().unwrap().entries;
+                        let words = dims.iter().map(|(j, _)| 1 + fields[*j].words());
+                        (report.clone(), 1 + words.sum::<usize>())
+                    }
+                    _ => {
+                        let tuple: Vec<u32> = ks.iter().map(|&k| uid % k as u32).collect();
+                        let report = solution.report(&tuple, &mut rng);
+                        let expected = match report.to_smp() {
+                            Some(smp) => 1 + fields[smp.attr].words(),
+                            None => solution.layout().words,
+                        };
+                        (report, expected)
+                    }
+                };
+                assert_eq!(report.words().len(), expected, "{}", solution.name());
+            }
         }
     }
 

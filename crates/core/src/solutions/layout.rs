@@ -7,8 +7,9 @@
 //! [`Entries`] writes entries, [`Cursor::entry`] is the one entry parser,
 //! and [`walk`] checks a batch, applying a layout's rules when given a
 //! solution. The fast paths are compiled forms of a layout: the per-word
-//! template of a value-entry layout ([`Layout::template_accepts`]) and
-//! [`Cursor::bits_entry`]'s one compare against a bit-vector field's header.
+//! template of a value-entry layout ([`Layout::template_accepts`]), and the
+//! counter's reads of a value or bit-vector field's entries at one compare
+//! ([`Cursor::value_entry`], [`Cursor::bits_entry`]).
 
 use std::ops::RangeInclusive;
 
@@ -31,6 +32,11 @@ const TAG_VALUE: u64 = 0;
 const TAG_HASHED: u64 = 1;
 const TAG_SUBSET: u64 = 2;
 pub(super) const TAG_BITS: u64 = 3;
+
+/// A solution header: `kind | a << 2 | b << 33`.
+pub(super) fn header_word(kind: u64, a: usize, b: usize) -> u64 {
+    kind | (a as u64) << 2 | (b as u64) << 33
+}
 
 /// The `expect` message of a reader of words known to be well formed.
 pub(super) const WELL_FORMED: &str = "a well-formed report";
@@ -99,57 +105,36 @@ impl Field {
         }
     }
 
-    fn name(self) -> &'static str {
-        match self {
-            Field::Value { .. } => "value",
-            Field::Bits { .. } => "bits",
-            Field::Hashed { .. } => "hashed",
-            Field::Subset { .. } => "subset",
-            Field::Numeric { .. } => "numeric",
-        }
-    }
-
     /// Checks an entry of attribute `j`: the shape its protocol emits, then
     /// that shape's domain.
     fn check(self, j: usize, entry: Entry) -> Result<(), CompactDecodeError> {
         let fault = match (self, entry) {
-            _ if self.name() != entry.name() => Some(format!(
-                "{} entry where the protocol emits {} entries",
-                entry.name(),
-                self.name()
-            )),
             (Field::Value { k }, Entry::Value(v)) => {
                 (v >= k as u64).then(|| format!("value {v} outside domain of size {k}"))
             }
             (Field::Bits { k }, Entry::Bits { k: width, .. }) => (width != k)
                 .then(|| format!("bit-vector width {width} does not match domain size {k}")),
-            (Field::Hashed { g: want }, Entry::Hashed { g, .. }) if g != want => {
-                Some(format!("hash range g = {g} where the oracle's is {want}"))
+            (Field::Hashed { g: want }, Entry::Hashed { g, value, .. }) => {
+                (g != want || value >= g).then(|| {
+                    format!("hashed report value {value} in g = {g}; the oracle hashes into {want}")
+                })
             }
-            (Field::Hashed { .. }, Entry::Hashed { g, value, .. }) => (value >= g)
-                .then(|| format!("hashed report value {value} outside hash range g = {g}")),
             (Field::Subset { omega, .. }, Entry::Subset { len, .. }) if len != omega => Some(
                 format!("subset of {len} members where the protocol sends {omega}"),
             ),
-            (Field::Subset { k, .. }, _) => {
+            (Field::Subset { k, .. }, Entry::Subset { .. }) => {
                 let mut prev = None;
-                entry.members().find_map(|m| {
-                    let fault = if m as usize >= k {
-                        Some(format!("subset member {m} outside domain of size {k}"))
-                    } else if prev.is_some_and(|p| m <= p) {
-                        Some(format!(
-                            "subset member {m} after {prev:?}: not strictly ascending"
-                        ))
-                    } else {
-                        None
-                    };
-                    prev = Some(m);
-                    fault
-                })
+                let bad = entry
+                    .members()
+                    .find(|&m| m as usize >= k || prev.replace(m) >= Some(m));
+                bad.map(|m| format!("subset member {m} is not strictly ascending below {k}"))
             }
             (Field::Numeric { bound }, Entry::Numeric(raw)) => (raw.unsigned_abs() > bound)
                 .then(|| format!("numeric report {raw} exceeds the mechanism bound {bound}")),
-            _ => None,
+            (field, entry) => Some(format!(
+                "{} entry where the protocol emits {field:?}",
+                entry.name()
+            )),
         };
         fault.map_or(Ok(()), |f| {
             Err(CompactDecodeError::Domain(format!("attr {j}: {f}")))
@@ -161,15 +146,18 @@ impl Field {
 /// [`Field`] per attribute. Reached through [`DynSolution::layout`].
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
-    kind: u64,
+    /// The header kind of every report.
+    pub(super) kind: u64,
     /// The header's `a`: the entry count, or the disclosed SMP attribute.
     a: RangeInclusive<usize>,
     /// The largest header `b`: `d - 1` for a tuple, 0 for a mixed report,
     /// unchecked for SPL and SMP.
     b_max: usize,
-    fields: Vec<Field>,
-    /// Words of a report of every field once (SPL, RS+FD, RS+RFD).
-    words: usize,
+    /// The field of each attribute.
+    pub(super) fields: Vec<Field>,
+    /// Words of a report of every field once: each SPL, RS+FD and RS+RFD
+    /// report.
+    pub(super) words: usize,
     /// The layout compiled to one rule per word (see [`Layout::compile`]).
     template: Option<Vec<Rule>>,
 }
@@ -212,25 +200,9 @@ impl Layout {
         layout
     }
 
-    /// The header kind of every report.
-    pub(crate) fn kind(&self) -> u64 {
-        self.kind
-    }
-
-    /// The field of each attribute.
-    pub(crate) fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
-    /// Words of a report of every field once: each SPL, RS+FD and RS+RFD
-    /// report.
-    pub(crate) fn words(&self) -> usize {
-        self.words
-    }
-
     /// The header of a report of every field once, hiding `b`.
     pub(crate) fn header(&self, b: usize) -> u64 {
-        self.kind | (self.fields.len() as u64) << 2 | (b as u64) << 33
+        header_word(self.kind, self.fields.len(), b)
     }
 
     /// The layout as one rule per word, for a header and one value word
@@ -294,6 +266,7 @@ pub(super) fn walk(
     solution: Option<&DynSolution>,
 ) -> Result<(), CompactDecodeError> {
     let mut cursor = Cursor::new(words);
+    let fields = solution.map(|s| &s.layout().fields);
     for _ in 0..n_reports {
         let (kind, a, b) = cursor.header()?;
         if let Some(solution) = solution.filter(|s| !s.layout().fits(kind, a, b)) {
@@ -306,7 +279,7 @@ pub(super) fn walk(
         let mut prev_dim: Option<usize> = None;
         for i in 0..if kind == KIND_SMP { 1 } else { a } {
             let (j, entry) = cursor.report_entry(kind, a, i)?;
-            let Some(fields) = solution.map(|s| s.layout().fields()) else {
+            let Some(fields) = fields else {
                 continue;
             };
             if kind == KIND_MIXED && (j >= fields.len() || prev_dim.is_some_and(|p| j <= p)) {

@@ -12,7 +12,9 @@
 
 use ldp_protocols::Report;
 
-use super::layout::{Cursor, Entries, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, WELL_FORMED};
+use super::layout::{
+    header_word, Cursor, Entries, KIND_FULL, KIND_MIXED, KIND_SMP, KIND_TUPLE, WELL_FORMED,
+};
 use super::mixed::{MixedEntry, MixedReport};
 use super::smp::SmpReport;
 
@@ -38,7 +40,7 @@ pub struct SolutionReport {
 impl SolutionReport {
     /// An SPL report: one (ε/d)-LDP entry per attribute; nothing is hidden.
     pub fn full(reports: &[Report]) -> Self {
-        let header = KIND_FULL | (reports.len() as u64) << 2;
+        let header = header_word(KIND_FULL, reports.len(), 0);
         SolutionReport::encode(header, 1 + reports.len(), |entries| {
             reports.iter().for_each(|report| entries.push(report))
         })
@@ -46,7 +48,7 @@ impl SolutionReport {
 
     /// An SMP report: the disclosed sampled attribute plus its ε-LDP entry.
     pub fn smp(report: &SmpReport) -> Self {
-        let header = KIND_SMP | (report.attr as u64) << 2;
+        let header = header_word(KIND_SMP, report.attr, 0);
         SolutionReport::encode(header, 2, |entries| entries.push(&report.report))
     }
 
@@ -54,7 +56,7 @@ impl SolutionReport {
     /// attribute, whose hidden `sampled` attribute rides in the header's `b`
     /// bits.
     pub fn tuple(values: &[Report], sampled: usize) -> Self {
-        let header = KIND_TUPLE | (values.len() as u64) << 2 | (sampled as u64) << 33;
+        let header = header_word(KIND_TUPLE, values.len(), sampled);
         SolutionReport::encode(header, 1 + values.len(), |entries| {
             values.iter().for_each(|value| entries.push(value))
         })
@@ -63,7 +65,7 @@ impl SolutionReport {
     /// A mixed categorical+numeric report: `sample_k` disclosed dimensions,
     /// each with a frequency-oracle or a fixed-point numeric entry.
     pub fn mixed(report: &MixedReport) -> Self {
-        let header = KIND_MIXED | (report.entries.len() as u64) << 2;
+        let header = header_word(KIND_MIXED, report.entries.len(), 0);
         SolutionReport::encode(header, 1 + 2 * report.entries.len(), |entries| {
             for (j, entry) in &report.entries {
                 entries.mixed(*j, entry);

@@ -164,40 +164,37 @@ impl MultidimSolution for RsFd {
     ) -> SolutionReport {
         assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
-        SolutionReport::encode(
-            self.layout.header(sampled),
-            self.layout.words(),
-            |entries| match &self.randomizers {
-                Randomizers::Grr(grrs) => {
-                    for (i, grr) in grrs.iter().enumerate() {
-                        entries.value(if i == sampled {
-                            grr.draw(tuple[i], rng)
-                        } else {
-                            rng.random_range(0..grr.domain_size() as u32)
-                        });
-                    }
+        let (header, words) = (self.layout.header(sampled), self.layout.words);
+        SolutionReport::encode(header, words, |entries| match &self.randomizers {
+            Randomizers::Grr(grrs) => {
+                for (i, grr) in grrs.iter().enumerate() {
+                    entries.value(if i == sampled {
+                        grr.draw(tuple[i], rng)
+                    } else {
+                        rng.random_range(0..grr.domain_size() as u32)
+                    });
                 }
-                Randomizers::Ue(ues) => {
-                    for (i, ue) in ues.iter().enumerate() {
-                        entries.push(&if i == sampled {
-                            ue.randomize(tuple[i], rng)
-                        } else {
-                            match self.protocol {
-                                // UE-z fake: no zero vector is ever materialized —
-                                // the word-parallel background sampler writes
-                                // Bernoulli(q) words straight into the report.
-                                RsFdProtocol::UeZ(_) => Report::Bits(ue.perturb_zero_vector(rng)),
-                                RsFdProtocol::UeR(_) => {
-                                    let fake = rng.random_range(0..ue.domain_size() as u32);
-                                    ue.randomize(fake, rng)
-                                }
-                                RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
+            }
+            Randomizers::Ue(ues) => {
+                for (i, ue) in ues.iter().enumerate() {
+                    entries.push(&if i == sampled {
+                        ue.randomize(tuple[i], rng)
+                    } else {
+                        match self.protocol {
+                            // UE-z fake: no zero vector is ever materialized —
+                            // the word-parallel background sampler writes
+                            // Bernoulli(q) words straight into the report.
+                            RsFdProtocol::UeZ(_) => Report::Bits(ue.perturb_zero_vector(rng)),
+                            RsFdProtocol::UeR(_) => {
+                                let fake = rng.random_range(0..ue.domain_size() as u32);
+                                ue.randomize(fake, rng)
                             }
-                        });
-                    }
+                            RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
+                        }
+                    });
                 }
-            },
-        )
+            }
+        })
     }
 
     fn aggregator(&self) -> MultidimAggregator {

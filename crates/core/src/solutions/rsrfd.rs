@@ -208,32 +208,29 @@ impl MultidimSolution for RsRfd {
     ) -> SolutionReport {
         assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
+        let (header, words) = (self.layout.header(sampled), self.layout.words);
         let cdfs = &self.prior_cdfs;
-        SolutionReport::encode(
-            self.layout.header(sampled),
-            self.layout.words(),
-            |entries| match &self.randomizers {
-                Randomizers::Grr(grrs) => {
-                    for (i, grr) in grrs.iter().enumerate() {
-                        entries.value(if i == sampled {
-                            grr.draw(tuple[i], rng)
-                        } else {
-                            // Alg. 1 line 6: a *plain* sample from the prior.
-                            sample_cdf(&cdfs[i], rng) as u32
-                        });
-                    }
+        SolutionReport::encode(header, words, |entries| match &self.randomizers {
+            Randomizers::Grr(grrs) => {
+                for (i, grr) in grrs.iter().enumerate() {
+                    entries.value(if i == sampled {
+                        grr.draw(tuple[i], rng)
+                    } else {
+                        // Alg. 1 line 6: a *plain* sample from the prior.
+                        sample_cdf(&cdfs[i], rng) as u32
+                    });
                 }
-                Randomizers::Ue(ues) => {
-                    for (i, ue) in ues.iter().enumerate() {
-                        entries.push(&if i == sampled {
-                            ue.randomize(tuple[i], rng)
-                        } else {
-                            ue.randomize(sample_cdf(&cdfs[i], rng) as u32, rng)
-                        });
-                    }
+            }
+            Randomizers::Ue(ues) => {
+                for (i, ue) in ues.iter().enumerate() {
+                    entries.push(&if i == sampled {
+                        ue.randomize(tuple[i], rng)
+                    } else {
+                        ue.randomize(sample_cdf(&cdfs[i], rng) as u32, rng)
+                    });
                 }
-            },
-        )
+            }
+        })
     }
 
     fn aggregator(&self) -> MultidimAggregator {

@@ -112,7 +112,7 @@ impl Spl {
         tuple: &[u32],
         rng: &mut R,
     ) -> SolutionReport {
-        let (header, words) = (self.layout.header(0), self.layout.words());
+        let (header, words) = (self.layout.header(0), self.layout.words);
         let Some(fused) = &self.fused else {
             let reports = self.report(tuple, rng);
             return SolutionReport::encode(header, words, |entries| {
