@@ -380,23 +380,19 @@ impl MultidimAggregator {
             _ => {
                 // Hard assert: a width mismatch would desync the cursor.
                 assert_eq!(a, self.counts.len(), "tuple width mismatch");
-                for (j, (counts, &field)) in self.counts.iter_mut().zip(&layout.fields).enumerate()
-                {
-                    // The field's own entries skip the tag dispatch.
-                    match field {
-                        Field::Value { .. } => {
-                            if let Some(v) = cursor.value_entry() {
-                                count_value(counts, j, v);
-                                continue;
-                            }
+                // The layout's compiled reads skip the tag dispatch: a value
+                // layout's words at one tag compare, a bit vector of `k_j`
+                // lanes at one compare against its fixed header.
+                let values = layout.values_only();
+                for (j, counts) in self.counts.iter_mut().enumerate() {
+                    if values {
+                        if let Some(v) = cursor.value_entry() {
+                            count_value(counts, j, v);
+                            continue;
                         }
-                        Field::Bits { k } => {
-                            if let Some(blocks) = cursor.bits_entry(k) {
-                                bits.add(counts, j, blocks);
-                                continue;
-                            }
-                        }
-                        _ => {}
+                    } else if let Some(blocks) = cursor.bits_entry(counts.len()) {
+                        bits.add(counts, j, blocks);
+                        continue;
                     }
                     let entry = cursor.entry().expect(WELL_FORMED);
                     count_entry(counts, solution, j, entry, bits);

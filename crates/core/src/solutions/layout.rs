@@ -244,6 +244,12 @@ impl Layout {
         ok
     }
 
+    /// Whether every report is a header and one value word per attribute
+    /// (SPL, RS+FD and RS+RFD over GRR): the layouts with a template.
+    pub(super) fn values_only(&self) -> bool {
+        self.template.is_some()
+    }
+
     /// Whether a report header `(kind, a, b)` fits the layout.
     fn fits(&self, kind: u64, a: usize, b: usize) -> bool {
         kind == self.kind && self.a.contains(&a) && b <= self.b_max
