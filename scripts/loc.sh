@@ -1,7 +1,8 @@
 #!/bin/sh
 # Non-test Rust line counts, by the one rule CHANGES.md entries quote: a
-# source file counts the lines above its first `#[cfg(test)]` (all of its
-# lines if it has none). Files under a `tests/` directory are counted apart,
+# source file counts the lines above its first line that starts with
+# `#[cfg(test)]` (all of its lines if it has none; a mention in a comment
+# does not count). Files under a `tests/` directory are counted apart,
 # whole. `crates/vendor` and `perfbench` are not counted.
 #
 #   scripts/loc.sh           one row per crate (src/ and tests/), then totals
@@ -16,7 +17,7 @@ cd "$(dirname "$0")/.."
 nontest() {
     find "$@" -name '*.rs' -type f -exec awk '
         FNR == 1 { in_tests = 0 }
-        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests { n++ }
         END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }'
 }
