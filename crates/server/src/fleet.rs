@@ -2,11 +2,11 @@
 //! reap and EPOCH-barrier rule of the wire listener, with no socket, no
 //! lock and no clock.
 //!
-//! [`crate::net`] keeps one [`Fleet`] behind one `Mutex` and one `Condvar`.
-//! Its connection handlers are thin adapters: they read a frame, ask the
-//! fleet for a decision, then write, ingest or abort. Time comes in as an
-//! argument (`now`) and the token salt as a constructor argument, so the
-//! rules run the same under a test's hand-made clock as under the
+//! [`crate::net`] keeps one [`Fleet`] behind one `Mutex` and one `Condvar`,
+//! and each connection's [`crate::session::ServerSession`] asks it for
+//! every decision. Time comes in as an argument (`now`, a [`Duration`] on
+//! the caller's clock) and the token salt as a constructor argument, so the
+//! rules run the same under the simulator's virtual clock as under the
 //! listener's wall clock.
 //!
 //! ## The rules
@@ -37,7 +37,7 @@
 //!   reaped session's arrival is dropped with it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ldp_protocols::hash::mix2;
 
@@ -106,7 +106,7 @@ struct Session {
     /// Whether a DRAIN was counted for the session.
     drained: bool,
     /// When the session lost its connection with work unfinished.
-    suspect: Option<Instant>,
+    suspect: Option<Duration>,
 }
 
 /// The fleet state of one wire listener; see the module docs for its rules.
@@ -301,7 +301,7 @@ impl Fleet {
     /// suspect is still inside its grace period: that session's verdict,
     /// resumed or reaped, is at most one grace period away. Otherwise the
     /// waiter's arrival is withdrawn (false).
-    pub(crate) fn outlived(&mut self, token: u64, now: Instant) -> bool {
+    pub(crate) fn outlived(&mut self, token: u64, now: Duration) -> bool {
         if self.tick(now) > 0 || self.sessions.values().any(|s| s.suspect.is_some()) {
             return true;
         }
@@ -322,7 +322,7 @@ impl Fleet {
 
     /// The connection driving `token` closed at `now`. A session with
     /// unfinished work turns suspect; one without a table slot is gone.
-    pub(crate) fn disconnect(&mut self, token: u64, now: Instant) {
+    pub(crate) fn disconnect(&mut self, token: u64, now: Duration) {
         let s = self.live(token);
         s.live = false;
         if !s.listed {
@@ -334,12 +334,12 @@ impl Fleet {
 
     /// Reaps every session suspect for at least the grace period at `now`.
     /// Returns how many were reaped.
-    pub(crate) fn tick(&mut self, now: Instant) -> usize {
+    pub(crate) fn tick(&mut self, now: Duration) -> usize {
         let Some(grace) = self.grace else { return 0 };
         let dead: Vec<u64> = self
             .sessions
             .iter()
-            .filter(|(_, s)| s.suspect.is_some_and(|t| now.duration_since(t) >= grace))
+            .filter(|(_, s)| s.suspect.is_some_and(|t| now.saturating_sub(t) >= grace))
             .map(|(&t, _)| t)
             .collect();
         for &token in &dead {
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn resume_rebinds_an_idle_session_and_refuses_everything_else() {
-        let t0 = Instant::now();
+        let t0 = Duration::ZERO;
         let mut fleet = Fleet::new(8, Some(GRACE), 2);
         let (a, _) = fleet.hello();
         assert_eq!(fleet.batch(a, 1, 3), Batch::Ingest { ingested: 3 });
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn a_full_table_evicts_the_oldest_idle_session_and_never_a_suspect() {
-        let t0 = Instant::now();
+        let t0 = Duration::ZERO;
         let mut fleet = Fleet::new(2, Some(GRACE), 3);
         let (suspect, _) = fleet.hello();
         fleet.batch(suspect, 1, 1);
@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn without_a_grace_period_nothing_is_ever_reaped() {
-        let t0 = Instant::now();
+        let t0 = Duration::ZERO;
         let mut fleet = Fleet::new(4, None, 4);
         fleet.declare(2);
         let (a, _) = fleet.hello();
@@ -452,7 +452,7 @@ mod tests {
         ingested: u64,
         touched: bool,
         drained: bool,
-        suspect: Option<Instant>,
+        suspect: Option<Duration>,
         reaped: bool,
     }
 
@@ -485,7 +485,7 @@ mod tests {
     /// The reference model, driving a real [`Fleet`] in lockstep.
     struct Model {
         fleet: Fleet,
-        now: Instant,
+        now: Duration,
         declared: usize,
         producers: Vec<Producer>,
         sessions: HashMap<u64, Expect>,
@@ -503,7 +503,7 @@ mod tests {
             fleet.declare(declared);
             Model {
                 fleet,
-                now: Instant::now(),
+                now: Duration::ZERO,
                 declared,
                 producers: vec![Producer::default(); producers],
                 sessions: HashMap::new(),
@@ -537,7 +537,7 @@ mod tests {
             let now = self.now;
             let mut due = 0;
             for (token, s) in &mut self.sessions {
-                if s.suspect.is_some_and(|t| now.duration_since(t) >= GRACE) {
+                if s.suspect.is_some_and(|t| now.saturating_sub(t) >= GRACE) {
                     s.suspect = None;
                     s.reaped = true;
                     self.arrived.remove(token);

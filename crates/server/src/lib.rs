@@ -48,11 +48,13 @@ pub mod config;
 mod fleet;
 pub mod net;
 pub mod service;
+pub mod session;
 pub mod snapshot;
 pub mod wire;
 
 pub use config::ServerConfig;
-pub use net::{WireServer, ABORT_AUTH, ABORT_HANDSHAKE, ABORT_PROTOCOL, ABORT_TIMEOUT};
+pub use net::WireServer;
 pub use service::{Envelope, LdpServer};
+pub use session::{ClientSession, ABORT_AUTH, ABORT_HANDSHAKE, ABORT_PROTOCOL, ABORT_TIMEOUT};
 pub use snapshot::{EpochSnapshot, ServerSnapshot};
 pub use wire::{auth_fingerprint, Frame, WireError, WireSnapshot};

@@ -4,61 +4,38 @@
 //!
 //! ## Threading and backpressure
 //!
-//! ```text
-//!  producer sockets ──► per-connection handler threads ──► LdpServer
-//!        (N)                 one checked read per frame     bounded
-//!                            ingest_compact (may block)     shard queues
-//! ```
+//! One OS thread per connection, blocking reads, no async runtime: ingestion
+//! is throughput-bound, and a blocked thread *is* the backpressure. A
+//! handler decodes each BATCH_SEQ against the server's solution as it reads
+//! it ([`CompactBatch::decode_for`]) and hands the checked batch to a shard
+//! whole. When every shard queue is full, `ingest_compact` blocks the
+//! handler, it stops reading, the TCP window closes and the producer's
+//! `write` stalls: flow control reaches the producer with no code between.
 //!
-//! A handler reads each frame into its own reused payload buffer and
-//! decodes a BATCH_SEQ against the server's solution in the same pass
-//! ([`CompactBatch::decode_for`]), so a batch leaves the reader checked
-//! against every shape and domain rule and is not walked again.
+//! ## Sessions and fleet state
 //!
-//! One OS thread per connection, blocking reads — no async runtime, per the
-//! vendored-dependency constraint, and none needed: ingestion is
-//! throughput-bound, not connection-count-bound, and a blocked thread *is*
-//! the backpressure mechanism. When every shard queue is full,
-//! `ingest_compact` blocks the handler, the handler stops calling `read`, the
-//! kernel receive buffer fills, the TCP window closes, and the remote
-//! producer's `write` stalls — flow control propagates from a full shard
-//! queue all the way to the producer process with no code in between.
+//! A handler is a thin adapter: it reads a frame, steps the connection's
+//! `ServerSession` (the [`crate::session`] module decides every reply,
+//! ingest, barrier wait and ABORT) and acts on the step. The rules across
+//! connections (exactly-once sequencing, resume, reaping, the EPOCH barrier)
+//! live in one `Fleet` behind one mutex and one condvar. A step runs under
+//! that lock and the handler ingests after dropping it, so a handler
+//! blocked on a full shard queue holds nothing another connection needs.
+//! The condvar is signaled on every drain, reap and barrier release;
+//! barrier waiters and [`WireServer::wait_for_fleet`] park on it. Neither
+//! the session nor the fleet reads a clock: handlers pass the time since
+//! the listener started.
 //!
-//! ## Fleet state
-//!
-//! Every rule about producer sessions — exactly-once sequencing, resume,
-//! reaping and the EPOCH barrier — lives in one `Fleet` (the private
-//! `fleet` module) behind one mutex and one condvar. A handler reads a
-//! frame, asks the fleet for a decision, then writes, ingests or aborts.
-//! It ingests after dropping the lock, so a handler blocked on a full
-//! shard queue holds nothing another connection needs. The condvar is
-//! signaled on every drain, reap and barrier release; barrier waiters and
-//! [`WireServer::wait_for_fleet`] park on it. The fleet reads no clock:
-//! the handlers pass the time in.
-//!
-//! ## Error isolation
+//! ## Error isolation and determinism
 //!
 //! A malformed frame (bad magic, version, CRC, truncation, an out-of-domain
 //! batch) closes **only the offending connection**, after a best-effort
-//! ABORT frame to the peer. The whole frame is validated against the
-//! server's solution before any envelope of it is ingested, so a bad frame
-//! never half-poisons a shard; other connections and the aggregation
-//! workers never notice. The listener counts the two ways a connection can
-//! end badly apart: refused for what the peer sent
-//! ([`WireServer::rejected_connections`]), or cut under the frames by a
-//! transport fault the producer may resume from
-//! ([`WireServer::dropped_connections`]).
-//!
-//! ## Determinism
-//!
-//! The socket path adds nothing to the ingest semantics: each validated
-//! frame's batch is moved whole into the next shard's queue, round-robin
-//! like every in-process message (no report is rebuilt or copied), and the
-//! shard merge is exact integer addition, so which shard absorbed a frame
-//! cannot matter. A drain of a socket-fed server is therefore
-//! bit-identical to in-process ingestion of the same reports — the
-//! invariant `tests/net_equivalence.rs` pins across thread and connection
-//! counts.
+//! ABORT, and is refused whole before any envelope of it reaches a shard.
+//! The listener counts refusals ([`WireServer::rejected_connections`]) apart
+//! from transport faults a producer may resume from
+//! ([`WireServer::dropped_connections`]). The shard merge is exact integer
+//! addition, so a drain of a socket-fed server is bit-identical to
+//! in-process ingestion of the same reports (`tests/net_equivalence.rs`).
 //!
 //! [`CompactBatch::decode_for`]: ldp_core::solutions::CompactBatch::decode_for
 
@@ -72,24 +49,11 @@ use std::time::{Duration, Instant, SystemTime};
 use ldp_core::solutions::DynSolution;
 
 use crate::config::ServerConfig;
-use crate::fleet::{Batch, Epoch, Fleet, Refused};
+use crate::fleet::Fleet;
 use crate::service::LdpServer;
+use crate::session::{Input, ServerSession, Step};
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
-use crate::wire::{
-    auth_fingerprint, read_checked_frame, read_frame, write_frame, Frame, WireError, WireSnapshot,
-};
-
-/// Abort code sent to peers that fail the handshake.
-pub const ABORT_HANDSHAKE: u16 = 1;
-/// Abort code sent to peers whose frame stream is malformed.
-pub const ABORT_PROTOCOL: u16 = 2;
-/// Abort code sent to peers that stayed silent past the configured read
-/// timeout (see [`ServerConfig::read_timeout_ms`]) — either mid-session or
-/// while the rest of their fleet waited for them at an EPOCH barrier.
-pub const ABORT_TIMEOUT: u16 = 3;
-/// Abort code sent to peers whose HELLO auth digest does not match the
-/// server's configured [`ServerConfig::auth_token`].
-pub const ABORT_AUTH: u16 = 4;
+use crate::wire::{read_checked_frame, write_frame, Frame, WireError, WireSnapshot};
 
 const POISONED: &str = "fleet state poisoned";
 /// Bound on the session table. At capacity the oldest *inactive* session
@@ -109,12 +73,12 @@ pub struct WireServer {
     server: Option<Arc<LdpServer>>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    accept: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
-/// What the listener's threads share: the fleet behind its one lock, plus
-/// two diagnostic counters that feed no decision.
+/// What the listener's threads share: the fleet behind its lock, the live
+/// handlers, and two diagnostic counters that feed no decision.
 #[derive(Debug)]
 struct Shared {
     fleet: Mutex<Fleet>,
@@ -123,6 +87,10 @@ struct Shared {
     /// The reap grace period and EPOCH-barrier timeout
     /// ([`ServerConfig::read_timeout_ms`]; `None` waits forever).
     grace: Option<Duration>,
+    /// The zero of the fleet's clock.
+    started: Instant,
+    /// Handlers of connections that may still be open.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
     /// Connections refused for a protocol violation.
     rejected: AtomicUsize,
     /// Connections cut by a transport fault ([`WireError::is_transport`]).
@@ -134,71 +102,52 @@ impl Shared {
         self.fleet.lock().expect(POISONED)
     }
 
-    /// Holds session `token` at the fleet's EPOCH barrier for the end of
-    /// `round` and returns the round to ack (always `round + 1`). The
-    /// arrival that completes the barrier rotates the server's epoch while
-    /// still holding the lock, so no waiter is acked, and no producer
-    /// streams the next round, before the epoch closes. A waiter that
-    /// outlives the grace period reaps what is due and keeps waiting while
-    /// that shrank the fleet or a suspect is still in grace; otherwise it
-    /// withdraws and errors, so a hung fleet member never wedges the rest.
-    /// Errors carry the abort code the peer should see.
-    fn epoch_barrier(
+    fn now(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Steps `session` on `read` under the fleet lock. A barrier wait parks
+    /// on the condvar and steps again at every wakeup and grace deadline.
+    /// A release rotates the server's epoch before the lock drops, so no
+    /// producer streams the next round before the epoch closes.
+    fn step(
         &self,
+        session: &mut ServerSession,
+        read: Result<Frame, WireError>,
         server: &LdpServer,
-        token: u64,
-        round: u64,
-    ) -> Result<u64, (u16, WireError)> {
+    ) -> Step {
         let mut fleet = self.fleet();
-        let mut verdict = fleet.epoch(token, round);
-        let mut deadline = Instant::now() + self.grace.unwrap_or_default();
-        loop {
-            match verdict {
-                Epoch::Ack(next) => return Ok(next),
-                Epoch::Release(next) => {
-                    server.advance_epoch();
+        let mut step = session.step(Input::Read(read), &mut fleet, self.now());
+        let mut deadline = self.now() + self.grace.unwrap_or_default();
+        while let Step::Wait = step {
+            let now = self.now();
+            let input = match self.grace {
+                Some(grace) if now >= deadline => {
                     self.changed.notify_all();
-                    return Ok(next);
+                    deadline = now + grace;
+                    Input::Expired
                 }
-                Epoch::Mismatch(current) => {
-                    return Err((
-                        ABORT_PROTOCOL,
-                        WireError::Payload(format!(
-                            "EPOCH announces the end of round {round}, but the fleet is on \
-                             round {current}"
-                        )),
-                    ))
+                Some(_) => {
+                    let wait = self.changed.wait_timeout(fleet, deadline - now);
+                    fleet = wait.expect(POISONED).0;
+                    Input::Woken
                 }
-                Epoch::Wait => {}
-            }
-            // Guard-loop wait: every wakeup re-checks the barrier, so a
-            // spurious one can never release it early.
-            fleet = match self.grace {
-                None => self.changed.wait(fleet).expect(POISONED),
-                Some(grace) => {
-                    let now = Instant::now();
-                    if now < deadline {
-                        self.changed
-                            .wait_timeout(fleet, deadline - now)
-                            .expect(POISONED)
-                            .0
-                    } else if fleet.outlived(token, now) {
-                        self.changed.notify_all();
-                        deadline = now + grace;
-                        fleet
-                    } else {
-                        return Err((
-                            ABORT_TIMEOUT,
-                            WireError::Payload(format!(
-                                "EPOCH barrier for round {round} timed out waiting for the \
-                                 rest of the fleet"
-                            )),
-                        ));
-                    }
+                None => {
+                    fleet = self.changed.wait(fleet).expect(POISONED);
+                    Input::Woken
                 }
             };
-            verdict = fleet.barrier(round);
+            step = session.step(input, &mut fleet, self.now());
         }
+        match step {
+            Step::Release(_) => {
+                server.advance_epoch();
+                self.changed.notify_all();
+            }
+            Step::Close(Some(_)) => self.changed.notify_all(),
+            _ => {}
+        }
+        step
     }
 }
 
@@ -226,6 +175,8 @@ impl WireServer {
             fleet: Mutex::new(Fleet::new(SESSION_CAPACITY, grace, nonce)),
             changed: Condvar::new(),
             grace,
+            started: Instant::now(),
+            handlers: Mutex::new(Vec::new()),
             rejected: AtomicUsize::new(0),
             dropped: AtomicUsize::new(0),
         });
@@ -298,15 +249,11 @@ impl WireServer {
         self.shared.fleet().reaped()
     }
 
-    /// The server-side rendezvous for a fixed-size producer fleet: blocks
-    /// until drained **plus reaped** sessions reach `n`, so a producer
-    /// that dies past its retry budget shrinks the rendezvous instead of
-    /// wedging it. Parked on the fleet's condvar and re-checked on every
-    /// wakeup, so a spurious one can never miscount a producer. With a
-    /// configured [`ServerConfig::read_timeout_ms`] the wait also polls at
-    /// that grace period (clamped to 10–200 ms) and reaps suspect sessions
-    /// itself (a drained fleet has no handler thread left to do it); with
-    /// `0` nothing is ever reaped and this waits for `n` drains.
+    /// The rendezvous for a fixed-size producer fleet: blocks until drained
+    /// **plus reaped** sessions reach `n`, so a producer that dies past its
+    /// retry budget shrinks the rendezvous instead of wedging it. With a
+    /// [`ServerConfig::read_timeout_ms`] it polls at that grace (clamped to
+    /// 10–200 ms) and reaps suspects itself; with `0` it waits for `n` drains.
     pub fn wait_for_fleet(&self, n: usize) {
         let shared = &self.shared;
         let mut fleet = shared.fleet();
@@ -316,7 +263,7 @@ impl WireServer {
                 Some(grace) => {
                     let poll = grace.clamp(Duration::from_millis(10), Duration::from_millis(200));
                     let mut fleet = shared.changed.wait_timeout(fleet, poll).expect(POISONED).0;
-                    if fleet.tick(Instant::now()) > 0 {
+                    if fleet.tick(shared.now()) > 0 {
                         shared.changed.notify_all();
                     }
                     fleet
@@ -337,7 +284,7 @@ impl WireServer {
     }
 
     /// Signals the accept loop, wakes it with a dummy connection, and joins
-    /// the accept thread plus every handler it spawned.
+    /// the accept thread plus every handler it left.
     fn shutdown_listener(&mut self) {
         let Some(accept) = self.accept.take() else {
             return;
@@ -346,7 +293,8 @@ impl WireServer {
         // `TcpListener::accept` has no timeout; a throwaway local connection
         // is the portable way to wake it so it can observe `stop`.
         let _ = TcpStream::connect(self.addr);
-        let handlers = accept.join().expect("accept thread panicked");
+        accept.join().expect("accept thread panicked");
+        let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect(POISONED));
         for handler in handlers {
             let _ = handler.join();
         }
@@ -361,247 +309,93 @@ impl Drop for WireServer {
     }
 }
 
-/// Accepts until `stop` is set, spawning one handler thread per producer.
-/// Returns the handler join handles so the shutdown path can wait for
-/// in-flight connections to settle before draining.
+/// Accepts until `stop` is set, one handler thread per producer; finished
+/// handlers are dropped as new ones arrive.
 fn accept_loop(
     listener: &TcpListener,
     server: &Arc<LdpServer>,
     stop: &AtomicBool,
     shared: &Arc<Shared>,
-) -> Vec<JoinHandle<()>> {
-    let fingerprint = server.solution().fingerprint();
-    let mut handlers = Vec::new();
+) {
     for (conn, stream) in listener.incoming().enumerate() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         let server = Arc::clone(server);
-        let shared = Arc::clone(shared);
-        handlers.push(
-            std::thread::Builder::new()
-                .name(format!("ldp-conn-{conn}"))
-                .spawn(move || {
-                    // A peer may disconnect without draining (e.g. a
-                    // monitoring probe); that is not a violation.
-                    if let Err(e) = drive_connection(stream, &server, fingerprint, &shared) {
-                        let count = if e.is_transport() {
-                            &shared.dropped
-                        } else {
-                            &shared.rejected
-                        };
-                        count.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-                .expect("cannot spawn connection handler"),
-        );
+        let thread = Arc::clone(shared);
+        let handler = std::thread::Builder::new()
+            .name(format!("ldp-conn-{conn}"))
+            .spawn(move || {
+                // A peer may disconnect without draining (e.g. a
+                // monitoring probe); that is not a violation.
+                if let Err(e) = drive_connection(stream, &server, &thread) {
+                    let count = if e.is_transport() {
+                        &thread.dropped
+                    } else {
+                        &thread.rejected
+                    };
+                    count.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .expect("cannot spawn connection handler");
+        let mut handlers = shared.handlers.lock().expect(POISONED);
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handler);
     }
-    handlers
 }
 
-/// Runs one producer connection to completion. Any `Err` already sent a
-/// best-effort ABORT and stands for "this connection was cut, everyone
-/// else keeps going".
+/// Runs one producer connection to completion: read a frame, step the
+/// session, act. Any `Err` already sent a best-effort ABORT and stands for
+/// "this connection was cut, everyone else keeps going".
 fn drive_connection(
     stream: TcpStream,
     server: &LdpServer,
-    fingerprint: u64,
     shared: &Shared,
 ) -> Result<(), WireError> {
     // Frames are small relative to throughput; turn Nagle off so snapshot
     // and drain acks turn around immediately.
     let _ = stream.set_nodelay(true);
-    let config = server.config();
-    // The idle-connection guard: a producer that stays silent past the
-    // configured timeout surfaces as a typed [`WireError::Timeout`] below,
-    // which ABORTs the connection instead of pinning this handler thread
-    // forever. `0` disables the guard: reads block until the peer speaks.
+    // The idle-connection guard: a producer silent past the read timeout
+    // reads as a typed `WireError::Timeout`, which the session refuses with
+    // ABORT_TIMEOUT instead of pinning this thread forever. `0` disables it.
     stream.set_read_timeout(shared.grace)?;
     let mut reader = BufReader::with_capacity(256 * 1024, stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-
-    // Session opener: exactly one HELLO with a matching auth digest and a
-    // matching fingerprint — auth is checked first, so an unauthorized
-    // producer learns nothing about whether its solution would match.
-    let expected_auth = config
-        .auth_token
-        .as_deref()
-        .map(auth_fingerprint)
-        .unwrap_or(0);
-    match read_frame(&mut reader) {
-        Ok(Frame::Hello {
-            fingerprint: got,
-            auth,
-        }) => {
-            if auth != expected_auth {
-                let reason = if expected_auth == 0 {
-                    "producer presented an auth token but the server is not configured with one"
-                } else {
-                    "producer auth token digest does not match the server's"
-                };
-                return Err(refuse(
-                    &mut writer,
-                    ABORT_AUTH,
-                    WireError::Handshake(reason.into()),
-                ));
-            }
-            if got != fingerprint {
-                let reason = format!(
-                    "producer solution fingerprint {got:#018x} does not match the server's \
-                     {fingerprint:#018x} (different solution, domains or epsilon?)"
-                );
-                return Err(refuse(
-                    &mut writer,
-                    ABORT_HANDSHAKE,
-                    WireError::Handshake(reason),
-                ));
-            }
-        }
-        Ok(_) => {
-            let e = WireError::Handshake("expected HELLO as the first frame".into());
-            return Err(refuse(&mut writer, ABORT_HANDSHAKE, e));
-        }
-        Err(WireError::Closed) => return Ok(()),
-        Err(e) => return Err(refuse(&mut writer, abort_code(&e), e)),
-    }
-
-    let ack_every = config.ack_every.max(1);
-    let (mut token, resumable) = shared.fleet().hello();
-    let hello_ack = Frame::HelloAck {
-        fingerprint,
-        shards: config.shards as u32,
-        session: if resumable { token } else { 0 },
-        ack_every: ack_every.min(u64::from(u32::MAX)) as u32,
-    };
-    // From here every exit must disconnect the session so a dead
-    // producer's state becomes resumable (and, past the grace period,
-    // reapable).
-    let result = send(&mut writer, &hello_ack).and_then(|()| {
-        run_session(
-            &mut reader,
-            &mut writer,
-            server,
-            shared,
-            ack_every,
-            &mut token,
-        )
-    });
-    shared.fleet().disconnect(token, Instant::now());
-    result
-}
-
-/// The post-handshake frame loop of one connection driving session
-/// `token` (which a RESUME replaces); see [`drive_connection`] for the
-/// return contract.
-fn run_session(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    server: &LdpServer,
-    shared: &Shared,
-    ack_every: u64,
-    token: &mut u64,
-) -> Result<(), WireError> {
-    let check = Some((server.solution(), server.config().batch));
+    let mut session = ServerSession::new(server.solution().fingerprint(), server.config());
+    // A BATCH_SEQ comes out of the read checked, whole, against the
+    // solution and the batch size: frames are atomic, so a malformed or
+    // oversize one is refused without an envelope reaching a shard.
+    let check = (server.solution(), server.config().batch);
     let mut payload = Vec::new();
-    loop {
-        // A BATCH_SEQ comes out of the read checked, whole, against the
-        // server's solution (the mixed kinds' numeric magnitudes too) and
-        // its batch size: frames are atomic, so a malformed or oversize one
-        // is refused below without a single envelope reaching a shard.
-        match read_checked_frame(reader, &mut payload, check) {
-            Ok(Frame::BatchSeq { seq, batch }) => {
-                let len = batch.len() as u64;
-                let verdict = shared.fleet().batch(*token, seq, len);
-                match verdict {
-                    // A replay the session already ingested (reconnect ring
-                    // overlap, or a duplicated frame): dropped without a
-                    // single envelope reaching a shard — exactly-once.
-                    Batch::Dedup => {}
-                    Batch::Gap { acked } => {
-                        let e = WireError::Payload(format!(
-                            "BATCH_SEQ {seq} does not follow acked {acked} (sequence numbers \
-                             run gapless from 1)"
-                        ));
-                        return Err(refuse(writer, ABORT_PROTOCOL, e));
-                    }
-                    Batch::Ingest { ingested } => {
-                        // Hands the validated frame to one shard whole,
-                        // copying no report. May block on a full shard
-                        // queue — that block is the backpressure path in
-                        // the module docs.
-                        server.ingest_compact(batch);
-                        if seq % ack_every == 0 {
-                            send(writer, &Frame::BatchAck { seq, n: ingested })?;
-                        }
-                    }
-                }
+    let result = loop {
+        let read = read_checked_frame(&mut reader, &mut payload, session.open().then_some(check));
+        let sent = match shared.step(&mut session, read, server) {
+            Step::Read | Step::Wait => Ok(()),
+            Step::Reply(frame) => send(&mut writer, &frame),
+            Step::Ingest(batch, ack) => {
+                // May block on a full shard queue: the backpressure path.
+                server.ingest_compact(batch);
+                ack.map_or(Ok(()), |ack| send(&mut writer, &ack))
             }
-            Ok(Frame::Resume {
-                session,
-                last_acked,
-            }) => {
-                let resumed = shared.fleet().resume(*token, session, last_acked);
-                let acked = resumed.map_err(|why| {
-                    let (code, e) = refusal(why, session, last_acked);
-                    refuse(writer, code, e)
-                })?;
-                *token = session;
-                send(writer, &Frame::ResumeAck { acked_seq: acked })?;
+            Step::Snapshot => {
+                let snapshot = WireSnapshot::from(&server.snapshot());
+                send(&mut writer, &Frame::Snapshot(snapshot))
             }
-            Ok(Frame::SnapshotRequest { .. }) => {
-                // Channel FIFO already puts the snapshot behind every batch
-                // this connection ingested, so the quiesce flag needs no
-                // barrier of its own.
-                let snapshot = server.snapshot();
-                send(writer, &Frame::Snapshot(WireSnapshot::from(&snapshot)))?;
+            Step::Release(round) => send(&mut writer, &Frame::Epoch { round }),
+            Step::Close(reply) => break reply.map_or(Ok(()), |r| send(&mut writer, &r)),
+            Step::Refuse(code, e) => {
+                let message = e.to_string();
+                let _ = send(&mut writer, &Frame::Abort { code, message });
+                break Err(e);
             }
-            Ok(Frame::Epoch { round }) => {
-                // Fleet lockstep: held here until every declared producer
-                // announces the end of `round`; the last arrival rotates
-                // the server's epoch. The wait is bounded by the read
-                // timeout, and a timed-out wait reaps dead fleet members
-                // before giving up, so one crashed producer degrades the
-                // fleet instead of wedging it.
-                match shared.epoch_barrier(server, *token, round) {
-                    Ok(next) => send(writer, &Frame::Epoch { round: next })?,
-                    Err((code, e)) => return Err(refuse(writer, code, e)),
-                }
-            }
-            Ok(Frame::Drain) => {
-                let ingested = shared.fleet().drain(*token);
-                shared.changed.notify_all();
-                return send(writer, &Frame::DrainAck { n: ingested });
-            }
-            Ok(Frame::Abort { .. }) | Err(WireError::Closed) => return Ok(()),
-            Ok(other) => {
-                let e = WireError::Payload(format!(
-                    "unexpected {} frame in an open session",
-                    frame_name(&other)
-                ));
-                return Err(refuse(writer, ABORT_PROTOCOL, e));
-            }
-            Err(e) => return Err(refuse(writer, abort_code(&e), e)),
-        }
-    }
-}
-
-/// The ABORT code and error a refused RESUME of `session` earns.
-fn refusal(why: Refused, session: u64, last_acked: u64) -> (u16, WireError) {
-    let reason = match why {
-        Refused::Late => {
-            let e = WireError::Payload("RESUME after the session's first batch or EPOCH".into());
-            return (ABORT_PROTOCOL, e);
-        }
-        Refused::Unknown => {
-            format!("RESUME of an unknown (expired or reaped) session {session:#018x}")
-        }
-        Refused::Live => format!("session {session:#018x} is still active on another connection"),
-        Refused::Ahead(acked) => {
-            format!("RESUME claims acked seq {last_acked}, the server acked {acked}")
+        };
+        if let Err(e) = sent {
+            break Err(e);
         }
     };
-    (ABORT_HANDSHAKE, WireError::Handshake(reason))
+    session.end(&mut shared.fleet(), shared.now());
+    result
 }
 
 /// Writes one frame and flushes it.
@@ -611,52 +405,11 @@ fn send(writer: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Picks the abort code a failed read deserves: an expired socket read
-/// timeout is the peer idling ([`ABORT_TIMEOUT`]), anything else is a
-/// malformed stream ([`ABORT_PROTOCOL`]).
-fn abort_code(e: &WireError) -> u16 {
-    match e {
-        WireError::Timeout => ABORT_TIMEOUT,
-        WireError::Io(io)
-            if matches!(
-                io.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            ABORT_TIMEOUT
-        }
-        _ => ABORT_PROTOCOL,
-    }
-}
-
-/// Sends a best-effort ABORT (the connection is going away either way)
-/// and hands back the error that caused it.
-fn refuse(writer: &mut impl Write, code: u16, e: WireError) -> WireError {
-    let message = e.to_string();
-    let _ = send(writer, &Frame::Abort { code, message });
-    e
-}
-
-fn frame_name(frame: &Frame) -> &'static str {
-    match frame {
-        Frame::Hello { .. } => "HELLO",
-        Frame::HelloAck { .. } => "HELLO_ACK",
-        Frame::SnapshotRequest { .. } => "SNAPSHOT_REQUEST",
-        Frame::Snapshot(_) => "SNAPSHOT",
-        Frame::Drain => "DRAIN",
-        Frame::DrainAck { .. } => "DRAIN_ACK",
-        Frame::Abort { .. } => "ABORT",
-        Frame::Epoch { .. } => "EPOCH",
-        Frame::BatchSeq { .. } => "BATCH_SEQ",
-        Frame::BatchAck { .. } => "BATCH_ACK",
-        Frame::Resume { .. } => "RESUME",
-        Frame::ResumeAck { .. } => "RESUME_ACK",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{ABORT_AUTH, ABORT_HANDSHAKE, ABORT_PROTOCOL};
+    use crate::wire::read_frame;
     use ldp_core::solutions::{
         CompactBatch, CompactDecodeError, RsFdProtocol, RsRfdProtocol, SolutionKind,
     };
@@ -694,6 +447,26 @@ mod tests {
             Frame::HelloAck { .. }
         ));
         (reader, stream)
+    }
+
+    /// The listener sheds finished connection handlers as new connections
+    /// arrive: after 256 connections have come and gone it holds a few
+    /// handles, not one per connection it ever served.
+    #[test]
+    fn the_listener_sheds_finished_handlers() {
+        let (server, _solution) = spawn_server();
+        for _ in 0..256 {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        let held = || server.shared.handlers.lock().unwrap().len();
+        // Each probe's accept prunes the handlers that finished before it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while held() > 4 && Instant::now() < deadline {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(held() <= 4, "the listener holds {} handles", held());
+        assert_eq!(server.finish().n, 0);
     }
 
     #[test]

@@ -330,6 +330,27 @@ pub enum Frame {
     },
 }
 
+impl Frame {
+    /// The frame's name on the wire, e.g. `"BATCH_SEQ"`: what an error
+    /// says about a frame it did not expect, without dumping the frame.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Frame::Hello { .. } => "HELLO",
+            Frame::HelloAck { .. } => "HELLO_ACK",
+            Frame::SnapshotRequest { .. } => "SNAPSHOT_REQUEST",
+            Frame::Snapshot(_) => "SNAPSHOT",
+            Frame::Drain => "DRAIN",
+            Frame::DrainAck { .. } => "DRAIN_ACK",
+            Frame::Abort { .. } => "ABORT",
+            Frame::Epoch { .. } => "EPOCH",
+            Frame::BatchSeq { .. } => "BATCH_SEQ",
+            Frame::BatchAck { .. } => "BATCH_ACK",
+            Frame::Resume { .. } => "RESUME",
+            Frame::ResumeAck { .. } => "RESUME_ACK",
+        }
+    }
+}
+
 /// The over-the-wire projection of a [`ServerSnapshot`]: the merged counts'
 /// estimates without the aggregator itself (which never leaves the server).
 #[derive(Debug, Clone, PartialEq)]

@@ -22,7 +22,13 @@
 //! frames or exceeds the budget and degrades the fleet, never livelocks.
 
 use std::fmt;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
 use std::str::FromStr;
+use std::time::Duration;
+
+use ldp_server::session::Sending;
+use ldp_server::wire::WireError;
 
 /// One class of injected transport fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,10 +244,56 @@ impl FaultInjector {
         }
     }
 
+    /// The fault for one send that goes out as `sending`: a BATCH_SEQ's
+    /// first transmission takes any class, a control request's only
+    /// [`FaultKind::Drop`], [`FaultKind::Truncate`] or [`FaultKind::Delay`],
+    /// and a handshake frame, replay or re-sent request none (it does not
+    /// advance the schedule).
+    pub(crate) fn next_fault_for(&mut self, sending: Sending) -> Option<FaultKind> {
+        match sending {
+            Sending::Batch => self.next_fault(),
+            Sending::Request => {
+                self.next_fault_among(&[FaultKind::Drop, FaultKind::Truncate, FaultKind::Delay])
+            }
+            Sending::Again => None,
+        }
+    }
+
     /// Faults injected so far.
     pub fn fired(&self) -> u64 {
         self.fired
     }
+}
+
+/// Writes one encoded frame, through `fault` when one is injected. A delay
+/// sleeps first; a duplicate writes the frame twice, and the server drops
+/// the copy by its sequence number. A drop, truncation or reset writes
+/// none, half or all of the frame, then shuts the connection down and
+/// reports a connection reset, which the session redials like any real one.
+pub(crate) fn transmit(
+    stream: &mut TcpStream,
+    bytes: &[u8],
+    fault: Option<FaultKind>,
+) -> Result<(), WireError> {
+    let cut = match fault {
+        None => return Ok(stream.write_all(bytes)?),
+        Some(FaultKind::Delay) => {
+            std::thread::sleep(Duration::from_millis(3));
+            return Ok(stream.write_all(bytes)?);
+        }
+        Some(FaultKind::Duplicate) => {
+            stream.write_all(bytes)?;
+            return Ok(stream.write_all(bytes)?);
+        }
+        Some(FaultKind::Drop) => 0,
+        Some(FaultKind::Truncate) => bytes.len() / 2,
+        Some(FaultKind::Reset) => bytes.len(),
+    };
+    let _ = stream.write_all(&bytes[..cut]);
+    let _ = stream.shutdown(Shutdown::Both);
+    let kind = fault.map_or("", FaultKind::id);
+    let e = std::io::Error::new(ErrorKind::ConnectionReset, format!("injected {kind} fault"));
+    Err(WireError::Io(e))
 }
 
 /// SplitMix64 (Steele et al.) — the workspace's vendored `rand` would do,
