@@ -1074,6 +1074,8 @@ mod tests {
         fn send(&mut self, p: usize, mut bytes: Vec<u8>, sending: Sending) -> State {
             let c = self.producers[p].conn;
             let producer = &mut self.producers[p];
+            // Header byte 6 is the frame type (11: RESUME); a BATCH_SEQ's
+            // payload starts with its little-endian sequence number.
             if sending == Sending::Batch && producer.skip && bytes[16] >= 2 {
                 producer.skip = false;
                 rewrite(&mut bytes, |frame| match frame {
