@@ -60,9 +60,9 @@ SERVE OPTIONS (plus --scale/--seed/--threads/--out/--quiet from above):
     --read-timeout-ms <MS>
                      with --listen: ABORT a producer connection silent for
                      MS milliseconds so a hung process cannot wedge the
-                     drain barrier; also the resume grace period after
-                     which a faulted session is reaped from the fleet
-                     (default 0 = neither)
+                     drain barrier; a faulted session that has not resumed
+                     within MS (at least 1 s, the longest reconnect backoff
+                     step) is reaped from the fleet (default 0 = neither)
     --auth-token <T> with --listen: shared-secret handshake token; a HELLO
                      carrying a different token's digest is rejected with
                      ABORT_AUTH (default: accept tokenless producers only)
@@ -577,14 +577,11 @@ pub fn execute(cmd: Command) -> i32 {
             part,
             parts,
             snapshot_every,
-            mut client,
+            client,
             flags,
             quiet,
         } => {
             let Ok(cfg) = config(&flags) else { return 2 };
-            // Desynchronize the fleet's reconnect jitter: producers sharing
-            // a seed must not retry in lockstep.
-            client.backoff_seed = cfg.seed ^ ((part as u64) << 32) ^ parts as u64;
             crate::serve::execute_produce(
                 &spec,
                 &cfg,

@@ -151,9 +151,10 @@ pub struct ListenOpts {
     pub addr_file: Option<PathBuf>,
     /// Socket read timeout in milliseconds (`--read-timeout-ms`); a producer
     /// silent for longer is ABORTed so it cannot wedge the drain barrier.
-    /// Doubles as the resume grace period: a faulted session that has not
-    /// reconnected within it is reaped from the fleet instead of wedging the
-    /// drain. `0` disables both.
+    /// It also sets the resume grace period: a faulted session that has not
+    /// reconnected within it, and within the client's longest backoff step
+    /// (1 s), is reaped from the fleet instead of wedging the drain. `0`
+    /// disables both. See [`ServerConfig::read_timeout_ms`].
     pub read_timeout_ms: u64,
     /// Shared-secret handshake token (`--auth-token`); connections whose
     /// HELLO carries a different token's digest are rejected with

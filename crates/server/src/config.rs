@@ -1,5 +1,7 @@
 //! Server sizing knobs: shard count, queue depth, batch size.
 
+use std::time::Duration;
+
 /// Configuration of one [`LdpServer`](crate::LdpServer) instance.
 ///
 /// The defaults are sized for tests and examples; production-shaped runs set
@@ -34,11 +36,20 @@ pub struct ServerConfig {
     /// milliseconds; `0` disables the timeout. A connection that stays
     /// silent longer than this is ABORTed and closed, so a hung producer
     /// (dead process, half-open TCP session) can never pin a handler thread
-    /// — or wedge an epoch barrier — forever. It doubles as the resume
-    /// grace period: a faulted session whose producer has not resumed
-    /// within this window is reaped from the drain count and the epoch
-    /// barrier (with `0`, faulted sessions are waited on forever, matching
-    /// the block-forever semantics of a disabled timeout).
+    /// — or wedge an epoch barrier — forever. The fleet's liveness rules
+    /// derive from it, with no knob of their own:
+    ///
+    /// * **Reap.** A faulted session whose producer has not resumed within
+    ///   the longer of this timeout and the client's longest backoff step
+    ///   (1 s) is reaped from the drain count and the epoch barrier, so a
+    ///   producer between two redials is never reaped.
+    /// * **Withdrawal.** An EPOCH barrier waiter that has waited this long
+    ///   is refused with `ABORT_TIMEOUT` only once every connected session
+    ///   has arrived or drained: the fleet was declared larger than the
+    ///   producers that connected, and the barrier can never release.
+    ///
+    /// With `0`, faulted sessions and barrier waiters are waited on forever,
+    /// matching the block-forever semantics of a disabled timeout.
     pub read_timeout_ms: u64,
     /// Shared-secret HELLO auth token. `None` accepts every producer (the
     /// pre-auth wire behavior); `Some(token)` rejects any HELLO whose auth
@@ -111,6 +122,11 @@ impl ServerConfig {
     pub fn ack_every(mut self, every: u64) -> Self {
         self.ack_every = every.max(1);
         self
+    }
+
+    /// The read timeout as a duration; `None` when it is disabled.
+    pub(crate) fn read_timeout(&self) -> Option<Duration> {
+        (self.read_timeout_ms > 0).then(|| Duration::from_millis(self.read_timeout_ms))
     }
 
     /// The configuration with every field clamped to its valid range.

@@ -11,35 +11,42 @@
 //!
 //! ## The rules
 //!
-//! * **Sessions.** [`Fleet::hello`] issues a fresh non-zero token. The
-//!   session lands in a table of at most `capacity` resumable entries; when
-//!   the table is full, the oldest session that no connection drives and
-//!   that is not suspect (drained or idle) is evicted. If none is, the
-//!   token still names the connection but the producer cannot resume it.
-//!   A drained session stays in the table, marked drained, so a producer
-//!   that missed its DRAIN_ACK can resume and drain again without being
-//!   counted twice.
+//! * **Sessions.** [`Fleet::hello`] issues a fresh non-zero token, which
+//!   also names the connection. The session lands in a table of at most
+//!   `capacity` resumable entries; when the table is full, the oldest
+//!   session that no connection drives and that is not suspect (drained or
+//!   idle) is evicted. If none is, the producer cannot resume it. A drained
+//!   session stays in the table, marked drained, so a producer that missed
+//!   its DRAIN_ACK can resume and drain again without being counted twice.
 //! * **Exactly-once.** [`Fleet::batch`] ingests `BATCH_SEQ` numbers in
 //!   order from 1: the next number is ingested, an acked one is a replay
 //!   and dropped, anything else (seq 0, or a gap) is a protocol violation.
 //! * **Resume.** [`Fleet::resume`] rebinds a session to a new connection
 //!   iff the connection has not started its own session yet, the session
-//!   exists, no live connection drives it, and the producer claims no
-//!   more than the server acked.
+//!   exists, and the producer claims no more than the server acked. It
+//!   takes the session over from a connection still driving it, which the
+//!   producer gave up: that one no longer [`Fleet::holds`] it.
 //! * **Reap.** A session whose connection drops after it did work
 //!   (ingested, announced an EPOCH or resumed) but before it drained turns
-//!   suspect. [`Fleet::tick`] reaps every suspect older than the grace
-//!   period: it leaves the table, and the effective fleet (declared minus
-//!   reaped) shrinks by one.
+//!   suspect. [`Fleet::tick`] reaps every suspect older than the reap
+//!   period, the longer of the grace period (the read timeout) and the
+//!   client's longest backoff step: it leaves the table, and the effective
+//!   fleet (declared minus reaped) shrinks by one.
 //! * **EPOCH barrier.** Arrivals are keyed by session, so a producer that
 //!   announces, faults, resumes and announces again is counted once. The
 //!   barrier releases when the arrivals reach the effective fleet; a
-//!   reaped session's arrival is dropped with it.
+//!   reaped session's arrival is dropped with it. A waiter of a grace
+//!   period is withdrawn once every session in the table has arrived or
+//!   drained: none can still arrive, as the fleet was declared larger than
+//!   the producers that connected. [`Fleet::deadline`] is the next reap or
+//!   withdrawal.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use ldp_protocols::hash::mix2;
+
+use crate::session::BACKOFF_MAX_MS;
 
 /// The decision on one `BATCH_SEQ` frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +77,9 @@ pub(crate) enum Epoch {
     Release(u64),
     /// Arrived; wait for the rest of the fleet.
     Wait,
+    /// The barrier cannot release and the waiter waited a grace period:
+    /// its arrival is withdrawn, and the connection refused.
+    Withdraw,
     /// The round is neither the fleet's round nor the one before it, which
     /// is carried: abort the connection.
     Mismatch(u64),
@@ -78,12 +88,10 @@ pub(crate) enum Epoch {
 /// Why [`Fleet::resume`] refused a RESUME.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Refused {
-    /// The connection already started its own session.
+    /// The connection already started or resumed a session, or names its own.
     Late,
     /// No such resumable session (never issued, evicted or reaped).
     Unknown,
-    /// Another connection still drives the session.
-    Live,
     /// The producer claims more than the server acked, which is carried.
     Ahead(u64),
 }
@@ -98,8 +106,8 @@ struct Session {
     ingested: u64,
     /// Whether the session has a table slot (and so can be resumed).
     listed: bool,
-    /// Whether a connection currently drives the session.
-    live: bool,
+    /// The connection driving the session, named by its HELLO token.
+    conn: Option<u64>,
     /// Whether the session ever ingested, announced an EPOCH or resumed;
     /// untouched sessions (probes, idle producers) never turn suspect.
     touched: bool,
@@ -116,8 +124,10 @@ pub(crate) struct Fleet {
     /// Listed tokens, oldest first: the eviction order.
     order: VecDeque<u64>,
     capacity: usize,
-    /// Suspects older than this are reaped; `None` never reaps.
+    /// How long a barrier waiter waits before it may be withdrawn.
     grace: Option<Duration>,
+    /// Suspects older than this are reaped; `None` never reaps.
+    reap: Option<Duration>,
     /// Token counter, mixed with `nonce` into each issued token.
     next: u64,
     nonce: u64,
@@ -127,27 +137,29 @@ pub(crate) struct Fleet {
     reaped: usize,
     /// The round the fleet is streaming.
     round: u64,
-    /// Sessions that announced the end of `round`.
-    arrived: HashSet<u64>,
+    /// Sessions that announced the end of `round`, and when each may be
+    /// withdrawn: a grace period after it first did.
+    arrived: HashMap<u64, Duration>,
 }
 
 impl Fleet {
     /// An empty fleet of declared size 1 with room for `capacity` resumable
-    /// sessions. `grace` is the reap period (`None`: never reap); `nonce`
-    /// salts the issued tokens so they cannot be guessed across runs.
+    /// sessions. `grace` is the read timeout (`None`: never reap or withdraw);
+    /// `nonce` salts the issued tokens so they cannot be guessed across runs.
     pub(crate) fn new(capacity: usize, grace: Option<Duration>, nonce: u64) -> Fleet {
         Fleet {
             sessions: HashMap::new(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             grace,
+            reap: grace.map(|g| g.max(Duration::from_millis(BACKOFF_MAX_MS))),
             next: 0,
             nonce: mix2(nonce, 0xC0FF_EE00),
             declared: 1,
             drained: 0,
             reaped: 0,
             round: 0,
-            arrived: HashSet::new(),
+            arrived: HashMap::new(),
         }
     }
 
@@ -161,13 +173,14 @@ impl Fleet {
         self.drained
     }
 
-    /// Sessions reaped after their grace period.
+    /// Sessions reaped after their reap period.
     pub(crate) fn reaped(&self) -> usize {
         self.reaped
     }
 
-    /// Opens a session for a new connection. Returns its token and whether
-    /// it has a table slot; without one it cannot be resumed.
+    /// Opens a session for a new connection, which its token also names.
+    /// Returns the token and whether it has a table slot; without one it
+    /// cannot be resumed.
     pub(crate) fn hello(&mut self) -> (u64, bool) {
         let token = loop {
             self.next = self.next.wrapping_add(1);
@@ -182,7 +195,7 @@ impl Fleet {
         }
         let session = Session {
             listed,
-            live: true,
+            conn: Some(token),
             ..Session::default()
         };
         self.sessions.insert(token, session);
@@ -196,7 +209,7 @@ impl Fleet {
         let free = |t: &u64| {
             sessions
                 .get(t)
-                .is_some_and(|s| !s.live && s.suspect.is_none())
+                .is_some_and(|s| s.conn.is_none() && s.suspect.is_none())
         };
         let Some(i) = self.order.iter().position(free) else {
             return false;
@@ -219,32 +232,35 @@ impl Fleet {
             .expect("a connection's session stays in the table while it is live")
     }
 
-    /// Rebinds the resumable `session` to the connection now holding
-    /// `token`, whose own untouched session is dropped. Returns the
-    /// session's acked sequence number.
+    /// Whether the connection `conn` still drives the session `token`.
+    pub(crate) fn holds(&self, token: u64, conn: u64) -> bool {
+        matches!(self.sessions.get(&token), Some(s) if s.conn == Some(conn))
+    }
+
+    /// Rebinds the resumable `session` to the connection `conn`, whose own
+    /// untouched session is dropped, and takes it from any connection that
+    /// still drives it. Returns the session's acked sequence number.
     pub(crate) fn resume(
         &mut self,
-        token: u64,
+        conn: u64,
         session: u64,
         last_acked: u64,
     ) -> Result<u64, Refused> {
-        if self.live(token).touched {
+        let fresh = self.sessions.get(&conn).is_some_and(|s| !s.touched);
+        if !fresh || session == conn {
             return Err(Refused::Late);
         }
         let Some(s) = self.sessions.get_mut(&session).filter(|s| s.listed) else {
             return Err(Refused::Unknown);
         };
-        if s.live {
-            return Err(Refused::Live);
-        }
         if last_acked > s.acked {
             return Err(Refused::Ahead(s.acked));
         }
-        s.live = true;
+        s.conn = Some(conn);
         s.touched = true;
         s.suspect = None;
         let acked = s.acked;
-        self.forget(token);
+        self.forget(conn);
         Ok(acked)
     }
 
@@ -269,8 +285,8 @@ impl Fleet {
         }
     }
 
-    /// The live session `token` announces the end of `round`.
-    pub(crate) fn epoch(&mut self, token: u64, round: u64) -> Epoch {
+    /// The live session `token` announces the end of `round` at `now`.
+    pub(crate) fn epoch(&mut self, token: u64, round: u64, now: Duration) -> Epoch {
         if self.round.checked_sub(1) == Some(round) {
             return Epoch::Ack(self.round);
         }
@@ -278,12 +294,14 @@ impl Fleet {
             return Epoch::Mismatch(self.round);
         }
         self.live(token).touched = true;
-        self.arrived.insert(token);
-        self.barrier(round)
+        let due = self.grace.map_or(Duration::MAX, |g| now + g);
+        self.arrived.entry(token).or_insert(due);
+        self.barrier(token, round, now)
     }
 
-    /// Re-checks the barrier for a waiter at the end of `round`.
-    pub(crate) fn barrier(&mut self, round: u64) -> Epoch {
+    /// Re-checks the barrier at `now` for the waiter `token` at the end of
+    /// `round`.
+    pub(crate) fn barrier(&mut self, token: u64, round: u64, now: Duration) -> Epoch {
         if self.round > round {
             return Epoch::Ack(round + 1);
         }
@@ -293,20 +311,14 @@ impl Fleet {
             self.arrived.clear();
             return Epoch::Release(self.round);
         }
-        Epoch::Wait
-    }
-
-    /// A barrier waiter's deadline passed at `now`. Reaps what is due, and
-    /// the waiter keeps waiting (true) if that shrank the fleet or a
-    /// suspect is still inside its grace period: that session's verdict,
-    /// resumed or reaped, is at most one grace period away. Otherwise the
-    /// waiter's arrival is withdrawn (false).
-    pub(crate) fn outlived(&mut self, token: u64, now: Duration) -> bool {
-        if self.tick(now) > 0 || self.sessions.values().any(|s| s.suspect.is_some()) {
-            return true;
+        let waited = self.arrived.get(&token).is_some_and(|&t| t <= now);
+        let settled =
+            (self.sessions.iter()).all(|(t, s)| s.drained || self.arrived.contains_key(t));
+        if waited && settled {
+            self.arrived.remove(&token);
+            return Epoch::Withdraw;
         }
-        self.arrived.remove(&token);
-        false
+        Epoch::Wait
     }
 
     /// The live session `token` drains; a repeat drain is not counted
@@ -320,11 +332,15 @@ impl Fleet {
         ingested
     }
 
-    /// The connection driving `token` closed at `now`. A session with
-    /// unfinished work turns suspect; one without a table slot is gone.
-    pub(crate) fn disconnect(&mut self, token: u64, now: Duration) {
+    /// The connection `conn` driving `token` closed at `now`. A session
+    /// with unfinished work turns suspect; one without a table slot is
+    /// gone. A session another connection took over is left alone.
+    pub(crate) fn disconnect(&mut self, token: u64, conn: u64, now: Duration) {
+        if !self.holds(token, conn) {
+            return;
+        }
         let s = self.live(token);
-        s.live = false;
+        s.conn = None;
         if !s.listed {
             self.sessions.remove(&token);
         } else if s.touched && !s.drained {
@@ -332,64 +348,104 @@ impl Fleet {
         }
     }
 
-    /// Reaps every session suspect for at least the grace period at `now`.
-    /// Returns how many were reaped.
-    pub(crate) fn tick(&mut self, now: Duration) -> usize {
-        let Some(grace) = self.grace else { return 0 };
+    /// The next reap, or the next waiter's grace period to run out after `now`.
+    pub(crate) fn deadline(&self, now: Duration) -> Option<Duration> {
+        let reap = self.reap?;
+        let reaps = self.sessions.values().filter_map(|s| s.suspect);
+        let withdrawals = self.arrived.values().filter(|&&t| t > now);
+        reaps.map(|t| t + reap).chain(withdrawals.copied()).min()
+    }
+
+    /// Reaps every session suspect for at least the reap period at `now`.
+    /// Returns the reaped tokens.
+    pub(crate) fn tick(&mut self, now: Duration) -> Vec<u64> {
+        let reap = self.reap.unwrap_or(Duration::MAX);
         let dead: Vec<u64> = self
             .sessions
             .iter()
-            .filter(|(_, s)| s.suspect.is_some_and(|t| now.saturating_sub(t) >= grace))
+            .filter(|(_, s)| s.suspect.is_some_and(|t| now.saturating_sub(t) >= reap))
             .map(|(&t, _)| t)
             .collect();
-        for &token in &dead {
-            self.forget(token);
-            self.arrived.remove(&token);
-            eprintln!(
-                "ldp-server: ABORT session {token:#018x} — producer exceeded its \
-                 resume grace period; reaping it from the fleet"
-            );
+        for token in &dead {
+            self.forget(*token);
+            self.arrived.remove(token);
         }
         self.reaped += dead.len();
-        dead.len()
+        dead
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use proptest::prelude::*;
 
     const GRACE: Duration = Duration::from_millis(100);
+    /// The reap period under `GRACE`: the client's longest backoff step.
+    const REAP: Duration = Duration::from_millis(BACKOFF_MAX_MS);
 
     #[test]
-    fn resume_rebinds_an_idle_session_and_refuses_everything_else() {
+    fn resume_rebinds_a_session_and_refuses_everything_else() {
         let t0 = Duration::ZERO;
         let mut fleet = Fleet::new(8, Some(GRACE), 2);
         let (a, _) = fleet.hello();
         assert_eq!(fleet.batch(a, 1, 3), Batch::Ingest { ingested: 3 });
-        // Still driven by its first connection.
+        fleet.disconnect(a, a, t0);
         let (b, _) = fleet.hello();
-        assert_eq!(fleet.resume(b, a, 1), Err(Refused::Live));
-        fleet.disconnect(a, t0);
         assert_eq!(fleet.resume(b, a, 2), Err(Refused::Ahead(1)));
         assert_eq!(fleet.resume(b, 0xBAD, 0), Err(Refused::Unknown));
+        assert_eq!(fleet.resume(b, b, 0), Err(Refused::Late));
         assert_eq!(fleet.resume(b, a, 0), Ok(1));
         // The throwaway session is forgotten, and a second RESUME on the
         // same connection comes too late.
         assert!(!fleet.sessions.contains_key(&b));
-        assert_eq!(fleet.resume(a, a, 1), Err(Refused::Late));
+        assert!(fleet.holds(a, b));
+        assert_eq!(fleet.resume(b, a, 1), Err(Refused::Late));
         assert_eq!(fleet.batch(a, 1, 3), Batch::Dedup);
         assert_eq!(fleet.batch(a, 2, 3), Batch::Ingest { ingested: 6 });
         // A resumed session is not reaped, however long it takes.
-        assert_eq!(fleet.tick(t0 + 10 * GRACE), 0);
+        assert!(fleet.tick(t0 + 10 * REAP).is_empty());
         // Drained, it may resume and drain again without a recount.
         assert_eq!(fleet.drain(a), 6);
-        fleet.disconnect(a, t0);
+        fleet.disconnect(a, b, t0);
         let (c, _) = fleet.hello();
         assert_eq!(fleet.resume(c, a, 2), Ok(2));
         assert_eq!(fleet.drain(a), 6);
-        fleet.disconnect(a, t0);
+        fleet.disconnect(a, c, t0);
+        assert_eq!((fleet.drained(), fleet.reaped()), (1, 0));
+    }
+
+    #[test]
+    fn a_resume_takes_the_session_over_and_the_old_connection_leaves_it_alone() {
+        let t0 = Duration::ZERO;
+        let mut fleet = Fleet::new(8, Some(GRACE), 6);
+        fleet.declare(2);
+        let (a, _) = fleet.hello();
+        assert_eq!(fleet.batch(a, 1, 4), Batch::Ingest { ingested: 4 });
+        // The old connection waits at the barrier; its producer has given
+        // it up and resumes on a new one.
+        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        let (b, _) = fleet.hello();
+        assert_eq!(fleet.resume(b, a, 0), Ok(1));
+        assert!(!fleet.holds(a, a) && fleet.holds(a, b));
+        // The old connection closes: the session stays live, not suspect,
+        // and keeps its arrival.
+        fleet.disconnect(a, a, t0);
+        assert!(fleet.holds(a, b));
+        assert!(fleet.tick(t0 + 10 * REAP).is_empty());
+        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        // Ingest stays exactly-once: the replay is dropped, the next seq
+        // lands once.
+        assert_eq!(fleet.batch(a, 1, 4), Batch::Dedup);
+        assert_eq!(fleet.batch(a, 2, 5), Batch::Ingest { ingested: 9 });
+        let (c, _) = fleet.hello();
+        assert_eq!(fleet.epoch(c, 0, t0), Epoch::Release(1));
+        assert_eq!(fleet.drain(a), 9);
+        // A late close of the old connection still changes nothing.
+        fleet.disconnect(a, a, t0);
+        fleet.disconnect(a, b, t0);
         assert_eq!((fleet.drained(), fleet.reaped()), (1, 0));
     }
 
@@ -399,9 +455,9 @@ mod tests {
         let mut fleet = Fleet::new(2, Some(GRACE), 3);
         let (suspect, _) = fleet.hello();
         fleet.batch(suspect, 1, 1);
-        fleet.disconnect(suspect, t0);
+        fleet.disconnect(suspect, suspect, t0);
         let (idle, _) = fleet.hello();
-        fleet.disconnect(idle, t0);
+        fleet.disconnect(idle, idle, t0);
         // The idle session goes; the suspect keeps its slot.
         let (live, listed) = fleet.hello();
         assert!(listed);
@@ -411,34 +467,108 @@ mod tests {
         // A guest streams and drains like anyone, but leaves no trace.
         assert_eq!(fleet.batch(guest, 1, 4), Batch::Ingest { ingested: 4 });
         assert_eq!(fleet.drain(guest), 4);
-        fleet.disconnect(guest, t0);
+        fleet.disconnect(guest, guest, t0);
         assert!(!fleet.sessions.contains_key(&guest));
         assert_eq!(fleet.resume(live, suspect, 1), Ok(1));
         assert_eq!(fleet.order.len(), 1);
     }
 
     #[test]
-    fn without_a_grace_period_nothing_is_ever_reaped() {
+    fn without_a_grace_period_nothing_is_ever_reaped_or_withdrawn() {
         let t0 = Duration::ZERO;
+        let hour = Duration::from_secs(3600);
         let mut fleet = Fleet::new(4, None, 4);
-        fleet.declare(2);
+        fleet.declare(3);
         let (a, _) = fleet.hello();
-        assert_eq!(fleet.epoch(a, 0), Epoch::Wait);
-        fleet.disconnect(a, t0);
-        assert_eq!(fleet.tick(t0 + Duration::from_secs(3600)), 0);
-        assert!(fleet.outlived(a, t0 + Duration::from_secs(3600)));
+        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        assert_eq!(fleet.barrier(a, 0, hour), Epoch::Wait);
+        fleet.disconnect(a, a, t0);
+        assert!(fleet.tick(hour).is_empty());
+        assert_eq!(fleet.deadline(t0), None);
         // The suspect's arrival outlives its connection.
         let (b, _) = fleet.hello();
-        assert_eq!(fleet.epoch(b, 0), Epoch::Release(1));
-        assert_eq!(fleet.epoch(b, 0), Epoch::Ack(1));
-        assert_eq!(fleet.epoch(b, u64::MAX), Epoch::Mismatch(1));
+        assert_eq!(fleet.epoch(b, 0, t0), Epoch::Wait);
+        let (c, _) = fleet.hello();
+        assert_eq!(fleet.epoch(c, 0, t0), Epoch::Release(1));
+        assert_eq!(fleet.barrier(b, 0, t0), Epoch::Ack(1));
+        assert_eq!(fleet.epoch(b, 0, t0), Epoch::Ack(1));
+        assert_eq!(fleet.epoch(b, u64::MAX, t0), Epoch::Mismatch(1));
+    }
+
+    #[test]
+    fn a_fleet_declared_larger_than_the_producers_that_arrive_is_withdrawn() {
+        let t0 = Duration::ZERO;
+        let mut fleet = Fleet::new(8, Some(GRACE), 7);
+        fleet.declare(3);
+        let (a, _) = fleet.hello();
+        let (b, _) = fleet.hello();
+        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        assert_eq!(fleet.epoch(b, 0, t0 + GRACE / 2), Epoch::Wait);
+        // Each waiter wakes when its own grace period runs out.
+        assert_eq!(fleet.deadline(t0), Some(t0 + GRACE));
+        assert_eq!(fleet.barrier(a, 0, t0 + GRACE / 2), Epoch::Wait);
+        assert_eq!(fleet.barrier(a, 0, t0 + GRACE), Epoch::Withdraw);
+        // The withdrawn session may resume until it is reaped, so the
+        // other waiter waits for that.
+        assert_eq!(fleet.barrier(b, 0, t0 + 2 * GRACE), Epoch::Wait);
+        fleet.disconnect(a, a, t0 + GRACE);
+        assert_eq!(fleet.deadline(t0 + 2 * GRACE), Some(t0 + GRACE + REAP));
+        assert_eq!(fleet.tick(t0 + GRACE + REAP), vec![a]);
+        assert_eq!(fleet.barrier(b, 0, t0 + GRACE + REAP), Epoch::Withdraw);
+    }
+
+    #[test]
+    fn a_waiter_keeps_waiting_while_any_session_may_still_arrive() {
+        let t0 = Duration::ZERO;
+        let mut fleet = Fleet::new(8, Some(GRACE), 8);
+        fleet.declare(3);
+        let (a, _) = fleet.hello();
+        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        // An untouched session whose connection dropped: its producer is
+        // mid-backoff, is never suspect, and will resume.
+        let (idle, _) = fleet.hello();
+        fleet.disconnect(idle, idle, t0);
+        // A live session, silent so far.
+        let (live, _) = fleet.hello();
+        let late = t0 + 100 * REAP;
+        assert_eq!(fleet.barrier(a, 0, late), Epoch::Wait);
+        assert_eq!(fleet.deadline(late), None);
+        assert_eq!(fleet.epoch(live, 0, late), Epoch::Wait);
+        assert_eq!(fleet.barrier(a, 0, late), Epoch::Wait);
+        let (b, _) = fleet.hello();
+        assert_eq!(fleet.resume(b, idle, 0), Ok(0));
+        assert_eq!(fleet.epoch(idle, 0, late), Epoch::Release(1));
+        assert_eq!(fleet.barrier(a, 0, late), Epoch::Ack(1));
+    }
+
+    #[test]
+    fn a_short_read_timeout_does_not_reap_before_the_longest_backoff_step() {
+        let t0 = Duration::ZERO;
+        let timeout = Duration::from_millis(150);
+        let mut fleet = Fleet::new(8, Some(timeout), 9);
+        let (a, _) = fleet.hello();
+        fleet.batch(a, 1, 2);
+        fleet.disconnect(a, a, t0);
+        assert_eq!(fleet.deadline(t0), Some(t0 + Duration::from_secs(1)));
+        assert!(fleet.tick(t0 + timeout).is_empty());
+        assert!(fleet.tick(t0 + Duration::from_millis(999)).is_empty());
+        assert_eq!(fleet.tick(t0 + Duration::from_secs(1)), vec![a]);
+        assert_eq!(fleet.reaped(), 1);
+        // A longer read timeout is the reap period itself.
+        let mut fleet = Fleet::new(8, Some(3 * REAP), 9);
+        let (a, _) = fleet.hello();
+        fleet.batch(a, 1, 2);
+        fleet.disconnect(a, a, t0);
+        assert!(fleet.tick(t0 + 2 * REAP).is_empty());
+        assert_eq!(fleet.tick(t0 + 3 * REAP), vec![a]);
     }
 
     /// A producer as the reference model sees it.
     #[derive(Clone, Copy, Default)]
     struct Producer {
-        /// The session its open connection drives.
-        conn: Option<u64>,
+        /// The session its open connection drives, and the connection's
+        /// own HELLO token.
+        conn: Option<(u64, u64)>,
         /// The session it streams into; outlives its connections.
         session: Option<u64>,
         /// The round whose barrier its handler waits at.
@@ -471,13 +601,17 @@ mod tests {
     #[derive(Clone, Copy)]
     enum Event {
         Connect,
+        /// Reconnect and RESUME.
         Resume(u64),
-        LateResume(u64),
+        /// Give the open connection up, reconnect and RESUME.
+        Takeover(u64),
+        LateResume,
         Batch(u64, Seq),
         Epoch(u64),
         Drain(u64),
         Drop,
-        Expire(u64),
+        /// A barrier waiter's park wakes, signaled or past a deadline.
+        Park,
         Time,
         Idle,
     }
@@ -489,11 +623,14 @@ mod tests {
         declared: usize,
         producers: Vec<Producer>,
         sessions: HashMap<u64, Expect>,
+        /// Connections given up after a takeover: `(session, HELLO token)`.
+        stale: Vec<(u64, u64)>,
         /// Every (session, seq) the fleet said to ingest.
         ingested: HashSet<(u64, u64)>,
         round: u64,
-        /// Unreaped sessions that announced the end of `round`.
-        arrived: HashSet<u64>,
+        /// Unreaped sessions that announced the end of `round`, and when
+        /// they first did.
+        arrived: HashMap<u64, Duration>,
         reaped: usize,
     }
 
@@ -507,9 +644,10 @@ mod tests {
                 declared,
                 producers: vec![Producer::default(); producers],
                 sessions: HashMap::new(),
+                stale: Vec::new(),
                 ingested: HashSet::new(),
                 round: 0,
-                arrived: HashSet::new(),
+                arrived: HashMap::new(),
                 reaped: 0,
             }
         }
@@ -523,21 +661,21 @@ mod tests {
 
         /// Producer `p`'s connection closes, however it ended.
         fn close(&mut self, p: usize) {
-            let token = self.producers[p].conn.take().expect("connected");
+            let (token, conn) = self.producers[p].conn.take().expect("connected");
             self.producers[p].waiting = None;
-            self.fleet.disconnect(token, self.now);
+            self.fleet.disconnect(token, conn, self.now);
             let s = self.sessions.get_mut(&token).unwrap();
             if s.touched && !s.drained {
                 s.suspect = Some(self.now);
             }
         }
 
-        /// Reaps every session suspect for a grace period; returns how many.
+        /// Reaps every session suspect for a reap period; returns how many.
         fn reap_due(&mut self) -> usize {
             let now = self.now;
             let mut due = 0;
             for (token, s) in &mut self.sessions {
-                if s.suspect.is_some_and(|t| now.saturating_sub(t) >= GRACE) {
+                if s.suspect.is_some_and(|t| t + REAP <= now) {
                     s.suspect = None;
                     s.reaped = true;
                     self.arrived.remove(token);
@@ -548,9 +686,19 @@ mod tests {
             due
         }
 
-        /// Checks the fleet's barrier verdict for a waiter at `round`;
-        /// returns whether it keeps waiting.
-        fn barrier(&mut self, round: u64, verdict: Epoch) -> bool {
+        /// Time passes (or a waiter's park wakes): the park reaps what is
+        /// due and, if that reaped anything, signals every waiter.
+        fn reap(&mut self) {
+            let due = self.reap_due();
+            assert_eq!(self.fleet.tick(self.now).len(), due);
+            if due > 0 {
+                self.wake();
+            }
+        }
+
+        /// Checks the fleet's barrier verdict for producer `p` waiting at
+        /// `round`; returns whether it keeps waiting.
+        fn barrier(&mut self, p: usize, round: u64, verdict: Epoch) -> bool {
             if self.round > round {
                 assert_eq!(verdict, Epoch::Ack(round + 1));
                 return false;
@@ -564,6 +712,19 @@ mod tests {
                 self.arrived.clear();
                 return false;
             }
+            // It withdraws a waiter of a grace period only once every
+            // session in the table has arrived or drained.
+            let token = self.producers[p].conn.unwrap().0;
+            let waited = self.arrived[&token] + GRACE <= self.now;
+            let settled = (self.sessions.iter())
+                .filter(|(_, s)| !s.reaped)
+                .all(|(t, s)| s.drained || self.arrived.contains_key(t));
+            if waited && settled {
+                assert_eq!(verdict, Epoch::Withdraw);
+                self.arrived.remove(&token);
+                self.close(p);
+                return false;
+            }
             assert_eq!(verdict, Epoch::Wait, "released with {:?}", self.arrived);
             true
         }
@@ -571,12 +732,38 @@ mod tests {
         /// Every waiter wakes (the condvar's broadcast) and re-checks.
         fn wake(&mut self) {
             for p in 0..self.producers.len() {
-                if let Some(round) = self.producers[p].waiting {
-                    let verdict = self.fleet.barrier(round);
-                    if !self.barrier(round, verdict) {
+                if let (Some(round), Some((token, _))) =
+                    (self.producers[p].waiting, self.producers[p].conn)
+                {
+                    let verdict = self.fleet.barrier(token, round, self.now);
+                    if !self.barrier(p, round, verdict) {
                         self.producers[p].waiting = None;
                     }
                 }
+            }
+        }
+
+        /// Producer `p` dials a new connection and RESUMEs `session`, now
+        /// and then claiming one seq too many.
+        fn resume(&mut self, p: usize, session: u64, arg: u64) {
+            let ahead = u64::from(arg == 3);
+            let throwaway = self.open();
+            let s = &self.sessions[&session];
+            let expected = match (s.reaped, ahead) {
+                (true, _) => Err(Refused::Unknown),
+                (false, 1) => Err(Refused::Ahead(s.acked)),
+                (false, _) => Ok(s.acked),
+            };
+            let got = self.fleet.resume(throwaway, session, s.acked + ahead);
+            assert_eq!(got, expected);
+            if got.is_ok() {
+                self.sessions.remove(&throwaway);
+                let s = self.sessions.get_mut(&session).unwrap();
+                s.touched = true;
+                s.suspect = None;
+                self.producers[p].conn = Some((session, throwaway));
+            } else {
+                self.fleet.disconnect(throwaway, throwaway, self.now);
             }
         }
 
@@ -589,7 +776,7 @@ mod tests {
                 session,
                 waiting,
             } = self.producers[p];
-            let event = match (conn, waiting, op) {
+            let event = match (conn.map(|c| c.0), waiting, op) {
                 (_, _, 9) => Event::Time,
                 (None, _, 0..=3) => Event::Connect,
                 (None, _, _) => match session {
@@ -601,51 +788,42 @@ mod tests {
                 (Some(token), None, 4) => Event::Batch(token, Seq::Wrong),
                 (Some(token), None, 5 | 6) => Event::Epoch(token),
                 (Some(token), None, 7) => Event::Drain(token),
-                (Some(token), None, _) if arg == 0 => Event::LateResume(token),
+                (Some(_), None, _) if arg == 0 => Event::LateResume,
+                (Some(token), _, _) if arg == 1 && op >= 6 => Event::Takeover(token),
                 (Some(_), None, _) => Event::Drop,
-                (Some(token), Some(_), 4) => Event::Expire(token),
-                (Some(_), Some(_), 5) => Event::Drop,
-                (Some(_), Some(_), 6..=8) => Event::Time,
+                (Some(_), Some(_), 4 | 5) => Event::Park,
+                (Some(_), Some(_), 6) => Event::Drop,
+                (Some(_), Some(_), 7 | 8) => Event::Time,
                 (Some(_), Some(_), _) => Event::Idle,
             };
             match event {
                 Event::Connect => {
                     let token = self.open();
                     self.producers[p] = Producer {
-                        conn: Some(token),
+                        conn: Some((token, token)),
                         session: Some(token),
                         waiting: None,
                     };
                 }
-                // Reconnect and RESUME, now and then claiming one seq too many.
-                Event::Resume(session) => {
-                    let ahead = u64::from(arg == 3);
-                    let throwaway = self.open();
-                    let s = &self.sessions[&session];
-                    let expected = match (s.reaped, ahead) {
-                        (true, _) => Err(Refused::Unknown),
-                        (false, 1) => Err(Refused::Ahead(s.acked)),
-                        (false, _) => Ok(s.acked),
-                    };
-                    let got = self.fleet.resume(throwaway, session, s.acked + ahead);
-                    assert_eq!(got, expected);
-                    if got.is_ok() {
-                        self.sessions.remove(&throwaway);
-                        let s = self.sessions.get_mut(&session).unwrap();
-                        s.touched = true;
-                        s.suspect = None;
-                        self.producers[p].conn = Some(session);
+                Event::Resume(session) => self.resume(p, session, arg),
+                // The old connection, even one waiting at the barrier, is
+                // given up and stays open until its next step closes it.
+                Event::Takeover(session) => {
+                    let old = conn.unwrap();
+                    self.resume(p, session, arg);
+                    if self.producers[p].conn == Some(old) {
+                        self.close(p);
                     } else {
-                        self.fleet.disconnect(throwaway, self.now);
+                        assert!(!self.fleet.holds(old.0, old.1));
+                        self.stale.push(old);
                     }
+                    self.producers[p].waiting = None;
+                    self.wake();
                 }
                 // RESUME on a connection that already has its session.
-                Event::LateResume(token) => {
-                    let expected = match self.sessions[&token].touched {
-                        true => Refused::Late,
-                        false => Refused::Live,
-                    };
-                    assert_eq!(self.fleet.resume(token, token, 0), Err(expected));
+                Event::LateResume => {
+                    let (token, conn) = conn.unwrap();
+                    assert_eq!(self.fleet.resume(conn, token, 0), Err(Refused::Late));
                     self.close(p);
                 }
                 Event::Batch(token, kind) => {
@@ -685,15 +863,15 @@ mod tests {
                         _ if self.round > 0 => self.round - 1,
                         _ => self.round + 2,
                     };
-                    let got = self.fleet.epoch(token, round);
+                    let got = self.fleet.epoch(token, round, self.now);
                     if round == self.round {
                         self.sessions.get_mut(&token).unwrap().touched = true;
-                        self.arrived.insert(token);
-                        if self.barrier(round, got) {
+                        self.arrived.entry(token).or_insert(self.now);
+                        if self.barrier(p, round, got) {
                             self.producers[p].waiting = Some(round);
-                        } else {
-                            self.wake();
                         }
+                        // An arrival signals every waiter.
+                        self.wake();
                     } else if round + 1 == self.round {
                         assert_eq!(got, Epoch::Ack(self.round));
                     } else {
@@ -708,39 +886,49 @@ mod tests {
                     let ingested = s.ingested;
                     assert_eq!(self.fleet.drain(token), ingested);
                     self.close(p);
+                    self.wake();
                 }
                 // The connection drops, even while its handler waits.
-                Event::Drop => self.close(p),
-                // A barrier waiter's deadline passes.
-                Event::Expire(token) => {
-                    let due = self.reap_due();
-                    let pending = self.sessions.values().any(|s| s.suspect.is_some());
-                    let keep = self.fleet.outlived(token, self.now);
-                    assert_eq!(keep, due > 0 || pending);
-                    if keep {
-                        self.wake();
-                    } else {
-                        self.arrived.remove(&token);
-                        self.close(p);
-                    }
+                Event::Drop => {
+                    self.close(p);
+                    self.wake();
                 }
-                // Time passes; the fleet rendezvous polls and reaps.
+                Event::Park => self.reap(),
+                // Time passes; the given-up connections close, and the
+                // fleet rendezvous reaps.
                 Event::Time => {
-                    self.now += GRACE / 4 * (arg as u32 + 1);
-                    let due = self.reap_due();
-                    assert_eq!(self.fleet.tick(self.now), due);
-                    if due > 0 {
-                        self.wake();
+                    self.now += [GRACE / 2, GRACE, REAP / 2, REAP][arg as usize];
+                    for (token, conn) in std::mem::take(&mut self.stale) {
+                        self.fleet.disconnect(token, conn, self.now);
                     }
+                    self.reap();
+                    self.wake();
                 }
                 Event::Idle => {}
             }
             let drained = self.sessions.values().filter(|s| s.drained).count();
             assert_eq!(self.fleet.drained(), drained);
             assert_eq!(self.fleet.reaped(), self.reaped);
+            for producer in &self.producers {
+                if let Some((token, conn)) = producer.conn {
+                    assert!(self.fleet.holds(token, conn));
+                }
+            }
+            assert_eq!(self.fleet.deadline(self.now), self.deadline());
         }
 
-        /// Every connection closes and the grace period runs out: each
+        /// The next reap, or the next grace period to run out at the
+        /// barrier.
+        fn deadline(&self) -> Option<Duration> {
+            let reaps = self
+                .sessions
+                .values()
+                .filter_map(|s| s.suspect.map(|t| t + REAP));
+            let withdrawals = self.arrived.values().map(|&t| t + GRACE);
+            reaps.chain(withdrawals.filter(|&t| t > self.now)).min()
+        }
+
+        /// Every connection closes and the reap period runs out: each
         /// session that did any work is now drained or reaped, once.
         fn finish(mut self) {
             for p in 0..self.producers.len() {
@@ -748,9 +936,12 @@ mod tests {
                     self.close(p);
                 }
             }
-            self.now += GRACE;
+            for (token, conn) in std::mem::take(&mut self.stale) {
+                self.fleet.disconnect(token, conn, self.now);
+            }
+            self.now += REAP;
             let due = self.reap_due();
-            assert_eq!(self.fleet.tick(self.now), due);
+            assert_eq!(self.fleet.tick(self.now).len(), due);
             let finished = self
                 .sessions
                 .values()
@@ -764,11 +955,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Random sessions of 1–3 producers (connects, batches with
-        /// duplicates, gaps and seq 0, drops, resumes, EPOCHs, drains and
-        /// the passing of time) against the reference model: every
-        /// (session, seq) is ingested exactly once, every barrier releases
-        /// exactly when the effective fleet has arrived, and drained plus
-        /// reaped sessions add up to the sessions that finished.
+        /// duplicates, gaps and seq 0, drops, resumes and takeovers, EPOCHs,
+        /// drains and the passing of time) against the reference model:
+        /// every (session, seq) is ingested exactly once, every barrier
+        /// releases exactly when the effective fleet has arrived and
+        /// withdraws a waiter exactly when it has waited a grace period and
+        /// nothing else can arrive, a given-up connection never touches its
+        /// session again, and drained plus reaped sessions add up to the
+        /// sessions that finished.
         #[test]
         fn fleet_matches_its_reference_model(
             producers in 1usize..4,

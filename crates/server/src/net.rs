@@ -21,10 +21,10 @@
 //! live in one `Fleet` behind one mutex and one condvar. A step runs under
 //! that lock and the handler ingests after dropping it, so a handler
 //! blocked on a full shard queue holds nothing another connection needs.
-//! The condvar is signaled on every drain, reap and barrier release;
-//! barrier waiters and [`WireServer::wait_for_fleet`] park on it. Neither
-//! the session nor the fleet reads a clock: handlers pass the time since
-//! the listener started.
+//! Barrier waiters and [`WireServer::wait_for_fleet`] share one park loop:
+//! each sleeps on the condvar until a change or the fleet's next deadline,
+//! then reaps what is due. Neither the session nor the fleet reads a clock:
+//! handlers pass the time since the listener started.
 //!
 //! ## Error isolation and determinism
 //!
@@ -82,11 +82,8 @@ pub struct WireServer {
 #[derive(Debug)]
 struct Shared {
     fleet: Mutex<Fleet>,
-    /// Signaled on every drain, reap and barrier release.
+    /// Signaled on every change a parked thread may wait for.
     changed: Condvar,
-    /// The reap grace period and EPOCH-barrier timeout
-    /// ([`ServerConfig::read_timeout_ms`]; `None` waits forever).
-    grace: Option<Duration>,
     /// The zero of the fleet's clock.
     started: Instant,
     /// Handlers of connections that may still be open.
@@ -106,10 +103,10 @@ impl Shared {
         self.started.elapsed()
     }
 
-    /// Steps `session` on `read` under the fleet lock. A barrier wait parks
-    /// on the condvar and steps again at every wakeup and grace deadline.
-    /// A release rotates the server's epoch before the lock drops, so no
-    /// producer streams the next round before the epoch closes.
+    /// Steps `session` on `read` under the fleet lock; a barrier wait parks
+    /// and steps again each time it wakes. A reply or an arrival signals the
+    /// parked threads. A release rotates the server's epoch before the lock
+    /// drops, so no producer streams the next round before the epoch closes.
     fn step(
         &self,
         session: &mut ServerSession,
@@ -118,36 +115,37 @@ impl Shared {
     ) -> Step {
         let mut fleet = self.fleet();
         let mut step = session.step(Input::Read(read), &mut fleet, self.now());
-        let mut deadline = self.now() + self.grace.unwrap_or_default();
-        while let Step::Wait = step {
-            let now = self.now();
-            let input = match self.grace {
-                Some(grace) if now >= deadline => {
-                    self.changed.notify_all();
-                    deadline = now + grace;
-                    Input::Expired
-                }
-                Some(_) => {
-                    let wait = self.changed.wait_timeout(fleet, deadline - now);
-                    fleet = wait.expect(POISONED).0;
-                    Input::Woken
-                }
-                None => {
-                    fleet = self.changed.wait(fleet).expect(POISONED);
-                    Input::Woken
-                }
-            };
-            step = session.step(input, &mut fleet, self.now());
+        if let Step::Reply(_) | Step::Wait = step {
+            self.changed.notify_all();
         }
-        match step {
-            Step::Release(_) => {
-                server.advance_epoch();
-                self.changed.notify_all();
-            }
-            Step::Close(Some(_)) => self.changed.notify_all(),
-            _ => {}
+        while let Step::Wait = step {
+            fleet = self.park(fleet);
+            step = session.step(Input::Woken, &mut fleet, self.now());
+        }
+        if let Step::Release(_) = step {
+            server.advance_epoch();
+            self.changed.notify_all();
         }
         step
+    }
+
+    /// The one park loop's body: sleeps until a signal or the fleet's next
+    /// deadline, then reaps what is due, logs each reap and signals.
+    fn park<'a>(&self, fleet: MutexGuard<'a, Fleet>) -> MutexGuard<'a, Fleet> {
+        let now = self.now();
+        let wait = fleet.deadline(now).map(|at| at.saturating_sub(now));
+        let mut fleet = match wait {
+            Some(wait) => self.changed.wait_timeout(fleet, wait).expect(POISONED).0,
+            None => self.changed.wait(fleet).expect(POISONED),
+        };
+        let reaped = fleet.tick(self.now());
+        for token in &reaped {
+            eprintln!("ldp-server: reaped session {token:#018x}: no resume in its grace period");
+        }
+        if !reaped.is_empty() {
+            self.changed.notify_all();
+        }
+        fleet
     }
 }
 
@@ -162,19 +160,14 @@ impl WireServer {
     ) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let grace = match config.read_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
         // Tokens never feed the estimates, so salting them with wall-clock
         // entropy leaves the determinism contract alone.
         let nonce = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map_or(0x5E55_10E5, |d| d.as_nanos() as u64);
         let shared = Arc::new(Shared {
-            fleet: Mutex::new(Fleet::new(SESSION_CAPACITY, grace, nonce)),
+            fleet: Mutex::new(Fleet::new(SESSION_CAPACITY, config.read_timeout(), nonce)),
             changed: Condvar::new(),
-            grace,
             started: Instant::now(),
             handlers: Mutex::new(Vec::new()),
             rejected: AtomicUsize::new(0),
@@ -251,24 +244,13 @@ impl WireServer {
 
     /// The rendezvous for a fixed-size producer fleet: blocks until drained
     /// **plus reaped** sessions reach `n`, so a producer that dies past its
-    /// retry budget shrinks the rendezvous instead of wedging it. With a
-    /// [`ServerConfig::read_timeout_ms`] it polls at that grace (clamped to
-    /// 10–200 ms) and reaps suspects itself; with `0` it waits for `n` drains.
+    /// retry budget shrinks the rendezvous instead of wedging it. It parks
+    /// like a barrier waiter, reaping what falls due (nothing, with a
+    /// [`ServerConfig::read_timeout_ms`] of `0`).
     pub fn wait_for_fleet(&self, n: usize) {
-        let shared = &self.shared;
-        let mut fleet = shared.fleet();
+        let mut fleet = self.shared.fleet();
         while fleet.drained() + fleet.reaped() < n {
-            fleet = match shared.grace {
-                None => shared.changed.wait(fleet).expect(POISONED),
-                Some(grace) => {
-                    let poll = grace.clamp(Duration::from_millis(10), Duration::from_millis(200));
-                    let mut fleet = shared.changed.wait_timeout(fleet, poll).expect(POISONED).0;
-                    if fleet.tick(shared.now()) > 0 {
-                        shared.changed.notify_all();
-                    }
-                    fleet
-                }
-            };
+            fleet = self.shared.park(fleet);
         }
     }
 
@@ -359,7 +341,7 @@ fn drive_connection(
     // The idle-connection guard: a producer silent past the read timeout
     // reads as a typed `WireError::Timeout`, which the session refuses with
     // ABORT_TIMEOUT instead of pinning this thread forever. `0` disables it.
-    stream.set_read_timeout(shared.grace)?;
+    stream.set_read_timeout(server.config().read_timeout())?;
     let mut reader = BufReader::with_capacity(256 * 1024, stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut session = ServerSession::new(server.solution().fingerprint(), server.config());
@@ -395,6 +377,7 @@ fn drive_connection(
         }
     };
     session.end(&mut shared.fleet(), shared.now());
+    shared.changed.notify_all();
     result
 }
 
@@ -1210,42 +1193,13 @@ mod tests {
         )
         .unwrap();
         writer.flush().unwrap();
-        // The resume may race the dead handler's release; back off briefly.
-        let acked = loop {
-            match read_frame(&mut reader) {
-                Ok(Frame::ResumeAck { acked_seq }) => break acked_seq,
-                Ok(Frame::Abort { .. }) | Err(_) => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    let stream = TcpStream::connect(addr).unwrap();
-                    reader = BufReader::new(stream.try_clone().unwrap());
-                    writer = stream.try_clone().unwrap();
-                    write_frame(
-                        &mut writer,
-                        &Frame::Hello {
-                            fingerprint: solution.fingerprint(),
-                            auth: 0,
-                        },
-                    )
-                    .unwrap();
-                    writer.flush().unwrap();
-                    assert!(matches!(
-                        read_frame(&mut reader).unwrap(),
-                        Frame::HelloAck { .. }
-                    ));
-                    write_frame(
-                        &mut writer,
-                        &Frame::Resume {
-                            session,
-                            last_acked: 1,
-                        },
-                    )
-                    .unwrap();
-                    writer.flush().unwrap();
-                }
-                other => panic!("expected RESUME_ACK, got {other:?}"),
+        // Taken over at once, whether or not the dead handler has let go.
+        match read_frame(&mut reader).unwrap() {
+            Frame::ResumeAck { acked_seq } => {
+                assert_eq!(acked_seq, 2, "server acked both pre-fault batches")
             }
-        };
-        assert_eq!(acked, 2, "server acked both pre-fault batches");
+            other => panic!("expected RESUME_ACK, got {other:?}"),
+        }
         for (i, batch) in batches[1..].iter().enumerate() {
             write_frame(
                 &mut writer,

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use ldp_core::solutions::{CompactBatch, SolutionReport};
-use ldp_protocols::hash::splitmix64;
+use ldp_protocols::hash::mix3;
 
 use crate::config::ServerConfig;
 use crate::fleet::{Batch, Epoch, Fleet, Refused};
@@ -22,26 +22,25 @@ pub const ABORT_HANDSHAKE: u16 = 1;
 /// Abort code sent to peers whose frame stream is malformed.
 pub const ABORT_PROTOCOL: u16 = 2;
 /// Abort code sent to peers that stayed silent past the configured read
-/// timeout (see [`ServerConfig::read_timeout_ms`]) — either mid-session or
-/// while the rest of their fleet waited for them at an EPOCH barrier.
+/// timeout (see [`ServerConfig::read_timeout_ms`]), or waited that long at
+/// an EPOCH barrier for a fleet declared larger than the one connected.
 pub const ABORT_TIMEOUT: u16 = 3;
 /// Abort code sent to peers whose HELLO auth digest does not match the
 /// server's configured [`ServerConfig::auth_token`].
 pub const ABORT_AUTH: u16 = 4;
 
 /// Reconnect backoff in milliseconds: the first, doubled up to the ceiling.
+/// The fleet reaps no session sooner than the ceiling: one step's wait.
 const BACKOFF_BASE_MS: u64 = 10;
-const BACKOFF_MAX_MS: u64 = 1000;
+pub(crate) const BACKOFF_MAX_MS: u64 = 1000;
 
 /// What reached a connection handler.
 #[derive(Debug)]
 pub(crate) enum Input {
     /// A frame, or the error its read ended in.
     Read(Result<Frame, WireError>),
-    /// A waiter parked at the EPOCH barrier was woken.
+    /// A waiter parked at the EPOCH barrier woke (signaled, or a deadline).
     Woken,
-    /// A barrier waiter's grace period ran out.
-    Expired,
 }
 
 /// What a connection handler does after one [`ServerSession::step`].
@@ -58,7 +57,7 @@ pub(crate) enum Step {
     /// The barrier is complete: rotate the epoch under the lock, wake the
     /// waiters and reply `EPOCH {round}`.
     Release(u64),
-    /// Park at the EPOCH barrier until [`Input::Woken`] or [`Input::Expired`].
+    /// Park at the EPOCH barrier, then step [`Input::Woken`].
     Wait,
     /// Write the frame, if any, and close the connection cleanly.
     Close(Option<Frame>),
@@ -76,6 +75,8 @@ pub(crate) struct ServerSession {
     ack_every: u64,
     /// The fleet session driven, once HELLO is accepted (RESUME swaps it).
     token: Option<u64>,
+    /// The HELLO token, which names this connection to the fleet.
+    conn: u64,
     /// The round the last EPOCH announced: the barrier a wait is for.
     round: u64,
 }
@@ -89,6 +90,7 @@ impl ServerSession {
             shards: config.shards as u32,
             ack_every: config.ack_every.max(1),
             token: None,
+            conn: 0,
             round: 0,
         }
     }
@@ -101,27 +103,20 @@ impl ServerSession {
     /// Decides what the connection does with `input` at `now`.
     pub(crate) fn step(&mut self, input: Input, fleet: &mut Fleet, now: Duration) -> Step {
         let frame = match input {
-            Input::Read(Ok(frame)) => frame,
+            Input::Read(Ok(frame)) if self.token.is_none() => return self.hello(frame, fleet),
+            Input::Read(Ok(frame)) => Some(frame),
             Input::Read(Err(WireError::Closed)) => return Step::Close(None),
             // An expired read deadline is an idle peer, not a bad stream.
             Input::Read(Err(e @ WireError::Timeout)) => return Step::Refuse(ABORT_TIMEOUT, e),
             Input::Read(Err(e)) => return Step::Refuse(ABORT_PROTOCOL, e),
-            Input::Woken => return self.barrier(fleet.barrier(self.round)),
-            // Past its deadline a waiter reaps what is due and waits on only
-            // while that shrank the fleet or a suspect is still in grace.
-            Input::Expired if fleet.outlived(self.token.unwrap_or_default(), now) => {
-                return self.barrier(fleet.barrier(self.round))
-            }
-            Input::Expired => {
-                let e = format!(
-                    "EPOCH barrier for round {} timed out waiting for the rest of the fleet",
-                    self.round
-                );
-                return Step::Refuse(ABORT_TIMEOUT, WireError::Payload(e));
-            }
+            Input::Woken => None,
         };
-        let Some(token) = self.token else {
-            return self.hello(frame, fleet);
+        // A RESUME elsewhere took the session over: close, touching nothing.
+        let Some(token) = self.token.filter(|&t| fleet.holds(t, self.conn)) else {
+            return Step::Close(None);
+        };
+        let Some(frame) = frame else {
+            return self.barrier(fleet.barrier(token, self.round, now));
         };
         match frame {
             Frame::BatchSeq { seq, batch } => match fleet.batch(token, seq, batch.len() as u64) {
@@ -140,7 +135,7 @@ impl ServerSession {
             Frame::Resume {
                 session,
                 last_acked,
-            } => match fleet.resume(token, session, last_acked) {
+            } => match fleet.resume(self.conn, session, last_acked) {
                 Ok(acked_seq) => {
                     self.token = Some(session);
                     Step::Reply(Frame::ResumeAck { acked_seq })
@@ -152,7 +147,7 @@ impl ServerSession {
             Frame::SnapshotRequest { .. } => Step::Snapshot,
             Frame::Epoch { round } => {
                 self.round = round;
-                self.barrier(fleet.epoch(token, round))
+                self.barrier(fleet.epoch(token, round, now))
             }
             Frame::Drain => Step::Close(Some(Frame::DrainAck {
                 n: fleet.drain(token),
@@ -190,7 +185,7 @@ impl ServerSession {
             return refuse(ABORT_HANDSHAKE, reason);
         }
         let (token, listed) = fleet.hello();
-        self.token = Some(token);
+        (self.token, self.conn) = (Some(token), token);
         Step::Reply(Frame::HelloAck {
             fingerprint,
             shards: self.shards,
@@ -205,6 +200,10 @@ impl ServerSession {
             Epoch::Ack(round) => Step::Reply(Frame::Epoch { round }),
             Epoch::Release(round) => Step::Release(round),
             Epoch::Wait => Step::Wait,
+            Epoch::Withdraw => {
+                let e = format!("EPOCH barrier for round {} timed out", self.round);
+                Step::Refuse(ABORT_TIMEOUT, WireError::Payload(e))
+            }
             Epoch::Mismatch(current) => protocol(format!(
                 "EPOCH announces the end of round {}, but the fleet is on round {current}",
                 self.round
@@ -215,7 +214,7 @@ impl ServerSession {
     /// The connection is gone at `now`: its session turns resumable.
     pub(crate) fn end(&self, fleet: &mut Fleet, now: Duration) {
         if let Some(token) = self.token {
-            fleet.disconnect(token, now);
+            fleet.disconnect(token, self.conn, now);
         }
     }
 }
@@ -227,11 +226,10 @@ fn protocol(reason: String) -> Step {
 /// The refusal a RESUME of `session` earns.
 fn refusal(why: Refused, session: u64, last_acked: u64) -> Step {
     let reason = match why {
-        Refused::Late => return protocol("RESUME after the session's first batch or EPOCH".into()),
+        Refused::Late => return protocol("late RESUME, or a RESUME of its own session".into()),
         Refused::Unknown => {
             format!("RESUME of an unknown (expired or reaped) session {session:#018x}")
         }
-        Refused::Live => format!("session {session:#018x} is still active on another connection"),
         Refused::Ahead(acked) => {
             format!("RESUME claims acked seq {last_acked}, the server acked {acked}")
         }
@@ -312,8 +310,8 @@ enum Phase {
 }
 
 /// One producer session: sequence numbers, the replay ring and its ack
-/// window, the resume token, the retry budget and the backoff jitter. After
-/// a transport fault it redials with seeded exponential backoff, RESUMEs,
+/// window, the resume token and the retry budget. After a transport fault
+/// it redials with exponential backoff, jittered by the resume token, RESUMEs,
 /// prunes the ring by the RESUME_ACK, replays the rest and finishes what it
 /// was doing. An ABORT or an unexpected reply is fatal in an open session;
 /// while resuming, any failure spends one attempt of the budget.
@@ -338,7 +336,6 @@ pub struct ClientSession {
     /// Redials on the current fault, and re-sends of the current request.
     attempts: u32,
     resends: u32,
-    jitter: u64,
     /// The encoded HELLO or RESUME.
     control: Vec<u8>,
     /// The encoded request, and the name of the reply it waits for.
@@ -352,14 +349,13 @@ impl ClientSession {
     /// A session presenting `fingerprint` and `auth` (an [`auth_fingerprint`]
     /// or 0), sealing `batch` reports per frame, keeping `window` unacked
     /// frames (at least the server's ack interval), and redialing `retries`
-    /// times per fault with jitter seeded by `seed`.
+    /// times per fault.
     pub fn new(
         fingerprint: u64,
         auth: u64,
         batch: usize,
         window: usize,
         retries: u32,
-        seed: u64,
     ) -> ClientSession {
         ClientSession {
             fingerprint,
@@ -368,7 +364,6 @@ impl ClientSession {
             next_seq: 1,
             window: window.max(1),
             retries,
-            jitter: seed ^ 0x9E37_79B9,
             ..ClientSession::default()
         }
     }
@@ -568,13 +563,14 @@ impl ClientSession {
         if self.attempts == self.retries {
             return Action::Fail(e);
         }
-        // Attempt `a` waits in `[cap/2, cap]`, `cap = min(base · 2^a, max)`.
+        // Attempt `a` waits in `[cap/2, cap]`, `cap = min(base · 2^a, max)`,
+        // jittered by the (non-zero) resume token: no lockstep redials.
         let cap = BACKOFF_BASE_MS
             .saturating_mul(1 << self.attempts.min(20))
             .min(BACKOFF_MAX_MS);
-        self.jitter = splitmix64(self.jitter);
+        let jitter = mix3(self.token, self.next_seq, self.attempts.into());
         (self.attempts, self.phase) = (self.attempts + 1, Phase::Dial);
-        Action::Reconnect(Duration::from_millis(cap - self.jitter % (cap / 2 + 1)))
+        Action::Reconnect(Duration::from_millis(cap - jitter % (cap / 2 + 1)))
     }
 }
 
@@ -583,7 +579,8 @@ mod tests {
     //! The fleet simulator: 1–3 [`ClientSession`]s against
     //! [`ServerSession`]s, one [`Fleet`] and one aggregator, on one thread.
     //! A seeded scheduler picks which ready actor moves next (a producer,
-    //! a connection handler or the reaper that `wait_for_fleet` runs). The
+    //! a connection handler, or the rendezvous `wait_for_fleet` parks in,
+    //! which reaps what falls due, as every park does). The
     //! in-memory link reads every frame back through the real
     //! `read_checked_frame`; it drops, truncates, delays, duplicates and
     //! resets first transmissions as `ldp_sim::NetClient`'s fault plans do,
@@ -658,11 +655,22 @@ mod tests {
         /// Reading since then; the read deadline counts from it.
         Reading(Duration),
         /// Parked at the EPOCH barrier.
-        Waiting {
-            deadline: Option<Duration>,
-            woken: bool,
-        },
+        Waiting(Park),
         Ended,
+    }
+
+    /// A thread in `net`'s park loop: asleep until signaled or the fleet
+    /// deadline it parked with.
+    #[derive(Clone, Copy)]
+    struct Park {
+        until: Option<Duration>,
+        woken: bool,
+    }
+
+    impl Park {
+        fn ready(&self, now: Duration) -> bool {
+            self.woken || self.until.is_some_and(|t| t <= now)
+        }
     }
 
     struct Conn {
@@ -696,7 +704,8 @@ mod tests {
         /// none) redial.
         Asleep(Duration, Option<Vec<u8>>),
         Drained,
-        Failed,
+        /// Failed for good, with this error.
+        Failed(String),
         Gone,
     }
 
@@ -717,13 +726,15 @@ mod tests {
         skip: bool,
         /// Claims more than was acked in its next RESUME.
         forge: bool,
+        /// Never hangs, crashes or skips: it must drain.
+        healthy: bool,
     }
 
     #[derive(Clone, Copy, PartialEq)]
     enum Actor {
         Producer(usize),
         Handler(usize),
-        Reaper,
+        Rendezvous,
     }
 
     struct Sim {
@@ -746,9 +757,10 @@ mod tests {
         fault_rate: u32,
         /// Percent of server replies whose connection resets under them.
         reset_rate: u32,
-        next_reap: Duration,
-        /// Whether every producer must drain everything: nobody hangs,
-        /// crashes or skips, and nobody is reaped for a slow resume.
+        /// The park of the thread in `wait_for_fleet`.
+        rendezvous: Park,
+        /// Whether every producer must drain everything, round by round:
+        /// nobody hangs, crashes or skips.
         clean: bool,
         rounds: usize,
         steps: usize,
@@ -794,8 +806,11 @@ mod tests {
                 ingested: HashMap::new(),
                 fault_rate: [0, 10, 25][rng.random_range(0..3usize)],
                 reset_rate: [0, 5][rng.random_range(0..2usize)],
-                next_reap: Duration::ZERO,
-                clean: hazard.is_none() && !skipper && !short,
+                rendezvous: Park {
+                    until: None,
+                    woken: false,
+                },
+                clean: hazard.is_none() && !skipper,
                 rounds,
                 steps: 0,
                 trace: Vec::new(),
@@ -835,7 +850,6 @@ mod tests {
                     sim.rng.random_range(1..7),
                     sim.rng.random_range(1..5),
                     8,
-                    mix2(seed, p as u64),
                 );
                 sim.producers.push(Producer {
                     session,
@@ -848,6 +862,7 @@ mod tests {
                     snapshot: (0, 0),
                     skip: skipper && p == 0,
                     forge: sim.rng.random_range(0..4) == 0,
+                    healthy: hazard != Some(p) && !(skipper && p == 0),
                 });
                 sim.dial(p);
             }
@@ -887,24 +902,22 @@ mod tests {
                 match ready[self.rng.random_range(0..ready.len())] {
                     Actor::Producer(p) => self.run_producer(p),
                     Actor::Handler(c) => self.run_handler(c),
-                    Actor::Reaper => {
-                        if self.fleet.tick(self.now) > 0 {
-                            self.notify();
-                        }
-                        let poll = self.grace.unwrap().clamp(10 * MS, 200 * MS);
-                        self.next_reap = self.now + poll;
+                    Actor::Rendezvous => {
+                        self.reap();
+                        self.rendezvous = self.park();
                     }
                 }
             }
             self.check();
         }
 
-        fn rendezvous(&self) -> bool {
+        /// Whether `wait_for_fleet` returned.
+        fn met(&self) -> bool {
             self.fleet.drained() + self.fleet.reaped() >= self.producers.len()
         }
 
         fn finished(&self) -> bool {
-            self.rendezvous()
+            self.met()
                 && self
                     .conns
                     .iter()
@@ -912,7 +925,7 @@ mod tests {
                 && self
                     .producers
                     .iter()
-                    .all(|p| matches!(p.state, State::Drained | State::Failed | State::Gone))
+                    .all(|p| matches!(p.state, State::Drained | State::Failed(_) | State::Gone))
         }
 
         fn ready(&self) -> Vec<Actor> {
@@ -925,7 +938,7 @@ mod tests {
                     State::Idle | State::Ready(_) => true,
                     State::Awaiting => self.conns[p.conn].down.ready(),
                     State::Asleep(at, _) => *at <= now,
-                    State::Drained | State::Failed | State::Gone => false,
+                    State::Drained | State::Failed(_) | State::Gone => false,
                 });
             let handlers = self
                 .conns
@@ -935,16 +948,14 @@ mod tests {
                     Handler::Reading(since) => {
                         c.up.ready() || self.grace.is_some_and(|g| since + g <= now)
                     }
-                    Handler::Waiting { deadline, woken } => {
-                        woken || deadline.is_some_and(|d| d <= now)
-                    }
+                    Handler::Waiting(park) => park.ready(now),
                     Handler::Ended => false,
                 });
-            let reaper = self.grace.is_some() && !self.rendezvous() && self.next_reap <= now;
+            let rendezvous = !self.met() && self.rendezvous.ready(now);
             producers
                 .map(|(p, _)| Actor::Producer(p))
                 .chain(handlers.map(|(c, _)| Actor::Handler(c)))
-                .chain(reaper.then_some(Actor::Reaper))
+                .chain(rendezvous.then_some(Actor::Rendezvous))
                 .collect()
         }
 
@@ -955,23 +966,41 @@ mod tests {
             });
             let handlers = self.conns.iter().filter_map(|c| match c.handler {
                 Handler::Reading(since) => self.grace.map(|g| since + g),
-                Handler::Waiting { deadline, .. } => deadline,
+                Handler::Waiting(park) => park.until,
                 Handler::Ended => None,
             });
-            let reaper = (self.grace.is_some() && !self.rendezvous()).then_some(self.next_reap);
+            let rendezvous = self.rendezvous.until.filter(|_| !self.met());
             sleeps
                 .chain(handlers)
-                .chain(reaper)
+                .chain(rendezvous)
                 .filter(|&t| t > self.now)
                 .min()
         }
 
-        /// Every barrier waiter re-checks: the condvar's broadcast.
+        /// Every parked thread re-checks: the condvar's broadcast.
         fn notify(&mut self) {
             for conn in &mut self.conns {
-                if let Handler::Waiting { woken, .. } = &mut conn.handler {
-                    *woken = true;
+                if let Handler::Waiting(park) = &mut conn.handler {
+                    park.woken = true;
                 }
+            }
+            self.rendezvous.woken = true;
+        }
+
+        /// A park as `net` starts one: until the fleet's next deadline.
+        fn park(&self) -> Park {
+            Park {
+                until: self.fleet.deadline(self.now),
+                woken: false,
+            }
+        }
+
+        /// How every park ends: reaps what is due, and signals if any.
+        fn reap(&mut self) {
+            let reaped = self.fleet.tick(self.now);
+            if !reaped.is_empty() {
+                self.log(|| format!("reaped {reaped:x?}"));
+                self.notify();
             }
         }
 
@@ -1011,7 +1040,7 @@ mod tests {
                     self.dial(p);
                     Event::Dialed(Ok(()))
                 }
-                State::Drained | State::Failed | State::Gone => unreachable!(),
+                State::Drained | State::Failed(_) | State::Gone => unreachable!(),
             };
             self.log(|| format!("producer {p}: {event:?}"));
             let state = self.act(p, event);
@@ -1064,7 +1093,7 @@ mod tests {
                 Action::Fail(e) => {
                     self.close(conn);
                     self.log(|| format!("producer {p} failed: {e}"));
-                    State::Failed
+                    State::Failed(e.to_string())
                 }
             }
         }
@@ -1166,9 +1195,12 @@ mod tests {
         }
 
         fn run_handler(&mut self, c: usize) {
+            if let Handler::Waiting(_) = self.conns[c].handler {
+                self.reap();
+            }
             let conn = &mut self.conns[c];
             let (mut seq, mut claim) = (None, None);
-            let (input, deadline) = match conn.handler {
+            let input = match conn.handler {
                 Handler::Reading(_) if conn.up.ready() => {
                     let check = conn.session.open().then_some((&self.solution, 1024));
                     let read = conn.up.read(&mut conn.payload, check);
@@ -1177,21 +1209,22 @@ mod tests {
                         Ok(Frame::Resume { last_acked, .. }) => claim = Some(*last_acked),
                         _ => {}
                     }
-                    (Input::Read(read), self.grace.map(|g| self.now + g))
+                    Input::Read(read)
                 }
-                Handler::Reading(_) => (Input::Read(Err(WireError::Timeout)), None),
-                Handler::Waiting { deadline, woken } if woken => (Input::Woken, deadline),
-                Handler::Waiting { .. } => (Input::Expired, self.grace.map(|g| self.now + g)),
+                Handler::Reading(_) => Input::Read(Err(WireError::Timeout)),
+                Handler::Waiting(_) => Input::Woken,
                 Handler::Ended => unreachable!(),
             };
-            if let Input::Expired = input {
-                self.notify();
-            }
             self.log(|| format!("handler {c}: {input:?}"));
+            let read = matches!(input, Input::Read(_));
             let conn = &mut self.conns[c];
             let step = conn.session.step(input, &mut self.fleet, self.now);
             let token = conn.session.token;
             conn.handler = Handler::Reading(self.now);
+            // `net` signals after a read's reply or arrival, not a re-check.
+            if read && matches!(step, Step::Reply(_) | Step::Wait) {
+                self.notify();
+            }
             match step {
                 Step::Read => {}
                 Step::Reply(frame) => {
@@ -1224,15 +1257,9 @@ mod tests {
                     self.notify();
                     self.write(c, &Frame::Epoch { round });
                 }
-                Step::Wait => {
-                    self.conns[c].handler = Handler::Waiting {
-                        deadline,
-                        woken: false,
-                    }
-                }
+                Step::Wait => self.conns[c].handler = Handler::Waiting(self.park()),
                 Step::Close(reply) => {
                     if let Some(reply) = reply {
-                        self.notify();
                         self.write(c, &reply);
                     }
                     self.end(c);
@@ -1262,6 +1289,7 @@ mod tests {
             self.conns[c].session.end(&mut self.fleet, self.now);
             self.conns[c].handler = Handler::Ended;
             self.close(c);
+            self.notify();
         }
 
         /// The properties every schedule must keep.
@@ -1280,8 +1308,15 @@ mod tests {
                     self.fleet.reaped()
                 ));
             }
-            if self.clean && drained != self.producers.len() {
-                self.fail("a clean fleet lost a producer");
+            for (p, producer) in self.producers.iter().enumerate() {
+                let lost = match &producer.state {
+                    State::Drained => continue,
+                    State::Failed(e) => e.as_str(),
+                    _ => "never finished",
+                };
+                if producer.healthy {
+                    self.fail(&format!("healthy producer lost: producer {p}: {lost}"));
+                }
             }
             let mut reference = self.solution.aggregator();
             let mut per_round = vec![0u64; self.rounds];

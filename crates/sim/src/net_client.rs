@@ -12,9 +12,10 @@
 //! ## Fault tolerance
 //!
 //! Every protocol decision is [`ClientSession`]'s: the replay ring bounded
-//! by [`ClientConfig::ack_window`], the seeded backoff within
-//! [`ClientConfig::retries`], and RESUME with its replay, so ingest is
-//! exactly-once however the connection dies. `NetClient` does what a step
+//! by [`ClientConfig::ack_window`], the backoff within
+//! [`ClientConfig::retries`] (its jitter drawn from the resume token, so
+//! producers do not redial in lockstep), and RESUME with its replay, so
+//! ingest is exactly-once however the connection dies. `NetClient` does what a step
 //! asks: send, read, or sleep and redial. A read deadline
 //! ([`ClientConfig::read_timeout_ms`]) turns a hung server into a typed
 //! [`WireError::Timeout`]. A deterministic [`FaultPlan`] faults first
@@ -53,8 +54,6 @@ pub struct ClientConfig {
     /// Reconnect attempts per fault before the producer gives up. `0`
     /// disables reconnection entirely: the first transport fault is fatal.
     pub retries: u32,
-    /// Seed of the backoff jitter stream — faulted runs stay reproducible.
-    pub backoff_seed: u64,
     /// Max unacked frames in the replay ring before the producer blocks
     /// waiting for a `BATCH_ACK` (effective window is at least the
     /// server's announced ack interval, so an ack is always owed before
@@ -89,12 +88,6 @@ impl ClientConfig {
     /// Sets the reconnect-attempt budget per fault (`0` = no reconnects).
     pub fn retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Sets the backoff jitter seed.
-    pub fn backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = seed;
         self
     }
 
@@ -146,7 +139,6 @@ impl NetClient {
             Some(cfg.batch).filter(|&b| b > 0).unwrap_or(DEFAULT_BATCH),
             cfg.ack_window,
             cfg.retries,
-            cfg.backoff_seed,
         );
         let injector = cfg.fault_plan.as_ref().map(FaultPlan::injector);
         let mut client = NetClient {

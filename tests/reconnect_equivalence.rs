@@ -14,8 +14,8 @@
 //! once; a dropped connection, or a fault injected into the request
 //! itself, is redialed, resumed and the request sent again).
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
@@ -54,13 +54,10 @@ fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &ServerSnapsho
     }
 }
 
-/// A chaos producer config: tiny frames so the plan fires many times, a
-/// full retry budget, and per-part jitter seeds.
-fn chaos_client(part: usize, plan: FaultPlan) -> ClientConfig {
-    ClientConfig::resilient()
-        .batch(16)
-        .backoff_seed(0xC4A05 ^ part as u64)
-        .fault_plan(Some(plan))
+/// A chaos producer config: tiny frames so the plan fires many times, and
+/// a full retry budget.
+fn chaos_client(plan: FaultPlan) -> ClientConfig {
+    ClientConfig::resilient().batch(16).fault_plan(Some(plan))
 }
 
 /// The shape of a faulted fleet run: `connections` producers, each serving
@@ -170,7 +167,7 @@ fn faulted_fleet_drains_bit_identically_across_shards() {
             &traffic,
             &addr,
             Fleet::one_round(3, 0),
-            |part| chaos_client(part, FaultPlan::new(SEED ^ part as u64, 3)),
+            |part| chaos_client(FaultPlan::new(SEED ^ part as u64, 3)),
         );
         assert_eq!(acked, ds.n() as u64, "shards={shards}: acked");
         server.wait_for_fleet(3);
@@ -220,7 +217,7 @@ fn every_fault_class_alone_preserves_the_drained_bits() {
             &traffic,
             &addr,
             Fleet::one_round(2, snapshot_every),
-            |part| chaos_client(part, FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])),
+            |part| chaos_client(FaultPlan::new(SEED ^ part as u64, 2).kinds(&[fault])),
         );
         assert_eq!(acked, ds.n() as u64, "{label}: acked");
         server.wait_for_fleet(2);
@@ -306,7 +303,7 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
             &traffic,
             3.0,
             fleet,
-            |part| chaos_client(part, FaultPlan::new(SEED ^ 0xEB0C ^ part as u64, 4)),
+            |part| chaos_client(FaultPlan::new(SEED ^ 0xEB0C ^ part as u64, 4)),
             None,
             &format!("faulted longitudinal, {policy}"),
         );
@@ -343,7 +340,7 @@ fn faults_on_control_requests_preserve_the_drained_bits() {
             fleet,
             |part| {
                 let plan = FaultPlan::new(SEED ^ part as u64, 1).kinds(&[fault]);
-                chaos_client(part, plan).batch(ds.n())
+                chaos_client(plan).batch(ds.n())
             },
             (fault == FaultKind::Truncate).then_some(7 * fleet.connections),
             &format!("{fault:?} on every send"),
@@ -426,8 +423,9 @@ fn producer_past_its_retry_budget_degrades_the_fleet() {
 fn reaped_producer_unblocks_the_epoch_barrier() {
     // A two-producer longitudinal fleet where producer 1 dies mid-round 0
     // without draining: the survivor's EPOCH barrier first waits out the
-    // dead session's grace period, reaps it, shrinks the fleet to one, and
-    // releases — the surviving partition completes all rounds.
+    // dead session's reap period (1 s, the client's longest backoff step,
+    // above the 150 ms read timeout), reaps it, shrinks the fleet to one,
+    // and releases — the surviving partition completes all rounds.
     const ROUNDS: usize = 2;
     let ds = adult_like(200, 13);
     let ks = ds.schema().cardinalities();
@@ -478,11 +476,9 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
         writer.flush().unwrap();
         assert_eq!(dead_prefix, 10);
         // Dropped here: no DRAIN, no EPOCH — the handler will mark the
-        // session suspect on disconnect.
+        // session suspect on disconnect. The survivor may reach the barrier
+        // before that: it waits, since the session may still arrive.
     }
-    // Give the dead handler time to notice the close and start the grace
-    // clock before the survivor reaches the barrier.
-    thread::sleep(Duration::from_millis(50));
 
     let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n())
         .seed(SEED)
@@ -509,6 +505,95 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
     assert_eq!(server.reaped_sessions(), 1);
     let snapshot = server.finish();
     assert_eq!(snapshot.n, survivor + 10, "survivor + the dead prefix");
+}
+
+/// Dials `addr` and says HELLO; returns the connection and its session
+/// token.
+fn hello(addr: SocketAddr, fingerprint: u64) -> (BufReader<TcpStream>, TcpStream, u64) {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let auth = 0;
+    write_frame(&mut writer, &Frame::Hello { fingerprint, auth }).unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::HelloAck { session, .. } => (reader, writer, session),
+        other => panic!("expected HELLO_ACK, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_producer_whose_epoch_reply_is_lost_resumes_and_drains() {
+    // Producer 0's EPOCH reaches the server, whose handler parks at the
+    // barrier, but the reply never comes back: the producer gives that
+    // connection up while its handler still waits. Its RESUME on a new
+    // connection takes the session over at once (it is not refused as
+    // still active on the parked one), its EPOCH re-announce counts once,
+    // and both producers drain every report.
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[4, 3, 2], 1.0)
+        .unwrap();
+    let fingerprint = solution.fingerprint();
+    // The read timeout only bounds how long a failure of this test takes.
+    let config = ServerConfig::default().read_timeout_ms(2000);
+    let server = WireServer::bind("127.0.0.1:0", solution.clone(), config)
+        .unwrap()
+        .producers(2);
+    let addr = server.local_addr();
+    let reports: Vec<_> = (0..40u64)
+        .map(|uid| solution.report(&[1, 2, 0], &mut user_rng(SEED, uid)))
+        .collect();
+    let mut batch = ldp_core::solutions::CompactBatch::new();
+    for (uid, report) in reports[..20].iter().enumerate() {
+        batch.push_wire(uid as u64, report);
+    }
+    let (_, mut old, session) = hello(addr, fingerprint);
+    let frame = Frame::BatchSeq { seq: 1, batch };
+    write_frame(&mut old, &frame).unwrap();
+    write_frame(&mut old, &Frame::Epoch { round: 0 }).unwrap();
+    // Let the old handler ingest the batch and park, then give it up.
+    thread::sleep(Duration::from_millis(50));
+    old.shutdown(std::net::Shutdown::Both).unwrap();
+
+    let (mut reader, mut writer, _) = hello(addr, fingerprint);
+    let last_acked = 0;
+    write_frame(
+        &mut writer,
+        &Frame::Resume {
+            session,
+            last_acked,
+        },
+    )
+    .unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::ResumeAck { acked_seq: 1 } => {}
+        // The old handler had not read the batch yet: replay it.
+        Frame::ResumeAck { acked_seq: 0 } => write_frame(&mut writer, &frame).unwrap(),
+        other => panic!("expected RESUME_ACK, got {other:?}"),
+    }
+    write_frame(&mut writer, &Frame::Epoch { round: 0 }).unwrap();
+    let other = thread::spawn({
+        let (solution, reports) = (solution.clone(), reports[20..].to_vec());
+        move || {
+            let mut client = ldp_sim::NetClient::connect(addr, &solution).unwrap();
+            for (uid, report) in (20..).zip(&reports) {
+                client.push(uid, report).unwrap();
+            }
+            assert_eq!(client.advance_epoch(0).unwrap(), 1);
+            client.finish().unwrap()
+        }
+    });
+    assert_eq!(read_frame(&mut reader).unwrap(), Frame::Epoch { round: 1 });
+    write_frame(&mut writer, &Frame::Drain).unwrap();
+    assert_eq!(read_frame(&mut reader).unwrap(), Frame::DrainAck { n: 20 });
+    assert_eq!(other.join().unwrap(), 20);
+    server.wait_for_fleet(2);
+    assert_eq!(server.reaped_sessions(), 0);
+    assert_eq!(server.rejected_connections(), 0);
+    assert_eq!(server.epochs()[0].snapshot.n, 40, "one round-0 epoch");
+    let drained = server.finish();
+    let mut clean = solution.aggregator();
+    reports.iter().for_each(|report| clean.absorb(report));
+    assert_eq!(drained.aggregator.counts(), clean.counts());
 }
 
 #[test]
