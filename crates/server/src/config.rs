@@ -36,20 +36,21 @@ pub struct ServerConfig {
     /// milliseconds; `0` disables the timeout. A connection that stays
     /// silent longer than this is ABORTed and closed, so a hung producer
     /// (dead process, half-open TCP session) can never pin a handler thread
-    /// — or wedge an epoch barrier — forever. The fleet's liveness rules
-    /// derive from it, with no knob of their own:
+    /// forever. The fleet's liveness rules derive from it, with no knob of
+    /// their own:
     ///
-    /// * **Reap.** A faulted session whose producer has not resumed within
-    ///   the longer of this timeout and the client's longest backoff step
-    ///   (1 s) is reaped from the drain count and the epoch barrier, so a
-    ///   producer between two redials is never reaped.
-    /// * **Withdrawal.** An EPOCH barrier waiter that has waited this long
-    ///   is refused with `ABORT_TIMEOUT` only once every connected session
-    ///   has arrived or drained: the fleet was declared larger than the
-    ///   producers that connected, and the barrier can never release.
+    /// * **Reap.** A faulted session that did work (ingested, announced an
+    ///   EPOCH or resumed) and has not resumed within the longer of this
+    ///   timeout and the client's longest backoff step (1 s) is reaped from
+    ///   the drain count and the epoch barrier, so a hung producer cannot
+    ///   wedge either forever. The floor spans one backoff step: a producer
+    ///   whose redials keep failing for longer can still be reaped.
+    /// * **No withdrawal.** An EPOCH barrier waiter waits for the declared
+    ///   fleet less the reaped however long that takes, as
+    ///   `WireServer::wait_for_fleet` does.
     ///
-    /// With `0`, faulted sessions and barrier waiters are waited on forever,
-    /// matching the block-forever semantics of a disabled timeout.
+    /// With `0`, faulted sessions are never reaped, matching the
+    /// block-forever semantics of a disabled timeout.
     pub read_timeout_ms: u64,
     /// Shared-secret HELLO auth token. `None` accepts every producer (the
     /// pre-auth wire behavior); `Some(token)` rejects any HELLO whose auth

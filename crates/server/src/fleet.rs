@@ -25,23 +25,25 @@
 //!   iff the connection has not started its own session yet, the session
 //!   exists, and the producer claims no more than the server acked. It
 //!   takes the session over from a connection still driving it, which the
-//!   producer gave up: that one no longer [`Fleet::holds`] it.
+//!   producer gave up: that one no longer [`Fleet::holds`] it. While that
+//!   connection still hands an acked batch to a shard ([`Fleet::handed`]
+//!   has not come yet), the RESUME waits, so everything after it (a
+//!   SNAPSHOT, an EPOCH release, the next round) follows that batch.
 //! * **Reap.** A session whose connection drops after it did work
 //!   (ingested, announced an EPOCH or resumed) but before it drained turns
 //!   suspect. [`Fleet::tick`] reaps every suspect older than the reap
 //!   period, the longer of the grace period (the read timeout) and the
 //!   client's longest backoff step: it leaves the table, and the effective
-//!   fleet (declared minus reaped) shrinks by one.
+//!   fleet (declared minus reaped) shrinks by one. [`Fleet::deadline`] is
+//!   the next reap.
 //! * **EPOCH barrier.** Arrivals are keyed by session, so a producer that
 //!   announces, faults, resumes and announces again is counted once. The
 //!   barrier releases when the arrivals reach the effective fleet; a
-//!   reaped session's arrival is dropped with it. A waiter of a grace
-//!   period is withdrawn once every session in the table has arrived or
-//!   drained: none can still arrive, as the fleet was declared larger than
-//!   the producers that connected. [`Fleet::deadline`] is the next reap or
-//!   withdrawal.
+//!   reaped session's arrival is dropped with it. Nothing else ends a
+//!   wait: like the drain rendezvous, the barrier waits for the declared
+//!   fleet however long that takes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Duration;
 
 use ldp_protocols::hash::mix2;
@@ -77,9 +79,6 @@ pub(crate) enum Epoch {
     Release(u64),
     /// Arrived; wait for the rest of the fleet.
     Wait,
-    /// The barrier cannot release and the waiter waited a grace period:
-    /// its arrival is withdrawn, and the connection refused.
-    Withdraw,
     /// The round is neither the fleet's round nor the one before it, which
     /// is carried: abort the connection.
     Mismatch(u64),
@@ -113,6 +112,8 @@ struct Session {
     touched: bool,
     /// Whether a DRAIN was counted for the session.
     drained: bool,
+    /// Whether its connection is still handing an ingested batch to a shard.
+    handing: bool,
     /// When the session lost its connection with work unfinished.
     suspect: Option<Duration>,
 }
@@ -124,8 +125,6 @@ pub(crate) struct Fleet {
     /// Listed tokens, oldest first: the eviction order.
     order: VecDeque<u64>,
     capacity: usize,
-    /// How long a barrier waiter waits before it may be withdrawn.
-    grace: Option<Duration>,
     /// Suspects older than this are reaped; `None` never reaps.
     reap: Option<Duration>,
     /// Token counter, mixed with `nonce` into each issued token.
@@ -137,21 +136,19 @@ pub(crate) struct Fleet {
     reaped: usize,
     /// The round the fleet is streaming.
     round: u64,
-    /// Sessions that announced the end of `round`, and when each may be
-    /// withdrawn: a grace period after it first did.
-    arrived: HashMap<u64, Duration>,
+    /// Sessions that announced the end of `round`.
+    arrived: HashSet<u64>,
 }
 
 impl Fleet {
     /// An empty fleet of declared size 1 with room for `capacity` resumable
-    /// sessions. `grace` is the read timeout (`None`: never reap or withdraw);
+    /// sessions. `grace` is the read timeout (`None`: never reap);
     /// `nonce` salts the issued tokens so they cannot be guessed across runs.
     pub(crate) fn new(capacity: usize, grace: Option<Duration>, nonce: u64) -> Fleet {
         Fleet {
             sessions: HashMap::new(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
-            grace,
             reap: grace.map(|g| g.max(Duration::from_millis(BACKOFF_MAX_MS))),
             next: 0,
             nonce: mix2(nonce, 0xC0FF_EE00),
@@ -159,7 +156,7 @@ impl Fleet {
             drained: 0,
             reaped: 0,
             round: 0,
-            arrived: HashMap::new(),
+            arrived: HashSet::new(),
         }
     }
 
@@ -239,13 +236,15 @@ impl Fleet {
 
     /// Rebinds the resumable `session` to the connection `conn`, whose own
     /// untouched session is dropped, and takes it from any connection that
-    /// still drives it. Returns the session's acked sequence number.
+    /// still drives it. Returns the session's acked sequence number, or
+    /// `None` while that connection still hands a batch to a shard: the
+    /// RESUME is stepped again once it has.
     pub(crate) fn resume(
         &mut self,
         conn: u64,
         session: u64,
         last_acked: u64,
-    ) -> Result<u64, Refused> {
+    ) -> Result<Option<u64>, Refused> {
         let fresh = self.sessions.get(&conn).is_some_and(|s| !s.touched);
         if !fresh || session == conn {
             return Err(Refused::Late);
@@ -256,18 +255,20 @@ impl Fleet {
         if last_acked > s.acked {
             return Err(Refused::Ahead(s.acked));
         }
+        if s.handing {
+            return Ok(None);
+        }
         s.conn = Some(conn);
         s.touched = true;
         s.suspect = None;
         let acked = s.acked;
         self.forget(conn);
-        Ok(acked)
+        Ok(Some(acked))
     }
 
     /// Decides on the frame `seq` of `len` reports for the live session
-    /// `token`. An [`Batch::Ingest`] is recorded as acked at once: the
-    /// caller ingests it before any other connection can resume the
-    /// session.
+    /// `token`. An [`Batch::Ingest`] is recorded as acked at once, and the
+    /// session is handing it to a shard until [`Fleet::handed`].
     pub(crate) fn batch(&mut self, token: u64, seq: u64, len: u64) -> Batch {
         let s = self.live(token);
         match seq {
@@ -277,6 +278,7 @@ impl Fleet {
                 s.acked = seq;
                 s.ingested += len;
                 s.touched = true;
+                s.handing = true;
                 Batch::Ingest {
                     ingested: s.ingested,
                 }
@@ -285,8 +287,15 @@ impl Fleet {
         }
     }
 
-    /// The live session `token` announces the end of `round` at `now`.
-    pub(crate) fn epoch(&mut self, token: u64, round: u64, now: Duration) -> Epoch {
+    /// The live session `token`'s connection handed the batch it ingested
+    /// last to a shard.
+    pub(crate) fn handed(&mut self, token: u64) {
+        self.live(token).handing = false;
+    }
+
+    /// The live session `token` announces the end of `round`; a waiter
+    /// announces it again each time it wakes.
+    pub(crate) fn epoch(&mut self, token: u64, round: u64) -> Epoch {
         if self.round.checked_sub(1) == Some(round) {
             return Epoch::Ack(self.round);
         }
@@ -294,31 +303,14 @@ impl Fleet {
             return Epoch::Mismatch(self.round);
         }
         self.live(token).touched = true;
-        let due = self.grace.map_or(Duration::MAX, |g| now + g);
-        self.arrived.entry(token).or_insert(due);
-        self.barrier(token, round, now)
-    }
-
-    /// Re-checks the barrier at `now` for the waiter `token` at the end of
-    /// `round`.
-    pub(crate) fn barrier(&mut self, token: u64, round: u64, now: Duration) -> Epoch {
-        if self.round > round {
-            return Epoch::Ack(round + 1);
-        }
+        self.arrived.insert(token);
         let effective = self.declared.saturating_sub(self.reaped).max(1);
-        if self.arrived.len() >= effective {
-            self.round += 1;
-            self.arrived.clear();
-            return Epoch::Release(self.round);
+        if self.arrived.len() < effective {
+            return Epoch::Wait;
         }
-        let waited = self.arrived.get(&token).is_some_and(|&t| t <= now);
-        let settled =
-            (self.sessions.iter()).all(|(t, s)| s.drained || self.arrived.contains_key(t));
-        if waited && settled {
-            self.arrived.remove(&token);
-            return Epoch::Withdraw;
-        }
-        Epoch::Wait
+        self.round += 1;
+        self.arrived.clear();
+        Epoch::Release(self.round)
     }
 
     /// The live session `token` drains; a repeat drain is not counted
@@ -348,12 +340,11 @@ impl Fleet {
         }
     }
 
-    /// The next reap, or the next waiter's grace period to run out after `now`.
-    pub(crate) fn deadline(&self, now: Duration) -> Option<Duration> {
+    /// When the next reap falls due.
+    pub(crate) fn deadline(&self) -> Option<Duration> {
         let reap = self.reap?;
-        let reaps = self.sessions.values().filter_map(|s| s.suspect);
-        let withdrawals = self.arrived.values().filter(|&&t| t > now);
-        reaps.map(|t| t + reap).chain(withdrawals.copied()).min()
+        let first = self.sessions.values().filter_map(|s| s.suspect).min();
+        first.map(|t| t + reap)
     }
 
     /// Reaps every session suspect for at least the reap period at `now`.
@@ -392,12 +383,13 @@ mod tests {
         let mut fleet = Fleet::new(8, Some(GRACE), 2);
         let (a, _) = fleet.hello();
         assert_eq!(fleet.batch(a, 1, 3), Batch::Ingest { ingested: 3 });
+        fleet.handed(a);
         fleet.disconnect(a, a, t0);
         let (b, _) = fleet.hello();
         assert_eq!(fleet.resume(b, a, 2), Err(Refused::Ahead(1)));
         assert_eq!(fleet.resume(b, 0xBAD, 0), Err(Refused::Unknown));
         assert_eq!(fleet.resume(b, b, 0), Err(Refused::Late));
-        assert_eq!(fleet.resume(b, a, 0), Ok(1));
+        assert_eq!(fleet.resume(b, a, 0), Ok(Some(1)));
         // The throwaway session is forgotten, and a second RESUME on the
         // same connection comes too late.
         assert!(!fleet.sessions.contains_key(&b));
@@ -405,13 +397,14 @@ mod tests {
         assert_eq!(fleet.resume(b, a, 1), Err(Refused::Late));
         assert_eq!(fleet.batch(a, 1, 3), Batch::Dedup);
         assert_eq!(fleet.batch(a, 2, 3), Batch::Ingest { ingested: 6 });
+        fleet.handed(a);
         // A resumed session is not reaped, however long it takes.
         assert!(fleet.tick(t0 + 10 * REAP).is_empty());
         // Drained, it may resume and drain again without a recount.
         assert_eq!(fleet.drain(a), 6);
         fleet.disconnect(a, b, t0);
         let (c, _) = fleet.hello();
-        assert_eq!(fleet.resume(c, a, 2), Ok(2));
+        assert_eq!(fleet.resume(c, a, 2), Ok(Some(2)));
         assert_eq!(fleet.drain(a), 6);
         fleet.disconnect(a, c, t0);
         assert_eq!((fleet.drained(), fleet.reaped()), (1, 0));
@@ -424,24 +417,29 @@ mod tests {
         fleet.declare(2);
         let (a, _) = fleet.hello();
         assert_eq!(fleet.batch(a, 1, 4), Batch::Ingest { ingested: 4 });
-        // The old connection waits at the barrier; its producer has given
-        // it up and resumes on a new one.
-        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        // Its producer gives the connection up and resumes on a new one,
+        // which waits while the old one hands the acked batch to a shard.
         let (b, _) = fleet.hello();
-        assert_eq!(fleet.resume(b, a, 0), Ok(1));
+        assert_eq!(fleet.resume(b, a, 1), Ok(None));
+        assert!(fleet.holds(a, a) && fleet.holds(b, b));
+        fleet.handed(a);
+        // The old connection goes on to wait at the barrier.
+        assert_eq!(fleet.epoch(a, 0), Epoch::Wait);
+        assert_eq!(fleet.resume(b, a, 1), Ok(Some(1)));
         assert!(!fleet.holds(a, a) && fleet.holds(a, b));
         // The old connection closes: the session stays live, not suspect,
         // and keeps its arrival.
         fleet.disconnect(a, a, t0);
         assert!(fleet.holds(a, b));
         assert!(fleet.tick(t0 + 10 * REAP).is_empty());
-        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
+        assert_eq!(fleet.epoch(a, 0), Epoch::Wait);
         // Ingest stays exactly-once: the replay is dropped, the next seq
         // lands once.
         assert_eq!(fleet.batch(a, 1, 4), Batch::Dedup);
         assert_eq!(fleet.batch(a, 2, 5), Batch::Ingest { ingested: 9 });
+        fleet.handed(a);
         let (c, _) = fleet.hello();
-        assert_eq!(fleet.epoch(c, 0, t0), Epoch::Release(1));
+        assert_eq!(fleet.epoch(c, 0), Epoch::Release(1));
         assert_eq!(fleet.drain(a), 9);
         // A late close of the old connection still changes nothing.
         fleet.disconnect(a, a, t0);
@@ -455,6 +453,7 @@ mod tests {
         let mut fleet = Fleet::new(2, Some(GRACE), 3);
         let (suspect, _) = fleet.hello();
         fleet.batch(suspect, 1, 1);
+        fleet.handed(suspect);
         fleet.disconnect(suspect, suspect, t0);
         let (idle, _) = fleet.hello();
         fleet.disconnect(idle, idle, t0);
@@ -469,76 +468,52 @@ mod tests {
         assert_eq!(fleet.drain(guest), 4);
         fleet.disconnect(guest, guest, t0);
         assert!(!fleet.sessions.contains_key(&guest));
-        assert_eq!(fleet.resume(live, suspect, 1), Ok(1));
+        assert_eq!(fleet.resume(live, suspect, 1), Ok(Some(1)));
         assert_eq!(fleet.order.len(), 1);
     }
 
     #[test]
-    fn without_a_grace_period_nothing_is_ever_reaped_or_withdrawn() {
+    fn without_a_grace_period_nothing_is_ever_reaped() {
         let t0 = Duration::ZERO;
         let hour = Duration::from_secs(3600);
         let mut fleet = Fleet::new(4, None, 4);
         fleet.declare(3);
         let (a, _) = fleet.hello();
-        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
-        assert_eq!(fleet.barrier(a, 0, hour), Epoch::Wait);
+        assert_eq!(fleet.epoch(a, 0), Epoch::Wait);
         fleet.disconnect(a, a, t0);
         assert!(fleet.tick(hour).is_empty());
-        assert_eq!(fleet.deadline(t0), None);
+        assert_eq!(fleet.deadline(), None);
         // The suspect's arrival outlives its connection.
         let (b, _) = fleet.hello();
-        assert_eq!(fleet.epoch(b, 0, t0), Epoch::Wait);
+        assert_eq!(fleet.epoch(b, 0), Epoch::Wait);
         let (c, _) = fleet.hello();
-        assert_eq!(fleet.epoch(c, 0, t0), Epoch::Release(1));
-        assert_eq!(fleet.barrier(b, 0, t0), Epoch::Ack(1));
-        assert_eq!(fleet.epoch(b, 0, t0), Epoch::Ack(1));
-        assert_eq!(fleet.epoch(b, u64::MAX, t0), Epoch::Mismatch(1));
+        assert_eq!(fleet.epoch(c, 0), Epoch::Release(1));
+        assert_eq!(fleet.epoch(b, 0), Epoch::Ack(1));
+        assert_eq!(fleet.epoch(b, u64::MAX), Epoch::Mismatch(1));
     }
 
     #[test]
-    fn a_fleet_declared_larger_than_the_producers_that_arrive_is_withdrawn() {
-        let t0 = Duration::ZERO;
-        let mut fleet = Fleet::new(8, Some(GRACE), 7);
-        fleet.declare(3);
-        let (a, _) = fleet.hello();
-        let (b, _) = fleet.hello();
-        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
-        assert_eq!(fleet.epoch(b, 0, t0 + GRACE / 2), Epoch::Wait);
-        // Each waiter wakes when its own grace period runs out.
-        assert_eq!(fleet.deadline(t0), Some(t0 + GRACE));
-        assert_eq!(fleet.barrier(a, 0, t0 + GRACE / 2), Epoch::Wait);
-        assert_eq!(fleet.barrier(a, 0, t0 + GRACE), Epoch::Withdraw);
-        // The withdrawn session may resume until it is reaped, so the
-        // other waiter waits for that.
-        assert_eq!(fleet.barrier(b, 0, t0 + 2 * GRACE), Epoch::Wait);
-        fleet.disconnect(a, a, t0 + GRACE);
-        assert_eq!(fleet.deadline(t0 + 2 * GRACE), Some(t0 + GRACE + REAP));
-        assert_eq!(fleet.tick(t0 + GRACE + REAP), vec![a]);
-        assert_eq!(fleet.barrier(b, 0, t0 + GRACE + REAP), Epoch::Withdraw);
-    }
-
-    #[test]
-    fn a_waiter_keeps_waiting_while_any_session_may_still_arrive() {
+    fn a_barrier_waits_for_the_declared_fleet_however_long_that_takes() {
         let t0 = Duration::ZERO;
         let mut fleet = Fleet::new(8, Some(GRACE), 8);
         fleet.declare(3);
         let (a, _) = fleet.hello();
-        assert_eq!(fleet.epoch(a, 0, t0), Epoch::Wait);
-        // An untouched session whose connection dropped: its producer is
-        // mid-backoff, is never suspect, and will resume.
+        assert_eq!(fleet.epoch(a, 0), Epoch::Wait);
+        // An untouched session whose connection dropped: a probe, a producer
+        // that crashed before its first batch, or one mid-backoff. It is
+        // never suspect, so never reaped, and the fleet stays at 3.
         let (idle, _) = fleet.hello();
         fleet.disconnect(idle, idle, t0);
         // A live session, silent so far.
         let (live, _) = fleet.hello();
-        let late = t0 + 100 * REAP;
-        assert_eq!(fleet.barrier(a, 0, late), Epoch::Wait);
-        assert_eq!(fleet.deadline(late), None);
-        assert_eq!(fleet.epoch(live, 0, late), Epoch::Wait);
-        assert_eq!(fleet.barrier(a, 0, late), Epoch::Wait);
+        assert!(fleet.tick(t0 + 100 * REAP).is_empty());
+        assert_eq!(fleet.deadline(), None);
+        assert_eq!(fleet.epoch(live, 0), Epoch::Wait);
+        assert_eq!(fleet.epoch(a, 0), Epoch::Wait);
         let (b, _) = fleet.hello();
-        assert_eq!(fleet.resume(b, idle, 0), Ok(0));
-        assert_eq!(fleet.epoch(idle, 0, late), Epoch::Release(1));
-        assert_eq!(fleet.barrier(a, 0, late), Epoch::Ack(1));
+        assert_eq!(fleet.resume(b, idle, 0), Ok(Some(0)));
+        assert_eq!(fleet.epoch(idle, 0), Epoch::Release(1));
+        assert_eq!(fleet.epoch(a, 0), Epoch::Ack(1));
     }
 
     #[test]
@@ -549,7 +524,7 @@ mod tests {
         let (a, _) = fleet.hello();
         fleet.batch(a, 1, 2);
         fleet.disconnect(a, a, t0);
-        assert_eq!(fleet.deadline(t0), Some(t0 + Duration::from_secs(1)));
+        assert_eq!(fleet.deadline(), Some(t0 + Duration::from_secs(1)));
         assert!(fleet.tick(t0 + timeout).is_empty());
         assert!(fleet.tick(t0 + Duration::from_millis(999)).is_empty());
         assert_eq!(fleet.tick(t0 + Duration::from_secs(1)), vec![a]);
@@ -582,6 +557,8 @@ mod tests {
         ingested: u64,
         touched: bool,
         drained: bool,
+        /// Its connection has not handed its last ingested batch over yet.
+        handing: bool,
         suspect: Option<Duration>,
         reaped: bool,
     }
@@ -605,6 +582,8 @@ mod tests {
         Resume(u64),
         /// Give the open connection up, reconnect and RESUME.
         Takeover(u64),
+        /// The open connection hands its ingested batch to a shard.
+        Handed(u64),
         LateResume,
         Batch(u64, Seq),
         Epoch(u64),
@@ -628,9 +607,8 @@ mod tests {
         /// Every (session, seq) the fleet said to ingest.
         ingested: HashSet<(u64, u64)>,
         round: u64,
-        /// Unreaped sessions that announced the end of `round`, and when
-        /// they first did.
-        arrived: HashMap<u64, Duration>,
+        /// Unreaped sessions that announced the end of `round`.
+        arrived: HashSet<u64>,
         reaped: usize,
     }
 
@@ -647,7 +625,7 @@ mod tests {
                 stale: Vec::new(),
                 ingested: HashSet::new(),
                 round: 0,
-                arrived: HashMap::new(),
+                arrived: HashSet::new(),
                 reaped: 0,
             }
         }
@@ -696,15 +674,16 @@ mod tests {
             }
         }
 
-        /// Checks the fleet's barrier verdict for producer `p` waiting at
+        /// Checks the fleet's barrier verdict for a producer waiting at
         /// `round`; returns whether it keeps waiting.
-        fn barrier(&mut self, p: usize, round: u64, verdict: Epoch) -> bool {
+        fn barrier(&mut self, round: u64, verdict: Epoch) -> bool {
             if self.round > round {
                 assert_eq!(verdict, Epoch::Ack(round + 1));
                 return false;
             }
             // The barrier releases exactly when the effective fleet
-            // (declared minus reaped) has arrived.
+            // (declared minus reaped) has arrived, and nothing else ends
+            // the wait.
             let effective = self.declared.saturating_sub(self.reaped).max(1);
             if self.arrived.len() >= effective {
                 assert_eq!(verdict, Epoch::Release(round + 1));
@@ -712,31 +691,18 @@ mod tests {
                 self.arrived.clear();
                 return false;
             }
-            // It withdraws a waiter of a grace period only once every
-            // session in the table has arrived or drained.
-            let token = self.producers[p].conn.unwrap().0;
-            let waited = self.arrived[&token] + GRACE <= self.now;
-            let settled = (self.sessions.iter())
-                .filter(|(_, s)| !s.reaped)
-                .all(|(t, s)| s.drained || self.arrived.contains_key(t));
-            if waited && settled {
-                assert_eq!(verdict, Epoch::Withdraw);
-                self.arrived.remove(&token);
-                self.close(p);
-                return false;
-            }
             assert_eq!(verdict, Epoch::Wait, "released with {:?}", self.arrived);
             true
         }
 
-        /// Every waiter wakes (the condvar's broadcast) and re-checks.
+        /// Every waiter wakes (the condvar's broadcast) and announces again.
         fn wake(&mut self) {
             for p in 0..self.producers.len() {
                 if let (Some(round), Some((token, _))) =
                     (self.producers[p].waiting, self.producers[p].conn)
                 {
-                    let verdict = self.fleet.barrier(token, round, self.now);
-                    if !self.barrier(p, round, verdict) {
+                    let verdict = self.fleet.epoch(token, round);
+                    if !self.barrier(round, verdict) {
                         self.producers[p].waiting = None;
                     }
                 }
@@ -744,19 +710,21 @@ mod tests {
         }
 
         /// Producer `p` dials a new connection and RESUMEs `session`, now
-        /// and then claiming one seq too many.
+        /// and then claiming one seq too many. A RESUME that has to wait for
+        /// the old connection's batch is given up, its connection closed.
         fn resume(&mut self, p: usize, session: u64, arg: u64) {
             let ahead = u64::from(arg == 3);
             let throwaway = self.open();
             let s = &self.sessions[&session];
-            let expected = match (s.reaped, ahead) {
-                (true, _) => Err(Refused::Unknown),
-                (false, 1) => Err(Refused::Ahead(s.acked)),
-                (false, _) => Ok(s.acked),
+            let expected = match (s.reaped, ahead, s.handing) {
+                (true, _, _) => Err(Refused::Unknown),
+                (false, 1, _) => Err(Refused::Ahead(s.acked)),
+                (false, _, true) => Ok(None),
+                (false, _, false) => Ok(Some(s.acked)),
             };
             let got = self.fleet.resume(throwaway, session, s.acked + ahead);
             assert_eq!(got, expected);
-            if got.is_ok() {
+            if let Ok(Some(_)) = got {
                 self.sessions.remove(&throwaway);
                 let s = self.sessions.get_mut(&session).unwrap();
                 s.touched = true;
@@ -776,8 +744,12 @@ mod tests {
                 session,
                 waiting,
             } = self.producers[p];
+            // A connection handing a batch to a shard does nothing else.
+            let handing = conn.is_some_and(|(token, _)| self.sessions[&token].handing);
             let event = match (conn.map(|c| c.0), waiting, op) {
                 (_, _, 9) => Event::Time,
+                (Some(token), _, _) if handing && arg == 1 => Event::Takeover(token),
+                (Some(token), _, _) if handing => Event::Handed(token),
                 (None, _, 0..=3) => Event::Connect,
                 (None, _, _) => match session {
                     Some(session) => Event::Resume(session),
@@ -807,11 +779,14 @@ mod tests {
                 }
                 Event::Resume(session) => self.resume(p, session, arg),
                 // The old connection, even one waiting at the barrier, is
-                // given up and stays open until its next step closes it.
+                // given up and stays open until its next step closes it; one
+                // still handing its batch to a shard goes on with that.
                 Event::Takeover(session) => {
                     let old = conn.unwrap();
                     self.resume(p, session, arg);
-                    if self.producers[p].conn == Some(old) {
+                    if self.sessions[&session].handing {
+                        assert!(self.fleet.holds(old.0, old.1));
+                    } else if self.producers[p].conn == Some(old) {
                         self.close(p);
                     } else {
                         assert!(!self.fleet.holds(old.0, old.1));
@@ -819,6 +794,10 @@ mod tests {
                     }
                     self.producers[p].waiting = None;
                     self.wake();
+                }
+                Event::Handed(token) => {
+                    self.fleet.handed(token);
+                    self.sessions.get_mut(&token).unwrap().handing = false;
                 }
                 // RESUME on a connection that already has its session.
                 Event::LateResume => {
@@ -846,6 +825,7 @@ mod tests {
                         s.acked = seq;
                         s.ingested += arg + 1;
                         s.touched = true;
+                        s.handing = true;
                         let ingested = s.ingested;
                         assert_eq!(got, Batch::Ingest { ingested });
                     } else if seq != 0 && seq <= acked {
@@ -863,11 +843,11 @@ mod tests {
                         _ if self.round > 0 => self.round - 1,
                         _ => self.round + 2,
                     };
-                    let got = self.fleet.epoch(token, round, self.now);
+                    let got = self.fleet.epoch(token, round);
                     if round == self.round {
                         self.sessions.get_mut(&token).unwrap().touched = true;
-                        self.arrived.entry(token).or_insert(self.now);
-                        if self.barrier(p, round, got) {
+                        self.arrived.insert(token);
+                        if self.barrier(round, got) {
                             self.producers[p].waiting = Some(round);
                         }
                         // An arrival signals every waiter.
@@ -914,25 +894,17 @@ mod tests {
                     assert!(self.fleet.holds(token, conn));
                 }
             }
-            assert_eq!(self.fleet.deadline(self.now), self.deadline());
+            let reap = self.sessions.values().filter_map(|s| s.suspect).min();
+            assert_eq!(self.fleet.deadline(), reap.map(|t| t + REAP));
         }
 
-        /// The next reap, or the next grace period to run out at the
-        /// barrier.
-        fn deadline(&self) -> Option<Duration> {
-            let reaps = self
-                .sessions
-                .values()
-                .filter_map(|s| s.suspect.map(|t| t + REAP));
-            let withdrawals = self.arrived.values().map(|&t| t + GRACE);
-            reaps.chain(withdrawals.filter(|&t| t > self.now)).min()
-        }
-
-        /// Every connection closes and the reap period runs out: each
-        /// session that did any work is now drained or reaped, once.
+        /// Every connection hands its batch over and closes, and the reap
+        /// period runs out: each session that did any work is now drained
+        /// or reaped, once.
         fn finish(mut self) {
             for p in 0..self.producers.len() {
-                if self.producers[p].conn.is_some() {
+                if let Some((token, _)) = self.producers[p].conn {
+                    self.fleet.handed(token);
                     self.close(p);
                 }
             }
@@ -955,14 +927,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Random sessions of 1–3 producers (connects, batches with
-        /// duplicates, gaps and seq 0, drops, resumes and takeovers, EPOCHs,
-        /// drains and the passing of time) against the reference model:
-        /// every (session, seq) is ingested exactly once, every barrier
-        /// releases exactly when the effective fleet has arrived and
-        /// withdraws a waiter exactly when it has waited a grace period and
-        /// nothing else can arrive, a given-up connection never touches its
-        /// session again, and drained plus reaped sessions add up to the
-        /// sessions that finished.
+        /// duplicates, gaps and seq 0, handoffs to a shard, drops, resumes
+        /// and takeovers, EPOCHs, drains and the passing of time) against
+        /// the reference model: every (session, seq) is ingested exactly
+        /// once, every barrier releases exactly when the effective fleet has
+        /// arrived and never ends a wait otherwise, a RESUME waits while the
+        /// old connection hands a batch over, a given-up connection never
+        /// touches its session again, and drained plus reaped sessions add
+        /// up to the sessions that finished.
         #[test]
         fn fleet_matches_its_reference_model(
             producers in 1usize..4,

@@ -20,10 +20,12 @@
 //! connections (exactly-once sequencing, resume, reaping, the EPOCH barrier)
 //! live in one `Fleet` behind one mutex and one condvar. A step runs under
 //! that lock and the handler ingests after dropping it, so a handler
-//! blocked on a full shard queue holds nothing another connection needs.
-//! Barrier waiters and [`WireServer::wait_for_fleet`] share one park loop:
-//! each sleeps on the condvar until a change or the fleet's next deadline,
-//! then reaps what is due. Neither the session nor the fleet reads a clock:
+//! blocked on a full shard queue holds nothing another connection needs;
+//! it tells the fleet once the batch is handed over, and a RESUME of its
+//! session waits for that. Parked connections (a barrier waiter, such a
+//! RESUME) and [`WireServer::wait_for_fleet`] share one park loop: each
+//! sleeps on the condvar until a change or the fleet's next reap, then
+//! reaps what is due. Neither the session nor the fleet reads a clock:
 //! handlers pass the time since the listener started.
 //!
 //! ## Error isolation and determinism
@@ -103,8 +105,8 @@ impl Shared {
         self.started.elapsed()
     }
 
-    /// Steps `session` on `read` under the fleet lock; a barrier wait parks
-    /// and steps again each time it wakes. A reply or an arrival signals the
+    /// Steps `session` on `read` under the fleet lock; a wait parks and
+    /// steps again each time it wakes. A reply or an arrival signals the
     /// parked threads. A release rotates the server's epoch before the lock
     /// drops, so no producer streams the next round before the epoch closes.
     fn step(
@@ -114,13 +116,13 @@ impl Shared {
         server: &LdpServer,
     ) -> Step {
         let mut fleet = self.fleet();
-        let mut step = session.step(Input::Read(read), &mut fleet, self.now());
+        let mut step = session.step(Input::Read(read), &mut fleet);
         if let Step::Reply(_) | Step::Wait = step {
             self.changed.notify_all();
         }
         while let Step::Wait = step {
             fleet = self.park(fleet);
-            step = session.step(Input::Woken, &mut fleet, self.now());
+            step = session.step(Input::Woken, &mut fleet);
         }
         if let Step::Release(_) = step {
             server.advance_epoch();
@@ -130,10 +132,9 @@ impl Shared {
     }
 
     /// The one park loop's body: sleeps until a signal or the fleet's next
-    /// deadline, then reaps what is due, logs each reap and signals.
+    /// reap, then reaps what is due, logs each reap and signals.
     fn park<'a>(&self, fleet: MutexGuard<'a, Fleet>) -> MutexGuard<'a, Fleet> {
-        let now = self.now();
-        let wait = fleet.deadline(now).map(|at| at.saturating_sub(now));
+        let wait = fleet.deadline().map(|at| at.saturating_sub(self.now()));
         let mut fleet = match wait {
             Some(wait) => self.changed.wait_timeout(fleet, wait).expect(POISONED).0,
             None => self.changed.wait(fleet).expect(POISONED),
@@ -358,6 +359,8 @@ fn drive_connection(
             Step::Ingest(batch, ack) => {
                 // May block on a full shard queue: the backpressure path.
                 server.ingest_compact(batch);
+                session.handed(&mut shared.fleet());
+                shared.changed.notify_all();
                 ack.map_or(Ok(()), |ack| send(&mut writer, &ack))
             }
             Step::Snapshot => {

@@ -22,15 +22,15 @@ pub const ABORT_HANDSHAKE: u16 = 1;
 /// Abort code sent to peers whose frame stream is malformed.
 pub const ABORT_PROTOCOL: u16 = 2;
 /// Abort code sent to peers that stayed silent past the configured read
-/// timeout (see [`ServerConfig::read_timeout_ms`]), or waited that long at
-/// an EPOCH barrier for a fleet declared larger than the one connected.
+/// timeout (see [`ServerConfig::read_timeout_ms`]).
 pub const ABORT_TIMEOUT: u16 = 3;
 /// Abort code sent to peers whose HELLO auth digest does not match the
 /// server's configured [`ServerConfig::auth_token`].
 pub const ABORT_AUTH: u16 = 4;
 
 /// Reconnect backoff in milliseconds: the first, doubled up to the ceiling.
-/// The fleet reaps no session sooner than the ceiling: one step's wait.
+/// The fleet reaps no session sooner than the ceiling: one step's wait,
+/// not the whole schedule's.
 const BACKOFF_BASE_MS: u64 = 10;
 pub(crate) const BACKOFF_MAX_MS: u64 = 1000;
 
@@ -39,7 +39,7 @@ pub(crate) const BACKOFF_MAX_MS: u64 = 1000;
 pub(crate) enum Input {
     /// A frame, or the error its read ended in.
     Read(Result<Frame, WireError>),
-    /// A waiter parked at the EPOCH barrier woke (signaled, or a deadline).
+    /// A connection parked after [`Step::Wait`] woke (signaled, or a deadline).
     Woken,
 }
 
@@ -57,7 +57,8 @@ pub(crate) enum Step {
     /// The barrier is complete: rotate the epoch under the lock, wake the
     /// waiters and reply `EPOCH {round}`.
     Release(u64),
-    /// Park at the EPOCH barrier, then step [`Input::Woken`].
+    /// Park (at the EPOCH barrier, or a RESUME behind the old connection's
+    /// batch), then step [`Input::Woken`].
     Wait,
     /// Write the frame, if any, and close the connection cleanly.
     Close(Option<Frame>),
@@ -77,8 +78,8 @@ pub(crate) struct ServerSession {
     token: Option<u64>,
     /// The HELLO token, which names this connection to the fleet.
     conn: u64,
-    /// The round the last EPOCH announced: the barrier a wait is for.
-    round: u64,
+    /// The frame whose step said [`Step::Wait`], stepped again on waking.
+    parked: Option<Frame>,
 }
 
 impl ServerSession {
@@ -91,7 +92,7 @@ impl ServerSession {
             ack_every: config.ack_every.max(1),
             token: None,
             conn: 0,
-            round: 0,
+            parked: None,
         }
     }
 
@@ -100,23 +101,20 @@ impl ServerSession {
         self.token.is_some()
     }
 
-    /// Decides what the connection does with `input` at `now`.
-    pub(crate) fn step(&mut self, input: Input, fleet: &mut Fleet, now: Duration) -> Step {
+    /// Decides what the connection does with `input`.
+    pub(crate) fn step(&mut self, input: Input, fleet: &mut Fleet) -> Step {
         let frame = match input {
             Input::Read(Ok(frame)) if self.token.is_none() => return self.hello(frame, fleet),
-            Input::Read(Ok(frame)) => Some(frame),
+            Input::Read(Ok(frame)) => frame,
             Input::Read(Err(WireError::Closed)) => return Step::Close(None),
             // An expired read deadline is an idle peer, not a bad stream.
             Input::Read(Err(e @ WireError::Timeout)) => return Step::Refuse(ABORT_TIMEOUT, e),
             Input::Read(Err(e)) => return Step::Refuse(ABORT_PROTOCOL, e),
-            Input::Woken => None,
+            Input::Woken => self.parked.take().expect("only a parked connection wakes"),
         };
         // A RESUME elsewhere took the session over: close, touching nothing.
         let Some(token) = self.token.filter(|&t| fleet.holds(t, self.conn)) else {
             return Step::Close(None);
-        };
-        let Some(frame) = frame else {
-            return self.barrier(fleet.barrier(token, self.round, now));
         };
         match frame {
             Frame::BatchSeq { seq, batch } => match fleet.batch(token, seq, batch.len() as u64) {
@@ -136,19 +134,24 @@ impl ServerSession {
                 session,
                 last_acked,
             } => match fleet.resume(self.conn, session, last_acked) {
-                Ok(acked_seq) => {
+                Ok(Some(acked_seq)) => {
                     self.token = Some(session);
                     Step::Reply(Frame::ResumeAck { acked_seq })
                 }
+                Ok(None) => self.wait(frame),
                 Err(why) => refusal(why, session, last_acked),
             },
             // The snapshot queues behind every batch this connection
             // ingested, so it covers them without a barrier of its own.
             Frame::SnapshotRequest { .. } => Step::Snapshot,
-            Frame::Epoch { round } => {
-                self.round = round;
-                self.barrier(fleet.epoch(token, round, now))
-            }
+            Frame::Epoch { round } => match fleet.epoch(token, round) {
+                Epoch::Ack(round) => Step::Reply(Frame::Epoch { round }),
+                Epoch::Release(round) => Step::Release(round),
+                Epoch::Wait => self.wait(frame),
+                Epoch::Mismatch(current) => protocol(format!(
+                    "EPOCH announces the end of round {round}, but the fleet is on round {current}"
+                )),
+            },
             Frame::Drain => Step::Close(Some(Frame::DrainAck {
                 n: fleet.drain(token),
             })),
@@ -194,20 +197,17 @@ impl ServerSession {
         })
     }
 
-    /// What an EPOCH barrier verdict makes the connection do.
-    fn barrier(&self, verdict: Epoch) -> Step {
-        match verdict {
-            Epoch::Ack(round) => Step::Reply(Frame::Epoch { round }),
-            Epoch::Release(round) => Step::Release(round),
-            Epoch::Wait => Step::Wait,
-            Epoch::Withdraw => {
-                let e = format!("EPOCH barrier for round {} timed out", self.round);
-                Step::Refuse(ABORT_TIMEOUT, WireError::Payload(e))
-            }
-            Epoch::Mismatch(current) => protocol(format!(
-                "EPOCH announces the end of round {}, but the fleet is on round {current}",
-                self.round
-            )),
+    /// Parks the connection, to step `frame` again once it wakes.
+    fn wait(&mut self, frame: Frame) -> Step {
+        self.parked = Some(frame);
+        Step::Wait
+    }
+
+    /// The connection handed the batch of its last [`Step::Ingest`] to a
+    /// shard.
+    pub(crate) fn handed(&self, fleet: &mut Fleet) {
+        if let Some(token) = self.token {
+            fleet.handed(token);
         }
     }
 
@@ -584,10 +584,11 @@ mod tests {
     //! in-memory link reads every frame back through the real
     //! `read_checked_frame`; it drops, truncates, delays, duplicates and
     //! resets first transmissions as `ldp_sim::NetClient`'s fault plans do,
-    //! resets connections under the server's replies, and time is virtual,
-    //! so backoff sleeps, read timeouts, barrier deadlines and reaping cost
-    //! nothing. Some producers hang or crash, skip a sequence number, or
-    //! claim more than was acked when they resume.
+    //! resets connections under the server's replies, stalls handlers on a
+    //! full shard queue, and time is virtual, so backoff sleeps, read
+    //! timeouts, stalls and reaping cost nothing. Some producers hang or
+    //! crash, skip a sequence number, or claim more than was acked when they
+    //! resume.
 
     use std::collections::{HashMap, VecDeque};
 
@@ -654,7 +655,10 @@ mod tests {
     enum Handler {
         /// Reading since then; the read deadline counts from it.
         Reading(Duration),
-        /// Parked at the EPOCH barrier.
+        /// Handing an ingested batch to a full shard queue until then;
+        /// the ack, if due, goes out after.
+        Handing(Duration, CompactBatch, Option<Frame>),
+        /// Parked at the EPOCH barrier, or a RESUME behind a handoff.
         Waiting(Park),
         Ended,
     }
@@ -757,6 +761,8 @@ mod tests {
         fault_rate: u32,
         /// Percent of server replies whose connection resets under them.
         reset_rate: u32,
+        /// Percent of ingests that stall on a full shard queue.
+        stall_rate: u32,
         /// The park of the thread in `wait_for_fleet`.
         rendezvous: Park,
         /// Whether every producer must drain everything, round by round:
@@ -806,6 +812,7 @@ mod tests {
                 ingested: HashMap::new(),
                 fault_rate: [0, 10, 25][rng.random_range(0..3usize)],
                 reset_rate: [0, 5][rng.random_range(0..2usize)],
+                stall_rate: [0, 25][rng.random_range(0..2usize)],
                 rendezvous: Park {
                     until: None,
                     woken: false,
@@ -948,6 +955,7 @@ mod tests {
                     Handler::Reading(since) => {
                         c.up.ready() || self.grace.is_some_and(|g| since + g <= now)
                     }
+                    Handler::Handing(until, ..) => until <= now,
                     Handler::Waiting(park) => park.ready(now),
                     Handler::Ended => false,
                 });
@@ -966,6 +974,7 @@ mod tests {
             });
             let handlers = self.conns.iter().filter_map(|c| match c.handler {
                 Handler::Reading(since) => self.grace.map(|g| since + g),
+                Handler::Handing(until, ..) => Some(until),
                 Handler::Waiting(park) => park.until,
                 Handler::Ended => None,
             });
@@ -990,7 +999,7 @@ mod tests {
         /// A park as `net` starts one: until the fleet's next deadline.
         fn park(&self) -> Park {
             Park {
-                until: self.fleet.deadline(self.now),
+                until: self.fleet.deadline(),
                 woken: false,
             }
         }
@@ -1195,8 +1204,14 @@ mod tests {
         }
 
         fn run_handler(&mut self, c: usize) {
-            if let Handler::Waiting(_) = self.conns[c].handler {
-                self.reap();
+            let reading = Handler::Reading(self.now);
+            match std::mem::replace(&mut self.conns[c].handler, reading) {
+                Handler::Handing(_, batch, ack) => return self.hand(c, &batch, ack),
+                Handler::Waiting(park) => {
+                    self.conns[c].handler = Handler::Waiting(park);
+                    self.reap();
+                }
+                handler => self.conns[c].handler = handler,
             }
             let conn = &mut self.conns[c];
             let (mut seq, mut claim) = (None, None);
@@ -1213,12 +1228,12 @@ mod tests {
                 }
                 Handler::Reading(_) => Input::Read(Err(WireError::Timeout)),
                 Handler::Waiting(_) => Input::Woken,
-                Handler::Ended => unreachable!(),
+                Handler::Handing(..) | Handler::Ended => unreachable!(),
             };
             self.log(|| format!("handler {c}: {input:?}"));
             let read = matches!(input, Input::Read(_));
             let conn = &mut self.conns[c];
-            let step = conn.session.step(input, &mut self.fleet, self.now);
+            let step = conn.session.step(input, &mut self.fleet);
             let token = conn.session.token;
             conn.handler = Handler::Reading(self.now);
             // `net` signals after a read's reply or arrival, not a re-check.
@@ -1242,10 +1257,11 @@ mod tests {
                         self.fail(&format!("seq {seq} of {token:x?} ingested twice"));
                     }
                     frames.push((seq, len as u64));
-                    self.aggregator.absorb_compact(&batch);
-                    self.per_epoch[self.epoch] += len as u64;
-                    if let Some(ack) = ack {
-                        self.write(c, &ack);
+                    if self.rng.random_range(0..100u32) < self.stall_rate {
+                        let until = self.now + self.rng.random_range(1..40u32) * MS;
+                        self.conns[c].handler = Handler::Handing(until, batch, ack);
+                    } else {
+                        self.hand(c, &batch, ack);
                     }
                 }
                 Step::Snapshot => {
@@ -1269,6 +1285,18 @@ mod tests {
                     self.write(c, &Frame::Abort { code, message });
                     self.end(c);
                 }
+            }
+        }
+
+        /// The batch reaches the shard: it lands in the server's current
+        /// epoch, the fleet hears of it and the parked threads are signaled.
+        fn hand(&mut self, c: usize, batch: &CompactBatch, ack: Option<Frame>) {
+            self.aggregator.absorb_compact(batch);
+            self.per_epoch[self.epoch] += batch.len() as u64;
+            self.conns[c].session.handed(&mut self.fleet);
+            self.notify();
+            if let Some(ack) = ack {
+                self.write(c, &ack);
             }
         }
 
