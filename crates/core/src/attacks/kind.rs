@@ -3,10 +3,9 @@
 //! on the adversary side.
 
 use ldp_protocols::ProtocolError;
+use rand::RngCore;
 
-use super::numeric::NumericScenario;
-use super::scenarios::{AveragingScenario, InferenceScenario, PieScenario, ReidentScenario};
-use super::MAX_METRIC_SLOTS;
+use super::{numeric, scenarios, AdversaryView, FittedAttack, MAX_METRIC_SLOTS};
 use crate::inference::{AttackClassifier, AttackModel, InferenceOutcome};
 use crate::pie::PieDecision;
 
@@ -81,7 +80,7 @@ pub struct AveragingConfig {
 }
 
 /// Configuration of the numeric value-range inference attack against mixed
-/// solutions (see [`NumericScenario`](super::NumericScenario)).
+/// solutions (see [`AttackKind::NumericValueRange`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NumericConfig {
     /// Global dimension index of the attacked numeric attribute (must carry
@@ -98,7 +97,8 @@ pub struct NumericConfig {
 /// object-safe [`Attack`](super::Attack) trait (or hand it to
 /// `ldp_sim::AttackPipeline` for a seeded, sharded end-to-end run).
 ///
-/// The three kinds cover the paper's threat models:
+/// The five kinds cover the paper's threat models and the two this crate
+/// adds (longitudinal averaging, numeric value-range inference):
 ///
 /// * [`AttackKind::Reident`] — the §3.2.4 matching + decision attack,
 ///   reporting RID-ACC (%) per top-`k`. Against SPL/SMP it profiles users
@@ -116,6 +116,9 @@ pub struct NumericConfig {
 ///   numeric dimension of a mixed solution: a per-user Bayes update of the
 ///   population value histogram with the Duchi/PM/HM report likelihood,
 ///   reporting bucket-placement accuracy against the prior-mode baseline.
+/// * [`AttackKind::Averaging`] — re-identification over each target's
+///   reports pooled across rounds (per-attribute majority vote): the risk
+///   that separates fresh ε/R randomization from memoization.
 #[derive(Debug, Clone)]
 pub enum AttackKind {
     /// Re-identification with per-`k` RID-ACC.
@@ -251,16 +254,9 @@ impl AttackKind {
                 AttackKind::Reident(cfg.reident.clone()).build()?;
             }
         }
-        Ok(match self {
-            AttackKind::Reident(cfg) => DynAttack::Reident(ReidentScenario::new(cfg)),
-            AttackKind::SampledAttribute(cfg) => {
-                DynAttack::SampledAttribute(InferenceScenario::new(cfg))
-            }
-            AttackKind::PieAudit { beta } => DynAttack::PieAudit(PieScenario::new(beta)),
-            AttackKind::NumericValueRange(cfg) => {
-                DynAttack::NumericValueRange(NumericScenario::new(cfg))
-            }
-            AttackKind::Averaging(cfg) => DynAttack::Averaging(AveragingScenario::new(cfg)),
+        Ok(DynAttack {
+            kind: self,
+            threads: 1,
         })
     }
 }
@@ -271,80 +267,49 @@ impl std::fmt::Display for AttackKind {
     }
 }
 
-/// Enum dispatcher over the concrete attack scenarios (the counterpart of
-/// [`DynSolution`](crate::solutions::DynSolution)): one object-safe
-/// adversary surface with the threat model chosen at runtime.
+/// A validated attack and the thread budget of its fit — the one runnable
+/// adversary value (the counterpart of
+/// [`DynSolution`](crate::solutions::DynSolution)). Only
+/// [`AttackKind::build`] makes one, so every instance is validated.
 #[derive(Debug, Clone)]
-pub enum DynAttack {
-    /// See [`ReidentScenario`].
-    Reident(ReidentScenario),
-    /// See [`InferenceScenario`].
-    SampledAttribute(InferenceScenario),
-    /// See [`PieScenario`].
-    PieAudit(PieScenario),
-    /// See [`NumericScenario`].
-    NumericValueRange(NumericScenario),
-    /// See [`AveragingScenario`].
-    Averaging(AveragingScenario),
+pub struct DynAttack {
+    kind: AttackKind,
+    threads: usize,
 }
 
 impl DynAttack {
     /// The attack family and configuration of this instance.
-    pub fn kind(&self) -> AttackKind {
-        match self {
-            DynAttack::Reident(s) => AttackKind::Reident(s.config().clone()),
-            DynAttack::SampledAttribute(s) => AttackKind::SampledAttribute(s.config().clone()),
-            DynAttack::PieAudit(s) => AttackKind::PieAudit { beta: s.beta() },
-            DynAttack::NumericValueRange(s) => AttackKind::NumericValueRange(*s.config()),
-            DynAttack::Averaging(s) => AttackKind::Averaging(s.config().clone()),
-        }
-    }
-
-    /// Display name.
-    pub fn name(&self) -> String {
-        self.kind().name()
+    pub fn kind(&self) -> &AttackKind {
+        &self.kind
     }
 
     /// Sets the thread budget of [`Attack::fit`](super::Attack::fit) (`0`
-    /// counts as `1`): the scenarios that train the §3.3 classifier fit and
+    /// counts as `1`): the families that train the §3.3 classifier fit and
     /// predict with it on up to that many threads. Every budget gives the
-    /// same fitted attack; the other scenarios ignore it.
+    /// same fitted attack; the other families ignore it.
     pub fn set_threads(&mut self, threads: usize) {
-        match self {
-            DynAttack::Reident(s) => s.set_threads(threads),
-            DynAttack::SampledAttribute(s) => s.set_threads(threads),
-            DynAttack::Averaging(s) => s.set_threads(threads),
-            DynAttack::PieAudit(_) | DynAttack::NumericValueRange(_) => {}
-        }
+        self.threads = threads.max(1);
     }
 }
 
 impl super::Attack for DynAttack {
     fn name(&self) -> String {
-        DynAttack::name(self)
+        self.kind.name()
     }
 
     fn needs_observation(&self) -> bool {
-        match self {
-            DynAttack::Reident(s) => super::Attack::needs_observation(s),
-            DynAttack::SampledAttribute(s) => super::Attack::needs_observation(s),
-            DynAttack::PieAudit(s) => super::Attack::needs_observation(s),
-            DynAttack::NumericValueRange(s) => super::Attack::needs_observation(s),
-            DynAttack::Averaging(s) => super::Attack::needs_observation(s),
-        }
+        !matches!(self.kind, AttackKind::PieAudit { .. })
     }
 
-    fn fit(
-        &self,
-        view: &super::AdversaryView<'_>,
-        rng: &mut dyn rand::RngCore,
-    ) -> Box<dyn super::FittedAttack> {
-        match self {
-            DynAttack::Reident(s) => super::Attack::fit(s, view, rng),
-            DynAttack::SampledAttribute(s) => super::Attack::fit(s, view, rng),
-            DynAttack::PieAudit(s) => super::Attack::fit(s, view, rng),
-            DynAttack::NumericValueRange(s) => super::Attack::fit(s, view, rng),
-            DynAttack::Averaging(s) => super::Attack::fit(s, view, rng),
+    fn fit(&self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> Box<dyn FittedAttack> {
+        match &self.kind {
+            AttackKind::Reident(cfg) => scenarios::fit_reident(cfg, self.threads, view, rng),
+            AttackKind::SampledAttribute(cfg) => {
+                scenarios::fit_inference(cfg, self.threads, view, rng)
+            }
+            AttackKind::PieAudit { beta } => scenarios::fit_pie(*beta, view),
+            AttackKind::NumericValueRange(cfg) => numeric::fit_numeric(cfg, view),
+            AttackKind::Averaging(cfg) => scenarios::fit_averaging(cfg, self.threads, view, rng),
         }
     }
 }

@@ -4,16 +4,20 @@
 //! [`DynSolution`] /
 //! [`SolutionReport`] redesign.
 //!
-//! * [`AttackKind`] — plain configuration enum: which threat model to run
-//!   (re-identification, sampled-attribute inference, PIE audit).
-//! * [`DynAttack`] — the runtime dispatcher built from a kind; implements the
-//!   object-safe [`Attack`] trait.
+//! * [`AttackKind`] — plain configuration enum: which of the five threat
+//!   models to run (re-identification, sampled-attribute inference, PIE
+//!   audit, numeric value-range inference, longitudinal averaging).
+//! * [`DynAttack`] — one value per attack: a kind validated by
+//!   [`AttackKind::build`] plus the thread budget of its fit. Its
+//!   [`Attack::fit`] matches on the kind and calls that family's fit
+//!   function; there is no per-family wrapper type.
 //! * [`AttackOutcome`] — the result enum covering every attack's report
-//!   shape (per-`k` RID-ACC, AIF accuracy, PIE decisions).
+//!   shape (per-`k` RID-ACC, AIF accuracy, PIE decisions, value-range
+//!   accuracy).
 //!
 //! An attack runs in two phases. [`Attack::fit`] consumes the adversary's
 //! [`AdversaryView`] — the target population, the deployed solution and every
-//! sanitized message on the wire — and trains/indexes whatever the scenario
+//! sanitized message on the wire — and trains/indexes whatever the family
 //! needs (an inverted re-identification index, a sampled-attribute
 //! classifier). The returned [`FittedAttack`] then scores **targets
 //! independently**: [`FittedAttack::evaluate_target`] is pure in `&self`, so
@@ -30,11 +34,8 @@ pub use kind::{
     AttackKind, AttackOutcome, AveragingConfig, BackgroundKnowledge, DynAttack, InferenceConfig,
     NumericConfig, NumericOutcome, PieOutcome, ReidentConfig, ReidentOutcome,
 };
-pub use numeric::{FittedNumeric, NumericScenario};
-pub use scenarios::{
-    AveragingScenario, FittedInference, FittedPie, FittedReident, InferenceScenario, PieScenario,
-    ReidentEval, ReidentScenario,
-};
+pub use numeric::FittedNumeric;
+pub use scenarios::{FittedInference, FittedPie, FittedReident, ReidentEval};
 
 use ldp_datasets::{Dataset, MixedDataset};
 use ldp_protocols::hash::mix3;
@@ -63,31 +64,29 @@ pub struct AdversaryView<'a> {
     pub numeric_truth: Option<&'a MixedDataset>,
 }
 
-/// An attack scenario, object-safe: randomness enters through
-/// `&mut dyn RngCore` so pipelines and services can hold any attack behind
-/// `Box<dyn Attack>` and pick the threat model at runtime — the adversary
-/// counterpart of [`DynSolution`].
+/// An attack, object-safe: randomness enters through `&mut dyn RngCore`.
+/// [`DynAttack`] is its one implementation; the trait stays because
+/// downstream benchmark code names it (`Attack::fit`), and its methods are
+/// the adversary surface pipelines drive.
 pub trait Attack {
-    /// Display name of the scenario (e.g. `"RID(FK-RI)[1,10]"`).
+    /// Display name of the attack (e.g. `"RID(FK-RI)[1,10]"`).
     fn name(&self) -> String;
 
     /// Whether [`Attack::fit`] reads the observed wire
     /// ([`AdversaryView::observed`]). Analytic attacks (the PIE audit)
     /// return `false` so pipelines can skip buffering the `O(n)` messages
     /// and pass an empty slice.
-    fn needs_observation(&self) -> bool {
-        true
-    }
+    fn needs_observation(&self) -> bool;
 
     /// Trains/indexes the adversary's model from its view. Deterministic in
-    /// `rng`: a scenario that trains the §3.3 classifier spends its thread
+    /// `rng`: a family that trains the §3.3 classifier spends its thread
     /// budget ([`DynAttack::set_threads`]) on it, with the same result for
     /// every budget. The per-target evaluation that follows is sharded by
     /// the caller.
     ///
     /// # Panics
     /// Panics when the view's solution family cannot be attacked by this
-    /// scenario (e.g. sampled-attribute inference against SPL, which hides
+    /// attack (e.g. sampled-attribute inference against SPL, which hides
     /// nothing) or when `observed` does not match the solution's shape.
     fn fit(&self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> Box<dyn FittedAttack>;
 }

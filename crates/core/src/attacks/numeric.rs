@@ -18,111 +18,92 @@
 use ldp_datasets::mixed::bucket_of;
 use rand::RngCore;
 
-use super::kind::{AttackKind, NumericConfig, NumericOutcome};
-use super::{AdversaryView, Attack, AttackOutcome, FittedAttack};
+use super::kind::{NumericConfig, NumericOutcome};
+use super::{AdversaryView, AttackOutcome, FittedAttack};
 use crate::numeric::NumericOracle;
 use crate::reident::MatchScratch;
 use crate::solutions::{DynSolution, MixedEntry};
 
-/// The numeric value-range inference scenario (see the module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct NumericScenario {
-    config: NumericConfig,
-}
+/// The numeric value-range inference fit (see the module docs). The Bayes
+/// update is rng-free, so every user's success bit is fixed here.
+pub(super) fn fit_numeric(
+    config: &NumericConfig,
+    view: &AdversaryView<'_>,
+) -> Box<dyn FittedAttack> {
+    let mixed = match view.solution {
+        DynSolution::Mixed(m) => m,
+        other => panic!(
+            "numeric value-range inference needs a mixed solution, got {}",
+            other.name()
+        ),
+    };
+    let truth = view
+        .numeric_truth
+        .expect("numeric value-range inference needs AdversaryView::numeric_truth");
+    assert_eq!(
+        truth.ks(),
+        mixed.ks().to_vec(),
+        "numeric truth schema must match the deployed mixed solution"
+    );
+    let dim = config.dim;
+    assert!(
+        mixed.is_numeric(dim),
+        "attack dimension {dim} is not a numeric dimension of {}",
+        view.solution.name()
+    );
+    assert_eq!(
+        view.observed.len(),
+        truth.n(),
+        "observed wire must hold one report per user"
+    );
+    // Position of `dim` among the numeric dimensions = index into the
+    // truth's numeric columns (the layout convention of MixedDataset).
+    let num_idx = mixed.ks()[..dim].iter().filter(|&&k| k == 0).count();
+    let buckets = config.buckets;
+    let prior = truth.numeric_histogram(num_idx, buckets);
+    let prior_mode = argmax(&prior);
+    let oracle = mixed.numeric_oracle();
 
-impl NumericScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`).
-    pub fn new(config: NumericConfig) -> Self {
-        NumericScenario { config }
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &NumericConfig {
-        &self.config
-    }
-}
-
-impl Attack for NumericScenario {
-    fn name(&self) -> String {
-        AttackKind::NumericValueRange(self.config).name()
-    }
-
-    fn fit(&self, view: &AdversaryView<'_>, _rng: &mut dyn RngCore) -> Box<dyn FittedAttack> {
-        let mixed = match view.solution {
-            DynSolution::Mixed(m) => m,
-            other => panic!(
-                "numeric value-range inference needs a mixed solution, got {}",
-                other.name()
-            ),
-        };
-        let truth = view
-            .numeric_truth
-            .expect("numeric value-range inference needs AdversaryView::numeric_truth");
-        assert_eq!(
-            truth.ks(),
-            mixed.ks().to_vec(),
-            "numeric truth schema must match the deployed mixed solution"
-        );
-        let dim = self.config.dim;
-        assert!(
-            mixed.is_numeric(dim),
-            "attack dimension {dim} is not a numeric dimension of {}",
-            view.solution.name()
-        );
-        assert_eq!(
-            view.observed.len(),
-            truth.n(),
-            "observed wire must hold one report per user"
-        );
-        // Position of `dim` among the numeric dimensions = index into the
-        // truth's numeric columns (the layout convention of MixedDataset).
-        let num_idx = mixed.ks()[..dim].iter().filter(|&&k| k == 0).count();
-        let buckets = self.config.buckets;
-        let prior = truth.numeric_histogram(num_idx, buckets);
-        let prior_mode = argmax(&prior);
-        let oracle = mixed.numeric_oracle();
-
-        let mut n_observed = 0usize;
-        let mut posterior = vec![0.0f64; buckets];
-        let correct: Vec<bool> = (0..truth.n())
-            .map(|i| {
-                let report = view.observed[i].to_mixed().unwrap_or_else(|| {
-                    panic!(
-                        "mixed solution produced a non-mixed report: {:?} for user {i}",
-                        view.observed[i]
-                    )
-                });
-                let observed_y = report.entries.iter().find_map(|(j, entry)| {
-                    (*j == dim).then(|| match entry {
-                        MixedEntry::Num(y) => y.value(),
-                        MixedEntry::Cat(_) => {
-                            panic!("categorical entry on numeric dimension {dim} for user {i}")
-                        }
-                    })
-                });
-                let guess = match observed_y {
-                    Some(y) => {
-                        n_observed += 1;
-                        for (b, p) in posterior.iter_mut().enumerate() {
-                            *p = prior[b] * bucket_likelihood(oracle, y, b, buckets);
-                        }
-                        argmax(&posterior)
+    let mut n_observed = 0usize;
+    let mut posterior = vec![0.0f64; buckets];
+    let correct: Vec<bool> = (0..truth.n())
+        .map(|i| {
+            let report = view.observed[i].to_mixed().unwrap_or_else(|| {
+                panic!(
+                    "mixed solution produced a non-mixed report: {:?} for user {i}",
+                    view.observed[i]
+                )
+            });
+            let observed_y = report.entries.iter().find_map(|(j, entry)| {
+                (*j == dim).then(|| match entry {
+                    MixedEntry::Num(y) => y.value(),
+                    MixedEntry::Cat(_) => {
+                        panic!("categorical entry on numeric dimension {dim} for user {i}")
                     }
-                    // The user did not sample this dimension: the wire adds
-                    // nothing, so the Bayes-optimal guess is the prior mode.
-                    None => prior_mode,
-                };
-                guess == bucket_of(truth.num_value(i, num_idx), buckets)
-            })
-            .collect();
-
-        Box::new(FittedNumeric {
-            correct,
-            buckets,
-            n_observed,
-            baseline: 100.0 * prior.iter().cloned().fold(0.0f64, f64::max),
+                })
+            });
+            let guess = match observed_y {
+                Some(y) => {
+                    n_observed += 1;
+                    for (b, p) in posterior.iter_mut().enumerate() {
+                        *p = prior[b] * bucket_likelihood(oracle, y, b, buckets);
+                    }
+                    argmax(&posterior)
+                }
+                // The user did not sample this dimension: the wire adds
+                // nothing, so the Bayes-optimal guess is the prior mode.
+                None => prior_mode,
+            };
+            guess == bucket_of(truth.num_value(i, num_idx), buckets)
         })
-    }
+        .collect();
+
+    Box::new(FittedNumeric {
+        correct,
+        buckets,
+        n_observed,
+        baseline: 100.0 * prior.iter().cloned().fold(0.0f64, f64::max),
+    })
 }
 
 /// Sub-grid resolution of the per-bucket likelihood integral. The PM density
@@ -204,7 +185,7 @@ impl FittedAttack for FittedNumeric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks::{evaluate_serial, fit_rng};
+    use crate::attacks::evaluate_serial;
     use crate::solutions::{MixedKind, SolutionKind, SolutionReport};
     use crate::NumericKind;
     use ldp_datasets::mixed::mixed_survey_like;
@@ -248,8 +229,7 @@ mod tests {
             observed: &observed,
             numeric_truth: Some(&truth),
         };
-        let attack = NumericScenario::new(NumericConfig { dim: 4, buckets: 4 });
-        let fitted = attack.fit(&view, &mut fit_rng(1));
+        let fitted = fit_numeric(&NumericConfig { dim: 4, buckets: 4 }, &view);
         let outcome = evaluate_serial(fitted.as_ref(), 1);
         let o = outcome.numeric().unwrap();
         assert_eq!(o.n_targets, 4000);
@@ -275,8 +255,7 @@ mod tests {
             observed: &observed,
             numeric_truth: Some(&truth),
         };
-        let attack = NumericScenario::new(NumericConfig { dim: 4, buckets: 4 });
-        let fitted = attack.fit(&view, &mut fit_rng(1));
+        let fitted = fit_numeric(&NumericConfig { dim: 4, buckets: 4 }, &view);
         let o = evaluate_serial(fitted.as_ref(), 1);
         let o = o.numeric().unwrap();
         // Reports at ε = 0.5 are close to noise: the lift over the
@@ -302,7 +281,7 @@ mod tests {
             observed: &[],
             numeric_truth: Some(&truth),
         };
-        NumericScenario::new(NumericConfig { dim: 4, buckets: 4 }).fit(&view, &mut fit_rng(1));
+        fit_numeric(&NumericConfig { dim: 4, buckets: 4 }, &view);
     }
 
     #[test]
@@ -317,7 +296,7 @@ mod tests {
             observed: &observed,
             numeric_truth: None,
         };
-        NumericScenario::new(NumericConfig { dim: 4, buckets: 4 }).fit(&view, &mut fit_rng(1));
+        fit_numeric(&NumericConfig { dim: 4, buckets: 4 }, &view);
     }
 
     #[test]
@@ -332,6 +311,6 @@ mod tests {
             observed: &observed,
             numeric_truth: Some(&truth),
         };
-        NumericScenario::new(NumericConfig { dim: 0, buckets: 4 }).fit(&view, &mut fit_rng(1));
+        fit_numeric(&NumericConfig { dim: 0, buckets: 4 }, &view);
     }
 }

@@ -1,14 +1,16 @@
-//! Concrete attack scenarios behind the object-safe [`Attack`] trait, and
-//! their fitted, shardable evaluators.
+//! The fit logic of every attack family — one function each, called by
+//! [`DynAttack`](super::DynAttack)'s `fit` on its kind — and the fitted,
+//! shardable evaluators they return.
 
+use ldp_datasets::Dataset;
 use ldp_protocols::deniability::{best_guess_report, best_guess_with};
 use rand::RngCore;
 
 use super::kind::{
-    AttackKind, AttackOutcome, AveragingConfig, BackgroundKnowledge, InferenceConfig, PieOutcome,
+    AttackOutcome, AveragingConfig, BackgroundKnowledge, InferenceConfig, PieOutcome,
     ReidentConfig, ReidentOutcome,
 };
-use super::{AdversaryView, Attack, FittedAttack};
+use super::{AdversaryView, FittedAttack};
 use crate::inference::{AttackModel, InferenceOutcome, SampledAttributeAttack};
 use crate::pie;
 use crate::profiling::Profile;
@@ -19,150 +21,131 @@ use crate::solutions::{DynSolution, MultidimSolution, SolutionReport};
 // Re-identification
 // ---------------------------------------------------------------------------
 
-/// The §3.2.4 re-identification scenario: profile every user from the
-/// observed round via plausible deniability (chaining through the §3.3
-/// classifier for fake-data solutions), index the background knowledge, and
-/// score per-target top-`k` membership.
-#[derive(Debug, Clone)]
-pub struct ReidentScenario {
-    config: ReidentConfig,
-    threads: usize,
-}
-
-impl ReidentScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`), with a
-    /// one-thread budget.
-    pub fn new(config: ReidentConfig) -> Self {
-        ReidentScenario { config, threads: 1 }
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &ReidentConfig {
-        &self.config
-    }
-
-    /// Sets the thread budget of the classifier the fake-data chaining step
-    /// fits and predicts with (`0` counts as `1`). The profiles are the same
-    /// for every budget.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Builds the background-knowledge index this scenario's configuration
-    /// prescribes over `dataset` (all attributes for FK-RI, the configured
-    /// subset for PK-RI).
-    pub fn build_index(&self, dataset: &ldp_datasets::Dataset) -> ReidentAttack {
-        let bk_attrs: Vec<usize> = match &self.config.background {
+impl ReidentConfig {
+    /// Builds the background-knowledge index this configuration prescribes
+    /// over `dataset` (all attributes for FK-RI, the configured subset for
+    /// PK-RI).
+    pub fn build_index(&self, dataset: &Dataset) -> ReidentAttack {
+        let bk_attrs: Vec<usize> = match &self.background {
             BackgroundKnowledge::Full => (0..dataset.d()).collect(),
             BackgroundKnowledge::Partial(attrs) => attrs.clone(),
         };
         ReidentAttack::build(dataset, &bk_attrs)
     }
+}
 
-    /// Builds one per-user [`Profile`] from the round's sanitized messages,
-    /// following the per-solution adversary rules: SMP disclosed attribute →
-    /// deniability guess; SPL → deniability guess on every attribute;
-    /// RS+FD / RS+RFD → infer the sampled attribute with the NK classifier,
-    /// then deniability-guess its report (the Fig. 4 "chained errors").
-    pub fn profile_round(&self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> Vec<Profile> {
-        // One candidate buffer reused across the whole round (OLH preimages
-        // are the only allocating guess path; see `best_guess_with`).
-        let mut scratch = Vec::new();
-        match view.solution {
-            DynSolution::Smp(s) => view
-                .observed
-                .iter()
-                .map(|r| {
-                    let m = r
-                        .to_smp()
-                        .expect("observed report shape does not match the SMP solution");
-                    let mut p = Profile::new();
-                    p.observe(
-                        m.attr,
-                        best_guess_with(s.oracle(m.attr), &m.report, &mut scratch, rng),
-                    );
-                    p
-                })
-                .collect(),
-            DynSolution::Spl(s) => view
-                .observed
-                .iter()
-                .map(|r| {
-                    let reports = r
-                        .to_full()
-                        .expect("observed report shape does not match the SPL solution");
-                    let mut p = Profile::new();
-                    for (j, rep) in reports.iter().enumerate() {
-                        p.observe(j, best_guess_with(s.oracle(j), rep, &mut scratch, rng));
-                    }
-                    p
-                })
-                .collect(),
-            DynSolution::RsFd(s) => self.profile_fake_data(s, view.observed, rng),
-            DynSolution::RsRfd(s) => self.profile_fake_data(s, view.observed, rng),
-            DynSolution::Mixed(_) => panic!(
-                "re-identification does not profile mixed numeric rounds; use \
-                 AttackKind::NumericValueRange against mixed solutions"
-            ),
-        }
-    }
+/// The §3.2.4 re-identification fit: profile every user from the observed
+/// round via plausible deniability (chaining through the §3.3 classifier for
+/// fake-data solutions, on up to `threads` threads), index the background
+/// knowledge, and score per-target top-`k` membership.
+pub(super) fn fit_reident(
+    config: &ReidentConfig,
+    threads: usize,
+    view: &AdversaryView<'_>,
+    rng: &mut dyn RngCore,
+) -> Box<dyn FittedAttack> {
+    assert_eq!(
+        view.observed.len(),
+        view.dataset.n(),
+        "need one observed message per user"
+    );
+    let index = config.build_index(view.dataset);
+    let profiles = profile_round(config, threads, view, rng);
+    Box::new(FittedReident {
+        index,
+        profiles,
+        top_ks: config.top_ks.clone(),
+    })
+}
 
-    /// The chained fake-data profiling step shared by RS+FD and RS+RFD: an
-    /// NK attacker, who knows no user's sampled attribute, reads the round's
-    /// words and decodes only each predicted attribute's entry.
-    fn profile_fake_data<S: MultidimSolution>(
-        &self,
-        solution: &S,
-        observed: &[SolutionReport],
-        rng: &mut dyn RngCore,
-    ) -> Vec<Profile> {
-        let (attack, _) = SampledAttributeAttack::train(
-            solution,
-            observed,
-            &[],
-            &AttackModel::NoKnowledge {
-                synth_factor: self.config.synth_factor,
-            },
-            &self.config.classifier,
-            rng,
-            self.threads,
-        );
-        let predicted = attack.predict(&observed.iter().collect::<Vec<_>>(), self.threads);
-        predicted
+/// Builds one per-user [`Profile`] from the round's sanitized messages,
+/// following the per-solution adversary rules: SMP disclosed attribute →
+/// deniability guess; SPL → deniability guess on every attribute;
+/// RS+FD / RS+RFD → infer the sampled attribute with the NK classifier,
+/// then deniability-guess its report (the Fig. 4 "chained errors").
+fn profile_round(
+    config: &ReidentConfig,
+    threads: usize,
+    view: &AdversaryView<'_>,
+    rng: &mut dyn RngCore,
+) -> Vec<Profile> {
+    // One candidate buffer reused across the whole round (OLH preimages
+    // are the only allocating guess path; see `best_guess_with`).
+    let mut scratch = Vec::new();
+    match view.solution {
+        DynSolution::Smp(s) => view
+            .observed
             .iter()
-            .zip(observed)
-            .map(|(&pred, r)| {
-                let attr = pred as usize;
-                let entry = r
-                    .tuple_entry(attr)
-                    .expect("predicted attribute within the tuple");
+            .map(|r| {
+                let m = r
+                    .to_smp()
+                    .expect("observed report shape does not match the SMP solution");
                 let mut p = Profile::new();
-                p.observe(attr, best_guess_report(&entry, solution.ks()[attr], rng));
+                p.observe(
+                    m.attr,
+                    best_guess_with(s.oracle(m.attr), &m.report, &mut scratch, rng),
+                );
                 p
             })
-            .collect()
+            .collect(),
+        DynSolution::Spl(s) => view
+            .observed
+            .iter()
+            .map(|r| {
+                let reports = r
+                    .to_full()
+                    .expect("observed report shape does not match the SPL solution");
+                let mut p = Profile::new();
+                for (j, rep) in reports.iter().enumerate() {
+                    p.observe(j, best_guess_with(s.oracle(j), rep, &mut scratch, rng));
+                }
+                p
+            })
+            .collect(),
+        DynSolution::RsFd(s) => profile_fake_data(config, threads, s, view.observed, rng),
+        DynSolution::RsRfd(s) => profile_fake_data(config, threads, s, view.observed, rng),
+        DynSolution::Mixed(_) => panic!(
+            "re-identification does not profile mixed numeric rounds; use \
+             AttackKind::NumericValueRange against mixed solutions"
+        ),
     }
 }
 
-impl Attack for ReidentScenario {
-    fn name(&self) -> String {
-        AttackKind::Reident(self.config.clone()).name()
-    }
-
-    fn fit(&self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> Box<dyn FittedAttack> {
-        assert_eq!(
-            view.observed.len(),
-            view.dataset.n(),
-            "need one observed message per user"
-        );
-        let index = self.build_index(view.dataset);
-        let profiles = self.profile_round(view, rng);
-        Box::new(FittedReident {
-            index,
-            profiles,
-            top_ks: self.config.top_ks.clone(),
+/// The chained fake-data profiling step shared by RS+FD and RS+RFD: an NK
+/// attacker, who knows no user's sampled attribute, reads the round's words
+/// and decodes only each predicted attribute's entry.
+fn profile_fake_data<S: MultidimSolution>(
+    config: &ReidentConfig,
+    threads: usize,
+    solution: &S,
+    observed: &[SolutionReport],
+    rng: &mut dyn RngCore,
+) -> Vec<Profile> {
+    let (attack, _) = SampledAttributeAttack::train(
+        solution,
+        observed,
+        &[],
+        &AttackModel::NoKnowledge {
+            synth_factor: config.synth_factor,
+        },
+        &config.classifier,
+        rng,
+        threads,
+    );
+    let predicted = attack.predict(&observed.iter().collect::<Vec<_>>(), threads);
+    predicted
+        .iter()
+        .zip(observed)
+        .map(|(&pred, r)| {
+            let attr = pred as usize;
+            let entry = r
+                .tuple_entry(attr)
+                .expect("predicted attribute within the tuple");
+            let mut p = Profile::new();
+            p.observe(attr, best_guess_report(&entry, solution.ks()[attr], rng));
+            p
         })
-    }
+        .collect()
 }
 
 /// A fitted re-identification attack: background index plus one adversary
@@ -172,18 +155,6 @@ pub struct FittedReident {
     index: ReidentAttack,
     profiles: Vec<Profile>,
     top_ks: Vec<usize>,
-}
-
-impl FittedReident {
-    /// The per-target profiles the adversary accumulated.
-    pub fn profiles(&self) -> &[Profile] {
-        &self.profiles
-    }
-
-    /// The background-knowledge index.
-    pub fn index(&self) -> &ReidentAttack {
-        &self.index
-    }
 }
 
 impl FittedAttack for FittedReident {
@@ -264,7 +235,7 @@ impl FittedAttack for ReidentEval<'_> {
 // Longitudinal averaging
 // ---------------------------------------------------------------------------
 
-/// The longitudinal averaging attack: a re-identification adversary who
+/// The longitudinal averaging fit: a re-identification adversary who
 /// watches `rounds` collection rounds of the same population and pools each
 /// target's per-round deniability guesses **before** matching — per
 /// (user, attribute) majority vote, ties broken toward the earliest-observed
@@ -276,100 +247,72 @@ impl FittedAttack for ReidentEval<'_> {
 /// the sanitization noise. Against memoization every round replays round 0's
 /// report, the vote is unanimous on a single view, and the pooled profile —
 /// hence the ASR — is exactly the single-round one.
-#[derive(Debug, Clone)]
-pub struct AveragingScenario {
-    config: AveragingConfig,
+pub(super) fn fit_averaging(
+    config: &AveragingConfig,
     threads: usize,
+    view: &AdversaryView<'_>,
+    rng: &mut dyn RngCore,
+) -> Box<dyn FittedAttack> {
+    let n = view.dataset.n();
+    let rounds = config.rounds.max(1);
+    assert_eq!(
+        view.observed.len(),
+        rounds * n,
+        "the averaging attack needs rounds·n observed messages, round-major"
+    );
+    let per_round: Vec<Vec<Profile>> = (0..rounds)
+        .map(|r| {
+            let sub = AdversaryView {
+                observed: &view.observed[r * n..(r + 1) * n],
+                ..*view
+            };
+            profile_round(&config.reident, threads, &sub, rng)
+        })
+        .collect();
+    Box::new(FittedReident {
+        index: config.reident.build_index(view.dataset),
+        profiles: pool_profiles(&per_round),
+        top_ks: config.reident.top_ks.clone(),
+    })
 }
 
-impl AveragingScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`), with a
-    /// one-thread budget.
-    pub fn new(config: AveragingConfig) -> Self {
-        AveragingScenario { config, threads: 1 }
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &AveragingConfig {
-        &self.config
-    }
-
-    /// Sets the per-round chaining step's thread budget, as
-    /// [`ReidentScenario::set_threads`] does.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Pools per-round profiles into one profile per user: for every
-    /// attribute any round observed, the prediction with the most round
-    /// votes wins (strict majority comparison → first value to reach the
-    /// top count wins ties, which is deterministic in round order).
-    fn pool_profiles(rounds: &[Vec<Profile>]) -> Vec<Profile> {
-        let n = rounds.first().map_or(0, Vec::len);
-        (0..n)
-            .map(|user| {
-                // (attr, votes per value) in first-observed order; domains
-                // and d are small, so linear scans beat hashing here.
-                let mut votes: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
-                for round in rounds {
-                    for &(attr, value) in round[user].entries() {
-                        let slot = match votes.iter_mut().find(|(a, _)| *a == attr) {
-                            Some((_, counts)) => counts,
-                            None => {
-                                votes.push((attr, Vec::new()));
-                                &mut votes.last_mut().expect("just pushed").1
-                            }
-                        };
-                        match slot.iter_mut().find(|(v, _)| *v == value) {
-                            Some((_, c)) => *c += 1,
-                            None => slot.push((value, 1)),
+/// Pools per-round profiles into one profile per user: for every attribute
+/// any round observed, the prediction with the most round votes wins (strict
+/// majority comparison → first value to reach the top count wins ties, which
+/// is deterministic in round order).
+fn pool_profiles(rounds: &[Vec<Profile>]) -> Vec<Profile> {
+    let n = rounds.first().map_or(0, Vec::len);
+    (0..n)
+        .map(|user| {
+            // (attr, votes per value) in first-observed order; domains and d
+            // are small, so linear scans beat hashing here.
+            let mut votes: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
+            for round in rounds {
+                for &(attr, value) in round[user].entries() {
+                    let slot = match votes.iter_mut().find(|(a, _)| *a == attr) {
+                        Some((_, counts)) => counts,
+                        None => {
+                            votes.push((attr, Vec::new()));
+                            &mut votes.last_mut().expect("just pushed").1
                         }
+                    };
+                    match slot.iter_mut().find(|(v, _)| *v == value) {
+                        Some((_, c)) => *c += 1,
+                        None => slot.push((value, 1)),
                     }
                 }
-                let mut pooled = Profile::new();
-                for (attr, counts) in votes {
-                    let (winner, _) = counts
-                        .into_iter()
-                        .reduce(|best, cand| if cand.1 > best.1 { cand } else { best })
-                        .expect("an observed attribute has at least one vote");
-                    pooled.observe(attr, winner);
-                }
-                pooled
-            })
-            .collect()
-    }
-}
-
-impl Attack for AveragingScenario {
-    fn name(&self) -> String {
-        AttackKind::Averaging(self.config.clone()).name()
-    }
-
-    fn fit(&self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> Box<dyn FittedAttack> {
-        let n = view.dataset.n();
-        let rounds = self.config.rounds.max(1);
-        assert_eq!(
-            view.observed.len(),
-            rounds * n,
-            "the averaging attack needs rounds·n observed messages, round-major"
-        );
-        let mut inner = ReidentScenario::new(self.config.reident.clone());
-        inner.set_threads(self.threads);
-        let per_round: Vec<Vec<Profile>> = (0..rounds)
-            .map(|r| {
-                let sub = AdversaryView {
-                    observed: &view.observed[r * n..(r + 1) * n],
-                    ..*view
-                };
-                inner.profile_round(&sub, rng)
-            })
-            .collect();
-        Box::new(FittedReident {
-            index: inner.build_index(view.dataset),
-            profiles: AveragingScenario::pool_profiles(&per_round),
-            top_ks: self.config.reident.top_ks.clone(),
+            }
+            let mut pooled = Profile::new();
+            for (attr, counts) in votes {
+                let (winner, _) = counts
+                    .into_iter()
+                    .reduce(|best, cand| if cand.1 > best.1 { cand } else { best })
+                    .expect("an observed attribute has at least one vote");
+                pooled.observe(attr, winner);
+            }
+            pooled
         })
-    }
+        .collect()
 }
 
 fn reident_outcome(
@@ -394,110 +337,76 @@ fn reident_outcome(
 // Sampled-attribute inference
 // ---------------------------------------------------------------------------
 
-/// The §3.3 sampled-attribute inference scenario against the fake-data
-/// solutions, under any attacker model × classifier combination.
-#[derive(Debug, Clone)]
-pub struct InferenceScenario {
-    config: InferenceConfig,
+/// The §3.3 sampled-attribute inference fit against the fake-data
+/// solutions, under any attacker model × classifier combination, with the
+/// classifier's fit and prediction on up to `threads` threads.
+pub(super) fn fit_inference(
+    config: &InferenceConfig,
     threads: usize,
-}
-
-impl InferenceScenario {
-    /// Wraps a validated configuration (see `AttackKind::build`), with a
-    /// one-thread budget.
-    pub fn new(config: InferenceConfig) -> Self {
-        InferenceScenario { config, threads: 1 }
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &InferenceConfig {
-        &self.config
-    }
-
-    /// Sets the thread budget of the classifier's fit and prediction (`0`
-    /// counts as `1`). The outcome is the same for every budget.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-}
-
-impl Attack for InferenceScenario {
-    fn name(&self) -> String {
-        AttackKind::SampledAttribute(self.config.clone()).name()
-    }
-
-    fn fit(&self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> Box<dyn FittedAttack> {
-        assert!(
-            matches!(view.solution, DynSolution::RsFd(_) | DynSolution::RsRfd(_)),
-            "sampled-attribute inference needs a fake-data solution, got {}",
-            view.solution.name()
-        );
-        // The one reader of the hidden attribute outside tests: the ground
-        // truth PK/HM training and the scoring use, never the features.
-        let labels: Vec<usize> = view
-            .observed
-            .iter()
-            .map(|r| {
-                r.hidden_attribute()
-                    .expect("expected full fake-data tuples in the observed round")
-            })
-            .collect();
-        let (attack, test_idx) = match view.solution {
-            DynSolution::RsFd(s) => SampledAttributeAttack::train(
-                s,
-                view.observed,
-                &labels,
-                &self.config.model,
-                &self.config.classifier,
-                rng,
-                self.threads,
-            ),
-            DynSolution::RsRfd(s) => SampledAttributeAttack::train(
-                s,
-                view.observed,
-                &labels,
-                &self.config.model,
-                &self.config.classifier,
-                rng,
-                self.threads,
-            ),
-            _ => unreachable!("solution family guarded by the assert above"),
-        };
-        let n = labels.len();
-        let n_train = n - test_idx.len() + self.config.model.synth_count(n);
-        // Prediction is rng-free, so the per-target success bits are fixed at
-        // fit time: one batch encode/predict instead of per-target calls.
-        let tests: Vec<&SolutionReport> = test_idx.iter().map(|&i| &view.observed[i]).collect();
-        let correct: Vec<bool> = attack
-            .predict(&tests, self.threads)
-            .iter()
-            .zip(&test_idx)
-            .map(|(&pred, &i)| pred as usize == labels[i])
-            .collect();
-        Box::new(FittedInference {
-            attack,
-            correct,
-            d: view.solution.d(),
-            n_train,
+    view: &AdversaryView<'_>,
+    rng: &mut dyn RngCore,
+) -> Box<dyn FittedAttack> {
+    assert!(
+        matches!(view.solution, DynSolution::RsFd(_) | DynSolution::RsRfd(_)),
+        "sampled-attribute inference needs a fake-data solution, got {}",
+        view.solution.name()
+    );
+    // The one reader of the hidden attribute outside tests: the ground
+    // truth PK/HM training and the scoring use, never the features.
+    let labels: Vec<usize> = view
+        .observed
+        .iter()
+        .map(|r| {
+            r.hidden_attribute()
+                .expect("expected full fake-data tuples in the observed round")
         })
-    }
+        .collect();
+    let (attack, test_idx) = match view.solution {
+        DynSolution::RsFd(s) => SampledAttributeAttack::train(
+            s,
+            view.observed,
+            &labels,
+            &config.model,
+            &config.classifier,
+            rng,
+            threads,
+        ),
+        DynSolution::RsRfd(s) => SampledAttributeAttack::train(
+            s,
+            view.observed,
+            &labels,
+            &config.model,
+            &config.classifier,
+            rng,
+            threads,
+        ),
+        _ => unreachable!("solution family guarded by the assert above"),
+    };
+    let n = labels.len();
+    let n_train = n - test_idx.len() + config.model.synth_count(n);
+    // Prediction is rng-free, so the per-target success bits are fixed at
+    // fit time: one batch encode/predict instead of per-target calls.
+    let tests: Vec<&SolutionReport> = test_idx.iter().map(|&i| &view.observed[i]).collect();
+    let correct: Vec<bool> = attack
+        .predict(&tests, threads)
+        .iter()
+        .zip(&test_idx)
+        .map(|(&pred, &i)| pred as usize == labels[i])
+        .collect();
+    Box::new(FittedInference {
+        correct,
+        d: view.solution.d(),
+        n_train,
+    })
 }
 
-/// A fitted inference attack: the trained classifier plus the (rng-free,
-/// batch-precomputed) per-test-user success bits.
+/// A fitted inference attack: the (rng-free, batch-precomputed)
+/// per-test-user success bits of the trained classifier.
 #[derive(Debug, Clone)]
 pub struct FittedInference {
-    attack: SampledAttributeAttack,
     correct: Vec<bool>,
     d: usize,
     n_train: usize,
-}
-
-impl FittedInference {
-    /// The trained classifier.
-    pub fn attack(&self) -> &SampledAttributeAttack {
-        &self.attack
-    }
 }
 
 impl FittedAttack for FittedInference {
@@ -535,48 +444,22 @@ impl FittedAttack for FittedInference {
 
 /// The Appendix C PIE audit: an analytic "attack" reporting which attributes
 /// a `(U, α)`-PIE server discloses unrandomized at target Bayes error β.
-#[derive(Debug, Clone, Copy)]
-pub struct PieScenario {
-    beta: f64,
-}
-
-impl PieScenario {
-    /// Wraps a validated β (see `AttackKind::build`).
-    pub fn new(beta: f64) -> Self {
-        PieScenario { beta }
-    }
-
-    /// Target Bayes error β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-}
-
-impl Attack for PieScenario {
-    fn name(&self) -> String {
-        AttackKind::PieAudit { beta: self.beta }.name()
-    }
-
-    fn needs_observation(&self) -> bool {
-        false // analytic: only n and the domain sizes enter the decision
-    }
-
-    fn fit(&self, view: &AdversaryView<'_>, _rng: &mut dyn RngCore) -> Box<dyn FittedAttack> {
-        let n = view.dataset.n();
-        let decisions = view
-            .solution
-            .ks()
-            .iter()
-            .map(|&k| pie::decide(self.beta, n, k))
-            .collect();
-        Box::new(FittedPie {
-            outcome: PieOutcome {
-                beta: self.beta,
-                alpha: pie::alpha_from_bayes_error(self.beta, n),
-                decisions,
-            },
-        })
-    }
+/// Only `n` and the domain sizes enter the decision; the wire is never read.
+pub(super) fn fit_pie(beta: f64, view: &AdversaryView<'_>) -> Box<dyn FittedAttack> {
+    let n = view.dataset.n();
+    let decisions = view
+        .solution
+        .ks()
+        .iter()
+        .map(|&k| pie::decide(beta, n, k))
+        .collect();
+    Box::new(FittedPie {
+        outcome: PieOutcome {
+            beta,
+            alpha: pie::alpha_from_bayes_error(beta, n),
+            decisions,
+        },
+    })
 }
 
 /// A "fitted" PIE audit — analytic, so it has no targets to score.
@@ -612,7 +495,7 @@ impl FittedAttack for FittedPie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks::{evaluate_serial, fit_rng};
+    use crate::attacks::{evaluate_serial, fit_rng, Attack, AttackKind};
     use crate::inference::AttackClassifier;
     use crate::solutions::{RsFdProtocol, SolutionKind};
     use ldp_datasets::{Dataset, Schema};
@@ -696,8 +579,7 @@ mod tests {
             observed: &observed,
             numeric_truth: None,
         };
-        let scenario = ReidentScenario::new(ReidentConfig::default());
-        let profiles = scenario.profile_round(&view, &mut fit_rng(6));
+        let profiles = profile_round(&ReidentConfig::default(), 1, &view, &mut fit_rng(6));
         assert_eq!(profiles.len(), 120);
         assert!(profiles.iter().all(|p| p.len() == 3));
     }

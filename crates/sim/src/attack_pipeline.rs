@@ -45,7 +45,8 @@
 //! ```
 
 use ldp_core::attacks::{
-    self, AdversaryView, Attack, AttackKind, AttackOutcome, DynAttack, FittedAttack, ReidentEval,
+    self, AdversaryView, Attack, AttackKind, AttackOutcome, DynAttack, FittedAttack, ReidentConfig,
+    ReidentEval,
 };
 use ldp_core::profiling::Profile;
 use ldp_core::reident::{MatchScratch, ReidentAttack};
@@ -200,32 +201,31 @@ impl AttackPipeline {
         evaluate_sharded(fitted, self.seed, self.threads)
     }
 
-    /// The configured [`Reident`](DynAttack::Reident) scenario, or a panic —
-    /// shared guard of the profile-evaluation entry points below.
-    fn reident_scenario(&self) -> &ldp_core::attacks::ReidentScenario {
-        match &self.attack {
-            DynAttack::Reident(s) => s,
+    /// The configured [`Reident`](AttackKind::Reident) configuration, or a
+    /// panic — shared guard of the profile-evaluation entry points below.
+    fn reident_config(&self) -> &ReidentConfig {
+        match self.attack.kind() {
+            AttackKind::Reident(cfg) => cfg,
             other => panic!(
-                "this entry point needs a Reident attack, the pipeline is configured with {}",
-                other.name()
+                "this entry point needs a Reident attack, the pipeline is configured with {other}"
             ),
         }
     }
 
     /// Builds the background-knowledge index the configured
-    /// [`Reident`](DynAttack::Reident) scenario prescribes over `dataset`
+    /// [`Reident`](AttackKind::Reident) attack prescribes over `dataset`
     /// (FK-RI or the configured PK-RI subset).
     ///
     /// # Panics
     /// Panics when the configured attack is not `Reident`.
     pub fn reident_index(&self, dataset: &Dataset) -> ReidentAttack {
-        self.reident_scenario().build_index(dataset)
+        self.reident_config().build_index(dataset)
     }
 
     /// Sharded RID-ACC (%) over externally built profiles (e.g. multi-survey
     /// campaign snapshots), where `profiles[i]` targets background record
     /// `i`. One entry per top-`k` of the configured
-    /// [`Reident`](DynAttack::Reident) scenario.
+    /// [`Reident`](AttackKind::Reident) attack.
     ///
     /// # Panics
     /// Panics when the configured attack is not `Reident`.
@@ -233,7 +233,7 @@ impl AttackPipeline {
         let eval = ReidentEval {
             index,
             profiles,
-            top_ks: &self.reident_scenario().config().top_ks,
+            top_ks: &self.reident_config().top_ks,
         };
         match self.evaluate(&eval) {
             AttackOutcome::Reident(o) => o.rid_acc,
