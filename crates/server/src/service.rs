@@ -45,7 +45,7 @@
 //! word.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -119,16 +119,25 @@ pub struct LdpServer {
     pools: Arc<Vec<Mutex<Vec<CompactBatch>>>>,
     /// Round-robin cursor: the next message goes to shard `next % shards`.
     next: AtomicUsize,
+    /// The epoch state, locked across each broadcast of `snapshot` and
+    /// `advance_epoch`: no snapshot sees a rotation half done (reports lost
+    /// or counted twice), and concurrent rotations close epochs in order.
+    epochs: Mutex<Epochs>,
+}
+
+/// What [`LdpServer`] keeps about closed epochs.
+#[derive(Debug)]
+struct Epochs {
     /// Cumulative aggregate over every **closed** epoch. Live shards hold
     /// only the current epoch, so `closed + live shards` is always the full
     /// collection — starting empty, which is why single-epoch callers see
     /// bit-identical snapshots to the pre-epoch server.
-    closed: Mutex<MultidimAggregator>,
+    closed: MultidimAggregator,
     /// Retention ring of the last `config.retain` closed epochs' windowed
     /// snapshots, oldest first.
-    ring: Mutex<VecDeque<EpochSnapshot>>,
+    ring: VecDeque<EpochSnapshot>,
     /// Index of the epoch currently being collected.
-    epoch: AtomicU64,
+    current: u64,
 }
 
 impl LdpServer {
@@ -153,17 +162,18 @@ impl LdpServer {
             );
             txs.push(tx);
         }
-        let closed = Mutex::new(empty.clone());
         LdpServer {
+            epochs: Mutex::new(Epochs {
+                closed: empty.clone(),
+                ring: VecDeque::new(),
+                current: 0,
+            }),
             empty,
             config,
             txs,
             workers,
             pools,
             next: AtomicUsize::new(0),
-            closed,
-            ring: Mutex::new(VecDeque::new()),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -229,18 +239,21 @@ impl LdpServer {
 
     /// Merged view of everything absorbed so far, while ingestion keeps
     /// running: each worker replies with a clone of its owned shard at its
-    /// current queue position (no lock is ever taken). Channel FIFO makes
-    /// the snapshot cover every envelope ingested before this call.
+    /// current queue position. Channel FIFO makes the snapshot cover every
+    /// envelope ingested before this call. Ingestion takes no lock; the
+    /// epoch lock is held across the broadcast, so a snapshot waits for a
+    /// rotation in flight (and the other way round) rather than seeing it
+    /// half done.
     ///
     /// # Panics
     /// Panics when a worker has died.
     pub fn snapshot(&self) -> ServerSnapshot {
+        let epochs = self.epochs.lock().expect("epoch state poisoned");
         let shards = self.broadcast(Msg::Snapshot);
         // Reply order is arbitrary; the merge is exact integer addition, so
         // the snapshot is independent of it. Closed epochs re-enter through
         // the cumulative base (empty until the first rotation).
-        let base = self.closed.lock().expect("epoch state poisoned").clone();
-        ServerSnapshot::merge(base, &shards)
+        ServerSnapshot::merge(epochs.closed.clone(), &shards)
     }
 
     /// Closes the current collection epoch: every worker swaps its shard
@@ -258,23 +271,21 @@ impl LdpServer {
     /// # Panics
     /// Panics when a worker has died.
     pub fn advance_epoch(&self) -> EpochSnapshot {
+        let mut epochs = self.epochs.lock().expect("epoch state poisoned");
         let shards = self.broadcast(|reply| Msg::Rotate {
             fresh: Box::new(self.empty.clone()),
             reply,
         });
         let snapshot = ServerSnapshot::merge(self.empty.clone(), &shards);
-        {
-            let mut closed = self.closed.lock().expect("epoch state poisoned");
-            for shard in &shards {
-                closed.merge(shard);
-            }
+        for shard in &shards {
+            epochs.closed.merge(shard);
         }
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
+        let epoch = epochs.current;
+        epochs.current += 1;
         let entry = EpochSnapshot { epoch, snapshot };
-        let mut ring = self.ring.lock().expect("epoch ring poisoned");
-        ring.push_back(entry.clone());
-        while ring.len() > self.config.retain {
-            ring.pop_front();
+        epochs.ring.push_back(entry.clone());
+        while epochs.ring.len() > self.config.retain {
+            epochs.ring.pop_front();
         }
         entry
     }
@@ -282,18 +293,14 @@ impl LdpServer {
     /// Index of the epoch currently being collected (0 before the first
     /// [`LdpServer::advance_epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.epochs.lock().expect("epoch state poisoned").current
     }
 
     /// The retained closed-epoch snapshots, oldest first — at most
     /// `config.retain` entries (the windowed-query surface).
     pub fn epochs(&self) -> Vec<EpochSnapshot> {
-        self.ring
-            .lock()
-            .expect("epoch ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        let epochs = self.epochs.lock().expect("epoch state poisoned");
+        epochs.ring.iter().cloned().collect()
     }
 
     /// Graceful shutdown: closes every shard channel, waits for the workers
@@ -307,7 +314,7 @@ impl LdpServer {
         let LdpServer {
             txs,
             workers,
-            closed,
+            epochs,
             ..
         } = self;
         drop(txs);
@@ -315,10 +322,10 @@ impl LdpServer {
             .into_iter()
             .map(|worker| worker.join().expect("ingestion worker panicked"))
             .collect();
-        let base = closed
+        let epochs = epochs
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ServerSnapshot::merge(base, &shards)
+        ServerSnapshot::merge(epochs.closed, &shards)
     }
 
     /// Sends `make(reply)` to every shard and collects the one shard state
@@ -392,6 +399,7 @@ mod tests {
     use ldp_protocols::hash::mix2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicU64;
 
     fn envelopes(solution: &DynSolution, n: u64, seed: u64) -> Vec<Envelope> {
         (0..n)
@@ -560,6 +568,50 @@ mod tests {
         }
         assert_eq!(snap.n, 300);
         assert_eq!(snap.aggregator.counts(), reference.counts());
+        server.drain();
+    }
+
+    #[test]
+    fn snapshots_racing_epoch_rotations_count_every_report_once() {
+        // One thread loops "ingest 64 reports, then rotate" while this one
+        // snapshots. A snapshot must cover every report whose ingest
+        // returned before it started, and none whose ingest had not started
+        // by the time it ended: a rotation seen half done breaks one bound.
+        use std::sync::atomic::AtomicBool;
+        const SNAPSHOTS: usize = 20_000;
+        let solution = SolutionKind::Smp(ldp_protocols::ProtocolKind::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        let envs = envelopes(&solution, 64, 31);
+        let server = LdpServer::spawn(solution, ServerConfig::default().shards(3).batch(16));
+        let (started, done, stop) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+        let mut outside = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    started.fetch_add(64, Ordering::SeqCst);
+                    server.ingest_batch(envs.iter().cloned());
+                    done.fetch_add(64, Ordering::SeqCst);
+                    server.advance_epoch();
+                }
+            });
+            for _ in 0..SNAPSHOTS {
+                let floor = done.load(Ordering::SeqCst);
+                let n = server.snapshot().n;
+                let ceiling = started.load(Ordering::SeqCst);
+                if n < floor || n > ceiling {
+                    outside.push((floor, n, ceiling));
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert!(
+            outside.is_empty(),
+            "{} of {SNAPSHOTS} snapshots fell outside their bounds, e.g. \
+             (floor, n, ceiling) = {:?}",
+            outside.len(),
+            &outside[..outside.len().min(3)]
+        );
         server.drain();
     }
 
