@@ -164,9 +164,9 @@ impl AttackKind {
         }
     }
 
-    /// Validates the configuration and builds the runnable attack — the
-    /// single construction path for every scenario (the counterpart of
-    /// `SolutionKind::build`).
+    /// Validates the configuration and builds the runnable attack, with a
+    /// one-thread fit budget — the one validator and the only way to make a
+    /// [`DynAttack`] (the counterpart of `SolutionKind::build`).
     pub fn build(self) -> Result<DynAttack, ProtocolError> {
         match &self {
             AttackKind::Reident(cfg) => {
@@ -383,7 +383,7 @@ impl NumericOutcome {
     }
 }
 
-/// One attack result, covering every scenario's report shape — the adversary
+/// One attack result, covering every family's report shape — the adversary
 /// counterpart of [`SolutionReport`](crate::solutions::SolutionReport).
 #[derive(Debug, Clone)]
 pub enum AttackOutcome {

@@ -18,9 +18,9 @@
 //!
 //! ## Attacks
 //!
-//! * [`attacks`] — the unified adversary layer: every attack behind the
-//!   object-safe [`attacks::Attack`] trait, runtime-selected through
-//!   [`attacks::AttackKind`] / [`attacks::DynAttack`] and reported through
+//! * [`attacks`] — the unified adversary layer: every attack is one
+//!   [`attacks::DynAttack`] value (a validated [`attacks::AttackKind`] plus
+//!   a thread budget) behind the [`attacks::Attack`] trait, reported through
 //!   [`attacks::AttackOutcome`] (the adversary mirror of the
 //!   `SolutionKind`/`DynSolution`/`SolutionReport` collection surface).
 //! * [`profiling`] — multi-collection profiling math (Eqs. 4–5) and profile

@@ -54,7 +54,9 @@ SERVE OPTIONS (plus --scale/--seed/--threads/--out/--quiet from above):
                      aggregate remote `risks produce` sessions instead of
                      sanitizing in-process
     --producers <N>  with --listen: producer sessions to wait for before
-                     the final drain (default 1)
+                     the final drain (default 1); a producer that dies
+                     before its first batch counts as not started, so
+                     restart it to complete the run
     --addr-file <P>  with --listen: write the bound address to file P
                      (how scripts discover an ephemeral port)
     --read-timeout-ms <MS>

@@ -44,7 +44,11 @@ pub struct ServerConfig {
     ///   timeout and the client's longest backoff step (1 s) is reaped from
     ///   the drain count and the epoch barrier, so a hung producer cannot
     ///   wedge either forever. The floor spans one backoff step: a producer
-    ///   whose redials keep failing for longer can still be reaped.
+    ///   whose redials keep failing for longer can still be reaped. A
+    ///   session that did no work (its producer died after HELLO_ACK,
+    ///   before its first batch) is never reaped, however short this
+    ///   timeout: it counts as a producer not yet started, and restarting
+    ///   that producer completes the rendezvous.
     /// * **No withdrawal.** An EPOCH barrier waiter waits for the declared
     ///   fleet less the reaped however long that takes, as
     ///   `WireServer::wait_for_fleet` does.

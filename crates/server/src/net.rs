@@ -203,7 +203,11 @@ impl WireServer {
     /// (clamped to ≥ 1; default 1). A longitudinal fleet must declare its
     /// size before the producers connect — counting live connections
     /// instead would race a late-connecting producer and release the
-    /// barrier early.
+    /// barrier early. A producer that dies after HELLO_ACK but before its
+    /// first batch did no work, so its session is never reaped: without a
+    /// wire identity the server cannot tell it from one not yet connected,
+    /// so it counts as never started, and restarting it completes the
+    /// barrier and [`WireServer::wait_for_fleet`].
     pub fn producers(self, n: usize) -> Self {
         self.shared.fleet().declare(n);
         self
@@ -247,7 +251,10 @@ impl WireServer {
     /// **plus reaped** sessions reach `n`, so a producer that dies past its
     /// retry budget shrinks the rendezvous instead of wedging it. It parks
     /// like a barrier waiter, reaping what falls due (nothing, with a
-    /// [`ServerConfig::read_timeout_ms`] of `0`).
+    /// [`ServerConfig::read_timeout_ms`] of `0`). Only a session that did
+    /// work can be reaped: a producer that died before its first batch
+    /// counts as never started, and this waits until it is restarted (see
+    /// [`WireServer::producers`]).
     pub fn wait_for_fleet(&self, n: usize) {
         let mut fleet = self.shared.fleet();
         while fleet.drained() + fleet.reaped() < n {
