@@ -2,8 +2,8 @@
 //! machine-readable perf trajectory of the serving layer.
 //!
 //! Unlike the Criterion micro-benchmarks, this is a custom harness: it
-//! measures end-to-end reports/sec (client sanitization → bounded-channel
-//! routing → sharded absorb → graceful drain) over a **solution-kind ×
+//! measures end-to-end reports/sec (client sanitization → batch routing →
+//! lock-striped sharded absorb → graceful drain) over a **solution-kind ×
 //! thread matrix** — RS+FD[GRR] (value tuples), SMP[OLH] (hashed reports,
 //! the O(k)-per-report counting path), SPL[OUE] (bit-vector tuples) and
 //! MIXED[GRR+PM] (heterogeneous categorical + numeric fixed-point entries)
@@ -11,8 +11,8 @@
 //! at the workspace root (override with the `BENCH_OUT` env var) so CI can
 //! archive the numbers run over run. `"RS+FD[GRR]/tcp"` rows re-measure the
 //! tuple kind with the reports crossing a real loopback socket through the
-//! `ldp_server::wire` codec, pricing the networked tier against the
-//! in-process channels. `"SPL[OUE]/r4"` rows stream the same population for
+//! `ldp_server::wire` codec, pricing the networked tier against
+//! in-process ingestion. `"SPL[OUE]/r4"` rows stream the same population for
 //! four ε-splitting rounds with an epoch-ring rotation between rounds,
 //! pricing the longitudinal serving path (per-round rebuild at ε/R plus the
 //! shard-swap barrier) against single-round ingestion.
@@ -27,7 +27,7 @@
 //! serving path and its memory stays flat in n, mirroring the server's
 //! `O(Σ_j k_j)` contract.
 //!
-//! The `threads` column drives the server topology (worker/shard count);
+//! The `threads` column drives the server topology (shard count);
 //! producers are capped at the machine's parallelism, and the emitted JSON
 //! records `"cores"` — on a single-core box the matrix demonstrates the
 //! *absence of contention collapse* (rows flat within noise), while real
@@ -110,20 +110,13 @@ fn synth_report(
 /// throughput.
 fn run_once(solution_kind: SolutionKind, ks: &[usize], n: usize, threads: usize) -> Measurement {
     let solution = solution_kind.build(ks, 1.0).expect("bench solution builds");
-    // Short queues keep the in-flight batch memory cache-resident without
-    // throttling anything (the absorb side keeps up with the producers).
-    // The batch grows with the worker count so each worker wake amortizes
-    // enough absorb work to cover its scheduling + cache-rewarm cost — that
-    // cost scales with the number of distinct worker contexts sharing the
-    // machine's cores, the message volume does not need to.
+    // The batch grows with the shard count so each shard lock amortizes
+    // enough absorb work to cover moving the shard's counts between cores.
     let server = LdpServer::spawn(
         solution.clone(),
-        ServerConfig::default()
-            .shards(threads)
-            .queue_depth(8)
-            .batch(512 * threads),
+        ServerConfig::default().shards(threads).batch(512 * threads),
     );
-    // `threads` drives the server topology under test (worker/shard count);
+    // `threads` drives the server topology under test (shard count);
     // the producer fan-out is additionally capped at the machine's actual
     // parallelism — oversubscribing sanitization threads beyond physical
     // cores only adds scheduler churn, which no deployment would do, and
@@ -166,7 +159,7 @@ fn run_once(solution_kind: SolutionKind, ks: &[usize], n: usize, threads: usize)
 
 /// The loopback-socket twin of [`run_once`]: the same synthesized reports
 /// travel as checksummed `CompactBatch` frames through `NetClient` →
-/// 127.0.0.1 TCP → `WireServer` → shard channels, so the row's delta
+/// 127.0.0.1 TCP → `WireServer` → shards, so the row's delta
 /// against the in-process row is exactly the cost of the wire tier
 /// (encode + CRC + syscalls + decode + validate). Reported under
 /// `"<solution>/tcp"` so the in-process scaling tripwires never key on it.
@@ -177,16 +170,13 @@ fn run_once_tcp(
     threads: usize,
 ) -> Measurement {
     let solution = solution_kind.build(ks, 1.0).expect("bench solution builds");
-    // A frame is one channel message, so producers frame at the server's
-    // batch (the listener aborts larger frames).
+    // A frame is absorbed whole, so producers frame at the server's batch
+    // (the listener aborts larger frames).
     let batch = 512 * threads;
     let server = WireServer::bind(
         "127.0.0.1:0",
         solution.clone(),
-        ServerConfig::default()
-            .shards(threads)
-            .queue_depth(8)
-            .batch(batch),
+        ServerConfig::default().shards(threads).batch(batch),
     )
     .expect("loopback listener binds");
     let addr = server.local_addr();
@@ -234,7 +224,7 @@ fn run_once_tcp(
 /// solution is rebuilt at ε/R exactly as `risks serve --rounds` does), with
 /// [`LdpServer::advance_epoch`] closing a windowed snapshot between rounds.
 /// The row's delta against the single-round row is the cost of the epoch
-/// machinery: the per-worker shard swap barrier, the retention-ring push
+/// machinery: the per-shard swap under the epoch lock, the retention-ring push
 /// and the cumulative fold. Reported under `"<solution>/r4"` and measured
 /// in reports/sec over all `n × ROUNDS` absorbed reports.
 fn run_once_rounds(
@@ -251,7 +241,6 @@ fn run_once_rounds(
         solution.clone(),
         ServerConfig::default()
             .shards(threads)
-            .queue_depth(8)
             .batch(512 * threads)
             .retain(ROUNDS),
     );

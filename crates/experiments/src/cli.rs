@@ -94,7 +94,7 @@ the serving process):
                           must still match a clean run bit-for-bit)
 
 `risks serve` sanitizes every user with the seeded per-user rng streams,
-pushes the reports through the bounded-channel ingestion service following
+pushes the reports through the sharded ingestion service following
 the arrival schedule, drains it, and reports reports/sec plus the MAE of
 the drained estimates against the true marginals (the result is
 bit-identical to the batch pipeline at equal seed). With --listen the

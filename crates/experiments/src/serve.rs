@@ -4,8 +4,8 @@
 //!
 //! This is the operational twin of the figure experiments: instead of
 //! reproducing a plot, it exercises the production path — client-side
-//! sanitization following a seeded arrival schedule, bounded-channel
-//! ingestion, sharded aggregation, graceful drain — and reports reports/sec
+//! sanitization following a seeded arrival schedule, lock-striped
+//! sharded aggregation, graceful drain — and reports reports/sec
 //! and the mean absolute error of the drained estimates against the
 //! dataset's true marginals.
 
@@ -167,7 +167,7 @@ pub struct ListenOpts {
 ///
 /// The corpus is materialized only long enough to capture its schema and
 /// true marginals, then dropped **before** the listener binds — the serving
-/// process holds the merged aggregate and per-shard queues, nothing
+/// process holds the aggregator shards and one batch per connection, nothing
 /// proportional to the population, so server RSS stays flat at any `--users`
 /// (the nightly soak pins this).
 pub fn run_serve_listen(

@@ -1,30 +1,27 @@
-//! Server sizing knobs: shard count, queue depth, batch size.
+//! Server sizing knobs: shard count, batch size, epoch retention, and the
+//! wire listener's timeout, auth and ack interval.
 
 use std::time::Duration;
 
 /// Configuration of one [`LdpServer`](crate::LdpServer) instance.
 ///
 /// The defaults are sized for tests and examples; production-shaped runs set
-/// `shards` to the worker-thread budget and leave the bounded queues at their
-/// defaults unless the producer is much burstier than the absorb path.
+/// `shards` to the number of ingesting threads.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads, each owning one aggregator shard. Each channel
-    /// message (a single envelope, a filled batch or a wire frame) goes to
-    /// the next shard round-robin, whole; the exact integer merge makes
-    /// every estimate independent of which shard absorbed what, and of the
-    /// shard count.
+    /// Aggregator shards, each behind its own lock. An ingesting thread
+    /// absorbs each batch (a filled buffer or a wire frame) into one free
+    /// shard, whole; the exact integer merge makes every estimate
+    /// independent of which shard absorbed what, and of the shard count.
+    /// Server memory stays `O(shards · Σ_j k_j + concurrent callers ·
+    /// batch)` no matter how fast clients push: the shards, plus the one
+    /// batch each ingesting caller holds.
     pub shards: usize,
-    /// Capacity of each shard's bounded channel, in *messages* (an ingested
-    /// batch is one message). A full queue blocks the producer — this is the
-    /// backpressure contract: server memory stays
-    /// `O(shards · (queue_depth · batch + Σ_j k_j))` no matter how fast
-    /// clients push.
-    pub queue_depth: usize,
-    /// Reports per channel message: [`LdpServer::ingest_batch`](crate::LdpServer::ingest_batch)
+    /// Reports per absorbed batch: [`LdpServer::ingest_batch`](crate::LdpServer::ingest_batch)
     /// fills buffers of this many envelopes, and the wire listener rejects
     /// any BATCH_SEQ frame of more reports with `ABORT_PROTOCOL`, since a
-    /// frame is queued whole. It is the `batch` of the memory bound above.
+    /// frame is absorbed whole under one shard lock. It is the `batch` of
+    /// the memory bound above.
     pub batch: usize,
     /// How many closed per-epoch snapshots the server retains in its epoch
     /// ring (see [`LdpServer::advance_epoch`](crate::LdpServer::advance_epoch)).
@@ -72,7 +69,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             shards: 2,
-            queue_depth: 64,
             batch: 1024,
             retain: 4,
             read_timeout_ms: 0,
@@ -83,21 +79,21 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the shard / worker-thread count (clamped to ≥ 1).
+    /// Sets the shard count (clamped to ≥ 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Sets the per-shard queue depth in messages (clamped to ≥ 1 so a
-    /// sender can always make progress once a worker drains one message).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
+    /// Does nothing: the server has no queues any more, since callers
+    /// absorb their own batches. Kept only because the `perfbench`
+    /// workloads still call it; it goes once they stop.
+    pub fn queue_depth(self, _depth: usize) -> Self {
         self
     }
 
-    /// Sets the reports-per-message batch size, which is also the largest
-    /// wire frame the listener accepts (clamped to ≥ 1).
+    /// Sets the reports-per-batch size, which is also the largest wire
+    /// frame the listener accepts (clamped to ≥ 1).
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
         self
@@ -138,7 +134,6 @@ impl ServerConfig {
     pub(crate) fn sanitized(&self) -> ServerConfig {
         ServerConfig {
             shards: self.shards.max(1),
-            queue_depth: self.queue_depth.max(1),
             batch: self.batch.max(1),
             retain: self.retain.max(1),
             read_timeout_ms: self.read_timeout_ms,
@@ -156,14 +151,12 @@ mod tests {
     fn builders_clamp_to_valid_ranges() {
         let cfg = ServerConfig::default()
             .shards(0)
-            .queue_depth(0)
             .batch(0)
             .retain(0)
             .read_timeout_ms(250)
             .auth_token(Some("secret".into()))
             .ack_every(0);
         assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.queue_depth, 1);
         assert_eq!(cfg.batch, 1);
         assert_eq!(cfg.retain, 1);
         assert_eq!(cfg.read_timeout_ms, 250);
@@ -175,7 +168,6 @@ mod tests {
     fn sanitized_never_returns_zero_fields() {
         let cfg = ServerConfig {
             shards: 0,
-            queue_depth: 0,
             batch: 0,
             retain: 0,
             read_timeout_ms: 0,
@@ -183,7 +175,7 @@ mod tests {
             ack_every: 0,
         }
         .sanitized();
-        assert!(cfg.shards >= 1 && cfg.queue_depth >= 1 && cfg.batch >= 1 && cfg.retain >= 1);
+        assert!(cfg.shards >= 1 && cfg.batch >= 1 && cfg.retain >= 1);
         assert!(cfg.ack_every >= 1);
     }
 }

@@ -1,14 +1,13 @@
 //! # ldp-server
 //!
-//! The streaming ingestion service of the reproduction: a thread-based
-//! server that accepts per-user sanitized [`SolutionReport`]s through
-//! **bounded** channels — batches travel as compact-encoded, pool-recycled
-//! buffers ([`ldp_core::solutions::CompactBatch`]), so steady-state
-//! ingestion allocates nothing on the channel — shards them across worker
-//! threads that each **own** their [`MultidimAggregator`] (no shared locks;
-//! snapshots and drains are message-passed), and supports merged snapshots
-//! while ingestion is still running ("estimate-while-ingesting") as well as
-//! a graceful [`LdpServer::drain`].
+//! The streaming ingestion service of the reproduction: a server that
+//! accepts per-user sanitized [`SolutionReport`]s from any number of
+//! threads — batches travel as compact-encoded buffers
+//! ([`ldp_core::solutions::CompactBatch`]) — and lets each calling thread
+//! absorb its own batches into one of several lock-striped
+//! [`MultidimAggregator`] shards, one lock per batch. It supports merged
+//! snapshots while ingestion is still running ("estimate-while-ingesting")
+//! as well as a graceful [`LdpServer::drain`].
 //!
 //! This is the §3.1 system model of the paper at service shape: millions of
 //! users continuously push reports, the server never buffers them (each

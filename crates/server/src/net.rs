@@ -1,16 +1,17 @@
 //! The blocking socket front of the ingestion service: a std-only TCP
-//! listener that speaks the [`crate::wire`] protocol and feeds decoded
-//! batches into an [`LdpServer`]'s bounded shard channels.
+//! listener that speaks the [`crate::wire`] protocol and absorbs decoded
+//! batches into an [`LdpServer`]'s shards.
 //!
 //! ## Threading and backpressure
 //!
 //! One OS thread per connection, blocking reads, no async runtime: ingestion
-//! is throughput-bound, and a blocked thread *is* the backpressure. A
-//! handler decodes each BATCH_SEQ against the server's solution as it reads
-//! it ([`CompactBatch::decode_for`]) and hands the checked batch to a shard
-//! whole. When every shard queue is full, `ingest_compact` blocks the
-//! handler, it stops reading, the TCP window closes and the producer's
-//! `write` stalls: flow control reaches the producer with no code between.
+//! is throughput-bound, and a busy thread *is* the backpressure. A handler
+//! decodes each BATCH_SEQ against the server's solution as it reads it
+//! ([`CompactBatch::decode_for`]) and absorbs the checked batch into a
+//! shard whole, on its own thread, before it reads the next frame. While it
+//! absorbs (or waits for a shard lock, when every shard is busy) it stops
+//! reading, the TCP window closes and the producer's `write` stalls: flow
+//! control reaches the producer with no code between.
 //!
 //! ## Sessions and fleet state
 //!
@@ -20,9 +21,11 @@
 //! connections (exactly-once sequencing, resume, reaping, the EPOCH barrier)
 //! live in one `Fleet` behind one mutex and one condvar. A step runs under
 //! that lock and the handler ingests after dropping it, so a handler
-//! blocked on a full shard queue holds nothing another connection needs;
-//! it tells the fleet once the batch is handed over, and a RESUME of its
-//! session waits for that. Parked connections (a barrier waiter, such a
+//! absorbing a batch, or waiting for a shard lock, holds nothing another
+//! connection needs; it tells the fleet once the batch is absorbed, and a
+//! RESUME of its session waits for that. An EPOCH release rotates the
+//! server's epoch under the fleet lock, so the one lock nesting is
+//! fleet → epoch → shard. Parked connections (a barrier waiter, such a
 //! RESUME) and [`WireServer::wait_for_fleet`] share one park loop: each
 //! sleeps on the condvar until a change or the fleet's next reap, then
 //! reaps what is due. Neither the session nor the fleet reads a clock:
@@ -364,7 +367,8 @@ fn drive_connection(
             Step::Read | Step::Wait => Ok(()),
             Step::Reply(frame) => send(&mut writer, &frame),
             Step::Ingest(batch, ack) => {
-                // May block on a full shard queue: the backpressure path.
+                // Absorbed on this thread before the ack, so the ack means
+                // counted; waits only while every shard is busy.
                 server.ingest_compact(batch);
                 session.handed(&mut shared.fleet());
                 shared.changed.notify_all();
@@ -840,7 +844,7 @@ mod tests {
     /// subsets of other than ω strictly ascending members (one report of a
     /// thousand zeros would add 1000 to `C_0(0)`), and SMP[OLH] reports
     /// whose hash range is not the oracle's `g` (they reached
-    /// `Olh::count_hashed`'s debug assert, a worker panic). Each forged
+    /// `Olh::count_hashed`'s debug assert, a panic mid-absorb). Each forged
     /// frame is refused with ABORT_PROTOCOL, and the server keeps serving:
     /// an honest producer's batches around them drain bit-identically to a
     /// clean in-process run.
@@ -966,7 +970,7 @@ mod tests {
 
     #[test]
     fn oversize_frame_is_rejected_whole_and_a_full_batch_frame_is_accepted() {
-        // A frame is queued whole, so the listener caps it at the channel
+        // A frame is absorbed whole, so the listener caps it at the server's
         // batch: one report over aborts the connection before anything is
         // ingested, and a frame of exactly `batch` reports is accepted.
         const BATCH: u64 = 16;

@@ -1,73 +1,48 @@
-//! The ingestion service: bounded channels in, worker-owned shards inside,
-//! merged snapshots out.
+//! The ingestion service: callers fold their own batches into lock-striped
+//! aggregator shards, and merged snapshots come out.
 //!
-//! ## Channel topology
+//! ## Shard topology
 //!
 //! ```text
-//!  producers ──ingest*(round-robin)──►  [SyncSender]───►  worker 0 (owns shard 0)
-//!        (any number of threads;        [SyncSender]───►  worker 1 (owns shard 1)
-//!         senders are Sync —                 …                …
-//!         one LdpServer is shared)      [SyncSender]───►  worker S (owns shard S)
+//!  callers ──ingest*──► try_lock from the round-robin slot ──► Mutex<shard 0 … S-1>
 //! ```
 //!
-//! The routing unit is the channel message, not the report: every message
-//! (a filled batch or a validated wire frame) goes to the next shard of one
-//! round-robin counter, whole. Which shard absorbs a report cannot change
-//! any estimate — the shards hold exact integer counts and sums — so
-//! nothing is ever re-sharded report by report.
+//! The thread that ingests a batch of up to `config.batch` reports absorbs
+//! it ([`MultidimAggregator::absorb_compact`]) under one shard's lock. It
+//! starts at the next slot of one round-robin counter, tries each shard
+//! once, and blocks on its starting shard only when every shard is busy.
+//! Ingest holds one shard lock and nothing else; [`LdpServer::snapshot`]
+//! and [`LdpServer::advance_epoch`] lock the epoch state first, then one
+//! shard at a time, so the only nesting is epoch → shard (fleet → epoch →
+//! shard on the wire tier). A caller returns once its batches are counted:
+//! a fast producer pays for its own absorbing, which is the backpressure.
 //!
-//! Every shard has its own **bounded** `sync_channel`; a full queue blocks
-//! the producer (backpressure), so server-side memory stays flat no matter
-//! how bursty the traffic is. Each worker **owns** its
-//! [`MultidimAggregator`] shard outright — no aggregation state is ever
-//! behind a lock — and every cross-thread interaction is a message: batches
-//! fold straight into the owned shard,
-//! [`LdpServer::snapshot`] requests a clone of each shard through a reply
-//! channel, and [`LdpServer::drain`] collects the shards as the workers'
-//! join values. The shards merge exactly (integer counts), which is what
-//! makes the drained snapshot bit-identical to a batch pass regardless of
-//! shard count and arrival order.
+//! ## Allocation budget and determinism
 //!
-//! ## Allocation budget
-//!
-//! Batched reports cross the channel as
-//! [`CompactBatch`]es — flat `u64` buffers
-//! that the workers recycle back to the producers through bounded
-//! **per-shard** buffer pools after absorbing them (support is counted
-//! directly from the encoded words, never by rematerializing reports).
-//! Steady-state batched ingestion therefore allocates nothing on either
-//! side of the channel (with more than `POOL_SLACK_PER_SHARD` concurrent
-//! producers the overflow buffers are dropped and reallocated — amortized
-//! per batch, never per report). The round-robin counter and the pool
-//! mutexes are the only shared state on the ingest path, each touched once
-//! per *message*; no pool is shared across shards. A validated wire batch
-//! ([`LdpServer::ingest_compact`]) is moved into a queue without copying a
-//! word.
+//! [`LdpServer::ingest_batch`] copies the envelopes' encoded words into one
+//! [`CompactBatch`] per call, reused across its batches;
+//! [`LdpServer::ingest_compact`] absorbs a validated wire batch where it
+//! lies. Support is counted straight from the encoded words. Server memory
+//! is `O(shards · Σ_j k_j + concurrent callers · batch)`. The shards hold
+//! exact integer counts and sums and merge by addition, so which shard
+//! absorbed which batch never shows: every snapshot and the drain are
+//! bit-identical to a batch pass over the same reports, whatever the shard
+//! count, the caller count and the arrival order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use ldp_core::solutions::{CompactBatch, DynSolution, MultidimAggregator, SolutionReport};
 
 use crate::config::ServerConfig;
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 
-/// Recycled batch buffers kept around per shard — sized to cover one
-/// in-flight buffer per concurrent producer for typical producer counts
-/// (≤ 8 per shard). Anything beyond this is simply dropped and lazily
-/// reallocated, so with more producers the recycling degrades to amortized
-/// per-batch (never per-report) allocation; the pool is an optimization,
-/// not a correctness surface.
-const POOL_SLACK_PER_SHARD: usize = 8;
-
 /// One ingested message: the reporting user plus their sanitized report.
 /// The `uid` is carried alongside the report, not used to route it — the
 /// report itself is the only thing the server state ever sees. The report
 /// is already in its encoded words, so [`LdpServer::ingest_batch`] copies
-/// it into a shard buffer without re-encoding it.
+/// it into a batch buffer without re-encoding it.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Stable user identifier (carried into the batch; never a routing key).
@@ -76,35 +51,15 @@ pub struct Envelope {
     pub report: SolutionReport,
 }
 
-/// What flows through a shard channel.
-enum Msg {
-    /// A compact-encoded batch of envelopes, in order.
-    Batch(CompactBatch),
-    /// Reply with a clone of the worker's shard state at this point of its
-    /// queue (the estimate-while-ingesting snapshot protocol).
-    Snapshot(Sender<MultidimAggregator>),
-    /// Epoch rotation: swap the worker's shard for the supplied fresh one
-    /// and hand the closed shard back — the per-epoch windowed-aggregation
-    /// protocol (channel FIFO scopes the closed shard to exactly the
-    /// messages sent before the rotation).
-    Rotate {
-        /// Empty aggregator the worker adopts for the next epoch (boxed:
-        /// it is the largest message and crosses once per epoch).
-        fresh: Box<MultidimAggregator>,
-        /// Where the closed epoch's shard is sent.
-        reply: Sender<MultidimAggregator>,
-    },
-}
-
 /// A running ingestion service over one collection solution.
 ///
-/// Spawn it with [`LdpServer::spawn`], push sanitized reports through
+/// Build it with [`LdpServer::spawn`], push sanitized reports through
 /// [`LdpServer::ingest_batch`], or already-encoded ones through
-/// [`LdpServer::ingest_compact`] (callable from any number of
-/// producer threads — the sender side is `Sync`), observe the
-/// running state with [`LdpServer::snapshot`], and finish with
-/// [`LdpServer::drain`]. See the [module docs](crate::service) for the
-/// channel topology, the allocation budget and the determinism argument.
+/// [`LdpServer::ingest_compact`] (callable from any number of threads at
+/// once), observe the running state with [`LdpServer::snapshot`], and
+/// finish with [`LdpServer::drain`]. See the [module docs](crate::service)
+/// for the shard topology, the allocation budget and the determinism
+/// argument.
 #[derive(Debug)]
 pub struct LdpServer {
     /// An empty aggregator for the server's solution: every shard, epoch
@@ -112,14 +67,12 @@ pub struct LdpServer {
     /// solution handle.
     empty: MultidimAggregator,
     config: ServerConfig,
-    txs: Vec<SyncSender<Msg>>,
-    workers: Vec<JoinHandle<MultidimAggregator>>,
-    /// Per-shard pools of drained batch buffers returned by the workers for
-    /// producer reuse (shard `s`'s worker only ever touches `pools[s]`).
-    pools: Arc<Vec<Mutex<Vec<CompactBatch>>>>,
-    /// Round-robin cursor: the next message goes to shard `next % shards`.
+    /// The live shards, holding the current epoch only; an ingest locks one
+    /// of them per batch.
+    shards: Vec<Mutex<MultidimAggregator>>,
+    /// Round-robin cursor: a batch's shard search starts at `next % shards`.
     next: AtomicUsize,
-    /// The epoch state, locked across each broadcast of `snapshot` and
+    /// The epoch state, locked across every shard visit of `snapshot` and
     /// `advance_epoch`: no snapshot sees a rotation half done (reports lost
     /// or counted twice), and concurrent rotations close epochs in order.
     epochs: Mutex<Epochs>,
@@ -141,28 +94,16 @@ struct Epochs {
 }
 
 impl LdpServer {
-    /// Starts `config.shards` worker threads, each owning one aggregator
-    /// shard behind a bounded channel.
+    /// Builds a server of `config.shards` empty aggregator shards. The name
+    /// is historical: nothing is spawned, since every caller absorbs its
+    /// own batches.
     pub fn spawn(solution: DynSolution, config: ServerConfig) -> Self {
         let config = config.sanitized();
         let empty = solution.aggregator();
-        let pools: Arc<Vec<Mutex<Vec<CompactBatch>>>> =
-            Arc::new((0..config.shards).map(|_| Mutex::new(Vec::new())).collect());
-        let mut txs = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = sync_channel::<Msg>(config.queue_depth);
-            let aggregator = empty.clone();
-            let pools = Arc::clone(&pools);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ldp-shard-{shard}"))
-                    .spawn(move || worker_loop(&rx, aggregator, &pools[shard]))
-                    .expect("cannot spawn ingestion worker"),
-            );
-            txs.push(tx);
-        }
         LdpServer {
+            shards: (0..config.shards)
+                .map(|_| Mutex::new(empty.clone()))
+                .collect(),
             epochs: Mutex::new(Epochs {
                 closed: empty.clone(),
                 ring: VecDeque::new(),
@@ -170,9 +111,6 @@ impl LdpServer {
             }),
             empty,
             config,
-            txs,
-            workers,
-            pools,
             next: AtomicUsize::new(0),
         }
     }
@@ -188,79 +126,75 @@ impl LdpServer {
     }
 
     /// Ingests a batch: the envelopes' report words are copied, in order,
-    /// into one (pool-recycled) buffer of up to `config.batch` reports at a
-    /// time, and each filled buffer is sent whole, as one message. Blocks
-    /// whenever the target shard's queue is full (backpressure). A single
-    /// envelope goes in as `ingest_batch(std::iter::once(envelope))`.
+    /// into one buffer of up to `config.batch` reports at a time, and each
+    /// filled buffer is absorbed into one shard under its lock. The buffer
+    /// is reused across the call's batches. A single envelope goes in as
+    /// `ingest_batch(std::iter::once(envelope))`.
     ///
     /// # Panics
-    /// Panics when a target worker has died (it panicked absorbing an
-    /// earlier report, e.g. one of a foreign solution's shape).
+    /// Panics with the aggregator's own message when a report's shape does
+    /// not belong to this server's solution. That poisons the shard it was
+    /// absorbed into, and every later call that reaches that shard panics
+    /// naming it.
     pub fn ingest_batch(&self, envelopes: impl IntoIterator<Item = Envelope>) {
-        let mut envelopes = envelopes.into_iter().peekable();
-        while envelopes.peek().is_some() {
-            self.send(|shard| {
-                let mut buffer = self.pooled_buffer(shard);
-                for Envelope { uid, report } in envelopes.by_ref().take(self.config.batch) {
-                    buffer.push(uid, &report);
-                }
-                Msg::Batch(buffer)
-            });
+        let mut envelopes = envelopes.into_iter();
+        let mut batch = CompactBatch::new();
+        loop {
+            batch.clear();
+            for Envelope { uid, report } in envelopes.by_ref().take(self.config.batch) {
+                batch.push(uid, &report);
+            }
+            if batch.is_empty() {
+                return;
+            }
+            self.any_shard().absorb_compact(&batch);
         }
     }
 
-    /// Ingests an already-encoded batch by moving it, whole, into one
-    /// shard's queue: no report is decoded or copied, and the drain is
+    /// Ingests an already-encoded batch by absorbing it, whole, into one
+    /// shard: no report is decoded or copied, and the drain is
     /// bit-identical to `ingest_batch(batch.iter())`. This is the wire
     /// tier's entry: the batch must already have been checked against this
     /// server's solution ([`CompactBatch::decode_for`], which the wire tier
     /// decodes with, or [`CompactBatch::validate_for_solution`]) or been
-    /// built locally with [`CompactBatch::push`] — the workers' counting
-    /// path only debug-asserts domains. The batch is one queued message
-    /// whatever its length, so the caller bounds it; the wire tier rejects
-    /// any frame of more than `config.batch` reports.
+    /// built locally with [`CompactBatch::push`] — the counting path only
+    /// debug-asserts domains. The batch holds its shard's lock for its
+    /// whole length, so the caller bounds it; the wire tier rejects any
+    /// frame of more than `config.batch` reports.
     ///
     /// # Panics
-    /// Panics when the target worker has died.
+    /// As [`LdpServer::ingest_batch`]: on a foreign-shaped report, which
+    /// poisons its shard, and on reaching a shard poisoned before.
     pub fn ingest_compact(&self, batch: CompactBatch) {
-        self.send(|_| Msg::Batch(batch));
-    }
-
-    /// The one send path behind every ingest entry: picks the next shard
-    /// round-robin, builds the message for it (`make` gets the shard, so a
-    /// batch can be filled in that shard's pooled buffer) and sends it,
-    /// blocking while the shard's queue is full.
-    fn send(&self, make: impl FnOnce(usize) -> Msg) {
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.txs.len();
-        self.txs[shard]
-            .send(make(shard))
-            .expect("ingestion worker disconnected (did it panic?)");
+        self.any_shard().absorb_compact(&batch);
     }
 
     /// Merged view of everything absorbed so far, while ingestion keeps
-    /// running: each worker replies with a clone of its owned shard at its
-    /// current queue position. Channel FIFO makes the snapshot cover every
-    /// envelope ingested before this call. Ingestion takes no lock; the
-    /// epoch lock is held across the broadcast, so a snapshot waits for a
-    /// rotation in flight (and the other way round) rather than seeing it
-    /// half done.
+    /// running: the closed epochs' aggregate plus each live shard, merged
+    /// under its lock in turn. It covers every batch whose ingest returned
+    /// before this call. The epoch lock is held across the shard visits, so
+    /// a snapshot waits for a rotation in flight (and the other way round)
+    /// rather than seeing it half done.
     ///
     /// # Panics
-    /// Panics when a worker has died.
+    /// Panics naming a shard that an earlier ingest poisoned.
     pub fn snapshot(&self) -> ServerSnapshot {
-        let epochs = self.epochs.lock().expect("epoch state poisoned");
-        let shards = self.broadcast(Msg::Snapshot);
-        // Reply order is arbitrary; the merge is exact integer addition, so
-        // the snapshot is independent of it. Closed epochs re-enter through
-        // the cumulative base (empty until the first rotation).
-        ServerSnapshot::merge(epochs.closed.clone(), &shards)
+        let merged = {
+            let epochs = self.epoch_state();
+            let mut merged = epochs.closed.clone();
+            for shard in 0..self.shards.len() {
+                merged.merge(&self.lock(shard));
+            }
+            merged
+        };
+        ServerSnapshot::from_aggregator(merged, self.shards.len())
     }
 
-    /// Closes the current collection epoch: every worker swaps its shard
-    /// for a fresh one (channel FIFO scopes the closed shards to exactly
-    /// the envelopes ingested before this call), the closed shards merge
-    /// into one windowed [`EpochSnapshot`] pushed onto the retention ring,
-    /// and their counts fold into the cumulative aggregate so
+    /// Closes the current collection epoch: every shard is swapped for a
+    /// fresh one under its lock (so the closed shards hold exactly the
+    /// batches absorbed before the swap), the closed shards merge into one
+    /// windowed [`EpochSnapshot`] pushed onto the retention ring, and their
+    /// counts fold into the cumulative aggregate so
     /// [`LdpServer::snapshot`] / [`LdpServer::drain`] keep covering the full
     /// collection. Returns the closed epoch's snapshot.
     ///
@@ -269,13 +203,15 @@ impl LdpServer {
     /// (see `ldp_server::net`) does exactly that for remote fleets.
     ///
     /// # Panics
-    /// Panics when a worker has died.
+    /// Panics naming a shard that an earlier ingest poisoned.
     pub fn advance_epoch(&self) -> EpochSnapshot {
-        let mut epochs = self.epochs.lock().expect("epoch state poisoned");
-        let shards = self.broadcast(|reply| Msg::Rotate {
-            fresh: Box::new(self.empty.clone()),
-            reply,
-        });
+        let mut epochs = self.epoch_state();
+        let shards: Vec<MultidimAggregator> = (0..self.shards.len())
+            .map(|shard| {
+                let fresh = self.empty.clone();
+                std::mem::replace(&mut *self.lock(shard), fresh)
+            })
+            .collect();
         let snapshot = ServerSnapshot::merge(self.empty.clone(), &shards);
         for shard in &shards {
             epochs.closed.merge(shard);
@@ -293,103 +229,70 @@ impl LdpServer {
     /// Index of the epoch currently being collected (0 before the first
     /// [`LdpServer::advance_epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.epochs.lock().expect("epoch state poisoned").current
+        self.epoch_state().current
     }
 
     /// The retained closed-epoch snapshots, oldest first — at most
     /// `config.retain` entries (the windowed-query surface).
     pub fn epochs(&self) -> Vec<EpochSnapshot> {
-        let epochs = self.epochs.lock().expect("epoch state poisoned");
-        epochs.ring.iter().cloned().collect()
+        self.epoch_state().ring.iter().cloned().collect()
     }
 
-    /// Graceful shutdown: closes every shard channel, waits for the workers
-    /// to absorb their remaining queue, and merges the shard states they
-    /// hand back as join values. Bit-identical to a batch pass over every
-    /// ingested report.
+    /// Final merge: takes every shard out of its mutex and merges them with
+    /// the closed epochs. Bit-identical to a batch pass over every ingested
+    /// report.
     ///
     /// # Panics
-    /// Panics when a worker thread panicked.
+    /// Panics naming a shard that an earlier ingest poisoned.
     pub fn drain(self) -> ServerSnapshot {
-        let LdpServer {
-            txs,
-            workers,
-            epochs,
-            ..
-        } = self;
-        drop(txs);
-        let shards: Vec<MultidimAggregator> = workers
+        let shards: Vec<MultidimAggregator> = self
+            .shards
             .into_iter()
-            .map(|worker| worker.join().expect("ingestion worker panicked"))
+            .enumerate()
+            .map(|(shard, lock)| lock.into_inner().unwrap_or_else(|_| poisoned(shard)))
             .collect();
-        let epochs = epochs
+        let epochs = self
+            .epochs
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         ServerSnapshot::merge(epochs.closed, &shards)
     }
 
-    /// Sends `make(reply)` to every shard and collects the one shard state
-    /// each worker replies with, in arbitrary order. Channel FIFO puts each
-    /// message behind everything already queued on its shard.
-    fn broadcast(
-        &self,
-        make: impl Fn(Sender<MultidimAggregator>) -> Msg,
-    ) -> Vec<MultidimAggregator> {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(make(reply_tx.clone()))
-                .expect("ingestion worker disconnected (did it panic?)");
+    /// Locks a shard for one batch: tries each shard once, starting at the
+    /// round-robin slot, and blocks on the starting shard only when every
+    /// shard is busy.
+    fn any_shard(&self) -> MutexGuard<'_, MultidimAggregator> {
+        let start = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        for shard in (start..self.shards.len()).chain(0..start) {
+            match self.shards[shard].try_lock() {
+                Ok(guard) => return guard,
+                Err(TryLockError::WouldBlock) => {}
+                Err(TryLockError::Poisoned(_)) => poisoned(shard),
+            }
         }
-        drop(reply_tx);
-        (0..self.txs.len())
-            .map(|_| reply_rx.recv().expect("ingestion worker dropped a reply"))
-            .collect()
+        self.lock(start)
     }
 
-    /// A cleared batch buffer for `shard`, recycled from its pool when one
-    /// is available.
-    fn pooled_buffer(&self, shard: usize) -> CompactBatch {
-        self.pools[shard]
+    /// Blocks until `shard` is free and locks it.
+    fn lock(&self, shard: usize) -> MutexGuard<'_, MultidimAggregator> {
+        self.shards[shard]
             .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default()
+            .unwrap_or_else(|_| poisoned(shard))
+    }
+
+    /// The epoch state. Its lock only poisons when a snapshot or rotation
+    /// panics on a poisoned shard, before the state is written, so the
+    /// state behind a poisoned lock is still whole.
+    fn epoch_state(&self) -> MutexGuard<'_, Epochs> {
+        self.epochs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// One worker: receive messages in order, fold reports into the **owned**
-/// shard, recycle drained batch buffers, answer snapshot and rotation
-/// requests. Exits when every sender is gone, handing the shard back as the
-/// thread's join value.
-fn worker_loop(
-    rx: &Receiver<Msg>,
-    mut aggregator: MultidimAggregator,
-    pool: &Mutex<Vec<CompactBatch>>,
-) -> MultidimAggregator {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Batch(mut batch) => {
-                aggregator.absorb_compact(&batch);
-                // Back to the shard's pool for producer reuse; a full pool
-                // simply drops it (the pool is an optimization, not a
-                // correctness surface).
-                batch.clear();
-                if let Ok(mut pool) = pool.lock() {
-                    if pool.len() < POOL_SLACK_PER_SHARD {
-                        pool.push(batch);
-                    }
-                }
-            }
-            Msg::Snapshot(reply) => {
-                let _ = reply.send(aggregator.clone());
-            }
-            Msg::Rotate { fresh, reply } => {
-                let closed = std::mem::replace(&mut aggregator, *fresh);
-                let _ = reply.send(closed);
-            }
-        }
-    }
-    aggregator
+/// Panics naming a shard whose lock is poisoned: an ingest panicked while
+/// absorbing into it (on a report of a foreign solution's shape), so its
+/// counts are no longer trustworthy.
+fn poisoned(shard: usize) -> ! {
+    panic!("aggregator shard {shard} is poisoned: an earlier ingest panicked absorbing into it")
 }
 
 #[cfg(test)]
@@ -455,15 +358,12 @@ mod tests {
     }
 
     #[test]
-    fn single_envelope_ingest_works_under_backpressure() {
-        // Tiny queue + tiny batches: every send exercises the bounded path.
+    fn single_envelope_ingest_takes_a_shard_lock_per_report() {
+        // One-report batches: every report is its own locked absorb.
         let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
-        let server = LdpServer::spawn(
-            solution.clone(),
-            ServerConfig::default().shards(2).queue_depth(1).batch(1),
-        );
+        let server = LdpServer::spawn(solution.clone(), ServerConfig::default().shards(2).batch(1));
         for e in envelopes(&solution, 200, 11) {
             server.ingest_batch(std::iter::once(e));
         }
@@ -472,8 +372,8 @@ mod tests {
 
     #[test]
     fn mixed_single_and_batched_ingest_absorb_everything() {
-        // One-report batches and full batches interleave on the same shard
-        // queues.
+        // One-report batches and full batches interleave on the same
+        // shards.
         let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
@@ -616,30 +516,117 @@ mod tests {
     }
 
     #[test]
-    fn batch_buffers_are_recycled_through_the_pool() {
+    fn callers_outnumbering_shards_wait_and_count_every_report_once() {
+        // Six `ingest_batch` callers and one `ingest_compact` caller share
+        // two shards, so callers find both busy and wait, while this thread
+        // snapshots. A snapshot must cover every report whose ingest
+        // returned before it started, none whose ingest had not started by
+        // the time it ended, and never fewer than the snapshot before it.
+        const CALLERS: u64 = 6;
+        const PER_CALLER: u64 = 3_000;
         let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
-        let server = LdpServer::spawn(
-            solution.clone(),
-            ServerConfig::default().shards(2).batch(16),
-        );
-        server.ingest_batch(envelopes(&solution, 256, 17));
-        // A snapshot queues behind every batch, so once it returns the
-        // workers have handed their drained buffers back.
-        server.snapshot();
-        let pooled = |server: &LdpServer| -> usize {
-            server.pools.iter().map(|p| p.lock().unwrap().len()).sum()
-        };
+        let total = (CALLERS + 1) * PER_CALLER;
+        let envs = envelopes(&solution, total, 37);
+        let (by_batch, by_compact) = envs.split_at((CALLERS * PER_CALLER) as usize);
+        let prebuilt: Vec<CompactBatch> = by_compact
+            .chunks(8)
+            .map(|chunk| {
+                let mut batch = CompactBatch::new();
+                for e in chunk {
+                    batch.push(e.uid, &e.report);
+                }
+                batch
+            })
+            .collect();
+        let server = LdpServer::spawn(solution.clone(), ServerConfig::default().shards(2).batch(8));
+        let (started, done) = (AtomicU64::new(0), AtomicU64::new(0));
+        // Every caller starts at once, so they overlap on the two shards.
+        let go = std::sync::Barrier::new(CALLERS as usize + 1);
+        let mut outside = Vec::new();
+        let mut snapshots = 0usize;
+        std::thread::scope(|scope| {
+            let mut callers = Vec::new();
+            for slice in by_batch.chunks(PER_CALLER as usize) {
+                let (server, started, done, go) = (&server, &started, &done, &go);
+                callers.push(scope.spawn(move || {
+                    go.wait();
+                    for chunk in slice.chunks(24) {
+                        started.fetch_add(chunk.len() as u64, Ordering::SeqCst);
+                        server.ingest_batch(chunk.iter().cloned());
+                        done.fetch_add(chunk.len() as u64, Ordering::SeqCst);
+                    }
+                }));
+            }
+            callers.push(scope.spawn(|| {
+                go.wait();
+                for batch in &prebuilt {
+                    started.fetch_add(batch.len() as u64, Ordering::SeqCst);
+                    server.ingest_compact(batch.clone());
+                    done.fetch_add(batch.len() as u64, Ordering::SeqCst);
+                }
+            }));
+            let mut last = 0;
+            loop {
+                let floor = done.load(Ordering::SeqCst);
+                let n = server.snapshot().n;
+                let ceiling = started.load(Ordering::SeqCst);
+                snapshots += 1;
+                if n < floor || n > ceiling || n < last {
+                    outside.push((last, floor, n, ceiling));
+                }
+                last = n;
+                // A caller that panicked stops short of `total`; the scope
+                // re-raises its panic once the loop ends.
+                if floor == total || callers.iter().all(|c| c.is_finished()) {
+                    break;
+                }
+            }
+        });
         assert!(
-            pooled(&server) > 0,
-            "drained batch buffers must land back in the pools"
+            outside.is_empty(),
+            "{} of {snapshots} snapshots fell outside their bounds, e.g. \
+             (previous, floor, n, ceiling) = {:?}",
+            outside.len(),
+            &outside[..outside.len().min(3)]
         );
-        // A second pass reuses them rather than growing the pools without
-        // bound (each shard's pool is individually capped).
-        server.ingest_batch(envelopes(&solution, 256, 18));
-        server.snapshot();
-        assert!(pooled(&server) <= server.config.shards * POOL_SLACK_PER_SHARD);
-        assert_eq!(server.drain().n, 512);
+        let mut reference = solution.aggregator();
+        for e in &envs {
+            reference.absorb(&e.report);
+        }
+        let snap = server.drain();
+        assert_eq!(snap.n, total);
+        assert_eq!(snap.aggregator.counts(), reference.counts());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match this aggregator's solution")]
+    fn a_foreign_shaped_report_panics_its_own_caller() {
+        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        let foreign = SolutionKind::Smp(ldp_protocols::ProtocolKind::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        let server = LdpServer::spawn(solution, ServerConfig::default().shards(1));
+        server.ingest_batch(envelopes(&foreign, 1, 41));
+    }
+
+    #[test]
+    #[should_panic(expected = "aggregator shard 0 is poisoned")]
+    fn later_calls_name_the_poisoned_shard() {
+        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        let foreign = SolutionKind::Smp(ldp_protocols::ProtocolKind::Grr)
+            .build(&[4, 3], 1.0)
+            .unwrap();
+        let server = LdpServer::spawn(solution.clone(), ServerConfig::default().shards(1));
+        let poisoning = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.ingest_batch(envelopes(&foreign, 1, 43));
+        }));
+        assert!(poisoning.is_err(), "a foreign-shaped report must panic");
+        server.ingest_batch(envelopes(&solution, 1, 47));
     }
 }

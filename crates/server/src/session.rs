@@ -141,8 +141,9 @@ impl ServerSession {
                 Ok(None) => self.wait(frame),
                 Err(why) => refusal(why, session, last_acked),
             },
-            // The snapshot queues behind every batch this connection
-            // ingested, so it covers them without a barrier of its own.
+            // Every batch this connection ingested was absorbed before this
+            // frame was read, so the snapshot covers them without a barrier
+            // of its own.
             Frame::SnapshotRequest { .. } => Step::Snapshot,
             Frame::Epoch { round } => match fleet.epoch(token, round) {
                 Epoch::Ack(round) => Step::Reply(Frame::Epoch { round }),
@@ -585,7 +586,7 @@ mod tests {
     //! `read_checked_frame`; it drops, truncates, delays, duplicates and
     //! resets first transmissions as `ldp_sim::NetClient`'s fault plans do,
     //! resets connections under the server's replies, stalls handlers on a
-    //! full shard queue, and time is virtual, so backoff sleeps, read
+    //! busy shard lock, and time is virtual, so backoff sleeps, read
     //! timeouts, stalls and reaping cost nothing. Some producers hang or
     //! crash, skip a sequence number, or claim more than was acked when they
     //! resume.
@@ -655,8 +656,8 @@ mod tests {
     enum Handler {
         /// Reading since then; the read deadline counts from it.
         Reading(Duration),
-        /// Handing an ingested batch to a full shard queue until then;
-        /// the ack, if due, goes out after.
+        /// Absorbing an ingested batch, behind a busy shard lock, until
+        /// then; the ack, if due, goes out after.
         Handing(Duration, CompactBatch, Option<Frame>),
         /// Parked at the EPOCH barrier, or a RESUME behind a handoff.
         Waiting(Park),
@@ -761,7 +762,7 @@ mod tests {
         fault_rate: u32,
         /// Percent of server replies whose connection resets under them.
         reset_rate: u32,
-        /// Percent of ingests that stall on a full shard queue.
+        /// Percent of ingests that stall on a busy shard lock.
         stall_rate: u32,
         /// The park of the thread in `wait_for_fleet`.
         rendezvous: Park,

@@ -268,8 +268,8 @@ pub enum Frame {
     SnapshotRequest {
         /// Kept so the frame bytes stay those of wire version 2; it has no
         /// effect. Every snapshot already covers everything the producer
-        /// sent before the request, because it queues behind those batches
-        /// on each shard.
+        /// sent before the request, because the connection absorbed those
+        /// batches before it read the request.
         quiesce: bool,
     },
     /// Server → client incremental snapshot of the merged estimates.
@@ -866,9 +866,9 @@ fn decode_payload(
 }
 
 /// The server's batch decoder: [`CompactBatch::decode_for`] for a batch of
-/// at most `max_batch` reports. A frame is queued whole, so one of more
-/// reports is refused, since it would break the `shards · queue_depth ·
-/// batch` memory bound. Its report count is read from the batch header, so
+/// at most `max_batch` reports. A frame is absorbed whole, under one shard
+/// lock, so one of more reports is refused, since it would break the
+/// `concurrent callers · batch` term of the server's memory bound. Its report count is read from the batch header, so
 /// the refusal skips the solution's rules; only the structural walk runs
 /// first, since a structural fault outranks every other refusal of a batch
 /// (as in [`CompactBatch::decode_for`]).

@@ -22,9 +22,10 @@
 //! transmissions; that is how tests and `risks produce --fault-plan`
 //! exercise the reconnect path reproducibly.
 //!
-//! Backpressure needs no client-side code: when the server's shard queues
-//! fill, the TCP window closes and the write inside [`NetClient::push`]
-//! blocks until the server catches up.
+//! Backpressure needs no client-side code: while the server's connection
+//! handler absorbs a frame it reads nothing, so when absorbing falls behind
+//! the TCP window closes and the write inside [`NetClient::push`] blocks
+//! until the server catches up.
 
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -36,8 +37,8 @@ use ldp_server::wire::{auth_fingerprint, read_frame, Frame, WireError, WireSnaps
 
 use crate::fault::{transmit, FaultInjector, FaultPlan};
 
-/// Default reports per BATCH_SEQ frame — the server's default
-/// channel-message batch (`ServerConfig::batch`), the largest frame a
+/// Default reports per BATCH_SEQ frame — the server's default batch
+/// (`ServerConfig::batch`), the largest frame a
 /// default server accepts.
 const DEFAULT_BATCH: usize = 1024;
 

@@ -431,14 +431,14 @@ impl CollectionPipeline {
 
     /// The streamed twin of [`CollectionPipeline::run_rounds`]: spins up an
     /// [`LdpServer`] with one shard per configured thread and pushes every
-    /// user's sanitized report through its bounded channels, each round
+    /// user's sanitized report into its shards, each round
     /// following its own arrival schedule
     /// ([`TrafficGenerator::waves_for_round`]). With more than one round,
     /// each round is closed with [`LdpServer::advance_epoch`] and the last
     /// `retain` windowed epoch snapshots are kept; a single round closes no
-    /// epoch. The configured thread count drives **both** sides of the
-    /// channel: each wave is sanitized by up to `threads` concurrent
-    /// producers feeding `threads` aggregator shards.
+    /// epoch. The configured thread count drives **both** sides: each wave
+    /// is sanitized by up to `threads` concurrent producers, which absorb
+    /// their own batches into `threads` aggregator shards.
     ///
     /// Per-user randomness derives from the same streams as `run_rounds`,
     /// every user arrives exactly once per round whatever the traffic

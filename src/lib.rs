@@ -16,8 +16,8 @@
 //! * [`core`] — multidimensional solutions (SPL/SMP/RS+FD/RS+RFD), the
 //!   unified adversary layer (`core::attacks`), the re-identification and
 //!   attribute-inference attacks, the PIE model.
-//! * [`server`] — the traffic-shaped streaming ingestion service: bounded
-//!   channels, sharded aggregators, estimate-while-ingesting snapshots and
+//! * [`server`] — the traffic-shaped streaming ingestion service:
+//!   lock-striped aggregator shards, estimate-while-ingesting snapshots and
 //!   graceful drain ([`server::LdpServer`]).
 //! * [`sim`] — the multi-survey campaign engine, the streaming
 //!   [`CollectionPipeline`](sim::CollectionPipeline), the sharded
@@ -89,7 +89,7 @@
 //! a seeded [`TrafficGenerator`](sim::TrafficGenerator) schedules arrivals
 //! (steady, burst, ramp, churn) and
 //! [`CollectionPipeline::serve_rounds`](sim::CollectionPipeline::serve_rounds)
-//! pushes the sanitized reports through the bounded-channel
+//! pushes the sanitized reports into the sharded
 //! [`LdpServer`](server::LdpServer) — bit-identical to the batch `run` at
 //! equal seed. Every collection call takes a round count and a
 //! [`BudgetPolicy`](sim::BudgetPolicy); a single round is `rounds = 1`:

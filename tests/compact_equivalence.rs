@@ -3,13 +3,13 @@
 //! report shape exactly, and (2) aggregation straight from the encoded words
 //! (`MultidimAggregator::absorb_compact`) is **bit-identical** to absorbing
 //! the original `SolutionReport`s — counts, estimates and normalized
-//! estimates alike. This is what licenses the ingestion service to move
-//! pooled flat buffers across its channels instead of heap-owning reports.
+//! estimates alike. This is what licenses the ingestion service to absorb
+//! flat buffers instead of heap-owning reports.
 //! (3) Handing each frame of a batch to one shard whole
 //! (`LdpServer::ingest_compact`) drains bit-identically to batching the
 //! decoded reports (`LdpServer::ingest_batch`) and to a serial absorb, and
 //! snapshots cover exactly the frames sent before them, which is what licenses
-//! the wire tier to queue frames without decoding or copying them. (4) The
+//! the wire tier to absorb frames without decoding or copying them. (4) The
 //! word-parallel bit-vector tally inside `absorb_compact` counts exactly at
 //! its edges: byte lanes saturated by all-ones reports, flushes at every
 //! 255 entries, domain widths on and around word boundaries, and batches
@@ -335,8 +335,8 @@ fn frame_routing_drains_bit_identically_to_report_routing() {
 
         for shards in [1usize, 2, 3, 8] {
             let label = format!("{kind} shards={shards}");
-            // A channel batch smaller than a frame: `ingest_batch` sends
-            // several messages per call, `ingest_compact` one per frame.
+            // A server batch smaller than a frame: `ingest_batch` absorbs
+            // several batches per call, `ingest_compact` one per frame.
             let config = ServerConfig::default().shards(shards).batch(16);
 
             let by_frames = LdpServer::spawn(solution.clone(), config.clone());

@@ -8,10 +8,11 @@
 //! cargo test --release --test soak -- --ignored --nocapture
 //! ```
 //!
-//! Memory is held flat on *both* sides of the channel: tuples are
+//! Memory is held flat on *both* sides of the server: tuples are
 //! synthesized from the uid on the fly (no dataset materialization), waves
-//! are produced lazily, the channels are bounded, and the server folds every
-//! report into `O(shards · Σ_j k_j)` support counts on arrival. The test
+//! are produced lazily, each producer holds one batch at a time, and the
+//! server folds every report into `O(shards · Σ_j k_j)` support counts on
+//! arrival. The test
 //! asserts the structural side of that contract (state size independent of
 //! n) and, best-effort on Linux, that process RSS does not grow with the
 //! population.
