@@ -297,7 +297,7 @@ impl WireServer {
 impl Drop for WireServer {
     fn drop(&mut self) {
         // A dropped-without-finish server still tears its threads down; the
-        // inner LdpServer then drains unobserved when the last Arc goes.
+        // inner LdpServer's shards are then dropped with the last Arc.
         self.shutdown_listener();
     }
 }

@@ -38,8 +38,7 @@ use ldp_server::wire::{auth_fingerprint, read_frame, Frame, WireError, WireSnaps
 use crate::fault::{transmit, FaultInjector, FaultPlan};
 
 /// Default reports per BATCH_SEQ frame — the server's default batch
-/// (`ServerConfig::batch`), the largest frame a
-/// default server accepts.
+/// (`ServerConfig::batch`), the largest frame a default server accepts.
 const DEFAULT_BATCH: usize = 1024;
 
 /// Client-side wire behavior: auth, deadlines, reconnect policy, replay
