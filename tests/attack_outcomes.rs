@@ -17,7 +17,7 @@ use ldp_core::NumericKind;
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::mixed::mixed_survey_like;
 use ldp_gbdt::{GbdtParams, LogisticParams};
-use ldp_protocols::ProtocolKind;
+use ldp_protocols::{ProtocolKind, UeMode};
 use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline, Population};
 
 const SEED: u64 = 29;
@@ -190,6 +190,29 @@ fn cases() -> Vec<(String, String)> {
             );
         }
     }
+    // The GBDT arm on what the loop above leaves to the logistic classifier
+    // or to a whole synthetic factor: HM's synthetic-then-compromised row
+    // order, a fractional factor, and RS+FD[OUE-z]'s unary lanes.
+    let gbdt = |model| {
+        AttackKind::SampledAttribute(InferenceConfig {
+            model,
+            classifier: small_gbdt(),
+        })
+    };
+    case(
+        "aif HM rsfd gbdt",
+        run(rsfd, 4.0, gbdt(models[2].1), &adult, 1, split),
+    );
+    let nk_fractional = AttackModel::NoKnowledge { synth_factor: 2.5 };
+    case(
+        "aif NK rsfd s=2.5",
+        run(rsfd, 4.0, gbdt(nk_fractional), &adult, 1, split),
+    );
+    let oue_z = SolutionKind::RsFd(RsFdProtocol::UeZ(UeMode::Optimized));
+    case(
+        "aif NK rsfd[oue-z]",
+        run(oue_z, 4.0, gbdt(models[0].1), &adult, 1, split),
+    );
     case(
         "pie smp",
         run(
@@ -231,7 +254,9 @@ fn cases() -> Vec<(String, String)> {
 }
 
 /// Recorded before the attack layer was collapsed into one `DynAttack`
-/// value; PIE decisions print `PassThrough` as the bits of -1.0.
+/// value, the three GBDT inference rows after it and before the NK fit
+/// streamed its synthetic profiles into the feature rows; PIE decisions
+/// print `PassThrough` as the bits of -1.0.
 const PINNED: &[(&str, &str)] = &[
     ("reident FK smp", "rid ks=[1, 10] acc=[4011555555555555,4038555555555555] base=[3fd5555555555555,400aaaaaaaaaaaab] n=300"),
     ("reident PK smp", "rid ks=[1, 10] acc=[4002aaaaaaaaaaab,402c000000000000] base=[3fd5555555555555,400aaaaaaaaaaaab] n=300"),
@@ -242,6 +267,9 @@ const PINNED: &[(&str, &str)] = &[
     ("aif NK rsrfd", "aif acc=4030000000000000 base=4024000000000000 train=300 test=300"),
     ("aif PK rsrfd", "aif acc=402d861861861862 base=4024000000000000 train=90 test=210"),
     ("aif HM rsrfd", "aif acc=4033861861861862 base=4024000000000000 train=390 test=210"),
+    ("aif HM rsfd gbdt", "aif acc=40319e79e79e79e8 base=4024000000000000 train=390 test=210"),
+    ("aif NK rsfd s=2.5", "aif acc=4038aaaaaaaaaaab base=4024000000000000 train=750 test=300"),
+    ("aif NK rsfd[oue-z]", "aif acc=4031aaaaaaaaaaab base=4024000000000000 train=300 test=300"),
     ("pie smp", "pie beta=3fe3333333333333 alpha=4002550c5b81423d decisions=[3ff969f244509f96,3ff969f244509f96,3ff969f244509f96,3ff969f244509f96,3ff969f244509f96,3ff969f244509f96,3ff969f244509f96,bff0000000000000,3ff969f244509f96,bff0000000000000]"),
     ("numeric mixed", "num acc=404e400000000000 base=404c600000000000 buckets=4 n=400 observed=142"),
     ("averaging split", "rid ks=[1, 10] acc=[4019555555555555,4037000000000000] base=[3fd5555555555555,400aaaaaaaaaaaab] n=300"),
