@@ -185,8 +185,9 @@ impl AttackKind {
                 }
                 // The NK chaining step for fake-data solutions trains on
                 // synthetic profiles only; 0 would leave it with an empty
-                // training set.
-                if cfg.synth_factor <= 0.0 || cfg.synth_factor.is_nan() {
+                // training set, and an infinite factor asks for endless
+                // profiles.
+                if !(cfg.synth_factor > 0.0 && cfg.synth_factor.is_finite()) {
                     return Err(ProtocolError::InvalidProbability(cfg.synth_factor));
                 }
                 if let BackgroundKnowledge::Partial(attrs) = &cfg.background {
@@ -199,9 +200,9 @@ impl AttackKind {
             }
             AttackKind::SampledAttribute(cfg) => match cfg.model {
                 // NK trains on synthetic profiles only: the factor must be
-                // positive or the training set is empty.
+                // positive or the training set is empty, and finite.
                 AttackModel::NoKnowledge { synth_factor } => {
-                    if synth_factor <= 0.0 || synth_factor.is_nan() {
+                    if !(synth_factor > 0.0 && synth_factor.is_finite()) {
                         return Err(ProtocolError::InvalidProbability(synth_factor));
                     }
                 }
@@ -215,13 +216,14 @@ impl AttackKind {
                         return Err(ProtocolError::InvalidProbability(compromised_frac));
                     }
                 }
-                // HM needs a positive synthetic factor (its PK share may
-                // legitimately round to zero users on small populations).
+                // HM needs a positive, finite synthetic factor (its PK
+                // share may legitimately round to zero users on small
+                // populations).
                 AttackModel::Hybrid {
                     synth_factor,
                     compromised_frac,
                 } => {
-                    if synth_factor <= 0.0 || synth_factor.is_nan() {
+                    if !(synth_factor > 0.0 && synth_factor.is_finite()) {
                         return Err(ProtocolError::InvalidProbability(synth_factor));
                     }
                     if !(0.0..1.0).contains(&compromised_frac) {

@@ -36,8 +36,8 @@ impl ReidentConfig {
 
 /// The §3.2.4 re-identification fit: profile every user from the observed
 /// round via plausible deniability (chaining through the §3.3 classifier for
-/// fake-data solutions, on up to `threads` threads), index the background
-/// knowledge, and score per-target top-`k` membership.
+/// fake-data solutions, on up to `threads` threads), then index the
+/// background knowledge, and score per-target top-`k` membership.
 pub(super) fn fit_reident(
     config: &ReidentConfig,
     threads: usize,
@@ -49,10 +49,11 @@ pub(super) fn fit_reident(
         view.dataset.n(),
         "need one observed message per user"
     );
-    let index = config.build_index(view.dataset);
+    // Profiling first: the index draws no rng, and built after the
+    // classifier's fit it is not alive at the fit's peak.
     let profiles = profile_round(config, threads, view, rng);
     Box::new(FittedReident {
-        index,
+        index: config.build_index(view.dataset),
         profiles,
         top_ks: config.top_ks.clone(),
     })
@@ -851,6 +852,33 @@ mod tests {
         })
         .build()
         .is_err());
+        // An infinite synthetic factor would ask the fit for endless
+        // profiles: rejected for the chained reident step, NK and HM alike.
+        assert!(AttackKind::Reident(ReidentConfig {
+            synth_factor: f64::INFINITY,
+            ..ReidentConfig::default()
+        })
+        .build()
+        .is_err());
+        for model in [
+            AttackModel::NoKnowledge {
+                synth_factor: f64::INFINITY,
+            },
+            AttackModel::Hybrid {
+                synth_factor: f64::INFINITY,
+                compromised_frac: 0.1,
+            },
+            AttackModel::NoKnowledge {
+                synth_factor: f64::NAN,
+            },
+        ] {
+            assert!(AttackKind::SampledAttribute(InferenceConfig {
+                model,
+                classifier: logistic(),
+            })
+            .build()
+            .is_err());
+        }
         // Hybrid may round its PK share to zero users; frac = 0 stays legal.
         assert!(AttackKind::SampledAttribute(InferenceConfig {
             model: AttackModel::Hybrid {

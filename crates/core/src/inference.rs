@@ -23,7 +23,10 @@
 //! [`ldp_gbdt::GbdtClassifier`] or the linear [`ldp_gbdt::LogisticRegression`]
 //! ablation.
 
-use ldp_gbdt::{DenseMatrix, GbdtClassifier, GbdtParams, LogisticParams, LogisticRegression};
+use ldp_gbdt::{
+    BinnedMatrix, BinningSpec, DenseMatrix, GbdtClassifier, GbdtParams, LogisticParams,
+    LogisticRegression,
+};
 use rand::seq::index::sample;
 use rand::Rng;
 
@@ -117,6 +120,51 @@ pub struct InferenceOutcome {
     pub n_test: usize,
 }
 
+/// The feature layout of a fake-data tuple over domains `ks`: one field per
+/// attribute and the row width they span.
+fn feature_fields(ks: &[usize], unary: bool) -> (Vec<Field>, usize) {
+    let fields = ks.iter().map(|&k| Field::fake_data(k, unary)).collect();
+    let width = if unary { ks.iter().sum() } else { ks.len() };
+    (fields, width)
+}
+
+/// Writes one tuple's features into the zeroed `row`, as
+/// [`encode_features`] lays them out.
+///
+/// # Panics
+/// Panics on a report whose entries do not match `fields`.
+fn encode_row(report: &SolutionReport, fields: &[Field], row: &mut [f32]) {
+    let (mut cursor, d) = report
+        .tuple_entries()
+        .expect("expected full fake-data tuples in the observed round");
+    assert_eq!(d, fields.len(), "tuple width mismatch");
+    let mut col = 0;
+    for &field in fields {
+        if let Field::Bits { k } = field {
+            let blocks = cursor
+                .bits_entry(k)
+                .expect("expected unary report of the attribute's width");
+            for (b, &block) in blocks.iter().enumerate() {
+                let mut word = block;
+                while word != 0 {
+                    let lane = 64 * b + word.trailing_zeros() as usize;
+                    if lane < k {
+                        row[col + lane] = 1.0;
+                    }
+                    word &= word - 1;
+                }
+            }
+            col += k;
+        } else {
+            row[col] = match cursor.entry() {
+                Ok(Entry::Value(v)) => v as f32,
+                other => panic!("expected value report, got {other:?}"),
+            };
+            col += 1;
+        }
+    }
+}
+
 /// Encodes fake-data tuples as classifier features straight from their
 /// words, field by field of the tuple layout RS+FD and RS+RFD build: a
 /// value entry becomes one column (its code), a `k_j`-lane bit-vector entry
@@ -126,39 +174,10 @@ pub struct InferenceOutcome {
 /// Panics on a report that is not a `ks.len()`-attribute tuple of value
 /// entries (`unary = false`) or of `k_j`-lane bit vectors (`unary = true`).
 pub fn encode_features(reports: &[&SolutionReport], ks: &[usize], unary: bool) -> DenseMatrix {
-    let fields: Vec<Field> = ks.iter().map(|&k| Field::fake_data(k, unary)).collect();
-    let width: usize = if unary { ks.iter().sum() } else { ks.len() };
+    let (fields, width) = feature_fields(ks, unary);
     let mut flat = vec![0.0f32; reports.len() * width];
     for (report, row) in reports.iter().zip(flat.chunks_exact_mut(width)) {
-        let (mut cursor, d) = report
-            .tuple_entries()
-            .expect("expected full fake-data tuples in the observed round");
-        assert_eq!(d, ks.len(), "tuple width mismatch");
-        let mut col = 0;
-        for &field in &fields {
-            if let Field::Bits { k } = field {
-                let blocks = cursor
-                    .bits_entry(k)
-                    .expect("expected unary report of the attribute's width");
-                for (b, &block) in blocks.iter().enumerate() {
-                    let mut word = block;
-                    while word != 0 {
-                        let lane = 64 * b + word.trailing_zeros() as usize;
-                        if lane < k {
-                            row[col + lane] = 1.0;
-                        }
-                        word &= word - 1;
-                    }
-                }
-                col += k;
-            } else {
-                row[col] = match cursor.entry() {
-                    Ok(Entry::Value(v)) => v as f32,
-                    other => panic!("expected value report, got {other:?}"),
-                };
-                col += 1;
-            }
-        }
+        encode_row(report, &fields, row);
     }
     DenseMatrix::from_flat(flat, reports.len(), width)
 }
@@ -193,7 +212,10 @@ impl SampledAttributeAttack {
                 compromised_frac,
             } => (synth_factor, compromised_frac),
         };
-        assert!(synth_factor >= 0.0 && compromised_frac >= 0.0);
+        assert!(
+            (0.0..f64::INFINITY).contains(&synth_factor) && compromised_frac >= 0.0,
+            "synthetic factor and compromised fraction must be finite and non-negative"
+        );
         assert!(compromised_frac < 1.0, "cannot compromise everyone");
 
         // Compromised users (PK/HM) train; the rest are the test set.
@@ -214,13 +236,23 @@ impl SampledAttributeAttack {
         }
         let test_idx: Vec<usize> = (0..n).filter(|&i| !is_compromised[i]).collect();
 
+        // One feature row per training example: the synthetic profiles
+        // first, then the compromised users, in index order.
+        let n_synth = model.synth_count(n);
+        let n_rows = n_synth
+            .checked_add(compromised.len())
+            .expect("training set too large");
+        assert!(n_rows > 0, "attack model produced an empty training set");
+        let (fields, width) = feature_fields(solution.ks(), unary);
+        let mut flat = vec![0.0f32; n_rows.checked_mul(width).expect("training set too large")];
+        let mut rows = flat.chunks_exact_mut(width);
+        let mut train_labels: Vec<u32> = Vec::with_capacity(n_rows);
+
         // Synthetic profiles (NK/HM) drawn from the attacker's frequency
         // estimates over everything it observed, projected onto the
         // simplex, and sanitized with the known mechanism; each is labelled
-        // with the attribute the attacker sampled for it.
-        let n_synth = model.synth_count(n);
-        let mut synthetic: Vec<SolutionReport> = Vec::with_capacity(n_synth);
-        let mut train_labels: Vec<u32> = Vec::with_capacity(n_synth + compromised.len());
+        // with the attribute the attacker sampled for it, encoded into its
+        // row and dropped, so the fit never holds the profiles themselves.
         if n_synth > 0 {
             let mut prior = solution.aggregator();
             for report in observed {
@@ -232,36 +264,38 @@ impl SampledAttributeAttack {
                 .map(|f| to_cdf(f))
                 .collect();
             let mut tuple = vec![0u32; d];
-            for _ in 0..n_synth {
+            for row in rows.by_ref().take(n_synth) {
                 for (j, cdf) in cdfs.iter().enumerate() {
                     tuple[j] = sample_cdf(cdf, rng) as u32;
                 }
                 let sampled = rng.random_range(0..d);
-                synthetic.push(solution.report_with_sampled(&tuple, sampled, rng));
+                let report = solution.report_with_sampled(&tuple, sampled, rng);
+                encode_row(&report, &fields, row);
                 train_labels.push(sampled as u32);
             }
         }
-        let mut train: Vec<&SolutionReport> = synthetic.iter().collect();
-        for &i in &compromised {
-            train.push(&observed[i]);
+        for (&i, row) in compromised.iter().zip(rows) {
+            encode_row(&observed[i], &fields, row);
             train_labels.push(labels[i] as u32);
         }
-        assert!(
-            !train.is_empty(),
-            "attack model produced an empty training set"
-        );
+        let x = DenseMatrix::from_flat(flat, n_rows, width);
 
-        let x = encode_features(&train, solution.ks(), unary);
         let model =
             match classifier {
-                AttackClassifier::Gbdt(params) => TrainedModel::Gbdt(GbdtClassifier::fit(
-                    &x,
-                    &train_labels,
-                    d,
-                    params,
-                    rng.random(),
-                    threads,
-                )),
+                AttackClassifier::Gbdt(params) => {
+                    // Boosting reads only the bins: the f32 matrix goes first.
+                    let binned =
+                        BinnedMatrix::from_matrix(&x, BinningSpec::fit(&x, params.max_bins));
+                    drop(x);
+                    TrainedModel::Gbdt(GbdtClassifier::fit_binned(
+                        binned,
+                        &train_labels,
+                        d,
+                        params,
+                        rng.random(),
+                        threads,
+                    ))
+                }
                 AttackClassifier::Logistic(params) => TrainedModel::Logistic(
                     LogisticRegression::fit(&x, &train_labels, d, params, rng.random()),
                 ),
@@ -503,6 +537,27 @@ mod tests {
         let preds = attack.predict(&test, 2);
         assert_eq!(preds.len(), 360);
         assert!(preds.iter().all(|&p| (p as usize) < 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and non-negative")]
+    fn train_rejects_an_infinite_synthetic_factor() {
+        let ks = [4usize, 4];
+        let mut rng = StdRng::seed_from_u64(7);
+        let solution = RsFd::new(RsFdProtocol::Grr, &ks, 4.0).unwrap();
+        let tuples = skewed_tuples(50, &ks, &mut rng);
+        let (observed, _) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
+        SampledAttributeAttack::train(
+            &solution,
+            &observed,
+            &[],
+            &AttackModel::NoKnowledge {
+                synth_factor: f64::INFINITY,
+            },
+            &fast_gbdt(),
+            &mut rng,
+            1,
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The compact wire encoding: batches of [`SolutionReport`]s as two flat,
 //! reusable buffers.
 //!
-//! The ingestion hot path moves millions of reports per second across
-//! channels. A [`SolutionReport`] is born encoded — it owns exactly the
-//! words this format lays down for it — so [`CompactBatch::push`] appends
-//! its uid and copies its words, and a batch is just two growable buffers
-//! (`uids`, `words`) that are **reused**: the serving layer recycles drained
-//! batches back to the producers through a pool, so steady-state ingestion
-//! crosses the channel without any fresh heap allocation.
+//! The ingestion hot path moves millions of reports per second from
+//! producers, over the wire or in process, into the server's shards. A
+//! [`SolutionReport`] is born encoded — it owns exactly the words this
+//! format lays down for it — so [`CompactBatch::push`] appends its uid and
+//! copies its words, and a batch is just two growable buffers (`uids`,
+//! `words`) that are **reused**: a producer clears and refills one batch
+//! per frame, and the server's in-process ingest fills one per call, so
+//! steady-state ingestion allocates nothing per batch.
 //!
 //! Nothing on the server side rematerializes reports: the aggregator counts
 //! support directly from the encoded words (see
@@ -54,7 +55,7 @@ use super::SolutionReport;
 
 /// A batch of `(uid, SolutionReport)` pairs held as two reusable buffers:
 /// the uids, and every report's encoded words back to back. Build with
-/// [`CompactBatch::push`], hand it across a channel, absorb it with
+/// [`CompactBatch::push`], frame it or absorb it with
 /// [`MultidimAggregator::absorb_compact`](super::MultidimAggregator::absorb_compact),
 /// then [`CompactBatch::clear`] and reuse — steady state allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

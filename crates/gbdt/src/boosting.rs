@@ -300,7 +300,29 @@ fn par_rows<T: Send>(
 
 impl GbdtClassifier {
     /// Fits a model on `x` with labels `y` in `0..n_classes`, on up to
-    /// `threads` threads (`0` counts as `1`), the calling thread included.
+    /// `threads` threads (`0` counts as `1`): bins `x` under a
+    /// [`BinningSpec`] of at most `params.max_bins` bins per feature, then
+    /// runs [`GbdtClassifier::fit_binned`].
+    ///
+    /// # Panics
+    /// As [`GbdtClassifier::fit_binned`].
+    pub fn fit(
+        x: &DenseMatrix,
+        y: &[u32],
+        n_classes: usize,
+        params: &GbdtParams,
+        seed: u64,
+        threads: usize,
+    ) -> Self {
+        let binned = BinnedMatrix::from_matrix(x, BinningSpec::fit(x, params.max_bins));
+        Self::fit_binned(binned, y, n_classes, params, seed, threads)
+    }
+
+    /// Fits a model on the pre-binned `binned` with labels `y` in
+    /// `0..n_classes`, on up to `threads` threads (`0` counts as `1`), the
+    /// calling thread included. Boosting reads only the bin codes, so a
+    /// caller that binned its own `f32` matrix may drop it before the fit;
+    /// the model keeps `binned.spec` to bin prediction-time rows.
     ///
     /// The workers are spawned once per fit. Each round splits its softmax
     /// over row chunks without changing any row's arithmetic, then fits its
@@ -311,19 +333,19 @@ impl GbdtClassifier {
     /// bit-identical for every thread count.
     ///
     /// # Panics
-    /// Panics when `x` has no rows, `x`/`y` lengths disagree,
+    /// Panics when `binned` has no rows, `binned`/`y` lengths disagree,
     /// `n_classes == 0`, a label is out of range, or a sampling fraction is
     /// outside `(0, 1]`.
-    pub fn fit(
-        x: &DenseMatrix,
+    pub fn fit_binned(
+        binned: BinnedMatrix,
         y: &[u32],
         n_classes: usize,
         params: &GbdtParams,
         seed: u64,
         threads: usize,
     ) -> Self {
-        assert_eq!(x.n_rows(), y.len(), "labels must match rows");
-        assert!(x.n_rows() > 0, "need at least one training row");
+        assert_eq!(binned.n_rows(), y.len(), "labels must match rows");
+        assert!(binned.n_rows() > 0, "need at least one training row");
         assert!(n_classes >= 1, "need at least one class");
         assert!(
             y.iter().all(|&c| (c as usize) < n_classes),
@@ -332,10 +354,8 @@ impl GbdtClassifier {
         assert!(params.subsample > 0.0 && params.subsample <= 1.0);
         assert!(params.colsample > 0.0 && params.colsample <= 1.0);
 
-        let n = x.n_rows();
-        let f = x.n_cols();
-        let spec = BinningSpec::fit(x, params.max_bins);
-        let binned = BinnedMatrix::from_matrix(x, spec.clone());
+        let n = binned.n_rows();
+        let f = binned.n_cols();
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Class log-prior initialization stabilizes unbalanced problems.
@@ -420,7 +440,7 @@ impl GbdtClassifier {
 
         GbdtClassifier {
             trees,
-            spec,
+            spec: binned.spec,
             n_classes,
             learning_rate: params.learning_rate,
             base_scores,
