@@ -1,8 +1,8 @@
 //! Statistical conformance of the frequency estimators: at a fixed seed and
 //! n = 200 000 users, every protocol's estimate of every attribute-value
 //! frequency must fall within an **analytic variance-derived tolerance
-//! band** of the dataset's true marginal, for both the SMP and SPL
-//! solutions.
+//! band** of the dataset's true marginal, for the SMP and SPL solutions and
+//! for the fake-data solutions RS+FD and RS+RFD.
 //!
 //! Exact-equivalence tests (streaming == batch, serve == run) cannot catch a
 //! bias introduced symmetrically into both paths — a wrong `p*`/`q*`, a
@@ -12,16 +12,18 @@
 //! larger than a few standard errors fails deterministically.
 //!
 //! The band is `Z = 5` standard errors plus a small absolute slack for the
-//! discreteness of counts; with ~350 (protocol, solution, cell) comparisons
-//! a 5σ false positive is vanishingly unlikely, while e.g. swapping `p*`
-//! and `q*` or using `n` instead of `n_j` shifts estimates by far more.
+//! discreteness of counts; with several hundred (protocol, solution, cell)
+//! comparisons a 5σ false positive is vanishingly unlikely, while e.g.
+//! swapping `p*` and `q*` or using `n` instead of `n_j` shifts estimates by
+//! far more.
 
 use ldp_core::attacks::{AttackKind, AveragingConfig, ReidentConfig};
-use ldp_core::solutions::{MixedKind, SolutionKind};
+use ldp_core::solutions::{DynSolution, MixedKind, RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_core::{NumericKind, NumericOracle};
 use ldp_datasets::corpora::adult_like;
 use ldp_datasets::generator::{GeneratorConfig, LatentClassGenerator};
 use ldp_datasets::mixed::mixed_survey_like;
+use ldp_datasets::priors::IncorrectPrior;
 use ldp_datasets::{Dataset, Schema};
 use ldp_protocols::{FrequencyOracle, ProtocolKind};
 use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline};
@@ -163,6 +165,141 @@ fn conformance_bands_would_catch_a_biased_estimator() {
     assert!(
         caught.is_err(),
         "a 25% multiplicative bias must not fit inside the tolerance band"
+    );
+}
+
+/// Per-cell 5σ bands for the fake-data solutions. Every report carries one
+/// entry per attribute: the sampled one sanitized with `(p, q)` at the
+/// amplified budget, the other `d − 1` fake. A report supports value `v` of
+/// attribute `j` with probability `γ = (q + f(p − q) + (d − 1)·s_v) / d`,
+/// where `s_v` is the chance that one fake entry supports `v`, and the
+/// estimator scales the count by `d / (p − q)`, so
+/// `σ² = d²γ(1 − γ) / (n(p − q)²)`. Computed here from `(p, q)` and the
+/// fake source alone, not from the library's variance. Returns the first
+/// cell outside its band, described.
+fn fake_data_band_violation(
+    dataset: &Dataset,
+    solution: &DynSolution,
+    priors: Option<&[Vec<f64>]>,
+    estimates: &[Vec<f64>],
+) -> Option<String> {
+    let (n, d) = (dataset.n() as f64, dataset.d() as f64);
+    for (j, (est, truth)) in estimates.iter().zip(dataset.marginals()).enumerate() {
+        let k = truth.len();
+        let (p, q) = fake_data_pq(solution, j);
+        for (v, (&e, &f)) in est.iter().zip(&truth).enumerate() {
+            // The chance that a fake value is `v`: the prior's, or 1/k.
+            let fake = priors.map_or(1.0 / k as f64, |priors| priors[j][v]);
+            let s_v = match solution.kind() {
+                SolutionKind::RsFd(RsFdProtocol::Grr) | SolutionKind::RsRfd(RsRfdProtocol::Grr) => {
+                    fake
+                }
+                // A perturbed zero vector sets each bit with probability q.
+                SolutionKind::RsFd(RsFdProtocol::UeZ(_)) => q,
+                // A perturbed one-hot encoding of a fake value.
+                _ => q + (p - q) * fake,
+            };
+            let gamma = (q + f * (p - q) + (d - 1.0) * s_v) / d;
+            let sigma = d * (gamma * (1.0 - gamma) / n).sqrt() / (p - q);
+            let tol = Z * sigma + SLACK;
+            // Written so that a NaN estimate fails too.
+            let within = (e - f).abs() <= tol;
+            if !within {
+                return Some(format!(
+                    "{} attr {j} value {v}: estimate {e:.5} vs true {f:.5} \
+                     (|diff| {:.5} > tol {tol:.5}, sigma {sigma:.5})",
+                    solution.name(),
+                    (e - f).abs()
+                ));
+            }
+        }
+    }
+    None
+}
+
+/// The `(p, q)` pair attribute `j`'s sampled entry is sanitized with.
+fn fake_data_pq(solution: &DynSolution, j: usize) -> (f64, f64) {
+    match solution {
+        DynSolution::RsFd(s) => s.pq(j),
+        DynSolution::RsRfd(s) => s.pq(j),
+        other => unreachable!("{} draws no fake data", other.name()),
+    }
+}
+
+fn collect(solution: DynSolution, seed: u64, ds: &Dataset) -> Vec<Vec<f64>> {
+    let run = CollectionPipeline::new(solution)
+        .seed(seed)
+        .threads(4)
+        .run(ds);
+    assert_eq!(run.n, N as u64);
+    run.estimates
+}
+
+#[test]
+fn rsfd_estimates_conform_to_analytic_bands_for_every_protocol() {
+    let ds = population();
+    let ks = ds.schema().cardinalities();
+    for (i, protocol) in RsFdProtocol::ALL.into_iter().enumerate() {
+        let solution = SolutionKind::RsFd(protocol).build(&ks, 2.0).unwrap();
+        let estimates = collect(solution.clone(), 0xF0 + i as u64, &ds);
+        if let Some(violation) = fake_data_band_violation(&ds, &solution, None, &estimates) {
+            panic!("{violation}");
+        }
+    }
+}
+
+#[test]
+fn rsrfd_estimates_conform_to_analytic_bands_with_correct_and_incorrect_priors() {
+    let ds = population();
+    let ks = ds.schema().cardinalities();
+    let mut rng = StdRng::seed_from_u64(0x9F10);
+    let correct = ds.marginals();
+    let incorrect = IncorrectPrior::Dirichlet.generate_all(&ks, &mut rng);
+    for (i, protocol) in RsRfdProtocol::ALL.into_iter().enumerate() {
+        for priors in [&correct, &incorrect] {
+            let solution = SolutionKind::RsRfd(protocol)
+                .build_with_priors(&ks, 2.0, priors.clone())
+                .unwrap();
+            let estimates = collect(solution.clone(), 0xF8 + i as u64, &ds);
+            if let Some(violation) =
+                fake_data_band_violation(&ds, &solution, Some(priors), &estimates)
+            {
+                panic!("{violation}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fake_data_bands_would_catch_fakes_from_the_wrong_source() {
+    // Power guard: RS+RFD[GRR] reports whose prior puts no mass on each
+    // attribute's last value draw their fakes from k − 1 of the k values.
+    // Read by an RS+FD[GRR] aggregator at the same ε, which expects uniform
+    // fakes, they must fall outside the RS+FD bands.
+    let ds = population();
+    let ks = ds.schema().cardinalities();
+    let skewed: Vec<Vec<f64>> = ks
+        .iter()
+        .map(|&k| {
+            (0..k)
+                .map(|v| if v + 1 < k { 1.0 / (k - 1) as f64 } else { 0.0 })
+                .collect()
+        })
+        .collect();
+    let rsrfd = SolutionKind::RsRfd(RsRfdProtocol::Grr)
+        .build_with_priors(&ks, 2.0, skewed)
+        .unwrap();
+    let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&ks, 2.0)
+        .unwrap();
+    let mut aggregator = rsfd.aggregator();
+    let mut rng = StdRng::seed_from_u64(0xFA4E);
+    for row in ds.rows() {
+        aggregator.absorb(&rsrfd.report(row, &mut rng));
+    }
+    assert!(
+        fake_data_band_violation(&ds, &rsfd, None, &aggregator.estimate()).is_some(),
+        "fakes from k − 1 of k values must not fit inside the uniform-fake bands"
     );
 }
 
