@@ -9,7 +9,7 @@ use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack}
 use ldp_core::metrics::mse_avg;
 use ldp_core::profiling::{expected_acc_nonuniform, expected_acc_uniform};
 use ldp_core::reident::ReidentAttack;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfdProtocol};
 use ldp_datasets::priors::correct_priors;
 use ldp_datasets::Dataset;
 use ldp_gbdt::GbdtParams;
@@ -31,7 +31,7 @@ fn reident_pipeline(seed: u64) -> AttackPipeline {
 }
 
 /// One streaming estimation pass over a sanitized round.
-fn estimate<S: MultidimSolution>(solution: &S, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
+fn estimate(solution: &RsFd, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
     let mut agg = solution.aggregator();
     for t in ds.rows() {
         agg.absorb(&solution.report_encoded(t, rng));
@@ -194,7 +194,7 @@ fn fig05_kernel(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = bench_rng();
             let priors = correct_priors(&ds, 0.1, &mut rng);
-            let solution = RsRfd::new(RsRfdProtocol::Grr, &ks, 1.0, priors).unwrap();
+            let solution = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 1.0, priors).unwrap();
             black_box(mse_avg(&truth, &estimate(&solution, &ds, &mut rng)))
         })
     });
@@ -211,7 +211,7 @@ fn fig06_kernel(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = bench_rng();
             let priors = correct_priors(&ds, 0.1, &mut rng);
-            let solution = RsRfd::new(RsRfdProtocol::Grr, &ks, 6.0, priors).unwrap();
+            let solution = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 6.0, priors).unwrap();
             let (observed, labels) = solution.report_round(ds.rows(), &mut rng);
             black_box(SampledAttributeAttack::evaluate(
                 &solution,

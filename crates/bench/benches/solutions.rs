@@ -3,8 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_adult, bench_rng};
 use ldp_core::solutions::{
-    CompactBatch, MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind,
-    Spl,
+    CompactBatch, RsFd, RsFdProtocol, RsRfdProtocol, Smp, SolutionKind, Spl,
 };
 use ldp_protocols::{ProtocolKind, UeMode};
 use std::hint::black_box;
@@ -37,7 +36,7 @@ fn bench_clients(c: &mut Criterion) {
     });
 
     let priors: Vec<Vec<f64>> = ks.iter().map(|&k| vec![1.0 / k as f64; k]).collect();
-    let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 1.0, priors).unwrap();
+    let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 1.0, priors).unwrap();
     group.bench_function("RS+RFD[GRR]", |b| {
         b.iter(|| black_box(rsrfd.report_encoded(black_box(&tuple), &mut rng)))
     });

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ldp_bench::bench_adult;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, SolutionKind};
+use ldp_core::solutions::{RsFd, RsFdProtocol, SolutionKind};
 use ldp_sim::CollectionPipeline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

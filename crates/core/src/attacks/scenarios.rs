@@ -15,7 +15,7 @@ use crate::inference::{AttackModel, InferenceOutcome, SampledAttributeAttack};
 use crate::pie;
 use crate::profiling::Profile;
 use crate::reident::{MatchScratch, ReidentAttack};
-use crate::solutions::{DynSolution, MultidimSolution, SolutionReport};
+use crate::solutions::{DynSolution, RsFd, SolutionReport};
 
 // ---------------------------------------------------------------------------
 // Re-identification
@@ -103,8 +103,9 @@ fn profile_round(
                 p
             })
             .collect(),
-        DynSolution::RsFd(s) => profile_fake_data(config, threads, s, view.observed, rng),
-        DynSolution::RsRfd(s) => profile_fake_data(config, threads, s, view.observed, rng),
+        DynSolution::RsFd(s) | DynSolution::RsRfd(s) => {
+            profile_fake_data(config, threads, s, view.observed, rng)
+        }
         DynSolution::Mixed(_) => panic!(
             "re-identification does not profile mixed numeric rounds; use \
              AttackKind::NumericValueRange against mixed solutions"
@@ -115,10 +116,10 @@ fn profile_round(
 /// The chained fake-data profiling step shared by RS+FD and RS+RFD: an NK
 /// attacker, who knows no user's sampled attribute, reads the round's words
 /// and decodes only each predicted attribute's entry.
-fn profile_fake_data<S: MultidimSolution>(
+fn profile_fake_data(
     config: &ReidentConfig,
     threads: usize,
-    solution: &S,
+    solution: &RsFd,
     observed: &[SolutionReport],
     rng: &mut dyn RngCore,
 ) -> Vec<Profile> {
@@ -347,11 +348,12 @@ pub(super) fn fit_inference(
     view: &AdversaryView<'_>,
     rng: &mut dyn RngCore,
 ) -> Box<dyn FittedAttack> {
-    assert!(
-        matches!(view.solution, DynSolution::RsFd(_) | DynSolution::RsRfd(_)),
-        "sampled-attribute inference needs a fake-data solution, got {}",
-        view.solution.name()
-    );
+    let (DynSolution::RsFd(solution) | DynSolution::RsRfd(solution)) = view.solution else {
+        panic!(
+            "sampled-attribute inference needs a fake-data solution, got {}",
+            view.solution.name()
+        );
+    };
     // The one reader of the hidden attribute outside tests: the ground
     // truth PK/HM training and the scoring use, never the features.
     let labels: Vec<usize> = view
@@ -362,27 +364,15 @@ pub(super) fn fit_inference(
                 .expect("expected full fake-data tuples in the observed round")
         })
         .collect();
-    let (attack, test_idx) = match view.solution {
-        DynSolution::RsFd(s) => SampledAttributeAttack::train(
-            s,
-            view.observed,
-            &labels,
-            &config.model,
-            &config.classifier,
-            rng,
-            threads,
-        ),
-        DynSolution::RsRfd(s) => SampledAttributeAttack::train(
-            s,
-            view.observed,
-            &labels,
-            &config.model,
-            &config.classifier,
-            rng,
-            threads,
-        ),
-        _ => unreachable!("solution family guarded by the assert above"),
-    };
+    let (attack, test_idx) = SampledAttributeAttack::train(
+        solution,
+        view.observed,
+        &labels,
+        &config.model,
+        &config.classifier,
+        rng,
+        threads,
+    );
     let n = labels.len();
     let n_train = n - test_idx.len() + config.model.synth_count(n);
     // Prediction is rng-free, so the per-target success bits are fixed at

@@ -30,7 +30,7 @@ use ldp_gbdt::{
 use rand::seq::index::sample;
 use rand::Rng;
 
-use crate::solutions::{sample_cdf, to_cdf, Entry, Field, MultidimSolution, SolutionReport};
+use crate::solutions::{sample_cdf, to_cdf, Entry, Field, RsFd, SolutionReport};
 
 /// Attacker knowledge model (§3.3.1–3.3.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,8 +190,8 @@ impl SampledAttributeAttack {
     /// users for NK, the non-compromised ones for PK/HM). A GBDT classifier
     /// fits on up to `threads` threads; the model is the same for every
     /// count.
-    pub fn train<S: MultidimSolution, R: Rng + ?Sized>(
-        solution: &S,
+    pub fn train<R: Rng + ?Sized>(
+        solution: &RsFd,
         observed: &[SolutionReport],
         labels: &[usize],
         model: &AttackModel,
@@ -328,8 +328,8 @@ impl SampledAttributeAttack {
     /// on one thread: the figure grids that call it run their cells in
     /// parallel. `labels[i]` is the sampled attribute of `observed[i]`, read
     /// by PK/HM training and by the scoring only.
-    pub fn evaluate<S: MultidimSolution, R: Rng + ?Sized>(
-        solution: &S,
+    pub fn evaluate<R: Rng + ?Sized>(
+        solution: &RsFd,
         observed: &[SolutionReport],
         labels: &[usize],
         model: &AttackModel,
@@ -358,7 +358,7 @@ impl SampledAttributeAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solutions::{RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
+    use crate::solutions::{RsFdProtocol, RsRfdProtocol};
     use ldp_protocols::{BitVec, Report, UeMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -470,7 +470,7 @@ mod tests {
                 priors[j][v as usize] += 1.0 / tuples.len() as f64;
             }
         }
-        let solution = RsRfd::new(RsRfdProtocol::Grr, &ks, 8.0, priors).unwrap();
+        let solution = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 8.0, priors).unwrap();
         let (observed, labels) = solution.report_round(tuples.iter().map(Vec::as_slice), &mut rng);
         let out = SampledAttributeAttack::evaluate(
             &solution,

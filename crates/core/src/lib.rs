@@ -10,11 +10,12 @@
 //! * [`solutions::Spl`] — split the budget ε/d over all attributes.
 //! * [`solutions::Smp`] — sample one attribute, spend the whole ε on it and
 //!   disclose which attribute was sampled.
-//! * [`solutions::RsFd`] — Random Sampling + (uniform) Fake Data, with the
-//!   GRR / UE-z / UE-r variants and their unbiased estimators from \[4\].
-//! * [`solutions::RsRfd`] — the paper's countermeasure: Random Sampling +
-//!   *Realistic* Fake Data drawn from priors, with the new estimators
-//!   (Eqs. 6–7) and closed-form variances (Theorems 2 and 4).
+//! * [`solutions::RsFd`] — Random Sampling + Fake Data, with the GRR /
+//!   UE-z / UE-r variants and their unbiased estimators from \[4\]; built
+//!   [`with_priors`](solutions::RsFd::with_priors), the same type is the
+//!   paper's countermeasure RS+RFD: Random Sampling + *Realistic* Fake Data
+//!   drawn from priors, with the new estimators (Eqs. 6–7) and closed-form
+//!   variances (Theorems 2 and 4).
 //!
 //! ## Attacks
 //!
@@ -47,6 +48,6 @@ pub use amplification::amplify;
 pub use attacks::{Attack, AttackKind, AttackOutcome, DynAttack, FittedAttack};
 pub use numeric::{DynNumeric, NumericKind, NumericOracle, NumericReport};
 pub use solutions::{
-    DynSolution, Mixed, MixedEntry, MixedKind, MixedReport, MultidimAggregator, MultidimSolution,
-    RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind, SolutionReport, Spl, NUMERIC_DIM,
+    DynSolution, Mixed, MixedEntry, MixedKind, MixedReport, MultidimAggregator, RsFd, RsFdProtocol,
+    RsRfdProtocol, Smp, SolutionKind, SolutionReport, Spl, NUMERIC_DIM,
 };

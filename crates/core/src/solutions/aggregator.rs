@@ -9,7 +9,7 @@
 //! sequential pass over the same reports.
 //!
 //! ```
-//! use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
+//! use ldp_core::solutions::{RsFd, RsFdProtocol};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -42,7 +42,6 @@ use crate::numeric::NUMERIC_SCALE;
 use super::layout::{Cursor, Entry, Field, KIND_MIXED, KIND_SMP, WELL_FORMED};
 use super::mixed::{MixedEntry, MixedReport};
 use super::rsfd::RsFdProtocol;
-use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
 use super::tally::{BitSink, BitTally, PerBit};
 use super::{DynSolution, SolutionReport};
@@ -144,7 +143,7 @@ fn count_value(counts: &mut [u64], j: usize, v: u64) {
 /// solutions.
 ///
 /// Obtain one from the owning solution —
-/// [`MultidimSolution::aggregator`](super::MultidimSolution::aggregator),
+/// [`RsFd::aggregator`](super::RsFd::aggregator),
 /// [`Spl::aggregator`](super::Spl::aggregator),
 /// [`Smp::aggregator`](super::Smp::aggregator) or
 /// [`DynSolution::aggregator`](super::DynSolution::aggregator) — absorb each
@@ -152,7 +151,7 @@ fn count_value(counts: &mut [u64], j: usize, v: u64) {
 /// [`estimate`](MultidimAggregator::estimate) at any point:
 ///
 /// ```
-/// use ldp_core::solutions::{RsFd, RsFdProtocol, MultidimSolution};
+/// use ldp_core::solutions::{RsFd, RsFdProtocol};
 /// use rand::{SeedableRng, rngs::StdRng};
 ///
 /// let rsfd = RsFd::new(RsFdProtocol::Grr, &[4, 3], 1.0).unwrap();
@@ -471,39 +470,32 @@ impl MultidimAggregator {
                     }
                 })
                 .collect(),
-            DynSolution::RsFd(s) => {
+            DynSolution::RsFd(s) | DynSolution::RsRfd(s) => {
                 let (n, d) = (self.n as f64, self.counts.len() as f64);
-                self.fake_data_estimate(|j, _, c| {
+                self.fake_data_estimate(|j, v, c| {
                     let k = self.counts[j].len() as f64;
                     let (p, q) = s.pq(j);
-                    match s.protocol() {
+                    match (s.protocol(), s.priors()) {
                         // f̂ = (C·d·k − n(qk + d − 1)) / (n·k·(p − q))
-                        RsFdProtocol::Grr => {
+                        (RsFdProtocol::Grr, None) => {
                             (c * d * k - n * (q * k + d - 1.0)) / (n * k * (p - q))
                         }
                         // f̂ = d(C − nq) / (n(p − q))
-                        RsFdProtocol::UeZ(_) => d * (c - n * q) / (n * (p - q)),
+                        (RsFdProtocol::UeZ(_), _) => d * (c - n * q) / (n * (p - q)),
                         // f̂ = (C·d·k − n(qk + (p−q)(d−1) + qk(d−1)))
                         //     / (n·k·(p−q))
-                        RsFdProtocol::UeR(_) => {
+                        (RsFdProtocol::UeR(_), None) => {
                             (c * d * k - n * (q * k + (p - q) * (d - 1.0) + q * k * (d - 1.0)))
                                 / (n * k * (p - q))
                         }
-                    }
-                })
-            }
-            DynSolution::RsRfd(s) => {
-                let (n, d) = (self.n as f64, self.counts.len() as f64);
-                self.fake_data_estimate(|j, v, c| {
-                    let (p, q) = s.pq(j);
-                    let prior = s.priors()[j][v];
-                    match s.protocol() {
                         // Eq. (6): f̂ = (dC − n(q + (d−1)f̃)) / (n(p−q)).
-                        RsRfdProtocol::Grr => (d * c - n * (q + (d - 1.0) * prior)) / (n * (p - q)),
+                        (RsFdProtocol::Grr, Some(priors)) => {
+                            (d * c - n * (q + (d - 1.0) * priors[j][v])) / (n * (p - q))
+                        }
                         // Eq. (7): f̂ = (dC − n(q + (p−q)(d−1)f̃ + q(d−1)))
                         //              / (n(p−q)).
-                        RsRfdProtocol::UeR(_) => {
-                            (d * c - n * (q + (p - q) * (d - 1.0) * prior + q * (d - 1.0)))
+                        (RsFdProtocol::UeR(_), Some(priors)) => {
+                            (d * c - n * (q + (p - q) * (d - 1.0) * priors[j][v] + q * (d - 1.0)))
                                 / (n * (p - q))
                         }
                     }
@@ -555,8 +547,7 @@ impl MultidimAggregator {
 #[cfg(test)]
 mod tests {
     use super::super::{
-        DynSolution, MixedKind, MultidimSolution, RsFd, RsFdProtocol, RsRfdProtocol, Smp,
-        SolutionKind, NUMERIC_DIM,
+        DynSolution, MixedKind, RsFd, RsFdProtocol, RsRfdProtocol, Smp, SolutionKind, NUMERIC_DIM,
     };
     use crate::numeric::NumericKind;
     use ldp_protocols::{ProtocolKind, UeMode};
@@ -701,8 +692,9 @@ mod tests {
             // Same parameters, separate handles: the merge compares
             // identities, not pointers.
             let twin = match &a {
-                DynSolution::RsRfd(s) => SolutionKind::RsRfd(s.protocol())
-                    .build_with_priors(s.ks(), s.epsilon(), s.priors().to_vec())
+                DynSolution::RsRfd(s) => a
+                    .kind()
+                    .build_with_priors(s.ks(), s.epsilon(), s.priors().unwrap().to_vec())
                     .unwrap(),
                 _ => a.kind().build(a.ks(), a.epsilon()).unwrap(),
             };

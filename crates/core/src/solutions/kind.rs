@@ -15,11 +15,10 @@ use rand::Rng;
 
 use super::layout::Layout;
 use super::mixed::{Mixed, MixedKind};
-use super::rsfd::{RsFd, RsFdProtocol};
-use super::rsrfd::{RsRfd, RsRfdProtocol};
+use super::rsfd::{RsFd, RsFdProtocol, RsRfdProtocol};
 use super::smp::Smp;
 use super::spl::Spl;
-use super::{MultidimAggregator, MultidimSolution, SolutionReport};
+use super::{MultidimAggregator, SolutionReport};
 
 /// The four collection solutions of the paper, as a plain enum for sweeps
 /// and runtime configuration (the counterpart of [`ProtocolKind`]).
@@ -67,7 +66,7 @@ impl SolutionKind {
             SolutionKind::RsFd(protocol) => DynSolution::RsFd(RsFd::new(protocol, ks, epsilon)?),
             SolutionKind::RsRfd(protocol) => {
                 let uniform: Vec<Vec<f64>> = ks.iter().map(|&k| vec![1.0 / k as f64; k]).collect();
-                DynSolution::RsRfd(RsRfd::new(protocol, ks, epsilon, uniform)?)
+                DynSolution::RsRfd(RsFd::with_priors(protocol, ks, epsilon, uniform)?)
             }
             SolutionKind::Mixed(m) => DynSolution::Mixed(Mixed::new(m, ks, epsilon)?),
         })
@@ -83,7 +82,7 @@ impl SolutionKind {
         priors: Vec<Vec<f64>>,
     ) -> Result<DynSolution, ProtocolError> {
         match self {
-            SolutionKind::RsRfd(protocol) => Ok(DynSolution::RsRfd(RsRfd::new(
+            SolutionKind::RsRfd(protocol) => Ok(DynSolution::RsRfd(RsFd::with_priors(
                 protocol, ks, epsilon, priors,
             )?)),
             other => Err(ProtocolError::InvalidPrior {
@@ -108,10 +107,10 @@ pub enum DynSolution {
     Spl(Spl),
     /// See [`Smp`].
     Smp(Smp),
-    /// See [`RsFd`].
+    /// RS+FD: an [`RsFd`] with uniform fakes.
     RsFd(RsFd),
-    /// See [`RsRfd`].
-    RsRfd(RsRfd),
+    /// RS+RFD: an [`RsFd`] whose fakes follow its priors.
+    RsRfd(RsFd),
     /// See [`Mixed`].
     Mixed(Mixed),
 }
@@ -122,8 +121,7 @@ impl DynSolution {
         match self {
             DynSolution::Spl(s) => SolutionKind::Spl(s.kind()),
             DynSolution::Smp(s) => SolutionKind::Smp(s.kind()),
-            DynSolution::RsFd(s) => SolutionKind::RsFd(s.protocol()),
-            DynSolution::RsRfd(s) => SolutionKind::RsRfd(s.protocol()),
+            DynSolution::RsFd(s) | DynSolution::RsRfd(s) => s.kind(),
             DynSolution::Mixed(s) => SolutionKind::Mixed(s.mixed_kind()),
         }
     }
@@ -143,8 +141,7 @@ impl DynSolution {
         match self {
             DynSolution::Spl(s) => s.ks(),
             DynSolution::Smp(s) => s.ks(),
-            DynSolution::RsFd(s) => s.ks(),
-            DynSolution::RsRfd(s) => s.ks(),
+            DynSolution::RsFd(s) | DynSolution::RsRfd(s) => s.ks(),
             DynSolution::Mixed(s) => s.ks(),
         }
     }
@@ -156,8 +153,7 @@ impl DynSolution {
         match self {
             DynSolution::Spl(s) => &s.layout,
             DynSolution::Smp(s) => &s.layout,
-            DynSolution::RsFd(s) => &s.layout,
-            DynSolution::RsRfd(s) => &s.layout,
+            DynSolution::RsFd(s) | DynSolution::RsRfd(s) => &s.layout,
             DynSolution::Mixed(s) => &s.layout,
         }
     }
@@ -179,8 +175,7 @@ impl DynSolution {
         match self {
             DynSolution::Spl(s) => s.epsilon(),
             DynSolution::Smp(s) => s.epsilon(),
-            DynSolution::RsFd(s) => s.epsilon(),
-            DynSolution::RsRfd(s) => s.epsilon(),
+            DynSolution::RsFd(s) | DynSolution::RsRfd(s) => s.epsilon(),
             DynSolution::Mixed(s) => s.epsilon(),
         }
     }
@@ -188,7 +183,7 @@ impl DynSolution {
     /// Client-side sanitization of one user tuple, born encoded: SPL\[UE\]
     /// writes every field straight from its packed draw and RS+FD / RS+RFD
     /// write each entry as they draw it, a GRR value word straight from its
-    /// draw ([`MultidimSolution::report_encoded`]); SPL over GRR, OLH or SS
+    /// draw ([`RsFd::report_encoded`]); SPL over GRR, OLH or SS
     /// and SMP encode their structured report, so theirs equals
     /// [`SolutionReport::full`] / [`SolutionReport::smp`] of the structured
     /// sanitizer on the same RNG stream. Generic over the RNG: a concrete
@@ -205,8 +200,7 @@ impl DynSolution {
         match self {
             DynSolution::Spl(s) => s.report_encoded(tuple, rng),
             DynSolution::Smp(s) => SolutionReport::smp(&s.report(tuple, rng)),
-            DynSolution::RsFd(s) => s.report_encoded(tuple, rng),
-            DynSolution::RsRfd(s) => s.report_encoded(tuple, rng),
+            DynSolution::RsFd(s) | DynSolution::RsRfd(s) => s.report_encoded(tuple, rng),
             DynSolution::Mixed(_) => {
                 panic!("mixed solutions sanitize via DynSolution::report_mixed")
             }
@@ -250,7 +244,7 @@ impl DynSolution {
             ks: self.ks(),
             epsilon: self.epsilon(),
             priors: match self {
-                DynSolution::RsRfd(s) => Some(s.priors()),
+                DynSolution::RsFd(s) | DynSolution::RsRfd(s) => s.priors(),
                 _ => None,
             },
         }
@@ -317,15 +311,14 @@ impl From<Smp> for DynSolution {
     }
 }
 
+/// RS+RFD when the fakes follow priors, RS+FD otherwise.
 impl From<RsFd> for DynSolution {
     fn from(s: RsFd) -> Self {
-        DynSolution::RsFd(s)
-    }
-}
-
-impl From<RsRfd> for DynSolution {
-    fn from(s: RsRfd) -> Self {
-        DynSolution::RsRfd(s)
+        if s.priors().is_some() {
+            DynSolution::RsRfd(s)
+        } else {
+            DynSolution::RsFd(s)
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Multidimensional collection solutions: SPL, SMP, RS+FD and the RS+RFD
-//! countermeasure (§2.3 and §5 of the paper).
+//! countermeasure (§2.3 and §5 of the paper), the last two one
+//! [`RsFd`] type apart only in their fake-data source.
 //!
 //! The layer is streaming-first: every solution hands out a
 //! [`MultidimAggregator`] that absorbs sanitized reports one at a time into
@@ -18,7 +19,6 @@ mod layout;
 mod mixed;
 mod report;
 mod rsfd;
-mod rsrfd;
 mod smp;
 mod spl;
 mod tally;
@@ -29,86 +29,12 @@ pub use kind::{DynSolution, SolutionKind};
 pub(crate) use layout::{Entry, Field};
 pub use mixed::{Mixed, MixedEntry, MixedKind, MixedReport, NUMERIC_DIM};
 pub use report::SolutionReport;
-pub use rsfd::{RsFd, RsFdProtocol};
-pub use rsrfd::{RsRfd, RsRfdProtocol};
+pub use rsfd::{RsFd, RsFdProtocol, RsRfdProtocol};
 pub use smp::{Smp, SmpReport};
 pub use spl::Spl;
 
 use ldp_protocols::ProtocolError;
 use rand::Rng;
-
-/// Common interface of the fake-data solutions (RS+FD and RS+RFD), used by
-/// the sampled-attribute inference attack to generate attacker-side training
-/// data with the exact client mechanism.
-///
-/// The client side sanitizes straight into a [`SolutionReport`]'s words —
-/// the one report form — generic over `R: Rng + ?Sized`: a concrete
-/// generator is monomorphized into the sanitizer, and `&mut dyn RngCore`
-/// still works (`R = dyn RngCore`). The server side is the streaming
-/// [`MultidimSolution::aggregator`]. Runtime selection among solutions goes
-/// through [`DynSolution`], not a trait object.
-pub trait MultidimSolution {
-    /// Number of attributes `d`.
-    fn d(&self) -> usize;
-
-    /// Domain sizes `k_j`.
-    fn ks(&self) -> &[usize];
-
-    /// User-level privacy budget ε.
-    fn epsilon(&self) -> f64;
-
-    /// Amplified budget ε′ applied to the sampled attribute.
-    fn epsilon_amplified(&self) -> f64;
-
-    /// Whether per-attribute reports are unary-encoded bit vectors (true) or
-    /// plain categorical values (false) — determines the attack's feature
-    /// encoding.
-    fn is_unary(&self) -> bool;
-
-    /// A fresh streaming server-side aggregator configured with this
-    /// solution's unbiased estimator.
-    fn aggregator(&self) -> MultidimAggregator;
-
-    /// Client-side sanitization of one user tuple with a caller-chosen
-    /// sampled attribute (the survey engine uses it to sample without
-    /// replacement across surveys, and the §3.3 attacker to label its own
-    /// synthetic profiles), written straight into the report's words: each
-    /// entry as it is drawn, the hidden `sampled` in the tuple header.
-    ///
-    /// # Panics
-    /// Panics on tuple width mismatch or `sampled >= d`.
-    fn report_with_sampled<R: Rng + ?Sized>(
-        &self,
-        tuple: &[u32],
-        sampled: usize,
-        rng: &mut R,
-    ) -> SolutionReport;
-
-    /// Client-side sanitization of one user tuple: draws the sampled
-    /// attribute uniformly, then [`MultidimSolution::report_with_sampled`].
-    fn report_encoded<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> SolutionReport {
-        let sampled = rng.random_range(0..self.d());
-        self.report_with_sampled(tuple, sampled, rng)
-    }
-
-    /// [`MultidimSolution::report_encoded`] over a whole round of tuples,
-    /// on the same RNG stream, returning each user's sampled attribute
-    /// beside the reports: the labels the §3.3 attack is scored on, known
-    /// to the caller that drew them and never read back from the words.
-    fn report_round<'a, R: Rng + ?Sized>(
-        &self,
-        tuples: impl IntoIterator<Item = &'a [u32]>,
-        rng: &mut R,
-    ) -> (Vec<SolutionReport>, Vec<usize>) {
-        tuples
-            .into_iter()
-            .map(|tuple| {
-                let sampled = rng.random_range(0..self.d());
-                (self.report_with_sampled(tuple, sampled, rng), sampled)
-            })
-            .unzip()
-    }
-}
 
 /// Validates the (ks, epsilon) pair shared by all solutions.
 pub(crate) fn validate_config(ks: &[usize], epsilon: f64) -> Result<(), ProtocolError> {
@@ -184,6 +110,10 @@ pub(crate) fn to_cdf(pmf: &[f64]) -> Vec<f64> {
     }
     cdf
 }
+
+// RS+RFD's tests: the theorems and the prior-fake path of `RsFd`.
+#[cfg(test)]
+mod rsrfd;
 
 #[cfg(test)]
 mod tests {

@@ -1,23 +1,34 @@
-//! Random Sampling + Fake Data (RS+FD, §2.3.2) — Arcolezi et al. [4].
+//! Random Sampling + Fake Data: RS+FD (§2.3.2, Arcolezi et al. [4]) and
+//! the paper's §5 countermeasure RS+RFD, one mechanism apart only in where
+//! its fake data comes from.
 //!
 //! Each user samples one attribute, sanitizes it with the amplified budget
-//! `ε′ = ln(d(e^ε − 1) + 1)`, and sends **uniform fake data** for every other
-//! attribute, hiding the sampled attribute from the aggregator. Three fake
-//! generation procedures are supported:
+//! `ε′ = ln(d(e^ε − 1) + 1)`, and sends fake data for every other
+//! attribute, hiding the sampled attribute from the aggregator. RS+FD draws
+//! its fakes **uniformly**; RS+RFD (Algorithm 1) draws them from
+//! per-attribute **priors** `f̃` (e.g. last year's Census statistics), so
+//! fake entries look like sanitized real ones, which almost fully defeats
+//! the sampled-attribute inference attack while *improving* utility. The
+//! fake entries:
 //!
-//! * [`RsFdProtocol::Grr`] — fakes are uniform values in the attribute domain;
-//! * [`RsFdProtocol::UeZ`] — fakes are UE-perturbed **zero vectors**;
-//! * [`RsFdProtocol::UeR`] — fakes are UE-perturbed **random one-hot** vectors.
+//! * [`RsFdProtocol::Grr`] / [`RsRfdProtocol::Grr`] — a uniform / prior
+//!   value in the attribute domain;
+//! * [`RsFdProtocol::UeZ`] — a UE-perturbed **zero vector**;
+//! * [`RsFdProtocol::UeR`] / [`RsRfdProtocol::UeR`] — a UE-perturbed
+//!   one-hot encoding of a uniform / prior value.
 //!
 //! The server-side unbiased estimators are the ones derived in [4] and
-//! restated in §2.3.2 of the paper.
+//! restated in §2.3.2 of the paper, and Eqs. (6)–(7) for RS+RFD
+//! (`MultidimAggregator::estimate`); [`RsFd::variance`] is the closed form
+//! of Theorems 2 and 4, for every fake source.
 
 use ldp_protocols::{FrequencyOracle, Grr, ProtocolError, Report, UeMode, UnaryEncoding};
 use rand::Rng;
 
 use super::layout::{Field, Layout};
 use super::{
-    assert_tuple_in_domain, validate_config, MultidimAggregator, MultidimSolution, SolutionReport,
+    assert_tuple_in_domain, sample_cdf, to_cdf, validate_config, MultidimAggregator, SolutionKind,
+    SolutionReport,
 };
 use crate::amplification::amplify;
 
@@ -52,27 +63,89 @@ impl RsFdProtocol {
     ];
 }
 
+/// Which LDP protocol RS+RFD runs on the sampled attribute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RsRfdProtocol {
+    /// RS+RFD\[GRR\]: GRR reports; fakes drawn directly from the prior.
+    Grr,
+    /// RS+RFD[UE-r]: UE reports; fakes are UE-perturbed one-hot encodings of
+    /// prior-distributed values.
+    UeR(UeMode),
+}
+
+impl RsRfdProtocol {
+    /// Paper-style label, e.g. `"RS+RFD[OUE-r]"`.
+    pub fn name(self) -> String {
+        match self {
+            RsRfdProtocol::Grr => "RS+RFD[GRR]".to_string(),
+            RsRfdProtocol::UeR(m) => format!("RS+RFD[{}-r]", m.name()),
+        }
+    }
+
+    /// The three variants evaluated in §5.2.
+    pub const ALL: [RsRfdProtocol; 3] = [
+        RsRfdProtocol::Grr,
+        RsRfdProtocol::UeR(UeMode::Symmetric),
+        RsRfdProtocol::UeR(UeMode::Optimized),
+    ];
+}
+
 #[derive(Debug, Clone)]
 enum Randomizers {
     Grr(Vec<Grr>),
     Ue(Vec<UnaryEncoding>),
 }
 
-/// The RS+FD solution over `d` attributes.
+/// RS+FD over `d` attributes, or RS+RFD when built
+/// [`with_priors`](RsFd::with_priors).
 #[derive(Debug, Clone)]
 pub struct RsFd {
     protocol: RsFdProtocol,
     ks: Vec<usize>,
     epsilon: f64,
     epsilon_amp: f64,
+    /// RS+RFD's fake-data priors `f̃`; `None` draws fakes uniformly.
+    priors: Option<Vec<Vec<f64>>>,
+    /// The priors' sampling CDFs, empty for uniform fakes.
+    prior_cdfs: Vec<Vec<f64>>,
     randomizers: Randomizers,
     pub(super) layout: Layout,
 }
 
 impl RsFd {
-    /// Builds the solution; per-attribute randomizers run at ε′.
+    /// Builds RS+FD with uniform fakes; per-attribute randomizers run at ε′.
     pub fn new(protocol: RsFdProtocol, ks: &[usize], epsilon: f64) -> Result<Self, ProtocolError> {
+        RsFd::build(protocol, ks, epsilon, None)
+    }
+
+    /// Builds the RS+RFD countermeasure, whose fakes follow per-attribute
+    /// prior distributions (`priors[j]` must have length `ks[j]`,
+    /// non-negative entries summing to ≈1).
+    pub fn with_priors(
+        protocol: RsRfdProtocol,
+        ks: &[usize],
+        epsilon: f64,
+        priors: Vec<Vec<f64>>,
+    ) -> Result<Self, ProtocolError> {
+        let protocol = match protocol {
+            RsRfdProtocol::Grr => RsFdProtocol::Grr,
+            RsRfdProtocol::UeR(mode) => RsFdProtocol::UeR(mode),
+        };
+        RsFd::build(protocol, ks, epsilon, Some(priors))
+    }
+
+    /// Validates the configuration, then any priors, then builds the
+    /// randomizers at ε′ and the report layout.
+    fn build(
+        protocol: RsFdProtocol,
+        ks: &[usize],
+        epsilon: f64,
+        priors: Option<Vec<Vec<f64>>>,
+    ) -> Result<Self, ProtocolError> {
         validate_config(ks, epsilon)?;
+        if let Some(priors) = &priors {
+            validate_priors(ks, priors)?;
+        }
         let epsilon_amp = amplify(epsilon, ks.len());
         let randomizers = match protocol {
             RsFdProtocol::Grr => Randomizers::Grr(
@@ -93,17 +166,62 @@ impl RsFd {
             ks: ks.to_vec(),
             epsilon,
             epsilon_amp,
+            prior_cdfs: priors.iter().flatten().map(|p| to_cdf(p)).collect(),
+            priors,
             randomizers,
         })
     }
 
-    /// The variant in use.
+    /// The protocol and fake-data procedure in use (RS+RFD\[UE-r\] runs
+    /// [`RsFdProtocol::UeR`] with prior fakes).
     pub fn protocol(&self) -> RsFdProtocol {
         self.protocol
     }
 
-    /// Effective UE parameters `(p, q)` of attribute `j` (GRR variants return
-    /// the GRR pair). Exposed for the estimator-variance analysis.
+    /// RS+RFD's fake-data priors; `None` for RS+FD's uniform fakes.
+    pub fn priors(&self) -> Option<&[Vec<f64>]> {
+        self.priors.as_deref()
+    }
+
+    /// RS+FD with its protocol, or RS+RFD when fakes follow priors.
+    pub fn kind(&self) -> SolutionKind {
+        match (self.protocol, self.priors.is_some()) {
+            (protocol, false) => SolutionKind::RsFd(protocol),
+            (RsFdProtocol::Grr, true) => SolutionKind::RsRfd(RsRfdProtocol::Grr),
+            (RsFdProtocol::UeR(mode), true) => SolutionKind::RsRfd(RsRfdProtocol::UeR(mode)),
+            (RsFdProtocol::UeZ(_), true) => unreachable!("RS+RFD has no UE-z variant"),
+        }
+    }
+
+    /// Number of attributes `d`.
+    pub fn d(&self) -> usize {
+        self.ks.len()
+    }
+
+    /// Domain sizes `k_j`.
+    pub fn ks(&self) -> &[usize] {
+        &self.ks
+    }
+
+    /// User-level privacy budget ε.
+    pub fn epsilon(&self) -> f64 {
+        self.epsilon
+    }
+
+    /// Amplified budget ε′ applied to the sampled attribute.
+    pub fn epsilon_amplified(&self) -> f64 {
+        self.epsilon_amp
+    }
+
+    /// Whether per-attribute reports are unary-encoded bit vectors (true) or
+    /// plain categorical values (false): determines the attack's feature
+    /// encoding.
+    pub fn is_unary(&self) -> bool {
+        matches!(self.randomizers, Randomizers::Ue(_))
+    }
+
+    /// Effective `(p, q)` of attribute `j` at the amplified budget (GRR
+    /// variants return the GRR pair, UE variants the UE pair).
     pub fn pq(&self, j: usize) -> (f64, f64) {
         match &self.randomizers {
             Randomizers::Grr(grrs) => (grrs[j].p(), grrs[j].q()),
@@ -111,12 +229,38 @@ impl RsFd {
         }
     }
 
-    /// Approximate per-value estimator variance (the paper sets `f = 0`) for
-    /// attribute `j` from `n` reports: RS+FD is RS+RFD with uniform priors,
-    /// so the Theorem 2/4 formulas apply with `f̃ = 1/k`.
-    pub fn approx_variance(&self, j: usize, n: usize) -> f64 {
+    /// Theorem 2 / Theorem 4 estimator variance for value `v` of attribute
+    /// `j` with true frequency `f`, from `n` reports:
+    /// `Var = d²γ(1−γ) / (n(p−q)²)` with `γ = (q + f(p−q) + (d−1)·s_v)/d`,
+    /// where `s_v` is the chance that one fake entry supports `v`: the fake
+    /// value's own chance `f̃_v` (or `1/k`) for GRR, `q + (p−q)·f̃_v` (or
+    /// `1/k`) for a UE-r one-hot fake and `q` for a UE-z zero vector.
+    pub fn variance(&self, j: usize, v: usize, f: f64, n: usize) -> f64 {
         let d = self.ks.len() as f64;
-        let k = self.ks[j] as f64;
+        let (p, q) = self.pq(j);
+        let fake = match &self.priors {
+            Some(priors) => priors[j][v],
+            None => 1.0 / self.ks[j] as f64,
+        };
+        let s_v = match self.protocol {
+            RsFdProtocol::Grr => fake,
+            RsFdProtocol::UeZ(_) => q,
+            RsFdProtocol::UeR(_) => q + (p - q) * fake,
+        };
+        let gamma = (q + f * (p - q) + (d - 1.0) * s_v) / d;
+        d * d * gamma * (1.0 - gamma) / (n as f64 * (p - q) * (p - q))
+    }
+
+    /// The paper's analytic curve for attribute `j` from `n` reports: the
+    /// estimator variance at `f = 0`, averaged over the attribute's values
+    /// with priors (Fig. 16), and in RS+FD's closed form, where every value
+    /// has the same variance, without them.
+    pub fn approx_variance(&self, j: usize, n: usize) -> f64 {
+        let k = self.ks[j];
+        if self.priors.is_some() {
+            return (0..k).map(|v| self.variance(j, v, 0.0, n)).sum::<f64>() / k as f64;
+        }
+        let (d, k) = (self.ks.len() as f64, k as f64);
         let (p, q) = self.pq(j);
         let gamma = match self.protocol {
             RsFdProtocol::Grr => (q + (d - 1.0) / k) / d,
@@ -126,37 +270,26 @@ impl RsFd {
         };
         d * d * gamma * (1.0 - gamma) / (n as f64 * (p - q) * (p - q))
     }
-}
 
-impl MultidimSolution for RsFd {
-    fn d(&self) -> usize {
-        self.ks.len()
+    /// A fresh streaming server-side aggregator configured with this
+    /// solution's unbiased estimator.
+    pub fn aggregator(&self) -> MultidimAggregator {
+        MultidimAggregator::new(self.clone().into())
     }
 
-    fn ks(&self) -> &[usize] {
-        &self.ks
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn epsilon_amplified(&self) -> f64 {
-        self.epsilon_amp
-    }
-
-    fn is_unary(&self) -> bool {
-        matches!(self.protocol, RsFdProtocol::UeZ(_) | RsFdProtocol::UeR(_))
-    }
-
-    /// Draws every attribute's entry in order — the sampled one sanitized
-    /// at ε′, the others fake — writing each into the report as it is
-    /// drawn. A GRR entry is written straight from its draw.
+    /// Client-side sanitization of one user tuple with a caller-chosen
+    /// sampled attribute (the survey engine uses it to sample without
+    /// replacement across surveys, and the §3.3 attacker to label its own
+    /// synthetic profiles): every attribute's entry in order, the sampled
+    /// one sanitized at ε′, the others fake, each written into the report's
+    /// words as it is drawn, and the hidden `sampled` in the tuple header.
+    /// A GRR entry is written straight from its draw.
     ///
     /// # Panics
-    /// Also panics, in every build profile, when any value of the tuple is
-    /// outside its attribute's domain, whichever attribute is sampled.
-    fn report_with_sampled<R: Rng + ?Sized>(
+    /// Panics on tuple width mismatch or `sampled >= d`, and, in every
+    /// build profile, when any value of the tuple is outside its
+    /// attribute's domain, whichever attribute is sampled.
+    pub fn report_with_sampled<R: Rng + ?Sized>(
         &self,
         tuple: &[u32],
         sampled: usize,
@@ -164,6 +297,30 @@ impl MultidimSolution for RsFd {
     ) -> SolutionReport {
         assert_tuple_in_domain(tuple, &self.ks);
         assert!(sampled < self.d(), "sampled attribute out of range");
+        if self.priors.is_some() {
+            // Alg. 1 line 6: a *plain* sample from the prior.
+            let cdfs = &self.prior_cdfs;
+            self.encode(tuple, sampled, rng, |j, _, rng| {
+                sample_cdf(&cdfs[j], rng) as u32
+            })
+        } else {
+            self.encode(tuple, sampled, rng, |_, k, rng| {
+                rng.random_range(0..k as u32)
+            })
+        }
+    }
+
+    /// [`RsFd::report_with_sampled`]'s writer, with attribute `j`'s fake
+    /// value of domain `k` drawn by `fake_value(j, k, rng)`: one body, one
+    /// copy compiled per fake source.
+    #[inline(always)]
+    fn encode<R: Rng + ?Sized>(
+        &self,
+        tuple: &[u32],
+        sampled: usize,
+        rng: &mut R,
+        fake_value: impl Fn(usize, usize, &mut R) -> u32,
+    ) -> SolutionReport {
         let (header, words) = (self.layout.header(sampled), self.layout.words);
         SolutionReport::encode(header, words, |entries| match &self.randomizers {
             Randomizers::Grr(grrs) => {
@@ -171,7 +328,7 @@ impl MultidimSolution for RsFd {
                     entries.value(if i == sampled {
                         grr.draw(tuple[i], rng)
                     } else {
-                        rng.random_range(0..grr.domain_size() as u32)
+                        fake_value(i, grr.domain_size(), rng)
                     });
                 }
             }
@@ -179,27 +336,76 @@ impl MultidimSolution for RsFd {
                 for (i, ue) in ues.iter().enumerate() {
                     entries.push(&if i == sampled {
                         ue.randomize(tuple[i], rng)
+                    } else if let RsFdProtocol::UeZ(_) = self.protocol {
+                        // UE-z fake: no zero vector is ever materialized —
+                        // the word-parallel background sampler writes
+                        // Bernoulli(q) words straight into the report.
+                        Report::Bits(ue.perturb_zero_vector(rng))
                     } else {
-                        match self.protocol {
-                            // UE-z fake: no zero vector is ever materialized —
-                            // the word-parallel background sampler writes
-                            // Bernoulli(q) words straight into the report.
-                            RsFdProtocol::UeZ(_) => Report::Bits(ue.perturb_zero_vector(rng)),
-                            RsFdProtocol::UeR(_) => {
-                                let fake = rng.random_range(0..ue.domain_size() as u32);
-                                ue.randomize(fake, rng)
-                            }
-                            RsFdProtocol::Grr => unreachable!("GRR variant has UE randomizers"),
-                        }
+                        ue.randomize(fake_value(i, ue.domain_size(), rng), rng)
                     });
                 }
             }
         })
     }
 
-    fn aggregator(&self) -> MultidimAggregator {
-        MultidimAggregator::new(self.clone().into())
+    /// Client-side sanitization of one user tuple: draws the sampled
+    /// attribute uniformly, then [`RsFd::report_with_sampled`].
+    pub fn report_encoded<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> SolutionReport {
+        let sampled = rng.random_range(0..self.d());
+        self.report_with_sampled(tuple, sampled, rng)
     }
+
+    /// [`RsFd::report_encoded`] over a whole round of tuples, on the same
+    /// RNG stream, returning each user's sampled attribute beside the
+    /// reports: the labels the §3.3 attack is scored on, known to the
+    /// caller that drew them and never read back from the words.
+    pub fn report_round<'a, R: Rng + ?Sized>(
+        &self,
+        tuples: impl IntoIterator<Item = &'a [u32]>,
+        rng: &mut R,
+    ) -> (Vec<SolutionReport>, Vec<usize>) {
+        tuples
+            .into_iter()
+            .map(|tuple| {
+                let sampled = rng.random_range(0..self.d());
+                (self.report_with_sampled(tuple, sampled, rng), sampled)
+            })
+            .unzip()
+    }
+}
+
+/// Checks RS+RFD's priors: one per attribute, each of its attribute's
+/// domain size, with entries in `[0, 1]` summing to 1.
+fn validate_priors(ks: &[usize], priors: &[Vec<f64>]) -> Result<(), ProtocolError> {
+    if priors.len() != ks.len() {
+        return Err(ProtocolError::InvalidPrior {
+            reason: format!("{} priors for {} attributes", priors.len(), ks.len()),
+        });
+    }
+    for (j, prior) in priors.iter().enumerate() {
+        if prior.len() != ks[j] {
+            return Err(ProtocolError::InvalidPrior {
+                reason: format!(
+                    "prior {j} has {} entries, domain has {}",
+                    prior.len(),
+                    ks[j]
+                ),
+            });
+        }
+        if prior.iter().any(|&p| !(0.0..=1.0 + 1e-9).contains(&p)) {
+            return Err(ProtocolError::InvalidPrior {
+                reason: format!("prior {j} has entries outside [0, 1]"),
+            });
+        }
+        let total: f64 = prior.iter().sum();
+        if (total - 1.0).abs() > 1e-6 {
+            return Err(ProtocolError::InvalidPrior {
+                reason: format!("prior {j} sums to {total}, expected 1"),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

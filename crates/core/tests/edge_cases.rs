@@ -5,7 +5,7 @@ use ldp_core::inference::{encode_features, AttackClassifier, AttackModel, Sample
 use ldp_core::pie;
 use ldp_core::profiling::Profile;
 use ldp_core::reident::{MatchScratch, ReidentAttack};
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, Smp};
+use ldp_core::solutions::{RsFd, RsFdProtocol, Smp};
 use ldp_datasets::{Dataset, Schema};
 use ldp_gbdt::GbdtParams;
 use ldp_protocols::{ProtocolKind, Report};

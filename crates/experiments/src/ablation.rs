@@ -8,7 +8,7 @@
 use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::metrics::mean_std;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol};
 use ldp_gbdt::LogisticParams;
 use ldp_protocols::hash::{mix2, mix3};
 use ldp_protocols::{ProtocolKind, UeMode};

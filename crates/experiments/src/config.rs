@@ -59,7 +59,8 @@ impl ExpConfig {
     ///
     /// # Errors
     /// A variable that is set but does not parse, named in the message —
-    /// also when a flag overrides it.
+    /// also when a flag overrides it — and a non-finite scale, named by the
+    /// flag or variable it came from.
     pub fn resolve(
         env: impl Fn(&str) -> Option<String>,
         flags: &Overrides,
@@ -67,6 +68,16 @@ impl ExpConfig {
         let full = parsed_var(&env, "RISKS_FULL")? == Some(1u8);
         let runs = flags.runs.or(parsed_var(&env, "RISKS_RUNS")?);
         let scale = flags.scale.or(parsed_var(&env, "RISKS_SCALE")?);
+        // `clamp` passes NaN through: a NaN scale would size every corpus
+        // to its floor and write a manifest no later run can parse.
+        if let Some(scale) = scale.filter(|s| !s.is_finite()) {
+            let source = if flags.scale.is_some() {
+                "--scale"
+            } else {
+                "RISKS_SCALE"
+            };
+            return Err(format!("`{source}` must be finite, got {scale}"));
+        }
         let seed = flags.seed.or(parsed_var(&env, "RISKS_SEED")?);
         let threads = flags.threads.or(parsed_var(&env, "RISKS_THREADS")?);
         let out = flags.out.clone().or(env("RISKS_OUT"));
@@ -282,6 +293,28 @@ mod tests {
             ..Overrides::default()
         };
         assert!(ExpConfig::resolve(env(&[("RISKS_SCALE", "abc")]), &flags).is_err());
+    }
+
+    #[test]
+    fn a_non_finite_scale_flag_is_an_error_naming_it() {
+        for scale in [f64::NAN, f64::INFINITY] {
+            let flags = Overrides {
+                scale: Some(scale),
+                ..Overrides::default()
+            };
+            let err = ExpConfig::resolve(env(&[("RISKS_SCALE", "0.5")]), &flags)
+                .expect_err("a non-finite scale must not be clamped into range");
+            assert_eq!(err, format!("`--scale` must be finite, got {scale}"));
+        }
+    }
+
+    #[test]
+    fn a_non_finite_scale_variable_is_an_error_naming_it() {
+        for raw in ["NaN", "inf", "-inf"] {
+            let err = ExpConfig::resolve(env(&[("RISKS_SCALE", raw)]), &Overrides::default())
+                .expect_err("a non-finite scale must not be clamped into range");
+            assert!(err.starts_with("`RISKS_SCALE` must be finite"), "{err}");
+        }
     }
 
     #[test]

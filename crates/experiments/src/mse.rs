@@ -3,7 +3,7 @@
 //! approximate-variance curves.
 
 use ldp_core::metrics::{mean_std, mse_avg};
-use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfdProtocol};
 use ldp_protocols::UeMode;
 use ldp_sim::CollectionPipeline;
 use rand::rngs::StdRng;
@@ -83,27 +83,19 @@ pub fn run(cfg: &ExpConfig, params: &MseParams, fig: &str) -> Table {
 
             // Each grid point is already one parallel work item, so the inner
             // pipeline streams single-threaded: sanitize → absorb, no buffering.
-            let (solution, analytic) = match method {
-                MseMethod::RsFd(protocol) => {
-                    let solution = RsFd::new(protocol, &ks, eps).expect("rsfd construction");
-                    let analytic = (0..ks.len())
-                        .map(|j| solution.approx_variance(j, n))
-                        .sum::<f64>()
-                        / ks.len() as f64;
-                    (solution.into(), analytic)
-                }
+            let solution = match method {
+                MseMethod::RsFd(protocol) => RsFd::new(protocol, &ks, eps),
                 MseMethod::RsRfd(protocol, prior_spec) => {
                     let priors = prior_spec.build(params.dataset, &dataset, &mut rng);
-                    let solution =
-                        RsRfd::new(protocol, &ks, eps, priors).expect("rsrfd construction");
-                    let analytic = (0..ks.len())
-                        .map(|j| solution.approx_variance_avg(j, n))
-                        .sum::<f64>()
-                        / ks.len() as f64;
-                    (solution.into(), analytic)
+                    RsFd::with_priors(protocol, &ks, eps, priors)
                 }
-            };
-            let out = CollectionPipeline::new(solution)
+            }
+            .expect("fake-data solution construction");
+            let analytic = (0..ks.len())
+                .map(|j| solution.approx_variance(j, n))
+                .sum::<f64>()
+                / ks.len() as f64;
+            let out = CollectionPipeline::new(solution.into())
                 .seed(seed)
                 .threads(1)
                 .run(&dataset);

@@ -80,7 +80,7 @@ pub struct EpochSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
+    use ldp_core::solutions::{RsFd, RsFdProtocol};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -9,7 +9,7 @@
 
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::profiling::Profile;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, SolutionReport};
+use ldp_core::solutions::{RsFd, RsFdProtocol, SolutionReport};
 use ldp_datasets::Dataset;
 use ldp_protocols::deniability::best_guess_report;
 use ldp_protocols::hash::mix3;

@@ -8,7 +8,7 @@
 
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::metrics::mse_avg;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfdProtocol};
 use ldp_datasets::corpora::{acs_employment_like, ACS_EMPLOYMENT_N};
 use ldp_datasets::priors::{correct_priors_scaled, IncorrectPrior};
 use ldp_datasets::Dataset;
@@ -19,9 +19,9 @@ use rand::SeedableRng;
 /// Sanitizes the dataset once, estimates its marginals from the reports and
 /// attacks the same reports, scoring against the sampled attributes drawn
 /// here; prints one table row.
-fn row<S: MultidimSolution>(
+fn row(
     name: &str,
-    solution: &S,
+    solution: &RsFd,
     dataset: &Dataset,
     classifier: &AttackClassifier,
     rng: &mut StdRng,
@@ -64,7 +64,7 @@ fn main() {
 
     // RS+RFD with "correct" Census-style priors.
     let priors = correct_priors_scaled(&dataset, 0.1, ACS_EMPLOYMENT_N, &mut rng);
-    let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, epsilon, priors).expect("rsrfd");
+    let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, epsilon, priors).expect("rsrfd");
     row(
         "RS+RFD[GRR] correct prior",
         &rsrfd,
@@ -75,7 +75,7 @@ fn main() {
 
     // RS+RFD with deliberately wrong (Zipf) priors — still robust.
     let priors = IncorrectPrior::Zipf.generate_all(&ks, &mut rng);
-    let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, epsilon, priors).expect("rsrfd");
+    let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, epsilon, priors).expect("rsrfd");
     row(
         "RS+RFD[GRR] zipf prior",
         &rsrfd,

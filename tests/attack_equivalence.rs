@@ -274,10 +274,7 @@ proptest! {
                 let evaluate = |observed: &[SolutionReport]| {
                     let mut rng = fit_rng(seed);
                     match &solution {
-                        DynSolution::RsFd(s) => SampledAttributeAttack::evaluate(
-                            s, observed, &labels, &model, &logistic(), &mut rng,
-                        ),
-                        DynSolution::RsRfd(s) => SampledAttributeAttack::evaluate(
+                        DynSolution::RsFd(s) | DynSolution::RsRfd(s) => SampledAttributeAttack::evaluate(
                             s, observed, &labels, &model, &logistic(), &mut rng,
                         ),
                         _ => unreachable!("fake-data kinds only"),

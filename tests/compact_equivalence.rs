@@ -24,8 +24,7 @@
 
 use ldp_core::solutions::{
     CompactBatch, DynSolution, MixedEntry, MixedKind, MixedReport, MultidimAggregator,
-    MultidimSolution, RsFdProtocol, RsRfdProtocol, SmpReport, SolutionKind, SolutionReport,
-    NUMERIC_DIM,
+    RsFdProtocol, RsRfdProtocol, SmpReport, SolutionKind, SolutionReport, NUMERIC_DIM,
 };
 use ldp_core::{NumericKind, NumericReport};
 use ldp_datasets::corpora::adult_like;
@@ -489,18 +488,13 @@ enum Fake<'a> {
 /// `perturb_zero_vector`.
 fn fake_data_tuple(solution: &DynSolution, cat: &[u32], rng: &mut StdRng) -> Structured {
     let (eps, ue, fake) = match solution {
-        DynSolution::RsFd(s) => match s.protocol() {
-            RsFdProtocol::Grr => (s.epsilon_amplified(), None, Fake::Uniform),
-            RsFdProtocol::UeZ(m) => (s.epsilon_amplified(), Some(m), Fake::ZeroVector),
-            RsFdProtocol::UeR(m) => (s.epsilon_amplified(), Some(m), Fake::Uniform),
+        DynSolution::RsFd(s) | DynSolution::RsRfd(s) => match (s.protocol(), s.priors()) {
+            (RsFdProtocol::Grr, None) => (s.epsilon_amplified(), None, Fake::Uniform),
+            (RsFdProtocol::UeZ(m), _) => (s.epsilon_amplified(), Some(m), Fake::ZeroVector),
+            (RsFdProtocol::UeR(m), None) => (s.epsilon_amplified(), Some(m), Fake::Uniform),
+            (RsFdProtocol::Grr, Some(p)) => (s.epsilon_amplified(), None, Fake::Prior(p)),
+            (RsFdProtocol::UeR(m), Some(p)) => (s.epsilon_amplified(), Some(m), Fake::Prior(p)),
         },
-        DynSolution::RsRfd(s) => {
-            let ue = match s.protocol() {
-                RsRfdProtocol::Grr => None,
-                RsRfdProtocol::UeR(m) => Some(m),
-            };
-            (s.epsilon_amplified(), ue, Fake::Prior(s.priors()))
-        }
         other => unreachable!("{} is not a fake-data solution", other.name()),
     };
     let sampled = rng.random_range(0..cat.len());

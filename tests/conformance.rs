@@ -220,8 +220,7 @@ fn fake_data_band_violation(
 /// The `(p, q)` pair attribute `j`'s sampled entry is sanitized with.
 fn fake_data_pq(solution: &DynSolution, j: usize) -> (f64, f64) {
     match solution {
-        DynSolution::RsFd(s) => s.pq(j),
-        DynSolution::RsRfd(s) => s.pq(j),
+        DynSolution::RsFd(s) | DynSolution::RsRfd(s) => s.pq(j),
         other => unreachable!("{} draws no fake data", other.name()),
     }
 }

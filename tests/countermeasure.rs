@@ -5,7 +5,7 @@ use ldp_core::inference::{
     AttackClassifier, AttackModel, InferenceOutcome, SampledAttributeAttack,
 };
 use ldp_core::metrics::mse_avg;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfdProtocol};
 use ldp_datasets::corpora::{acs_employment_like, ACS_EMPLOYMENT_N};
 use ldp_datasets::priors::{correct_priors_scaled, IncorrectPrior};
 use ldp_datasets::Dataset;
@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One streaming estimation pass over a sanitized round.
-fn estimate<S: MultidimSolution>(solution: &S, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
+fn estimate(solution: &RsFd, ds: &Dataset, rng: &mut StdRng) -> Vec<Vec<f64>> {
     let mut agg = solution.aggregator();
     for t in ds.rows() {
         agg.absorb(&solution.report_encoded(t, rng));
@@ -24,11 +24,7 @@ fn estimate<S: MultidimSolution>(solution: &S, ds: &Dataset, rng: &mut StdRng) -
 
 /// The NK attack on a sanitized round, scored on the sampled attributes
 /// the round drew.
-fn nk_attack<S: MultidimSolution>(
-    solution: &S,
-    ds: &Dataset,
-    rng: &mut StdRng,
-) -> InferenceOutcome {
+fn nk_attack(solution: &RsFd, ds: &Dataset, rng: &mut StdRng) -> InferenceOutcome {
     let (reports, labels) = solution.report_round(ds.rows(), rng);
     let nk = AttackModel::NoKnowledge { synth_factor: 1.0 };
     let classifier = AttackClassifier::Gbdt(GbdtParams {
@@ -54,7 +50,7 @@ fn correct_priors_beat_uniform_fakes_on_mse() {
         mse_fd += mse_avg(&truth, &estimate(&rsfd, &ds, &mut rng));
 
         let priors = correct_priors_scaled(&ds, 0.1, ACS_EMPLOYMENT_N, &mut rng);
-        let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, eps, priors).expect("rsrfd");
+        let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, eps, priors).expect("rsrfd");
         mse_rfd += mse_avg(&truth, &estimate(&rsrfd, &ds, &mut rng));
     }
     assert!(
@@ -72,7 +68,7 @@ fn correct_priors_suppress_the_inference_attack() {
     let fd = nk_attack(&rsfd, &ds, &mut rng);
 
     let priors = correct_priors_scaled(&ds, 0.1, ACS_EMPLOYMENT_N, &mut rng);
-    let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 10.0, priors).expect("rsrfd");
+    let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 10.0, priors).expect("rsrfd");
     let rfd = nk_attack(&rsrfd, &ds, &mut rng);
 
     assert!(
@@ -98,7 +94,7 @@ fn even_wrong_zipf_priors_help_against_the_attack() {
     let fd = nk_attack(&rsfd, &ds, &mut rng);
 
     let priors = IncorrectPrior::Zipf.generate_all(&ks, &mut rng);
-    let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 10.0, priors).expect("rsrfd");
+    let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 10.0, priors).expect("rsrfd");
     let rfd = nk_attack(&rsrfd, &ds, &mut rng);
 
     assert!(
@@ -118,7 +114,7 @@ fn rsrfd_estimators_recover_marginals_with_wrong_priors() {
     let truth = ds.marginals();
     let mut rng = StdRng::seed_from_u64(15);
     let priors = IncorrectPrior::Dirichlet.generate_all(&ks, &mut rng);
-    let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, 3.0, priors).expect("rsrfd");
+    let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, 3.0, priors).expect("rsrfd");
     let est = estimate(&rsrfd, &ds, &mut rng);
     // Spot-check the largest attribute's head value.
     let head = truth[0]

@@ -2,7 +2,7 @@
 //! configurations of the full stack.
 
 use ldp_core::inference::encode_features;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp};
+use ldp_core::solutions::{RsFd, RsFdProtocol, RsRfdProtocol, Smp};
 use ldp_protocols::{ProtocolKind, UeMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ proptest! {
     ) {
         let rsfd = RsFd::new(RsFdProtocol::Grr, &ks, eps).unwrap();
         let uniform: Vec<Vec<f64>> = ks.iter().map(|&k| vec![1.0 / k as f64; k]).collect();
-        let rsrfd = RsRfd::new(RsRfdProtocol::Grr, &ks, eps, uniform).unwrap();
+        let rsrfd = RsFd::with_priors(RsRfdProtocol::Grr, &ks, eps, uniform).unwrap();
         prop_assert!((rsfd.epsilon_amplified() - rsrfd.epsilon_amplified()).abs() < 1e-12);
         prop_assert!(rsfd.epsilon_amplified() > eps);
     }
@@ -98,10 +98,10 @@ proptest! {
         // One prior too few.
         let mut short: Vec<Vec<f64>> = ks.iter().map(|&k| vec![1.0 / k as f64; k]).collect();
         short.pop();
-        prop_assert!(RsRfd::new(RsRfdProtocol::Grr, &ks, eps, short).is_err());
+        prop_assert!(RsFd::with_priors(RsRfdProtocol::Grr, &ks, eps, short).is_err());
         // Unnormalized prior.
         let mut bad: Vec<Vec<f64>> = ks.iter().map(|&k| vec![1.0 / k as f64; k]).collect();
         bad[0][0] += 0.5;
-        prop_assert!(RsRfd::new(RsRfdProtocol::Grr, &ks, eps, bad).is_err());
+        prop_assert!(RsFd::with_priors(RsRfdProtocol::Grr, &ks, eps, bad).is_err());
     }
 }

@@ -4,7 +4,7 @@
 use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::reident::ReidentAttack;
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol};
 use ldp_datasets::corpora::{acs_employment_like, adult_like, nursery_like};
 use ldp_datasets::Dataset;
 use ldp_gbdt::GbdtParams;

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
-use ldp_core::solutions::{MultidimSolution, RsFd, RsFdProtocol};
+use ldp_core::solutions::{RsFd, RsFdProtocol};
 use ldp_datasets::corpora::adult_like;
 use ldp_gbdt::GbdtParams;
 use rand::rngs::StdRng;

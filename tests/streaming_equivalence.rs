@@ -4,8 +4,7 @@
 //! solutions and every protocol variant.
 
 use ldp_core::solutions::{
-    DynSolution, MultidimSolution, RsFd, RsFdProtocol, RsRfd, RsRfdProtocol, Smp, SolutionKind,
-    SolutionReport, Spl,
+    DynSolution, RsFd, RsFdProtocol, RsRfdProtocol, Smp, SolutionKind, SolutionReport, Spl,
 };
 use ldp_protocols::{ProtocolKind, UeMode};
 use proptest::prelude::*;
@@ -76,12 +75,8 @@ fn assert_bit_identical(batch: &[Vec<f64>], streamed: &[Vec<f64>], label: &str) 
 /// Streams `reports` through one sequential aggregator, fed the decoded
 /// entries, and through three merged shards, fed the words; checks both
 /// against the batch estimate.
-fn check_streaming<S: MultidimSolution + Clone + Into<DynSolution>>(
-    solution: &S,
-    reports: &[SolutionReport],
-    label: &str,
-) {
-    let batch = &solution.clone().into().estimate(reports);
+fn check_streaming(solution: &RsFd, reports: &[SolutionReport], label: &str) {
+    let batch = &DynSolution::from(solution.clone()).estimate(reports);
     let mut sequential = solution.aggregator();
     for r in reports {
         sequential.absorb_tuple(&r.to_tuple().unwrap());
@@ -133,7 +128,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let priors: Vec<Vec<f64>> = ks.iter().map(|&k| skewed_prior(k)).collect();
-        let solution = RsRfd::new(protocol, &ks, eps, priors).unwrap();
+        let solution = RsFd::with_priors(protocol, &ks, eps, priors).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let reports: Vec<_> = tuples(&ks, 120, &mut rng)
             .iter()
