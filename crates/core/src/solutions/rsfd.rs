@@ -184,7 +184,7 @@ impl RsFd {
     }
 
     /// RS+FD with its protocol, or RS+RFD when fakes follow priors.
-    pub fn kind(&self) -> SolutionKind {
+    pub(crate) fn kind(&self) -> SolutionKind {
         match (self.protocol, self.priors.is_some()) {
             (protocol, false) => SolutionKind::RsFd(protocol),
             (RsFdProtocol::Grr, true) => SolutionKind::RsRfd(RsRfdProtocol::Grr),
